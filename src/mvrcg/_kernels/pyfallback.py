@@ -111,28 +111,29 @@ def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
     return False
 
 
-def global_model_codes(n: int, pa, ch, nb) -> list[int]:
-    """All separated canonical (X, Y | Z) codes over ``n`` vertices."""
-    out = []
+def iter_canonical_codes(n: int):
+    """All canonical (X, Y | Z) labellings: yields (code, x, y, z)."""
     for code in range(1 << (2 * n)):
         a = b = c = 0
-        bad = False
         for v in range(n):
             d = (code >> (2 * v)) & 3
             if d == 1:
                 a |= 1 << v
             elif d == 2:
                 if not a:  # lowest block vertex must lie in the first block
-                    bad = True
                     break
                 b |= 1 << v
             elif d == 3:
                 c |= 1 << v
-        if bad or not a or not b:
-            continue
-        if not m_connected(n, pa, ch, nb, a, b, c):
-            out.append(code)
-    return out
+        else:
+            if a and b:
+                yield code, a, b, c
+
+
+def global_model_codes(n: int, pa, ch, nb) -> list[int]:
+    """All separated canonical (X, Y | Z) codes over ``n`` vertices."""
+    return [code for code, a, b, c in iter_canonical_codes(n)
+            if not m_connected(n, pa, ch, nb, a, b, c)]
 
 
 def close_codes(n: int, codes, flags: int) -> list[int]:

@@ -21,12 +21,12 @@ smallest vertex id, which makes both orders deterministic.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from ._bitset import bits, set_of
 from .errors import PartiallyDirectedCycle
-from .graph import MixedGraph, districts, parents_of_set
+from .graph import (MixedGraph, district_masks, parents_of_set, reach_mask,
+                    shortest_path, topological_order)
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,13 @@ class ChainDecomposition:
     def nd_d_mask(self, i: int) -> int:
         """Union of components that are not reachable from ``i`` in the
         component DAG, excluding ``i`` itself."""
-        reach = {i}
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for (s, t) in self.component_dag:
-                if s == a and t not in reach:
-                    reach.add(t)
-                    stack.append(t)
+        children = [0] * len(self.components)
+        for s, t in self.component_dag:
+            children[s] |= 1 << t
+        reach = reach_mask(children, 1 << i)
         m = 0
         for j in range(len(self.components)):
-            if j not in reach:
+            if not reach >> j & 1:
                 m |= self.component_mask(j)
         return m
 
@@ -116,25 +112,6 @@ def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
     raise KeyError(f"{sorted(wanted)} is not a chain component")
 
 
-def _bidirected_path(g: MixedGraph, start: int, goal: int, allowed: int) -> list[int]:
-    """A bidirected path start..goal inside ``allowed`` (both included)."""
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if v == goal:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for u in bits(g.nb[v] & allowed):
-            if u not in prev:
-                prev[u] = v
-                queue.append(u)
-    raise AssertionError("endpoints not bidirected-connected")
-
-
 def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
     """Decompose ``g`` into chain components, or raise.
 
@@ -143,81 +120,89 @@ def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
     edge; a directed edge inside a bidirected component and a cycle
     among components are the two ways this can happen.
     """
-    comps = districts(g)
-    comp_masks = [0] * len(comps)
-    comp_of = [0] * g.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-            comp_masks[i] |= 1 << v
+    found = _chain_order_from_masks(g.n, g.ch, g.nb)
+    if found is None:
+        raise PartiallyDirectedCycle(_cycle_witness(g))
+    comps, comp_of, children, order = found
+    new_index = [0] * len(comps)
+    for new, old in enumerate(order):
+        new_index[old] = new
+    return ChainDecomposition(
+        graph=g,
+        components=tuple(set_of(comps[i]) for i in order),
+        component_of=tuple(new_index[c] for c in comp_of),
+        component_dag=frozenset((new_index[i], new_index[j])
+                                for i in range(len(comps)) for j in bits(children[i])),
+        component_order=tuple(range(len(comps))),
+        vertex_order=tuple(topological_order(g.pa, g.ch)),
+    )
 
+
+def is_chain_graph(g: MixedGraph) -> bool:
+    """Cheap predicate form of :func:`validate_chain_graph`."""
+    return _chain_order_from_masks(g.n, g.ch, g.nb) is not None
+
+
+def _component_index(n: int, comps: list[int]) -> list[int]:
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
+        for v in bits(comp):
+            comp_of[v] = i
+    return comp_of
+
+
+def _chain_order_from_masks(n: int, ch, nb):
+    """Chain decomposition of child and bidirected-neighbour masks.
+
+    Returns ``(components, component_of, children, order)``: component
+    masks by smallest member, each vertex's component index, each
+    component's child components as a mask, and the component order as
+    indices.  Returns None when the masks have a partially directed
+    cycle.  Works directly on masks so graph enumeration can filter
+    candidates without building :class:`MixedGraph` objects.
+    """
+    comps = district_masks(nb, (1 << n) - 1)
+    comp_of = _component_index(n, comps)
+    k = len(comps)
+    children = [0] * k
+    parents = [0] * k
+    for v in range(n):
+        cv = comp_of[v]
+        for w in bits(ch[v]):
+            cw = comp_of[w]
+            if cw == cv:
+                return None
+            children[cv] |= 1 << cw
+            parents[cw] |= 1 << cv
+    # Responses first: a component is placed once all its children are.
+    order = topological_order(children, parents)
+    if len(order) != k:
+        return None
+    return comps, comp_of, children, order
+
+
+def _cycle_witness(g: MixedGraph) -> list[int]:
+    """A partially directed cycle of a graph that is not a chain graph,
+    as a vertex walk whose first and last entries coincide."""
+    comps = district_masks(g.nb, g.full_mask)
+    comp_of = _component_index(g.n, comps)
     dag_edges = set()
     for t, h in g.directed:
         ci, cj = comp_of[t], comp_of[h]
         if ci == cj:
-            back = _bidirected_path(g, h, t, comp_masks[ci])
-            raise PartiallyDirectedCycle([t] + back)
+            return [t] + shortest_path(g.nb, h, t, comps[ci])
         dag_edges.add((ci, cj))
 
-    # Component order: children (responses) first, parents later.  Kahn's
-    # algorithm over reversed component edges, smallest member id first.
-    k = len(comps)
-    out_deg = [0] * k              # edges i -> j mean i is a parent of j
-    preds = [[] for _ in range(k)]  # parents of each component
+    # Some components stay unplaced by the component order; each of them
+    # has an unplaced child, so following first children finds a cycle.
+    children = [0] * len(comps)
+    parents = [0] * len(comps)
     for i, j in dag_edges:
-        out_deg[i] += 1
-        preds[j].append(i)
-    heap = [(min(comps[i]), i) for i in range(k) if out_deg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    remaining = out_deg[:]
-    placed = [False] * k
-    while heap:
-        _, i = heapq.heappop(heap)
-        order.append(i)
-        placed[i] = True
-        for p in preds[i]:
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                heapq.heappush(heap, (min(comps[p]), p))
-    if len(order) != k:
-        raise PartiallyDirectedCycle(_component_cycle_walk(g, comps, comp_masks, dag_edges, placed))
-
-    # Re-index components by the order just found.
-    new_index = {old: new for new, old in enumerate(order)}
-    components = tuple(comps[i] for i in order)
-    component_of = tuple(new_index[comp_of[v]] for v in range(g.n))
-    component_dag = frozenset((new_index[i], new_index[j]) for i, j in dag_edges)
-
-    # Vertex order: ancestors first, smallest id first among the ready.
-    indeg = [g.pa[v].bit_count() for v in range(g.n)]
-    vheap = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(vheap)
-    vorder = []
-    while vheap:
-        v = heapq.heappop(vheap)
-        vorder.append(v)
-        for w in bits(g.ch[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(vheap, w)
-    assert len(vorder) == g.n  # directed cycles imply a component cycle above
-
-    return ChainDecomposition(
-        graph=g,
-        components=components,
-        component_of=component_of,
-        component_dag=component_dag,
-        component_order=tuple(range(len(components))),
-        vertex_order=tuple(vorder),
-    )
-
-
-def _component_cycle_walk(g, comps, comp_masks, dag_edges, placed):
-    """Expand a cycle among components into a vertex walk witness."""
-    # Find a directed cycle among the unplaced components.
-    unplaced = [i for i in range(len(comps)) if not placed[i]]
-    succ = {i: [j for (s, j) in dag_edges if s == i and not placed[j]] for i in unplaced}
+        children[i] |= 1 << j
+        parents[j] |= 1 << i
+    placed = set(topological_order(children, parents))
+    unplaced = [i for i in range(len(comps)) if i not in placed]
+    succ = {i: [j for (s, j) in dag_edges if s == i and j not in placed] for i in unplaced}
     path = [unplaced[0]]
     seen_at = {unplaced[0]: 0}
     while True:
@@ -232,68 +217,11 @@ def _component_cycle_walk(g, comps, comp_masks, dag_edges, placed):
     crossings = []
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         for t, h in g.directed:
-            if (1 << t) & comp_masks[a] and (1 << h) & comp_masks[b]:
+            if comp_of[t] == a and comp_of[h] == b:
                 crossings.append((t, h))
                 break
     walk = [crossings[0][0]]
     for idx, (t, h) in enumerate(crossings):
-        walk.append(h)
         nt = crossings[(idx + 1) % len(crossings)][0]
-        comp = comp_masks[[c for c in cycle if (1 << h) & comp_masks[c]][0]]
-        inner = _bidirected_path(g, h, nt, comp)
-        walk.extend(inner[1:])
+        walk.extend(shortest_path(g.nb, h, nt, comps[comp_of[h]]))
     return walk
-
-
-def is_chain_graph(g: MixedGraph) -> bool:
-    """Cheap predicate form of :func:`validate_chain_graph`."""
-    return _chain_order_from_masks(g.n, g.ch, g.nb) is not None
-
-
-def _chain_order_from_masks(n: int, ch: tuple[int, ...], nb) -> list[int] | None:
-    """Component order if the masks describe a chain graph, else None.
-
-    Works directly on adjacency masks so graph enumeration can filter
-    candidates without building :class:`MixedGraph` objects.
-    """
-    comp_of = [-1] * n
-    comp_masks = []
-    for v in range(n):
-        if comp_of[v] >= 0:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grown = 0
-            for u in bits(frontier):
-                grown |= nb[u]
-            frontier = grown & ~comp
-            comp |= frontier
-        idx = len(comp_masks)
-        comp_masks.append(comp)
-        for u in bits(comp):
-            comp_of[u] = idx
-
-    k = len(comp_masks)
-    succ = [0] * k  # bitmask of child components
-    for v in range(n):
-        cv = comp_of[v]
-        for w in bits(ch[v]):
-            cw = comp_of[w]
-            if cw == cv:
-                return None
-            succ[cv] |= 1 << cw
-
-    ready = [i for i in range(k) if succ[i] == 0]
-    order = []
-    removed = 0
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        removed |= 1 << i
-        for p in range(k):
-            if succ[p] >> i & 1:
-                succ[p] &= ~(1 << i)
-                if succ[p] == 0 and not (removed >> p & 1) and p not in ready:
-                    ready.append(p)
-    return order if len(order) == k else None

@@ -218,8 +218,7 @@ def cmd_intervene(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = SweepConfig(max_n=args.max_n, random_count=args.random,
-                         random_n=args.random_n, seed=args.seed,
-                         workers=args.workers)
+                         random_n=args.random_n, seed=args.seed)
     start = 0
     cursor_state = {}
     if args.cursor:
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0)
     p.add_argument("--random-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--cursor")
 

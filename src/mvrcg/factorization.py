@@ -22,8 +22,8 @@ from ._bitset import bits, mask_of, set_of
 from .chain import ChainDecomposition
 from .config import DEFAULT_SUBSET_CAP
 from .errors import CapExceeded, HeadTestFailed, NotAncestrallyClosed
-from .graph import (MixedGraph, ancestors_mask, descendants_mask,
-                    district_mask, parents_of_set)
+from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
+                    district_masks, parents_of_set)
 
 
 @dataclass(frozen=True)
@@ -62,26 +62,14 @@ class Factorization:
 
 def barren(g: MixedGraph, H: Iterable[int], within: Optional[int] = None) -> frozenset[int]:
     """Members of H with no proper descendant inside H."""
-    h = mask_of(H)
+    return set_of(_barren_mask(g, mask_of(H), within))
+
+
+def _barren_mask(g: MixedGraph, h: int, within: Optional[int] = None) -> int:
     out = 0
     for v in bits(h):
         if descendants_mask(g, 1 << v, within) & h == 1 << v:
             out |= 1 << v
-    return set_of(out)
-
-
-def _barren_mask(g: MixedGraph, h: int, within: int) -> int:
-    out = 0
-    for v in bits(h):
-        if descendants_mask(g, 1 << v, within) & h == 1 << v:
-            out |= 1 << v
-    return out
-
-
-def _district_of_set(g: MixedGraph, h: int, within: int) -> int:
-    out = 0
-    for v in bits(h):
-        out |= district_mask(g, v, within)
     return out
 
 
@@ -90,10 +78,9 @@ def _head_tail_mask(g: MixedGraph, h: int) -> Optional[int]:
     anh = ancestors_mask(g, h)
     if _barren_mask(g, h, anh) != h:
         return None
-    first = (h & -h).bit_length() - 1
-    if h & ~district_mask(g, first, anh):
+    dis = district_mask(g, (h & -h).bit_length() - 1, anh)
+    if h & ~dis:
         return None  # spread over more than one district
-    dis = _district_of_set(g, h, anh)
     return (dis & ~h) | parents_of_set(g, dis)
 
 
@@ -140,11 +127,7 @@ def head_partition(g: MixedGraph, A: Iterable[int]) -> Factorization:
     while w:
         anw = ancestors_mask(g, w)
         emitted = 0
-        left = anw
-        while left:
-            v = (left & -left).bit_length() - 1
-            d = district_mask(g, v, anw)
-            left &= ~d
+        for d in district_masks(g.nb, anw):
             eligible = d & w
             # Barrenness is judged inside the district part: a vertex is
             # kept only while it still has a descendant there, so jointly

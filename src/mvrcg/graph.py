@@ -18,7 +18,7 @@ Vertices must be declared before use; declaration order fixes the ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ._bitset import bits, mask_of, set_of
 from .errors import GraphFormatError
@@ -207,20 +207,95 @@ class MixedGraph:
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Plain undirected graph, used for augmented and moral graphs."""
+    """Plain undirected graph, used for augmented graphs."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def adjacency_masks(self) -> list[int]:
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
+
+
+# --- mask-level graph algorithms ---------------------------------------
+#
+# Each takes per-vertex adjacency masks (``g.pa``, ``g.ch``, ``g.nb``, or
+# masks built by the caller), so the same code serves graphs, component
+# DAGs and candidate masks that never become a MixedGraph.
+
+
+def reach_mask(adj: Sequence[int], seed: int, allowed: int = -1) -> int:
+    """Vertices of ``allowed`` reachable from ``seed & allowed`` along
+    ``adj``, walking only through ``allowed``; ``seed & allowed`` included."""
+    out = seed & allowed
+    frontier = out
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & allowed & ~out
+        out |= frontier
+    return out
+
+
+def topological_order(before: Sequence[int], after: Sequence[int]) -> list[int]:
+    """Kahn's algorithm over items ``0..k-1``.
+
+    Item ``i`` is listed after every item in the mask ``before[i]``;
+    ``after`` is the transposed relation.  Among the ready items the
+    smallest id comes first.  Items on or behind a cycle are left out, so
+    a short list means the relation is cyclic.
+    """
+    waiting = [m.bit_count() for m in before]
+    ready = 0
+    for i, w in enumerate(waiting):
+        if not w:
+            ready |= 1 << i
+    order = []
+    while ready:
+        low = ready & -ready
+        i = low.bit_length() - 1
+        ready ^= low
+        order.append(i)
+        for j in bits(after[i]):
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready |= 1 << j
+    return order
+
+
+def district_masks(nb: Sequence[int], within: int) -> list[int]:
+    """Connected components of the bidirected subgraph induced on
+    ``within``, in ascending order of their smallest vertex."""
+    out = []
+    left = within
+    while left:
+        comp = reach_mask(nb, left & -left, within)
+        out.append(comp)
+        left &= ~comp
+    return out
+
+
+def shortest_path(adj: Sequence[int], start: int, goal: int,
+                  allowed: int = -1) -> Optional[list[int]]:
+    """A fewest-edge path ``start .. goal`` along ``adj`` through
+    ``allowed``, or None.  Breadth-first with smaller ids first, so the
+    path returned is deterministic."""
+    prev = {start: None}
+    queue = [start]
+    for v in queue:  # the queue grows while it is read
+        if v == goal:
+            path = []
+            while v is not None:
+                path.append(v)
+                v = prev[v]
+            return path[::-1]
+        for u in bits(adj[v] & allowed):
+            if u not in prev:
+                prev[u] = v
+                queue.append(u)
+    return None
 
 
 # --- set-valued graph functions ----------------------------------------
@@ -235,29 +310,11 @@ def _as_mask(g: MixedGraph, xs: Iterable[int]) -> int:
 
 def ancestors_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> int:
     """Reflexive ancestor closure of the bitmask ``seed`` under -> edges."""
-    allowed = g.full_mask if within is None else within
-    out = seed & allowed
-    frontier = out
-    while frontier:
-        grown = 0
-        for v in bits(frontier):
-            grown |= g.pa[v]
-        frontier = grown & allowed & ~out
-        out |= frontier
-    return out
+    return reach_mask(g.pa, seed, g.full_mask if within is None else within)
 
 
 def descendants_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> int:
-    allowed = g.full_mask if within is None else within
-    out = seed & allowed
-    frontier = out
-    while frontier:
-        grown = 0
-        for v in bits(frontier):
-            grown |= g.ch[v]
-        frontier = grown & allowed & ~out
-        out |= frontier
-    return out
+    return reach_mask(g.ch, seed, g.full_mask if within is None else within)
 
 
 def ancestors(g: MixedGraph, xs: Iterable[int]) -> frozenset[int]:
@@ -265,51 +322,20 @@ def ancestors(g: MixedGraph, xs: Iterable[int]) -> frozenset[int]:
     return set_of(ancestors_mask(g, _as_mask(g, xs)))
 
 
-def anteriors(g: MixedGraph, xs: Iterable[int]) -> frozenset[int]:
-    """Reflexive anterior set of ``xs``.
-
-    An anterior walk into the set may use undirected edges or directed
-    edges pointing toward it.  This graph class carries no undirected
-    edges, so the walk search below only ever extends along parents and
-    the result coincides with :func:`ancestors`; both are kept as
-    independent implementations and cross-checked in the test suite.
-    """
-    seed = _as_mask(g, xs)
-    out = seed
-    stack = list(bits(seed))
-    while stack:
-        v = stack.pop()
-        for u in bits(g.pa[v] & ~out):
-            out |= 1 << u
-            stack.append(u)
-    return set_of(out)
+# An anterior walk into a set may use undirected edges or directed edges
+# pointing toward it.  This graph class carries no undirected edges, so
+# the reflexive anterior set of ``xs`` is its ancestor set.
+anteriors = ancestors
 
 
 def districts(g: MixedGraph, within: Optional[int] = None) -> list[frozenset[int]]:
     """Connected components of the bidirected-only (sub)graph, by min id."""
     allowed = g.full_mask if within is None else within
-    seen = 0
-    out = []
-    for v in bits(allowed):
-        if seen >> v & 1:
-            continue
-        comp = district_mask(g, v, allowed)
-        seen |= comp
-        out.append(set_of(comp))
-    return out
+    return [set_of(d) for d in district_masks(g.nb, allowed)]
 
 
 def district_mask(g: MixedGraph, v: int, within: Optional[int] = None) -> int:
-    allowed = g.full_mask if within is None else within
-    comp = (1 << v) & allowed
-    frontier = comp
-    while frontier:
-        grown = 0
-        for u in bits(frontier):
-            grown |= g.nb[u]
-        frontier = grown & allowed & ~comp
-        comp |= frontier
-    return comp
+    return reach_mask(g.nb, 1 << v, g.full_mask if within is None else within)
 
 
 def district_of(g: MixedGraph, v: int) -> frozenset[int]:

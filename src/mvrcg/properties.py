@@ -8,7 +8,6 @@ triples (mutual independence becomes all pairwise blocks).
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional
 
 from ._bitset import bits, mask_of, set_of, submasks
@@ -16,23 +15,11 @@ from .chain import ChainDecomposition, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP
 from .errors import (CapExceeded, HasChildInA, InconsistentOrder,
                      NotAncestrallyClosed)
-from .graph import (MixedGraph, ancestors_mask, descendants_mask,
-                    district_mask, parents_of_set)
+from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
+                    district_masks, parents_of_set, topological_order)
 from .triples import IndependenceModel, triple_from_masks
 
 PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
-
-
-def _bidirected_components(g: MixedGraph, member_mask: int) -> list[int]:
-    """Connected components of the bidirected subgraph induced on the set."""
-    comps = []
-    left = member_mask
-    while left:
-        v = (left & -left).bit_length() - 1
-        comp = district_mask(g, v, member_mask)
-        comps.append(comp)
-        left &= ~comp
-    return comps
 
 
 def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
@@ -90,7 +77,7 @@ def mr_triples(g: MixedGraph, dec: ChainDecomposition,
             raise CapExceeded(f"component size {tmask.bit_count()} exceeds cap {cap}")
         pre = dec.pre_mask(t)
         for sub in submasks(tmask):
-            comps = _bidirected_components(g, sub)
+            comps = district_masks(g.nb, sub)
             if len(comps) == 1:
                 pa = parents_of_set(g, sub)
                 rest = pre & ~pa
@@ -128,7 +115,7 @@ def type_iv_triples(g: MixedGraph, dec: ChainDecomposition,
             iv1_rest = pad & ~pa
             if iv1_rest:
                 triples.append(triple_from_masks(sub, iv1_rest, pa))
-            if len(_bidirected_components(g, sub)) == 1:
+            if len(district_masks(g.nb, sub)) == 1:
                 nbs = sub
                 for v in bits(sub):
                     nbs |= g.nb[v]
@@ -138,12 +125,8 @@ def type_iv_triples(g: MixedGraph, dec: ChainDecomposition,
     return IndependenceModel.of(g.n, triples)
 
 
-def _district_in(g: MixedGraph, x: int, within: int) -> int:
-    return district_mask(g, x, within)
-
-
 def _markov_blanket_mask(g: MixedGraph, x: int, a_mask: int) -> int:
-    dis = _district_in(g, x, a_mask)
+    dis = district_mask(g, x, a_mask)
     return (parents_of_set(g, dis) | dis) & ~(1 << x)
 
 
@@ -166,17 +149,7 @@ def markov_blanket(g: MixedGraph, x: int, A: Iterable[int]) -> frozenset[int]:
 
 def consistent_vertex_order(g: MixedGraph) -> tuple[int, ...]:
     """Ancestors-first total order with smallest-id tie-breaks."""
-    indeg = [g.pa[v].bit_count() for v in range(g.n)]
-    heap = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in bits(g.ch[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
+    order = topological_order(g.pa, g.ch)
     if len(order) != g.n:
         raise InconsistentOrder("graph has a directed cycle")
     return tuple(order)

@@ -24,9 +24,11 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from ._bitset import bits, mask_of, set_of
+from ._kernels.pyfallback import iter_canonical_codes
 from .config import model_cap
 from .errors import CapExceeded, DisjointnessViolation, NotADag
-from .graph import MixedGraph, UndirectedGraph, ancestors_mask
+from .graph import (MixedGraph, UndirectedGraph, ancestors_mask, reach_mask,
+                    topological_order)
 from .triples import IndependenceModel
 
 
@@ -144,61 +146,32 @@ def augmented_graph(g: MixedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, frozenset(edges))
 
 
-def _separated_in_adjacency(adj: list[int], x: int, y: int, z: int) -> bool:
-    reach = x
-    frontier = x
-    while frontier:
-        grown = 0
-        for v in bits(frontier):
-            grown |= adj[v]
-        grown &= ~z
-        frontier = grown & ~reach
-        reach |= frontier
-    return not reach & y
-
-
 def m_star_separated(g: MixedGraph, X, Y, Z=()) -> bool:
     """Augmentation criterion: separation in the augmented ancestral
     subgraph.  Anterior and ancestor closures coincide here because the
     graph has no undirected edges."""
     x, y, z = _query_masks(g, X, Y, Z)
     w = ancestors_mask(g, x | y | z)
-    adj = _collider_adjacency(g, w)
-    return _separated_in_adjacency(adj, x, y, z)
+    return not reach_mask(_collider_adjacency(g, w), x, ~z) & y
 
 
 def _require_dag(g: MixedGraph) -> None:
     if g.bidirected:
         raise NotADag("graph has bidirected edges")
-    indeg = [g.pa[v].bit_count() for v in range(g.n)]
-    ready = [v for v in range(g.n) if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in bits(g.ch[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if seen != g.n:
+    if len(topological_order(g.pa, g.ch)) != g.n:
         raise NotADag("graph has a directed cycle")
 
 
-def moral_graph(g: MixedGraph, within: Optional[int] = None) -> UndirectedGraph:
-    """Undirect all edges and marry parents sharing a child."""
-    allowed = g.full_mask if within is None else within
+def _moral_adjacency(g: MixedGraph, within: int) -> list[int]:
+    """Moral adjacency masks on the induced subgraph ``within``: every
+    edge undirected, and parents sharing a child married."""
     adj = [0] * g.n
-    for v in bits(allowed):
-        nbrs = (g.pa[v] | g.ch[v]) & allowed
-        adj[v] |= nbrs
-        parents = g.pa[v] & allowed
+    for v in bits(within):
+        adj[v] |= (g.pa[v] | g.ch[v]) & within
+        parents = g.pa[v] & within
         for p in bits(parents):
             adj[p] |= parents & ~(1 << p)
-    edges = set()
-    for u in bits(allowed):
-        for v in bits(adj[u]):
-            edges.add((min(u, v), max(u, v)))
-    return UndirectedGraph(g.n, frozenset(edges))
+    return adj
 
 
 def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
@@ -207,29 +180,7 @@ def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
     _require_dag(dag)
     x, y, z = _query_masks(dag, X, Y, Z)
     w = ancestors_mask(dag, x | y | z)
-    adj = moral_graph(dag, w).adjacency_masks()
-    return _separated_in_adjacency(adj, x, y, z)
-
-
-def iter_canonical_codes(n: int):
-    """All canonical (X, Y | Z) labellings: yields (code, x, y, z)."""
-    for code in range(1 << (2 * n)):
-        a = b = c = 0
-        bad = False
-        for v in range(n):
-            d = (code >> (2 * v)) & 3
-            if d == 1:
-                a |= 1 << v
-            elif d == 2:
-                if not a:
-                    bad = True
-                    break
-                b |= 1 << v
-            elif d == 3:
-                c |= 1 << v
-        if bad or not a or not b:
-            continue
-        yield code, a, b, c
+    return not reach_mask(_moral_adjacency(dag, w), x, ~z) & y
 
 
 def global_model_codes(g: MixedGraph, cap: Optional[int] = None,

@@ -22,7 +22,7 @@ from ._bitset import bits, set_of, submasks
 from .closure import CheckResult
 from .config import marginal_cap
 from .errors import CapExceeded, NotAncestral, VerticesAdjacent
-from .graph import MixedGraph, ancestors_mask
+from .graph import MixedGraph, ancestors_mask, shortest_path
 from .separation import d_separated, iter_canonical_codes, m_separated
 from .triples import triple_from_masks
 
@@ -33,31 +33,13 @@ def is_ancestral(g: MixedGraph) -> CheckResult:
     an = [ancestors_mask(g, 1 << v) for v in range(g.n)]
     for t, h in sorted(g.directed):
         if an[t] >> h & 1:  # head of t->h is an ancestor of its tail
-            return CheckResult(False, ("->", t, h, _directed_path(g, h, t)))
+            return CheckResult(False, ("->", t, h, shortest_path(g.ch, h, t)))
     for u, v in sorted(g.bidirected):
         if an[v] >> u & 1:
-            return CheckResult(False, ("<->", u, v, _directed_path(g, u, v)))
+            return CheckResult(False, ("<->", u, v, shortest_path(g.ch, u, v)))
         if an[u] >> v & 1:
-            return CheckResult(False, ("<->", v, u, _directed_path(g, v, u)))
+            return CheckResult(False, ("<->", v, u, shortest_path(g.ch, v, u)))
     return CheckResult(True)
-
-
-def _directed_path(g: MixedGraph, src: int, dst: int) -> list[int]:
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        v = queue.pop(0)
-        if v == dst:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for w in bits(g.ch[v]):
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    raise AssertionError("no directed path despite ancestor relation")
 
 
 def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[list[int]]:

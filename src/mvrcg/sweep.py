@@ -15,18 +15,17 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close_codes
+from .config import model_cap
 from .enumeration import enumerate_mvr_cgs, random_mvr_cgs
 from .errors import GraphError
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph
-from .properties import (alt_local_triples, mr_triples, ordered_local_triples,
-                         pairwise_triples, type_iv_triples)
+from .properties import property_model
 from .separation import global_model_codes
 from .structure import is_ancestral, is_maximal, marginal_model_equal
 from .triples import decode_triple
@@ -58,11 +57,9 @@ class SweepConfig:
     seed: int = 1
     checks: tuple[str, ...] = ALL_CHECKS
     marginal_oracle_max_n: int = 6
-    workers: int = 1
-    axiom_overrides: dict = field(default_factory=dict)
 
     def axioms_for(self, prop: str) -> AxiomSet:
-        return AxiomSet.parse(self.axiom_overrides.get(prop, PROPERTY_AXIOMS[prop]))
+        return AxiomSet.parse(PROPERTY_AXIOMS[prop])
 
 
 @dataclass
@@ -121,23 +118,17 @@ def _first_difference(n: int, codes_a, codes_b) -> str:
     return f"{decode_triple(code, n)} only in {side} model"
 
 
-def _property_codes(g: MixedGraph, dec, prop: str) -> list[int]:
-    if prop == "mr":
-        return mr_triples(g, dec).to_codes()
-    if prop == "iv":
-        return type_iv_triples(g, dec).to_codes()
-    if prop == "ordered":
-        return ordered_local_triples(g).to_codes()
-    if prop == "local":
-        return alt_local_triples(g).to_codes()
-    return pairwise_triples(g, dec, prop).to_codes()
-
-
 def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> VerificationReport:
     report = VerificationReport(index, g.n, graph_hash(g),
                                 sorted(g.directed), sorted(g.bidirected))
-    dec = validate_chain_graph(g)
-    global_codes = global_model_codes(g)
+    try:
+        dec = validate_chain_graph(g)
+        global_codes = global_model_codes(g)
+    except GraphError as exc:
+        witness = f"{type(exc).__name__}: {exc}"
+        for name in config.checks:
+            report.checks[name] = CheckOutcome("fail", witness)
+        return report
 
     def run(name, fn):
         if name not in config.checks:
@@ -170,7 +161,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
             key = repr(ax)
             if key not in closed_global:
                 closed_global[key] = close_codes(g.n, global_codes, ax)
-            lhs = close_codes(g.n, _property_codes(g, dec, prop), ax)
+            lhs = close_codes(g.n, property_model(g, prop, dec).to_codes(), ax)
             if lhs == closed_global[key]:
                 return True, None
             return False, _first_difference(g.n, lhs, closed_global[key])
@@ -216,10 +207,9 @@ def run_equivalence_sweep(config: SweepConfig,
                           start_index: int = 0) -> Iterator[VerificationReport]:
     """Reports in deterministic graph order, optionally resuming after
     ``start_index - 1``."""
-    graphs = ((i, g) for i, g in enumerate(sweep_graphs(config)) if i >= start_index)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            yield from pool.map(lambda ig: verify_graph(ig[1], config, ig[0]), graphs)
-    else:
-        for i, g in graphs:
+    # A malformed MVRCG_MAX_N is not a property of any graph: raise it
+    # before the first report instead of failing every graph with it.
+    model_cap()
+    for i, g in enumerate(sweep_graphs(config)):
+        if i >= start_index:
             yield verify_graph(g, config, i)

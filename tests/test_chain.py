@@ -1,10 +1,19 @@
+import hashlib
+
 import pytest
 
 from mvrcg import MixedGraph, is_chain_graph, validate_chain_graph
-from mvrcg.enumeration import enumerate_mixed_graphs
+from mvrcg.enumeration import enumerate_mixed_graphs, enumerate_mvr_cgs
 from mvrcg.errors import PartiallyDirectedCycle
+from mvrcg.properties import consistent_vertex_order
 
 from oracles import oracle_is_chain_graph
+
+# sha1 over validate_chain_graph's components, component DAG and vertex
+# order for every labeled chain graph with n <= 4, then over the witness
+# walk for every non-chain graph with n = 4.  It pins both orders'
+# tie-breaks and the choice of witness.
+ORDERING_DIGEST = "379183f915684ae3c3d475e3ca8c44f0fd7ee085"
 
 
 def test_edgeless_graph_decomposes_into_singletons():
@@ -122,3 +131,30 @@ def test_component_dag_edges_match_crossing_edges_exhaustive():
         dec = validate_chain_graph(g)
         expected = {(dec.component_of[t], dec.component_of[h]) for t, h in g.directed}
         assert dec.component_dag == expected
+
+
+def test_vertex_order_is_consistent_vertex_order_exhaustive():
+    for n in range(1, 5):
+        for g in enumerate_mvr_cgs(n):
+            assert consistent_vertex_order(g) == validate_chain_graph(g).vertex_order
+
+
+def test_orders_and_witnesses_match_pinned_digest():
+    records = []
+    for n in range(1, 5):
+        for g in enumerate_mvr_cgs(n):
+            dec = validate_chain_graph(g)
+            records.append((n, sorted(g.directed), sorted(g.bidirected),
+                            [sorted(c) for c in dec.components],
+                            sorted(dec.component_dag), list(dec.vertex_order)))
+    walks = []
+    for g in enumerate_mixed_graphs(4):
+        try:
+            validate_chain_graph(g)
+        except PartiallyDirectedCycle as exc:
+            walks.append((sorted(g.directed), sorted(g.bidirected), list(exc.walk)))
+    assert (len(records), len(walks)) == (1743, 2408)
+    digest = hashlib.sha1()
+    for rec in sorted(records) + sorted(walks):
+        digest.update(repr(rec).encode())
+    assert digest.hexdigest() == ORDERING_DIGEST

@@ -5,6 +5,7 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
+from mvrcg.sweep import SweepConfig, run_equivalence_sweep
 
 
 @pytest.fixture()
@@ -212,23 +213,31 @@ def test_separate_method_d_on_dag(capsys, fig_path):
     assert code == 0 and "CONNECTED" in out
 
 
-def test_sweep_with_worker_pool_matches_serial(capsys, tmp_path):
-    serial = tmp_path / "serial.jsonl"
-    pooled = tmp_path / "pooled.jsonl"
-    run(capsys, "sweep", "--max-n", "2", "--random", "5", "--out", str(serial))
-    run(capsys, "sweep", "--max-n", "2", "--random", "5", "--workers", "4",
-        "--out", str(pooled))
+def test_sweep_rejects_malformed_max_n(capsys, monkeypatch):
+    monkeypatch.setenv("MVRCG_MAX_N", "abc")
+    code, out, err = run(capsys, "sweep", "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert "error: GraphError: MVRCG_MAX_N must be an integer, got 'abc'" in err
 
-    def normalise(path):
-        out = []
-        for line in path.read_text().splitlines():
-            data = json.loads(line)
-            for check in data["checks"].values():
-                check.pop("ms")
-            out.append(data)
-        return out
 
-    assert normalise(serial) == normalise(pooled)
+def test_sweep_config_is_hashable():
+    assert hash(SweepConfig()) == hash(SweepConfig())
+    assert SweepConfig(max_n=3, seed=7) == SweepConfig(max_n=3, seed=7)
+    assert hash(SweepConfig(max_n=3, seed=7)) == hash(SweepConfig(max_n=3, seed=7))
+
+
+def test_sweep_records_graph_errors_and_continues():
+    config = SweepConfig(max_n=1, random_count=2, random_n=8)
+    reports = list(run_equivalence_sweep(config))
+    assert [r.index for r in reports] == [0, 1, 2]
+    assert reports[0].ok and reports[0].n == 1
+    for report in reports[1:]:  # 8 vertices exceed the model cap of 7
+        assert report.n == 8 and not report.ok
+        assert set(report.checks) == set(config.checks)
+        for outcome in report.checks.values():
+            assert outcome.status == "fail"
+            assert outcome.witness == "CapExceeded: 8 vertices exceeds cap 7"
 
 
 def test_export_dot_with_induced_set(capsys, fig_path):

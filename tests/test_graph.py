@@ -76,14 +76,6 @@ def test_ancestors_against_oracle_exhaustive():
             assert ancestors(g, xs) == oracle_ancestors(g.n, g.directed, xs)
 
 
-def test_anteriors_equal_ancestors_exhaustive():
-    # no undirected edges exist, so the two closures must coincide
-    for g in enumerate_mvr_cgs(4):
-        for seed in (1, 2, 4, 8, 3, 10, 15):
-            xs = {v for v in range(4) if seed >> v & 1}
-            assert anteriors(g, xs) == ancestors(g, xs)
-
-
 def test_anteriors_trivial():
     assert anteriors(MixedGraph(1), [0]) == {0}
     g = MixedGraph(2, directed=[(0, 1)])
