@@ -6,7 +6,11 @@ Three workloads, matching how the verification sweeps spend their time:
                graph on four vertices;
 * ``model6``   the same for 60 random six-vertex graphs;
 * ``closure``  compositional-graphoid closure of the separation model of
-               40 random five-vertex graphs.
+               40 random five-vertex graphs;
+* ``closure p3 edgeless n=6..8``  compositional-graphoid closure of the
+               pairwise (p3) statements of the edgeless graph, whose
+               closure is every triple on the ground set (1,351, 6,069
+               and 26,335 codes): the largest models the sweeps close.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -18,6 +22,8 @@ import time
 
 from mvrcg._kernels import load_compiled, pyfallback
 from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cg
+from mvrcg.graph import MixedGraph
+from mvrcg.properties import property_model
 
 FULL_AXIOMS = 0b11111
 
@@ -44,6 +50,10 @@ def workload_closure(kernel, graphs):
     return total
 
 
+def workload_close(kernel, n, codes):
+    return len(kernel.close_codes(n, codes, FULL_AXIOMS))
+
+
 def timed(fn, *args):
     best = float("inf")
     result = None
@@ -60,11 +70,15 @@ def main():
     graphs6 = [random_mvr_cg(6, rng) for _ in range(60)]
     graphs5 = [random_mvr_cg(5, rng) for _ in range(40)]
 
+    edgeless_p3 = [(n, property_model(MixedGraph(n), "p3").to_codes()) for n in (6, 7, 8)]
+
     rows = []
     for name, fn, args in (
         ("model  (all n=4 graphs)", workload_model, ()),
         ("model6 (60 random n=6)", workload_model6, (graphs6,)),
         ("closure (40 random n=5)", workload_closure, (graphs5,)),
+        *((f"closure p3 edgeless n={n}", workload_close, (n, codes))
+          for n, codes in edgeless_p3),
     ):
         py_t, py_r = timed(fn, pyfallback, *args)
         row = {"name": name, "python": py_t, "check": py_r}

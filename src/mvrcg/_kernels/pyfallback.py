@@ -143,33 +143,44 @@ def close_codes(n: int, codes, flags: int) -> list[int]:
     contraction axiom contributes its reverse direction (splitting the
     second block back apart) as the same single-vertex drop/move steps
     that decomposition and weak union use.
+
+    Every binary rule joins two triples that share one block, the anchor.
+    Each triple is filed under both of its blocks as anchor in two
+    buckets, keyed by ``(anchor, c)`` and by ``(anchor, c | blk)``, where
+    ``blk`` is its other block.  Composition pairs triples with equal
+    ``c``; contraction pairs one triple's ``c`` with its partner's
+    ``c | blk``; intersection pairs equal ``c | blk``.  A worklist triple
+    therefore visits only the buckets its partners can sit in.  Triples
+    are deduplicated on the packed key ``a | b << n | c << 2n`` and
+    encoded as base-4 codes once, at the end.
     """
     drops = bool(flags & (_DECOMPOSITION | _CONTRACTION))
     moves = bool(flags & (_WEAK_UNION | _CONTRACTION))
     con = bool(flags & _CONTRACTION)
     inter = bool(flags & _INTERSECTION)
     comp = bool(flags & _COMPOSITION)
+    by_c_used = con or comp
+    by_cb_used = con or inter
 
-    seen = bytearray(1 << (2 * n))
-    model: list[tuple[int, int, int]] = []
+    seen: set[int] = set()
     work: list[tuple[int, int, int]] = []
+    by_c: dict[int, list[tuple[int, int]]] = {}   # anchor | c << n
+    by_cb: dict[int, list[tuple[int, int]]] = {}  # anchor | (c | blk) << n
 
     def push(a: int, b: int, c: int) -> None:
-        low = (a | b) & -(a | b)
-        if low & b:
+        if (b & -b) < (a & -a):  # the lowest block vertex goes first
             a, b = b, a
-        code = 0
-        for v in range(n):
-            if a >> v & 1:
-                code += 1 << (2 * v)
-            elif b >> v & 1:
-                code += 2 << (2 * v)
-            elif c >> v & 1:
-                code += 3 << (2 * v)
-        if not seen[code]:
-            seen[code] = 1
-            model.append((a, b, c))
-            work.append((a, b, c))
+        key = a | b << n | c << 2 * n
+        if key in seen:
+            return
+        seen.add(key)
+        work.append((a, b, c))
+        if by_c_used:
+            by_c.setdefault(a | c << n, []).append((b, c))
+            by_c.setdefault(b | c << n, []).append((a, c))
+        if by_cb_used:
+            by_cb.setdefault(a | (c | b) << n, []).append((b, c))
+            by_cb.setdefault(b | (c | a) << n, []).append((a, c))
 
     for code in codes:
         push(*decode_code(n, code))
@@ -196,23 +207,27 @@ def close_codes(n: int, codes, flags: int) -> list[int]:
                             push(a, rest, c)
                         if moves:
                             push(a, rest, c | low)
-        if not (con or inter or comp):
-            continue
-        for a2, b2, c2 in list(model):
-            for (p1a, p1b, p1c, p2a, p2b, p2c) in (
-                (a, b, c, a2, b2, c2),
-                (a2, b2, c2, a, b, c),
-            ):
-                for anchor1, blk1 in ((p1a, p1b), (p1b, p1a)):
-                    for anchor2, blk2 in ((p2a, p2b), (p2b, p2a)):
-                        if anchor1 != anchor2:
-                            continue
-                        if con and p1c == (p2c | blk2):
-                            push(anchor1, blk1 | blk2, p2c)
-                        if comp and p1c == p2c and not blk1 & blk2:
-                            push(anchor1, blk1 | blk2, p1c)
-                        if inter and blk2 & p1c == blk2 and \
-                                p2c == ((p1c & ~blk2) | blk1):
-                            push(anchor1, blk1 | blk2, p1c & ~blk2)
+        # Partners were filed when pushed, so each pair is joined once its
+        # later member is popped.  Composition and intersection conclude
+        # the same triple with the premises swapped, so they need only
+        # the first-premise role; contraction needs both.
+        for anchor, blk in ((a, b), (b, a)):
+            if con:
+                # <anchor, blk | c> with <anchor, blk2 | c2>, c == c2 | blk2
+                for blk2, c2 in by_cb.get(anchor | c << n, ()):
+                    push(anchor, blk | blk2, c2)
+                # <anchor, blk1 | c1> with <anchor, blk | c>, c1 == c | blk
+                for blk1, _ in by_c.get(anchor | (c | blk) << n, ()):
+                    push(anchor, blk1 | blk, c)
+            if comp:
+                for blk2, _ in by_c.get(anchor | c << n, ()):
+                    if not blk & blk2:
+                        push(anchor, blk | blk2, c)
+            if inter:
+                for blk2, c2 in by_cb.get(anchor | (c | blk) << n, ()):
+                    if blk2 & c == blk2 and c2 == (c & ~blk2) | blk:
+                        push(anchor, blk | blk2, c & ~blk2)
 
-    return sorted(encode_masks(n, a, b, c) for a, b, c in model)
+    full = (1 << n) - 1
+    return sorted(encode_masks(n, key & full, key >> n & full, key >> 2 * n)
+                  for key in seen)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chain import validate_chain_graph
@@ -23,7 +24,7 @@ from .properties import PROPERTY_KINDS, property_model
 from .separation import (d_separated, global_model, m_connecting_walk,
                          m_separated, m_star_separated)
 from .structure import canonical_dag, is_ancestral, is_maximal, marginal_model_equal
-from .sweep import SweepConfig, run_equivalence_sweep
+from .sweep import SweepConfig, config_hash, run_equivalence_sweep
 from .triples import IndependenceModel
 
 
@@ -216,19 +217,36 @@ def cmd_intervene(args) -> int:
     return 0
 
 
+def _resume_index(path: str, key: str) -> int:
+    """Where a sweep under config hash ``key`` resumes, per its cursor."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except FileNotFoundError:
+        return 0
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise GraphError(f"cursor {path} is not valid JSON: {exc}") from None
+    if not isinstance(state, dict) or not isinstance(state.get("next"), int):
+        raise GraphError(f"cursor {path} has no integer 'next' entry")
+    if state.get("config") != key:
+        raise GraphError(f"cursor {path} belongs to another sweep configuration "
+                         "or backend; delete it to start afresh")
+    return state["next"]
+
+
+def _write_cursor(path: str, state: dict) -> None:
+    """Replace the cursor in one step, so a crash leaves the old one whole."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+    os.replace(tmp, path)
+
+
 def cmd_sweep(args) -> int:
     config = SweepConfig(max_n=args.max_n, random_count=args.random,
                          random_n=args.random_n, seed=args.seed)
-    start = 0
-    cursor_state = {}
-    if args.cursor:
-        try:
-            with open(args.cursor, encoding="utf-8") as fh:
-                cursor_state = json.load(fh)
-            if cursor_state.get("seed") == args.seed:
-                start = int(cursor_state.get("next", 0))
-        except FileNotFoundError:
-            pass
+    key = config_hash(config)
+    start = _resume_index(args.cursor, key) if args.cursor else 0
     out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     failures = 0
     count = 0
@@ -239,8 +257,7 @@ def cmd_sweep(args) -> int:
                 failures += 1
             print(report.to_json(), file=out)
             if args.cursor:
-                with open(args.cursor, "w", encoding="utf-8") as fh:
-                    json.dump({"seed": args.seed, "next": report.index + 1}, fh)
+                _write_cursor(args.cursor, {"config": key, "next": report.index + 1})
     finally:
         if out is not sys.stdout:
             out.close()

@@ -10,9 +10,12 @@ Symmetry never fires explicitly: canonical triples identify <A,B|C>
 with <B,A|C>.  Intersection is applied without any positivity bookkeeping;
 whether it is a legitimate axiom for a given model is the caller's call.
 
-Triples are encoded as base-4 vertex labellings (one digit per vertex),
-giving a flat 4**n membership bitmap; that representation is what caps
-the ground set size.
+Triples are encoded as base-4 vertex labellings (one digit per vertex).
+The ground set is capped (``config.model_cap``) because a model over n
+vertices holds up to about 4**n / 2 triples: enumerating a separation
+model visits all 4**n codes, and the compiled closure kernel keeps a
+4**n-slot membership bitmap.  The pure-Python kernel joins through
+indexes and needs no such table.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Optional
 
+from . import _kernels
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close_codes
 from .config import model_cap
@@ -97,6 +98,17 @@ class VerificationReport:
                 for name, c in self.checks.items()
             },
         }, sort_keys=True)
+
+
+def config_hash(config: SweepConfig) -> str:
+    """Stable sha1 of the configuration fields and the kernel backend.
+
+    A sweep cursor stores it, so a resume under another configuration is
+    refused instead of skipping the wrong graphs.  ``hash()`` would not
+    do: string hashing is salted per process.
+    """
+    state = {**asdict(config), "backend": _kernels.BACKEND}
+    return hashlib.sha1(json.dumps(state, sort_keys=True).encode()).hexdigest()
 
 
 def graph_hash(g: MixedGraph) -> str:

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
-from mvrcg.sweep import SweepConfig, run_equivalence_sweep
+from mvrcg.sweep import SweepConfig, config_hash, run_equivalence_sweep
 
 
 @pytest.fixture()
@@ -183,6 +186,58 @@ def test_sweep_cursor_resume(capsys, tmp_path):
     assert code == 0
     assert "swept 0 graph(s)" in err
     assert len(out_file.read_text().splitlines()) == 5
+
+
+def test_sweep_cursor_resumes_matching_config(capsys, tmp_path):
+    out_file = tmp_path / "report.jsonl"
+    cursor = tmp_path / "cursor.json"
+    run(capsys, "sweep", "--max-n", "2", "--cursor", str(cursor))
+    state = json.loads(cursor.read_text())
+    assert state == {"config": config_hash(SweepConfig(max_n=2)), "next": 5}
+    assert [p.name for p in tmp_path.iterdir()] == ["cursor.json"]
+    cursor.write_text(json.dumps({**state, "next": 2}))
+    code, _, err = run(capsys, "sweep", "--max-n", "2", "--out", str(out_file),
+                       "--cursor", str(cursor))
+    assert code == 0
+    assert "swept 3 graph(s)" in err
+    assert [json.loads(line)["index"] for line in out_file.read_text().splitlines()] == [2, 3, 4]
+    assert json.loads(cursor.read_text())["next"] == 5
+
+
+def test_sweep_refuses_cursor_of_another_config(capsys, tmp_path):
+    cursor = tmp_path / "cursor.json"
+    run(capsys, "sweep", "--max-n", "3", "--cursor", str(cursor))
+    saved = cursor.read_text()
+    assert json.loads(saved)["next"] == 55
+    code, out, err = run(capsys, "sweep", "--max-n", "2", "--cursor", str(cursor))
+    assert code == 2
+    assert out == ""
+    assert "error: GraphError: cursor" in err
+    assert "another sweep configuration" in err
+    assert cursor.read_text() == saved
+
+
+@pytest.mark.parametrize("text", ['{"seed": 1, "ne', '[]', '{"next": "5"}'])
+def test_sweep_rejects_malformed_cursor(capsys, tmp_path, text):
+    cursor = tmp_path / "cursor.json"
+    cursor.write_text(text)
+    code, out, err = run(capsys, "sweep", "--max-n", "2", "--cursor", str(cursor))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: GraphError: cursor {cursor} ")
+    assert cursor.read_text() == text
+
+
+def test_sweep_config_hash_is_stable():
+    script = "from mvrcg.sweep import SweepConfig, config_hash; print(config_hash(SweepConfig()))"
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == config_hash(SweepConfig())
+    assert config_hash(SweepConfig(max_n=3)) != config_hash(SweepConfig(max_n=2))
+    assert config_hash(SweepConfig(seed=2)) != config_hash(SweepConfig(seed=1))
 
 
 def test_unknown_vertex_label_is_reported(capsys, fig_path):

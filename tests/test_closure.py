@@ -1,16 +1,18 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvrcg import AxiomSet, IndependenceModel, IndependenceTriple, close, equivalent_under, satisfies
+from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, close,
+                   equivalent_under, satisfies)
 from mvrcg.chain import validate_chain_graph
 from mvrcg.closure import close_codes
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation
 from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
-                              type_iv_triples)
-from mvrcg.separation import global_model, global_model_codes
+                              property_model, type_iv_triples)
+from mvrcg.separation import global_model, global_model_codes, iter_canonical_codes
 from mvrcg.triples import decode_triple, encode_triple
 
 from oracles import AXIOM_NAMES, oracle_closure
@@ -101,15 +103,68 @@ def test_closure_extensive_and_monotone(seed, axname):
     assert c_small.triples <= c_big.triples
 
 
-@pytest.mark.parametrize("axname", ["sg", "g", "csg", "cg"])
+# The four named axiom sets plus each binary axiom alone, composition
+# with intersection, and each unary axiom alone: every join rule of the
+# kernel is then checked on its own as well as in combination.
+ORACLE_AXIOMS = {
+    **AXIOM_NAMES,
+    "contraction": {"contraction"},
+    "intersection": {"intersection"},
+    "composition": {"composition"},
+    "composition+intersection": {"composition", "intersection"},
+    "decomposition": {"decomposition"},
+    "weak_union": {"weak_union"},
+}
+
+
+def axioms_named(names) -> AxiomSet:
+    return AxiomSet(**dict.fromkeys(names, True))
+
+
+@pytest.mark.parametrize("axname", list(ORACLE_AXIOMS))
 def test_closure_matches_naive_oracle(axname):
+    """Each random model is closed as drawn and again after the oracle
+    closes it under decomposition and weak union: three random triples
+    rarely meet the premises of a binary rule, their unary closure
+    mostly does."""
     rng = random.Random(41)
-    ax = AxiomSet.parse(axname)
-    for _ in range(25):
-        m = random_model(rng, n=4, size=3)
-        got = {(t.a, t.b, t.c) for t in close(m, ax)}
-        expected = oracle_closure([(t.a, t.b, t.c) for t in m], AXIOM_NAMES[axname])
-        assert got == expected
+    names = ORACLE_AXIOMS[axname]
+    ax = axioms_named(names)
+    for n, count in ((4, 25), (5, 10)):
+        for _ in range(count):
+            drawn = [(t.a, t.b, t.c) for t in random_model(rng, n=n, size=3)]
+            unary = oracle_closure(drawn, {"decomposition", "weak_union"})
+            for triples in (drawn, unary):
+                m = IndependenceModel.of(n, [T(a, b, c) for a, b, c in triples])
+                got = {(t.a, t.b, t.c) for t in close(m, ax)}
+                assert got == oracle_closure(triples, names)
+
+
+def test_close_codes_match_pinned_digest():
+    """sha1 of ``close_codes`` outputs, computed with the kernel that
+    joined each worklist triple against the whole model: every separation
+    model with n <= 4 under sg, g, csg and cg; the p3 statements of the
+    edgeless six-vertex graph under cg (1,351 codes); and 40 fixed models
+    of up to three triples at n = 5 under every axiom set above and none."""
+    h = hashlib.sha1()
+
+    def feed(n, axname, codes):
+        out = close_codes(n, codes, axioms_named(ORACLE_AXIOMS.get(axname, ())))
+        h.update(f"{n}/{axname}:{','.join(map(str, out))}\n".encode())
+        return out
+
+    for n in range(1, 5):
+        for g in enumerate_mvr_cgs(n):
+            codes = global_model_codes(g)
+            for axname in AXIOM_NAMES:
+                feed(n, axname, codes)
+    assert len(feed(6, "cg", property_model(MixedGraph(6), "p3").to_codes())) == 1351
+    canon = [code for code, *_ in iter_canonical_codes(5)]
+    for i in range(40):
+        codes = sorted({canon[(37 * i + 211 * j) % len(canon)] for j in range(3)})
+        for axname in [*ORACLE_AXIOMS, "none"]:
+            feed(5, axname, codes)
+    assert h.hexdigest() == "2806402c10624f347f96443a5b873b14211591dd"
 
 
 def test_satisfies_reports_violation():
