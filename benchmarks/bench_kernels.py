@@ -1,6 +1,6 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Three workloads, matching how the verification sweeps spend their time:
+The workloads, matching how the verification sweeps spend their time:
 
 * ``model``    separation-model enumeration over every labeled chain
                graph on four vertices;
@@ -10,7 +10,11 @@ Three workloads, matching how the verification sweeps spend their time:
 * ``closure p3 edgeless n=6..8``  compositional-graphoid closure of the
                pairwise (p3) statements of the edgeless graph, whose
                closure is every triple on the ground set (1,351, 6,069
-               and 26,335 codes): the largest models the sweeps close.
+               and 26,335 codes): the largest models the sweeps close;
+* ``satisfies edgeless n=6``  the closedness check of the edgeless
+               six-vertex graph's separation model (all 1,351 triples)
+               under the same axioms.  It fires the Python kernel's rules
+               on either backend, so it has one column.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -21,9 +25,11 @@ import random
 import time
 
 from mvrcg._kernels import load_compiled, pyfallback
+from mvrcg.closure import AxiomSet, satisfies
 from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cg
 from mvrcg.graph import MixedGraph
 from mvrcg.properties import property_model
+from mvrcg.separation import global_model
 
 FULL_AXIOMS = 0b11111
 
@@ -87,6 +93,10 @@ def main():
             assert c_r == py_r, f"{name}: backends disagree"
             row["compiled"] = c_t
         rows.append(row)
+    sat_t, sat_r = timed(satisfies, global_model(MixedGraph(6)),
+                         AxiomSet.compositional_graphoid())
+    assert sat_r, "the edgeless separation model is not closed"
+    rows.append({"name": "satisfies edgeless n=6", "python": sat_t})
 
     print(f"{'workload':<26} {'python':>10} {'compiled':>10} {'speedup':>9}")
     for row in rows:

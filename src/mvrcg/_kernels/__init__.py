@@ -10,13 +10,7 @@ fallback (the parity test suite and the benchmark compare the two).
 import os
 
 from . import pyfallback
-
-# Axiom flag bits, shared by both kernel implementations.
-DECOMPOSITION = 1
-WEAK_UNION = 2
-CONTRACTION = 4
-INTERSECTION = 8
-COMPOSITION = 16
+from .pyfallback import COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION, WEAK_UNION
 
 if os.environ.get("MVRCG_PURE_PYTHON"):
     impl = pyfallback

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 BACKEND = "python"
 
-_DECOMPOSITION = 1
-_WEAK_UNION = 2
-_CONTRACTION = 4
-_INTERSECTION = 8
-_COMPOSITION = 16
+# Axiom rule bits; the compiled twin uses the same values.
+DECOMPOSITION = 1
+WEAK_UNION = 2
+CONTRACTION = 4
+INTERSECTION = 8
+COMPOSITION = 16
 
 
 def encode_masks(n: int, a: int, b: int, c: int) -> int:
@@ -136,38 +137,90 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
             if not m_connected(n, pa, ch, nb, a, b, c)]
 
 
-def close_codes(n: int, codes, flags: int) -> list[int]:
-    """Least superset of ``codes`` closed under the enabled axioms.
+def axiom_rules(n: int, flags: int, emit):
+    """One rule step of the enabled axioms, joined against earlier triples.
+
+    Returns ``fire(a, b, c)``, which files <a, b | c> and then calls
+    ``emit`` with each conclusion, in either orientation, of one step that
+    takes it as a premise and, for a binary rule, a fired triple as the
+    other: ``emit(a, b, c)`` for a unary step, ``emit(anchor, blk, c,
+    rule, entry)`` for rule bit ``rule`` and partner ``(anchor, *entry)``.
+    So each pair of fired triples is joined when the later one fires.
 
     Symmetry is implicit in the canonical encoding.  The biconditional
     contraction axiom contributes its reverse direction (splitting the
-    second block back apart) as the same single-vertex drop/move steps
-    that decomposition and weak union use.
+    second block back apart) as the single-vertex drop/move steps that
+    decomposition and weak union use.
 
     Every binary rule joins two triples that share one block, the anchor.
-    Each triple is filed under both of its blocks as anchor in two
-    buckets, keyed by ``(anchor, c)`` and by ``(anchor, c | blk)``, where
-    ``blk`` is its other block.  Composition pairs triples with equal
-    ``c``; contraction pairs one triple's ``c`` with its partner's
-    ``c | blk``; intersection pairs equal ``c | blk``.  A worklist triple
-    therefore visits only the buckets its partners can sit in.  Triples
-    are deduplicated on the packed key ``a | b << n | c << 2n`` and
-    encoded as base-4 codes once, at the end.
+    Each triple is filed under both of its blocks as anchor, keyed by
+    ``(anchor, c)`` and by ``(anchor, c | blk)`` with entry ``(blk, c)``,
+    where ``blk`` is its other block.  Composition pairs equal ``c``;
+    contraction pairs one triple's ``c`` with its partner's ``c | blk``,
+    in both premise roles; intersection pairs equal ``c | blk``.  It and
+    composition conclude the same triple with the premises swapped, so
+    they need only one role.
     """
-    drops = bool(flags & (_DECOMPOSITION | _CONTRACTION))
-    moves = bool(flags & (_WEAK_UNION | _CONTRACTION))
-    con = bool(flags & _CONTRACTION)
-    inter = bool(flags & _INTERSECTION)
-    comp = bool(flags & _COMPOSITION)
+    drops = bool(flags & (DECOMPOSITION | CONTRACTION))
+    moves = bool(flags & (WEAK_UNION | CONTRACTION))
+    con = bool(flags & CONTRACTION)
+    inter = bool(flags & INTERSECTION)
+    comp = bool(flags & COMPOSITION)
     by_c_used = con or comp
     by_cb_used = con or inter
-
-    seen: set[int] = set()
-    work: list[tuple[int, int, int]] = []
     by_c: dict[int, list[tuple[int, int]]] = {}   # anchor | c << n
     by_cb: dict[int, list[tuple[int, int]]] = {}  # anchor | (c | blk) << n
 
-    def push(a: int, b: int, c: int) -> None:
+    def fire(a: int, b: int, c: int) -> None:
+        if by_c_used:
+            by_c.setdefault(a | c << n, []).append((b, c))
+            by_c.setdefault(b | c << n, []).append((a, c))
+        if by_cb_used:
+            by_cb.setdefault(a | (c | b) << n, []).append((b, c))
+            by_cb.setdefault(b | (c | a) << n, []).append((a, c))
+        roles = ((a, b), (b, a))
+        if drops or moves:
+            for blk, other in roles:
+                if blk.bit_count() < 2:
+                    continue
+                m = blk
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if drops:
+                        emit(blk ^ low, other, c)
+                    if moves:
+                        emit(blk ^ low, other, c | low)
+        for anchor, blk in roles:
+            if con:
+                # <anchor, blk | c> with <anchor, blk2 | c2>, c == c2 | blk2
+                for entry in by_cb.get(anchor | c << n, ()):
+                    blk2, c2 = entry
+                    emit(anchor, blk | blk2, c2, CONTRACTION, entry)
+                # <anchor, blk1 | c1> with <anchor, blk | c>, c1 == c | blk
+                for entry in by_c.get(anchor | (c | blk) << n, ()):
+                    emit(anchor, entry[0] | blk, c, CONTRACTION, entry)
+            if comp:
+                for entry in by_c.get(anchor | c << n, ()):
+                    blk2 = entry[0]
+                    if not blk & blk2:
+                        emit(anchor, blk | blk2, c, COMPOSITION, entry)
+            if inter:
+                for entry in by_cb.get(anchor | (c | blk) << n, ()):
+                    blk2, c2 = entry
+                    if blk2 & c == blk2 and c2 == (c & ~blk2) | blk:
+                        emit(anchor, blk | blk2, c & ~blk2, INTERSECTION, entry)
+
+    return fire
+
+
+def close_codes(n: int, codes, flags: int) -> list[int]:
+    """Least superset of ``codes`` closed under the enabled axioms: a
+    worklist fires each new triple through ``axiom_rules`` once."""
+    seen: set[int] = set()
+    work: list[tuple[int, int, int]] = []
+
+    def push(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
         if (b & -b) < (a & -a):  # the lowest block vertex goes first
             a, b = b, a
         key = a | b << n | c << 2 * n
@@ -175,58 +228,12 @@ def close_codes(n: int, codes, flags: int) -> list[int]:
             return
         seen.add(key)
         work.append((a, b, c))
-        if by_c_used:
-            by_c.setdefault(a | c << n, []).append((b, c))
-            by_c.setdefault(b | c << n, []).append((a, c))
-        if by_cb_used:
-            by_cb.setdefault(a | (c | b) << n, []).append((b, c))
-            by_cb.setdefault(b | (c | a) << n, []).append((a, c))
 
+    fire = axiom_rules(n, flags, push)
     for code in codes:
         push(*decode_code(n, code))
-
     while work:
-        a, b, c = work.pop()
-        if drops or moves:
-            for blk_is_a in (True, False):
-                blk = a if blk_is_a else b
-                if blk.bit_count() < 2:
-                    continue
-                m = blk
-                while m:
-                    low = m & -m
-                    m ^= low
-                    rest = blk ^ low
-                    if blk_is_a:
-                        if drops:
-                            push(rest, b, c)
-                        if moves:
-                            push(rest, b, c | low)
-                    else:
-                        if drops:
-                            push(a, rest, c)
-                        if moves:
-                            push(a, rest, c | low)
-        # Partners were filed when pushed, so each pair is joined once its
-        # later member is popped.  Composition and intersection conclude
-        # the same triple with the premises swapped, so they need only
-        # the first-premise role; contraction needs both.
-        for anchor, blk in ((a, b), (b, a)):
-            if con:
-                # <anchor, blk | c> with <anchor, blk2 | c2>, c == c2 | blk2
-                for blk2, c2 in by_cb.get(anchor | c << n, ()):
-                    push(anchor, blk | blk2, c2)
-                # <anchor, blk1 | c1> with <anchor, blk | c>, c1 == c | blk
-                for blk1, _ in by_c.get(anchor | (c | blk) << n, ()):
-                    push(anchor, blk1 | blk, c)
-            if comp:
-                for blk2, _ in by_c.get(anchor | c << n, ()):
-                    if not blk & blk2:
-                        push(anchor, blk | blk2, c)
-            if inter:
-                for blk2, c2 in by_cb.get(anchor | (c | blk) << n, ()):
-                    if blk2 & c == blk2 and c2 == (c & ~blk2) | blk:
-                        push(anchor, blk | blk2, c & ~blk2)
+        fire(*work.pop())
 
     full = (1 << n) - 1
     return sorted(encode_masks(n, key & full, key >> n & full, key >> 2 * n)

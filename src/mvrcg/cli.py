@@ -14,9 +14,9 @@ import os
 import sys
 
 from .chain import validate_chain_graph
-from .closure import AxiomSet, close, equivalent_under
+from .closure import AxiomSet, close
 from .distributions import ci_holds, sample_latent_dag_distribution, verify_factorization
-from .errors import GraphError
+from .errors import CapExceeded, GraphError, ModelFormatError
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph, induced_subgraph
 from .intervention import intervene
@@ -117,7 +117,11 @@ def cmd_properties(args) -> int:
 
 def _read_model(path: str) -> IndependenceModel:
     with open(path, encoding="utf-8") as fh:
-        return IndependenceModel.from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise ModelFormatError(f"{path} is not valid JSON: {exc}") from None
+    return IndependenceModel.from_json_obj(obj)
 
 
 def cmd_closure(args) -> int:
@@ -136,11 +140,13 @@ def cmd_equiv(args) -> int:
     ma = _read_model(args.a)
     mb = _read_model(args.b)
     ax = AxiomSet.parse(args.axioms)
-    if equivalent_under(ma, mb, ax):
-        print("EQUIVALENT")
-        return 0
+    if ma.n != mb.n:
+        raise CapExceeded("models over different ground sets")
     ca = close(ma, ax).triples
     cb = close(mb, ax).triples
+    if ca == cb:
+        print("EQUIVALENT")
+        return 0
     sample = sorted(ca.symmetric_difference(cb),
                     key=lambda t: t.sort_key())[0]
     side = "first" if sample in ca else "second"

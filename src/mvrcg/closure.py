@@ -7,8 +7,14 @@ graphoid adds intersection, a compositional semi-graphoid adds
 composition instead, and a compositional graphoid satisfies all six.
 
 Symmetry never fires explicitly: canonical triples identify <A,B|C>
-with <B,A|C>.  Intersection is applied without any positivity bookkeeping;
-whether it is a legitimate axiom for a given model is the caller's call.
+with <B,A|C>, so ``AxiomSet`` has no field for it.  Intersection is
+applied without any positivity bookkeeping; whether it is a legitimate
+axiom for a given model is the caller's call.
+
+The rules are stated once, in the pure-Python kernel's ``axiom_rules``,
+whose ``(anchor, c)`` / ``(anchor, c | blk)`` index finds partner
+triples: its closure fires them on a worklist and ``satisfies`` fires
+them once on each triple of the model.
 
 Triples are encoded as base-4 vertex labellings (one digit per vertex).
 The ground set is capped (``config.model_cap``) because a model over n
@@ -24,16 +30,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from ._bitset import bits
-from ._kernels.pyfallback import encode_masks
+from ._kernels.pyfallback import axiom_rules
 from .config import model_cap
 from .errors import CapExceeded
 from .triples import IndependenceModel, IndependenceTriple, triple_from_masks
 
 
+# Each axiom field of ``AxiomSet`` and the kernel rule bit it enables.
+_RULE_BITS = {"decomposition": _kernels.DECOMPOSITION, "weak_union": _kernels.WEAK_UNION,
+              "contraction": _kernels.CONTRACTION, "intersection": _kernels.INTERSECTION,
+              "composition": _kernels.COMPOSITION}
+_RULE_NAMES = {bit: name for name, bit in _RULE_BITS.items()}
+
+
 @dataclass(frozen=True)
 class AxiomSet:
-    symmetry: bool = True
+    """The axioms a closure applies besides symmetry, which the canonical
+    triple encoding always provides."""
+
     decomposition: bool = False
     weak_union: bool = False
     contraction: bool = False
@@ -41,34 +55,23 @@ class AxiomSet:
     composition: bool = False
 
     def flags(self) -> int:
-        f = 0
-        if self.decomposition:
-            f |= _kernels.DECOMPOSITION
-        if self.weak_union:
-            f |= _kernels.WEAK_UNION
-        if self.contraction:
-            f |= _kernels.CONTRACTION
-        if self.intersection:
-            f |= _kernels.INTERSECTION
-        if self.composition:
-            f |= _kernels.COMPOSITION
-        return f
+        return sum(bit for name, bit in _RULE_BITS.items() if getattr(self, name))
 
     @classmethod
     def semi_graphoid(cls) -> "AxiomSet":
-        return cls(True, True, True, True, False, False)
+        return cls(decomposition=True, weak_union=True, contraction=True)
 
     @classmethod
     def graphoid(cls) -> "AxiomSet":
-        return cls(True, True, True, True, True, False)
+        return cls(decomposition=True, weak_union=True, contraction=True, intersection=True)
 
     @classmethod
     def compositional_semi_graphoid(cls) -> "AxiomSet":
-        return cls(True, True, True, True, False, True)
+        return cls(decomposition=True, weak_union=True, contraction=True, composition=True)
 
     @classmethod
     def compositional_graphoid(cls) -> "AxiomSet":
-        return cls(True, True, True, True, True, True)
+        return cls(**dict.fromkeys(_RULE_BITS, True))
 
     @classmethod
     def parse(cls, name: str) -> "AxiomSet":
@@ -138,64 +141,39 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet,
     """Whether the model is already closed; if not, one violating axiom
     instance is returned as a witness.
 
-    A model is closed exactly when no single axiom application produces
-    a new triple, so one scan suffices.
+    A model is closed exactly when no single rule step from its own
+    triples concludes a triple outside it.  So each triple of the model
+    is fired through the closure kernel's rules, joined against the ones
+    fired before it, until a conclusion is missing.
     """
     _check_cap(model.n, cap)
-    have = set(model.to_codes())
     n = model.n
+    flags = axioms.flags()
     entries = [t.masks() for t in model]
-    triples = list(model)
+    have = {a | b << n | c << 2 * n for a, b, c in entries}
+    found: list[tuple] = []
 
-    def missing(a, b, c):
-        return encode_masks(n, a, b, c) not in have
+    def emit(a, b, c, rule=0, entry=None):
+        lo, hi = (b, a) if (b & -b) < (a & -a) else (a, b)
+        if not found and (lo | hi << n | c << 2 * n) not in have:
+            found.append((a, b, c, rule, entry))
 
-    for idx, (a, b, c) in enumerate(entries):
-        t = triples[idx]
-        for blk_is_a in (True, False):
-            blk = a if blk_is_a else b
-            if blk.bit_count() < 2:
-                continue
-            for v in bits(blk):
-                low = 1 << v
-                rest = blk ^ low
-                na, nb = (rest, b) if blk_is_a else (a, rest)
-                if axioms.decomposition and missing(na, nb, c):
-                    return CheckResult(False, Violation(
-                        "decomposition", (t,), triple_from_masks(na, nb, c)))
-                if axioms.weak_union and missing(na, nb, c | low):
-                    return CheckResult(False, Violation(
-                        "weak_union", (t,), triple_from_masks(na, nb, c | low)))
-                if axioms.contraction:
-                    # reverse direction of the biconditional
-                    if missing(na, nb, c | low):
-                        return CheckResult(False, Violation(
-                            "contraction", (t,), triple_from_masks(na, nb, c | low)))
-                    if missing(na, nb, c):
-                        return CheckResult(False, Violation(
-                            "contraction", (t,), triple_from_masks(na, nb, c)))
-    binary = axioms.contraction or axioms.intersection or axioms.composition
-    if binary:
-        for i, (a1, b1, c1) in enumerate(entries):
-            for j, (a2, b2, c2) in enumerate(entries):
-                for anchor1, blk1 in ((a1, b1), (b1, a1)):
-                    for anchor2, blk2 in ((a2, b2), (b2, a2)):
-                        if anchor1 != anchor2:
-                            continue
-                        if axioms.contraction and c1 == (c2 | blk2) and \
-                                missing(anchor1, blk1 | blk2, c2):
-                            return CheckResult(False, Violation(
-                                "contraction", (triples[i], triples[j]),
-                                triple_from_masks(anchor1, blk1 | blk2, c2)))
-                        if axioms.composition and c1 == c2 and not blk1 & blk2 and \
-                                missing(anchor1, blk1 | blk2, c1):
-                            return CheckResult(False, Violation(
-                                "composition", (triples[i], triples[j]),
-                                triple_from_masks(anchor1, blk1 | blk2, c1)))
-                        if axioms.intersection and blk2 & c1 == blk2 and \
-                                c2 == ((c1 & ~blk2) | blk1) and \
-                                missing(anchor1, blk1 | blk2, c1 & ~blk2):
-                            return CheckResult(False, Violation(
-                                "intersection", (triples[i], triples[j]),
-                                triple_from_masks(anchor1, blk1 | blk2, c1 & ~blk2)))
-    return CheckResult(True)
+    fire = axiom_rules(n, flags, emit)
+    for premise in entries:
+        fire(*premise)
+        if found:
+            break
+    else:
+        return CheckResult(True)
+
+    a, b, c, rule, entry = found[0]
+    premises = (premise,)
+    if entry is None:  # a unary step: weak union if it moved a vertex into c
+        rule = _kernels.WEAK_UNION if c != premise[2] else _kernels.DECOMPOSITION
+        if not rule & flags:
+            rule = _kernels.CONTRACTION
+    else:
+        premises += ((a, *entry),)
+    return CheckResult(False, Violation(
+        _RULE_NAMES[rule], tuple(triple_from_masks(*p) for p in premises),
+        triple_from_masks(a, b, c)))

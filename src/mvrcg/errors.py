@@ -28,6 +28,11 @@ class DisjointnessViolation(GraphError):
     """X, Y, Z overlap, or X or Y is empty."""
 
 
+class ModelFormatError(GraphError):
+    """Malformed independence model: JSON without the expected fields or
+    types, or a triple naming a vertex outside the ground set."""
+
+
 class CapExceeded(GraphError):
     """The request is larger than the configured enumeration cap."""
 

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from ._bitset import mask_of, set_of
 from ._kernels.pyfallback import decode_code, encode_masks
-from .errors import DisjointnessViolation
+from .errors import DisjointnessViolation, ModelFormatError
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,9 @@ class IndependenceModel:
 
     def __post_init__(self):
         for t in self.triples:
-            if max(t.a | t.b | t.c, default=0) >= self.n:
-                raise DisjointnessViolation("triple outside the ground set")
+            vs = t.a | t.b | t.c
+            if min(vs) < 0 or max(vs) >= self.n:
+                raise ModelFormatError(f"triple <{t}> outside the ground set 0..{self.n - 1}")
 
     @classmethod
     def of(cls, n: int, triples: Iterable[IndependenceTriple]) -> "IndependenceModel":
@@ -128,9 +129,17 @@ class IndependenceModel:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "IndependenceModel":
-        triples = [
-            IndependenceTriple.of(item["a"], item["b"], item.get("c", ()))
-            for item in obj["triples"]
-        ]
-        return cls.of(int(obj["ground_set"]), triples)
+    def from_json_obj(cls, obj) -> "IndependenceModel":
+        """Inverse of ``to_json_obj``; ``c`` may be omitted from a triple.
+        Malformed input raises ``ModelFormatError``."""
+        try:
+            n = obj["ground_set"]
+            blocks = [(item["a"], item["b"], item.get("c", [])) for item in obj["triples"]]
+        except (KeyError, TypeError) as exc:
+            raise ModelFormatError(f"malformed model JSON ({type(exc).__name__}: {exc})") from None
+        if type(n) is not int or n < 0:  # bool is a subclass of int
+            raise ModelFormatError("'ground_set' must be a non-negative integer")
+        for i, triple in enumerate(blocks):
+            if not all(isinstance(ids, list) and all(type(v) is int for v in ids) for ids in triple):
+                raise ModelFormatError(f"triple {i}: blocks must be lists of integer vertex ids")
+        return cls.of(n, [IndependenceTriple.of(*triple) for triple in blocks])

@@ -97,6 +97,38 @@ def test_properties_emit_and_closure_round_trip(capsys, fig_path, tmp_path):
     assert code == 0
 
 
+def write_model(path, triples, n=3):
+    path.write_text(json.dumps({"ground_set": n, "triples": triples}))
+    return str(path)
+
+
+def test_equiv_reports_a_triple_in_one_closure_only(capsys, tmp_path):
+    wide = write_model(tmp_path / "wide.json", [{"a": [0], "b": [1, 2]}])
+    narrow = write_model(tmp_path / "narrow.json", [{"a": [0], "b": [1]}])
+    code, out, _ = run(capsys, "equiv", "--a", wide, "--b", narrow, "--axioms", "sg")
+    assert (code, out) == (1, "DIFFER: 0 _||_ 1 | 2 only in closure of first model\n")
+    code, out, _ = run(capsys, "equiv", "--a", narrow, "--b", wide, "--axioms", "sg")
+    assert (code, out) == (1, "DIFFER: 0 _||_ 1 | 2 only in closure of second model\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{"ground_set": 3, "triples": [{"a": [-1], "b": [1]}]}',
+    '{"ground_set": 3, "triples": [{"a": [0]}]}',
+    '{"ground_set": 3, "triples": [{"a": [0.0], "b": [1]}]}',
+    '[{"a": [0], "b": [1]}]',
+    '{"ground_set": 3, "triples": [{"a": [0], "b": [1]',
+], ids=["negative_id", "no_b", "float_id", "top_level_array", "not_json"])
+def test_malformed_model_json_is_a_typed_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = write_model(tmp_path / "good.json", [{"a": [0], "b": [1]}])
+    for argv in (["closure", "--in", str(bad)], ["equiv", "--a", good, "--b", str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ModelFormatError: ")
+
+
 def test_factorize_styles(capsys, fig_path):
     path = fig_path("fig3")
     code, out, _ = run(capsys, "factorize", "--graph", path, "--style", "mvr")

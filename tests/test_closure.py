@@ -121,12 +121,27 @@ def axioms_named(names) -> AxiomSet:
     return AxiomSet(**dict.fromkeys(names, True))
 
 
+def check_satisfies(m, ax):
+    """``satisfies`` answers whether ``m`` is closed, and its witness is
+    one step of the named axiom from premises in ``m`` to a conclusion
+    outside it."""
+    res = satisfies(m, ax)
+    assert bool(res) == (close(m, ax) == m)
+    if not res:
+        w = res.witness
+        assert all(p in m for p in w.premises)
+        assert w.conclusion not in m
+        step = oracle_closure([(p.a, p.b, p.c) for p in w.premises], {w.axiom})
+        assert (w.conclusion.a, w.conclusion.b, w.conclusion.c) in step
+
+
 @pytest.mark.parametrize("axname", list(ORACLE_AXIOMS))
 def test_closure_matches_naive_oracle(axname):
     """Each random model is closed as drawn and again after the oracle
     closes it under decomposition and weak union: three random triples
     rarely meet the premises of a binary rule, their unary closure
-    mostly does."""
+    mostly does.  ``satisfies`` is checked on each model and its closure
+    under this axiom set and under none, so every model meets all 11."""
     rng = random.Random(41)
     names = ORACLE_AXIOMS[axname]
     ax = axioms_named(names)
@@ -136,8 +151,12 @@ def test_closure_matches_naive_oracle(axname):
             unary = oracle_closure(drawn, {"decomposition", "weak_union"})
             for triples in (drawn, unary):
                 m = IndependenceModel.of(n, [T(a, b, c) for a, b, c in triples])
-                got = {(t.a, t.b, t.c) for t in close(m, ax)}
+                closed = close(m, ax)
+                got = {(t.a, t.b, t.c) for t in closed}
                 assert got == oracle_closure(triples, names)
+                for model in (m, closed):
+                    check_satisfies(model, ax)
+                check_satisfies(m, AxiomSet())
 
 
 def test_close_codes_match_pinned_digest():
@@ -188,6 +207,7 @@ def test_separation_models_are_compositional_graphoids():
             model = global_model(g)
             res = satisfies(model, cg)
             assert res, f"{g}: {res.witness}"
+    assert satisfies(global_model(MixedGraph(6)), cg)  # all 1,351 triples
 
 
 def test_equivalent_under_reflexive():
