@@ -1,15 +1,3 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("mvrcg._kernels._core", ["src/mvrcg/_kernels/_core.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # Without Cython the package still installs; the pure-Python kernels
-    # are picked up at import time.
-    extensions = []
-
-setup(ext_modules=extensions)
+setup()

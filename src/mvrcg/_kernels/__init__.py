@@ -1,36 +1,15 @@
-"""Hot-kernel selection.
-
-The separation-model enumeration and the axiom-closure fixpoint dominate
-the runtime of the verification sweeps, so both exist twice: a compiled
-Cython module and a pure-Python twin with identical semantics.  The
-compiled one is used when importable; ``MVRCG_PURE_PYTHON=1`` forces the
-fallback (the parity test suite and the benchmark compare the two).
+"""The hot kernels: separation-model enumeration and the axiom-closure
+fixpoint, which dominate the runtime of the verification sweeps.  They
+have one source, the pure-Python ``pyfallback``; this package re-exports
+its names.
 """
 
-import os
-
 from . import pyfallback
-from .pyfallback import COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION, WEAK_UNION
-
-if os.environ.get("MVRCG_PURE_PYTHON"):
-    impl = pyfallback
-else:
-    try:
-        from . import _core as impl  # type: ignore[attr-defined]
-    except ImportError:
-        impl = pyfallback
-
-BACKEND = impl.BACKEND
-
-m_connected = impl.m_connected
-global_model_codes = impl.global_model_codes
-close_codes = impl.close_codes
+from .pyfallback import (BACKEND, COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION,
+                         WEAK_UNION, close_codes, global_model_codes, m_connected)
 
 
 def load_compiled():
-    """The compiled kernel module, or None when it is not built."""
-    try:
-        from . import _core  # type: ignore[attr-defined]
-        return _core
-    except ImportError:
-        return None
+    """The compiled kernel module, of which there is none: always None.
+    ``perfbench`` reads it for its provenance line and its parity gate."""
+    return None

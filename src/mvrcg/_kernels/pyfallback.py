@@ -1,4 +1,4 @@
-"""Pure-Python kernels; the reference semantics for the compiled twin.
+"""The kernels: separation-model enumeration and axiom closure, in Python.
 
 Graphs arrive as parent/child/neighbour adjacency bitmasks.  Independence
 triples travel as base-4 codes: vertex ``v`` contributes digit 0 (not
@@ -10,9 +10,9 @@ encoding.
 
 from __future__ import annotations
 
-BACKEND = "python"
+BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
 
-# Axiom rule bits; the compiled twin uses the same values.
+# Axiom rule bits; ``AxiomSet.flags()`` ORs them into the closure's flags.
 DECOMPOSITION = 1
 WEAK_UNION = 2
 CONTRACTION = 4

@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:  # OSError: a path missing or unwritable
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

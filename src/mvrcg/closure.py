@@ -11,17 +11,16 @@ with <B,A|C>, so ``AxiomSet`` has no field for it.  Intersection is
 applied without any positivity bookkeeping; whether it is a legitimate
 axiom for a given model is the caller's call.
 
-The rules are stated once, in the pure-Python kernel's ``axiom_rules``,
-whose ``(anchor, c)`` / ``(anchor, c | blk)`` index finds partner
-triples: its closure fires them on a worklist and ``satisfies`` fires
-them once on each triple of the model.
+The rules are stated once, in the kernel's ``axiom_rules``, whose
+``(anchor, c)`` / ``(anchor, c | blk)`` index finds partner triples: its
+closure fires them on a worklist and ``satisfies`` fires them once on
+each triple of the model.
 
 Triples are encoded as base-4 vertex labellings (one digit per vertex).
 The ground set is capped (``config.model_cap``) because a model over n
-vertices holds up to about 4**n / 2 triples: enumerating a separation
-model visits all 4**n codes, and the compiled closure kernel keeps a
-4**n-slot membership bitmap.  The pure-Python kernel joins through
-indexes and needs no such table.
+vertices holds up to about 4**n / 2 triples and enumerating a separation
+model visits all 4**n codes.  The closure joins through indexes and
+keeps no 4**n table.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Optional
 from . import _kernels
 from ._kernels.pyfallback import axiom_rules
 from .config import model_cap
-from .errors import CapExceeded
+from .errors import CapExceeded, UnknownName
 from .triples import IndependenceModel, IndependenceTriple, triple_from_masks
 
 
@@ -82,7 +81,7 @@ class AxiomSet:
             "cg": cls.compositional_graphoid,
         }
         if name not in table:
-            raise ValueError(f"unknown axiom set {name!r}; expected sg|g|csg|cg")
+            raise UnknownName(f"unknown axiom set {name!r}; expected sg|g|csg|cg")
         return table[name]()
 
 

@@ -14,18 +14,22 @@ DEFAULT_MODEL_CAP = 7       # ground set for separation models and closures
 DEFAULT_MARGINAL_CAP = 6    # observed vertices for the latent-DAG oracle
 DEFAULT_SUBSET_CAP = 12     # per-component / per-prefix subset enumeration
 ENUMERATION_CAP = 6         # exhaustive graph enumeration
-HARD_MODEL_CAP = 13         # the compiled closure bitmap has 4**n slots
+HARD_MODEL_CAP = 13         # model enumeration visits all 4**n codes
 
 
 def _env_cap() -> int | None:
-    """``MVRCG_MAX_N`` as an integer, or None when it is unset or empty."""
+    """``MVRCG_MAX_N`` as a non-negative integer, or None when it is unset
+    or empty."""
     env = os.environ.get("MVRCG_MAX_N")
     if not env:
         return None
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise GraphError(f"MVRCG_MAX_N must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise GraphError(f"MVRCG_MAX_N must be non-negative, got {env!r}")
+    return cap
 
 
 def model_cap(override: int | None = None) -> int:

@@ -33,6 +33,12 @@ class ModelFormatError(GraphError):
     types, or a triple naming a vertex outside the ground set."""
 
 
+class UnknownName(GraphError, ValueError):
+    """A name outside the accepted ones: an axiom set, a property kind, a
+    pairwise variant, or a separation or maximality method.  It is also a
+    ``ValueError``, so callers that catch ``ValueError`` keep working."""
+
+
 class CapExceeded(GraphError):
     """The request is larger than the configured enumeration cap."""
 

@@ -14,7 +14,7 @@ from ._bitset import bits, mask_of, set_of, submasks
 from .chain import ChainDecomposition, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP
 from .errors import (CapExceeded, HasChildInA, InconsistentOrder,
-                     NotAncestrallyClosed)
+                     NotAncestrallyClosed, UnknownName)
 from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
                     district_masks, parents_of_set, topological_order)
 from .triples import IndependenceModel, triple_from_masks
@@ -33,7 +33,7 @@ def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
     emits the statement conditioned on the other node's parents.
     """
     if variant not in PAIRWISE_VARIANTS:
-        raise ValueError(f"unknown pairwise variant {variant!r}")
+        raise UnknownName(f"unknown pairwise variant {variant!r}")
     triples = []
     for i in range(g.n):
         for j in range(i + 1, g.n):
@@ -241,4 +241,4 @@ def property_model(g: MixedGraph, kind: str,
         return mr_triples(g, dec, cap)
     if kind == "iv":
         return type_iv_triples(g, dec, cap)
-    raise ValueError(f"unknown property kind {kind!r}")
+    raise UnknownName(f"unknown property kind {kind!r}")

@@ -26,7 +26,7 @@ from . import _kernels
 from ._bitset import bits, mask_of, set_of
 from ._kernels.pyfallback import iter_canonical_codes
 from .config import model_cap
-from .errors import CapExceeded, DisjointnessViolation, NotADag
+from .errors import CapExceeded, DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, ancestors_mask, reach_mask,
                     topological_order)
 from .triples import IndependenceModel
@@ -197,7 +197,7 @@ def global_model_codes(g: MixedGraph, cap: Optional[int] = None,
             if m_star_separated(g, set_of(a), set_of(b), set_of(c)):
                 out.append(code)
         return out
-    raise ValueError(f"unknown method {method!r}")
+    raise UnknownName(f"unknown method {method!r}; expected m|mstar")
 
 
 def global_model(g: MixedGraph, cap: Optional[int] = None,

@@ -21,7 +21,7 @@ from typing import Optional
 from ._bitset import bits, set_of, submasks
 from .closure import CheckResult
 from .config import marginal_cap
-from .errors import CapExceeded, NotAncestral, VerticesAdjacent
+from .errors import CapExceeded, NotAncestral, UnknownName, VerticesAdjacent
 from .graph import MixedGraph, ancestors_mask, shortest_path
 from .separation import d_separated, iter_canonical_codes, m_separated
 from .triples import triple_from_masks
@@ -91,22 +91,19 @@ def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[lis
 def is_maximal(g: MixedGraph, method: str = "both") -> bool:
     """Whether every nonadjacent pair has some separating set.
 
-    ``method`` selects the direct search over candidate sets ("zsets"),
-    the primitive-inducing-chain criterion ("chains"), or both with an
-    agreement check ("both", the default)."""
+    Runs both criteria, the direct search over candidate sets and the
+    primitive-inducing-chain criterion, and checks that they agree.
+    ``method`` accepts only "both"; the benchmark's traced sweep still
+    passes it by name."""
+    if method != "both":
+        raise UnknownName(f"unknown maximality method {method!r}; only 'both' remains")
     res = is_ancestral(g)
     if not res:
         raise NotAncestral(f"not an ancestral graph: {res.witness}")
-    if method not in ("zsets", "chains", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    answers = []
-    if method in ("zsets", "both"):
-        answers.append(_maximal_by_zsets(g))
-    if method in ("chains", "both"):
-        answers.append(_maximal_by_chains(g))
-    if len(answers) == 2 and answers[0] != answers[1]:
+    answer = _maximal_by_zsets(g)
+    if answer != _maximal_by_chains(g):
         raise AssertionError("maximality criteria disagree; this is a bug")
-    return answers[0]
+    return answer
 
 
 def _nonadjacent_pairs(g: MixedGraph):

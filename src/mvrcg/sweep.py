@@ -185,7 +185,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         return res.ok, None if res.ok else str(res.witness)
 
     def check_maximal():
-        return is_maximal(g, method="both"), None
+        return is_maximal(g), None
 
     def check_marginal():
         res = marginal_model_equal(g)

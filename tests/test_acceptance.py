@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
-with its runtime.  Budgets are wall-clock upper bounds; the compiled
-kernels keep actual times far below them, and the pure-Python fallback
-still fits (set MVRCG_PURE_PYTHON=1 to try).
+with its runtime.  Budgets are wall-clock upper bounds for the Python
+kernels.
 """
 
 import random

@@ -111,6 +111,31 @@ def test_equiv_reports_a_triple_in_one_closure_only(capsys, tmp_path):
     assert (code, out) == (1, "DIFFER: 0 _||_ 1 | 2 only in closure of second model\n")
 
 
+@pytest.mark.parametrize("argv, exc", [
+    (["closure", "--in", "{missing}/m.json"], "FileNotFoundError"),
+    (["validate", "--graph", "{missing}/g.cg"], "FileNotFoundError"),
+    (["equiv", "--a", "{missing}/m.json", "--b", "{model}"], "FileNotFoundError"),
+    (["closure", "--in", "{model}", "--out", "{missing}/closed.json"], "FileNotFoundError"),
+    (["closure", "--in", "{model}", "--out", "{dir}"], "IsADirectoryError"),
+    (["properties", "--graph", "{graph}", "--kind", "p3", "--emit", "{missing}/p3.json"],
+     "FileNotFoundError"),
+    (["intervene", "--graph", "{graph}", "--on", "a", "--out", "{missing}/cut.cg"],
+     "FileNotFoundError"),
+    (["export-dot", "--graph", "{graph}", "--out", "{missing}/g.dot"], "FileNotFoundError"),
+    (["sweep", "--max-n", "1", "--out", "{missing}/report.jsonl"], "FileNotFoundError"),
+], ids=["closure_in", "validate", "equiv", "closure_out", "closure_out_dir",
+        "properties_emit", "intervene_out", "export_dot_out", "sweep_out"])
+def test_unreadable_or_unwritable_path_is_an_error_line(capsys, tmp_path, argv, exc):
+    graph = tmp_path / "g.cg"
+    graph.write_text("vertex a\nvertex b\na -> b\n")
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path), "graph": str(graph),
+             "model": write_model(tmp_path / "m.json", [{"a": [0], "b": [1]}])}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {exc}: ")
+
+
 @pytest.mark.parametrize("text", [
     '{"ground_set": 3, "triples": [{"a": [-1], "b": [1]}]}',
     '{"ground_set": 3, "triples": [{"a": [0]}]}',
@@ -300,12 +325,16 @@ def test_separate_method_d_on_dag(capsys, fig_path):
     assert code == 0 and "CONNECTED" in out
 
 
-def test_sweep_rejects_malformed_max_n(capsys, monkeypatch):
-    monkeypatch.setenv("MVRCG_MAX_N", "abc")
+@pytest.mark.parametrize("value, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("-1", "must be non-negative, got '-1'"),
+], ids=["abc", "-1"])
+def test_sweep_rejects_malformed_max_n(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("MVRCG_MAX_N", value)
     code, out, err = run(capsys, "sweep", "--max-n", "2")
     assert code == 2
     assert out == ""
-    assert "error: GraphError: MVRCG_MAX_N must be an integer, got 'abc'" in err
+    assert f"error: GraphError: MVRCG_MAX_N {message}" in err
 
 
 def test_sweep_config_is_hashable():

@@ -9,10 +9,11 @@ from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, 
 from mvrcg.chain import validate_chain_graph
 from mvrcg.closure import close_codes
 from mvrcg.enumeration import enumerate_mvr_cgs
-from mvrcg.errors import CapExceeded, DisjointnessViolation
+from mvrcg.errors import CapExceeded, DisjointnessViolation, UnknownName
 from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
-                              property_model, type_iv_triples)
+                              pairwise_triples, property_model, type_iv_triples)
 from mvrcg.separation import global_model, global_model_codes, iter_canonical_codes
+from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
 
 from oracles import AXIOM_NAMES, oracle_closure
@@ -218,6 +219,20 @@ def test_equivalent_under_reflexive():
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         close(IndependenceModel.of(9, [T([0], [1])]), AxiomSet.semi_graphoid(), cap=7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: AxiomSet.parse("x"),
+    lambda g: property_model(g, "zz"),
+    lambda g: pairwise_triples(g, validate_chain_graph(g), "p9"),
+    lambda g: global_model_codes(g, method="q"),
+    lambda g: is_maximal(g, method="zsets"),
+], ids=["axiom_set", "property_kind", "pairwise_variant", "separation_method",
+        "maximality_method"])
+def test_unknown_names_are_typed_errors(call):
+    with pytest.raises(UnknownName) as err:
+        call(MixedGraph(3, directed=[(0, 1)]))
+    assert isinstance(err.value, ValueError)  # callers catching ValueError still do
 
 
 # --- the containments used by the equivalence proofs ---------------------
