@@ -10,6 +10,8 @@ encoding.
 
 from __future__ import annotations
 
+from ..graph import reach_mask
+
 BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
 
 # Axiom rule bits; ``AxiomSet.flags()`` ORs them into the closure's flags.
@@ -48,21 +50,6 @@ def decode_code(n: int, code: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _ancestors(n: int, pa, seed: int) -> int:
-    out = seed
-    frontier = seed
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            low = m & -m
-            grown |= pa[low.bit_length() - 1]
-            m ^= low
-        frontier = grown & ~out
-        out |= frontier
-    return out
-
-
 def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
     """Walk-state reachability for the mixed-graph separation criterion.
 
@@ -70,7 +57,7 @@ def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
     crossed as a noncollider only outside ``z`` and as a collider only
     inside the ancestor closure of ``z``.
     """
-    anz = _ancestors(n, pa, z)
+    anz = reach_mask(pa, z)
     head = 0  # vertices reached with an arrowhead pointing at them
     tail = 0
     m = x

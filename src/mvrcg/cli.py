@@ -253,11 +253,14 @@ def cmd_sweep(args) -> int:
                          random_n=args.random_n, seed=args.seed)
     key = config_hash(config)
     start = _resume_index(args.cursor, key) if args.cursor else 0
+    reports = run_equivalence_sweep(config, start_index=start)
+    if args.cursor:  # an unwritable cursor path fails before any work
+        _write_cursor(args.cursor, {"config": key, "next": start})
     out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
     failures = 0
     count = 0
     try:
-        for report in run_equivalence_sweep(config, start_index=start):
+        for report in reports:
             count += 1
             if not report.ok:
                 failures += 1

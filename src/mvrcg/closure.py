@@ -26,11 +26,10 @@ keeps no 4**n table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import _kernels
 from ._kernels.pyfallback import axiom_rules
-from .config import model_cap
+from .config import check_cap, model_cap
 from .errors import CapExceeded, UnknownName
 from .triples import IndependenceModel, IndependenceTriple, triple_from_masks
 
@@ -108,35 +107,26 @@ class CheckResult:
         return self.ok
 
 
-def _check_cap(n: int, cap: Optional[int]) -> None:
-    limit = model_cap(cap)
-    if n > limit:
-        raise CapExceeded(f"ground set {n} exceeds cap {limit}")
-
-
-def close_codes(n: int, codes, axioms: AxiomSet, cap: Optional[int] = None) -> list[int]:
+def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
     """Code-level closure; the fast path used by the sweep."""
-    _check_cap(n, cap)
+    check_cap(n, model_cap())
     return _kernels.close_codes(n, list(codes), axioms.flags())
 
 
-def close(model: IndependenceModel, axioms: AxiomSet, cap: Optional[int] = None) -> IndependenceModel:
+def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
     """Least superset of ``model`` closed under the enabled axioms."""
-    out = close_codes(model.n, model.to_codes(), axioms, cap)
+    out = close_codes(model.n, model.to_codes(), axioms)
     return IndependenceModel.from_codes(model.n, out)
 
 
-def equivalent_under(m1: IndependenceModel, m2: IndependenceModel,
-                     axioms: AxiomSet, cap: Optional[int] = None) -> bool:
+def equivalent_under(m1: IndependenceModel, m2: IndependenceModel, axioms: AxiomSet) -> bool:
     """Whether the two models generate the same closure."""
     if m1.n != m2.n:
         raise CapExceeded("models over different ground sets")
-    return close_codes(m1.n, m1.to_codes(), axioms, cap) == \
-        close_codes(m2.n, m2.to_codes(), axioms, cap)
+    return close_codes(m1.n, m1.to_codes(), axioms) == close_codes(m2.n, m2.to_codes(), axioms)
 
 
-def satisfies(model: IndependenceModel, axioms: AxiomSet,
-              cap: Optional[int] = None) -> CheckResult:
+def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     """Whether the model is already closed; if not, one violating axiom
     instance is returned as a witness.
 
@@ -145,7 +135,7 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet,
     is fired through the closure kernel's rules, joined against the ones
     fired before it, until a conclusion is missing.
     """
-    _check_cap(model.n, cap)
+    check_cap(model.n, model_cap())
     n = model.n
     flags = axioms.flags()
     entries = [t.masks() for t in model]

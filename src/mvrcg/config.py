@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import GraphError
+from .errors import CapExceeded, GraphError
 
 DEFAULT_MODEL_CAP = 7       # ground set for separation models and closures
 DEFAULT_MARGINAL_CAP = 6    # observed vertices for the latent-DAG oracle
@@ -32,15 +32,19 @@ def _env_cap() -> int | None:
     return cap
 
 
-def model_cap(override: int | None = None) -> int:
-    if override is None:
-        override = _env_cap()
+def model_cap() -> int:
+    override = _env_cap()
     if override is None:
         return DEFAULT_MODEL_CAP
     return min(override, HARD_MODEL_CAP)
 
 
-def marginal_cap(override: int | None = None) -> int:
-    if override is None:
-        override = _env_cap()
+def marginal_cap() -> int:
+    override = _env_cap()
     return DEFAULT_MARGINAL_CAP if override is None else override
+
+
+def check_cap(size: int, cap: int, what: str = "vertices") -> None:
+    """Raise ``CapExceeded`` when ``size`` (a count of ``what``) exceeds ``cap``."""
+    if size > cap:
+        raise CapExceeded(f"{size} {what} exceeds cap {cap}")

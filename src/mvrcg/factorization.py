@@ -20,8 +20,8 @@ from typing import Iterable, Optional
 
 from ._bitset import bits, mask_of, set_of
 from .chain import ChainDecomposition
-from .config import DEFAULT_SUBSET_CAP
-from .errors import CapExceeded, HeadTestFailed, NotAncestrallyClosed
+from .config import DEFAULT_SUBSET_CAP, check_cap
+from .errors import HeadTestFailed, NotAncestrallyClosed
 from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
                     district_masks, parents_of_set)
 
@@ -97,10 +97,9 @@ def tail_of_head(g: MixedGraph, H: Iterable[int]) -> frozenset[int]:
     return set_of(t)
 
 
-def heads(g: MixedGraph, cap: int = DEFAULT_SUBSET_CAP) -> tuple[HeadTail, ...]:
+def heads(g: MixedGraph) -> tuple[HeadTail, ...]:
     """Every head of the graph with its tail, by subset enumeration."""
-    if g.n > cap:
-        raise CapExceeded(f"{g.n} vertices exceeds subset-enumeration cap {cap}")
+    check_cap(g.n, DEFAULT_SUBSET_CAP)
     out = []
     for h in range(1, 1 << g.n):
         t = _head_tail_mask(g, h)

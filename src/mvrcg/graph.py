@@ -298,6 +298,39 @@ def shortest_path(adj: Sequence[int], start: int, goal: int,
     return None
 
 
+def state_walk(g: MixedGraph, sources: int, goal: int, step) -> Optional[list[int]]:
+    """A walk from a vertex of ``sources`` to one of ``goal``, or None.
+
+    Breadth-first over (vertex, arrived-with-arrowhead) states.  The walk
+    leaves its source along any edge; ``step(v, head)`` yields the moves
+    out of state ``(v, head)`` as ``(mask, head)`` pairs: on to each vertex
+    of ``mask``, arriving with an arrowhead when ``head``.  Moves and mask
+    bits are taken in order and a state is entered once, so the walk
+    returned is deterministic."""
+    prev: dict[tuple[int, bool], object] = {}
+    queue: list[tuple[int, bool]] = []
+
+    def arrive(moves, frm) -> None:
+        for mask, head in moves:
+            for w in bits(mask):
+                if (w, head) not in prev:
+                    prev[(w, head)] = frm
+                    queue.append((w, head))
+
+    for s in bits(sources):
+        arrive(((g.ch[s] | g.nb[s], True), (g.pa[s], False)), s)
+    for state in queue:  # the queue grows while it is read
+        if goal >> state[0] & 1:
+            walk = []
+            while isinstance(state, tuple):  # back to the source vertex
+                walk.append(state[0])
+                state = prev[state]
+            walk.append(state)
+            return walk[::-1]
+        arrive(step(*state), state)
+    return None
+
+
 # --- set-valued graph functions ----------------------------------------
 
 

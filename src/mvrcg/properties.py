@@ -12,9 +12,8 @@ from typing import Iterable, Optional
 
 from ._bitset import bits, mask_of, set_of, submasks
 from .chain import ChainDecomposition, validate_chain_graph
-from .config import DEFAULT_SUBSET_CAP
-from .errors import (CapExceeded, HasChildInA, InconsistentOrder,
-                     NotAncestrallyClosed, UnknownName)
+from .config import DEFAULT_SUBSET_CAP, check_cap
+from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
 from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
                     district_masks, parents_of_set, topological_order)
 from .triples import IndependenceModel, triple_from_masks
@@ -58,8 +57,7 @@ def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
     return IndependenceModel.of(g.n, triples)
 
 
-def mr_triples(g: MixedGraph, dec: ChainDecomposition,
-               cap: int = DEFAULT_SUBSET_CAP) -> IndependenceModel:
+def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     """Multivariate-regression statements.
 
     For every component T and nonempty A inside it: a connected A is
@@ -73,8 +71,7 @@ def mr_triples(g: MixedGraph, dec: ChainDecomposition,
     triples = []
     for t in range(len(dec.components)):
         tmask = dec.component_mask(t)
-        if tmask.bit_count() > cap:
-            raise CapExceeded(f"component size {tmask.bit_count()} exceeds cap {cap}")
+        check_cap(tmask.bit_count(), DEFAULT_SUBSET_CAP, "component vertices")
         pre = dec.pre_mask(t)
         for sub in submasks(tmask):
             comps = district_masks(g.nb, sub)
@@ -89,8 +86,7 @@ def mr_triples(g: MixedGraph, dec: ChainDecomposition,
     return IndependenceModel.of(g.n, triples)
 
 
-def type_iv_triples(g: MixedGraph, dec: ChainDecomposition,
-                    cap: int = DEFAULT_SUBSET_CAP) -> IndependenceModel:
+def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     """Block-recursive statements.
 
     Per component T: T is independent of its non-descendant components
@@ -103,8 +99,7 @@ def type_iv_triples(g: MixedGraph, dec: ChainDecomposition,
     triples = []
     for t in range(len(dec.components)):
         tmask = dec.component_mask(t)
-        if tmask.bit_count() > cap:
-            raise CapExceeded(f"component size {tmask.bit_count()} exceeds cap {cap}")
+        check_cap(tmask.bit_count(), DEFAULT_SUBSET_CAP, "component vertices")
         pad = dec.pa_d_mask(t)
         nd = dec.nd_d_mask(t)
         rest = nd & ~pad
@@ -155,8 +150,8 @@ def consistent_vertex_order(g: MixedGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def ordered_local_triples(g: MixedGraph, order: Optional[Iterable[int]] = None,
-                          cap: int = DEFAULT_SUBSET_CAP) -> IndependenceModel:
+def ordered_local_triples(g: MixedGraph,
+                          order: Optional[Iterable[int]] = None) -> IndependenceModel:
     """Ordered local statements.
 
     For each vertex x and each ancestrally closed A with x in A inside
@@ -180,8 +175,7 @@ def ordered_local_triples(g: MixedGraph, order: Optional[Iterable[int]] = None,
     for x in order:
         prefix |= 1 << x
         rest = prefix & ~(1 << x)
-        if prefix.bit_count() > cap:
-            raise CapExceeded(f"prefix of {x} has {prefix.bit_count()} vertices, cap {cap}")
+        check_cap(prefix.bit_count(), DEFAULT_SUBSET_CAP, f"vertices in the prefix of {x}")
         sub = rest
         while True:  # all subsets of the prefix that contain x, including empty rest
             a_mask = sub | (1 << x)
@@ -223,8 +217,7 @@ PROPERTY_KINDS = ("p1", "p2", "p3", "p4", "mr", "iv", "ordered", "local", "globa
 
 
 def property_model(g: MixedGraph, kind: str,
-                   dec: Optional[ChainDecomposition] = None,
-                   cap: int = DEFAULT_SUBSET_CAP) -> IndependenceModel:
+                   dec: Optional[ChainDecomposition] = None) -> IndependenceModel:
     """Dispatch by property name; used by the CLI and the sweep."""
     if kind == "global":
         from .separation import global_model
@@ -232,13 +225,13 @@ def property_model(g: MixedGraph, kind: str,
     if kind == "local":
         return alt_local_triples(g)
     if kind == "ordered":
-        return ordered_local_triples(g, cap=cap)
+        return ordered_local_triples(g)
     if dec is None:
         dec = validate_chain_graph(g)
     if kind in PAIRWISE_VARIANTS:
         return pairwise_triples(g, dec, kind)
     if kind == "mr":
-        return mr_triples(g, dec, cap)
+        return mr_triples(g, dec)
     if kind == "iv":
-        return type_iv_triples(g, dec, cap)
+        return type_iv_triples(g, dec)
     raise UnknownName(f"unknown property kind {kind!r}")

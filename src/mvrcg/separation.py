@@ -1,12 +1,15 @@
 """Separation criteria for mixed graphs.
 
-Three routes are implemented independently and cross-checked:
+Three routes are implemented independently and cross-checked.  Each has
+one core on vertex bitmasks; the public function checks its arguments
+and calls it, and model-level loops call the cores directly.
 
-* :func:`m_separated` — walk-state reachability.  A walk connects X to Y
-  given Z when every interior noncollider avoids Z and every interior
-  collider has a descendant in Z (equivalently, lies in the ancestor
-  closure of Z).  Walks and simple paths define the same relation, and
-  the walk search needs only 2n states.
+* :func:`m_separated` — walk-state reachability, the kernel's
+  ``m_connected``.  A walk connects X to Y given Z when every interior
+  noncollider avoids Z and every interior collider has a descendant in Z
+  (equivalently, lies in the ancestor closure of Z).  Walks and simple
+  paths define the same relation, and the walk search needs only 2n
+  states.
 * :func:`m_star_separated` — the augmentation criterion: restrict to the
   ancestor closure of X|Y|Z, join every collider-connected vertex pair
   by an undirected edge, then test plain separation.
@@ -23,12 +26,12 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import _kernels
-from ._bitset import bits, mask_of, set_of
+from ._bitset import bits, mask_of
 from ._kernels.pyfallback import iter_canonical_codes
-from .config import model_cap
-from .errors import CapExceeded, DisjointnessViolation, NotADag, UnknownName
+from .config import check_cap, model_cap
+from .errors import DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, ancestors_mask, reach_mask,
-                    topological_order)
+                    state_walk, topological_order)
 from .triples import IndependenceModel
 
 
@@ -53,57 +56,24 @@ def m_separated(g: MixedGraph, X: Iterable[int], Y: Iterable[int],
 def m_connecting_walk(g: MixedGraph, X, Y, Z=()) -> Optional[list[int]]:
     """One m-connecting walk as a vertex list, or None when separated.
 
-    Pure-Python rediscovery with predecessor tracking; used for witness
-    output rather than for bulk queries.
-    """
+    The same walk rules as :func:`m_separated`, run as a state walk that
+    keeps predecessors; used for witness output rather than for bulk
+    queries."""
     x, y, z = _query_masks(g, X, Y, Z)
     anz = ancestors_mask(g, z)
-    prev: dict[tuple[int, bool], tuple] = {}
-    queue: list[tuple[int, bool]] = []
 
-    def arrive(v, head, frm):
-        if (v, head) not in prev:
-            prev[(v, head)] = frm
-            queue.append((v, head))
+    def step(v, head):
+        if not z >> v & 1:  # crossed as a noncollider: leave through a tail
+            if head:
+                yield g.ch[v], True
+            else:
+                yield g.ch[v] | g.nb[v], True
+                yield g.pa[v], False
+        if head and anz >> v & 1:  # crossed as a collider
+            yield g.nb[v], True
+            yield g.pa[v], False
 
-    for s in bits(x):
-        for w in bits(g.ch[s] | g.nb[s]):
-            arrive(w, True, ("src", s))
-        for w in bits(g.pa[s]):
-            arrive(w, False, ("src", s))
-    i = 0
-    goal = None
-    while i < len(queue):
-        v, head = queue[i]
-        i += 1
-        if y >> v & 1:
-            goal = (v, head)
-            break
-        through_tail = not (z >> v & 1)
-        through_head = bool(anz >> v & 1)
-        if not head and through_tail:
-            for w in bits(g.ch[v] | g.nb[v]):
-                arrive(w, True, (v, head))
-            for w in bits(g.pa[v]):
-                arrive(w, False, (v, head))
-        elif head:
-            if through_tail:
-                for w in bits(g.ch[v]):
-                    arrive(w, True, (v, head))
-            if through_head:
-                for w in bits(g.nb[v]):
-                    arrive(w, True, (v, head))
-                for w in bits(g.pa[v]):
-                    arrive(w, False, (v, head))
-    if goal is None:
-        return None
-    walk = [goal[0]]
-    cur = prev[goal]
-    while cur[0] != "src":
-        walk.append(cur[0])
-        cur = prev[cur]
-    walk.append(cur[1])
-    return walk[::-1]
+    return state_walk(g, x, y, step)
 
 
 def _collider_adjacency(g: MixedGraph, within: int) -> list[int]:
@@ -146,13 +116,16 @@ def augmented_graph(g: MixedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, frozenset(edges))
 
 
+def _m_star_separated(g: MixedGraph, x: int, y: int, z: int) -> bool:
+    w = ancestors_mask(g, x | y | z)
+    return not reach_mask(_collider_adjacency(g, w), x, ~z) & y
+
+
 def m_star_separated(g: MixedGraph, X, Y, Z=()) -> bool:
     """Augmentation criterion: separation in the augmented ancestral
     subgraph.  Anterior and ancestor closures coincide here because the
     graph has no undirected edges."""
-    x, y, z = _query_masks(g, X, Y, Z)
-    w = ancestors_mask(g, x | y | z)
-    return not reach_mask(_collider_adjacency(g, w), x, ~z) & y
+    return _m_star_separated(g, *_query_masks(g, X, Y, Z))
 
 
 def _require_dag(g: MixedGraph) -> None:
@@ -174,33 +147,29 @@ def _moral_adjacency(g: MixedGraph, within: int) -> list[int]:
     return adj
 
 
-def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
-    """Classical DAG separation: moralize the ancestral subgraph of
-    X|Y|Z, then test plain separation."""
-    _require_dag(dag)
-    x, y, z = _query_masks(dag, X, Y, Z)
+def _d_separated(dag: MixedGraph, x: int, y: int, z: int) -> bool:
     w = ancestors_mask(dag, x | y | z)
     return not reach_mask(_moral_adjacency(dag, w), x, ~z) & y
 
 
-def global_model_codes(g: MixedGraph, cap: Optional[int] = None,
-                       method: str = "m") -> list[int]:
+def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
+    """Classical DAG separation: moralize the ancestral subgraph of
+    X|Y|Z, then test plain separation."""
+    _require_dag(dag)
+    return _d_separated(dag, *_query_masks(dag, X, Y, Z))
+
+
+def global_model_codes(g: MixedGraph, method: str = "m") -> list[int]:
     """Code set of the full separation model of ``g``."""
-    limit = model_cap(cap)
-    if g.n > limit:
-        raise CapExceeded(f"{g.n} vertices exceeds cap {limit}")
+    check_cap(g.n, model_cap())
     if method == "m":
         return _kernels.global_model_codes(g.n, g.pa, g.ch, g.nb)
     if method == "mstar":
-        out = []
-        for code, a, b, c in iter_canonical_codes(g.n):
-            if m_star_separated(g, set_of(a), set_of(b), set_of(c)):
-                out.append(code)
-        return out
+        return [code for code, a, b, c in iter_canonical_codes(g.n)
+                if _m_star_separated(g, a, b, c)]
     raise UnknownName(f"unknown method {method!r}; expected m|mstar")
 
 
-def global_model(g: MixedGraph, cap: Optional[int] = None,
-                 method: str = "m") -> IndependenceModel:
+def global_model(g: MixedGraph, method: str = "m") -> IndependenceModel:
     """Every separated triple <X, Y | Z> of the graph."""
-    return IndependenceModel.from_codes(g.n, global_model_codes(g, cap, method))
+    return IndependenceModel.from_codes(g.n, global_model_codes(g, method))

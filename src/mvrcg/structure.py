@@ -5,7 +5,9 @@ it is an ancestor of the edge's other endpoint.  An ancestral graph is
 maximal when every nonadjacent vertex pair admits some separating set;
 equivalently, when no primitive inducing chain (all interiors colliders
 lying in the ancestor closure of the endpoints) joins a nonadjacent
-pair.  Both characterisations are implemented and must agree.
+pair.  Both characterisations are implemented and must agree: the first
+runs the m-separation kernel on every candidate set, the second a state
+walk with its own collider-only rule.
 
 Replacing each bidirected edge u <-> v by a fresh common parent
 u <- h -> v yields a DAG whose separation statements over the original
@@ -18,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._bitset import bits, set_of, submasks
+from ._bitset import submasks
+from ._kernels import m_connected
 from .closure import CheckResult
-from .config import marginal_cap
-from .errors import CapExceeded, NotAncestral, UnknownName, VerticesAdjacent
-from .graph import MixedGraph, ancestors_mask, shortest_path
-from .separation import d_separated, iter_canonical_codes, m_separated
+from .config import check_cap, marginal_cap
+from .errors import NotAncestral, UnknownName, VerticesAdjacent
+from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
+from .separation import _d_separated, _require_dag, iter_canonical_codes
 from .triples import triple_from_masks
 
 
@@ -49,43 +52,16 @@ def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[lis
     if g.adjacent(r, s):
         raise VerticesAdjacent(f"{g.labels[r]} and {g.labels[s]} are adjacent")
     anchor = ancestors_mask(g, (1 << r) | (1 << s))
-    prev: dict[tuple[int, bool], tuple] = {}
-    queue: list[tuple[int, bool]] = []
 
-    def arrive(v, head, frm):
-        if (v, head) not in prev:
-            prev[(v, head)] = frm
-            queue.append((v, head))
-
-    for w in bits(g.ch[r] | g.nb[r]):
-        arrive(w, True, ("src",))
-    for w in bits(g.pa[r]):
-        arrive(w, False, ("src",))
-    i = 0
-    goal = None
-    while i < len(queue):
-        v, head = queue[i]
-        i += 1
-        if v == s:
-            goal = (v, head)
-            break
+    def step(v, head):
         # Interiors must be colliders: they need an arrowhead on both
         # sides, so only head-arrivals continue and only through edges
         # with an arrowhead at v; and they must lie in an({r, s}).
         if head and anchor >> v & 1:
-            for w in bits(g.nb[v]):
-                arrive(w, True, (v, head))
-            for w in bits(g.pa[v]):
-                arrive(w, False, (v, head))
-    if goal is None:
-        return None
-    walk = [goal[0]]
-    cur = prev[goal]
-    while cur[0] != "src":
-        walk.append(cur[0])
-        cur = prev[cur]
-    walk.append(r)
-    return walk[::-1]
+            yield g.nb[v], True
+            yield g.pa[v], False
+
+    return state_walk(g, 1 << r, 1 << s, step)
 
 
 def is_maximal(g: MixedGraph, method: str = "both") -> bool:
@@ -115,20 +91,12 @@ def _nonadjacent_pairs(g: MixedGraph):
 
 def _maximal_by_zsets(g: MixedGraph) -> bool:
     for r, s in _nonadjacent_pairs(g):
-        others = g.full_mask & ~((1 << r) | (1 << s))
-        found = not _pair_connected(g, r, s, 0)
-        if not found:
-            for z in submasks(others):
-                if not _pair_connected(g, r, s, z):
-                    found = True
-                    break
-        if not found:
+        x, y = 1 << r, 1 << s
+        others = g.full_mask & ~(x | y)
+        if all(m_connected(g.n, g.pa, g.ch, g.nb, x, y, z)
+               for z in (0, *submasks(others))):
             return False
     return True
-
-
-def _pair_connected(g: MixedGraph, r: int, s: int, z: int) -> bool:
-    return not m_separated(g, (r,), (s,), set_of(z))
 
 
 def _maximal_by_chains(g: MixedGraph) -> bool:
@@ -165,18 +133,16 @@ def canonical_dag(g: MixedGraph) -> CanonicalDag:
                         tuple(latent_for))
 
 
-def marginal_model_equal(g: MixedGraph, cap: Optional[int] = None) -> CheckResult:
+def marginal_model_equal(g: MixedGraph) -> CheckResult:
     """Whether the graph's separation statements coincide with the
     latent DAG's over the observed vertices; the witness is the first
     disagreeing triple."""
-    limit = marginal_cap(cap)
-    if g.n > limit:
-        raise CapExceeded(f"{g.n} observed vertices exceeds cap {limit}")
-    cd = canonical_dag(g)
+    check_cap(g.n, marginal_cap(), "observed vertices")
+    dag = canonical_dag(g).dag
+    _require_dag(dag)
     for _, a, b, c in iter_canonical_codes(g.n):
-        sa, sb, sc = set_of(a), set_of(b), set_of(c)
-        mg = m_separated(g, sa, sb, sc)
-        dd = d_separated(cd.dag, sa, sb, sc)
+        mg = not m_connected(g.n, g.pa, g.ch, g.nb, a, b, c)
+        dd = _d_separated(dag, a, b, c)
         if mg != dd:
             return CheckResult(False, (triple_from_masks(a, b, c), mg, dd))
     return CheckResult(True)

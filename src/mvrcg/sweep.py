@@ -21,9 +21,9 @@ from typing import Iterator, Optional
 from . import _kernels
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close_codes
-from .config import model_cap
+from .config import ENUMERATION_CAP, model_cap
 from .enumeration import enumerate_mvr_cgs, random_mvr_cgs
-from .errors import GraphError
+from .errors import CapExceeded, GraphError
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph
 from .properties import property_model
@@ -65,7 +65,7 @@ class SweepConfig:
 
 @dataclass
 class CheckOutcome:
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | error | skipped, see _raised
     witness: Optional[str] = None
     ms: float = 0.0
 
@@ -81,7 +81,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks.values())
+        return all(c.status not in ("fail", "error") for c in self.checks.values())
 
     def to_json(self) -> str:
         return json.dumps({
@@ -130,16 +130,23 @@ def _first_difference(n: int, codes_a, codes_b) -> str:
     return f"{decode_triple(code, n)} only in {side} model"
 
 
+def _raised(exc: Exception) -> tuple[str, str]:
+    """Status and witness of a check that raised: a ``GraphError`` is a
+    failure of the graph, any other exception an error of the engine."""
+    status = "fail" if isinstance(exc, GraphError) else "error"
+    return status, f"{type(exc).__name__}: {exc}"
+
+
 def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> VerificationReport:
     report = VerificationReport(index, g.n, graph_hash(g),
                                 sorted(g.directed), sorted(g.bidirected))
     try:
         dec = validate_chain_graph(g)
         global_codes = global_model_codes(g)
-    except GraphError as exc:
-        witness = f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        status, witness = _raised(exc)
         for name in config.checks:
-            report.checks[name] = CheckOutcome("fail", witness)
+            report.checks[name] = CheckOutcome(status, witness)
         return report
 
     def run(name, fn):
@@ -149,8 +156,8 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         try:
             ok, witness = fn()
             status = "pass" if ok else "fail"
-        except GraphError as exc:
-            status, witness = "fail", f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            status, witness = _raised(exc)
         report.checks[name] = CheckOutcome(status, witness,
                                            (time.perf_counter() - t0) * 1e3)
 
@@ -219,9 +226,11 @@ def run_equivalence_sweep(config: SweepConfig,
                           start_index: int = 0) -> Iterator[VerificationReport]:
     """Reports in deterministic graph order, optionally resuming after
     ``start_index - 1``."""
-    # A malformed MVRCG_MAX_N is not a property of any graph: raise it
-    # before the first report instead of failing every graph with it.
+    # A malformed MVRCG_MAX_N or a max_n beyond exhaustive enumeration is
+    # not a property of any graph: raise it on the call, before any work,
+    # instead of failing every graph with it or after hours of output.
     model_cap()
-    for i, g in enumerate(sweep_graphs(config)):
-        if i >= start_index:
-            yield verify_graph(g, config, i)
+    if config.max_n > ENUMERATION_CAP:
+        raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
+    return (verify_graph(g, config, i) for i, g in enumerate(sweep_graphs(config))
+            if i >= start_index)

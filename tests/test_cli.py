@@ -8,6 +8,7 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
+from mvrcg.errors import CapExceeded
 from mvrcg.sweep import SweepConfig, config_hash, run_equivalence_sweep
 
 
@@ -354,6 +355,38 @@ def test_sweep_records_graph_errors_and_continues():
         for outcome in report.checks.values():
             assert outcome.status == "fail"
             assert outcome.witness == "CapExceeded: 8 vertices exceeds cap 7"
+
+
+def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):
+    def broken(g):
+        raise AssertionError("maximality criteria disagree; this is a bug")
+
+    monkeypatch.setattr("mvrcg.sweep.is_maximal", broken)
+    reports = list(run_equivalence_sweep(SweepConfig(max_n=2)))
+    assert [r.index for r in reports] == [0, 1, 2, 3, 4]
+    for report in reports:
+        assert not report.ok
+        assert report.checks["maximal"].status == "error"
+        assert report.checks["maximal"].witness == \
+            "AssertionError: maximality criteria disagree; this is a bug"
+        assert report.checks["ancestral"].status == "pass"
+
+
+def test_sweep_checks_unwritable_cursor_before_the_first_graph(capsys, tmp_path):
+    cursor = tmp_path / "missing" / "c.json"
+    code, out, err = run(capsys, "sweep", "--max-n", "1", "--cursor", str(cursor))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: FileNotFoundError: ")
+
+
+def test_sweep_refuses_max_n_beyond_enumeration_before_the_first_graph(capsys, tmp_path):
+    with pytest.raises(CapExceeded):
+        next(run_equivalence_sweep(SweepConfig(max_n=7)))
+    cursor = tmp_path / "c.json"
+    code, out, err = run(capsys, "sweep", "--max-n", "7", "--cursor", str(cursor))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CapExceeded: exhaustive enumeration capped at n=6")
+    assert not cursor.exists()  # a refused sweep leaves no cursor behind
 
 
 def test_export_dot_with_induced_set(capsys, fig_path):

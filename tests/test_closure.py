@@ -218,7 +218,7 @@ def test_equivalent_under_reflexive():
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
-        close(IndependenceModel.of(9, [T([0], [1])]), AxiomSet.semi_graphoid(), cap=7)
+        close(IndependenceModel.of(9, [T([0], [1])]), AxiomSet.semi_graphoid())
 
 
 @pytest.mark.parametrize("call", [

@@ -102,9 +102,12 @@ def test_iv_path_component_emits_in_component_statement():
 
 
 def test_mr_iv_component_cap():
-    g = MixedGraph(4, bidirected=[(0, 1), (1, 2), (2, 3)])
+    g = MixedGraph(13, bidirected=[(v, v + 1) for v in range(12)])  # one 13-vertex component
+    dec = validate_chain_graph(g)
     with pytest.raises(CapExceeded):
-        mr_triples(g, validate_chain_graph(g), cap=3)
+        mr_triples(g, dec)
+    with pytest.raises(CapExceeded):
+        type_iv_triples(g, dec)
 
 
 def oracle_mr(g, dec):

@@ -1,16 +1,22 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvrcg import (MixedGraph, augmented_graph, d_separated, global_model,
-                   m_connecting_walk, m_separated, m_star_separated)
-from mvrcg.enumeration import enumerate_dags, enumerate_mvr_cgs, random_mvr_cg
+from mvrcg import (MixedGraph, augmented_graph, d_separated, find_primitive_inducing_chain,
+                   global_model, m_connecting_walk, m_separated, m_star_separated)
+from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
+                               random_mvr_cg)
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
 from mvrcg.separation import global_model_codes, iter_canonical_codes
 from mvrcg.triples import IndependenceTriple
 
 from oracles import oracle_m_separated
+
+# sha1 over the witness walks of test_witness_walks_match_pinned_digest
+WALK_DIGEST = "ed5ef18fa7f6fe8437b7babcef3454dc9e069a13"
 
 
 def bitset(mask):
@@ -177,7 +183,7 @@ def test_global_model_symmetry_scan():
 
 def test_global_model_cap():
     with pytest.raises(CapExceeded):
-        global_model(MixedGraph(8), cap=7)
+        global_model(MixedGraph(8))
 
 
 def test_env_var_overrides_cap(monkeypatch):
@@ -227,3 +233,42 @@ def test_connecting_walks_satisfy_the_walk_rules():
             walk = m_connecting_walk(g, x, y, z)
             if walk is not None:
                 assert _walk_is_m_connecting(g, walk, x, y, z), (g, walk, x, y, z)
+
+
+def _ordered_queries(n):
+    """Every (X, Y, Z) with X and Y nonempty, in both orientations."""
+    for code in range(4 ** n):
+        blocks = [0, 0, 0, 0]
+        for v in range(n):
+            blocks[code >> 2 * v & 3] |= 1 << v
+        _, x, y, z = blocks
+        if x and y:
+            yield bitset(x), bitset(y), bitset(z)
+
+
+def test_witness_walks_match_pinned_digest():
+    """The m-connecting walks and primitive inducing chains, pinned so a
+    change to the walk search cannot change a witness."""
+    records = []
+    for n in range(1, 4):
+        for g in enumerate_mvr_cgs(n):
+            for x, y, z in _ordered_queries(n):
+                records.append(("m", sorted(g.directed), sorted(g.bidirected), sorted(x),
+                                sorted(y), sorted(z), m_connecting_walk(g, x, y, z)))
+    for g in enumerate_mvr_cgs(4):
+        for x, y in ((x, y) for x in range(4) for y in range(4) if x != y):
+            others = [v for v in range(4) if v not in (x, y)]
+            for z in ((), others[:1], others[1:], others):
+                records.append(("m", sorted(g.directed), sorted(g.bidirected), [x], [y],
+                                list(z), m_connecting_walk(g, [x], [y], z)))
+    for n in (3, 4):
+        for g in enumerate_mixed_graphs(n):
+            for r, s in combinations(range(n), 2):
+                if not g.adjacent(r, s):
+                    records.append(("chain", sorted(g.directed), sorted(g.bidirected), r, s,
+                                    find_primitive_inducing_chain(g, r, s)))
+    assert len(records) == 88124
+    digest = hashlib.sha1()
+    for rec in records:
+        digest.update(repr(rec).encode())
+    assert digest.hexdigest() == WALK_DIGEST

@@ -115,7 +115,7 @@ def test_canonical_dag_identity_on_dags():
 def test_marginal_model_equal_trivia():
     assert marginal_model_equal(MixedGraph(3, directed=[(0, 1), (1, 2)]))
     with pytest.raises(CapExceeded):
-        marginal_model_equal(MixedGraph(7), cap=6)
+        marginal_model_equal(MixedGraph(7))
 
 
 def test_marginal_model_equal_exhaustive_n3():
