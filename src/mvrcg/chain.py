@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bitset import bits, set_of
-from .errors import PartiallyDirectedCycle
-from .graph import (MixedGraph, district_masks, parents_of_set, reach_mask,
-                    shortest_path, topological_order)
+from .errors import NotAComponent, PartiallyDirectedCycle
+from .graph import (MixedGraph, district_masks, reach_mask, shortest_path,
+                    topological_order)
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,22 @@ class ChainDecomposition:
                 m |= self.component_mask(j)
         return m
 
-    def pa_g_mask(self, i: int) -> int:
-        """Graphical parents of the component's vertex set."""
-        return parents_of_set(self.graph, self.component_mask(i))
-
 
 def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
     """Union of all components strictly after the given one (the
     potential explanatory variables of its members).  ``component`` may
-    be an index into ``dec.components`` or the vertex set itself."""
+    be an index into ``dec.components`` or the vertex set itself;
+    anything else raises :class:`NotAComponent`."""
     if isinstance(component, int):
+        if not 0 <= component < len(dec.components):
+            raise NotAComponent(f"component index {component} out of range "
+                                f"0..{len(dec.components) - 1}")
         return dec.pre(component)
     wanted = frozenset(component)
     for i, comp in enumerate(dec.components):
         if comp == wanted:
             return dec.pre(i)
-    raise KeyError(f"{sorted(wanted)} is not a chain component")
+    raise NotAComponent(f"{sorted(wanted)} is not a chain component")
 
 
 def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:

@@ -39,6 +39,14 @@ class UnknownName(GraphError, ValueError):
     ``ValueError``, so callers that catch ``ValueError`` keep working."""
 
 
+class NotAComponent(GraphError, KeyError):
+    """A component index or vertex set that names no chain component.  It
+    is also a ``KeyError``, so callers that catch ``KeyError`` keep
+    working."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
+
+
 class CapExceeded(GraphError):
     """The request is larger than the configured enumeration cap."""
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bitset import bits, mask_of, set_of
+from ._bitset import bits, set_of
 from .chain import ChainDecomposition
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HeadTestFailed, NotAncestrallyClosed
-from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
-                    district_masks, parents_of_set)
+from .graph import (MixedGraph, _as_mask, ancestors_mask, descendants_mask,
+                    district_mask, district_masks, parents_of_set)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Factorization:
 
 def barren(g: MixedGraph, H: Iterable[int], within: Optional[int] = None) -> frozenset[int]:
     """Members of H with no proper descendant inside H."""
-    return set_of(_barren_mask(g, mask_of(H), within))
+    return set_of(_barren_mask(g, _as_mask(g, H), within))
 
 
 def _barren_mask(g: MixedGraph, h: int, within: Optional[int] = None) -> int:
@@ -85,12 +85,12 @@ def _head_tail_mask(g: MixedGraph, h: int) -> Optional[int]:
 
 
 def is_head(g: MixedGraph, H: Iterable[int]) -> bool:
-    h = mask_of(H)
+    h = _as_mask(g, H)
     return bool(h) and _head_tail_mask(g, h) is not None
 
 
 def tail_of_head(g: MixedGraph, H: Iterable[int]) -> frozenset[int]:
-    h = mask_of(H)
+    h = _as_mask(g, H)
     t = _head_tail_mask(g, h)
     if t is None:
         raise HeadTestFailed(f"{sorted(set_of(h))} is not a head")
@@ -118,7 +118,7 @@ def head_partition(g: MixedGraph, A: Iterable[int]) -> Factorization:
     the head conditions; a failure means the construction is wrong, not
     the input.
     """
-    a_mask = mask_of(A)
+    a_mask = _as_mask(g, A)
     if ancestors_mask(g, a_mask) != a_mask:
         raise NotAncestrallyClosed(f"an(A) != A for A={sorted(set_of(a_mask))}")
     factors = []

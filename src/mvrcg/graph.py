@@ -212,9 +212,6 @@ class UndirectedGraph:
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
 
 # --- mask-level graph algorithms ---------------------------------------
 #
@@ -334,11 +331,16 @@ def state_walk(g: MixedGraph, sources: int, goal: int, step) -> Optional[list[in
 # --- set-valued graph functions ----------------------------------------
 
 
+def _vertex(g: MixedGraph, v: int) -> int:
+    """``v``, once checked to be a vertex id of ``g``."""
+    if not 0 <= v < g.n:
+        raise GraphFormatError(f"vertex id {v} out of range 0..{g.n - 1}")
+    return v
+
+
 def _as_mask(g: MixedGraph, xs: Iterable[int]) -> int:
-    m = mask_of(xs)
-    if m & ~g.full_mask:
-        raise GraphFormatError("vertex id out of range")
-    return m
+    """Bitmask of the vertex ids ``xs``, each checked before it is shifted."""
+    return mask_of(_vertex(g, v) for v in xs)
 
 
 def ancestors_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> int:
@@ -364,6 +366,8 @@ anteriors = ancestors
 def districts(g: MixedGraph, within: Optional[int] = None) -> list[frozenset[int]]:
     """Connected components of the bidirected-only (sub)graph, by min id."""
     allowed = g.full_mask if within is None else within
+    if allowed & ~g.full_mask:
+        raise GraphFormatError(f"vertex mask {within:#x} out of range 0..{g.n - 1}")
     return [set_of(d) for d in district_masks(g.nb, allowed)]
 
 
@@ -373,7 +377,7 @@ def district_mask(g: MixedGraph, v: int, within: Optional[int] = None) -> int:
 
 def district_of(g: MixedGraph, v: int) -> frozenset[int]:
     """Bidirected connected component of ``v`` in the full graph."""
-    return set_of(district_mask(g, v))
+    return set_of(district_mask(g, _vertex(g, v)))
 
 
 def parents_of_set(g: MixedGraph, member_mask: int) -> int:
@@ -418,7 +422,7 @@ def relatives(g: MixedGraph, v: int, dec=None) -> Relatives:
     ``pst`` needs a chain decomposition (everything in components ordered
     after the one containing ``v``) and is None when ``dec`` is omitted.
     """
-    de = descendants_mask(g, 1 << v)
+    de = descendants_mask(g, 1 << _vertex(g, v))
     pst = None
     if dec is not None:
         pst = set_of(dec.pst_mask(v))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._bitset import mask_of
-from .graph import MixedGraph
+from .graph import MixedGraph, _as_mask
 
 
 def intervene(g: MixedGraph, X: Iterable[int]) -> MixedGraph:
-    x = mask_of(X)
+    x = _as_mask(g, X)
     directed = [(t, h) for t, h in g.directed if not (x >> h) & 1]
     bidirected = [(u, v) for u, v in g.bidirected
                   if not (x >> u) & 1 and not (x >> v) & 1]

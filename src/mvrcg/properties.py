@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ._bitset import bits, mask_of, set_of, submasks
+from ._bitset import bits, set_of, submasks
 from .chain import ChainDecomposition, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
-from .graph import (MixedGraph, ancestors_mask, descendants_mask, district_mask,
-                    district_masks, parents_of_set, topological_order)
+from .graph import (MixedGraph, _as_mask, _vertex, ancestors_mask, descendants_mask,
+                    district_mask, district_masks, parents_of_set, topological_order)
 from .triples import IndependenceModel, triple_from_masks
 
 PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
@@ -132,7 +132,7 @@ def markov_blanket(g: MixedGraph, x: int, A: Iterable[int]) -> frozenset[int]:
     ``A`` must be ancestrally closed and ``x`` must have no children in
     it.
     """
-    a_mask = mask_of(A)
+    x, a_mask = _vertex(g, x), _as_mask(g, A)
     if ancestors_mask(g, a_mask) != a_mask:
         raise NotAncestrallyClosed(f"an(A) != A for A={sorted(set_of(a_mask))}")
     if not (a_mask >> x) & 1:

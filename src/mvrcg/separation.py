@@ -26,19 +26,17 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import _kernels
-from ._bitset import bits, mask_of
+from ._bitset import bits
 from ._kernels.pyfallback import iter_canonical_codes
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, UnknownName
-from .graph import (MixedGraph, UndirectedGraph, ancestors_mask, reach_mask,
-                    state_walk, topological_order)
+from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
+                    reach_mask, state_walk, topological_order)
 from .triples import IndependenceModel
 
 
 def _query_masks(g: MixedGraph, X, Y, Z) -> tuple[int, int, int]:
-    x, y, z = mask_of(X), mask_of(Y), mask_of(Z)
-    if (x | y | z) & ~g.full_mask:
-        raise DisjointnessViolation("vertex id out of range")
+    x, y, z = _as_mask(g, X), _as_mask(g, Y), _as_mask(g, Z)
     if not x or not y:
         raise DisjointnessViolation("X and Y must be nonempty")
     if x & y or x & z or y & z:

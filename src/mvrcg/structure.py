@@ -11,8 +11,8 @@ walk with its own collider-only rule.
 
 Replacing each bidirected edge u <-> v by a fresh common parent
 u <- h -> v yields a DAG whose separation statements over the original
-vertices coincide with the mixed graph's; that DAG is the oracle used by
-:func:`marginal_model_equal`.
+vertices coincide with the mixed graph's; :func:`marginal_model_equal`
+compares the two models as code lists.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from ._kernels import m_connected
 from .closure import CheckResult
 from .config import check_cap, marginal_cap
 from .errors import NotAncestral, UnknownName, VerticesAdjacent
-from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
-from .separation import _d_separated, _require_dag, iter_canonical_codes
-from .triples import triple_from_masks
+from .graph import MixedGraph, _vertex, ancestors_mask, shortest_path, state_walk
+from .separation import (_d_separated, _require_dag, global_model_codes,
+                         iter_canonical_codes)
+from .triples import decode_triple
 
 
 def is_ancestral(g: MixedGraph) -> CheckResult:
@@ -49,7 +50,7 @@ def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[lis
     """A chain r .. s whose interiors are all colliders inside
     an({r, s}), or None.  Interior vertices may repeat (walk search over
     (vertex, arrowhead) states), which does not change existence."""
-    if g.adjacent(r, s):
+    if g.adjacent(_vertex(g, r), _vertex(g, s)):
         raise VerticesAdjacent(f"{g.labels[r]} and {g.labels[s]} are adjacent")
     anchor = ancestors_mask(g, (1 << r) | (1 << s))
 
@@ -133,16 +134,22 @@ def canonical_dag(g: MixedGraph) -> CanonicalDag:
                         tuple(latent_for))
 
 
-def marginal_model_equal(g: MixedGraph) -> CheckResult:
-    """Whether the graph's separation statements coincide with the
-    latent DAG's over the observed vertices; the witness is the first
-    disagreeing triple."""
+def latent_model_codes(g: MixedGraph) -> list[int]:
+    """The latent DAG's separation model over the observed vertices."""
     check_cap(g.n, marginal_cap(), "observed vertices")
     dag = canonical_dag(g).dag
     _require_dag(dag)
-    for _, a, b, c in iter_canonical_codes(g.n):
-        mg = not m_connected(g.n, g.pa, g.ch, g.nb, a, b, c)
-        dd = _d_separated(dag, a, b, c)
-        if mg != dd:
-            return CheckResult(False, (triple_from_masks(a, b, c), mg, dd))
-    return CheckResult(True)
+    return [code for code, a, b, c in iter_canonical_codes(g.n)
+            if _d_separated(dag, a, b, c)]
+
+
+def marginal_model_equal(g: MixedGraph) -> CheckResult:
+    """Whether the graph's separation model equals the latent DAG's; the
+    witness is ``(triple, m_separated, d_separated)`` for the smallest
+    disagreeing code."""
+    latent = latent_model_codes(g)
+    model = global_model_codes(g)
+    if latent == model:
+        return CheckResult(True)
+    code = min(set(latent).symmetric_difference(model))
+    return CheckResult(False, (decode_triple(code, g.n), code in model, code in latent))

@@ -4,7 +4,7 @@ import pytest
 
 from mvrcg import MixedGraph, is_chain_graph, validate_chain_graph
 from mvrcg.enumeration import enumerate_mixed_graphs, enumerate_mvr_cgs
-from mvrcg.errors import PartiallyDirectedCycle
+from mvrcg.errors import NotAComponent, PartiallyDirectedCycle
 from mvrcg.properties import consistent_vertex_order
 
 from oracles import oracle_is_chain_graph
@@ -122,6 +122,9 @@ def test_pre_of_component_by_index_and_set():
     assert pre_of_component(dec, dec.components[-1]) == set()
     with pytest.raises(KeyError):
         pre_of_component(dec, frozenset({0, 2}))
+    for bad in (frozenset({0, 2}), -1, len(dec.components)):
+        with pytest.raises(NotAComponent):
+            pre_of_component(dec, bad)
 
 
 def test_component_dag_edges_match_crossing_edges_exhaustive():

@@ -9,7 +9,12 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg.errors import CapExceeded
-from mvrcg.sweep import SweepConfig, config_hash, run_equivalence_sweep
+from mvrcg.closure import close_codes
+from mvrcg.properties import property_model
+from mvrcg.separation import global_model_codes
+from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
+                         run_equivalence_sweep, verify_graph)
+from mvrcg.triples import IndependenceModel, decode_triple
 
 
 @pytest.fixture()
@@ -349,12 +354,45 @@ def test_sweep_records_graph_errors_and_continues():
     reports = list(run_equivalence_sweep(config))
     assert [r.index for r in reports] == [0, 1, 2]
     assert reports[0].ok and reports[0].n == 1
+    model_checks = {"im_eq_imstar", *(f"closure_{p}" for p in PROPERTY_AXIOMS)}
     for report in reports[1:]:  # 8 vertices exceed the model cap of 7
         assert report.n == 8 and not report.ok
         assert set(report.checks) == set(config.checks)
-        for outcome in report.checks.values():
-            assert outcome.status == "fail"
-            assert outcome.witness == "CapExceeded: 8 vertices exceeds cap 7"
+        for name, outcome in report.checks.items():
+            if name in model_checks:  # a cap is an error, not a counterexample
+                assert outcome.status == "error"
+                assert outcome.witness == "CapExceeded: 8 vertices exceeds cap 7"
+            elif name == "marginal_oracle":
+                assert outcome.status == "skipped"
+            else:
+                assert outcome.status == "pass"
+
+
+def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
+    def mr_empty(g, kind, dec=None):
+        return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
+
+    monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    checks = verify_graph(g, SweepConfig()).checks
+    smallest = decode_triple(global_model_codes(g)[0], g.n)
+    assert checks["closure_mr"].status == "fail"
+    assert checks["closure_mr"].witness == f"{smallest} only in second model"
+    assert all(checks[f"closure_{p}"].status == "pass" for p in PROPERTY_AXIOMS if p != "mr")
+
+
+def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
+    calls = []
+
+    def counting(n, codes, axioms):
+        calls.append(axioms)
+        return close_codes(n, codes, axioms)
+
+    monkeypatch.setattr("mvrcg.sweep.close_codes", counting)
+    report = verify_graph(MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)]),
+                          SweepConfig())
+    assert report.ok and set(report.checks) == set(ALL_CHECKS)
+    assert len(calls) == 8
 
 
 def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):

@@ -1,7 +1,9 @@
 import pytest
 
+import mvrcg
 from mvrcg import (MixedGraph, ancestors, anteriors, districts, induced_subgraph,
                    relatives, validate_chain_graph)
+from mvrcg.factorization import is_head, tail_of_head
 from mvrcg.enumeration import enumerate_mixed_graphs, enumerate_mvr_cgs
 from mvrcg.errors import GraphFormatError
 
@@ -125,3 +127,36 @@ def test_districts_partition_and_match_components():
         assert sum(len(d) for d in ds) == 4
         comps = validate_chain_graph(g).components
         assert set(ds) == set(comps)
+
+
+# Each public entry point that takes vertex ids, called with one id ``v``
+# that is not a vertex of the graph 0 -> 1 -> 2.
+OUT_OF_RANGE_CALLS = {
+    "m_separated": lambda g, v: mvrcg.m_separated(g, [v], [1]),
+    "m_star_separated": lambda g, v: mvrcg.m_star_separated(g, [0], [v]),
+    "d_separated": lambda g, v: mvrcg.d_separated(g, [0], [2], [v]),
+    "m_connecting_walk": lambda g, v: mvrcg.m_connecting_walk(g, [0], [2], [v]),
+    "ancestors": lambda g, v: ancestors(g, [v]),
+    "induced_subgraph": lambda g, v: induced_subgraph(g, [0, v]),
+    "barren": lambda g, v: mvrcg.barren(g, [v]),
+    "is_head": lambda g, v: is_head(g, [v]),
+    "tail_of_head": lambda g, v: tail_of_head(g, [v]),
+    "head_partition": lambda g, v: mvrcg.head_partition(g, [0, v]),
+    "markov_blanket_x": lambda g, v: mvrcg.markov_blanket(g, v, [0, 1, 2]),
+    "markov_blanket_A": lambda g, v: mvrcg.markov_blanket(g, 0, [0, v]),
+    "find_primitive_inducing_chain_r": lambda g, v: mvrcg.find_primitive_inducing_chain(g, v, 0),
+    "find_primitive_inducing_chain_s": lambda g, v: mvrcg.find_primitive_inducing_chain(g, 0, v),
+    "relatives": lambda g, v: relatives(g, v),
+    "intervene": lambda g, v: mvrcg.intervene(g, [v]),
+    "district_of": lambda g, v: mvrcg.district_of(g, v),
+    # A mask naming v; for v = -1 that is every id, the graph's and beyond.
+    "districts": lambda g, v: districts(g, v if v < 0 else g.full_mask | 1 << v),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OUT_OF_RANGE_CALLS))
+@pytest.mark.parametrize("v", [-1, 3])
+def test_vertex_ids_outside_the_graph_raise_graph_format_error(call, v):
+    g = MixedGraph(3, directed=[(0, 1), (1, 2)])
+    with pytest.raises(GraphFormatError):
+        OUT_OF_RANGE_CALLS[call](g, v)

@@ -8,6 +8,8 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs,
                                enumerate_mvr_cgs, random_mvr_cg)
 from mvrcg.errors import CapExceeded, NotAncestral, VerticesAdjacent
 from mvrcg.structure import _maximal_by_chains, _maximal_by_zsets
+from mvrcg.sweep import SweepConfig, verify_graph
+from mvrcg.triples import IndependenceTriple
 
 from oracles import oracle_ancestors
 
@@ -116,6 +118,19 @@ def test_marginal_model_equal_trivia():
     assert marginal_model_equal(MixedGraph(3, directed=[(0, 1), (1, 2)]))
     with pytest.raises(CapExceeded):
         marginal_model_equal(MixedGraph(7))
+
+
+def test_marginal_oracle_witness_is_the_smallest_disagreeing_triple(monkeypatch):
+    # A d-separation that separates everything disagrees with the graph
+    # first on the smallest code, 0 _||_ 1, where 0 -> 1 connects.
+    monkeypatch.setattr("mvrcg.structure._d_separated", lambda dag, x, y, z: True)
+    g = MixedGraph(3, directed=[(0, 1), (1, 2)])
+    res = marginal_model_equal(g)
+    assert not res.ok
+    assert res.witness == (IndependenceTriple.of([0], [1]), False, True)
+    report = verify_graph(g, SweepConfig(checks=("marginal_oracle",)))
+    assert report.checks["marginal_oracle"].status == "fail"
+    assert report.checks["marginal_oracle"].witness == "0 _||_ 1 only in first model"
 
 
 def test_marginal_model_equal_exhaustive_n3():
