@@ -99,23 +99,37 @@ def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
     return False
 
 
+def _half_table(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """``(a, b, c, first)`` for every labelling of vertices ``lo..hi-1``,
+    indexed by its code over those digits.  ``first`` says which block
+    holds the lowest block vertex: 1 for a, 2 for b, 0 for neither."""
+    table = [(0, 0, 0, 0)]
+    for v in range(lo, hi):  # v becomes the highest digit
+        bit = 1 << v
+        table = (table
+                 + [(a | bit, b, c, f or 1) for a, b, c, f in table]
+                 + [(a, b | bit, c, f or 2) for a, b, c, f in table]
+                 + [(a, b, c | bit, f) for a, b, c, f in table])
+    return table
+
+
 def iter_canonical_codes(n: int):
-    """All canonical (X, Y | Z) labellings: yields (code, x, y, z)."""
-    for code in range(1 << (2 * n)):
-        a = b = c = 0
-        for v in range(n):
-            d = (code >> (2 * v)) & 3
-            if d == 1:
-                a |= 1 << v
-            elif d == 2:
-                if not a:  # lowest block vertex must lie in the first block
-                    break
-                b |= 1 << v
-            elif d == 3:
-                c |= 1 << v
-        else:
-            if a and b:
-                yield code, a, b, c
+    """All canonical (X, Y | Z) labellings: yields (code, x, y, z) in
+    ascending code order.
+
+    A code is a labelling of the low ``n // 2`` digits joined with one of
+    the high digits, so both halves come from tables of at most
+    4^ceil(n/2) entries built once per call.  The lowest block vertex
+    overall is the low half's when it has one, else the high half's.
+    """
+    half = n // 2
+    low = _half_table(0, half)
+    high = _half_table(half, n)
+    for hi_code, (ha, hb, hc, hf) in enumerate(high):
+        base = hi_code << 2 * half
+        for lo_code, (la, lb, lc, lf) in enumerate(low):
+            if (lf or hf) == 1 and (lb or hb):
+                yield base | lo_code, la | ha, lb | hb, lc | hc
 
 
 def global_model_codes(n: int, pa, ch, nb) -> list[int]:

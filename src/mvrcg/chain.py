@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ._bitset import bits, set_of
 from .errors import NotAComponent, PartiallyDirectedCycle
-from .graph import (MixedGraph, district_masks, reach_mask, shortest_path,
+from .graph import (MixedGraph, _vertex, district_masks, reach_mask, shortest_path,
                     topological_order)
 
 
@@ -69,7 +69,7 @@ class ChainDecomposition:
 
     def pst(self, v: int) -> frozenset[int]:
         """All vertices in components ordered after the one holding ``v``."""
-        return set_of(self.pst_mask(v))
+        return set_of(self.pst_mask(_vertex(self.graph, v)))
 
     def parent_components(self, i: int) -> frozenset[int]:
         return frozenset(a for a, b in self.component_dag if b == i)

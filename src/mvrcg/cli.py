@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close
@@ -223,8 +224,28 @@ def cmd_intervene(args) -> int:
     return 0
 
 
-def _resume_index(path: str, key: str) -> int:
-    """Where a sweep under config hash ``key`` resumes, per its cursor."""
+def _last_report_index(out: str) -> int | None:
+    """The ``index`` of the report on the last line of ``out``, or None
+    when the file is missing or its last line is not a report."""
+    try:
+        with open(out, encoding="utf-8", errors="replace") as fh:
+            last = deque(fh, maxlen=1)
+    except FileNotFoundError:
+        return None
+    try:
+        report = json.loads(last[0]) if last else None
+    except ValueError:
+        return None
+    index = report.get("index") if isinstance(report, dict) else None
+    return index if isinstance(index, int) else None
+
+
+def _resume_index(path: str, key: str, out: str | None) -> int:
+    """Where a sweep under config hash ``key`` resumes, per its cursor.
+
+    A crash between printing a report to ``out`` and advancing the
+    cursor leaves that report as the last line of ``out``; the sweep
+    then resumes after it instead of printing it twice."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
@@ -237,7 +258,10 @@ def _resume_index(path: str, key: str) -> int:
     if state.get("config") != key:
         raise GraphError(f"cursor {path} belongs to another sweep configuration "
                          "or backend; delete it to start afresh")
-    return state["next"]
+    start = state["next"]
+    if out and _last_report_index(out) == start:
+        start += 1
+    return start
 
 
 def _write_cursor(path: str, state: dict) -> None:
@@ -252,7 +276,7 @@ def cmd_sweep(args) -> int:
     config = SweepConfig(max_n=args.max_n, random_count=args.random,
                          random_n=args.random_n, seed=args.seed)
     key = config_hash(config)
-    start = _resume_index(args.cursor, key) if args.cursor else 0
+    start = _resume_index(args.cursor, key, args.out) if args.cursor else 0
     reports = run_equivalence_sweep(config, start_index=start)
     if args.cursor:  # an unwritable cursor path fails before any work
         _write_cursor(args.cursor, {"config": key, "next": start})
@@ -266,6 +290,7 @@ def cmd_sweep(args) -> int:
                 failures += 1
             print(report.to_json(), file=out)
             if args.cursor:
+                out.flush()  # the cursor never runs ahead of the reports on disk
                 _write_cursor(args.cursor, {"config": key, "next": report.index + 1})
     finally:
         if out is not sys.stdout:

@@ -103,20 +103,21 @@ class MixedGraph:
         return range(self.n)
 
     def parents(self, v: int) -> frozenset[int]:
-        return set_of(self.pa[v])
+        return set_of(self.pa[_vertex(self, v)])
 
     def children(self, v: int) -> frozenset[int]:
-        return set_of(self.ch[v])
+        return set_of(self.ch[_vertex(self, v)])
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Vertices joined to ``v`` by a bidirected edge."""
-        return set_of(self.nb[v])
+        return set_of(self.nb[_vertex(self, v)])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adj[_vertex(self, u)] >> _vertex(self, v) & 1)
 
     def edge_between(self, u: int, v: int) -> Optional[str]:
         """Return '->', '<-' or '<->' as seen from ``u``, or None."""
+        u, v = _vertex(self, u), _vertex(self, v)
         if self.ch[u] >> v & 1:
             return "->"
         if self.pa[u] >> v & 1:

@@ -19,6 +19,11 @@ and calls it, and model-level loops call the cores directly.
 The first two must agree on every input and the third must agree with
 :func:`m_separated` on DAGs; those agreements are part of the test
 surface, not assumed.
+
+The m* and latent-DAG model loops share :func:`_separated_codes`: it
+builds one adjacency per set a|b|c, in a dict local to the call, and
+answers every triple on that set from it.  There are at most 2^n such
+sets against about 4^n/2 triples.
 """
 
 from __future__ import annotations
@@ -119,6 +124,21 @@ def _m_star_separated(g: MixedGraph, x: int, y: int, z: int) -> bool:
     return not reach_mask(_collider_adjacency(g, w), x, ~z) & y
 
 
+def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
+    """Canonical codes over vertices ``0..n-1`` whose triple <a, b | c> is
+    separated in ``adjacency(g, an(a|b|c))``, built once per set a|b|c."""
+    adj_of: dict[int, list[int]] = {}
+    out = []
+    for code, a, b, c in iter_canonical_codes(n):
+        u = a | b | c
+        adj = adj_of.get(u)
+        if adj is None:
+            adj = adj_of[u] = adjacency(g, ancestors_mask(g, u))
+        if not reach_mask(adj, a, ~c) & b:
+            out.append(code)
+    return out
+
+
 def m_star_separated(g: MixedGraph, X, Y, Z=()) -> bool:
     """Augmentation criterion: separation in the augmented ancestral
     subgraph.  Anterior and ancestor closures coincide here because the
@@ -163,8 +183,7 @@ def global_model_codes(g: MixedGraph, method: str = "m") -> list[int]:
     if method == "m":
         return _kernels.global_model_codes(g.n, g.pa, g.ch, g.nb)
     if method == "mstar":
-        return [code for code, a, b, c in iter_canonical_codes(g.n)
-                if _m_star_separated(g, a, b, c)]
+        return _separated_codes(g, g.n, _collider_adjacency)
     raise UnknownName(f"unknown method {method!r}; expected m|mstar")
 
 

@@ -25,9 +25,9 @@ from ._kernels import m_connected
 from .closure import CheckResult
 from .config import check_cap, marginal_cap
 from .errors import NotAncestral, UnknownName, VerticesAdjacent
-from .graph import MixedGraph, _vertex, ancestors_mask, shortest_path, state_walk
-from .separation import (_d_separated, _require_dag, global_model_codes,
-                         iter_canonical_codes)
+from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
+from .separation import (_moral_adjacency, _require_dag, _separated_codes,
+                         global_model_codes)
 from .triples import decode_triple
 
 
@@ -50,7 +50,7 @@ def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[lis
     """A chain r .. s whose interiors are all colliders inside
     an({r, s}), or None.  Interior vertices may repeat (walk search over
     (vertex, arrowhead) states), which does not change existence."""
-    if g.adjacent(_vertex(g, r), _vertex(g, s)):
+    if g.adjacent(r, s):
         raise VerticesAdjacent(f"{g.labels[r]} and {g.labels[s]} are adjacent")
     anchor = ancestors_mask(g, (1 << r) | (1 << s))
 
@@ -139,8 +139,7 @@ def latent_model_codes(g: MixedGraph) -> list[int]:
     check_cap(g.n, marginal_cap(), "observed vertices")
     dag = canonical_dag(g).dag
     _require_dag(dag)
-    return [code for code, a, b, c in iter_canonical_codes(g.n)
-            if _d_separated(dag, a, b, c)]
+    return _separated_codes(dag, g.n, _moral_adjacency)
 
 
 def marginal_model_equal(g: MixedGraph) -> CheckResult:

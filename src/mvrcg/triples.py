@@ -28,6 +28,8 @@ class IndependenceTriple:
         c = frozenset(self.c)
         if not a or not b:
             raise DisjointnessViolation("both blocks must be nonempty")
+        if min(a | b | c) < 0:
+            raise DisjointnessViolation("vertex ids must be nonnegative")
         if a & b or a & c or b & c:
             raise DisjointnessViolation("blocks and conditioning set must be disjoint")
         if sorted(b) < sorted(a):
@@ -84,7 +86,7 @@ class IndependenceModel:
     def __post_init__(self):
         for t in self.triples:
             vs = t.a | t.b | t.c
-            if min(vs) < 0 or max(vs) >= self.n:
+            if max(vs) >= self.n:
                 raise ModelFormatError(f"triple <{t}> outside the ground set 0..{self.n - 1}")
 
     @classmethod
@@ -140,6 +142,8 @@ class IndependenceModel:
         if type(n) is not int or n < 0:  # bool is a subclass of int
             raise ModelFormatError("'ground_set' must be a non-negative integer")
         for i, triple in enumerate(blocks):
-            if not all(isinstance(ids, list) and all(type(v) is int for v in ids) for ids in triple):
-                raise ModelFormatError(f"triple {i}: blocks must be lists of integer vertex ids")
+            if not all(isinstance(ids, list) and all(type(v) is int and v >= 0 for v in ids)
+                       for ids in triple):
+                raise ModelFormatError(f"triple {i}: blocks must be lists of "
+                                       "non-negative integer vertex ids")
         return cls.of(n, [IndependenceTriple.of(*triple) for triple in blocks])

@@ -104,6 +104,20 @@ def oracle_m_separated(n, directed, bidirected, X, Y, Z):
     return True
 
 
+def oracle_canonical_codes(n):
+    """Every (code, a, b, c) with nonempty blocks a and b and the lowest
+    block vertex in a, found by decoding each code digit by digit."""
+    out = []
+    for code in range(4 ** n):
+        blocks = [0, 0, 0, 0]
+        for v in range(n):
+            blocks[code >> 2 * v & 3] |= 1 << v
+        _, a, b, c = blocks
+        if a and b and (a & -a) < (b & -b):
+            out.append((code, a, b, c))
+    return out
+
+
 def _canon(t):
     a, b, c = t
     a, b = sorted((frozenset(a), frozenset(b)), key=sorted)

@@ -267,6 +267,32 @@ def test_sweep_cursor_resumes_matching_config(capsys, tmp_path):
     assert json.loads(cursor.read_text())["next"] == 5
 
 
+def test_sweep_resume_after_a_crash_prints_no_report_twice(capsys, tmp_path):
+    def untimed(line):
+        report = json.loads(line)
+        for check in report["checks"].values():
+            del check["ms"]
+        return report
+
+    fresh = tmp_path / "fresh.jsonl"
+    run(capsys, "sweep", "--max-n", "2", "--out", str(fresh))
+    lines = fresh.read_text().splitlines()
+    # A crash after printing the report of graph k, before the cursor moved on.
+    k = 2
+    out_file = tmp_path / "report.jsonl"
+    out_file.write_text("".join(line + "\n" for line in lines[:k + 1]))
+    cursor = tmp_path / "cursor.json"
+    cursor.write_text(json.dumps({"config": config_hash(SweepConfig(max_n=2)), "next": k}))
+    code, _, err = run(capsys, "sweep", "--max-n", "2", "--out", str(out_file),
+                       "--cursor", str(cursor))
+    assert code == 0
+    assert "swept 2 graph(s)" in err
+    resumed = out_file.read_text().splitlines()
+    assert resumed[:k + 1] == lines[:k + 1]
+    assert [untimed(line) for line in resumed] == [untimed(line) for line in lines]
+    assert json.loads(cursor.read_text())["next"] == 5
+
+
 def test_sweep_refuses_cursor_of_another_config(capsys, tmp_path):
     cursor = tmp_path / "cursor.json"
     run(capsys, "sweep", "--max-n", "3", "--cursor", str(cursor))

@@ -34,6 +34,19 @@ def test_triple_canonicalization():
         T([0], [1], [1])
 
 
+@pytest.mark.parametrize("blocks", [([-1], [1]), ([0], [-1]), ([0], [1], [-2])])
+def test_triple_rejects_negative_ids(blocks):
+    with pytest.raises(DisjointnessViolation):
+        T(*blocks)
+    with pytest.raises(DisjointnessViolation):
+        encode_triple(T(*blocks), 3)
+
+
+def test_encode_triple_rejects_ids_outside_the_ground_set():
+    with pytest.raises(DisjointnessViolation):
+        encode_triple(T([0], [3]), 3)
+
+
 def test_triple_code_round_trip():
     n = 4
     for a in range(1, 16):

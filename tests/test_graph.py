@@ -151,6 +151,14 @@ OUT_OF_RANGE_CALLS = {
     "district_of": lambda g, v: mvrcg.district_of(g, v),
     # A mask naming v; for v = -1 that is every id, the graph's and beyond.
     "districts": lambda g, v: districts(g, v if v < 0 else g.full_mask | 1 << v),
+    "parents": lambda g, v: g.parents(v),
+    "children": lambda g, v: g.children(v),
+    "neighbors": lambda g, v: g.neighbors(v),
+    "adjacent_u": lambda g, v: g.adjacent(v, 1),
+    "adjacent_v": lambda g, v: g.adjacent(0, v),
+    "edge_between_u": lambda g, v: g.edge_between(v, 1),
+    "edge_between_v": lambda g, v: g.edge_between(0, v),
+    "pst": lambda g, v: validate_chain_graph(g).pst(v),
 }
 
 

@@ -11,9 +11,10 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
                                random_mvr_cg)
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
 from mvrcg.separation import global_model_codes, iter_canonical_codes
+from mvrcg.structure import canonical_dag, latent_model_codes
 from mvrcg.triples import IndependenceTriple
 
-from oracles import oracle_m_separated
+from oracles import oracle_canonical_codes, oracle_m_separated
 
 # sha1 over the witness walks of test_witness_walks_match_pinned_digest
 WALK_DIGEST = "ed5ef18fa7f6fe8437b7babcef3454dc9e069a13"
@@ -26,6 +27,37 @@ def bitset(mask):
 def all_queries(n):
     for _, a, b, c in iter_canonical_codes(n):
         yield bitset(a), bitset(b), bitset(c)
+
+
+# --- model loops ---------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(9))
+def test_canonical_codes_match_brute_force(n):
+    assert list(iter_canonical_codes(n)) == oracle_canonical_codes(n)
+
+
+def loop_graphs():
+    rng = random.Random(88)
+    return ([g for n in (1, 2, 3) for g in enumerate_mvr_cgs(n)]
+            + [random_mvr_cg(6, rng) for _ in range(30)])
+
+
+def accepted_codes(n, separated):
+    return [code for code, a, b, c in oracle_canonical_codes(n)
+            if separated(bitset(a), bitset(b), bitset(c))]
+
+
+def test_mstar_model_loop_matches_public_queries():
+    for g in loop_graphs():
+        expected = accepted_codes(g.n, lambda x, y, z: m_star_separated(g, x, y, z))
+        assert global_model_codes(g, "mstar") == expected
+
+
+def test_latent_model_loop_matches_public_queries():
+    for g in loop_graphs():
+        dag = canonical_dag(g).dag
+        expected = accepted_codes(g.n, lambda x, y, z: d_separated(dag, x, y, z))
+        assert latent_model_codes(g) == expected
 
 
 # --- augmented graph -----------------------------------------------------

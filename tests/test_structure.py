@@ -121,9 +121,10 @@ def test_marginal_model_equal_trivia():
 
 
 def test_marginal_oracle_witness_is_the_smallest_disagreeing_triple(monkeypatch):
-    # A d-separation that separates everything disagrees with the graph
-    # first on the smallest code, 0 _||_ 1, where 0 -> 1 connects.
-    monkeypatch.setattr("mvrcg.structure._d_separated", lambda dag, x, y, z: True)
+    # A moral graph without edges separates everything, so it disagrees
+    # with the graph first on the smallest code, 0 _||_ 1, where 0 -> 1
+    # connects.
+    monkeypatch.setattr("mvrcg.structure._moral_adjacency", lambda dag, within: [0] * dag.n)
     g = MixedGraph(3, directed=[(0, 1), (1, 2)])
     res = marginal_model_equal(g)
     assert not res.ok
