@@ -28,6 +28,11 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
 
+def format_vertices(vertices, labels=None) -> str:
+    """Sorted vertex ids, or their labels, joined by commas."""
+    return ",".join(str(v) if labels is None else labels[v] for v in sorted(vertices))
+
+
 def submasks(mask: int) -> Iterator[int]:
     """Yield every nonempty submask of ``mask`` (descending)."""
     sub = mask

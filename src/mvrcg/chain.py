@@ -17,13 +17,16 @@ directions:
 
 Neither is converted into the other implicitly.  Ties are broken by
 smallest vertex id, which makes both orders deterministic.
+
+A decomposition keeps the components and the component DAG as masks,
+which the property generators read; the frozenset forms are views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bitset import bits, set_of
+from ._bitset import bits, mask_of, set_of
 from .errors import NotAComponent, PartiallyDirectedCycle
 from .graph import (MixedGraph, _vertex, district_masks, reach_mask, shortest_path,
                     topological_order)
@@ -33,66 +36,69 @@ from .graph import (MixedGraph, _vertex, district_masks, reach_mask, shortest_pa
 class ChainDecomposition:
     """Chain components of a validated chain graph.
 
-    ``components`` is listed in component order (see module docstring),
-    so ``components[0]`` is a pure response block and the last component
-    is purely contextual.  ``component_dag`` contains ``(i, j)`` when
-    some vertex of ``components[i]`` points into ``components[j]``.
+    ``component_masks`` is listed in component order (see module
+    docstring), so the first is a pure response block and the last is
+    purely contextual.  Bit ``j`` of ``component_children[i]`` is set when
+    some vertex of component ``i`` points into component ``j``.  The
+    frozenset forms (``components``, ``component_dag``, ...) are views.
+    Components are disjoint, so a sum of their masks is their union.
     """
 
     graph: MixedGraph
-    components: tuple[frozenset[int], ...]
+    component_masks: tuple[int, ...]
     component_of: tuple[int, ...]
-    component_dag: frozenset[tuple[int, int]]
-    component_order: tuple[int, ...]
+    component_children: tuple[int, ...]
     vertex_order: tuple[int, ...]
 
-    # --- masks and derived sets -----------------------------------------
+    @property
+    def components(self) -> tuple[frozenset[int], ...]:
+        return tuple(set_of(m) for m in self.component_masks)
 
-    def component_mask(self, i: int) -> int:
-        m = 0
-        for v in self.components[i]:
-            m |= 1 << v
-        return m
+    @property
+    def component_dag(self) -> frozenset[tuple[int, int]]:
+        """``(i, j)`` for every component ``i`` pointing into component ``j``."""
+        return frozenset((i, j) for i, ch in enumerate(self.component_children)
+                         for j in bits(ch))
 
-    def pre_mask(self, i: int) -> int:
-        """Union of all components strictly after ``i`` in the order."""
-        m = 0
-        for j in range(i + 1, len(self.components)):
-            m |= self.component_mask(j)
-        return m
+    @property
+    def component_order(self) -> tuple[int, ...]:
+        return tuple(range(len(self.component_masks)))
+
+    def _index(self, i: int) -> int:
+        """``i``, once checked to be a component index."""
+        if not 0 <= i < len(self.component_masks):
+            raise NotAComponent(f"component index {i} out of range "
+                                f"0..{len(self.component_masks) - 1}")
+        return i
+
+    def parent_components(self, i: int) -> frozenset[int]:
+        i = self._index(i)
+        return frozenset(j for j, ch in enumerate(self.component_children) if ch >> i & 1)
 
     def pre(self, i: int) -> frozenset[int]:
-        return set_of(self.pre_mask(i))
-
-    def pst_mask(self, v: int) -> int:
-        return self.pre_mask(self.component_of[v])
+        return set_of(self.pre_mask(self._index(i)))
 
     def pst(self, v: int) -> frozenset[int]:
         """All vertices in components ordered after the one holding ``v``."""
         return set_of(self.pst_mask(_vertex(self.graph, v)))
 
-    def parent_components(self, i: int) -> frozenset[int]:
-        return frozenset(a for a, b in self.component_dag if b == i)
+    def pre_mask(self, i: int) -> int:
+        """Union of all components strictly after ``i`` in the order."""
+        return sum(self.component_masks[i + 1:])
+
+    def pst_mask(self, v: int) -> int:
+        return self.pre_mask(self.component_of[v])
 
     def pa_d_mask(self, i: int) -> int:
         """Union of the full parent components of component ``i``."""
-        m = 0
-        for j in self.parent_components(i):
-            m |= self.component_mask(j)
-        return m
+        return sum(m for m, ch in zip(self.component_masks, self.component_children)
+                   if ch >> i & 1)
 
     def nd_d_mask(self, i: int) -> int:
         """Union of components that are not reachable from ``i`` in the
         component DAG, excluding ``i`` itself."""
-        children = [0] * len(self.components)
-        for s, t in self.component_dag:
-            children[s] |= 1 << t
-        reach = reach_mask(children, 1 << i)
-        m = 0
-        for j in range(len(self.components)):
-            if not reach >> j & 1:
-                m |= self.component_mask(j)
-        return m
+        reach = reach_mask(self.component_children, 1 << i)
+        return sum(m for j, m in enumerate(self.component_masks) if not reach >> j & 1)
 
 
 def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
@@ -101,9 +107,6 @@ def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
     be an index into ``dec.components`` or the vertex set itself;
     anything else raises :class:`NotAComponent`."""
     if isinstance(component, int):
-        if not 0 <= component < len(dec.components):
-            raise NotAComponent(f"component index {component} out of range "
-                                f"0..{len(dec.components) - 1}")
         return dec.pre(component)
     wanted = frozenset(component)
     for i, comp in enumerate(dec.components):
@@ -129,11 +132,10 @@ def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
         new_index[old] = new
     return ChainDecomposition(
         graph=g,
-        components=tuple(set_of(comps[i]) for i in order),
+        component_masks=tuple(comps[i] for i in order),
         component_of=tuple(new_index[c] for c in comp_of),
-        component_dag=frozenset((new_index[i], new_index[j])
-                                for i in range(len(comps)) for j in bits(children[i])),
-        component_order=tuple(range(len(comps))),
+        component_children=tuple(mask_of(new_index[j] for j in bits(children[i]))
+                                 for i in order),
         vertex_order=tuple(topological_order(g.pa, g.ch)),
     )
 

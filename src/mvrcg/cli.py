@@ -26,7 +26,7 @@ from .separation import (d_separated, global_model, m_connecting_walk,
                          m_separated, m_star_separated)
 from .structure import canonical_dag, is_ancestral, is_maximal, marginal_model_equal
 from .sweep import SweepConfig, config_hash, run_equivalence_sweep
-from .triples import IndependenceModel
+from .triples import IndependenceModel, decode_triple
 
 
 def _load(path: str) -> MixedGraph:
@@ -143,15 +143,14 @@ def cmd_equiv(args) -> int:
     ax = AxiomSet.parse(args.axioms)
     if ma.n != mb.n:
         raise CapExceeded("models over different ground sets")
-    ca = close(ma, ax).triples
-    cb = close(mb, ax).triples
+    ca = close(ma, ax).codes
+    cb = close(mb, ax).codes
     if ca == cb:
         print("EQUIVALENT")
         return 0
-    sample = sorted(ca.symmetric_difference(cb),
-                    key=lambda t: t.sort_key())[0]
-    side = "first" if sample in ca else "second"
-    print(f"DIFFER: {sample} only in closure of {side} model")
+    code = min(ca ^ cb, key=lambda c: decode_triple(c, ma.n).sort_key())
+    side = "first" if code in ca else "second"
+    print(f"DIFFER: {decode_triple(code, ma.n)} only in closure of {side} model")
     return 1
 
 
@@ -226,14 +225,18 @@ def cmd_intervene(args) -> int:
 
 def _last_report_index(out: str) -> int | None:
     """The ``index`` of the report on the last line of ``out``, or None
-    when the file is missing or its last line is not a report."""
+    when the file is missing or its last line is not a report.  A last
+    line that a crash cut short, without its newline, is cut off first:
+    the cursor has not passed it, so the resumed sweep writes it again."""
     try:
-        with open(out, encoding="utf-8", errors="replace") as fh:
-            last = deque(fh, maxlen=1)
+        with open(out, "rb+") as fh:
+            last = deque(fh, maxlen=2)
+            if last and not last[-1].endswith(b"\n"):
+                fh.truncate(fh.tell() - len(last.pop()))
     except FileNotFoundError:
         return None
     try:
-        report = json.loads(last[0]) if last else None
+        report = json.loads(last[-1]) if last else None
     except ValueError:
         return None
     index = report.get("index") if isinstance(report, dict) else None

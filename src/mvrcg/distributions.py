@@ -22,6 +22,7 @@ from .structure import CanonicalDag
 from .triples import IndependenceTriple
 
 STATE_SPACE_CAP = 1 << 20
+CARDINALITY = 2  # states per variable of a sampled distribution
 _DIRICHLET_ALPHA = 4.0
 _ROW_FLOOR = 0.01  # keeps conditionals well away from 0/0
 
@@ -65,8 +66,7 @@ class JointTable:
                           np.transpose(self.probs, perm))
 
 
-def sample_latent_dag_distribution(cd: CanonicalDag, seed: int,
-                                   cardinality: int = 2) -> JointTable:
+def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     """Strictly positive random distribution Markov to the DAG,
     marginalised down to the observed variables.
 
@@ -76,36 +76,38 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int,
     """
     g = cd.dag
     n = g.n
-    if cardinality ** n > STATE_SPACE_CAP:
-        raise CapExceeded(f"state space {cardinality}**{n} exceeds {STATE_SPACE_CAP}")
+    if CARDINALITY ** n > STATE_SPACE_CAP:
+        raise CapExceeded(f"state space {CARDINALITY}**{n} exceeds {STATE_SPACE_CAP}")
     rng = np.random.default_rng(seed)
-    cards = (cardinality,) * n
+    cards = (CARDINALITY,) * n
     joint = np.ones(cards)
     for v in range(n):
         parents = sorted(g.parents(v))
-        rows = rng.dirichlet([_DIRICHLET_ALPHA] * cardinality,
-                             size=cardinality ** len(parents))
+        rows = rng.dirichlet([_DIRICHLET_ALPHA] * CARDINALITY,
+                             size=CARDINALITY ** len(parents))
         rows = np.maximum(rows, _ROW_FLOOR)
         rows /= rows.sum(axis=-1, keepdims=True)
-        cpt = rows.reshape((cardinality,) * len(parents) + (cardinality,))
+        cpt = rows.reshape((CARDINALITY,) * len(parents) + (CARDINALITY,))
         # Broadcast the conditional table into the full joint shape.
         axes = parents + [v]
         order = sorted(range(len(axes)), key=lambda i: axes[i])
         shape = [1] * n
         for a in axes:
-            shape[a] = cardinality
+            shape[a] = CARDINALITY
         joint = joint * np.transpose(cpt, order).reshape(shape)
     observed = sorted(cd.observed)
     latent_axes = tuple(sorted(cd.latents))
     marginal = joint.sum(axis=latent_axes) if latent_axes else joint
     marginal = marginal / marginal.sum()
-    return JointTable(tuple(observed), (cardinality,) * len(observed), marginal)
+    return JointTable(tuple(observed), (CARDINALITY,) * len(observed), marginal)
 
 
 def _grouped(table: JointTable, groups: Sequence[Iterable[int]]) -> np.ndarray:
     """Marginal over the union of the groups, reshaped to one axis per
     group (flattening each group's variables in table order)."""
     union = set().union(*map(set, groups))
+    if not union.issubset(table.variables):
+        raise DisjointnessViolation(f"{sorted(union)} are not all variables of the table")
     m = table.marginal(union)
     arr = m.probs
     dims = []

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .chain import _chain_order_from_masks
 from .config import ENUMERATION_CAP
-from .errors import CapExceeded
+from .errors import CapExceeded, GraphFormatError
 from .graph import MixedGraph
 
 NO_EDGE, FORWARD, BACKWARD, BOTH = range(4)
@@ -34,7 +34,7 @@ def _edges_from_states(pairs, states):
     return directed, bidirected
 
 
-def _masks_from_states(n, pairs, states):
+def _is_chain_graph(n, pairs, states) -> bool:
     ch = [0] * n
     nb = [0] * n
     for (u, v), s in zip(pairs, states):
@@ -45,37 +45,39 @@ def _masks_from_states(n, pairs, states):
         elif s == BOTH:
             nb[u] |= 1 << v
             nb[v] |= 1 << u
-    return ch, nb
+    return _chain_order_from_masks(n, ch, nb) is not None
 
 
-def chain_graph_states(n: int) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-    """Yield (pairs, states) for every labeled chain graph on ``n`` vertices."""
+def _enumerate(n: int, states, chain_only: bool = True) -> Iterator[MixedGraph]:
+    """Every labeled graph on ``n`` vertices whose pair states come from
+    ``states``, in ``product`` order; with ``chain_only``, only those
+    without a partially directed cycle."""
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
     pairs = tuple(combinations(range(n), 2))
-    for states in product(range(4), repeat=len(pairs)):
-        ch, nb = _masks_from_states(n, pairs, states)
-        if _chain_order_from_masks(n, ch, nb) is not None:
-            yield pairs, states
+    for pair_states in product(states, repeat=len(pairs)):
+        if chain_only and not _is_chain_graph(n, pairs, pair_states):
+            continue
+        yield MixedGraph(n, *_edges_from_states(pairs, pair_states))
 
 
 def enumerate_mvr_cgs(n: int) -> Iterator[MixedGraph]:
     """Every labeled mixed graph on ``n`` vertices without a partially
     directed cycle and with at most one edge per pair."""
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
-    for pairs, states in chain_graph_states(n):
-        directed, bidirected = _edges_from_states(pairs, states)
-        yield MixedGraph(n, directed, bidirected)
+    return _enumerate(n, range(4))
 
 
 def random_mvr_cg(n: int, rng: random.Random) -> MixedGraph:
     """Uniform sample over per-pair states, rejecting non-chain-graphs."""
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
     pairs = tuple(combinations(range(n), 2))
     while True:
         states = tuple(rng.randrange(4) for _ in pairs)
-        ch, nb = _masks_from_states(n, pairs, states)
-        if _chain_order_from_masks(n, ch, nb) is not None:
-            directed, bidirected = _edges_from_states(pairs, states)
-            return MixedGraph(n, directed, bidirected)
+        if _is_chain_graph(n, pairs, states):
+            return MixedGraph(n, *_edges_from_states(pairs, states))
 
 
 def random_mvr_cgs(n: int, count: int, seed: int) -> Iterator[MixedGraph]:
@@ -86,22 +88,10 @@ def random_mvr_cgs(n: int, count: int, seed: int) -> Iterator[MixedGraph]:
 
 def enumerate_dags(n: int) -> Iterator[MixedGraph]:
     """Every labeled DAG on ``n`` vertices (pair states: none, ->, <-)."""
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
-    pairs = tuple(combinations(range(n), 2))
-    for states in product((NO_EDGE, FORWARD, BACKWARD), repeat=len(pairs)):
-        ch, nb = _masks_from_states(n, pairs, states)
-        if _chain_order_from_masks(n, ch, nb) is not None:
-            directed, _ = _edges_from_states(pairs, states)
-            yield MixedGraph(n, directed)
+    return _enumerate(n, (NO_EDGE, FORWARD, BACKWARD))
 
 
 def enumerate_mixed_graphs(n: int) -> Iterator[MixedGraph]:
     """Every labeled mixed graph, including ones with partially directed
     cycles; used to exercise checks that must reject or flag them."""
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
-    pairs = tuple(combinations(range(n), 2))
-    for states in product(range(4), repeat=len(pairs)):
-        directed, bidirected = _edges_from_states(pairs, states)
-        yield MixedGraph(n, directed, bidirected)
+    return _enumerate(n, range(4), chain_only=False)

@@ -35,8 +35,8 @@ class ModelFormatError(GraphError):
 
 class UnknownName(GraphError, ValueError):
     """A name outside the accepted ones: an axiom set, a property kind, a
-    pairwise variant, or a separation or maximality method.  It is also a
-    ``ValueError``, so callers that catch ``ValueError`` keep working."""
+    pairwise variant, a method or a fixture.  It is also a ``ValueError``,
+    so callers that catch ``ValueError`` keep working."""
 
 
 class NotAComponent(GraphError, KeyError):
@@ -72,5 +72,5 @@ class NotAncestral(GraphError):
 
 
 class HeadTestFailed(GraphError):
-    """A partition block failed the head conditions on recheck.  This
-    signals an implementation bug, not bad input."""
+    """A set that is not a head was given to ``tail_of_head``, or a
+    partition block failed the head conditions on recheck (a bug)."""

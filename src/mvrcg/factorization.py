@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._bitset import bits, set_of
+from ._bitset import bits, format_vertices, set_of
 from .chain import ChainDecomposition
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HeadTestFailed, NotAncestrallyClosed
@@ -32,12 +32,8 @@ class HeadTail:
     tail: frozenset[int]
 
     def format(self, labels=None) -> str:
-        def fmt(s):
-            if labels is None:
-                return ",".join(str(v) for v in sorted(s))
-            return ",".join(labels[v] for v in sorted(s))
-
-        return f"p({fmt(self.head)} | {fmt(self.tail)})" if self.tail else f"p({fmt(self.head)})"
+        head = format_vertices(self.head, labels)
+        return f"p({head} | {format_vertices(self.tail, labels)})" if self.tail else f"p({head})"
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,8 @@ def _barren_mask(g: MixedGraph, h: int, within: Optional[int] = None) -> int:
 
 def _head_tail_mask(g: MixedGraph, h: int) -> Optional[int]:
     """Tail mask when ``h`` satisfies the head conditions, else None."""
+    if not h:
+        return None  # the empty set is no head
     anh = ancestors_mask(g, h)
     if _barren_mask(g, h, anh) != h:
         return None
@@ -85,8 +83,7 @@ def _head_tail_mask(g: MixedGraph, h: int) -> Optional[int]:
 
 
 def is_head(g: MixedGraph, H: Iterable[int]) -> bool:
-    h = _as_mask(g, H)
-    return bool(h) and _head_tail_mask(g, h) is not None
+    return _head_tail_mask(g, _as_mask(g, H)) is not None
 
 
 def tail_of_head(g: MixedGraph, H: Iterable[int]) -> frozenset[int]:
@@ -148,18 +145,14 @@ def factorize_mvr(g: MixedGraph, dec: ChainDecomposition) -> Factorization:
     """One factor per chain component, conditioned on its graphical
     parents.  Coincides with :func:`head_partition` of the full vertex
     set; the test suite asserts that identity."""
-    factors = []
-    for i in range(len(dec.components)):
-        tmask = dec.component_mask(i)
-        factors.append(HeadTail(set_of(tmask), set_of(parents_of_set(g, tmask))))
-    return Factorization(tuple(factors), set_of(g.full_mask))
+    factors = tuple(HeadTail(set_of(tmask), set_of(parents_of_set(g, tmask)))
+                    for tmask in dec.component_masks)
+    return Factorization(factors, set_of(g.full_mask))
 
 
 def factorize_component_dag(g: MixedGraph, dec: ChainDecomposition) -> Factorization:
     """One factor per chain component, conditioned on the union of its
     full parent components."""
-    factors = []
-    for i in range(len(dec.components)):
-        tmask = dec.component_mask(i)
-        factors.append(HeadTail(set_of(tmask), set_of(dec.pa_d_mask(i))))
-    return Factorization(tuple(factors), set_of(g.full_mask))
+    factors = tuple(HeadTail(set_of(tmask), set_of(dec.pa_d_mask(i)))
+                    for i, tmask in enumerate(dec.component_masks))
+    return Factorization(factors, set_of(g.full_mask))

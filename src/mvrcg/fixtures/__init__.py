@@ -2,6 +2,7 @@
 
 from importlib import resources
 
+from ..errors import UnknownName
 from ..graph import MixedGraph
 
 NAMES = ("fig1", "fig2", "fig3", "fig4a", "fig4b")
@@ -9,11 +10,6 @@ NAMES = ("fig1", "fig2", "fig3", "fig4a", "fig4b")
 
 def load(name: str) -> MixedGraph:
     if name not in NAMES:
-        raise KeyError(f"unknown fixture {name!r}; have {NAMES}")
+        raise UnknownName(f"unknown fixture {name!r}; have {NAMES}")
     text = resources.files(__package__).joinpath(f"{name}.cg").read_text("utf-8")
     return MixedGraph.from_text(text)
-
-
-def path_of(name: str):
-    """Filesystem path of a fixture (for CLI tests and docs)."""
-    return resources.files(__package__).joinpath(f"{name}.cg")

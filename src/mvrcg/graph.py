@@ -424,15 +424,12 @@ def relatives(g: MixedGraph, v: int, dec=None) -> Relatives:
     after the one containing ``v``) and is None when ``dec`` is omitted.
     """
     de = descendants_mask(g, 1 << _vertex(g, v))
-    pst = None
-    if dec is not None:
-        pst = set_of(dec.pst_mask(v))
     return Relatives(
         pa=set_of(g.pa[v]),
         nb=set_of(g.nb[v]),
         bd=set_of(g.pa[v] | g.nb[v]),
         de=set_of(de),
         nd=set_of(g.full_mask & ~de & ~(1 << v)),
-        pst=pst,
+        pst=None if dec is None else dec.pst(v),
         dis=district_of(g, v),
     )

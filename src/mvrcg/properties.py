@@ -16,7 +16,7 @@ from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
 from .graph import (MixedGraph, _as_mask, _vertex, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set, topological_order)
-from .triples import IndependenceModel, triple_from_masks
+from .triples import IndependenceModel
 
 PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
 
@@ -49,12 +49,12 @@ def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
                 ci, cj = dec.component_of[i], dec.component_of[j]
                 earlier = i if (ci, i) <= (cj, j) else j
                 other = i + j - earlier
-                triples.append(triple_from_masks(1 << earlier, 1 << other, g.pa[earlier]))
+                triples.append((1 << earlier, 1 << other, g.pa[earlier]))
                 if p4_both and ci == cj:
-                    triples.append(triple_from_masks(1 << other, 1 << earlier, g.pa[other]))
+                    triples.append((1 << other, 1 << earlier, g.pa[other]))
                 continue
-            triples.append(triple_from_masks(1 << i, 1 << j, cond))
-    return IndependenceModel.of(g.n, triples)
+            triples.append((1 << i, 1 << j, cond))
+    return IndependenceModel.from_masks(g.n, triples)
 
 
 def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
@@ -69,8 +69,7 @@ def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     semi-graphoid axioms; merely pairwise parts would need composition.
     """
     triples = []
-    for t in range(len(dec.components)):
-        tmask = dec.component_mask(t)
+    for t, tmask in enumerate(dec.component_masks):
         check_cap(tmask.bit_count(), DEFAULT_SUBSET_CAP, "component vertices")
         pre = dec.pre_mask(t)
         for sub in submasks(tmask):
@@ -79,11 +78,11 @@ def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
                 pa = parents_of_set(g, sub)
                 rest = pre & ~pa
                 if rest:
-                    triples.append(triple_from_masks(sub, rest, pa))
+                    triples.append((sub, rest, pa))
             else:
                 for part in comps:
-                    triples.append(triple_from_masks(part, sub & ~part, pre))
-    return IndependenceModel.of(g.n, triples)
+                    triples.append((part, sub & ~part, pre))
+    return IndependenceModel.from_masks(g.n, triples)
 
 
 def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
@@ -97,27 +96,26 @@ def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel
     dropped.
     """
     triples = []
-    for t in range(len(dec.components)):
-        tmask = dec.component_mask(t)
+    for t, tmask in enumerate(dec.component_masks):
         check_cap(tmask.bit_count(), DEFAULT_SUBSET_CAP, "component vertices")
         pad = dec.pa_d_mask(t)
         nd = dec.nd_d_mask(t)
         rest = nd & ~pad
         if rest:
-            triples.append(triple_from_masks(tmask, rest, pad))
+            triples.append((tmask, rest, pad))
         for sub in submasks(tmask):
             pa = parents_of_set(g, sub)
             iv1_rest = pad & ~pa
             if iv1_rest:
-                triples.append(triple_from_masks(sub, iv1_rest, pa))
+                triples.append((sub, iv1_rest, pa))
             if len(district_masks(g.nb, sub)) == 1:
                 nbs = sub
                 for v in bits(sub):
                     nbs |= g.nb[v]
                 iv2_rest = tmask & ~nbs
                 if iv2_rest:
-                    triples.append(triple_from_masks(sub, iv2_rest, pad))
-    return IndependenceModel.of(g.n, triples)
+                    triples.append((sub, iv2_rest, pad))
+    return IndependenceModel.from_masks(g.n, triples)
 
 
 def _markov_blanket_mask(g: MixedGraph, x: int, a_mask: int) -> int:
@@ -183,11 +181,11 @@ def ordered_local_triples(g: MixedGraph,
                 mb = _markov_blanket_mask(g, x, a_mask)
                 other = a_mask & ~(mb | (1 << x))
                 if other:
-                    triples.append(triple_from_masks(1 << x, other, mb))
+                    triples.append((1 << x, other, mb))
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-    return IndependenceModel.of(g.n, triples)
+    return IndependenceModel.from_masks(g.n, triples)
 
 
 def alt_local_triples(g: MixedGraph) -> IndependenceModel:
@@ -209,8 +207,8 @@ def alt_local_triples(g: MixedGraph) -> IndependenceModel:
         nd = g.full_mask & ~descendants_mask(g, 1 << v)
         rest = nd & ~(g.pa[v] | descendants_mask(g, g.nb[v]))
         if rest:
-            triples.append(triple_from_masks(1 << v, rest, g.pa[v]))
-    return IndependenceModel.of(g.n, triples)
+            triples.append((1 << v, rest, g.pa[v]))
+    return IndependenceModel.from_masks(g.n, triples)
 
 
 PROPERTY_KINDS = ("p1", "p2", "p3", "p4", "mr", "iv", "ordered", "local", "global")

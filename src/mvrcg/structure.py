@@ -28,7 +28,7 @@ from .errors import NotAncestral, UnknownName, VerticesAdjacent
 from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
 from .separation import (_moral_adjacency, _require_dag, _separated_codes,
                          global_model_codes)
-from .triples import decode_triple
+from .triples import first_difference
 
 
 def is_ancestral(g: MixedGraph) -> CheckResult:
@@ -115,23 +115,19 @@ class CanonicalDag:
     dag: MixedGraph
     observed: frozenset[int]
     latents: frozenset[int]
-    latent_for: tuple[tuple[tuple[int, int], int], ...]
 
 
 def canonical_dag(g: MixedGraph) -> CanonicalDag:
     directed = list(g.directed)
     labels = list(g.labels)
-    latent_for = []
     nxt = g.n
     for u, v in sorted(g.bidirected):
         directed.append((nxt, u))
         directed.append((nxt, v))
-        latent_for.append(((u, v), nxt))
         labels.append(f"h{nxt - g.n}")
         nxt += 1
     dag = MixedGraph(nxt, directed, (), labels)
-    return CanonicalDag(dag, frozenset(range(g.n)), frozenset(range(g.n, nxt)),
-                        tuple(latent_for))
+    return CanonicalDag(dag, frozenset(range(g.n)), frozenset(range(g.n, nxt)))
 
 
 def latent_model_codes(g: MixedGraph) -> list[int]:
@@ -150,5 +146,5 @@ def marginal_model_equal(g: MixedGraph) -> CheckResult:
     model = global_model_codes(g)
     if latent == model:
         return CheckResult(True)
-    code = min(set(latent).symmetric_difference(model))
-    return CheckResult(False, (decode_triple(code, g.n), code in model, code in latent))
+    triple, in_latent = first_difference(g.n, latent, model)
+    return CheckResult(False, (triple, not in_latent, in_latent))

@@ -30,7 +30,7 @@ from .graph import MixedGraph
 from .properties import property_model
 from .separation import global_model_codes
 from .structure import is_ancestral, is_maximal, latent_model_codes
-from .triples import decode_triple
+from .triples import first_difference
 
 PROPERTY_AXIOMS = {
     "mr": "sg",
@@ -123,13 +123,6 @@ def sweep_graphs(config: SweepConfig) -> Iterator[MixedGraph]:
         yield from random_mvr_cgs(config.random_n, config.random_count, config.seed)
 
 
-def _first_difference(n: int, codes_a, codes_b) -> str:
-    sa, sb = set(codes_a), set(codes_b)
-    code = min(sa ^ sb)
-    side = "first" if code in sa else "second"
-    return f"{decode_triple(code, n)} only in {side} model"
-
-
 def _raised(exc: Exception) -> tuple[str, str]:
     """Status and witness of a check that raised: a ``GraphError`` is a
     failure of the graph, any other exception an error of the engine."""
@@ -171,7 +164,8 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
             codes = codes_of()
             if codes == global_codes:
                 return True, None
-            return False, _first_difference(g.n, codes, global_codes)
+            triple, in_first = first_difference(g.n, codes, global_codes)
+            return False, f"{triple} only in {'first' if in_first else 'second'} model"
 
         if capped is None:
             run(name, compare)

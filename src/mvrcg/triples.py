@@ -4,16 +4,28 @@ A triple <A, B | C> has nonempty, pairwise disjoint blocks A and B and a
 possibly empty conditioning set C.  The canonical form puts the
 lexicographically smaller block first, which makes symmetry a property
 of the representation rather than a rewrite rule.
+
+A model stores its triples as the kernel's base-4 codes; the
+``IndependenceTriple`` objects are decoded only when a caller reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from ._bitset import mask_of, set_of
+from ._bitset import format_vertices, mask_of, set_of
 from ._kernels.pyfallback import decode_code, encode_masks
 from .errors import DisjointnessViolation, ModelFormatError
+
+
+def _check_blocks(a, b, c) -> None:
+    """Blocks as vertex sets or masks: both nonempty, all three disjoint."""
+    if not a or not b:
+        raise DisjointnessViolation("both blocks must be nonempty")
+    if a & b or a & c or b & c:
+        raise DisjointnessViolation("blocks and conditioning set must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -23,15 +35,10 @@ class IndependenceTriple:
     c: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        a = frozenset(self.a)
-        b = frozenset(self.b)
-        c = frozenset(self.c)
-        if not a or not b:
-            raise DisjointnessViolation("both blocks must be nonempty")
+        a, b, c = frozenset(self.a), frozenset(self.b), frozenset(self.c)
+        _check_blocks(a, b, c)
         if min(a | b | c) < 0:
             raise DisjointnessViolation("vertex ids must be nonnegative")
-        if a & b or a & c or b & c:
-            raise DisjointnessViolation("blocks and conditioning set must be disjoint")
         if sorted(b) < sorted(a):
             a, b = b, a
         object.__setattr__(self, "a", a)
@@ -46,13 +53,8 @@ class IndependenceTriple:
         return mask_of(self.a), mask_of(self.b), mask_of(self.c)
 
     def format(self, labels=None) -> str:
-        def fmt(s):
-            if labels is None:
-                return ",".join(str(v) for v in sorted(s))
-            return ",".join(labels[v] for v in sorted(s))
-
-        left = f"{fmt(self.a)} _||_ {fmt(self.b)}"
-        return f"{left} | {fmt(self.c)}" if self.c else left
+        left = f"{format_vertices(self.a, labels)} _||_ {format_vertices(self.b, labels)}"
+        return f"{left} | {format_vertices(self.c, labels)}" if self.c else left
 
     def sort_key(self):
         return (sorted(self.a), sorted(self.b), sorted(self.c))
@@ -65,40 +67,62 @@ def triple_from_masks(a: int, b: int, c: int) -> IndependenceTriple:
     return IndependenceTriple(set_of(a), set_of(b), set_of(c))
 
 
-def encode_triple(t: IndependenceTriple, n: int) -> int:
-    a, b, c = t.masks()
+def _encode_checked(n: int, a: int, b: int, c: int) -> int:
+    """Canonical code of the masks <a, b | c>, with ``IndependenceTriple``'s
+    checks and the ground set ``0..n-1``."""
+    _check_blocks(a, b, c)
     if (a | b | c) >> n:
         raise DisjointnessViolation(f"triple mentions vertices outside 0..{n - 1}")
     return encode_masks(n, a, b, c)
+
+
+def encode_triple(t: IndependenceTriple, n: int) -> int:
+    return _encode_checked(n, *t.masks())
 
 
 def decode_triple(code: int, n: int) -> IndependenceTriple:
     return triple_from_masks(*decode_code(n, code))
 
 
+def first_difference(n: int, codes_a, codes_b) -> tuple[IndependenceTriple, bool]:
+    """The triple of the smallest code in one of two code collections but
+    not the other, and whether it is in the first; the two must differ."""
+    sa = set(codes_a)
+    code = min(sa.symmetric_difference(codes_b))
+    return decode_triple(code, n), code in sa
+
+
 @dataclass(frozen=True)
 class IndependenceModel:
-    """A finite set of canonical triples over ground set ``0..n-1``."""
+    """A finite set of canonical triples over ground set ``0..n-1``, stored
+    as their codes; ``triples`` is a view decoded on first read."""
 
     n: int
-    triples: frozenset[IndependenceTriple] = field(default_factory=frozenset)
+    codes: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for t in self.triples:
-            vs = t.a | t.b | t.c
-            if max(vs) >= self.n:
-                raise ModelFormatError(f"triple <{t}> outside the ground set 0..{self.n - 1}")
+        if self.n < 0 or max(self.codes, default=0) >> 2 * self.n:
+            raise ModelFormatError(f"codes outside the ground set 0..{self.n - 1}")
 
     @classmethod
     def of(cls, n: int, triples: Iterable[IndependenceTriple]) -> "IndependenceModel":
-        return cls(n, frozenset(triples))
+        return cls(n, frozenset(encode_triple(t, n) for t in triples))
+
+    @classmethod
+    def from_masks(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "IndependenceModel":
+        """Model of ``(a, b, c)`` mask triples, checked as triples are."""
+        return cls(n, frozenset(_encode_checked(n, a, b, c) for a, b, c in triples))
 
     @classmethod
     def from_codes(cls, n: int, codes: Iterable[int]) -> "IndependenceModel":
-        return cls(n, frozenset(decode_triple(code, n) for code in codes))
+        return cls(n, frozenset(codes))
 
     def to_codes(self) -> list[int]:
-        return sorted(encode_triple(t, self.n) for t in self.triples)
+        return sorted(self.codes)
+
+    @cached_property
+    def triples(self) -> frozenset[IndependenceTriple]:
+        return frozenset(decode_triple(code, self.n) for code in self.codes)
 
     def __contains__(self, t: IndependenceTriple) -> bool:
         return t in self.triples
@@ -107,25 +131,21 @@ class IndependenceModel:
         return iter(sorted(self.triples, key=IndependenceTriple.sort_key))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.codes)
 
     def __le__(self, other: "IndependenceModel") -> bool:
-        return self.triples <= other.triples
+        return self.codes <= other.codes
 
     def union(self, other: "IndependenceModel") -> "IndependenceModel":
         if self.n != other.n:
             raise DisjointnessViolation("models over different ground sets")
-        return IndependenceModel(self.n, self.triples | other.triples)
+        return IndependenceModel(self.n, self.codes | other.codes)
 
     # --- JSON interchange -----------------------------------------------
 
     def to_json_obj(self, labels=None) -> dict:
-        obj = {
-            "ground_set": self.n,
-            "triples": [
-                {"a": sorted(t.a), "b": sorted(t.b), "c": sorted(t.c)} for t in self
-            ],
-        }
+        triples = [{"a": sorted(t.a), "b": sorted(t.b), "c": sorted(t.c)} for t in self]
+        obj = {"ground_set": self.n, "triples": triples}
         if labels is not None:
             obj["labels"] = list(labels)
         return obj
@@ -142,8 +162,11 @@ class IndependenceModel:
         if type(n) is not int or n < 0:  # bool is a subclass of int
             raise ModelFormatError("'ground_set' must be a non-negative integer")
         for i, triple in enumerate(blocks):
-            if not all(isinstance(ids, list) and all(type(v) is int and v >= 0 for v in ids)
+            if not all(isinstance(ids, list) and all(type(v) is int and 0 <= v < n for v in ids)
                        for ids in triple):
-                raise ModelFormatError(f"triple {i}: blocks must be lists of "
-                                       "non-negative integer vertex ids")
-        return cls.of(n, [IndependenceTriple.of(*triple) for triple in blocks])
+                raise ModelFormatError(f"triple {i}: blocks must be lists of vertex ids "
+                                       f"in the ground set 0..{n - 1}")
+        try:
+            return cls.from_masks(n, [tuple(map(mask_of, triple)) for triple in blocks])
+        except DisjointnessViolation as exc:
+            raise ModelFormatError(f"malformed model JSON: {exc}") from None

@@ -15,6 +15,11 @@ from oracles import oracle_is_chain_graph
 # tie-breaks and the choice of witness.
 ORDERING_DIGEST = "379183f915684ae3c3d475e3ca8c44f0fd7ee085"
 
+# sha1 over pre_mask, pst_mask, pa_d_mask, nd_d_mask and parent_components
+# for every labeled chain graph with n <= 4, computed when the
+# decomposition rebuilt each mask from its frozenset components.
+MASK_DIGEST = "155b7e954642efcf6d2746235e2f01f45132f090"
+
 
 def test_edgeless_graph_decomposes_into_singletons():
     dec = validate_chain_graph(MixedGraph(3))
@@ -161,3 +166,19 @@ def test_orders_and_witnesses_match_pinned_digest():
     for rec in sorted(records) + sorted(walks):
         digest.update(repr(rec).encode())
     assert digest.hexdigest() == ORDERING_DIGEST
+
+
+def test_component_masks_match_pinned_digest():
+    digest = hashlib.sha1()
+    count = 0
+    for n in range(1, 5):
+        for g in enumerate_mvr_cgs(n):
+            dec = validate_chain_graph(g)
+            k = len(dec.components)
+            rec = (n, sorted(g.directed), sorted(g.bidirected),
+                   [dec.pre_mask(i) for i in range(k)], [dec.pst_mask(v) for v in range(n)],
+                   [dec.pa_d_mask(i) for i in range(k)], [dec.nd_d_mask(i) for i in range(k)],
+                   [sorted(dec.parent_components(i)) for i in range(k)])
+            digest.update(repr(rec).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (1743, MASK_DIGEST)

@@ -148,7 +148,11 @@ def test_unreadable_or_unwritable_path_is_an_error_line(capsys, tmp_path, argv, 
     '{"ground_set": 3, "triples": [{"a": [0.0], "b": [1]}]}',
     '[{"a": [0], "b": [1]}]',
     '{"ground_set": 3, "triples": [{"a": [0], "b": [1]',
-], ids=["negative_id", "no_b", "float_id", "top_level_array", "not_json"])
+    '{"ground_set": 3, "triples": [{"a": [0], "b": [0]}]}',
+    '{"ground_set": 3, "triples": [{"a": [0], "b": []}]}',
+    '{"ground_set": 3, "triples": [{"a": [0], "b": [3]}]}',
+], ids=["negative_id", "no_b", "float_id", "top_level_array", "not_json",
+        "overlapping_blocks", "empty_block", "id_outside_ground_set"])
 def test_malformed_model_json_is_a_typed_error(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -291,6 +295,32 @@ def test_sweep_resume_after_a_crash_prints_no_report_twice(capsys, tmp_path):
     assert resumed[:k + 1] == lines[:k + 1]
     assert [untimed(line) for line in resumed] == [untimed(line) for line in lines]
     assert json.loads(cursor.read_text())["next"] == 5
+
+
+def _untimed(line):
+    report = json.loads(line)
+    for check in report["checks"].values():
+        del check["ms"]
+    return report
+
+
+def test_sweep_resume_cuts_a_torn_last_line(capsys, tmp_path):
+    fresh = tmp_path / "fresh.jsonl"
+    run(capsys, "sweep", "--max-n", "2", "--out", str(fresh))
+    lines = fresh.read_text().splitlines()
+    # A crash in the middle of writing the report of graph k, the cursor at k.
+    k = 2
+    out_file = tmp_path / "report.jsonl"
+    out_file.write_text("".join(line + "\n" for line in lines[:k]) + lines[k][:30])
+    cursor = tmp_path / "cursor.json"
+    cursor.write_text(json.dumps({"config": config_hash(SweepConfig(max_n=2)), "next": k}))
+    code, _, err = run(capsys, "sweep", "--max-n", "2", "--out", str(out_file),
+                       "--cursor", str(cursor))
+    assert code == 0
+    assert "swept 3 graph(s)" in err
+    assert out_file.read_text().endswith("\n")
+    assert ([_untimed(line) for line in out_file.read_text().splitlines()]
+            == [_untimed(line) for line in lines])
 
 
 def test_sweep_refuses_cursor_of_another_config(capsys, tmp_path):

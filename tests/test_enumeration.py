@@ -1,10 +1,11 @@
+import hashlib
 import random
 from itertools import combinations, product
 
 import pytest
 
 from mvrcg import is_chain_graph, random_mvr_cg
-from mvrcg.enumeration import enumerate_dags, enumerate_mvr_cgs
+from mvrcg.enumeration import enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded
 
 from oracles import oracle_is_chain_graph
@@ -75,3 +76,20 @@ def test_random_sampler_matches_enumeration_support():
     rng = random.Random(3)
     seen = {random_mvr_cg(2, rng) for _ in range(200)}
     assert seen == support
+
+
+@pytest.mark.parametrize("enumerate_graphs, top, count, digest", [
+    (enumerate_mvr_cgs, 4, 1744, "d134a898c6f2c13466307b546a66698a51219179"),
+    (enumerate_dags, 4, 573, "7df0c4976fc94ac70b706517e484a6d1e2291f4d"),
+    (enumerate_mixed_graphs, 3, 70, "005ebdd8aeabca0513b77ac23576c57a006f206d"),
+], ids=["mvr_cgs", "dags", "mixed_graphs"])
+def test_enumeration_sequence_matches_pinned_digest(enumerate_graphs, top, count, digest):
+    """sha1 over the edge lists of every graph each enumerator yields for
+    n = 0..top, in yield order, computed when each had its own loop."""
+    h = hashlib.sha1()
+    seen = 0
+    for n in range(top + 1):
+        for g in enumerate_graphs(n):
+            seen += 1
+            h.update(f"{g.n}:{sorted(g.directed)}:{sorted(g.bidirected)}\n".encode())
+    assert (seen, h.hexdigest()) == (count, digest)

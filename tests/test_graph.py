@@ -1,11 +1,17 @@
+import random
+
+import numpy as np
 import pytest
 
 import mvrcg
-from mvrcg import (MixedGraph, ancestors, anteriors, districts, induced_subgraph,
-                   relatives, validate_chain_graph)
-from mvrcg.factorization import is_head, tail_of_head
-from mvrcg.enumeration import enumerate_mixed_graphs, enumerate_mvr_cgs
-from mvrcg.errors import GraphFormatError
+from mvrcg import (IndependenceTriple, JointTable, MixedGraph, ancestors, anteriors,
+                   ci_holds, districts, fixtures, induced_subgraph, relatives,
+                   validate_chain_graph, verify_factorization)
+from mvrcg.factorization import Factorization, HeadTail, is_head, tail_of_head
+from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
+                               random_mvr_cg)
+from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
+                          NotAComponent, UnknownName)
 
 from oracles import oracle_ancestors
 
@@ -168,3 +174,29 @@ def test_vertex_ids_outside_the_graph_raise_graph_format_error(call, v):
     g = MixedGraph(3, directed=[(0, 1), (1, 2)])
     with pytest.raises(GraphFormatError):
         OUT_OF_RANGE_CALLS[call](g, v)
+
+
+_TABLE = JointTable((0, 1), (2, 2), np.full((2, 2), 0.25))
+
+TYPED_ERROR_CALLS = {
+    "tail_of_head_empty": (HeadTestFailed, lambda: tail_of_head(MixedGraph(2), [])),
+    "enumerate_mvr_cgs": (GraphFormatError, lambda: list(enumerate_mvr_cgs(-1))),
+    "enumerate_dags": (GraphFormatError, lambda: list(enumerate_dags(-1))),
+    "enumerate_mixed_graphs": (GraphFormatError, lambda: list(enumerate_mixed_graphs(-1))),
+    "random_mvr_cg": (GraphFormatError, lambda: random_mvr_cg(-1, random.Random(0))),
+    "fixtures_load": (UnknownName, lambda: fixtures.load("nope")),
+    "parent_components": (NotAComponent,
+                          lambda: validate_chain_graph(MixedGraph(2)).parent_components(-1)),
+    "ci_holds": (DisjointnessViolation,
+                 lambda: ci_holds(_TABLE, IndependenceTriple.of([0], [2]))),
+    "verify_factorization": (DisjointnessViolation, lambda: verify_factorization(
+        _TABLE, Factorization((HeadTail(frozenset({0}), frozenset({2})),),
+                              frozenset({0, 2})))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TYPED_ERROR_CALLS))
+def test_bad_arguments_raise_typed_errors(call):
+    exc, fn = TYPED_ERROR_CALLS[call]
+    with pytest.raises(exc):
+        fn()

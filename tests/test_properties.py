@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from mvrcg import (IndependenceModel, IndependenceTriple, MixedGraph, markov_blanket,
+from mvrcg import (IndependenceModel, IndependenceTriple, MixedGraph, chain, markov_blanket,
                    validate_chain_graph)
-from mvrcg.enumeration import enumerate_dags, enumerate_mvr_cgs, random_mvr_cg
+from mvrcg.enumeration import enumerate_dags, enumerate_mvr_cgs, random_mvr_cg, random_mvr_cgs
 from mvrcg.errors import (CapExceeded, HasChildInA, InconsistentOrder,
                           NotAncestrallyClosed)
 from mvrcg.properties import (alt_local_triples, consistent_vertex_order, mr_triples,
                               ordered_local_triples, pairwise_triples, type_iv_triples)
 from mvrcg.separation import global_model
+from mvrcg.sweep import ALL_CHECKS, SweepConfig, verify_graph
 
 from oracles import oracle_ancestors, oracle_district, powerset
 
@@ -320,3 +321,21 @@ def test_dag_local_properties_equal_global_closures():
         glob = close(global_model(dag), sg)
         assert close(alt_local_triples(dag), sg) == glob
         assert close(ordered_local_triples(dag), sg) == glob
+
+
+@pytest.mark.parametrize("target, name", [(IndependenceTriple, "__post_init__"),
+                                          (chain, "set_of")],
+                         ids=["IndependenceTriple", "chain_set_of"])
+def test_verify_graph_needs_no_frozenset_forms(monkeypatch, target, name):
+    """The sweep's path runs on masks and codes: it builds no
+    ``IndependenceTriple`` and no frozenset component."""
+    def refuse(*args):
+        raise AssertionError(f"{name} called on the sweep's path")
+
+    monkeypatch.setattr(target, name, refuse)
+    graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
+    graphs += random_mvr_cgs(5, 5, seed=5)
+    for i, g in enumerate(graphs):
+        report = verify_graph(g, SweepConfig(), i)
+        assert {check: c.status for check, c in report.checks.items()} == \
+            dict.fromkeys(ALL_CHECKS, "pass"), report.to_json()
