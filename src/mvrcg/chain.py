@@ -76,7 +76,7 @@ class ChainDecomposition:
         return frozenset(j for j, ch in enumerate(self.component_children) if ch >> i & 1)
 
     def pre(self, i: int) -> frozenset[int]:
-        return set_of(self.pre_mask(self._index(i)))
+        return set_of(self.pre_mask(i))
 
     def pst(self, v: int) -> frozenset[int]:
         """All vertices in components ordered after the one holding ``v``."""
@@ -84,20 +84,21 @@ class ChainDecomposition:
 
     def pre_mask(self, i: int) -> int:
         """Union of all components strictly after ``i`` in the order."""
-        return sum(self.component_masks[i + 1:])
+        return sum(self.component_masks[self._index(i) + 1:])
 
     def pst_mask(self, v: int) -> int:
         return self.pre_mask(self.component_of[v])
 
     def pa_d_mask(self, i: int) -> int:
         """Union of the full parent components of component ``i``."""
+        i = self._index(i)
         return sum(m for m, ch in zip(self.component_masks, self.component_children)
                    if ch >> i & 1)
 
     def nd_d_mask(self, i: int) -> int:
         """Union of components that are not reachable from ``i`` in the
         component DAG, excluding ``i`` itself."""
-        reach = reach_mask(self.component_children, 1 << i)
+        reach = reach_mask(self.component_children, 1 << self._index(i))
         return sum(m for j, m in enumerate(self.component_masks) if not reach >> j & 1)
 
 

@@ -17,7 +17,7 @@ from collections import deque
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close
 from .distributions import ci_holds, sample_latent_dag_distribution, verify_factorization
-from .errors import CapExceeded, GraphError, ModelFormatError
+from .errors import GraphError, ModelFormatError
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph, induced_subgraph
 from .intervention import intervene
@@ -26,7 +26,7 @@ from .separation import (d_separated, global_model, m_connecting_walk,
                          m_separated, m_star_separated)
 from .structure import canonical_dag, is_ancestral, is_maximal, marginal_model_equal
 from .sweep import SweepConfig, config_hash, run_equivalence_sweep
-from .triples import IndependenceModel, decode_triple
+from .triples import IndependenceModel, _ground_set, decode_triple
 
 
 def _load(path: str) -> MixedGraph:
@@ -141,8 +141,7 @@ def cmd_equiv(args) -> int:
     ma = _read_model(args.a)
     mb = _read_model(args.b)
     ax = AxiomSet.parse(args.axioms)
-    if ma.n != mb.n:
-        raise CapExceeded("models over different ground sets")
+    _ground_set(ma, mb)
     ca = close(ma, ax).codes
     cb = close(mb, ax).codes
     if ca == cb:

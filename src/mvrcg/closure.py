@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from . import _kernels
 from ._kernels.pyfallback import axiom_rules
 from .config import check_cap, model_cap
-from .errors import CapExceeded, UnknownName
-from .triples import IndependenceModel, IndependenceTriple, triple_from_masks
+from .errors import UnknownName
+from .triples import IndependenceModel, IndependenceTriple, _ground_set, triple_from_masks
 
 
 # Each axiom field of ``AxiomSet`` and the kernel rule bit it enables.
@@ -121,9 +121,8 @@ def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
 
 def equivalent_under(m1: IndependenceModel, m2: IndependenceModel, axioms: AxiomSet) -> bool:
     """Whether the two models generate the same closure."""
-    if m1.n != m2.n:
-        raise CapExceeded("models over different ground sets")
-    return close_codes(m1.n, m1.to_codes(), axioms) == close_codes(m2.n, m2.to_codes(), axioms)
+    n = _ground_set(m1, m2)
+    return close_codes(n, m1.to_codes(), axioms) == close_codes(n, m2.to_codes(), axioms)
 
 
 def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:

@@ -6,6 +6,13 @@ factorizations numerically: sample a strictly positive distribution that
 is Markov to the latent DAG of a graph, marginalise out the latents, and
 every separation statement and both product forms must hold exactly (up
 to float rounding).
+
+One projection, :func:`_project`, lays every table out: one ``einsum``
+that sums out the other variables and orders the kept ones.  The sampler
+and :func:`verify_factorization` each form their product in one more
+``einsum``.  Labels are table axes or DAG vertices; the cap bounds a table
+at 20 variables, so a call has at most 21 operands and labels below 20,
+within numpy's limits (32 operands, 52 labels, since numpy 1.24).
 """
 
 from __future__ import annotations
@@ -48,22 +55,31 @@ class JointTable:
             raise DisjointnessViolation(f"probabilities sum to {total!r}, not 1")
 
     def axis_of(self, v: int) -> int:
+        """Axis of variable ``v``: the module's one check that a variable
+        belongs to the table."""
+        if v not in self.variables:
+            raise DisjointnessViolation(f"{v} is not a variable of the table")
         return self.variables.index(v)
 
+    def _over(self, variables: Sequence[int]) -> "JointTable":
+        probs, _ = _project(self, variables)
+        return JointTable(tuple(variables), probs.shape, probs)
+
     def marginal(self, keep: Iterable[int]) -> "JointTable":
-        keep = set(keep)
-        axes = tuple(i for i, v in enumerate(self.variables) if v not in keep)
-        new_vars = tuple(v for v in self.variables if v in keep)
-        new_cards = tuple(c for v, c in zip(self.variables, self.cards) if v in keep)
-        return JointTable(new_vars, new_cards, self.probs.sum(axis=axes))
+        """Marginal over ``keep``, its variables in table order."""
+        return self._over(sorted(set(keep), key=self.axis_of))
 
     def reorder(self, variables: Sequence[int]) -> "JointTable":
-        variables = tuple(variables)
         if sorted(variables) != sorted(self.variables):
             raise DisjointnessViolation("reorder must permute the variables")
-        perm = tuple(self.variables.index(v) for v in variables)
-        return JointTable(variables, tuple(self.cards[i] for i in perm),
-                          np.transpose(self.probs, perm))
+        return self._over(variables)
+
+
+def _project(table: JointTable, variables: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """Marginal of ``table`` over ``variables``, one axis per variable in
+    that order, and those variables' table axes as einsum labels."""
+    axes = [table.axis_of(v) for v in variables]
+    return np.einsum(table.probs, list(range(len(table.variables))), axes), axes
 
 
 def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
@@ -75,55 +91,28 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     a bit-identical table.
     """
     g = cd.dag
-    n = g.n
-    if CARDINALITY ** n > STATE_SPACE_CAP:
-        raise CapExceeded(f"state space {CARDINALITY}**{n} exceeds {STATE_SPACE_CAP}")
+    if CARDINALITY ** g.n > STATE_SPACE_CAP:
+        raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
     rng = np.random.default_rng(seed)
-    cards = (CARDINALITY,) * n
-    joint = np.ones(cards)
-    for v in range(n):
+    operands = [np.ones(()), []]  # the product of no tables is 1, also at n = 0
+    for v in range(g.n):
         parents = sorted(g.parents(v))
         rows = rng.dirichlet([_DIRICHLET_ALPHA] * CARDINALITY,
                              size=CARDINALITY ** len(parents))
         rows = np.maximum(rows, _ROW_FLOOR)
         rows /= rows.sum(axis=-1, keepdims=True)
-        cpt = rows.reshape((CARDINALITY,) * len(parents) + (CARDINALITY,))
-        # Broadcast the conditional table into the full joint shape.
-        axes = parents + [v]
-        order = sorted(range(len(axes)), key=lambda i: axes[i])
-        shape = [1] * n
-        for a in axes:
-            shape[a] = CARDINALITY
-        joint = joint * np.transpose(cpt, order).reshape(shape)
+        operands += [rows.reshape((CARDINALITY,) * (len(parents) + 1)), parents + [v]]
     observed = sorted(cd.observed)
-    latent_axes = tuple(sorted(cd.latents))
-    marginal = joint.sum(axis=latent_axes) if latent_axes else joint
-    marginal = marginal / marginal.sum()
-    return JointTable(tuple(observed), (CARDINALITY,) * len(observed), marginal)
-
-
-def _grouped(table: JointTable, groups: Sequence[Iterable[int]]) -> np.ndarray:
-    """Marginal over the union of the groups, reshaped to one axis per
-    group (flattening each group's variables in table order)."""
-    union = set().union(*map(set, groups))
-    if not union.issubset(table.variables):
-        raise DisjointnessViolation(f"{sorted(union)} are not all variables of the table")
-    m = table.marginal(union)
-    arr = m.probs
-    dims = []
-    perm = []
-    for group in groups:
-        axes = [m.variables.index(v) for v in sorted(group, key=m.variables.index)]
-        perm.extend(axes)
-        dims.append(prod(m.cards[a] for a in axes) if axes else 1)
-    arr = np.transpose(arr, perm).reshape(dims)
-    return arr
+    marginal = np.einsum(*operands, observed)  # the latents are summed out
+    return JointTable(tuple(observed), marginal.shape, marginal / marginal.sum())
 
 
 def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -> bool:
     """Numeric conditional independence: for every assignment with
     p(c) > 0, |p(a,b|c) - p(a|c) p(b|c)| <= eps."""
-    pabc = _grouped(table, [triple.a, triple.b, triple.c])
+    k, m = len(triple.a), len(triple.a) + len(triple.b)
+    p, _ = _project(table, [*triple.a, *triple.b, *triple.c])
+    pabc = p.reshape(prod(p.shape[:k]), prod(p.shape[k:m]), prod(p.shape[m:]))
     pc = pabc.sum(axis=(0, 1))
     pac = pabc.sum(axis=1)
     pbc = pabc.sum(axis=0)
@@ -139,24 +128,12 @@ def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9)
     """Whether the table equals the product of the factorization's
     conditionals at every full assignment.  Rows with zero tail mass
     contribute factor 1; positive sampling keeps that branch idle."""
-    n_axes = len(table.variables)
-    product = np.ones(table.cards)
+    every_axis = list(range(len(table.variables)))
+    operands = [np.ones(table.cards), every_axis]  # covers axes no factor names
     for factor in f.factors:
-        ht = _grouped(table, [factor.head, factor.tail])
-        tail_mass = ht.sum(axis=0)
+        pht, axes = _project(table, [*factor.head, *factor.tail])
+        tail_mass = pht.sum(axis=tuple(range(len(factor.head))), keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(tail_mass > 0, ht / tail_mass, 1.0)
-        members = sorted(factor.head | factor.tail, key=table.variables.index)
-        head_sorted = [v for v in members if v in factor.head]
-        tail_sorted = [v for v in members if v in factor.tail]
-        cond = cond.reshape(tuple(table.cards[table.axis_of(v)] for v in head_sorted)
-                            + tuple(table.cards[table.axis_of(v)] for v in tail_sorted))
-        # Expand to the full table shape.
-        order = head_sorted + tail_sorted
-        perm = sorted(range(len(order)), key=lambda i: table.axis_of(order[i]))
-        cond = np.transpose(cond, perm)
-        shape = [1] * n_axes
-        for v in order:
-            shape[table.axis_of(v)] = table.cards[table.axis_of(v)]
-        product = product * cond.reshape(shape)
+            operands += [np.where(tail_mass > 0, pht / tail_mass, 1.0), axes]
+    product = np.einsum(*operands, every_axis)
     return bool(np.all(np.abs(table.probs - product) <= eps))

@@ -30,7 +30,8 @@ class DisjointnessViolation(GraphError):
 
 class ModelFormatError(GraphError):
     """Malformed independence model: JSON without the expected fields or
-    types, or a triple naming a vertex outside the ground set."""
+    types, or a triple naming a vertex outside the ground set.  Also raised
+    when two models over different ground sets are compared or joined."""
 
 
 class UnknownName(GraphError, ValueError):

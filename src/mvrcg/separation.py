@@ -36,7 +36,7 @@ from ._kernels.pyfallback import iter_canonical_codes
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
-                    reach_mask, state_walk, topological_order)
+                    parents_of_set, reach_mask, state_walk, topological_order)
 from .triples import IndependenceModel
 
 
@@ -83,29 +83,16 @@ def _collider_adjacency(g: MixedGraph, within: int) -> list[int]:
     """Augmented adjacency masks on the induced subgraph ``within``.
 
     Vertex pairs are joined when a path with all-collider interiors links
-    them; a single edge counts.  Per-source reachability over
-    (vertex, arrived-with-arrowhead) states, interiors restricted to
-    states that can still act as colliders.
+    them; a single edge counts.  Only a vertex entered with an arrowhead
+    can be a collider.  From ``s`` those are the vertices reached along
+    bidirected edges after a first edge with its head away from ``s``, and
+    a path ends at one of them, at a parent of one, or at a parent of ``s``.
     """
     adj = [0] * g.n
     for s in bits(within):
-        head = (g.ch[s] | g.nb[s]) & within
-        tail = g.pa[s] & within
-        reached = head | tail
-        frontier = head  # only arrowhead arrivals can continue as colliders
-        while frontier:
-            grown_head = 0
-            grown_tail = 0
-            for v in bits(frontier):
-                grown_head |= g.nb[v]
-                grown_tail |= g.pa[v]
-            grown_head &= within
-            grown_tail &= within
-            frontier = grown_head & ~head
-            head |= grown_head
-            tail |= grown_tail
-            reached |= grown_head | grown_tail
-        adj[s] = reached & ~(1 << s)
+        head = reach_mask(g.nb, g.ch[s] | g.nb[s], within)
+        tail = (g.pa[s] | parents_of_set(g, head)) & within
+        adj[s] = (head | tail) & ~(1 << s)
     return adj
 
 
@@ -119,9 +106,13 @@ def augmented_graph(g: MixedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, frozenset(edges))
 
 
+def _separated(adj: list[int], x: int, y: int, z: int) -> bool:
+    """Plain separation: no path along ``adj`` from x to y avoiding z."""
+    return not reach_mask(adj, x, ~z) & y
+
+
 def _m_star_separated(g: MixedGraph, x: int, y: int, z: int) -> bool:
-    w = ancestors_mask(g, x | y | z)
-    return not reach_mask(_collider_adjacency(g, w), x, ~z) & y
+    return _separated(_collider_adjacency(g, ancestors_mask(g, x | y | z)), x, y, z)
 
 
 def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
@@ -134,7 +125,7 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
         adj = adj_of.get(u)
         if adj is None:
             adj = adj_of[u] = adjacency(g, ancestors_mask(g, u))
-        if not reach_mask(adj, a, ~c) & b:
+        if _separated(adj, a, b, c):
             out.append(code)
     return out
 
@@ -166,8 +157,7 @@ def _moral_adjacency(g: MixedGraph, within: int) -> list[int]:
 
 
 def _d_separated(dag: MixedGraph, x: int, y: int, z: int) -> bool:
-    w = ancestors_mask(dag, x | y | z)
-    return not reach_mask(_moral_adjacency(dag, w), x, ~z) & y
+    return _separated(_moral_adjacency(dag, ancestors_mask(dag, x | y | z)), x, y, z)
 
 
 def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:

@@ -84,6 +84,14 @@ def decode_triple(code: int, n: int) -> IndependenceTriple:
     return triple_from_masks(*decode_code(n, code))
 
 
+def _ground_set(m1: "IndependenceModel", m2: "IndependenceModel") -> int:
+    """The ground-set size two models share; models over different ground
+    sets are not comparable, so this raises ``ModelFormatError``."""
+    if m1.n != m2.n:
+        raise ModelFormatError(f"models over different ground sets: {m1.n} and {m2.n} vertices")
+    return m1.n
+
+
 def first_difference(n: int, codes_a, codes_b) -> tuple[IndependenceTriple, bool]:
     """The triple of the smallest code in one of two code collections but
     not the other, and whether it is in the first; the two must differ."""
@@ -134,12 +142,11 @@ class IndependenceModel:
         return len(self.codes)
 
     def __le__(self, other: "IndependenceModel") -> bool:
+        _ground_set(self, other)
         return self.codes <= other.codes
 
     def union(self, other: "IndependenceModel") -> "IndependenceModel":
-        if self.n != other.n:
-            raise DisjointnessViolation("models over different ground sets")
-        return IndependenceModel(self.n, self.codes | other.codes)
+        return IndependenceModel(_ground_set(self, other), self.codes | other.codes)
 
     # --- JSON interchange -----------------------------------------------
 

@@ -118,6 +118,16 @@ def test_component_dag_parents():
     assert dec.nd_d_mask(1) == 0b10000  # component {4} is not reachable from {2,3}
 
 
+@pytest.mark.parametrize("method", ["pre_mask", "pa_d_mask", "nd_d_mask"])
+@pytest.mark.parametrize("i", [-1, 3])
+def test_component_mask_methods_reject_bad_indices(method, i):
+    dec = validate_chain_graph(MixedGraph(5, directed=[(2, 0), (4, 2)],
+                                          bidirected=[(0, 1), (2, 3)]))
+    assert len(dec.component_masks) == 3
+    with pytest.raises(NotAComponent):
+        getattr(dec, method)(i)
+
+
 def test_pre_of_component_by_index_and_set():
     from mvrcg import pre_of_component
     g = MixedGraph(4, directed=[(2, 0)], bidirected=[(0, 1), (2, 3)])

@@ -8,8 +8,8 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
-from mvrcg.errors import CapExceeded
-from mvrcg.closure import close_codes
+from mvrcg.closure import AxiomSet, close_codes, equivalent_under
+from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model
 from mvrcg.separation import global_model_codes
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
@@ -489,3 +489,16 @@ def test_export_dot_with_induced_set(capsys, fig_path):
     assert code == 0
     assert out.count("label=") == 3
     assert "dir=both" in out  # 5 <-> 6 survives the restriction
+
+
+def test_models_over_different_ground_sets_are_a_format_error(capsys, tmp_path):
+    small, large = IndependenceModel(2), IndependenceModel(3)
+    calls = [lambda: equivalent_under(small, large, AxiomSet.semi_graphoid()),
+             lambda: small.union(large), lambda: small <= large]
+    for call in calls:
+        with pytest.raises(ModelFormatError):
+            call()
+    a = write_model(tmp_path / "a.json", [], n=2)
+    b = write_model(tmp_path / "b.json", [], n=3)
+    code, _, err = run(capsys, "equiv", "--a", a, "--b", b, "--axioms", "sg")
+    assert code == 2 and err.startswith("error: ModelFormatError: ")

@@ -137,3 +137,38 @@ def test_marginal_tables_satisfy_partition_over_closed_sets():
         part = head_partition(g, a)
         sub = table.marginal(a)
         assert verify_factorization(sub, part, 1e-9)
+
+
+@pytest.mark.parametrize("keep", [[5], [0, 5]])
+def test_marginal_rejects_ids_not_in_the_table(keep):
+    t = table_of([0, 1], np.outer([0.3, 0.7], [0.6, 0.4]))
+    with pytest.raises(DisjointnessViolation):
+        t.marginal(keep)
+
+
+def test_marginal_over_nothing_is_the_scalar_table():
+    t = table_of([0, 1], np.outer([0.3, 0.7], [0.6, 0.4])).marginal([])
+    assert (t.variables, t.cards, float(t.probs)) == ((), (), 1.0)
+
+
+def test_ci_holds_builds_no_table(monkeypatch):
+    rng = np.random.default_rng(3)
+    t = table_of([0, 1, 2, 3], rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))
+    built = []
+    init = JointTable.__post_init__
+
+    def counting_init(self):
+        built.append(self.variables)
+        init(self)
+
+    monkeypatch.setattr(JointTable, "__post_init__", counting_init)
+    for triple in (T([0], [1]), T([0], [1], [2]), T([3], [0, 1], [2])):
+        ci_holds(t, triple)
+    assert built == []
+
+
+def test_empty_graph_gives_the_scalar_table():
+    g = MixedGraph(0)
+    t = sample_latent_dag_distribution(canonical_dag(g), 0)
+    assert (t.variables, t.cards, float(t.probs)) == ((), (), 1.0)
+    assert verify_factorization(t, factorize_mvr(g, validate_chain_graph(g)))
