@@ -13,13 +13,17 @@ The workloads, matching how the verification sweeps spend their time:
                and 26,335 codes): the largest models the sweeps close;
 * ``satisfies edgeless n=6``  the closedness check of the edgeless
                six-vertex graph's separation model (all 1,351 triples)
-               under the same axioms.
+               under the same axioms;
+* ``model edgeless n=9 m|m*``  the m and m* separation models of the
+               edgeless nine-vertex graph (111,645 codes): every vertex
+               is its own class, so each split emits the most codes.
 
 Run:  python benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
@@ -28,7 +32,7 @@ from mvrcg.closure import AxiomSet, satisfies
 from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cg
 from mvrcg.graph import MixedGraph
 from mvrcg.properties import property_model
-from mvrcg.separation import global_model
+from mvrcg.separation import global_model, global_model_codes
 
 FULL_AXIOMS = 0b11111
 
@@ -46,6 +50,10 @@ def workload_closure(graphs):
         codes = _kernels.global_model_codes(g.n, g.pa, g.ch, g.nb)
         total += len(_kernels.close_codes(g.n, codes, FULL_AXIOMS))
     return total
+
+
+def workload_model_method(g, method):
+    return len(global_model_codes(g, method))
 
 
 def workload_close(n, codes):
@@ -82,6 +90,10 @@ def main():
                          AxiomSet.compositional_graphoid())
     assert sat_r, "the edgeless separation model is not closed"
     rows.append(("satisfies edgeless n=6", sat_t))
+    os.environ["MVRCG_MAX_N"] = "9"  # above the default model cap
+    for method, label in (("m", "m"), ("mstar", "m*")):
+        rows.append((f"model edgeless n=9 {label}",
+                     timed(workload_model_method, MixedGraph(9), method)[0]))
 
     print(f"{'workload':<26} {'seconds':>9}")
     for name, seconds in rows:

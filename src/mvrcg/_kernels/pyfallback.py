@@ -10,6 +10,7 @@ encoding.
 
 from __future__ import annotations
 
+from .._bitset import bits
 from ..graph import reach_mask
 
 BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
@@ -50,14 +51,15 @@ def decode_code(n: int, code: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
-    """Walk-state reachability for the mixed-graph separation criterion.
+def m_reach(pa, ch, nb, x: int, z: int, anz: int) -> int:
+    """Vertices at which an m-connecting walk from ``x`` given ``z`` can end.
 
     States are (vertex, arrived-with-arrowhead).  An interior vertex is
     crossed as a noncollider only outside ``z`` and as a collider only
-    inside the ancestor closure of ``z``.
+    inside ``anz``, the ancestor closure of ``z``.  Every step is a union
+    over the frontier, so the reach of a set is the union of the reaches
+    of its vertices.
     """
-    anz = reach_mask(pa, z)
     head = 0  # vertices reached with an arrowhead pointing at them
     tail = 0
     m = x
@@ -67,36 +69,57 @@ def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
         m ^= low
         head |= ch[v] | nb[v]
         tail |= pa[v]
-    if (head | tail) & y:
-        return True
     fh, ft = head, tail
     while fh or ft:
         nh = nt = 0
-        m = ft
+        m = ft & ~z                   # arrived tail-first: always a noncollider
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            if not (z >> v & 1):      # arrived tail-first: always a noncollider
-                nh |= ch[v] | nb[v]
-                nt |= pa[v]
-        m = fh
+            nh |= ch[v] | nb[v]
+            nt |= pa[v]
+        m = fh & ~z                   # leave through a tail: noncollider
+        while m:
+            low = m & -m
+            m ^= low
+            nh |= ch[low.bit_length() - 1]
+        m = fh & anz                  # leave through a head: collider
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            if not (z >> v & 1):      # leave through a tail: noncollider
-                nh |= ch[v]
-            if anz >> v & 1:          # leave through a head: collider
-                nh |= nb[v]
-                nt |= pa[v]
-        if (nh | nt) & y:
-            return True
+            nh |= nb[v]
+            nt |= pa[v]
         fh = nh & ~head
         ft = nt & ~tail
         head |= nh
         tail |= nt
-    return False
+    return head | tail
+
+
+def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
+    """Whether an m-connecting walk joins ``x`` and ``y`` given ``z``: one
+    ``m_reach`` from ``x``, intersected with ``y``."""
+    return bool(m_reach(pa, ch, nb, x, z, reach_mask(pa, z)) & y)
+
+
+def digit_table(n: int) -> list[int]:
+    """``table[m]`` puts digit 1 at every vertex of mask ``m``, so the code
+    of <a, b | c> is ``table[a] + 2 * table[b] + 3 * table[c]``."""
+    table = [0]
+    for v in range(n):
+        table += [t + (1 << 2 * v) for t in table]
+    return table
+
+
+def subset_sums(base: int, steps) -> list[int]:
+    """``base`` plus the sum of each subset of ``steps``: the empty subset
+    first and the full one last."""
+    out = [base]
+    for step in steps:
+        out += [x + step for x in out]
+    return out
 
 
 def _half_table(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
@@ -133,9 +156,51 @@ def iter_canonical_codes(n: int):
 
 
 def global_model_codes(n: int, pa, ch, nb) -> list[int]:
-    """All separated canonical (X, Y | Z) codes over ``n`` vertices."""
-    return [code for code, a, b, c in iter_canonical_codes(n)
-            if not m_connected(n, pa, ch, nb, a, b, c)]
+    """All separated canonical (X, Y | Z) codes over ``n`` vertices.
+
+    For each conditioning set ``c``, one ``m_reach`` from each vertex ``v``
+    outside it gives ``apart[v]``, the vertices outside ``c`` that no walk
+    from ``v`` reaches.  The reach of a set is the union of its vertices'
+    reaches, so <a, b | c> is separated exactly when ``b`` lies in the
+    intersection of ``apart`` over ``a``.  A search grows ``a`` in
+    ascending vertex order from its lowest vertex, carries that
+    intersection above the lowest vertex, and stops where it is empty.
+    The cost is n * 2^(n-1) walks plus a few steps per separated code,
+    instead of one walk per canonical code.
+    """
+    full = (1 << n) - 1
+    table = digit_table(n)
+    out: list[int] = []
+    for c in range(1 << n):
+        outside = full & ~c
+        if outside.bit_count() < 2:
+            continue
+        anz = reach_mask(pa, c)
+        apart = [0] * n
+        m = outside
+        while m:
+            low = m & -m
+            m ^= low
+            apart[low.bit_length() - 1] = outside & ~m_reach(pa, ch, nb, low, c, anz)
+        base = 3 * table[c]
+        m = outside
+        while m:  # low becomes a's lowest vertex; m keeps the vertices above it
+            low = m & -m
+            m ^= low
+            common = apart[low.bit_length() - 1] & m
+            stack = [(low, common, m)] if common else []
+            while stack:
+                a, common, grow = stack.pop()
+                # b is each nonempty subset of common, digit 2 at its vertices
+                out += subset_sums(base + table[a], [2 * table[1 << v] for v in bits(common)])[1:]
+                while grow:
+                    w = grow & -grow
+                    grow ^= w
+                    common_w = common & apart[w.bit_length() - 1] & ~w
+                    if common_w:
+                        stack.append((a | w, common_w, grow))
+    out.sort()
+    return out
 
 
 def axiom_rules(n: int, flags: int, emit):

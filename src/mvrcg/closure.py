@@ -18,9 +18,9 @@ each triple of the model.
 
 Triples are encoded as base-4 vertex labellings (one digit per vertex).
 The ground set is capped (``config.model_cap``) because a model over n
-vertices holds up to about 4**n / 2 triples and enumerating a separation
-model visits all 4**n codes.  The closure joins through indexes and
-keeps no 4**n table.
+vertices holds up to about 4**n / 2 triples, and a separation model's
+enumeration costs at least one step per triple it holds.  The closure
+joins through indexes and keeps no 4**n table.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ DEFAULT_MODEL_CAP = 7       # ground set for separation models and closures
 DEFAULT_MARGINAL_CAP = 6    # observed vertices for the latent-DAG oracle
 DEFAULT_SUBSET_CAP = 12     # per-component / per-prefix subset enumeration
 ENUMERATION_CAP = 6         # exhaustive graph enumeration
-HARD_MODEL_CAP = 13         # model enumeration visits all 4**n codes
+HARD_MODEL_CAP = 13         # a model can hold about 4**n / 2 codes
 
 
 def _env_cap() -> int | None:

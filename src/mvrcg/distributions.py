@@ -48,6 +48,8 @@ class JointTable:
                 f"table shape {self.probs.shape} does not match cards {self.cards}")
         if len(self.variables) != len(self.cards):
             raise DisjointnessViolation("one cardinality per variable required")
+        if len(set(self.variables)) != len(self.variables):
+            raise DisjointnessViolation(f"repeated variable in {self.variables}")
         if np.any(self.probs < 0):
             raise DisjointnessViolation("negative probability")
         total = float(self.probs.sum())

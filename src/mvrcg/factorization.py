@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from ._bitset import bits, format_vertices, set_of
 from .chain import ChainDecomposition
 from .config import DEFAULT_SUBSET_CAP, check_cap
-from .errors import HeadTestFailed, NotAncestrallyClosed
+from .errors import DisjointnessViolation, HeadTestFailed, NotAncestrallyClosed
 from .graph import (MixedGraph, _as_mask, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set)
 
@@ -30,6 +30,11 @@ from .graph import (MixedGraph, _as_mask, ancestors_mask, descendants_mask,
 class HeadTail:
     head: frozenset[int]
     tail: frozenset[int]
+
+    def __post_init__(self):
+        if self.head & self.tail:
+            raise DisjointnessViolation(
+                f"head and tail share {format_vertices(self.head & self.tail)}")
 
     def format(self, labels=None) -> str:
         head = format_vertices(self.head, labels)

@@ -20,10 +20,13 @@ The first two must agree on every input and the third must agree with
 :func:`m_separated` on DAGs; those agreements are part of the test
 surface, not assumed.
 
-The m* and latent-DAG model loops share :func:`_separated_codes`: it
-builds one adjacency per set a|b|c, in a dict local to the call, and
-answers every triple on that set from it.  There are at most 2^n such
-sets against about 4^n/2 triples.
+The model loops cost the reach sets they compute plus a few steps per
+code they emit, instead of one query per canonical triple (about
+4^n/2).  The m model takes one walk per vertex and conditioning set,
+n * 2^(n-1) walks, in the kernel's ``global_model_codes``.  The m* and
+latent-DAG models share :func:`_separated_codes`: one adjacency per set
+a|b|c, and per conditioning set c one split of the rest of the set into
+classes, 3^n splits in all.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import _kernels
-from ._bitset import bits
-from ._kernels.pyfallback import iter_canonical_codes
+from ._bitset import bits, submasks
+from ._kernels.pyfallback import digit_table, iter_canonical_codes, subset_sums
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
@@ -117,16 +120,37 @@ def _m_star_separated(g: MixedGraph, x: int, y: int, z: int) -> bool:
 
 def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     """Canonical codes over vertices ``0..n-1`` whose triple <a, b | c> is
-    separated in ``adjacency(g, an(a|b|c))``, built once per set a|b|c."""
-    adj_of: dict[int, list[int]] = {}
-    out = []
-    for code, a, b, c in iter_canonical_codes(n):
-        u = a | b | c
-        adj = adj_of.get(u)
-        if adj is None:
-            adj = adj_of[u] = adjacency(g, ancestors_mask(g, u))
-        if _separated(adj, a, b, c):
-            out.append(code)
+    separated in ``adjacency(g, an(a|b|c))``.
+
+    One adjacency per set u = a|b|c.  For each c inside u, the rest of u
+    falls into classes joined by paths that avoid c, and a split of the
+    rest into a and b is separated exactly when no class meets both.  With
+    k classes, the 2^(k-1) - 1 splits that keep the lowest vertex's class
+    in a are the canonical ones.
+    """
+    table = digit_table(n)
+    out: list[int] = []
+    for u in range(1, 1 << n):
+        if u & (u - 1) == 0:  # a and b need a vertex each
+            continue
+        adj = adjacency(g, ancestors_mask(g, u))
+        for rest in submasks(u):
+            if rest & (rest - 1) == 0:
+                continue
+            c = u ^ rest
+            classes = []
+            m = rest
+            while m:
+                cls = reach_mask(adj, m & -m, ~c) & rest
+                classes.append(cls)
+                m ^= cls
+            if len(classes) > 1:
+                # The rest starts in b (digit 2); moving a class to a
+                # subtracts its table entry.  The lowest class always
+                # moves; the last sum moves every class, leaving b empty.
+                base = 3 * table[c] + 2 * table[rest] - table[classes[0]]
+                out += subset_sums(base, [-table[cls] for cls in classes[1:]])[:-1]
+    out.sort()
     return out
 
 

@@ -192,6 +192,11 @@ TYPED_ERROR_CALLS = {
     "verify_factorization": (DisjointnessViolation, lambda: verify_factorization(
         _TABLE, Factorization((HeadTail(frozenset({0}), frozenset({2})),),
                               frozenset({0, 2})))),
+    "head_tail_overlap": (DisjointnessViolation, lambda: verify_factorization(
+        _TABLE, Factorization((HeadTail(frozenset({0}), frozenset({0})),),
+                              frozenset({0, 1})))),
+    "joint_table_repeated_variable": (DisjointnessViolation, lambda: JointTable(
+        (0, 0), (2, 2), np.full((2, 2), 0.25))),
 }
 
 

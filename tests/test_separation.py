@@ -18,6 +18,9 @@ from oracles import oracle_canonical_codes, oracle_m_separated
 
 # sha1 over the witness walks of test_witness_walks_match_pinned_digest
 WALK_DIGEST = "ed5ef18fa7f6fe8437b7babcef3454dc9e069a13"
+# sha1 over the m, m* and latent-DAG code lists of
+# test_model_codes_match_pinned_digest, computed with one query per code
+MODEL_DIGEST = "e07450a6dfbe4737d7868415cba88bb38421b3fb"
 
 
 def bitset(mask):
@@ -47,6 +50,12 @@ def accepted_codes(n, separated):
             if separated(bitset(a), bitset(b), bitset(c))]
 
 
+def test_m_model_loop_matches_public_queries():
+    for g in loop_graphs():
+        expected = accepted_codes(g.n, lambda x, y, z: m_separated(g, x, y, z))
+        assert global_model_codes(g) == expected
+
+
 def test_mstar_model_loop_matches_public_queries():
     for g in loop_graphs():
         expected = accepted_codes(g.n, lambda x, y, z: m_star_separated(g, x, y, z))
@@ -58,6 +67,22 @@ def test_latent_model_loop_matches_public_queries():
         dag = canonical_dag(g).dag
         expected = accepted_codes(g.n, lambda x, y, z: d_separated(dag, x, y, z))
         assert latent_model_codes(g) == expected
+
+
+def test_model_codes_match_pinned_digest(monkeypatch):
+    """The three model loops on every chain graph with n <= 4, the n=6
+    graphs of ``loop_graphs`` and the edgeless n=7 graph, whose models
+    split into the most classes per conditioning set."""
+    monkeypatch.setenv("MVRCG_MAX_N", "7")
+    graphs = ([g for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
+              + [g for g in loop_graphs() if g.n == 6] + [MixedGraph(7)])
+    assert len(graphs) == 1743 + 30 + 1
+    digest = hashlib.sha1()
+    for g in graphs:
+        for codes in (global_model_codes(g), global_model_codes(g, "mstar"),
+                      latent_model_codes(g)):
+            digest.update(repr(codes).encode())
+    assert digest.hexdigest() == MODEL_DIGEST
 
 
 # --- augmented graph -----------------------------------------------------

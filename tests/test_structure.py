@@ -82,11 +82,22 @@ def test_inducing_chain_interiors_are_colliders_in_anchor():
 
 
 def test_maximality_criteria_agree_on_all_ancestral_graphs():
+    """Both routes on every ancestral mixed graph with n <= 4.  The pinned
+    counts (graphs, ancestral, not maximal) make both meet a False answer:
+    at n=4, 12 of the 2,504 ancestral graphs are not maximal."""
+    counts = {}
     for n in (3, 4):
+        graphs = ancestral = nonmaximal = 0
         for g in enumerate_mixed_graphs(n):
+            graphs += 1
             if not is_ancestral(g):
                 continue
-            assert _maximal_by_zsets(g) == _maximal_by_chains(g)
+            ancestral += 1
+            answer = _maximal_by_zsets(g)
+            assert answer == _maximal_by_chains(g)
+            nonmaximal += not answer
+        counts[n] = (graphs, ancestral, nonmaximal)
+    assert counts == {3: (64, 56, 0), 4: (4096, 2504, 12)}
 
 
 def test_maximality_requires_ancestral():
