@@ -14,6 +14,11 @@ The workloads, matching how the verification sweeps spend their time:
 * ``satisfies edgeless n=6``  the closedness check of the edgeless
                six-vertex graph's separation model (all 1,351 triples)
                under the same axioms;
+* ``closure checks edgeless n=7``  the eight ``closure_*`` checks of the
+               edgeless seven-vertex graph (6,069 codes) through
+               ``verify_graph``: one closedness pass over the model, then
+               one worklist per property stopped at the model's dominant
+               triples;
 * ``model edgeless n=9 m|m*``  the m and m* separation models of the
                edgeless nine-vertex graph (111,645 codes): every vertex
                is its own class, so each split emits the most codes.
@@ -33,6 +38,7 @@ from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cg
 from mvrcg.graph import MixedGraph
 from mvrcg.properties import property_model
 from mvrcg.separation import global_model, global_model_codes
+from mvrcg.sweep import PROPERTY_AXIOMS, SweepConfig, verify_graph
 
 FULL_AXIOMS = 0b11111
 
@@ -58,6 +64,13 @@ def workload_model_method(g, method):
 
 def workload_close(n, codes):
     return len(_kernels.close_codes(n, codes, FULL_AXIOMS))
+
+
+def workload_closure_checks(g):
+    config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
+    report = verify_graph(g, config)
+    assert report.ok, "a closure check failed on the edgeless graph"
+    return report
 
 
 def timed(fn, *args):
@@ -90,14 +103,16 @@ def main():
                          AxiomSet.compositional_graphoid())
     assert sat_r, "the edgeless separation model is not closed"
     rows.append(("satisfies edgeless n=6", sat_t))
+    rows.append(("closure checks edgeless n=7",
+                 timed(workload_closure_checks, MixedGraph(7))[0]))
     os.environ["MVRCG_MAX_N"] = "9"  # above the default model cap
     for method, label in (("m", "m"), ("mstar", "m*")):
         rows.append((f"model edgeless n=9 {label}",
                      timed(workload_model_method, MixedGraph(9), method)[0]))
 
-    print(f"{'workload':<26} {'seconds':>9}")
+    print(f"{'workload':<29} {'seconds':>9}")
     for name, seconds in rows:
-        print(f"{name:<26} {seconds:>8.3f}s")
+        print(f"{name:<29} {seconds:>8.3f}s")
 
 
 if __name__ == "__main__":

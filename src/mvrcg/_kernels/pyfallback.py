@@ -280,27 +280,119 @@ def axiom_rules(n: int, flags: int, emit):
     return fire
 
 
-def close_codes(n: int, codes, flags: int) -> list[int]:
-    """Least superset of ``codes`` closed under the enabled axioms: a
-    worklist fires each new triple through ``axiom_rules`` once."""
+def code_keys(n: int, codes) -> list[int]:
+    """The mask key ``a | b << n | c << 2n`` of each code's <a, b | c>, read
+    from two tables over the low and high digits, as ``iter_canonical_codes``
+    splits them.  Digits above ``n`` are ignored, as ``decode_code`` does."""
+    half = n // 2
+    low, high = ([a | b << n | c << 2 * n for a, b, c, _ in _half_table(lo, hi)]
+                 for lo, hi in ((0, half), (half, n)))
+    low_mask = (1 << 2 * half) - 1
+    high_mask = (1 << 2 * (n - half)) - 1
+    return [low[code & low_mask] | high[code >> 2 * half & high_mask] for code in codes]
+
+
+def closure_keys(n: int, keys, flags: int, stop) -> set[int]:
+    """Keys of the least superset of ``keys`` closed under the enabled
+    axioms, each with the lowest block vertex in its first block.
+
+    A FIFO worklist fires each new triple through ``axiom_rules`` once.
+    With ``stop`` None it runs to the fixpoint.  With a key set ``stop``,
+    it stops as soon as it has seen every key of ``stop``, so it returns
+    only the part of the closure derived by then.
+    """
+    full = (1 << n) - 1
     seen: set[int] = set()
     work: list[tuple[int, int, int]] = []
+    missing = set(stop or ())
 
     def push(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
-        if (b & -b) < (a & -a):  # the lowest block vertex goes first
+        if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
             a, b = b, a
         key = a | b << n | c << 2 * n
-        if key in seen:
-            return
-        seen.add(key)
-        work.append((a, b, c))
+        if key not in seen:
+            seen.add(key)
+            work.append((a, b, c))
+            missing.discard(key)
 
     fire = axiom_rules(n, flags, push)
-    for code in codes:
-        push(*decode_code(n, code))
-    while work:
-        fire(*work.pop())
+    for key in keys:
+        push(key & full, key >> n & full, key >> 2 * n)
+    for triple in work:  # the loop also reaches the triples pushed as it runs
+        if stop is not None and not missing:
+            break
+        fire(*triple)
+    return seen
 
+
+def close_codes(n: int, codes, flags: int) -> list[int]:
+    """Least superset of ``codes`` closed under the enabled axioms: the
+    worklist of ``closure_keys`` run to its fixpoint, as sorted codes."""
     full = (1 << n) - 1
-    return sorted(encode_masks(n, key & full, key >> n & full, key >> 2 * n)
-                  for key in seen)
+    table = digit_table(n)
+    return sorted(table[key & full] + 2 * table[key >> n & full] + 3 * table[key >> 2 * n]
+                  for key in closure_keys(n, code_keys(n, codes), flags, None))
+
+
+def first_violation(n: int, keys, flags: int):
+    """The first rule step, firing the triples of ``keys`` in their order
+    through ``axiom_rules``, that concludes a triple outside them.
+
+    Returns None when no step does, that is when the model is closed.
+    Otherwise it returns ``(premise, found)``, with premise the masks of
+    the triple being fired and found as ``axiom_rules`` passed it to
+    ``emit``: ``(a, b, c, 0, None)`` for a unary step, ``(a, b, c, rule,
+    entry)`` for a binary one.  Each pair of the model's triples is
+    joined once, so this costs about as much as closing the model.
+    """
+    full = (1 << n) - 1
+    have = set(keys)
+    found: list[tuple] = []
+
+    def emit(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
+        lo, hi = (b, a) if (a | b) & -(a | b) & b else (a, b)
+        if not found and (lo | hi << n | c << 2 * n) not in have:
+            found.append((a, b, c, rule, entry))
+
+    fire = axiom_rules(n, flags, emit)
+    for key in keys:
+        premise = (key & full, key >> n & full, key >> 2 * n)
+        fire(*premise)
+        if found:
+            return premise, found[0]
+    return None
+
+
+def dominant_keys(n: int, keys: set[int]) -> set[int]:
+    """The dominant triples of a model given by its set of canonical keys:
+    those with no one-step parent in it.  A parent comes from a triple by
+    adding a vertex outside it to a block, or by moving a vertex of its
+    conditioning set into a block.
+
+    Every triple of the model lies below a dominant one, reached by
+    single-vertex drops and moves, the steps of decomposition and weak
+    union.  So a set of triples closed under those two rules holds the
+    model exactly when it holds the model's dominant triples.
+    """
+    full = (1 << n) - 1
+    out = set()
+    for key in keys:
+        a = key & full
+        b = key >> n & full
+        lowest = a & -a
+        free = full & ~(a | b)
+        while free:
+            v = free & -free
+            free ^= v
+            up = key & ~(v << 2 * n)  # v leaves the conditioning set, if it is there
+            if (up | v) in keys:
+                break
+            if v > lowest:
+                to_b = up | v << n
+            else:  # v becomes the lowest block vertex, so b | v goes first
+                to_b = up >> 2 * n << 2 * n | a << n | b | v
+            if to_b in keys:
+                break
+        else:
+            out.add(key)
+    return out

@@ -12,9 +12,16 @@ applied without any positivity bookkeeping; whether it is a legitimate
 axiom for a given model is the caller's call.
 
 The rules are stated once, in the kernel's ``axiom_rules``, whose
-``(anchor, c)`` / ``(anchor, c | blk)`` index finds partner triples: its
-closure fires them on a worklist and ``satisfies`` fires them once on
-each triple of the model.
+``(anchor, c)`` / ``(anchor, c | blk)`` index finds partner triples.
+Two loops fire them: ``closure_keys``, a FIFO worklist that fires each
+triple it derives once, and ``first_violation``, which fires each triple
+of a model once and stops at the first conclusion outside it.  Closing a
+model and checking that it is closed cost about the same: one fire per
+triple, each joined with the triples filed under its blocks.
+
+``generates`` decides ``cl(P) == M`` for a closed M without reaching the
+fixpoint: the worklist from P stops once it has derived M's dominant
+triples, from which single-vertex drops and moves derive the rest of M.
 
 Triples are encoded as base-4 vertex labellings (one digit per vertex).
 The ground set is capped (``config.model_cap``) because a model over n
@@ -26,9 +33,10 @@ joins through indexes and keeps no 4**n table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import _kernels
-from ._kernels.pyfallback import axiom_rules
+from ._kernels.pyfallback import closure_keys, code_keys, dominant_keys, first_violation
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, IndependenceTriple, _ground_set, triple_from_masks
@@ -130,31 +138,19 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     instance is returned as a witness.
 
     A model is closed exactly when no single rule step from its own
-    triples concludes a triple outside it.  So each triple of the model
-    is fired through the closure kernel's rules, joined against the ones
-    fired before it, until a conclusion is missing.
+    triples concludes a triple outside it: the kernel's
+    ``first_violation`` fires each triple of the model once, joined
+    against the ones fired before it, until a conclusion is missing.
     """
     check_cap(model.n, model_cap())
     n = model.n
     flags = axioms.flags()
-    entries = [t.masks() for t in model]
-    have = {a | b << n | c << 2 * n for a, b, c in entries}
-    found: list[tuple] = []
-
-    def emit(a, b, c, rule=0, entry=None):
-        lo, hi = (b, a) if (b & -b) < (a & -a) else (a, b)
-        if not found and (lo | hi << n | c << 2 * n) not in have:
-            found.append((a, b, c, rule, entry))
-
-    fire = axiom_rules(n, flags, emit)
-    for premise in entries:
-        fire(*premise)
-        if found:
-            break
-    else:
+    found = first_violation(n, [a | b << n | c << 2 * n for a, b, c in
+                                (t.masks() for t in model)], flags)
+    if found is None:
         return CheckResult(True)
 
-    a, b, c, rule, entry = found[0]
+    premise, (a, b, c, rule, entry) = found
     premises = (premise,)
     if entry is None:  # a unary step: weak union if it moved a vertex into c
         rule = _kernels.WEAK_UNION if c != premise[2] else _kernels.DECOMPOSITION
@@ -165,3 +161,41 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     return CheckResult(False, Violation(
         _RULE_NAMES[rule], tuple(triple_from_masks(*p) for p in premises),
         triple_from_masks(a, b, c)))
+
+
+def closed_target(n: int, codes, axiom_sets) -> Optional[tuple[dict[int, int], set[int]]]:
+    """The key of each code of the model M = ``codes`` and the keys of its
+    dominant triples, if one pass of ``first_violation`` finds M closed
+    under the union of ``axiom_sets``; None if it is not closed.  A model
+    closed under a union of rules is closed under each part of it."""
+    flags = 0
+    for axioms in axiom_sets:
+        flags |= axioms.flags()
+    keys = code_keys(n, codes)
+    if first_violation(n, keys, flags) is not None:
+        return None
+    return dict(zip(codes, keys)), dominant_keys(n, set(keys))
+
+
+def generates(n: int, codes, axioms: AxiomSet, model: dict[int, int], dominant: set[int]) -> bool:
+    """Whether ``close_codes(n, codes, axioms)`` equals a model M closed
+    under ``axioms``, given as ``closed_target`` returns it.  A True answer
+    is exact; a False one only says that the proof does not apply, and the
+    caller closes ``codes`` instead.
+
+    The closure cl(P) of P = ``codes`` lies in M when P does, because M
+    is closed.  It holds M when it holds M's dominant triples, because
+    every triple of M comes from a dominant one by single-vertex drops and
+    moves, which the axioms apply when they enable decomposition and weak
+    union (contraction enables both).  So the worklist from P stops as soon
+    as it has seen every dominant key.
+    """
+    flags = axioms.flags()
+    if not (flags & (_kernels.DECOMPOSITION | _kernels.CONTRACTION)
+            and flags & (_kernels.WEAK_UNION | _kernels.CONTRACTION)):
+        return False
+    try:
+        keys = [model[code] for code in codes]
+    except KeyError:  # a triple of P outside M
+        return False
+    return dominant <= closure_keys(n, keys, flags, stop=dominant)

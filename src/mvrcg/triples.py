@@ -109,8 +109,18 @@ class IndependenceModel:
     codes: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.n < 0 or max(self.codes, default=0) >> 2 * self.n:
-            raise ModelFormatError(f"codes outside the ground set 0..{self.n - 1}")
+        if self.n < 0:
+            raise ModelFormatError(f"negative ground set size {self.n}")
+        fives = ((1 << 2 * self.n) - 1) // 3  # the low bit of every digit
+        for code in self.codes:
+            if code < 0 or code >> 2 * self.n:
+                raise ModelFormatError(f"code {code} outside the ground set 0..{self.n - 1}")
+            # digit 1 marks the first block, 2 the second: both nonempty,
+            # and the first holds the lowest block vertex
+            low, high = code & fives, code >> 1 & fives
+            a, b = low & ~high, high & ~low
+            if not (a and b and (a & -a) < (b & -b)):
+                raise ModelFormatError(f"code {code} is not a canonical triple")
 
     @classmethod
     def of(cls, n: int, triples: Iterable[IndependenceTriple]) -> "IndependenceModel":

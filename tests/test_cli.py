@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,13 +9,16 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
-from mvrcg.closure import AxiomSet, close_codes, equivalent_under
+from mvrcg._kernels import pyfallback
+from mvrcg._kernels.pyfallback import closure_keys, code_keys, dominant_keys, first_violation
+from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under
+from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model
-from mvrcg.separation import global_model_codes
+from mvrcg.separation import global_model_codes, iter_canonical_codes
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, verify_graph)
-from mvrcg.triples import IndependenceModel, decode_triple
+from mvrcg.triples import IndependenceModel, decode_triple, first_difference
 
 
 @pytest.fixture()
@@ -438,17 +442,107 @@ def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
 
 
 def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
-    calls = []
+    """Each closure check runs one worklist from its property's triples,
+    stopped at the model's dominant triples; one closedness pass covers
+    the model under the union of the checks' axioms; nothing is closed
+    to its fixpoint, the model least of all.  A worklist run to its
+    fixpoint fires every triple of the closure once, so each stopped one
+    fires fewer triples than the model holds."""
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    model = set(code_keys(g.n, global_model_codes(g)))
+    worklists, passes, closes, fires = [], [], [], []
+    rules = pyfallback.axiom_rules
 
-    def counting(n, codes, axioms):
-        calls.append(axioms)
-        return close_codes(n, codes, axioms)
+    def counting_rules(n, flags, emit):
+        fire = rules(n, flags, emit)
 
-    monkeypatch.setattr("mvrcg.sweep.close_codes", counting)
-    report = verify_graph(MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)]),
-                          SweepConfig())
+        def counted(*triple):
+            fires[-1] += 1
+            fire(*triple)
+
+        return counted
+
+    def counting_worklist(n, keys, flags, stop):
+        worklists.append(stop)
+        fires.append(0)
+        return closure_keys(n, keys, flags, stop)
+
+    def counting_pass(n, keys, flags):
+        passes.append((set(keys), flags))
+        fires.append(0)
+        return first_violation(n, keys, flags)
+
+    monkeypatch.setattr("mvrcg._kernels.pyfallback.axiom_rules", counting_rules)
+    monkeypatch.setattr("mvrcg.closure.closure_keys", counting_worklist)
+    monkeypatch.setattr("mvrcg.closure.first_violation", counting_pass)
+    monkeypatch.setattr("mvrcg.sweep.close_codes", lambda *args: closes.append(args))
+    report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
-    assert len(calls) == 8
+    assert passes == [(model, AxiomSet.compositional_graphoid().flags())]
+    assert fires[0] == len(model)
+    assert len(worklists) == 8 and closes == []
+    dominant = dominant_keys(g.n, model)
+    assert dominant and all(stop == dominant for stop in worklists)
+    assert all(count < len(model) for count in fires[1:])
+
+
+def _closure_outcome(g, prop, model):
+    """What a closure check reports when it closes the property's triples
+    and compares the closure with ``model``."""
+    closed = close_codes(g.n, property_model(g, prop).to_codes(), SweepConfig().axioms_for(prop))
+    if closed == model:
+        return "pass", None
+    triple, in_first = first_difference(g.n, closed, model)
+    return "fail", f"{triple} only in {'first' if in_first else 'second'} model"
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_closure_checks_match_the_closure_on_perturbed_models(monkeypatch, change):
+    """With one code dropped from the separation model, or one triple that
+    is not separated added to it, each closure check reports what closing
+    the property's triples and comparing reports, on every graph with
+    three vertices and every such change.  Some perturbed models are still
+    closed, so the proof from dominant triples is tried and must refuse."""
+    config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
+    targets = []
+
+    def spy(*args):
+        targets.append(closed_target(*args))
+        return targets[-1]
+
+    monkeypatch.setattr("mvrcg.sweep.closed_target", spy)
+    canonical = [code for code, *_ in iter_canonical_codes(3)]
+    for g in enumerate_mvr_cgs(3):
+        model = global_model_codes(g)
+        if change == "drop":
+            variants = [model[:k] + model[k + 1:] for k in range(len(model))]
+        else:
+            variants = [sorted(model + [code]) for code in canonical if code not in model]
+        for perturbed in variants:
+            monkeypatch.setattr("mvrcg.sweep.global_model_codes",
+                                lambda g, perturbed=perturbed: perturbed)
+            checks = verify_graph(g, config).checks
+            for prop in PROPERTY_AXIOMS:
+                outcome = checks[f"closure_{prop}"]
+                assert (outcome.status, outcome.witness) == _closure_outcome(g, prop, perturbed)
+    assert any(t is None for t in targets) and any(t is not None for t in targets)
+
+
+def test_sweep_verdicts_match_pinned_digest():
+    """sha1 of every check's status and witness over all 1,743 chain
+    graphs with n <= 4 and 60 random five-vertex graphs (seed 12),
+    computed when each closure check still closed its property's triples
+    to the fixpoint."""
+    h = hashlib.sha1()
+    config = SweepConfig(max_n=4, random_count=60, random_n=5, seed=12)
+    count = 0
+    for report in run_equivalence_sweep(config):
+        count += 1
+        for name, c in sorted(report.checks.items()):
+            line = f"{report.index}/{report.graph_hash}/{name}:{c.status}:{c.witness}\n"
+            h.update(line.encode())
+    assert count == 1803
+    assert h.hexdigest() == "c2f95e1207a7571e66813b13ec68e75d715aa59a"
 
 
 def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, close,
                    equivalent_under, satisfies)
 from mvrcg.chain import validate_chain_graph
+from mvrcg._kernels.pyfallback import code_keys, dominant_keys
 from mvrcg.closure import close_codes
 from mvrcg.enumeration import enumerate_mvr_cgs
-from mvrcg.errors import CapExceeded, DisjointnessViolation, UnknownName
+from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
 from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
                               pairwise_triples, property_model, type_iv_triples)
 from mvrcg.separation import global_model, global_model_codes, iter_canonical_codes
@@ -198,6 +199,62 @@ def test_close_codes_match_pinned_digest():
         for axname in [*ORACLE_AXIOMS, "none"]:
             feed(5, axname, codes)
     assert h.hexdigest() == "2806402c10624f347f96443a5b873b14211591dd"
+
+
+def _pinned_digest_models():
+    """The 40 models of ``test_close_codes_match_pinned_digest``: up to
+    three canonical codes at n = 5."""
+    canon = [code for code, *_ in iter_canonical_codes(5)]
+    return [sorted({canon[(37 * i + 211 * j) % len(canon)] for j in range(3)})
+            for i in range(40)]
+
+
+def _one_step_parents(t, n):
+    """Triples from which ``t`` follows by one decomposition or weak-union
+    step: a vertex outside ``t``, or one of its conditioning set, joins a
+    block."""
+    for v in set(range(n)) - t.a - t.b:
+        yield T(t.a | {v}, t.b, t.c - {v})
+        yield T(t.a, t.b | {v}, t.c - {v})
+
+
+def test_dominant_triples_generate_the_model():
+    """``dominant_keys`` picks exactly the triples with no one-step parent
+    in the model, and closing them under decomposition and weak union
+    alone gives back what closing the model does: the model itself when it
+    is closed.  Checked on the separation model of every graph with
+    n <= 4, and on the 40 models of the pinned closure digest and their
+    closures under sg, g, csg and cg."""
+    unary = AxiomSet(decomposition=True, weak_union=True)
+    models = [(g.n, global_model_codes(g)) for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
+    for codes in _pinned_digest_models():
+        models.append((5, codes))
+        models += [(5, close_codes(5, codes, AxiomSet.parse(name))) for name in AXIOM_NAMES]
+    closed = 0
+    for n, codes in models:
+        model = IndependenceModel.from_codes(n, codes)
+        keys = code_keys(n, codes)
+        dominant = dominant_keys(n, set(keys))
+        assert dominant <= set(keys)
+        for code, key in zip(codes, keys):
+            has_parent = any(p in model for p in _one_step_parents(decode_triple(code, n), n))
+            assert (key in dominant) != has_parent
+        top = [code for code, key in zip(codes, keys) if key in dominant]
+        assert close_codes(n, top, unary) == close_codes(n, codes, unary)
+        if satisfies(model, unary):
+            closed += 1
+            assert close_codes(n, top, unary) == codes
+    assert closed >= 1743 + 4 * 40
+
+
+@pytest.mark.parametrize("n, codes", [(3, [0]), (2, [6]), (2, [2]), (2, [1]), (2, [16]),
+                                      (2, [-7]), (-1, [])],
+                         ids=["empty_blocks", "second_block_first", "empty_first_block",
+                              "empty_second_block", "outside_ground_set", "negative",
+                              "negative_ground_set"])
+def test_models_reject_codes_that_are_not_canonical_triples(n, codes):
+    with pytest.raises(ModelFormatError):
+        IndependenceModel.from_codes(n, codes)
 
 
 def test_satisfies_reports_violation():

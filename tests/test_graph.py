@@ -12,6 +12,7 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
                                random_mvr_cg)
 from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
                           NotAComponent, UnknownName)
+from mvrcg.sweep import SweepConfig
 
 from oracles import oracle_ancestors
 
@@ -197,6 +198,8 @@ TYPED_ERROR_CALLS = {
                               frozenset({0, 1})))),
     "joint_table_repeated_variable": (DisjointnessViolation, lambda: JointTable(
         (0, 0), (2, 2), np.full((2, 2), 0.25))),
+    "sweep_config_check": (UnknownName, lambda: SweepConfig(checks=("closure_MR",))),
+    "sweep_config_axioms_for": (UnknownName, lambda: SweepConfig().axioms_for("zz")),
 }
 
 
