@@ -1,16 +1,16 @@
 """The kernels: separation-model enumeration and axiom closure, in Python.
 
-Graphs arrive as parent/child/neighbour adjacency bitmasks.  Independence
-triples travel as base-4 codes: vertex ``v`` contributes digit 0 (not
-mentioned), 1 (first block), 2 (second block) or 3 (conditioning set) at
-position ``v``.  A code is canonical when the lowest-numbered vertex of
-the two blocks sits in the first block, which bakes symmetry into the
-encoding.
+Graphs arrive as parent/child/neighbour adjacency bitmasks.  An
+independence triple <a, b | c> over ``n`` vertices travels as one
+integer, its code ``a | b << n | c << 2n``: the three vertex masks side
+by side.  A code is canonical when the lowest-numbered vertex of the two
+blocks sits in ``a``, which bakes symmetry into the encoding.  Codes
+sort by ``c``, then ``b``, then ``a``.
 """
 
 from __future__ import annotations
 
-from .._bitset import bits
+from .._bitset import bits, submasks
 from ..graph import reach_mask
 
 BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
@@ -24,31 +24,14 @@ COMPOSITION = 16
 
 
 def encode_masks(n: int, a: int, b: int, c: int) -> int:
-    low = (a | b) & -(a | b)
-    if low & b:
+    if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
         a, b = b, a
-    code = 0
-    for v in range(n):
-        if a >> v & 1:
-            code += 1 << (2 * v)
-        elif b >> v & 1:
-            code += 2 << (2 * v)
-        elif c >> v & 1:
-            code += 3 << (2 * v)
-    return code
+    return a | b << n | c << 2 * n
 
 
 def decode_code(n: int, code: int) -> tuple[int, int, int]:
-    a = b = c = 0
-    for v in range(n):
-        d = (code >> (2 * v)) & 3
-        if d == 1:
-            a |= 1 << v
-        elif d == 2:
-            b |= 1 << v
-        elif d == 3:
-            c |= 1 << v
-    return a, b, c
+    full = (1 << n) - 1
+    return code & full, code >> n & full, code >> 2 * n & full
 
 
 def m_reach(pa, ch, nb, x: int, z: int, anz: int) -> int:
@@ -104,15 +87,6 @@ def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
     return bool(m_reach(pa, ch, nb, x, z, reach_mask(pa, z)) & y)
 
 
-def digit_table(n: int) -> list[int]:
-    """``table[m]`` puts digit 1 at every vertex of mask ``m``, so the code
-    of <a, b | c> is ``table[a] + 2 * table[b] + 3 * table[c]``."""
-    table = [0]
-    for v in range(n):
-        table += [t + (1 << 2 * v) for t in table]
-    return table
-
-
 def subset_sums(base: int, steps) -> list[int]:
     """``base`` plus the sum of each subset of ``steps``: the empty subset
     first and the full one last."""
@@ -122,37 +96,18 @@ def subset_sums(base: int, steps) -> list[int]:
     return out
 
 
-def _half_table(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
-    """``(a, b, c, first)`` for every labelling of vertices ``lo..hi-1``,
-    indexed by its code over those digits.  ``first`` says which block
-    holds the lowest block vertex: 1 for a, 2 for b, 0 for neither."""
-    table = [(0, 0, 0, 0)]
-    for v in range(lo, hi):  # v becomes the highest digit
-        bit = 1 << v
-        table = (table
-                 + [(a | bit, b, c, f or 1) for a, b, c, f in table]
-                 + [(a, b | bit, c, f or 2) for a, b, c, f in table]
-                 + [(a, b, c | bit, f) for a, b, c, f in table])
-    return table
-
-
-def iter_canonical_codes(n: int):
-    """All canonical (X, Y | Z) labellings: yields (code, x, y, z) in
-    ascending code order.
-
-    A code is a labelling of the low ``n // 2`` digits joined with one of
-    the high digits, so both halves come from tables of at most
-    4^ceil(n/2) entries built once per call.  The lowest block vertex
-    overall is the low half's when it has one, else the high half's.
-    """
-    half = n // 2
-    low = _half_table(0, half)
-    high = _half_table(half, n)
-    for hi_code, (ha, hb, hc, hf) in enumerate(high):
-        base = hi_code << 2 * half
-        for lo_code, (la, lb, lc, lf) in enumerate(low):
-            if (lf or hf) == 1 and (lb or hb):
-                yield base | lo_code, la | ha, lb | hb, lc | hc
+def iter_canonical_codes(n: int) -> list[tuple[int, int, int, int]]:
+    """All canonical <a, b | c> over ``n`` vertices as ``(code, a, b, c)``,
+    in ascending code order."""
+    full = (1 << n) - 1
+    out = []
+    for c in range(1 << n):
+        for b in submasks(full & ~c):
+            low = b & -b
+            out += [(a | b << n | c << 2 * n, a, b, c)
+                    for a in submasks(full & ~c & ~b) if a & (low - 1)]
+    out.sort()
+    return out
 
 
 def global_model_codes(n: int, pa, ch, nb) -> list[int]:
@@ -169,7 +124,6 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
     instead of one walk per canonical code.
     """
     full = (1 << n) - 1
-    table = digit_table(n)
     out: list[int] = []
     for c in range(1 << n):
         outside = full & ~c
@@ -182,7 +136,7 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
             low = m & -m
             m ^= low
             apart[low.bit_length() - 1] = outside & ~m_reach(pa, ch, nb, low, c, anz)
-        base = 3 * table[c]
+        base = c << 2 * n
         m = outside
         while m:  # low becomes a's lowest vertex; m keeps the vertices above it
             low = m & -m
@@ -191,8 +145,8 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
             stack = [(low, common, m)] if common else []
             while stack:
                 a, common, grow = stack.pop()
-                # b is each nonempty subset of common, digit 2 at its vertices
-                out += subset_sums(base + table[a], [2 * table[1 << v] for v in bits(common)])[1:]
+                # b is each nonempty subset of common
+                out += subset_sums(base | a, [1 << v + n for v in bits(common)])[1:]
                 while grow:
                     w = grow & -grow
                     grow ^= w
@@ -280,25 +234,13 @@ def axiom_rules(n: int, flags: int, emit):
     return fire
 
 
-def code_keys(n: int, codes) -> list[int]:
-    """The mask key ``a | b << n | c << 2n`` of each code's <a, b | c>, read
-    from two tables over the low and high digits, as ``iter_canonical_codes``
-    splits them.  Digits above ``n`` are ignored, as ``decode_code`` does."""
-    half = n // 2
-    low, high = ([a | b << n | c << 2 * n for a, b, c, _ in _half_table(lo, hi)]
-                 for lo, hi in ((0, half), (half, n)))
-    low_mask = (1 << 2 * half) - 1
-    high_mask = (1 << 2 * (n - half)) - 1
-    return [low[code & low_mask] | high[code >> 2 * half & high_mask] for code in codes]
-
-
-def closure_keys(n: int, keys, flags: int, stop) -> set[int]:
-    """Keys of the least superset of ``keys`` closed under the enabled
-    axioms, each with the lowest block vertex in its first block.
+def closure_keys(n: int, codes, flags: int, stop) -> set[int]:
+    """Canonical codes of the least superset of ``codes`` closed under the
+    enabled axioms.
 
     A FIFO worklist fires each new triple through ``axiom_rules`` once.
-    With ``stop`` None it runs to the fixpoint.  With a key set ``stop``,
-    it stops as soon as it has seen every key of ``stop``, so it returns
+    With ``stop`` None it runs to the fixpoint.  With a code set ``stop``,
+    it stops as soon as it has seen every code of ``stop``, so it returns
     only the part of the closure derived by then.
     """
     full = (1 << n) - 1
@@ -309,15 +251,15 @@ def closure_keys(n: int, keys, flags: int, stop) -> set[int]:
     def push(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
         if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
             a, b = b, a
-        key = a | b << n | c << 2 * n
-        if key not in seen:
-            seen.add(key)
+        code = a | b << n | c << 2 * n
+        if code not in seen:
+            seen.add(code)
             work.append((a, b, c))
-            missing.discard(key)
+            missing.discard(code)
 
     fire = axiom_rules(n, flags, push)
-    for key in keys:
-        push(key & full, key >> n & full, key >> 2 * n)
+    for code in codes:
+        push(code & full, code >> n & full, code >> 2 * n)
     for triple in work:  # the loop also reaches the triples pushed as it runs
         if stop is not None and not missing:
             break
@@ -328,14 +270,11 @@ def closure_keys(n: int, keys, flags: int, stop) -> set[int]:
 def close_codes(n: int, codes, flags: int) -> list[int]:
     """Least superset of ``codes`` closed under the enabled axioms: the
     worklist of ``closure_keys`` run to its fixpoint, as sorted codes."""
-    full = (1 << n) - 1
-    table = digit_table(n)
-    return sorted(table[key & full] + 2 * table[key >> n & full] + 3 * table[key >> 2 * n]
-                  for key in closure_keys(n, code_keys(n, codes), flags, None))
+    return sorted(closure_keys(n, codes, flags, None))
 
 
-def first_violation(n: int, keys, flags: int):
-    """The first rule step, firing the triples of ``keys`` in their order
+def first_violation(n: int, codes, flags: int):
+    """The first rule step, firing the triples of ``codes`` in their order
     through ``axiom_rules``, that concludes a triple outside them.
 
     Returns None when no step does, that is when the model is closed.
@@ -346,7 +285,7 @@ def first_violation(n: int, keys, flags: int):
     joined once, so this costs about as much as closing the model.
     """
     full = (1 << n) - 1
-    have = set(keys)
+    have = set(codes)
     found: list[tuple] = []
 
     def emit(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
@@ -355,16 +294,16 @@ def first_violation(n: int, keys, flags: int):
             found.append((a, b, c, rule, entry))
 
     fire = axiom_rules(n, flags, emit)
-    for key in keys:
-        premise = (key & full, key >> n & full, key >> 2 * n)
+    for code in codes:
+        premise = (code & full, code >> n & full, code >> 2 * n)
         fire(*premise)
         if found:
             return premise, found[0]
     return None
 
 
-def dominant_keys(n: int, keys: set[int]) -> set[int]:
-    """The dominant triples of a model given by its set of canonical keys:
+def dominant_keys(n: int, codes: set[int]) -> set[int]:
+    """The dominant triples of a model given by its set of canonical codes:
     those with no one-step parent in it.  A parent comes from a triple by
     adding a vertex outside it to a block, or by moving a vertex of its
     conditioning set into a block.
@@ -376,23 +315,23 @@ def dominant_keys(n: int, keys: set[int]) -> set[int]:
     """
     full = (1 << n) - 1
     out = set()
-    for key in keys:
-        a = key & full
-        b = key >> n & full
+    for code in codes:
+        a = code & full
+        b = code >> n & full
         lowest = a & -a
         free = full & ~(a | b)
         while free:
             v = free & -free
             free ^= v
-            up = key & ~(v << 2 * n)  # v leaves the conditioning set, if it is there
-            if (up | v) in keys:
+            up = code & ~(v << 2 * n)  # v leaves the conditioning set, if it is there
+            if (up | v) in codes:
                 break
             if v > lowest:
                 to_b = up | v << n
             else:  # v becomes the lowest block vertex, so b | v goes first
                 to_b = up >> 2 * n << 2 * n | a << n | b | v
-            if to_b in keys:
+            if to_b in codes:
                 break
         else:
-            out.add(key)
+            out.add(code)
     return out

@@ -80,14 +80,14 @@ class ChainDecomposition:
 
     def pst(self, v: int) -> frozenset[int]:
         """All vertices in components ordered after the one holding ``v``."""
-        return set_of(self.pst_mask(_vertex(self.graph, v)))
+        return set_of(self.pst_mask(v))
 
     def pre_mask(self, i: int) -> int:
         """Union of all components strictly after ``i`` in the order."""
         return sum(self.component_masks[self._index(i) + 1:])
 
     def pst_mask(self, v: int) -> int:
-        return self.pre_mask(self.component_of[v])
+        return self.pre_mask(self.component_of[_vertex(self.graph, v)])
 
     def pa_d_mask(self, i: int) -> int:
         """Union of the full parent components of component ``i``."""

@@ -26,7 +26,7 @@ from .separation import (d_separated, global_model, m_connecting_walk,
                          m_separated, m_star_separated)
 from .structure import canonical_dag, is_ancestral, is_maximal, marginal_model_equal
 from .sweep import SweepConfig, config_hash, run_equivalence_sweep
-from .triples import IndependenceModel, _ground_set, decode_triple
+from .triples import IndependenceModel, _ground_set, first_difference
 
 
 def _load(path: str) -> MixedGraph:
@@ -141,15 +141,14 @@ def cmd_equiv(args) -> int:
     ma = _read_model(args.a)
     mb = _read_model(args.b)
     ax = AxiomSet.parse(args.axioms)
-    _ground_set(ma, mb)
+    n = _ground_set(ma, mb)
     ca = close(ma, ax).codes
     cb = close(mb, ax).codes
     if ca == cb:
         print("EQUIVALENT")
         return 0
-    code = min(ca ^ cb, key=lambda c: decode_triple(c, ma.n).sort_key())
-    side = "first" if code in ca else "second"
-    print(f"DIFFER: {decode_triple(code, ma.n)} only in closure of {side} model")
+    triple, in_first = first_difference(n, ca, cb)
+    print(f"DIFFER: {triple} only in closure of {'first' if in_first else 'second'} model")
     return 1
 
 

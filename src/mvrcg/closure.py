@@ -23,7 +23,8 @@ triple, each joined with the triples filed under its blocks.
 fixpoint: the worklist from P stops once it has derived M's dominant
 triples, from which single-vertex drops and moves derive the rest of M.
 
-Triples are encoded as base-4 vertex labellings (one digit per vertex).
+Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
+three vertex masks side by side, which the rules fire on directly.
 The ground set is capped (``config.model_cap``) because a model over n
 vertices holds up to about 4**n / 2 triples, and a separation model's
 enumeration costs at least one step per triple it holds.  The closure
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from ._kernels.pyfallback import closure_keys, code_keys, dominant_keys, first_violation
+from ._kernels.pyfallback import closure_keys, dominant_keys, encode_masks, first_violation
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, IndependenceTriple, _ground_set, triple_from_masks
@@ -145,8 +146,7 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     check_cap(model.n, model_cap())
     n = model.n
     flags = axioms.flags()
-    found = first_violation(n, [a | b << n | c << 2 * n for a, b, c in
-                                (t.masks() for t in model)], flags)
+    found = first_violation(n, [encode_masks(n, *t.masks()) for t in model], flags)
     if found is None:
         return CheckResult(True)
 
@@ -163,21 +163,21 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
         triple_from_masks(a, b, c)))
 
 
-def closed_target(n: int, codes, axiom_sets) -> Optional[tuple[dict[int, int], set[int]]]:
-    """The key of each code of the model M = ``codes`` and the keys of its
+def closed_target(n: int, codes, axiom_sets) -> Optional[tuple[frozenset[int], set[int]]]:
+    """The code set of the model M = ``codes`` and the codes of its
     dominant triples, if one pass of ``first_violation`` finds M closed
     under the union of ``axiom_sets``; None if it is not closed.  A model
     closed under a union of rules is closed under each part of it."""
     flags = 0
     for axioms in axiom_sets:
         flags |= axioms.flags()
-    keys = code_keys(n, codes)
-    if first_violation(n, keys, flags) is not None:
+    if first_violation(n, codes, flags) is not None:
         return None
-    return dict(zip(codes, keys)), dominant_keys(n, set(keys))
+    model = frozenset(codes)
+    return model, dominant_keys(n, model)
 
 
-def generates(n: int, codes, axioms: AxiomSet, model: dict[int, int], dominant: set[int]) -> bool:
+def generates(n: int, codes, axioms: AxiomSet, model: frozenset[int], dominant: set[int]) -> bool:
     """Whether ``close_codes(n, codes, axioms)`` equals a model M closed
     under ``axioms``, given as ``closed_target`` returns it.  A True answer
     is exact; a False one only says that the proof does not apply, and the
@@ -188,14 +188,12 @@ def generates(n: int, codes, axioms: AxiomSet, model: dict[int, int], dominant: 
     every triple of M comes from a dominant one by single-vertex drops and
     moves, which the axioms apply when they enable decomposition and weak
     union (contraction enables both).  So the worklist from P stops as soon
-    as it has seen every dominant key.
+    as it has seen every dominant code.
     """
     flags = axioms.flags()
     if not (flags & (_kernels.DECOMPOSITION | _kernels.CONTRACTION)
             and flags & (_kernels.WEAK_UNION | _kernels.CONTRACTION)):
         return False
-    try:
-        keys = [model[code] for code in codes]
-    except KeyError:  # a triple of P outside M
+    if not model.issuperset(codes):  # a triple of P outside M
         return False
-    return dominant <= closure_keys(n, keys, flags, stop=dominant)
+    return dominant <= closure_keys(n, codes, flags, stop=dominant)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DisjointnessViolation
+from .errors import CapExceeded, DisjointnessViolation, InvalidSeed
 from .factorization import Factorization
 from .structure import CanonicalDag
 from .triples import IndependenceTriple
@@ -95,7 +95,10 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     g = cd.dag
     if CARDINALITY ** g.n > STATE_SPACE_CAP:
         raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSeed(f"seed {seed!r}: {exc}") from None
     operands = [np.ones(()), []]  # the product of no tables is 1, also at n = 0
     for v in range(g.n):
         parents = sorted(g.parents(v))

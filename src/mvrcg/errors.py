@@ -40,6 +40,11 @@ class UnknownName(GraphError, ValueError):
     so callers that catch ``ValueError`` keep working."""
 
 
+class InvalidSeed(GraphError, ValueError):
+    """A seed the random generator does not accept, such as a negative
+    integer.  It is also a ``ValueError``, as numpy raises for it."""
+
+
 class NotAComponent(GraphError, KeyError):
     """A component index or vertex set that names no chain component.  It
     is also a ``KeyError``, so callers that catch ``KeyError`` keep

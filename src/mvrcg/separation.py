@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from ._bitset import bits, submasks
-from ._kernels.pyfallback import digit_table, iter_canonical_codes, subset_sums
+from ._kernels.pyfallback import iter_canonical_codes, subset_sums
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
@@ -128,7 +128,6 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     k classes, the 2^(k-1) - 1 splits that keep the lowest vertex's class
     in a are the canonical ones.
     """
-    table = digit_table(n)
     out: list[int] = []
     for u in range(1, 1 << n):
         if u & (u - 1) == 0:  # a and b need a vertex each
@@ -145,11 +144,12 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
                 classes.append(cls)
                 m ^= cls
             if len(classes) > 1:
-                # The rest starts in b (digit 2); moving a class to a
-                # subtracts its table entry.  The lowest class always
-                # moves; the last sum moves every class, leaving b empty.
-                base = 3 * table[c] + 2 * table[rest] - table[classes[0]]
-                out += subset_sums(base, [-table[cls] for cls in classes[1:]])[:-1]
+                # The lowest class starts in a and the others in b; moving
+                # a class from b to a adds cls - (cls << n).  The last sum
+                # moves every class, leaving b empty.
+                first = classes[0]
+                base = c << 2 * n | (rest ^ first) << n | first
+                out += subset_sums(base, [cls - (cls << n) for cls in classes[1:]])[:-1]
     out.sort()
     return out
 

@@ -5,8 +5,10 @@ possibly empty conditioning set C.  The canonical form puts the
 lexicographically smaller block first, which makes symmetry a property
 of the representation rather than a rewrite rule.
 
-A model stores its triples as the kernel's base-4 codes; the
-``IndependenceTriple`` objects are decoded only when a caller reads them.
+A model stores its triples as the kernel's codes: <a, b | c> over the
+ground set ``0..n-1`` is ``a | b << n | c << 2n`` for vertex masks a, b
+and c, with the lowest block vertex in a.  The ``IndependenceTriple``
+objects are decoded only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -93,33 +95,39 @@ def _ground_set(m1: "IndependenceModel", m2: "IndependenceModel") -> int:
 
 
 def first_difference(n: int, codes_a, codes_b) -> tuple[IndependenceTriple, bool]:
-    """The triple of the smallest code in one of two code collections but
-    not the other, and whether it is in the first; the two must differ."""
+    """The least triple, by ``IndependenceTriple.sort_key``, whose code is
+    in one of two code collections but not the other, and whether it is in
+    the first; the two must differ."""
     sa = set(codes_a)
-    code = min(sa.symmetric_difference(codes_b))
-    return decode_triple(code, n), code in sa
+    triple = min((decode_triple(code, n) for code in sa.symmetric_difference(codes_b)),
+                 key=IndependenceTriple.sort_key)
+    return triple, encode_triple(triple, n) in sa
 
 
 @dataclass(frozen=True)
 class IndependenceModel:
     """A finite set of canonical triples over ground set ``0..n-1``, stored
-    as their codes; ``triples`` is a view decoded on first read."""
+    as their codes ``a | b << n | c << 2n``; ``triples`` is a view decoded
+    on first read."""
 
     n: int
     codes: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ModelFormatError(f"negative ground set size {self.n}")
-        fives = ((1 << 2 * self.n) - 1) // 3  # the low bit of every digit
+        n = self.n
+        if type(n) is not int or not isinstance(self.codes, frozenset):
+            raise ModelFormatError("a model needs an int ground set size and a frozenset of codes")
+        if n < 0:
+            raise ModelFormatError(f"negative ground set size {n}")
         for code in self.codes:
-            if code < 0 or code >> 2 * self.n:
-                raise ModelFormatError(f"code {code} outside the ground set 0..{self.n - 1}")
-            # digit 1 marks the first block, 2 the second: both nonempty,
-            # and the first holds the lowest block vertex
-            low, high = code & fives, code >> 1 & fives
-            a, b = low & ~high, high & ~low
-            if not (a and b and (a & -a) < (b & -b)):
+            if type(code) is not int:
+                raise ModelFormatError(f"code {code!r} is not an int")
+            if code < 0 or code >> 3 * n:
+                raise ModelFormatError(f"code {code} outside the ground set 0..{n - 1}")
+            a, b, c = decode_code(n, code)
+            # both blocks nonempty, all three disjoint, and the first block
+            # holds the lowest block vertex
+            if not (a and b) or a & b or a & c or b & c or not a & ((b & -b) - 1):
                 raise ModelFormatError(f"code {code} is not a canonical triple")
 
     @classmethod

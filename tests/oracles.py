@@ -7,7 +7,7 @@ package internals.  Slow on purpose; only run at desk scale.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 
 def powerset(iterable):
@@ -106,16 +106,26 @@ def oracle_m_separated(n, directed, bidirected, X, Y, Z):
 
 def oracle_canonical_codes(n):
     """Every (code, a, b, c) with nonempty blocks a and b and the lowest
-    block vertex in a, found by decoding each code digit by digit."""
+    block vertex in a, found by labelling each vertex 0 (absent), 1 (a),
+    2 (b) or 3 (c); sorted by the code ``a | b << n | c << 2n``."""
     out = []
-    for code in range(4 ** n):
+    for labels in product(range(4), repeat=n):
         blocks = [0, 0, 0, 0]
-        for v in range(n):
-            blocks[code >> 2 * v & 3] |= 1 << v
+        for v, label in enumerate(labels):
+            blocks[label] |= 1 << v
         _, a, b, c = blocks
         if a and b and (a & -a) < (b & -b):
-            out.append((code, a, b, c))
-    return out
+            out.append((a | b << n | c << 2 * n, a, b, c))
+    return sorted(out)
+
+
+def base4_code(n, code):
+    """The base-4 number of the triple with code ``a | b << n | c << 2n``:
+    digit 1, 2 or 3 at position v when vertex v is in a, b or c.  Digests
+    pinned over base-4 numbers stay comparable across encodings."""
+    blocks = (code & (1 << n) - 1, code >> n & (1 << n) - 1, code >> 2 * n)
+    return sum(digit << 2 * v for digit, block in enumerate(blocks, start=1)
+               for v in range(n) if block >> v & 1)
 
 
 def _canon(t):

@@ -10,7 +10,7 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg._kernels import pyfallback
-from mvrcg._kernels.pyfallback import closure_keys, code_keys, dominant_keys, first_violation
+from mvrcg._kernels.pyfallback import closure_keys, dominant_keys, first_violation
 from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
@@ -18,7 +18,7 @@ from mvrcg.properties import property_model
 from mvrcg.separation import global_model_codes, iter_canonical_codes
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, verify_graph)
-from mvrcg.triples import IndependenceModel, decode_triple, first_difference
+from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
 
 
 @pytest.fixture()
@@ -435,7 +435,8 @@ def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
     monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     checks = verify_graph(g, SweepConfig()).checks
-    smallest = decode_triple(global_model_codes(g)[0], g.n)
+    smallest = min((decode_triple(code, g.n) for code in global_model_codes(g)),
+                   key=IndependenceTriple.sort_key)
     assert checks["closure_mr"].status == "fail"
     assert checks["closure_mr"].witness == f"{smallest} only in second model"
     assert all(checks[f"closure_{p}"].status == "pass" for p in PROPERTY_AXIOMS if p != "mr")
@@ -449,7 +450,7 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     fixpoint fires every triple of the closure once, so each stopped one
     fires fewer triples than the model holds."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
-    model = set(code_keys(g.n, global_model_codes(g)))
+    model = set(global_model_codes(g))
     worklists, passes, closes, fires = [], [], [], []
     rules = pyfallback.axiom_rules
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, close,
                    equivalent_under, satisfies)
 from mvrcg.chain import validate_chain_graph
-from mvrcg._kernels.pyfallback import code_keys, dominant_keys
+from mvrcg._kernels.pyfallback import dominant_keys
 from mvrcg.closure import close_codes
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
@@ -17,7 +17,7 @@ from mvrcg.separation import global_model, global_model_codes, iter_canonical_co
 from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
 
-from oracles import AXIOM_NAMES, oracle_closure
+from oracles import AXIOM_NAMES, base4_code, oracle_closure
 
 T = IndependenceTriple.of
 
@@ -175,16 +175,18 @@ def test_closure_matches_naive_oracle(axname):
 
 
 def test_close_codes_match_pinned_digest():
-    """sha1 of ``close_codes`` outputs, computed with the kernel that
-    joined each worklist triple against the whole model: every separation
-    model with n <= 4 under sg, g, csg and cg; the p3 statements of the
-    edgeless six-vertex graph under cg (1,351 codes); and 40 fixed models
-    of up to three triples at n = 5 under every axiom set above and none."""
+    """sha1 of ``close_codes`` outputs as sorted base-4 numbers, computed
+    with the kernel that joined each worklist triple against the whole
+    model: every separation model with n <= 4 under sg, g, csg and cg; the
+    p3 statements of the edgeless six-vertex graph under cg (1,351
+    codes); and the 40 models of ``_pinned_digest_models`` under every
+    axiom set above and none."""
     h = hashlib.sha1()
 
     def feed(n, axname, codes):
         out = close_codes(n, codes, axioms_named(ORACLE_AXIOMS.get(axname, ())))
-        h.update(f"{n}/{axname}:{','.join(map(str, out))}\n".encode())
+        numbers = sorted(base4_code(n, code) for code in out)
+        h.update(f"{n}/{axname}:{','.join(map(str, numbers))}\n".encode())
         return out
 
     for n in range(1, 5):
@@ -193,18 +195,17 @@ def test_close_codes_match_pinned_digest():
             for axname in AXIOM_NAMES:
                 feed(n, axname, codes)
     assert len(feed(6, "cg", property_model(MixedGraph(6), "p3").to_codes())) == 1351
-    canon = [code for code, *_ in iter_canonical_codes(5)]
-    for i in range(40):
-        codes = sorted({canon[(37 * i + 211 * j) % len(canon)] for j in range(3)})
+    for codes in _pinned_digest_models():
         for axname in [*ORACLE_AXIOMS, "none"]:
             feed(5, axname, codes)
     assert h.hexdigest() == "2806402c10624f347f96443a5b873b14211591dd"
 
 
 def _pinned_digest_models():
-    """The 40 models of ``test_close_codes_match_pinned_digest``: up to
-    three canonical codes at n = 5."""
-    canon = [code for code, *_ in iter_canonical_codes(5)]
+    """40 fixed models of up to three canonical codes at n = 5, picked
+    from the canonical triples in the order of their base-4 numbers."""
+    canon = sorted((code for code, *_ in iter_canonical_codes(5)),
+                   key=lambda code: base4_code(5, code))
     return [sorted({canon[(37 * i + 211 * j) % len(canon)] for j in range(3)})
             for i in range(40)]
 
@@ -233,13 +234,12 @@ def test_dominant_triples_generate_the_model():
     closed = 0
     for n, codes in models:
         model = IndependenceModel.from_codes(n, codes)
-        keys = code_keys(n, codes)
-        dominant = dominant_keys(n, set(keys))
-        assert dominant <= set(keys)
-        for code, key in zip(codes, keys):
+        dominant = dominant_keys(n, set(codes))
+        assert dominant <= set(codes)
+        for code in codes:
             has_parent = any(p in model for p in _one_step_parents(decode_triple(code, n), n))
-            assert (key in dominant) != has_parent
-        top = [code for code, key in zip(codes, keys) if key in dominant]
+            assert (code in dominant) != has_parent
+        top = [code for code in codes if code in dominant]
         assert close_codes(n, top, unary) == close_codes(n, codes, unary)
         if satisfies(model, unary):
             closed += 1
@@ -247,11 +247,14 @@ def test_dominant_triples_generate_the_model():
     assert closed >= 1743 + 4 * 40
 
 
-@pytest.mark.parametrize("n, codes", [(3, [0]), (2, [6]), (2, [2]), (2, [1]), (2, [16]),
-                                      (2, [-7]), (-1, [])],
+# Codes a | b << n | c << 2n at n = 2, written as a + (b << 2) + (c << 4).
+@pytest.mark.parametrize("n, codes", [(3, [0]), (2, [2 + (1 << 2)]), (2, [1 << 2]), (2, [1]),
+                                      (2, [1 << 6]), (2, [-7]), (-1, []),
+                                      (2, [1 + (3 << 2)]), (2, [1 + (2 << 2) + (1 << 4)])],
                          ids=["empty_blocks", "second_block_first", "empty_first_block",
                               "empty_second_block", "outside_ground_set", "negative",
-                              "negative_ground_set"])
+                              "negative_ground_set", "overlapping_blocks",
+                              "block_meets_conditioning_set"])
 def test_models_reject_codes_that_are_not_canonical_triples(n, codes):
     with pytest.raises(ModelFormatError):
         IndependenceModel.from_codes(n, codes)

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import mvrcg
-from mvrcg import (IndependenceTriple, JointTable, MixedGraph, ancestors, anteriors,
-                   ci_holds, districts, fixtures, induced_subgraph, relatives,
-                   validate_chain_graph, verify_factorization)
+from mvrcg import (IndependenceModel, IndependenceTriple, JointTable, MixedGraph, ancestors,
+                   anteriors, canonical_dag, ci_holds, districts, fixtures, induced_subgraph,
+                   relatives, sample_latent_dag_distribution, validate_chain_graph,
+                   verify_factorization)
 from mvrcg.factorization import Factorization, HeadTail, is_head, tail_of_head
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
                                random_mvr_cg)
 from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
-                          NotAComponent, UnknownName)
+                          InvalidSeed, ModelFormatError, NotAComponent, UnknownName)
 from mvrcg.sweep import SweepConfig
 
 from oracles import oracle_ancestors
@@ -178,6 +179,7 @@ def test_vertex_ids_outside_the_graph_raise_graph_format_error(call, v):
 
 
 _TABLE = JointTable((0, 1), (2, 2), np.full((2, 2), 0.25))
+_COLLIDER = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])  # 0 -> 1 <-> 2
 
 TYPED_ERROR_CALLS = {
     "tail_of_head_empty": (HeadTestFailed, lambda: tail_of_head(MixedGraph(2), [])),
@@ -200,6 +202,14 @@ TYPED_ERROR_CALLS = {
         (0, 0), (2, 2), np.full((2, 2), 0.25))),
     "sweep_config_check": (UnknownName, lambda: SweepConfig(checks=("closure_MR",))),
     "sweep_config_axioms_for": (UnknownName, lambda: SweepConfig().axioms_for("zz")),
+    "model_ground_set_not_int": (ModelFormatError, lambda: IndependenceModel("2")),
+    "model_code_not_int": (ModelFormatError, lambda: IndependenceModel(2, frozenset({"x"}))),
+    "pst_mask_negative": (GraphFormatError,
+                          lambda: validate_chain_graph(_COLLIDER).pst_mask(-1)),
+    "pst_mask_too_large": (GraphFormatError,
+                           lambda: validate_chain_graph(_COLLIDER).pst_mask(3)),
+    "sample_negative_seed": (InvalidSeed, lambda: sample_latent_dag_distribution(
+        canonical_dag(_COLLIDER), -1)),
 }
 
 
