@@ -32,7 +32,7 @@ import os
 import random
 import time
 
-from mvrcg import _kernels
+from mvrcg._kernels import pyfallback
 from mvrcg.closure import AxiomSet, satisfies
 from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cg
 from mvrcg.graph import MixedGraph
@@ -46,15 +46,15 @@ FULL_AXIOMS = 0b11111
 def workload_model(graphs):
     total = 0
     for g in graphs:
-        total += len(_kernels.global_model_codes(g.n, g.pa, g.ch, g.nb))
+        total += len(pyfallback.global_model_codes(g.n, g.pa, g.ch, g.nb))
     return total
 
 
 def workload_closure(graphs):
     total = 0
     for g in graphs:
-        codes = _kernels.global_model_codes(g.n, g.pa, g.ch, g.nb)
-        total += len(_kernels.close_codes(g.n, codes, FULL_AXIOMS))
+        codes = pyfallback.global_model_codes(g.n, g.pa, g.ch, g.nb)
+        total += len(pyfallback.close_codes(g.n, codes, FULL_AXIOMS))
     return total
 
 
@@ -63,7 +63,7 @@ def workload_model_method(g, method):
 
 
 def workload_close(n, codes):
-    return len(_kernels.close_codes(n, codes, FULL_AXIOMS))
+    return len(pyfallback.close_codes(n, codes, FULL_AXIOMS))
 
 
 def workload_closure_checks(g):

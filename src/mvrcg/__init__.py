@@ -6,7 +6,7 @@ surgery for desk-scale mixed graphs, plus exhaustive/random graph
 generators to verify the lot mechanically.
 """
 
-from ._kernels import BACKEND
+from ._kernels.pyfallback import BACKEND
 from .chain import (ChainDecomposition, is_chain_graph, pre_of_component,
                     validate_chain_graph)
 from .closure import AxiomSet, CheckResult, close, equivalent_under, satisfies

@@ -1,12 +1,12 @@
 """The hot kernels: separation-model enumeration and the axiom-closure
 fixpoint, which dominate the runtime of the verification sweeps.  They
-have one source, the pure-Python ``pyfallback``; this package re-exports
-its names.
+have one source, the pure-Python ``pyfallback``, from which the package
+imports them.  This package keeps what ``perfbench`` reads: ``BACKEND``,
+``load_compiled`` and the ``pyfallback`` module.
 """
 
 from . import pyfallback
-from .pyfallback import (BACKEND, COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION,
-                         WEAK_UNION, close_codes, global_model_codes, m_connected)
+from .pyfallback import BACKEND
 
 
 def load_compiled():

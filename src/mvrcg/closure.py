@@ -19,9 +19,11 @@ of a model once and stops at the first conclusion outside it.  Closing a
 model and checking that it is closed cost about the same: one fire per
 triple, each joined with the triples filed under its blocks.
 
-``generates`` decides ``cl(P) == M`` for a closed M without reaching the
-fixpoint: the worklist from P stops once it has derived M's dominant
-triples, from which single-vertex drops and moves derive the rest of M.
+``close_codes`` is the one closure call.  Given a closed model M as
+``closed_target`` returns it, it stops the worklist from P once it has
+derived M's dominant triples, from which single-vertex drops and moves
+derive the rest of M, and returns M itself; a worklist that misses them
+has run to its fixpoint, and its triples are cl(P).
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side, which the rules fire on directly.
@@ -36,17 +38,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _kernels
-from ._kernels.pyfallback import closure_keys, dominant_keys, encode_masks, first_violation
+from ._kernels.pyfallback import (COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION,
+                                  WEAK_UNION, closure_keys, dominant_keys, encode_masks,
+                                  first_violation)
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, IndependenceTriple, _ground_set, triple_from_masks
 
 
 # Each axiom field of ``AxiomSet`` and the kernel rule bit it enables.
-_RULE_BITS = {"decomposition": _kernels.DECOMPOSITION, "weak_union": _kernels.WEAK_UNION,
-              "contraction": _kernels.CONTRACTION, "intersection": _kernels.INTERSECTION,
-              "composition": _kernels.COMPOSITION}
+_RULE_BITS = {"decomposition": DECOMPOSITION, "weak_union": WEAK_UNION,
+              "contraction": CONTRACTION, "intersection": INTERSECTION,
+              "composition": COMPOSITION}
 _RULE_NAMES = {bit: name for name, bit in _RULE_BITS.items()}
 
 
@@ -116,10 +119,31 @@ class CheckResult:
         return self.ok
 
 
-def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
-    """Code-level closure; the fast path used by the sweep."""
-    check_cap(n, model_cap())
-    return _kernels.close_codes(n, list(codes), axioms.flags())
+def close_codes(n: int, codes, axioms: AxiomSet, target=None) -> list[int]:
+    """cl(P) of P = ``codes`` under ``axioms``, as sorted codes.
+
+    ``target`` is what ``closed_target`` returns for a model M closed
+    under ``axioms``.  cl(P) lies in M when P does, because M is closed.
+    It holds M when it holds M's dominant triples, because every triple
+    of M comes from a dominant one by single-vertex drops and moves, which
+    the axioms apply when they enable decomposition and weak union
+    (contraction enables both).  So when those hold, the worklist from P
+    stops as soon as it has seen every dominant code, and M is cl(P).  A
+    worklist that never sees them all runs to its fixpoint, and what it
+    has seen is cl(P).  M was built under the cap, so only a call without
+    a target checks it.
+    """
+    flags = axioms.flags()
+    stop = None
+    if target is None:
+        check_cap(n, model_cap())
+    elif (flags & (DECOMPOSITION | CONTRACTION) and flags & (WEAK_UNION | CONTRACTION)
+          and target[1].issuperset(codes)):
+        stop = target[2]
+    seen = closure_keys(n, codes, flags, stop)
+    if stop is not None and stop <= seen:
+        return target[0]
+    return sorted(seen)
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
@@ -153,9 +177,9 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     premise, (a, b, c, rule, entry) = found
     premises = (premise,)
     if entry is None:  # a unary step: weak union if it moved a vertex into c
-        rule = _kernels.WEAK_UNION if c != premise[2] else _kernels.DECOMPOSITION
+        rule = WEAK_UNION if c != premise[2] else DECOMPOSITION
         if not rule & flags:
-            rule = _kernels.CONTRACTION
+            rule = CONTRACTION
     else:
         premises += ((a, *entry),)
     return CheckResult(False, Violation(
@@ -163,37 +187,17 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
         triple_from_masks(a, b, c)))
 
 
-def closed_target(n: int, codes, axiom_sets) -> Optional[tuple[frozenset[int], set[int]]]:
-    """The code set of the model M = ``codes`` and the codes of its
-    dominant triples, if one pass of ``first_violation`` finds M closed
-    under the union of ``axiom_sets``; None if it is not closed.  A model
-    closed under a union of rules is closed under each part of it."""
+def closed_target(n: int, codes,
+                  axiom_sets) -> Optional[tuple[list[int], frozenset[int], set[int]]]:
+    """The model M = ``codes`` as ``close_codes`` takes it for a target:
+    its sorted codes, its code set and the codes of its dominant triples.
+    None if one pass of ``first_violation`` finds M not closed under the
+    union of ``axiom_sets``.  A model closed under a union of rules is
+    closed under each part of it."""
     flags = 0
     for axioms in axiom_sets:
         flags |= axioms.flags()
     if first_violation(n, codes, flags) is not None:
         return None
     model = frozenset(codes)
-    return model, dominant_keys(n, model)
-
-
-def generates(n: int, codes, axioms: AxiomSet, model: frozenset[int], dominant: set[int]) -> bool:
-    """Whether ``close_codes(n, codes, axioms)`` equals a model M closed
-    under ``axioms``, given as ``closed_target`` returns it.  A True answer
-    is exact; a False one only says that the proof does not apply, and the
-    caller closes ``codes`` instead.
-
-    The closure cl(P) of P = ``codes`` lies in M when P does, because M
-    is closed.  It holds M when it holds M's dominant triples, because
-    every triple of M comes from a dominant one by single-vertex drops and
-    moves, which the axioms apply when they enable decomposition and weak
-    union (contraction enables both).  So the worklist from P stops as soon
-    as it has seen every dominant code.
-    """
-    flags = axioms.flags()
-    if not (flags & (_kernels.DECOMPOSITION | _kernels.CONTRACTION)
-            and flags & (_kernels.WEAK_UNION | _kernels.CONTRACTION)):
-        return False
-    if not model.issuperset(codes):  # a triple of P outside M
-        return False
-    return dominant <= closure_keys(n, codes, flags, stop=dominant)
+    return sorted(model), model, dominant_keys(n, model)

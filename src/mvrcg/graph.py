@@ -42,8 +42,8 @@ class MixedGraph:
                  "adj", "full_mask", "source_ids", "_hash")
 
     def __init__(self, n, directed=(), bidirected=(), labels=None, source_ids=None):
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
+        if type(n) is not int or n < 0:  # bool is a subclass of int
+            raise GraphFormatError(f"vertex count {n!r} is not a nonnegative int")
         self.n = n
         if labels is None:
             labels = tuple(str(v) for v in range(n))
@@ -62,14 +62,14 @@ class MixedGraph:
         seen_pairs = set()
 
         def claim(u, v):
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"edge endpoint not a vertex id: ({u!r}, {v!r})")
             if u == v:
-                raise GraphFormatError(f"self loop at {self._name(u)}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge endpoint out of range: ({u}, {v})")
+                raise GraphFormatError(f"self loop at {labels[u]}")
             pair = (u, v) if u < v else (v, u)
             if pair in seen_pairs:
                 raise GraphFormatError(
-                    f"more than one edge between {self._name(pair[0])} and {self._name(pair[1])}")
+                    f"more than one edge between {labels[pair[0]]} and {labels[pair[1]]}")
             seen_pairs.add(pair)
             return pair
 
@@ -93,9 +93,6 @@ class MixedGraph:
         self.adj = tuple(pa[v] | ch[v] | nb[v] for v in range(n))
         self.full_mask = (1 << n) - 1
         self._hash = hash((n, self.directed, self.bidirected))
-
-    def _name(self, v):
-        return self.labels[v] if 0 <= v < len(self.labels) else str(v)
 
     # --- basic queries -------------------------------------------------
 
@@ -333,9 +330,9 @@ def state_walk(g: MixedGraph, sources: int, goal: int, step) -> Optional[list[in
 
 
 def _vertex(g: MixedGraph, v: int) -> int:
-    """``v``, once checked to be a vertex id of ``g``."""
-    if not 0 <= v < g.n:
-        raise GraphFormatError(f"vertex id {v} out of range 0..{g.n - 1}")
+    """``v``, once checked to be a vertex id of ``g``: an int in range."""
+    if type(v) is not int or not 0 <= v < g.n:
+        raise GraphFormatError(f"vertex id {v!r} is not an int in 0..{g.n - 1}")
     return v
 
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from . import _kernels
 from ._bitset import bits, submasks
-from ._kernels.pyfallback import iter_canonical_codes, subset_sums
+from ._kernels import pyfallback
+from ._kernels.pyfallback import iter_canonical_codes, m_connected, subset_sums
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
@@ -56,7 +56,7 @@ def m_separated(g: MixedGraph, X: Iterable[int], Y: Iterable[int],
                 Z: Iterable[int] = ()) -> bool:
     """True when no m-connecting walk joins X and Y given Z."""
     x, y, z = _query_masks(g, X, Y, Z)
-    return not _kernels.m_connected(g.n, g.pa, g.ch, g.nb, x, y, z)
+    return not m_connected(g.n, g.pa, g.ch, g.nb, x, y, z)
 
 
 def m_connecting_walk(g: MixedGraph, X, Y, Z=()) -> Optional[list[int]]:
@@ -195,7 +195,7 @@ def global_model_codes(g: MixedGraph, method: str = "m") -> list[int]:
     """Code set of the full separation model of ``g``."""
     check_cap(g.n, model_cap())
     if method == "m":
-        return _kernels.global_model_codes(g.n, g.pa, g.ch, g.nb)
+        return pyfallback.global_model_codes(g.n, g.pa, g.ch, g.nb)
     if method == "mstar":
         return _separated_codes(g, g.n, _collider_adjacency)
     raise UnknownName(f"unknown method {method!r}; expected m|mstar")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._bitset import submasks
-from ._kernels import m_connected
+from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
 from .config import check_cap, marginal_cap
 from .errors import NotAncestral, UnknownName, VerticesAdjacent

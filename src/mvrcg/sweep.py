@@ -8,18 +8,19 @@ the four pairwise ones).  The other checks are ancestrality, maximality
 and the factorization identities.  Failures are recorded per graph and
 never abort the sweep.
 
-A closure check proves ``cl(P) == M`` without closing P to its fixpoint.
-That equation holds exactly when M is closed, P lies in M and cl(P)
-holds M's dominant triples, the ones no triple of M lies above by one
-added or moved vertex (``closure.generates``).  So per graph, one
-closedness pass fires each triple of M once under the union of the
-selected checks' axioms, and M's dominant triples are found once; per
-check, a worklist from P stops as soon as it has derived them all, on
-sparse six-vertex graphs after about half the fires of a full closure.
-The first closure check's time includes the graph's closedness pass.
-Whenever the proof does not apply, the check closes P and compares the
-closure with M, so every status and witness is the one a full closure
-gives.
+Each closure check is one call, ``close_codes(n, P, axioms, target)``,
+which returns cl(P).  ``cl(P) == M`` holds exactly when M is closed, P
+lies in M and cl(P) holds M's dominant triples, the ones no triple of M
+lies above by one added or moved vertex.  So per graph, one closedness
+pass fires each triple of M once under the union of the selected checks'
+axioms, and M's dominant triples are found once (``closed_target``); per
+check, the worklist from P stops as soon as it has derived them all, on
+sparse six-vertex graphs after about half the fires of a full closure,
+and otherwise runs to its fixpoint.  Either way the check compares cl(P)
+with M, so every status and witness is the one a full closure gives.
+M is built by the first check that needs it, so that check's time
+includes building M, and the first closure check's time includes the
+closedness pass.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Iterator, Optional
 
-from . import _kernels
+from ._kernels.pyfallback import BACKEND
 from .chain import validate_chain_graph
-from .closure import AxiomSet, close_codes, closed_target, generates
+from .closure import AxiomSet, close_codes, closed_target
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import enumerate_mvr_cgs, random_mvr_cgs
-from .errors import CapExceeded, GraphError, UnknownName
+from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph
 from .properties import property_model
@@ -73,6 +74,11 @@ class SweepConfig:
     marginal_oracle_max_n: int = 6
 
     def __post_init__(self):
+        for field_name in ("max_n", "random_count", "random_n"):
+            value = getattr(self, field_name)
+            if type(value) is not int or value < 0:  # bool is a subclass of int
+                raise GraphFormatError(f"{field_name} must be a nonnegative int, "
+                                       f"got {value!r}")
         for name in self.checks:
             if name not in ALL_CHECKS:
                 raise UnknownName(f"unknown check {name!r}; expected one of "
@@ -129,7 +135,7 @@ def config_hash(config: SweepConfig) -> str:
     refused instead of skipping the wrong graphs.  ``hash()`` would not
     do: string hashing is salted per process.
     """
-    state = {**asdict(config), "backend": _kernels.BACKEND}
+    state = {**asdict(config), "backend": BACKEND}
     return hashlib.sha1(json.dumps(state, sort_keys=True).encode()).hexdigest()
 
 
@@ -146,9 +152,10 @@ def sweep_graphs(config: SweepConfig) -> Iterator[MixedGraph]:
 
 def _raised(exc: Exception) -> tuple[str, str]:
     """Status and witness of a check that raised: a ``GraphError`` is a
-    failure of the graph, any other exception an error of the engine."""
-    status = "fail" if isinstance(exc, GraphError) else "error"
-    return status, f"{type(exc).__name__}: {exc}"
+    failure of the graph, except a ``CapExceeded``, which is no
+    counterexample; any other exception is an error of the engine."""
+    failed = isinstance(exc, GraphError) and not isinstance(exc, CapExceeded)
+    return "fail" if failed else "error", f"{type(exc).__name__}: {exc}"
 
 
 def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> VerificationReport:
@@ -156,11 +163,6 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
                                 sorted(g.directed), sorted(g.bidirected))
     try:
         dec = validate_chain_graph(g)
-        global_codes = global_model_codes(g)
-        capped = None
-    except CapExceeded as exc:
-        # A cap is not a counterexample: only the model checks are errors.
-        global_codes, capped = None, _raised(exc)[1]
     except Exception as exc:
         status, witness = _raised(exc)
         for name in config.checks:
@@ -179,19 +181,22 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         report.checks[name] = CheckOutcome(status, witness,
                                            (time.perf_counter() - t0) * 1e3)
 
+    @cache
+    def model():
+        """The separation model M, built by the first check that needs it."""
+        return global_model_codes(g)
+
     def run_model(name, codes_of):
-        """``run`` for a check that compares ``codes_of()`` with the model."""
+        """``run`` for a check that compares ``codes_of()`` with M."""
         def compare():
+            global_codes = model()
             codes = codes_of()
             if codes == global_codes:
                 return True, None
             triple, in_first = first_difference(g.n, codes, global_codes)
             return False, f"{triple} only in {'first' if in_first else 'second'} model"
 
-        if capped is None:
-            run(name, compare)
-        elif name in config.checks:
-            report.checks[name] = CheckOutcome("error", capped)
+        run(name, compare)
 
     run_model("im_eq_imstar", lambda: global_model_codes(g, method="mstar"))
     axioms = {prop: config.axioms_for(prop) for prop in PROPERTY_AXIOMS
@@ -199,19 +204,12 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
 
     @cache
     def target():
-        """``closed_target`` of the model, once per graph."""
-        return closed_target(g.n, global_codes, axioms.values())
-
-    def closure(prop):
-        """cl(P) for the property's triples P, or the model itself once
-        ``generates`` proves that cl(P) is the model."""
-        codes = property_model(g, prop, dec).to_codes()
-        if target() is not None and generates(g.n, codes, axioms[prop], *target()):
-            return global_codes
-        return close_codes(g.n, codes, axioms[prop])
+        """``closed_target`` of M, once per graph."""
+        return closed_target(g.n, model(), axioms.values())
 
     for prop in axioms:
-        run_model(f"closure_{prop}", lambda prop=prop: closure(prop))
+        run_model(f"closure_{prop}", lambda prop=prop: close_codes(
+            g.n, property_model(g, prop, dec).to_codes(), axioms[prop], target()))
 
     def check_ancestral():
         res = is_ancestral(g)

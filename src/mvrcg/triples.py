@@ -39,8 +39,8 @@ class IndependenceTriple:
     def __post_init__(self):
         a, b, c = frozenset(self.a), frozenset(self.b), frozenset(self.c)
         _check_blocks(a, b, c)
-        if min(a | b | c) < 0:
-            raise DisjointnessViolation("vertex ids must be nonnegative")
+        if not all(type(v) is int and v >= 0 for v in a | b | c):  # bool is a subclass of int
+            raise DisjointnessViolation("vertex ids must be nonnegative ints")
         if sorted(b) < sorted(a):
             a, b = b, a
         object.__setattr__(self, "a", a)

@@ -442,49 +442,113 @@ def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
     assert all(checks[f"closure_{p}"].status == "pass" for p in PROPERTY_AXIOMS if p != "mr")
 
 
-def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
-    """Each closure check runs one worklist from its property's triples,
-    stopped at the model's dominant triples; one closedness pass covers
-    the model under the union of the checks' axioms; nothing is closed
-    to its fixpoint, the model least of all.  A worklist run to its
-    fixpoint fires every triple of the closure once, so each stopped one
-    fires fewer triples than the model holds."""
-    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
-    model = set(global_model_codes(g))
-    worklists, passes, closes, fires = [], [], [], []
+def _count_rules_and_worklists(monkeypatch):
+    """Spies on the closure kernels: ``worklists`` gets the ``stop`` of each
+    ``closure_keys`` call, ``passes`` the codes and flags of each
+    ``first_violation`` call, and ``fires`` one counter per rule set that
+    ``axiom_rules`` builds, counting the triples fired through it."""
+    worklists, passes, fires = [], [], []
     rules = pyfallback.axiom_rules
 
     def counting_rules(n, flags, emit):
         fire = rules(n, flags, emit)
+        fires.append(0)
+        k = len(fires) - 1
 
         def counted(*triple):
-            fires[-1] += 1
+            fires[k] += 1
             fire(*triple)
 
         return counted
 
     def counting_worklist(n, keys, flags, stop):
         worklists.append(stop)
-        fires.append(0)
         return closure_keys(n, keys, flags, stop)
 
     def counting_pass(n, keys, flags):
         passes.append((set(keys), flags))
-        fires.append(0)
         return first_violation(n, keys, flags)
 
     monkeypatch.setattr("mvrcg._kernels.pyfallback.axiom_rules", counting_rules)
     monkeypatch.setattr("mvrcg.closure.closure_keys", counting_worklist)
     monkeypatch.setattr("mvrcg.closure.first_violation", counting_pass)
-    monkeypatch.setattr("mvrcg.sweep.close_codes", lambda *args: closes.append(args))
+    return worklists, passes, fires
+
+
+def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
+    """Each closure check runs one worklist from its property's triples,
+    stopped at the model's dominant triples; one closedness pass covers
+    the model under the union of the checks' axioms; no worklist runs
+    without a stop, so nothing is closed to its fixpoint, the model least
+    of all.  A worklist run to its fixpoint fires every triple of the
+    closure once, so each stopped one fires fewer triples than the model
+    holds."""
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    model = set(global_model_codes(g))
+    worklists, passes, fires = _count_rules_and_worklists(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
     assert passes == [(model, AxiomSet.compositional_graphoid().flags())]
-    assert fires[0] == len(model)
-    assert len(worklists) == 8 and closes == []
+    assert fires[0] == len(model) and len(fires) == 9
     dominant = dominant_keys(g.n, model)
-    assert dominant and all(stop == dominant for stop in worklists)
+    assert dominant and worklists == [dominant] * 8
     assert all(count < len(model) for count in fires[1:])
+
+
+def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
+    """A closure check whose worklist misses the model's dominant triples
+    has run to its fixpoint, so its closure is the check's answer: the
+    check builds the rules of the closedness pass and of one worklist,
+    and closes its property's triples no second time."""
+    def mr_empty(g, kind, dec=None):
+        return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
+
+    monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    worklists, passes, fires = _count_rules_and_worklists(monkeypatch)
+    outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
+    assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
+    assert len(passes) == 1 and len(fires) == 2
+    assert worklists == [dominant_keys(g.n, set(global_model_codes(g)))]
+
+
+def test_close_codes_with_a_target_is_the_closure():
+    """``close_codes`` returns cl(P) whether or not it is given the model
+    as a target: for every graph with at most three vertices, every
+    property's triples P and axiom sets with and without the single-vertex
+    drops and moves that let the worklist stop early."""
+    axiom_sets = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
+    axiom_sets += [AxiomSet(contraction=True), AxiomSet(decomposition=True),
+                   AxiomSet(composition=True), AxiomSet()]
+    stopped = 0
+    for n in range(1, 4):
+        for g in enumerate_mvr_cgs(n):
+            model = global_model_codes(g)
+            for axioms in axiom_sets:
+                target = closed_target(g.n, model, [axioms])
+                assert target is not None  # separation models are compositional graphoids
+                for prop in PROPERTY_AXIOMS:
+                    codes = property_model(g, prop).to_codes()
+                    closed = close_codes(g.n, codes, axioms, target)
+                    assert closed == close_codes(g.n, codes, axioms)
+                    stopped += closed is target[0]  # the worklist stopped at M
+    assert stopped
+
+
+def test_a_cap_inside_a_check_is_an_error_not_a_failure():
+    config = SweepConfig(checks=("marginal_oracle",), marginal_oracle_max_n=7)
+    outcome = verify_graph(MixedGraph(7), config).checks["marginal_oracle"]
+    assert outcome.status == "error"
+    assert outcome.witness == "CapExceeded: 7 observed vertices exceeds cap 6"
+
+
+@pytest.mark.parametrize("argv", [("--random", "2", "--random-n", "-1"),
+                                  ("--random", "-1"), ("--max-n", "-1")])
+def test_sweep_refuses_negative_sizes_before_the_first_graph(capsys, argv):
+    code, out, err = run(capsys, "sweep", "--max-n", "2", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: GraphFormatError: ")
+    assert "must be a nonnegative int" in err
 
 
 def _closure_outcome(g, prop, model):

@@ -6,7 +6,7 @@ import pytest
 import mvrcg
 from mvrcg import (IndependenceModel, IndependenceTriple, JointTable, MixedGraph, ancestors,
                    anteriors, canonical_dag, ci_holds, districts, fixtures, induced_subgraph,
-                   relatives, sample_latent_dag_distribution, validate_chain_graph,
+                   m_separated, relatives, sample_latent_dag_distribution, validate_chain_graph,
                    verify_factorization)
 from mvrcg.factorization import Factorization, HeadTail, is_head, tail_of_head
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
@@ -210,6 +210,18 @@ TYPED_ERROR_CALLS = {
                            lambda: validate_chain_graph(_COLLIDER).pst_mask(3)),
     "sample_negative_seed": (InvalidSeed, lambda: sample_latent_dag_distribution(
         canonical_dag(_COLLIDER), -1)),
+    "parents_float_id": (GraphFormatError, lambda: MixedGraph(3).parents(1.5)),
+    "m_separated_float_id": (GraphFormatError, lambda: m_separated(_COLLIDER, [0], [1.0])),
+    "relatives_float_id": (GraphFormatError, lambda: relatives(_COLLIDER, 1.0)),
+    "graph_float_count": (GraphFormatError, lambda: MixedGraph(2.5)),
+    "graph_bool_count": (GraphFormatError, lambda: MixedGraph(True)),
+    "graph_float_endpoint": (GraphFormatError, lambda: MixedGraph(3, directed=[(0, 1.0)])),
+    "triple_str_id": (DisjointnessViolation, lambda: IndependenceTriple.of(["x"], [1])),
+    "triple_float_id": (DisjointnessViolation, lambda: IndependenceTriple.of([1.5], [2])),
+    "sweep_config_negative_max_n": (GraphFormatError, lambda: SweepConfig(max_n=-1)),
+    "sweep_config_negative_random_count": (GraphFormatError,
+                                           lambda: SweepConfig(random_count=-1)),
+    "sweep_config_negative_random_n": (GraphFormatError, lambda: SweepConfig(random_n=-1)),
 }
 
 
