@@ -16,9 +16,9 @@ The workloads, matching how the verification sweeps spend their time:
                under the same axioms;
 * ``closure checks edgeless n=7``  the eight ``closure_*`` checks of the
                edgeless seven-vertex graph (6,069 codes) through
-               ``verify_graph``: one closedness pass over the model, then
-               one worklist per property stopped at the model's dominant
-               triples;
+               ``verify_graph``: one pass over the model that proves it
+               closed and finds its dominant triples, then one worklist
+               per property stopped at those triples;
 * ``model edgeless n=9 m|m*``  the m and m* separation models of the
                edgeless nine-vertex graph (111,645 codes): every vertex
                is its own class, so each split emits the most codes.

@@ -21,6 +21,10 @@ WEAK_UNION = 2
 CONTRACTION = 4
 INTERSECTION = 8
 COMPOSITION = 16
+# The flags under which ``axiom_rules`` drops a vertex from a block, and
+# under which it moves one into the conditioning set.
+DROPS = DECOMPOSITION | CONTRACTION
+MOVES = WEAK_UNION | CONTRACTION
 
 
 def encode_masks(n: int, a: int, b: int, c: int) -> int:
@@ -181,8 +185,8 @@ def axiom_rules(n: int, flags: int, emit):
     composition conclude the same triple with the premises swapped, so
     they need only one role.
     """
-    drops = bool(flags & (DECOMPOSITION | CONTRACTION))
-    moves = bool(flags & (WEAK_UNION | CONTRACTION))
+    drops = bool(flags & DROPS)
+    moves = bool(flags & MOVES)
     con = bool(flags & CONTRACTION)
     inter = bool(flags & INTERSECTION)
     comp = bool(flags & COMPOSITION)
@@ -277,20 +281,30 @@ def first_violation(n: int, codes, flags: int):
     """The first rule step, firing the triples of ``codes`` in their order
     through ``axiom_rules``, that concludes a triple outside them.
 
-    Returns None when no step does, that is when the model is closed.
-    Otherwise it returns ``(premise, found)``, with premise the masks of
-    the triple being fired and found as ``axiom_rules`` passed it to
-    ``emit``: ``(a, b, c, 0, None)`` for a unary step, ``(a, b, c, rule,
-    entry)`` for a binary one.  Each pair of the model's triples is
-    joined once, so this costs about as much as closing the model.
+    Returns ``(found, below)``.  ``found`` is None when no step does, that
+    is when the model is closed.  Otherwise it is ``(premise, step)``,
+    with premise the masks of the triple being fired and step as
+    ``axiom_rules`` passed it to ``emit``: ``(a, b, c, 0, None)`` for a
+    unary step, ``(a, b, c, rule, entry)`` for a binary one.  ``below``
+    holds the codes of the model that a single-vertex drop or move from a
+    fired triple concludes.  So when the model is closed under flags that
+    meet ``DROPS`` and ``MOVES``, the model minus ``below`` is its
+    dominant triples, those with no one-step parent in it (Baioletti,
+    Busanello & Vantaggi, *IJAR* 2009).  Each pair of the model's triples
+    is joined once, so this costs about as much as closing the model.
     """
     full = (1 << n) - 1
     have = set(codes)
+    below: set[int] = set()
     found: list[tuple] = []
 
     def emit(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
         lo, hi = (b, a) if (a | b) & -(a | b) & b else (a, b)
-        if not found and (lo | hi << n | c << 2 * n) not in have:
+        code = lo | hi << n | c << 2 * n
+        if code in have:
+            if entry is None:
+                below.add(code)
+        elif not found:
             found.append((a, b, c, rule, entry))
 
     fire = axiom_rules(n, flags, emit)
@@ -298,40 +312,5 @@ def first_violation(n: int, codes, flags: int):
         premise = (code & full, code >> n & full, code >> 2 * n)
         fire(*premise)
         if found:
-            return premise, found[0]
-    return None
-
-
-def dominant_keys(n: int, codes: set[int]) -> set[int]:
-    """The dominant triples of a model given by its set of canonical codes:
-    those with no one-step parent in it.  A parent comes from a triple by
-    adding a vertex outside it to a block, or by moving a vertex of its
-    conditioning set into a block.
-
-    Every triple of the model lies below a dominant one, reached by
-    single-vertex drops and moves, the steps of decomposition and weak
-    union.  So a set of triples closed under those two rules holds the
-    model exactly when it holds the model's dominant triples.
-    """
-    full = (1 << n) - 1
-    out = set()
-    for code in codes:
-        a = code & full
-        b = code >> n & full
-        lowest = a & -a
-        free = full & ~(a | b)
-        while free:
-            v = free & -free
-            free ^= v
-            up = code & ~(v << 2 * n)  # v leaves the conditioning set, if it is there
-            if (up | v) in codes:
-                break
-            if v > lowest:
-                to_b = up | v << n
-            else:  # v becomes the lowest block vertex, so b | v goes first
-                to_b = up >> 2 * n << 2 * n | a << n | b | v
-            if to_b in codes:
-                break
-        else:
-            out.add(code)
-    return out
+            return (premise, found[0]), below
+    return None, below

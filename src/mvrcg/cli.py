@@ -17,7 +17,7 @@ from collections import deque
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close
 from .distributions import ci_holds, sample_latent_dag_distribution, verify_factorization
-from .errors import GraphError, ModelFormatError
+from .errors import GraphError, GraphFormatError, ModelFormatError
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph, induced_subgraph
 from .intervention import intervene
@@ -193,6 +193,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_numeric_check(args) -> int:
+    if args.seeds < 0:
+        raise GraphFormatError(f"--seeds must be nonnegative, got {args.seeds}")
     g = _load(args.graph)
     dec = validate_chain_graph(g)
     cd = canonical_dag(g)

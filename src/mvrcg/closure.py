@@ -23,7 +23,10 @@ triple, each joined with the triples filed under its blocks.
 ``closed_target`` returns it, it stops the worklist from P once it has
 derived M's dominant triples, from which single-vertex drops and moves
 derive the rest of M, and returns M itself; a worklist that misses them
-has run to its fixpoint, and its triples are cl(P).
+has run to its fixpoint, and its triples are cl(P).  One pass over M
+proves it closed and finds its dominant triples: ``first_violation``
+fires every triple of M, and the dominant ones are those that no drop or
+move it fires concludes.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side, which the rules fire on directly.
@@ -38,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._kernels.pyfallback import (COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION,
-                                  WEAK_UNION, closure_keys, dominant_keys, encode_masks,
+from ._kernels.pyfallback import (COMPOSITION, CONTRACTION, DECOMPOSITION, DROPS,
+                                  INTERSECTION, MOVES, WEAK_UNION, closure_keys,
                                   first_violation)
 from .config import check_cap, model_cap
 from .errors import UnknownName
@@ -126,19 +129,17 @@ def close_codes(n: int, codes, axioms: AxiomSet, target=None) -> list[int]:
     under ``axioms``.  cl(P) lies in M when P does, because M is closed.
     It holds M when it holds M's dominant triples, because every triple
     of M comes from a dominant one by single-vertex drops and moves, which
-    the axioms apply when they enable decomposition and weak union
-    (contraction enables both).  So when those hold, the worklist from P
-    stops as soon as it has seen every dominant code, and M is cl(P).  A
-    worklist that never sees them all runs to its fixpoint, and what it
-    has seen is cl(P).  M was built under the cap, so only a call without
-    a target checks it.
+    the axioms apply when their flags meet both ``DROPS`` and ``MOVES``.
+    So when those hold, the worklist from P stops as soon as it has seen
+    every dominant code, and M is cl(P).  A worklist that never sees them
+    all runs to its fixpoint, and what it has seen is cl(P).  M was built
+    under the cap, so only a call without a target checks it.
     """
     flags = axioms.flags()
     stop = None
     if target is None:
         check_cap(n, model_cap())
-    elif (flags & (DECOMPOSITION | CONTRACTION) and flags & (WEAK_UNION | CONTRACTION)
-          and target[1].issuperset(codes)):
+    elif flags & DROPS and flags & MOVES and target[1].issuperset(codes):
         stop = target[2]
     seen = closure_keys(n, codes, flags, stop)
     if stop is not None and stop <= seen:
@@ -170,7 +171,7 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     check_cap(model.n, model_cap())
     n = model.n
     flags = axioms.flags()
-    found = first_violation(n, [encode_masks(n, *t.masks()) for t in model], flags)
+    found, _ = first_violation(n, model.to_codes(), flags)
     if found is None:
         return CheckResult(True)
 
@@ -188,16 +189,20 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
 
 
 def closed_target(n: int, codes,
-                  axiom_sets) -> Optional[tuple[list[int], frozenset[int], set[int]]]:
+                  axiom_sets) -> Optional[tuple[list[int], frozenset[int], frozenset[int]]]:
     """The model M = ``codes`` as ``close_codes`` takes it for a target:
     its sorted codes, its code set and the codes of its dominant triples.
-    None if one pass of ``first_violation`` finds M not closed under the
-    union of ``axiom_sets``.  A model closed under a union of rules is
-    closed under each part of it."""
+    One ``first_violation`` pass under the union of ``axiom_sets`` finds
+    both: None if M is not closed, else M minus the codes that a drop or
+    move from a triple of M concludes.  A model closed under a union of
+    rules is closed under each part of it.  Without both drops and moves
+    in the union that difference may hold more than the dominant triples,
+    but then no check's axioms let ``close_codes`` use it."""
     flags = 0
     for axioms in axiom_sets:
         flags |= axioms.flags()
-    if first_violation(n, codes, flags) is not None:
+    found, below = first_violation(n, codes, flags)
+    if found is not None:
         return None
     model = frozenset(codes)
-    return sorted(model), model, dominant_keys(n, model)
+    return sorted(model), model, model - below

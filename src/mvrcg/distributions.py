@@ -18,12 +18,12 @@ within numpy's limits (32 operands, 52 labels, since numpy 1.24).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DisjointnessViolation, InvalidSeed
+from .errors import CapExceeded, DisjointnessViolation, GraphFormatError, InvalidSeed
 from .factorization import Factorization
 from .structure import CanonicalDag
 from .triples import IndependenceTriple
@@ -112,9 +112,16 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     return JointTable(tuple(observed), marginal.shape, marginal / marginal.sum())
 
 
+def _check_tolerance(eps) -> None:
+    """Refuse a tolerance that is not a finite nonnegative number."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 <= eps < inf:
+        raise GraphFormatError(f"eps must be a finite nonnegative number, got {eps!r}")
+
+
 def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -> bool:
     """Numeric conditional independence: for every assignment with
     p(c) > 0, |p(a,b|c) - p(a|c) p(b|c)| <= eps."""
+    _check_tolerance(eps)
     k, m = len(triple.a), len(triple.a) + len(triple.b)
     p, _ = _project(table, [*triple.a, *triple.b, *triple.c])
     pabc = p.reshape(prod(p.shape[:k]), prod(p.shape[k:m]), prod(p.shape[m:]))
@@ -133,6 +140,7 @@ def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9)
     """Whether the table equals the product of the factorization's
     conditionals at every full assignment.  Rows with zero tail mass
     contribute factor 1; positive sampling keeps that branch idle."""
+    _check_tolerance(eps)
     every_axis = list(range(len(table.variables)))
     operands = [np.ones(table.cards), every_axis]  # covers axes no factor names
     for factor in f.factors:

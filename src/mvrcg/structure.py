@@ -141,9 +141,11 @@ def latent_model_codes(g: MixedGraph) -> list[int]:
 def marginal_model_equal(g: MixedGraph) -> CheckResult:
     """Whether the graph's separation model equals the latent DAG's; the
     witness is ``(triple, m_separated, d_separated)`` for the smallest
-    disagreeing code."""
-    latent = latent_model_codes(g)
+    disagreeing code.  M is built first: its cap stays at most
+    ``HARD_MODEL_CAP`` whatever ``MVRCG_MAX_N`` says, so a graph too large
+    for it is refused before the latent DAG's 3^n splits start."""
     model = global_model_codes(g)
+    latent = latent_model_codes(g)
     if latent == model:
         return CheckResult(True)
     triple, in_latent = first_difference(g.n, latent, model)

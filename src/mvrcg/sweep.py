@@ -11,16 +11,17 @@ never abort the sweep.
 Each closure check is one call, ``close_codes(n, P, axioms, target)``,
 which returns cl(P).  ``cl(P) == M`` holds exactly when M is closed, P
 lies in M and cl(P) holds M's dominant triples, the ones no triple of M
-lies above by one added or moved vertex.  So per graph, one closedness
-pass fires each triple of M once under the union of the selected checks'
-axioms, and M's dominant triples are found once (``closed_target``); per
-check, the worklist from P stops as soon as it has derived them all, on
-sparse six-vertex graphs after about half the fires of a full closure,
-and otherwise runs to its fixpoint.  Either way the check compares cl(P)
-with M, so every status and witness is the one a full closure gives.
-M is built by the first check that needs it, so that check's time
-includes building M, and the first closure check's time includes the
-closedness pass.
+lies above by one added or moved vertex.  So per graph, one pass over M
+(``closed_target``) fires each triple of M once under the union of the
+selected checks' axioms: it proves M closed, and the triples of M that
+none of its single-vertex drops and moves concludes are the dominant
+ones.  Per check, the worklist from P stops as soon as it has derived
+them all, on sparse six-vertex graphs after about half the fires of a
+full closure, and otherwise runs to its fixpoint.  Either way the check
+compares cl(P) with M, so every status and witness is the one a full
+closure gives.  M is built by the first check that needs it, so that
+check's time includes building M, and the first closure check's time
+includes the pass over M.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class SweepConfig:
     marginal_oracle_max_n: int = 6
 
     def __post_init__(self):
-        for field_name in ("max_n", "random_count", "random_n"):
+        for field_name in ("max_n", "random_count", "random_n", "marginal_oracle_max_n"):
             value = getattr(self, field_name)
             if type(value) is not int or value < 0:  # bool is a subclass of int
                 raise GraphFormatError(f"{field_name} must be a nonnegative int, "

@@ -10,7 +10,7 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg._kernels import pyfallback
-from mvrcg._kernels.pyfallback import closure_keys, dominant_keys, first_violation
+from mvrcg._kernels.pyfallback import closure_keys, first_violation
 from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
@@ -19,6 +19,8 @@ from mvrcg.separation import global_model_codes, iter_canonical_codes
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
+
+from oracles import oracle_dominant_codes
 
 
 @pytest.fixture()
@@ -207,6 +209,13 @@ def test_numeric_check_small(capsys, fig_path):
                        "--seeds", "3")
     assert code == 0
     assert out.count("pass") >= 6
+
+
+@pytest.mark.parametrize("argv", [("--eps", "-1"), ("--eps", "nan"), ("--seeds", "-1")])
+def test_numeric_check_refuses_a_bad_tolerance_or_seed_count(capsys, fig_path, argv):
+    code, out, err = run(capsys, "numeric-check", "--graph", fig_path("fig4b"), *argv)
+    assert code == 2 and "pass" not in out and "FAIL" not in out
+    assert err.startswith("error: GraphFormatError: ")
 
 
 def test_intervene_writes_graph(capsys, fig_path, tmp_path):
@@ -485,12 +494,12 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     holds."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = set(global_model_codes(g))
+    dominant = oracle_dominant_codes(g.n, model)
     worklists, passes, fires = _count_rules_and_worklists(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
     assert passes == [(model, AxiomSet.compositional_graphoid().flags())]
     assert fires[0] == len(model) and len(fires) == 9
-    dominant = dominant_keys(g.n, model)
     assert dominant and worklists == [dominant] * 8
     assert all(count < len(model) for count in fires[1:])
 
@@ -505,11 +514,12 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
 
     monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    dominant = oracle_dominant_codes(g.n, global_model_codes(g))
     worklists, passes, fires = _count_rules_and_worklists(monkeypatch)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert len(passes) == 1 and len(fires) == 2
-    assert worklists == [dominant_keys(g.n, set(global_model_codes(g)))]
+    assert worklists == [dominant]
 
 
 def test_close_codes_with_a_target_is_the_closure():

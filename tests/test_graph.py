@@ -222,6 +222,17 @@ TYPED_ERROR_CALLS = {
     "sweep_config_negative_random_count": (GraphFormatError,
                                            lambda: SweepConfig(random_count=-1)),
     "sweep_config_negative_random_n": (GraphFormatError, lambda: SweepConfig(random_n=-1)),
+    "ci_holds_negative_eps": (GraphFormatError, lambda: ci_holds(
+        _TABLE, IndependenceTriple.of([0], [1]), -1.0)),
+    "verify_factorization_nan_eps": (GraphFormatError, lambda: verify_factorization(
+        _TABLE, Factorization((HeadTail(frozenset({0, 1}), frozenset()),), frozenset({0, 1})),
+        float("nan"))),
+    "sweep_config_negative_marginal_oracle_max_n": (
+        GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=-5)),
+    "sweep_config_float_marginal_oracle_max_n": (
+        GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=2.5)),
+    "sweep_config_bool_marginal_oracle_max_n": (
+        GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=True)),
 }
 
 

@@ -131,6 +131,19 @@ def test_marginal_model_equal_trivia():
         marginal_model_equal(MixedGraph(7))
 
 
+def test_marginal_model_equal_refuses_a_graph_too_large_for_the_model_first(monkeypatch):
+    """``MVRCG_MAX_N`` lifts the latent-DAG cap past the model's hard cap;
+    the model's cap must then refuse the graph before the latent DAG's
+    3^n splits start."""
+    def no_latent_model(*args):
+        raise AssertionError("the latent-DAG model was started")
+
+    monkeypatch.setenv("MVRCG_MAX_N", "20")
+    monkeypatch.setattr("mvrcg.structure._separated_codes", no_latent_model)
+    with pytest.raises(CapExceeded):
+        marginal_model_equal(MixedGraph(14))
+
+
 def test_marginal_oracle_witness_is_the_smallest_disagreeing_triple(monkeypatch):
     # A moral graph without edges separates everything, so it disagrees
     # with the graph first on the smallest code, 0 _||_ 1, where 0 -> 1
