@@ -24,9 +24,13 @@ The model loops cost the reach sets they compute plus a few steps per
 code they emit, instead of one query per canonical triple (about
 4^n/2).  The m model takes one walk per vertex and conditioning set,
 n * 2^(n-1) walks, in the kernel's ``global_model_codes``.  The m* and
-latent-DAG models share :func:`_separated_codes`: one adjacency per set
-a|b|c, and per conditioning set c one split of the rest of the set into
-classes, 3^n splits in all.
+latent-DAG models share :func:`_separated_codes`, which builds one
+adjacency per ancestral set A rather than per set a|b|c: the sets u with
+an(u) = A are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the
+vertices of A with no child in A.  Per conditioning set c inside A, the
+classes of A - c follow from those of A - (c + {v}) in one step, v
+merging with every class it touches, and an (A, c) with fewer than two
+observed classes emits nothing and is skipped.
 """
 
 from __future__ import annotations
@@ -122,34 +126,76 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     """Canonical codes over vertices ``0..n-1`` whose triple <a, b | c> is
     separated in ``adjacency(g, an(a|b|c))``.
 
-    One adjacency per set u = a|b|c.  For each c inside u, the rest of u
-    falls into classes joined by paths that avoid c, and a split of the
-    rest into a and b is separated exactly when no class meets both.  With
-    k classes, the 2^(k-1) - 1 splits that keep the lowest vertex's class
-    in a are the canonical ones.
+    Vertices from ``n`` on are latent: they may lie on paths but never in
+    a triple.  One adjacency per ancestral set A = an(u) of a set u of at
+    least 2 observed vertices.  The sets u with an(u) = A are exactly
+    those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the vertices of A
+    with no child in A: every vertex of A is an ancestor of a sink, and a
+    sink is an ancestor of no other vertex of A.  A latent in A has a
+    child in A, so the sinks are observed.
+
+    For each c inside A's observed part, A - c falls into classes joined
+    by paths that avoid c.  Those of A - c follow from those of
+    A - (c + {v}) in one step: v joins every class it touches.  So one
+    search, over the latent part at c = A's observed part, starts the
+    partitions.
+    The rest u - c of each u above splits into the classes' traces, and a
+    split of it into a and b is separated exactly when no class meets
+    both.  With k traces, the 2^(k-1) - 1 splits that keep the lowest
+    vertex's trace in a are the canonical ones.  An (A, c) with fewer than
+    two observed classes splits nothing and is skipped.
     """
-    out: list[int] = []
+    an_of = [0] * (1 << n)
     for u in range(1, 1 << n):
-        if u & (u - 1) == 0:  # a and b need a vertex each
-            continue
-        adj = adjacency(g, ancestors_mask(g, u))
-        for rest in submasks(u):
-            if rest & (rest - 1) == 0:
+        low = u & -u
+        an_of[u] = an_of[u ^ low] | an_of[low] if u != low else ancestors_mask(g, u)
+    observed = (1 << n) - 1
+    out: list[int] = []
+    for anc in {an_of[u] for u in range(1, 1 << n) if u & (u - 1)}:
+        adj = adjacency(g, anc)
+        obs, latent = anc & observed, anc & ~observed
+        sinks = sum(1 << v for v in bits(obs) if not g.ch[v] & anc)
+        classes = []
+        m = latent
+        while m:
+            cls = reach_mask(adj, m & -m, latent)
+            classes.append(cls)
+            m ^= cls
+        partition = {obs: classes}
+        for c in (*submasks(obs), 0):  # descending: c | v comes before c
+            if c != obs:
+                v = obs & ~c & -(obs & ~c)
+                near = adj[v.bit_length() - 1] & ~c
+                if near:
+                    merged, classes = v, []
+                    for cls in partition[c | v]:
+                        if cls & near:
+                            merged |= cls
+                        else:
+                            classes.append(cls)
+                    classes.insert(0, merged)
+                else:
+                    classes = [v, *partition[c | v]]
+                partition[c] = classes
+            # The first class holds v, the lowest vertex of obs - c.
+            traces = [cls & obs for cls in classes if cls & obs] if latent else classes
+            if len(traces) < 2:
                 continue
-            c = u ^ rest
-            classes = []
-            m = rest
-            while m:
-                cls = reach_mask(adj, m & -m, ~c) & rest
-                classes.append(cls)
-                m ^= cls
-            if len(classes) > 1:
-                # The lowest class starts in a and the others in b; moving
-                # a class from b to a adds cls - (cls << n).  The last sum
-                # moves every class, leaving b empty.
-                first = classes[0]
+            tail, free = sinks & ~c, obs & ~(sinks | c)
+            for extra in (*submasks(free), 0):
+                rest = tail | extra
+                # Without free vertices, rest is all of obs - c.
+                split = [t & rest for t in traces if t & rest] if free else traces
+                if len(split) < 2:
+                    continue
+                if not split[0] & rest & -rest:
+                    split = sorted(split, key=lambda t: t & -t)
+                # The lowest vertex's trace starts in a and the others in
+                # b; moving a trace t from b to a adds t - (t << n).  The
+                # last sum moves every trace, leaving b empty.
+                first = split[0]
                 base = c << 2 * n | (rest ^ first) << n | first
-                out += subset_sums(base, [cls - (cls << n) for cls in classes[1:]])[:-1]
+                out += subset_sums(base, [t - (t << n) for t in split[1:]])[:-1]
     out.sort()
     return out
 

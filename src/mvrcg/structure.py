@@ -143,7 +143,9 @@ def marginal_model_equal(g: MixedGraph) -> CheckResult:
     witness is ``(triple, m_separated, d_separated)`` for the smallest
     disagreeing code.  M is built first: its cap stays at most
     ``HARD_MODEL_CAP`` whatever ``MVRCG_MAX_N`` says, so a graph too large
-    for it is refused before the latent DAG's 3^n splits start."""
+    for it is refused before the latent DAG's class splits start: one
+    adjacency per ancestral set of the latent DAG, and one merge of the
+    classes per conditioning set inside it."""
     model = global_model_codes(g)
     latent = latent_model_codes(g)
     if latent == model:

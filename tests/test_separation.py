@@ -10,7 +10,8 @@ from mvrcg import (MixedGraph, augmented_graph, d_separated, find_primitive_indu
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
                                random_mvr_cg)
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
-from mvrcg.separation import global_model_codes, iter_canonical_codes
+from mvrcg.separation import (_collider_adjacency, _moral_adjacency, _separated_codes,
+                              global_model_codes, iter_canonical_codes)
 from mvrcg.structure import canonical_dag, latent_model_codes
 from mvrcg.triples import IndependenceTriple
 
@@ -84,6 +85,41 @@ def test_model_codes_match_pinned_digest(monkeypatch):
                       latent_model_codes(g)):
             digest.update(repr(sorted(base4_code(g.n, code) for code in codes)).encode())
     assert digest.hexdigest() == MODEL_DIGEST
+
+
+@pytest.mark.parametrize("route", ["mstar", "latent"])
+@pytest.mark.parametrize("g, ancestral_sets", [
+    (MixedGraph(4, directed=[(0, 1), (1, 2), (2, 3)]), 3),  # {0,1}, {0,1,2}, {0,1,2,3}
+    (MixedGraph(4), 11),  # every set of 2 or more vertices is ancestral
+])
+def test_model_loops_build_one_adjacency_per_ancestral_set(g, ancestral_sets, route):
+    """The sets u with the same an(u) share one adjacency: 3 on the chain
+    0 -> 1 -> 2 -> 3, where the 11 sets of 2 or more vertices fall into
+    3 ancestral sets, and 11 on the edgeless graph, where none share."""
+    if route == "mstar":
+        graph, adjacency, expected = g, _collider_adjacency, global_model_codes(g)
+    else:
+        graph, adjacency, expected = canonical_dag(g).dag, _moral_adjacency, latent_model_codes(g)
+    within = []
+
+    def counting(g, anc):
+        within.append(anc)
+        return adjacency(g, anc)
+
+    assert _separated_codes(graph, g.n, counting) == expected
+    assert len(within) == len(set(within)) == ancestral_sets
+
+
+def test_three_models_agree_on_random_n7(monkeypatch):
+    """The m, m* and latent-DAG models on uniform n=7 graphs, where the
+    most sets u share an ancestral set."""
+    monkeypatch.setenv("MVRCG_MAX_N", "7")
+    rng = random.Random(77)
+    for _ in range(20):
+        g = random_mvr_cg(7, rng)
+        model = global_model_codes(g)
+        assert global_model_codes(g, "mstar") == model
+        assert latent_model_codes(g) == model
 
 
 # --- augmented graph -----------------------------------------------------

@@ -134,7 +134,7 @@ def test_marginal_model_equal_trivia():
 def test_marginal_model_equal_refuses_a_graph_too_large_for_the_model_first(monkeypatch):
     """``MVRCG_MAX_N`` lifts the latent-DAG cap past the model's hard cap;
     the model's cap must then refuse the graph before the latent DAG's
-    3^n splits start."""
+    class splits start."""
     def no_latent_model(*args):
         raise AssertionError("the latent-DAG model was started")
 
