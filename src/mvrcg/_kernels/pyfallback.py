@@ -5,7 +5,9 @@ independence triple <a, b | c> over ``n`` vertices travels as one
 integer, its code ``a | b << n | c << 2n``: the three vertex masks side
 by side.  A code is canonical when the lowest-numbered vertex of the two
 blocks sits in ``a``, which bakes symmetry into the encoding.  Codes
-sort by ``c``, then ``b``, then ``a``.
+sort by ``c``, then ``b``, then ``a``.  An elementary triple <x, y | K>,
+one vertex in each block, travels as ``(x, y, K)``; a set of them is a
+table of neighbour masks, ``table[x << n | K]`` holding each y.
 """
 
 from __future__ import annotations
@@ -114,6 +116,37 @@ def iter_canonical_codes(n: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def biclique_codes(n: int, c: int, apart) -> list[int]:
+    """The canonical <a, b | c> with ``b`` inside ``apart[v]`` for every
+    vertex ``v`` of ``a``, for a symmetric relation ``apart`` on the
+    vertices outside ``c``: the pairwise triples given ``c``.
+
+    A search grows ``a`` in ascending vertex order from its lowest vertex,
+    carries the intersection of ``apart`` over ``a`` above the lowest
+    vertex, and stops where it is empty, so it costs a few steps per code
+    it returns.
+    """
+    base = c << 2 * n
+    out: list[int] = []
+    m = ((1 << n) - 1) & ~c
+    while m:  # low becomes a's lowest vertex; m keeps the vertices above it
+        low = m & -m
+        m ^= low
+        common = apart[low.bit_length() - 1] & m
+        stack = [(low, common, m)] if common else []
+        while stack:
+            a, common, grow = stack.pop()
+            # b is each nonempty subset of common
+            out += subset_sums(base | a, [1 << v + n for v in bits(common)])[1:]
+            while grow:
+                w = grow & -grow
+                grow ^= w
+                common_w = common & apart[w.bit_length() - 1] & ~w
+                if common_w:
+                    stack.append((a | w, common_w, grow))
+    return out
+
+
 def global_model_codes(n: int, pa, ch, nb) -> list[int]:
     """All separated canonical (X, Y | Z) codes over ``n`` vertices.
 
@@ -121,11 +154,9 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
     outside it gives ``apart[v]``, the vertices outside ``c`` that no walk
     from ``v`` reaches.  The reach of a set is the union of its vertices'
     reaches, so <a, b | c> is separated exactly when ``b`` lies in the
-    intersection of ``apart`` over ``a``.  A search grows ``a`` in
-    ascending vertex order from its lowest vertex, carries that
-    intersection above the lowest vertex, and stops where it is empty.
-    The cost is n * 2^(n-1) walks plus a few steps per separated code,
-    instead of one walk per canonical code.
+    intersection of ``apart`` over ``a``, and ``biclique_codes`` lists
+    those triples.  The cost is n * 2^(n-1) walks plus a few steps per
+    separated code, instead of one walk per canonical code.
     """
     full = (1 << n) - 1
     out: list[int] = []
@@ -140,23 +171,7 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
             low = m & -m
             m ^= low
             apart[low.bit_length() - 1] = outside & ~m_reach(pa, ch, nb, low, c, anz)
-        base = c << 2 * n
-        m = outside
-        while m:  # low becomes a's lowest vertex; m keeps the vertices above it
-            low = m & -m
-            m ^= low
-            common = apart[low.bit_length() - 1] & m
-            stack = [(low, common, m)] if common else []
-            while stack:
-                a, common, grow = stack.pop()
-                # b is each nonempty subset of common
-                out += subset_sums(base | a, [1 << v + n for v in bits(common)])[1:]
-                while grow:
-                    w = grow & -grow
-                    grow ^= w
-                    common_w = common & apart[w.bit_length() - 1] & ~w
-                    if common_w:
-                        stack.append((a | w, common_w, grow))
+        out += biclique_codes(n, c, apart)
     out.sort()
     return out
 
@@ -238,19 +253,13 @@ def axiom_rules(n: int, flags: int, emit):
     return fire
 
 
-def closure_keys(n: int, codes, flags: int, stop) -> set[int]:
+def closure_keys(n: int, codes, flags: int) -> set[int]:
     """Canonical codes of the least superset of ``codes`` closed under the
-    enabled axioms.
-
-    A FIFO worklist fires each new triple through ``axiom_rules`` once.
-    With ``stop`` None it runs to the fixpoint.  With a code set ``stop``,
-    it stops as soon as it has seen every code of ``stop``, so it returns
-    only the part of the closure derived by then.
-    """
+    enabled axioms: a FIFO worklist fires each new triple through
+    ``axiom_rules`` once, up to the fixpoint."""
     full = (1 << n) - 1
     seen: set[int] = set()
     work: list[tuple[int, int, int]] = []
-    missing = set(stop or ())
 
     def push(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
         if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
@@ -259,14 +268,11 @@ def closure_keys(n: int, codes, flags: int, stop) -> set[int]:
         if code not in seen:
             seen.add(code)
             work.append((a, b, c))
-            missing.discard(code)
 
     fire = axiom_rules(n, flags, push)
     for code in codes:
         push(code & full, code >> n & full, code >> 2 * n)
     for triple in work:  # the loop also reaches the triples pushed as it runs
-        if stop is not None and not missing:
-            break
         fire(*triple)
     return seen
 
@@ -274,37 +280,27 @@ def closure_keys(n: int, codes, flags: int, stop) -> set[int]:
 def close_codes(n: int, codes, flags: int) -> list[int]:
     """Least superset of ``codes`` closed under the enabled axioms: the
     worklist of ``closure_keys`` run to its fixpoint, as sorted codes."""
-    return sorted(closure_keys(n, codes, flags, None))
+    return sorted(closure_keys(n, codes, flags))
 
 
 def first_violation(n: int, codes, flags: int):
     """The first rule step, firing the triples of ``codes`` in their order
     through ``axiom_rules``, that concludes a triple outside them.
 
-    Returns ``(found, below)``.  ``found`` is None when no step does, that
-    is when the model is closed.  Otherwise it is ``(premise, step)``,
-    with premise the masks of the triple being fired and step as
-    ``axiom_rules`` passed it to ``emit``: ``(a, b, c, 0, None)`` for a
-    unary step, ``(a, b, c, rule, entry)`` for a binary one.  ``below``
-    holds the codes of the model that a single-vertex drop or move from a
-    fired triple concludes.  So when the model is closed under flags that
-    meet ``DROPS`` and ``MOVES``, the model minus ``below`` is its
-    dominant triples, those with no one-step parent in it (Baioletti,
-    Busanello & Vantaggi, *IJAR* 2009).  Each pair of the model's triples
-    is joined once, so this costs about as much as closing the model.
+    None when no step does, that is when the model is closed.  Otherwise
+    ``(premise, step)``, with premise the masks of the triple being fired
+    and step as ``axiom_rules`` passed it to ``emit``: ``(a, b, c, 0,
+    None)`` for a unary step, ``(a, b, c, rule, entry)`` for a binary one.
+    Each pair of the model's triples is joined once, so this costs about
+    as much as closing the model.
     """
     full = (1 << n) - 1
     have = set(codes)
-    below: set[int] = set()
     found: list[tuple] = []
 
     def emit(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
         lo, hi = (b, a) if (a | b) & -(a | b) & b else (a, b)
-        code = lo | hi << n | c << 2 * n
-        if code in have:
-            if entry is None:
-                below.add(code)
-        elif not found:
+        if not found and lo | hi << n | c << 2 * n not in have:
             found.append((a, b, c, rule, entry))
 
     fire = axiom_rules(n, flags, emit)
@@ -312,5 +308,109 @@ def first_violation(n: int, codes, flags: int):
         premise = (code & full, code >> n & full, code >> 2 * n)
         fire(*premise)
         if found:
-            return (premise, found[0]), below
-    return None, below
+            return premise, found[0]
+    return None
+
+
+def elementary_rules(n: int, flags: int, table, emit):
+    """One step of the elementary rules from an elementary triple <x, y | K>.
+
+    An elementary triple has one vertex in each block.  ``table[i << n |
+    K]`` is the mask of the vertices j with <i, j | K> in the set at hand,
+    kept symmetric by the caller.  Returns ``fire(x, y, K)``, which takes
+    each rule instance that has <x, y | K> as one premise and the other in
+    ``table``, with either of x and y as the shared vertex i, and calls
+    ``emit(i, js, L)`` with the mask ``js`` of the vertices j whose
+    conclusion <i, j | L> is not in ``table`` at that moment.  The rules:
+
+    * semi-graphoid: <i, j | kL> and <i, k | L> hold together exactly when
+      <i, k | jL> and <i, j | L> do (Matúš 1992).  Decomposition, weak
+      union and contraction act on elementary triples as this one rule, so
+      it is always on.  Its premises differ in shape, so the fired triple
+      takes both roles;
+    * intersection, under ``INTERSECTION``: <i, j | kL> and <i, k | jL>
+      give <i, j | L> and <i, k | L>;
+    * composition, under ``COMPOSITION``: <i, j | L> and <i, k | L> give
+      <i, j | kL> and <i, k | jL>.
+
+    Intersection and composition are symmetric in their premises, so the
+    later of the two to fire finds the other.
+    """
+    inter = bool(flags & INTERSECTION)
+    comp = bool(flags & COMPOSITION)
+
+    def fire(x: int, y: int, K: int) -> None:
+        for i, j in ((x, y), (y, x)):
+            row = i << n | K
+            bj = 1 << j
+            m = K
+            while m:  # the fired triple as <i, j | kL>, k in K
+                low = m & -m
+                m ^= low
+                L = row ^ low
+                if table[L] & low:  # <i, k | L>
+                    if not table[L | bj] & low:
+                        emit(i, low, K ^ low | bj)
+                    if not table[L] & bj:
+                        emit(i, bj, K ^ low)
+                if inter and table[L | bj] & low:  # <i, k | jL>
+                    if not table[L] & bj:
+                        emit(i, bj, K ^ low)
+                    if not table[L] & low:
+                        emit(i, low, K ^ low)
+            m = table[row | bj]  # the fired triple as <i, k | L>, partners <i, m | jK>
+            if m & ~table[row]:
+                emit(i, m & ~table[row], K)
+            if comp:
+                partners = table[row] & ~bj  # <i, k | K>
+                if partners & ~table[row | bj]:
+                    emit(i, partners & ~table[row | bj], K | bj)
+                m |= partners
+            while m:  # both rules conclude <i, j | kK> from each partner k
+                low = m & -m
+                m ^= low
+                if not table[row | low] & bj:
+                    emit(i, bj, K | low)
+
+    return fire
+
+
+def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, int, int]]:
+    """The elementary triples <x, y | K> of the closure of ``codes`` under
+    the semi-graphoid axioms and, by ``flags``, intersection and
+    composition, each once as ``(x, y, K)``.
+
+    The worklist starts from the elementary parts of ``codes``: each
+    <x, y | K> with x in a, y in b and c ⊆ K ⊆ c | a | b - {x, y}.  It
+    fires each triple it has not seen through ``elementary_rules`` once,
+    in FIFO order, and stops at its fixpoint or as soon as it has seen
+    ``goal`` triples.
+    """
+    full = (1 << n) - 1
+    table = [0] * (n << n)
+    work: list[tuple[int, int, int]] = []
+
+    def push(x: int, ys: int, K: int) -> None:
+        table[x << n | K] |= ys
+        bx = 1 << x
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            table[y << n | K] |= bx
+            work.append((x, y, K))
+
+    for code in codes:
+        a, b, c = code & full, code >> n & full, code >> 2 * n
+        for x in bits(a):
+            rest = (a | b) ^ 1 << x
+            for extra in (0, *submasks(rest)):
+                ys = b & ~extra & ~table[x << n | c | extra]
+                if ys:
+                    push(x, ys, c | extra)
+    fire = elementary_rules(n, flags, table, push)
+    for triple in work:  # the loop also reaches the triples pushed as it runs
+        if len(work) == goal:
+            break
+        fire(*triple)
+    return work

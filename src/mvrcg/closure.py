@@ -14,19 +14,28 @@ axiom for a given model is the caller's call.
 The rules are stated once, in the kernel's ``axiom_rules``, whose
 ``(anchor, c)`` / ``(anchor, c | blk)`` index finds partner triples.
 Two loops fire them: ``closure_keys``, a FIFO worklist that fires each
-triple it derives once, and ``first_violation``, which fires each triple
-of a model once and stops at the first conclusion outside it.  Closing a
-model and checking that it is closed cost about the same: one fire per
-triple, each joined with the triples filed under its blocks.
+triple it derives once up to the fixpoint, and ``first_violation``,
+which fires each triple of a model once and stops at the first
+conclusion outside it.  Closing a model and checking that it is closed
+cost about the same: one fire per triple, each joined with the triples
+filed under its blocks.
 
-``close_codes`` is the one closure call.  Given a closed model M as
-``closed_target`` returns it, it stops the worklist from P once it has
-derived M's dominant triples, from which single-vertex drops and moves
-derive the rest of M, and returns M itself; a worklist that misses them
-has run to its fixpoint, and its triples are cl(P).  One pass over M
-proves it closed and finds its dominant triples: ``first_violation``
-fires every triple of M, and the dominant ones are those that no drop or
-move it fires concludes.
+``close_codes`` is the one closure call.  Given a model M that
+``closed_target`` has shown to be a compositional graphoid, P ⊆ M and
+axioms that include the semi-graphoid ones, it decides cl(P) = M on
+elementary triples <i, j | K>, one vertex in each block.  The
+elementary triples of cl(P) are the closure of P's elementary parts
+under the elementary rules (Matúš 1992; Studený 2005; Lněnička & Matúš
+2007), and semi-graphoids with the same elementary triples are equal.
+So the kernel's ``elementary_closure``, a FIFO worklist over a table of
+neighbour masks that fires each elementary triple once through
+``elementary_rules``, stops as soon as it has seen all of M's
+elementary triples, and the call returns M.  Any other call, a failing
+check included, runs ``closure_keys`` to its fixpoint.  M is a
+compositional graphoid exactly when it is pairwise, so that the m
+model's biclique search lists M back from M's elementary triples, and
+those triples obey the elementary rules with intersection and
+composition; ``closed_target`` checks both.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side, which the rules fire on directly.
@@ -41,9 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._kernels.pyfallback import (COMPOSITION, CONTRACTION, DECOMPOSITION, DROPS,
-                                  INTERSECTION, MOVES, WEAK_UNION, closure_keys,
-                                  first_violation)
+from ._kernels.pyfallback import (COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION,
+                                  WEAK_UNION, biclique_codes, closure_keys,
+                                  elementary_closure, elementary_rules, first_violation)
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, IndependenceTriple, _ground_set, triple_from_masks
@@ -126,25 +135,23 @@ def close_codes(n: int, codes, axioms: AxiomSet, target=None) -> list[int]:
     """cl(P) of P = ``codes`` under ``axioms``, as sorted codes.
 
     ``target`` is what ``closed_target`` returns for a model M closed
-    under ``axioms``.  cl(P) lies in M when P does, because M is closed.
-    It holds M when it holds M's dominant triples, because every triple
-    of M comes from a dominant one by single-vertex drops and moves, which
-    the axioms apply when their flags meet both ``DROPS`` and ``MOVES``.
-    So when those hold, the worklist from P stops as soon as it has seen
-    every dominant code, and M is cl(P).  A worklist that never sees them
-    all runs to its fixpoint, and what it has seen is cl(P).  M was built
-    under the cap, so only a call without a target checks it.
+    under the compositional-graphoid axioms.  When ``axioms`` hold the
+    semi-graphoid ones (contraction implies them) and P lies in M, cl(P)
+    lies in M, and its elementary triples are the elementary closure of
+    P's elementary parts.  Semi-graphoids with the same elementary triples
+    are equal, so cl(P) is M as soon as that worklist has seen all of M's
+    elementary triples, and it stops there.  Otherwise, and on any other
+    call, ``closure_keys`` closes P to its fixpoint.  M was built under
+    the cap, so only a call without a target checks it.
     """
     flags = axioms.flags()
-    stop = None
     if target is None:
         check_cap(n, model_cap())
-    elif flags & DROPS and flags & MOVES and target[1].issuperset(codes):
-        stop = target[2]
-    seen = closure_keys(n, codes, flags, stop)
-    if stop is not None and stop <= seen:
-        return target[0]
-    return sorted(seen)
+    elif flags & CONTRACTION and target[1].issuperset(codes):
+        model, _, goal = target
+        if len(elementary_closure(n, codes, flags, goal)) == goal:
+            return model
+    return sorted(closure_keys(n, codes, flags))
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
@@ -171,7 +178,7 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     check_cap(model.n, model_cap())
     n = model.n
     flags = axioms.flags()
-    found, _ = first_violation(n, model.to_codes(), flags)
+    found = first_violation(n, model.to_codes(), flags)
     if found is None:
         return CheckResult(True)
 
@@ -188,21 +195,45 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
         triple_from_masks(a, b, c)))
 
 
-def closed_target(n: int, codes,
-                  axiom_sets) -> Optional[tuple[list[int], frozenset[int], frozenset[int]]]:
+def closed_target(n: int, codes) -> Optional[tuple[list[int], frozenset[int], int]]:
     """The model M = ``codes`` as ``close_codes`` takes it for a target:
-    its sorted codes, its code set and the codes of its dominant triples.
-    One ``first_violation`` pass under the union of ``axiom_sets`` finds
-    both: None if M is not closed, else M minus the codes that a drop or
-    move from a triple of M concludes.  A model closed under a union of
-    rules is closed under each part of it.  Without both drops and moves
-    in the union that difference may hold more than the dominant triples,
-    but then no check's axioms let ``close_codes`` use it."""
-    flags = 0
-    for axioms in axiom_sets:
-        flags |= axioms.flags()
-    found, below = first_violation(n, codes, flags)
-    if found is not None:
-        return None
+    its sorted codes, its code set and the number of its elementary
+    triples; None when M is not closed under the compositional-graphoid
+    axioms.
+
+    M is closed under them exactly when it is pairwise, that is <a, b | c>
+    is in M exactly when every <i, j | c> with i in a and j in b is, and
+    its elementary triples obey ``elementary_rules`` with intersection and
+    composition.  The first holds when ``biclique_codes`` lists M from M's
+    elementary triples, conditioning set by conditioning set; the second
+    when no rule fired from an elementary triple of M concludes one
+    outside it.
+    """
+    full = (1 << n) - 1
     model = frozenset(codes)
-    return sorted(model), model, model - below
+    table = [0] * (n << n)
+    elementary = []
+    for code in model:
+        a, b, c = code & full, code >> n & full, code >> 2 * n
+        if not (a & (a - 1) or b & (b - 1)):
+            x, y = a.bit_length() - 1, b.bit_length() - 1
+            table[x << n | c] |= b
+            table[y << n | c] |= a
+            elementary.append((x, y, c))
+    pairwise = 0
+    for c in range(1 << n):
+        listed = biclique_codes(n, c, table[c::1 << n])
+        if not model.issuperset(listed):
+            return None
+        pairwise += len(listed)
+    if pairwise != len(model):
+        return None
+
+    missing = []
+    fire = elementary_rules(n, CONTRACTION | INTERSECTION | COMPOSITION, table,
+                            lambda i, js, K: missing.append((i, js, K)))
+    for triple in elementary:
+        fire(*triple)
+        if missing:
+            return None
+    return sorted(model), model, len(elementary)

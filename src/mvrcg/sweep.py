@@ -9,19 +9,17 @@ and the factorization identities.  Failures are recorded per graph and
 never abort the sweep.
 
 Each closure check is one call, ``close_codes(n, P, axioms, target)``,
-which returns cl(P).  ``cl(P) == M`` holds exactly when M is closed, P
-lies in M and cl(P) holds M's dominant triples, the ones no triple of M
-lies above by one added or moved vertex.  So per graph, one pass over M
-(``closed_target``) fires each triple of M once under the union of the
-selected checks' axioms: it proves M closed, and the triples of M that
-none of its single-vertex drops and moves concludes are the dominant
-ones.  Per check, the worklist from P stops as soon as it has derived
-them all, on sparse six-vertex graphs after about half the fires of a
-full closure, and otherwise runs to its fixpoint.  Either way the check
-compares cl(P) with M, so every status and witness is the one a full
-closure gives.  M is built by the first check that needs it, so that
-check's time includes building M, and the first closure check's time
-includes the pass over M.
+which returns cl(P).  Per graph, ``closed_target`` proves M a
+compositional graphoid from its elementary triples <i, j | K>: M is
+pairwise, and those triples obey the elementary rules.  Per check, one
+elementary worklist from P's elementary parts decides ``cl(P) == M``:
+P lies in M and the worklist reaches all of M's elementary triples,
+where it stops, because semi-graphoids with the same elementary triples
+are equal.  A check that falls short closes P to its fixpoint with
+``closure_keys``, so every status and witness is the one a full closure
+gives.  M is built by the first check that needs it, so that check's
+time includes building M, and the first closure check's time includes
+the proof that M is closed.
 """
 
 from __future__ import annotations
@@ -200,17 +198,15 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         run(name, compare)
 
     run_model("im_eq_imstar", lambda: global_model_codes(g, method="mstar"))
-    axioms = {prop: config.axioms_for(prop) for prop in PROPERTY_AXIOMS
-              if f"closure_{prop}" in config.checks}
 
     @cache
     def target():
         """``closed_target`` of M, once per graph."""
-        return closed_target(g.n, model(), axioms.values())
+        return closed_target(g.n, model())
 
-    for prop in axioms:
+    for prop in PROPERTY_AXIOMS:
         run_model(f"closure_{prop}", lambda prop=prop: close_codes(
-            g.n, property_model(g, prop, dec).to_codes(), axioms[prop], target()))
+            g.n, property_model(g, prop, dec).to_codes(), config.axioms_for(prop), target()))
 
     def check_ancestral():
         res = is_ancestral(g)

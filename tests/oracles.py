@@ -182,27 +182,11 @@ def oracle_closure(triples, axioms):
     return model
 
 
-def _code_sets(n, code):
-    """The blocks of the triple with code ``a | b << n | c << 2n`` as sets."""
+def elementary_codes(n, codes):
+    """The codes of ``codes`` whose two blocks hold one vertex each."""
     full = (1 << n) - 1
-    return tuple(frozenset(v for v in range(n) if block >> v & 1)
-                 for block in (code & full, code >> n & full, code >> 2 * n))
-
-
-def _one_step_parents(n, a, b, c):
-    """Triples from which <a, b | c> follows by one decomposition or
-    weak-union step: a vertex outside it, or one of its conditioning set,
-    joins a block."""
-    for v in set(range(n)) - a - b:
-        yield _canon((a | {v}, b, c - {v}))
-        yield _canon((a, b | {v}, c - {v}))
-
-
-def oracle_dominant_codes(n, codes):
-    """The codes of a model whose triples have no one-step parent in it."""
-    model = {_canon(_code_sets(n, code)) for code in codes}
     return {code for code in codes
-            if not any(p in model for p in _one_step_parents(n, *_code_sets(n, code)))}
+            if bin(code & full).count("1") == bin(code >> n & full).count("1") == 1}
 
 
 AXIOM_NAMES = {

@@ -9,8 +9,8 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
-from mvrcg._kernels import pyfallback
-from mvrcg._kernels.pyfallback import closure_keys, first_violation
+from mvrcg import closure
+from mvrcg._kernels.pyfallback import closure_keys, elementary_closure, first_violation
 from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
@@ -20,7 +20,7 @@ from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
 
-from oracles import oracle_dominant_codes
+from oracles import elementary_codes
 
 
 @pytest.fixture()
@@ -451,16 +451,18 @@ def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
     assert all(checks[f"closure_{p}"].status == "pass" for p in PROPERTY_AXIOMS if p != "mr")
 
 
-def _count_rules_and_worklists(monkeypatch):
-    """Spies on the closure kernels: ``worklists`` gets the ``stop`` of each
-    ``closure_keys`` call, ``passes`` the codes and flags of each
-    ``first_violation`` call, and ``fires`` one counter per rule set that
-    ``axiom_rules`` builds, counting the triples fired through it."""
-    worklists, passes, fires = [], [], []
-    rules = pyfallback.axiom_rules
+def _spy_on_closure_kernels(monkeypatch):
+    """Spies on the closure kernels that ``mvrcg.closure`` calls: ``calls``
+    gets ``("closure_keys", codes, flags)``, ``("first_violation", flags)``
+    and ``("elementary", goal, seen)`` per call, ``seen`` being how many
+    elementary triples the worklist returned; ``fires`` gets one counter
+    per rule set that ``closed_target`` builds, counting the triples fired
+    through it."""
+    calls, fires = [], []
+    rules = closure.elementary_rules
 
-    def counting_rules(n, flags, emit):
-        fire = rules(n, flags, emit)
+    def counting_rules(n, flags, table, emit):
+        fire = rules(n, flags, table, emit)
         fires.append(0)
         k = len(fires) - 1
 
@@ -470,63 +472,66 @@ def _count_rules_and_worklists(monkeypatch):
 
         return counted
 
-    def counting_worklist(n, keys, flags, stop):
-        worklists.append(stop)
-        return closure_keys(n, keys, flags, stop)
+    def spy_keys(n, codes, flags):
+        calls.append(("closure_keys", list(codes), flags))
+        return closure_keys(n, codes, flags)
 
-    def counting_pass(n, keys, flags):
-        passes.append((set(keys), flags))
-        return first_violation(n, keys, flags)
+    def spy_pass(n, codes, flags):
+        calls.append(("first_violation", flags))
+        return first_violation(n, codes, flags)
 
-    monkeypatch.setattr("mvrcg._kernels.pyfallback.axiom_rules", counting_rules)
-    monkeypatch.setattr("mvrcg.closure.closure_keys", counting_worklist)
-    monkeypatch.setattr("mvrcg.closure.first_violation", counting_pass)
-    return worklists, passes, fires
+    def spy_worklist(n, codes, flags, goal=None):
+        seen = elementary_closure(n, codes, flags, goal)
+        calls.append(("elementary", goal, len(seen)))
+        return seen
+
+    monkeypatch.setattr("mvrcg.closure.elementary_rules", counting_rules)
+    monkeypatch.setattr("mvrcg.closure.closure_keys", spy_keys)
+    monkeypatch.setattr("mvrcg.closure.first_violation", spy_pass)
+    monkeypatch.setattr("mvrcg.closure.elementary_closure", spy_worklist)
+    return calls, fires
 
 
 def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
-    """Each closure check runs one worklist from its property's triples,
-    stopped at the model's dominant triples; one closedness pass covers
-    the model under the union of the checks' axioms; no worklist runs
-    without a stop, so nothing is closed to its fixpoint, the model least
-    of all.  A worklist run to its fixpoint fires every triple of the
-    closure once, so each stopped one fires fewer triples than the model
-    holds."""
+    """Each closure check runs one elementary worklist from its property's
+    triples, which stops once it has seen the model's elementary triples;
+    one proof over the model's elementary triples shows it closed; neither
+    ``closure_keys`` nor ``first_violation`` runs, so nothing is closed to
+    its fixpoint, the model least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
-    model = set(global_model_codes(g))
-    dominant = oracle_dominant_codes(g.n, model)
-    worklists, passes, fires = _count_rules_and_worklists(monkeypatch)
+    model = global_model_codes(g)
+    goal = len(elementary_codes(g.n, model))
+    calls, fires = _spy_on_closure_kernels(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
-    assert passes == [(model, AxiomSet.compositional_graphoid().flags())]
-    assert fires[0] == len(model) and len(fires) == 9
-    assert dominant and worklists == [dominant] * 8
-    assert all(count < len(model) for count in fires[1:])
+    assert goal and fires == [goal]
+    assert calls == [("elementary", goal, goal)] * 8
 
 
 def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
-    """A closure check whose worklist misses the model's dominant triples
-    has run to its fixpoint, so its closure is the check's answer: the
-    check builds the rules of the closedness pass and of one worklist,
-    and closes its property's triples no second time."""
+    """A closure check whose elementary worklist falls short of the model's
+    elementary triples closes its property's triples once with
+    ``closure_keys``, to the fixpoint, and that closure is the check's
+    answer."""
     def mr_empty(g, kind, dec=None):
         return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
 
     monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
-    dominant = oracle_dominant_codes(g.n, global_model_codes(g))
-    worklists, passes, fires = _count_rules_and_worklists(monkeypatch)
+    goal = len(elementary_codes(g.n, global_model_codes(g)))
+    calls, fires = _spy_on_closure_kernels(monkeypatch)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
-    assert len(passes) == 1 and len(fires) == 2
-    assert worklists == [dominant]
+    assert fires == [goal]
+    assert calls == [("elementary", goal, 0),
+                     ("closure_keys", [], AxiomSet.semi_graphoid().flags())]
 
 
 def test_close_codes_with_a_target_is_the_closure():
     """``close_codes`` returns cl(P) whether or not it is given the model
     as a target: for every graph with at most three vertices, every
-    property's triples P and axiom sets with and without the single-vertex
-    drops and moves that let the worklist stop early."""
+    property's triples P and axiom sets with and without the contraction
+    that lets the elementary worklist decide the check."""
     axiom_sets = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
     axiom_sets += [AxiomSet(contraction=True), AxiomSet(decomposition=True),
                    AxiomSet(composition=True), AxiomSet()]
@@ -534,15 +539,27 @@ def test_close_codes_with_a_target_is_the_closure():
     for n in range(1, 4):
         for g in enumerate_mvr_cgs(n):
             model = global_model_codes(g)
+            target = closed_target(g.n, model)
+            assert target is not None  # separation models are compositional graphoids
             for axioms in axiom_sets:
-                target = closed_target(g.n, model, [axioms])
-                assert target is not None  # separation models are compositional graphoids
                 for prop in PROPERTY_AXIOMS:
                     codes = property_model(g, prop).to_codes()
                     closed = close_codes(g.n, codes, axioms, target)
                     assert closed == close_codes(g.n, codes, axioms)
                     stopped += closed is target[0]  # the worklist stopped at M
     assert stopped
+
+
+def test_edgeless_eight_vertex_graph_passes_every_check(monkeypatch):
+    """The edgeless graph on eight vertices, above the default model cap:
+    its separation model holds all 26,335 canonical triples, and every
+    check passes except the latent-DAG oracle, which is skipped above its
+    size."""
+    monkeypatch.setenv("MVRCG_MAX_N", "8")
+    checks = verify_graph(MixedGraph(8), SweepConfig()).checks
+    assert set(checks) == set(ALL_CHECKS)
+    assert checks.pop("marginal_oracle").status == "skipped"
+    assert {c.status for c in checks.values()} == {"pass"}
 
 
 def test_a_cap_inside_a_check_is_an_error_not_a_failure():
@@ -577,7 +594,7 @@ def test_closure_checks_match_the_closure_on_perturbed_models(monkeypatch, chang
     is not separated added to it, each closure check reports what closing
     the property's triples and comparing reports, on every graph with
     three vertices and every such change.  Some perturbed models are still
-    closed, so the proof from dominant triples is tried and must refuse."""
+    closed, so the elementary route is tried and must refuse."""
     config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
     targets = []
 

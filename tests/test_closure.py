@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, close,
                    equivalent_under, satisfies)
 from mvrcg.chain import validate_chain_graph
+from mvrcg._kernels.pyfallback import elementary_closure, first_violation
 from mvrcg.closure import close_codes, closed_target
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
@@ -16,7 +17,7 @@ from mvrcg.separation import global_model, global_model_codes, iter_canonical_co
 from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
 
-from oracles import AXIOM_NAMES, base4_code, oracle_closure, oracle_dominant_codes
+from oracles import AXIOM_NAMES, base4_code, elementary_codes, oracle_closure
 
 T = IndependenceTriple.of
 
@@ -209,29 +210,56 @@ def _pinned_digest_models():
             for i in range(40)]
 
 
-def test_dominant_triples_generate_the_model():
-    """On a model that decomposition and weak union leave closed, the pass
-    that proves it closed finds exactly the triples with no one-step
-    parent in the model, and closing them under those two rules alone
-    gives back the model.  Checked on the separation model of every graph
-    with n <= 4, and on the 40 models of the pinned closure digest and
-    their closures under sg, g, csg and cg."""
-    unary = AxiomSet(decomposition=True, weak_union=True)
-    models = [(g.n, global_model_codes(g)) for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
+def test_elementary_closedness_proof_matches_first_violation():
+    """``closed_target``'s proof that a model is a compositional graphoid,
+    from its elementary triples and the pairwise condition, agrees with
+    ``first_violation`` under cg on every separation model with n <= 4,
+    the same model with one code dropped and with one code added (codes
+    drawn at random), and the 40 models of the pinned closure digest and
+    their closures under sg, g, csg and cg.  A closed model's target is
+    its sorted codes, its code set and its number of elementary triples."""
+    rng = random.Random(17)
+    models = []
+    for n in range(1, 5):
+        canonical = [code for code, *_ in iter_canonical_codes(n)]
+        for g in enumerate_mvr_cgs(n):
+            codes = global_model_codes(g)
+            models.append((n, codes))
+            if codes:
+                k = rng.randrange(len(codes))
+                models.append((n, codes[:k] + codes[k + 1:]))
+            outside = sorted(set(canonical) - set(codes))
+            if outside:
+                models.append((n, sorted(codes + [rng.choice(outside)])))
     for codes in _pinned_digest_models():
         models.append((5, codes))
         models += [(5, close_codes(5, codes, AxiomSet.parse(name))) for name in AXIOM_NAMES]
+    cg = AxiomSet.compositional_graphoid().flags()
     closed = 0
     for n, codes in models:
-        target = closed_target(n, codes, [unary])
-        if target is None:
-            continue
-        closed += 1
-        dominant = target[2]
-        assert dominant == oracle_dominant_codes(n, codes)
-        top = [code for code in codes if code in dominant]
-        assert close_codes(n, top, unary) == codes
-    assert closed >= 1743 + 4 * 40
+        target = closed_target(n, codes)
+        assert (target is not None) == (first_violation(n, codes, cg) is None)
+        if target is not None:
+            closed += 1
+            assert target == (codes, set(codes), len(elementary_codes(n, codes)))
+    assert (len(models), closed) == (5133 + 200, 2764)
+
+
+def test_elementary_closure_is_the_elementary_part_of_the_closure():
+    """The elementary worklist run to its fixpoint from random sets of one
+    to six codes, 100 at n = 5 and 100 at n = 6, yields exactly the
+    elementary triples of their closure under sg, g, csg and cg."""
+    rng = random.Random(2018)
+    for n in (5, 6):
+        canonical = [code for code, *_ in iter_canonical_codes(n)]
+        for _ in range(100):
+            codes = sorted(rng.sample(canonical, rng.randint(1, 6)))
+            for name in AXIOM_NAMES:
+                axioms = AxiomSet.parse(name)
+                seen = elementary_closure(n, codes, axioms.flags())
+                got = [1 << min(x, y) | 1 << max(x, y) << n | k << 2 * n for x, y, k in seen]
+                assert len(got) == len(set(got))
+                assert set(got) == elementary_codes(n, close_codes(n, codes, axioms))
 
 
 # Codes a | b << n | c << 2n at n = 2, written as a + (b << 2) + (c << 4).
