@@ -7,18 +7,20 @@ is Markov to the latent DAG of a graph, marginalise out the latents, and
 every separation statement and both product forms must hold exactly (up
 to float rounding).
 
-One projection, :func:`_project`, lays every table out: one ``einsum``
-that sums out the other variables and orders the kept ones.  The sampler
-and :func:`verify_factorization` each form their product in one more
-``einsum``.  Labels are table axes or DAG vertices; the cap bounds a table
-at 20 variables, so a call has at most 21 operands and labels below 20,
+A table is read-only once built, so it memoises its marginals: one sum
+over the other axes per subset of axes, repeated back over them as one
+value per table cell.  :func:`ci_holds` and :func:`verify_factorization`
+compare such cell vectors cell by cell, and ``marginal`` and ``reorder``
+take their layout from them.  The sampler forms its product in one
+``einsum`` whose labels are DAG vertices; the cap bounds the DAG at 20
+vertices, so the call has at most 21 operands and labels below 20,
 within numpy's limits (32 operands, 52 labels, since numpy 1.24).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import inf, prod
+from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,35 +38,79 @@ _ROW_FLOOR = 0.01  # keeps conditionals well away from 0/0
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Joint probability table; axis order follows ``variables``."""
+    """Joint probability table; axis order follows ``variables``.
+
+    ``probs`` may be any real numeric array-like; the table keeps a
+    read-only float copy, so later writes to the caller's array change
+    nothing.  The table memoises its marginals: at most one cell vector
+    per axis subset that is actually asked for, held until the table is
+    discarded with its graph.
+    """
 
     variables: tuple[int, ...]
     cards: tuple[int, ...]
     probs: np.ndarray
+    _marginals: dict[int, np.ndarray] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.probs.shape != self.cards:
+        try:
+            probs = np.asarray(self.probs)
+        except (TypeError, ValueError) as exc:
+            raise GraphFormatError(f"probabilities do not form an array: {exc}") from None
+        if probs.dtype.kind not in "iuf":
+            raise GraphFormatError(f"probabilities must be real numbers, not {probs.dtype}")
+        probs = probs.astype(float)  # a copy, whatever the input dtype
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        if probs.shape != self.cards:
             raise DisjointnessViolation(
-                f"table shape {self.probs.shape} does not match cards {self.cards}")
+                f"table shape {probs.shape} does not match cards {self.cards}")
         if len(self.variables) != len(self.cards):
             raise DisjointnessViolation("one cardinality per variable required")
         if len(set(self.variables)) != len(self.variables):
             raise DisjointnessViolation(f"repeated variable in {self.variables}")
-        if np.any(self.probs < 0):
+        if not np.isfinite(probs).all():
+            raise DisjointnessViolation("probabilities must be finite")
+        if np.any(probs < 0):
             raise DisjointnessViolation("negative probability")
-        total = float(self.probs.sum())
+        total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise DisjointnessViolation(f"probabilities sum to {total!r}, not 1")
 
     def axis_of(self, v: int) -> int:
         """Axis of variable ``v``: the module's one check that a variable
         belongs to the table."""
-        if v not in self.variables:
-            raise DisjointnessViolation(f"{v} is not a variable of the table")
-        return self.variables.index(v)
+        try:
+            return self.variables.index(v)
+        except ValueError:
+            raise DisjointnessViolation(f"{v} is not a variable of the table") from None
+
+    def _mask_of(self, vs: Iterable[int]) -> int:
+        mask = 0
+        for v in vs:
+            mask |= 1 << self.axis_of(v)
+        return mask
+
+    def _cells(self, keep: int) -> np.ndarray:
+        """The marginal over the axes in mask ``keep``, repeated over the
+        other axes: one value per table cell, in C order, read-only."""
+        cells = self._marginals.get(keep)
+        if cells is None:
+            summed = tuple(i for i in range(len(self.cards)) if not keep >> i & 1)
+            cells = np.empty(self.probs.size)
+            cells.reshape(self.cards)[...] = self.probs.sum(axis=summed, keepdims=True)
+            cells.flags.writeable = False
+            self._marginals[keep] = cells
+        return cells
 
     def _over(self, variables: Sequence[int]) -> "JointTable":
-        probs, _ = _project(self, variables)
+        """Marginal over ``variables``, one axis per variable in that order."""
+        axes = [self.axis_of(v) for v in variables]
+        cells = self._cells(sum(1 << i for i in axes)).reshape(self.cards)
+        kept = cells[tuple(slice(None) if i in axes else 0 for i in range(len(self.cards)))]
+        order = sorted(axes)
+        probs = kept.transpose([order.index(i) for i in axes])
         return JointTable(tuple(variables), probs.shape, probs)
 
     def marginal(self, keep: Iterable[int]) -> "JointTable":
@@ -75,13 +121,6 @@ class JointTable:
         if sorted(variables) != sorted(self.variables):
             raise DisjointnessViolation("reorder must permute the variables")
         return self._over(variables)
-
-
-def _project(table: JointTable, variables: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """Marginal of ``table`` over ``variables``, one axis per variable in
-    that order, and those variables' table axes as einsum labels."""
-    axes = [table.axis_of(v) for v in variables]
-    return np.einsum(table.probs, list(range(len(table.variables))), axes), axes
 
 
 def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
@@ -122,18 +161,14 @@ def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -
     """Numeric conditional independence: for every assignment with
     p(c) > 0, |p(a,b|c) - p(a|c) p(b|c)| <= eps."""
     _check_tolerance(eps)
-    k, m = len(triple.a), len(triple.a) + len(triple.b)
-    p, _ = _project(table, [*triple.a, *triple.b, *triple.c])
-    pabc = p.reshape(prod(p.shape[:k]), prod(p.shape[k:m]), prod(p.shape[m:]))
-    pc = pabc.sum(axis=(0, 1))
-    pac = pabc.sum(axis=1)
-    pbc = pabc.sum(axis=0)
-    mask = pc > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        joint = np.where(mask, pabc / pc, 0.0)
-        left = np.where(mask, pac / pc, 0.0)[:, None, :]
-        right = np.where(mask, pbc / pc, 0.0)[None, :, :]
-    return bool(np.all(np.abs(joint - left * right) <= eps))
+    a, b, c = (table._mask_of(block) for block in (triple.a, triple.b, triple.c))
+    pabc, pac, pbc, pc = (table._cells(keep) for keep in (a | b | c, a | c, b | c, c))
+    # count_nonzero is numpy's cheapest test of a whole short vector
+    if np.count_nonzero(pc) < pc.size:
+        given = pc > 0
+        pabc, pac, pbc, pc = pabc[given], pac[given], pbc[given], pc[given]
+    within = np.abs(pabc / pc - pac / pc * (pbc / pc)) <= eps
+    return np.count_nonzero(within) == within.size
 
 
 def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9) -> bool:
@@ -141,12 +176,9 @@ def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9)
     conditionals at every full assignment.  Rows with zero tail mass
     contribute factor 1; positive sampling keeps that branch idle."""
     _check_tolerance(eps)
-    every_axis = list(range(len(table.variables)))
-    operands = [np.ones(table.cards), every_axis]  # covers axes no factor names
+    product = 1.0  # also for the cells of axes no factor names
     for factor in f.factors:
-        pht, axes = _project(table, [*factor.head, *factor.tail])
-        tail_mass = pht.sum(axis=tuple(range(len(factor.head))), keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            operands += [np.where(tail_mass > 0, pht / tail_mass, 1.0), axes]
-    product = np.einsum(*operands, every_axis)
-    return bool(np.all(np.abs(table.probs - product) <= eps))
+        tail = table._mask_of(factor.tail)
+        pht, pt = table._cells(table._mask_of(factor.head) | tail), table._cells(tail)
+        product = product * np.divide(pht, pt, out=np.ones_like(pht), where=pt > 0)
+    return bool((np.abs(table.probs.ravel() - product) <= eps).all())

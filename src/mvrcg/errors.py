@@ -7,7 +7,10 @@ class GraphError(Exception):
 
 class GraphFormatError(GraphError):
     """Malformed graph text: bad syntax, duplicate labels, self loops,
-    more than one edge between a vertex pair, or an unsupported edge kind."""
+    more than one edge between a vertex pair, or an unsupported edge kind.
+    Also malformed arguments, such as a negative size, a tolerance that is
+    not a finite nonnegative number, or probabilities that are not real
+    numbers."""
 
 
 class PartiallyDirectedCycle(GraphError):

@@ -241,21 +241,20 @@ def oracle_tail(n, directed, bidirected, H):
     return (dis - H) | pa
 
 
+def _oracle_marginal(probs_by_assignment, variables, keep):
+    out = {}
+    for assign, p in probs_by_assignment.items():
+        key = tuple(assign[variables.index(v)] for v in keep)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
 def oracle_ci(probs_by_assignment, variables, A, B, C, eps):
     """Loop-based conditional independence check on a dict table."""
     A, B, C = list(A), list(B), list(C)
 
-    def marg(keep):
-        out = {}
-        for assign, p in probs_by_assignment.items():
-            key = tuple(assign[variables.index(v)] for v in keep)
-            out[key] = out.get(key, 0.0) + p
-        return out
-
-    pabc = marg(A + B + C)
-    pc = marg(C)
-    pac = marg(A + C)
-    pbc = marg(B + C)
+    pabc, pc, pac, pbc = (_oracle_marginal(probs_by_assignment, variables, keep)
+                          for keep in (A + B + C, C, A + C, B + C))
     for key, p in pabc.items():
         ka, kb, kc = key[:len(A)], key[len(A):len(A) + len(B)], key[len(A) + len(B):]
         if pc[kc] <= 0:
@@ -263,5 +262,26 @@ def oracle_ci(probs_by_assignment, variables, A, B, C, eps):
         lhs = p / pc[kc]
         rhs = (pac[ka + kc] / pc[kc]) * (pbc[kb + kc] / pc[kc])
         if abs(lhs - rhs) > eps:
+            return False
+    return True
+
+
+def oracle_factorization(probs_by_assignment, variables, factors, eps):
+    """Loop-based check that the dict table equals, at every assignment,
+    the product of p(head | tail) over the (head, tail) factors, a factor
+    counting 1 where p(tail) = 0."""
+    conditionals = []
+    for head, tail in factors:
+        both, tail = list(head) + list(tail), list(tail)
+        conditionals.append((both, _oracle_marginal(probs_by_assignment, variables, both),
+                             tail, _oracle_marginal(probs_by_assignment, variables, tail)))
+    for assign, p in probs_by_assignment.items():
+        value = dict(zip(variables, assign))
+        product = 1.0
+        for both, p_both, tail, p_tail in conditionals:
+            pt = p_tail[tuple(value[v] for v in tail)]
+            if pt > 0:
+                product *= p_both[tuple(value[v] for v in both)] / pt
+        if abs(p - product) > eps:
             return False
     return True

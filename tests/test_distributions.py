@@ -1,5 +1,7 @@
 import random
+import warnings
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from mvrcg import (IndependenceTriple, JointTable, MixedGraph, canonical_dag,
                    head_partition, sample_latent_dag_distribution,
                    validate_chain_graph, verify_factorization)
 from mvrcg.enumeration import random_mvr_cg
-from mvrcg.errors import CapExceeded, DisjointnessViolation
+from mvrcg.errors import CapExceeded, DisjointnessViolation, GraphFormatError
 from mvrcg.factorization import Factorization, HeadTail
 
-from oracles import oracle_ancestors, oracle_ci, powerset
+from oracles import oracle_ancestors, oracle_ci, oracle_factorization, powerset
 
 T = IndependenceTriple.of
 
@@ -27,6 +29,47 @@ def test_table_validation():
         table_of([0], [0.5, 0.6])
     with pytest.raises(DisjointnessViolation):
         table_of([0, 1], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 0.5], [np.inf, 0.5], [-np.inf, 1.0], [0.5, 0.5, 0.0]])
+def test_table_rejects_non_finite_or_misshaped_probabilities(probs):
+    with pytest.raises(DisjointnessViolation):
+        JointTable((0,), (2,), np.array(probs))
+
+
+@pytest.mark.parametrize("probs", [np.array(["0.5", "0.5"]), np.array([0.5 + 0j, 0.5]),
+                                   np.array([0.5, 0.5], dtype=object), np.array([True, False]),
+                                   [[0.5], [0.25, 0.25]], None])
+def test_table_refuses_probabilities_that_are_not_real_numbers(probs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphFormatError):
+            JointTable((0,), (2,), probs)
+
+
+def test_table_keeps_a_read_only_float_copy_of_any_real_array_like():
+    for probs in ([0.25, 0.75], (1, 0), np.array([3, 1], dtype=np.uint8) / 4):
+        t = JointTable((0,), (2,), probs)
+        assert t.probs.dtype == float and not t.probs.flags.writeable
+        assert t.probs.tolist() == list(np.asarray(probs, dtype=float))
+
+
+def test_writes_to_the_callers_array_change_no_verdict():
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+    before = table_of([0, 1, 2], probs.copy())
+    t = JointTable((0, 1, 2), (2, 2, 2), probs)
+    triples = [T(a, b, c) for a, b, c in all_triples([0, 1, 2])]
+    per_var = Factorization(tuple(HeadTail(frozenset({v}), frozenset()) for v in range(3)),
+                            frozenset(range(3)))
+    expected = [ci_holds(before, tr) for tr in triples]
+    assert not all(expected)  # the uniform table written below would satisfy every triple
+    for later in (np.full((2, 2, 2), 1 / 8), rng.dirichlet(np.ones(8)).reshape(2, 2, 2)):
+        probs[...] = later  # first before any marginal is memoised, then after
+        assert [ci_holds(t, tr) for tr in triples] == expected
+        assert not verify_factorization(t, per_var)
+    with pytest.raises(ValueError):
+        t.probs[0, 0, 0] = 1.0
 
 
 def test_product_table_independent():
@@ -50,17 +93,97 @@ def test_ci_symmetric_and_order_invariant():
         assert ci_holds(t, triple, 1e-9) == ci_holds(t, sym, 1e-9)
 
 
+# Variable ids in axis order, and ids that are neither 0..k-1 nor sorted.
+SHAPES = [((0, 1, 2, 3), (2, 2, 2, 2)), ((7, 2, 5), (3, 2, 3)), ((4, 9, 1, 6), (2, 3, 2, 3))]
+
+
+def dyadic_table(rng, variables, cards):
+    """A random table whose cells are multiples of 2**-12, often 0, and
+    sometimes the product of two independent blocks.  Every marginal then
+    sums exactly, so the library and the loop oracles do the same float
+    operations on the same numbers and agree even at eps = 0."""
+    split = int(rng.integers(len(cards) + 1))
+    probs = np.ones(())
+    for block in (cards[:split], cards[split:]):
+        weights = rng.dirichlet(np.ones(prod(block)))
+        weights[rng.random(weights.size) < 0.4] = 0.0
+        weights[rng.integers(weights.size)] += 0.1  # some cell keeps mass
+        counts = rng.multinomial(1 << 6, weights / weights.sum())
+        probs = np.multiply.outer(probs, (counts / (1 << 6)).reshape(block))
+    return table_of(variables, probs)
+
+
+def by_assignment(t):
+    return {assign: float(t.probs[assign]) for assign in np.ndindex(t.cards)}
+
+
+def all_triples(variables):
+    """Every <a, b | c> over the variables, as (a, b, c) lists."""
+    for roles in product(range(4), repeat=len(variables)):
+        a, b, c = ([v for v, r in zip(variables, roles) if r == k] for k in range(3))
+        if a and b:
+            yield a, b, c
+
+
 def test_ci_against_loop_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         probs = rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
         t = table_of([0, 1, 2, 3], probs)
-        by_assign = {assign: float(probs[assign]) for assign in product(range(2), repeat=4)}
+        by_assign = by_assignment(t)
         for triple in (T([0], [1], [2]), T([0, 1], [3]), T([2], [0, 3], [1])):
             expected = oracle_ci(by_assign, [0, 1, 2, 3],
                                  sorted(triple.a), sorted(triple.b), sorted(triple.c),
                                  1e-7)
             assert ci_holds(t, triple, 1e-7) == expected
+    # Tables with zero cells, answering every triple in turn: each verdict
+    # must match the oracle and a fresh table's, so no memoised marginal
+    # leaks from one triple into the next.
+    verdicts, zero_given = set(), False
+    for variables, cards in SHAPES:
+        for eps in (0.0, 1e-9, 1e-3):
+            for _ in range(3):
+                t = dyadic_table(rng, variables, cards)
+                by_assign = by_assignment(t)
+                for a, b, c in all_triples(variables):
+                    expected = oracle_ci(by_assign, list(variables), a, b, c, eps)
+                    assert ci_holds(t, T(a, b, c), eps) == expected, (t.probs, a, b, c, eps)
+                    assert ci_holds(table_of(variables, t.probs), T(a, b, c), eps) == expected
+                    verdicts.add(expected)
+                    zero_given |= not t.marginal(c).probs.all()
+    assert verdicts == {True, False} and zero_given
+
+
+def random_factorization(rng, variables):
+    """Heads partition the variables in a random order; each tail is either
+    every earlier head (the chain rule) or a random set of other variables."""
+    order = [int(v) for v in rng.permutation(variables)]
+    factors, earlier = [], []
+    while order:
+        size = int(rng.integers(1, len(order) + 1))
+        head, order = order[:size], order[size:]
+        tail = earlier if rng.random() < 0.5 else [
+            v for v in variables if v not in head and rng.random() < 0.5]
+        factors.append(HeadTail(frozenset(head), frozenset(tail)))
+        earlier = earlier + head
+    return Factorization(tuple(factors), frozenset(variables))
+
+
+def test_verify_factorization_against_loop_oracle():
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for variables, cards in SHAPES:
+        for eps in (0.0, 1e-9, 1e-3):
+            for _ in range(3):
+                t = dyadic_table(rng, variables, cards)
+                by_assign = by_assignment(t)
+                for _ in range(8):
+                    f = random_factorization(rng, variables)
+                    pairs = [(factor.head, factor.tail) for factor in f.factors]
+                    expected = oracle_factorization(by_assign, list(variables), pairs, eps)
+                    assert verify_factorization(t, f, eps) == expected, (t.probs, pairs, eps)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_sampler_deterministic():

@@ -16,11 +16,14 @@ import inspect
 import io
 import json
 from functools import cache
+from math import inf, nan, prod
+
+import numpy as np
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvrcg
-from mvrcg import (IndependenceTriple, MixedGraph, ancestors, anteriors, barren,
+from mvrcg import (IndependenceTriple, JointTable, MixedGraph, ancestors, anteriors, barren,
                    canonical_dag, ci_holds, d_separated, district_of, districts,
                    enumerate_mvr_cgs, find_primitive_inducing_chain, head_partition,
                    induced_subgraph, intervene, m_connecting_walk, m_separated,
@@ -92,6 +95,26 @@ def test_public_functions_answer_or_raise_typed_errors(data):
     within = data.draw(st.none() | st.integers(-1, 1 << g.n + 1))
     for fn, args in _calls(g, x, y, z, a, v, w, within):
         _typed(fn, *args)
+
+
+@FUZZ
+@given(st.data())
+def test_joint_table_builds_or_raises_typed_errors(data):
+    k = data.draw(st.integers(0, 3))
+    variables = tuple(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+    cards = tuple(data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)))
+    shape = data.draw(st.just(cards) | st.lists(st.integers(0, 3), max_size=3).map(tuple))
+    cells = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.25, nan, inf, -inf]),
+                               min_size=prod(shape), max_size=prod(shape)))
+    values = np.array(cells).reshape(shape)
+    probs = data.draw(st.sampled_from([
+        values, values.tolist(), values.astype(complex), values.astype(str),
+        values.astype(object), (values == 1.0).astype(int), [cells, [0.5]], None]))
+    table = _typed(JointTable, variables, cards, probs)
+    if table is not None:
+        assert table.probs.dtype == float and not table.probs.flags.writeable
+        if k >= 2:
+            _typed(ci_holds, table, IndependenceTriple.of([variables[0]], [variables[1]]))
 
 
 # Each subcommand's flags, the flags it cannot run without, and for each
