@@ -32,10 +32,11 @@ neighbour masks that fires each elementary triple once through
 ``elementary_rules``, stops as soon as it has seen all of M's
 elementary triples, and the call returns M.  Any other call, a failing
 check included, runs ``closure_keys`` to its fixpoint.  M is a
-compositional graphoid exactly when it is pairwise, so that the m
-model's biclique search lists M back from M's elementary triples, and
-those triples obey the elementary rules with intersection and
-composition; ``closed_target`` checks both.
+compositional graphoid exactly when it is pairwise, so that each code's
+pairs are elementary triples of M and the m model's biclique search
+counts as many triples from them as M holds, and those triples obey the
+elementary rules with intersection and composition; ``closed_target``
+checks both.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side, which the rules fire on directly.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._kernels.pyfallback import (COMPOSITION, CONTRACTION, DECOMPOSITION, INTERSECTION,
-                                  WEAK_UNION, biclique_codes, closure_keys,
+                                  WEAK_UNION, biclique_count, closure_keys,
                                   elementary_closure, elementary_rules, first_violation)
 from .config import check_cap, model_cap
 from .errors import UnknownName
@@ -196,20 +197,21 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
 
 
 def closed_target(n: int, codes) -> Optional[tuple[list[int], frozenset[int], int]]:
-    """The model M = ``codes`` as ``close_codes`` takes it for a target:
-    its sorted codes, its code set and the number of its elementary
-    triples; None when M is not closed under the compositional-graphoid
-    axioms.
+    """The model M = ``codes`` (canonical codes, as a model holds them) as
+    ``close_codes`` takes it for a target: its sorted codes, its code set
+    and the number of its elementary triples; None when M is not closed
+    under the compositional-graphoid axioms.
 
     M is closed under them exactly when it is pairwise, that is <a, b | c>
     is in M exactly when every <i, j | c> with i in a and j in b is, and
     its elementary triples obey ``elementary_rules`` with intersection and
-    composition.  The first holds when ``biclique_codes`` lists M from M's
-    elementary triples, conditioning set by conditioning set; the second
-    when no rule fired from an elementary triple of M concludes one
-    outside it.
+    composition.  The first holds when every code of M has its pairs in
+    M's elementary triples and ``biclique_count`` finds as many pairwise
+    triples as M holds; the second when no rule fired from an elementary
+    triple of M concludes one outside it.
     """
     full = (1 << n) - 1
+    size = 1 << n
     model = frozenset(codes)
     table = [0] * (n << n)
     elementary = []
@@ -220,13 +222,15 @@ def closed_target(n: int, codes) -> Optional[tuple[list[int], frozenset[int], in
             table[x << n | c] |= b
             table[y << n | c] |= a
             elementary.append((x, y, c))
-    pairwise = 0
-    for c in range(1 << n):
-        listed = biclique_codes(n, c, table[c::1 << n])
-        if not model.issuperset(listed):
-            return None
-        pairwise += len(listed)
-    if pairwise != len(model):
+    for code in model:
+        a, b, c = code & full, code >> n & full, code >> 2 * n
+        while a:
+            low = a & -a
+            a ^= low
+            if b & ~table[(low.bit_length() - 1) << n | c]:
+                return None
+    given = {c for _, _, c in elementary}
+    if sum(biclique_count(n, c, table[c::size]) for c in given) != len(model):
         return None
 
     missing = []

@@ -22,15 +22,20 @@ surface, not assumed.
 
 The model loops cost the reach sets they compute plus a few steps per
 code they emit, instead of one query per canonical triple (about
-4^n/2).  The m model takes one walk per vertex and conditioning set,
-n * 2^(n-1) walks, in the kernel's ``global_model_codes``.  The m* and
-latent-DAG models share :func:`_separated_codes`, which builds one
-adjacency per ancestral set A rather than per set a|b|c: the sets u with
-an(u) = A are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the
-vertices of A with no child in A.  Per conditioning set c inside A, the
-classes of A - c follow from those of A - (c + {v}) in one step, v
-merging with every class it touches, and an (A, c) with fewer than two
-observed classes emits nothing and is skipped.
+4^n/2).  The m model is its elementary table, built in the kernel's
+``m_elementary_table``: given c, a vertex walks only for the vertices
+above it, outside c, that are not adjacent to it, since adjacent
+vertices are never separated and m-connection is symmetric, and the walk
+ends once it has reached them all.  That is at most
+n * 2^(n-1) - 2^n + 1 walks (49 on the edgeless graph with 5 vertices,
+none on a complete one), and ``global_model_codes`` lists M from the
+table.  The m* and latent-DAG models share :func:`_separated_codes`,
+which builds one adjacency per ancestral set A rather than per set
+a|b|c: the sets u with an(u) = A are those with sinks(A) ⊆ u ⊆ A, where
+sinks(A) are the vertices of A with no child in A.  Per conditioning set
+c inside A, the classes of A - c follow from those of A - (c + {v}) in
+one step, v merging with every class it touches, and an (A, c) with
+fewer than two observed classes emits nothing and is skipped.
 """
 
 from __future__ import annotations

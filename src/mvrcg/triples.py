@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from ._bitset import format_vertices, mask_of, set_of
+from ._bitset import bits, format_vertices, mask_of, set_of
 from ._kernels.pyfallback import decode_code, encode_masks
 from .errors import DisjointnessViolation, ModelFormatError
 
@@ -50,6 +50,15 @@ class IndependenceTriple:
     @classmethod
     def of(cls, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()) -> "IndependenceTriple":
         return cls(frozenset(a), frozenset(b), frozenset(c))
+
+    @classmethod
+    def _unchecked(cls, a: frozenset[int], b: frozenset[int],
+                   c: frozenset[int]) -> "IndependenceTriple":
+        """The triple of blocks already known to be canonical, built without
+        ``__post_init__``'s checks."""
+        t = object.__new__(cls)
+        t.__dict__.update(a=a, b=b, c=c)
+        return t
 
     def masks(self) -> tuple[int, int, int]:
         return mask_of(self.a), mask_of(self.b), mask_of(self.c)
@@ -147,14 +156,37 @@ class IndependenceModel:
         return sorted(self.codes)
 
     @cached_property
+    def _ordered(self) -> tuple[IndependenceTriple, ...]:
+        """The triples in ``IndependenceTriple.sort_key`` order, decoded
+        once.  ``__post_init__`` checked the codes, so the triples skip
+        their own checks, and equal masks share one frozenset."""
+        n = self.n
+        full = (1 << n) - 1
+        blocks: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {}
+        rows = []
+        for code in self.codes:
+            row = []
+            for mask in (code & full, code >> n & full, code >> 2 * n):
+                block = blocks.get(mask)
+                if block is None:
+                    ids = tuple(bits(mask))
+                    block = blocks[mask] = ids, frozenset(ids)
+                row.append(block)
+            rows.append(row)
+        # A block's sorted ids decide its frozenset, and codes are distinct,
+        # so the rows sort by the ids alone, as sort_key does.
+        rows.sort()
+        return tuple(IndependenceTriple._unchecked(a[1], b[1], c[1]) for a, b, c in rows)
+
+    @cached_property
     def triples(self) -> frozenset[IndependenceTriple]:
-        return frozenset(decode_triple(code, self.n) for code in self.codes)
+        return frozenset(self._ordered)
 
     def __contains__(self, t: IndependenceTriple) -> bool:
         return t in self.triples
 
     def __iter__(self) -> Iterator[IndependenceTriple]:
-        return iter(sorted(self.triples, key=IndependenceTriple.sort_key))
+        return iter(self._ordered)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -245,6 +245,30 @@ def test_elementary_closedness_proof_matches_first_violation():
     assert (len(models), closed) == (5133 + 200, 2764)
 
 
+def test_closedness_proof_rejects_a_swapped_triple():
+    """A separation model with one of its non-elementary codes swapped for
+    a non-elementary canonical code outside it keeps its elementary
+    triples, and so the count of pairwise triples; only the check of the
+    new code's pairs rejects it.  Every model with n <= 4 that has such
+    a code, with codes drawn at random."""
+    rng = random.Random(23)
+    swapped = 0
+    for n in range(3, 5):
+        canonical = [code for code, *_ in iter_canonical_codes(n)]
+        elementary = elementary_codes(n, canonical)
+        for g in enumerate_mvr_cgs(n):
+            codes = global_model_codes(g)
+            inside = [code for code in codes if code not in elementary]
+            outside = sorted(set(canonical) - set(codes) - elementary)
+            if not (inside and outside):
+                continue
+            model = sorted(set(codes) - {rng.choice(inside)} | {rng.choice(outside)})
+            assert closed_target(n, model) is None
+            assert first_violation(n, model, AxiomSet.compositional_graphoid().flags())
+            swapped += 1
+    assert swapped == 1018
+
+
 def test_elementary_closure_is_the_elementary_part_of_the_closure():
     """The elementary worklist run to its fixpoint from random sets of one
     to six codes, 100 at n = 5 and 100 at n = 6, yields exactly the
