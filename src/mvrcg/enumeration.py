@@ -48,19 +48,31 @@ def _is_chain_graph(n, pairs, states) -> bool:
     return _chain_order_from_masks(n, ch, nb) is not None
 
 
+def check_count(name: str, value) -> None:
+    """Raise ``GraphFormatError`` unless ``value`` is a nonnegative int."""
+    if type(value) is not int or value < 0:  # bool is a subclass of int
+        raise GraphFormatError(f"{name} must be a nonnegative int, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise ``GraphFormatError`` unless ``seed`` is an int.  None would
+    draw from OS entropy, so the same arguments would give other graphs."""
+    if type(seed) is not int:
+        raise GraphFormatError(f"seed must be an int, got {seed!r}")
+
+
 def _enumerate(n: int, states, chain_only: bool = True) -> Iterator[MixedGraph]:
     """Every labeled graph on ``n`` vertices whose pair states come from
     ``states``, in ``product`` order; with ``chain_only``, only those
-    without a partially directed cycle."""
-    if n < 0:
-        raise GraphFormatError("vertex count must be nonnegative")
+    without a partially directed cycle.  The arguments are checked before
+    the first graph is asked for."""
+    check_count("vertex count", n)
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
     pairs = tuple(combinations(range(n), 2))
-    for pair_states in product(states, repeat=len(pairs)):
-        if chain_only and not _is_chain_graph(n, pairs, pair_states):
-            continue
-        yield MixedGraph(n, *_edges_from_states(pairs, pair_states))
+    return (MixedGraph(n, *_edges_from_states(pairs, pair_states))
+            for pair_states in product(states, repeat=len(pairs))
+            if not chain_only or _is_chain_graph(n, pairs, pair_states))
 
 
 def enumerate_mvr_cgs(n: int) -> Iterator[MixedGraph]:
@@ -71,8 +83,9 @@ def enumerate_mvr_cgs(n: int) -> Iterator[MixedGraph]:
 
 def random_mvr_cg(n: int, rng: random.Random) -> MixedGraph:
     """Uniform sample over per-pair states, rejecting non-chain-graphs."""
-    if n < 0:
-        raise GraphFormatError("vertex count must be nonnegative")
+    check_count("vertex count", n)
+    if not isinstance(rng, random.Random):
+        raise GraphFormatError(f"rng must be a random.Random, got {rng!r}")
     pairs = tuple(combinations(range(n), 2))
     while True:
         states = tuple(rng.randrange(4) for _ in pairs)
@@ -81,9 +94,13 @@ def random_mvr_cg(n: int, rng: random.Random) -> MixedGraph:
 
 
 def random_mvr_cgs(n: int, count: int, seed: int) -> Iterator[MixedGraph]:
+    """``count`` graphs from ``random_mvr_cg``, drawn from ``seed``; the
+    arguments are checked before the first graph is asked for."""
+    check_count("vertex count", n)
+    check_count("count", count)
+    check_seed(seed)
     rng = random.Random(seed)
-    for _ in range(count):
-        yield random_mvr_cg(n, rng)
+    return (random_mvr_cg(n, rng) for _ in range(count))
 
 
 def enumerate_dags(n: int) -> Iterator[MixedGraph]:

@@ -28,7 +28,8 @@ class NotADag(GraphError):
 
 
 class DisjointnessViolation(GraphError):
-    """X, Y, Z overlap, or X or Y is empty."""
+    """X, Y, Z overlap, or X or Y is empty; also the two ends of a chain
+    asked for between a vertex and itself."""
 
 
 class ModelFormatError(GraphError):

@@ -32,10 +32,14 @@ none on a complete one), and ``global_model_codes`` lists M from the
 table.  The m* and latent-DAG models share :func:`_separated_codes`,
 which builds one adjacency per ancestral set A rather than per set
 a|b|c: the sets u with an(u) = A are those with sinks(A) ⊆ u ⊆ A, where
-sinks(A) are the vertices of A with no child in A.  Per conditioning set
-c inside A, the classes of A - c follow from those of A - (c + {v}) in
-one step, v merging with every class it touches, and an (A, c) with
-fewer than two observed classes emits nothing and is skipped.
+sinks(A) are the vertices of A with no child in A.  On the latent route
+the latents are projected out first: observed vertices that a path
+through latents alone connects are joined, since no latent is ever
+conditioned on.  A vertex joined to every other vertex of A leaves A - c
+one class unless c holds it, so only the c that hold all such vertices
+are visited.  Per such c, the classes of A - c follow from those of
+A - (c + {v}) in one step, v merging with every class it touches, and an
+(A, c) with fewer than two classes emits nothing and is skipped.
 """
 
 from __future__ import annotations
@@ -139,16 +143,19 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     sink is an ancestor of no other vertex of A.  A latent in A has a
     child in A, so the sinks are observed.
 
-    For each c inside A's observed part, A - c falls into classes joined
-    by paths that avoid c.  Those of A - c follow from those of
-    A - (c + {v}) in one step: v joins every class it touches.  So one
-    search, over the latent part at c = A's observed part, starts the
-    partitions.
-    The rest u - c of each u above splits into the classes' traces, and a
-    split of it into a and b is separated exactly when no class meets
-    both.  With k traces, the 2^(k-1) - 1 splits that keep the lowest
-    vertex's trace in a are the canonical ones.  An (A, c) with fewer than
-    two observed classes splits nothing and is skipped.
+    No latent is ever conditioned on, so a path through latents alone is
+    always open: the observed vertices that one latent component touches
+    are joined pairwise, and the latents dropped.  Then A - c falls into
+    classes joined by paths that avoid c.  A vertex joined to every other
+    vertex of A puts all of A - c into one class unless it lies in c, so
+    only the c that hold every such vertex are visited, one per subset of
+    the other vertices, the loose ones.  Those classes of A - c follow
+    from those of A - (c + {v}) in one step: v joins every class it
+    touches.  The rest u - c of each u above splits into the classes'
+    traces, and a split of it into a and b is separated exactly when no
+    class meets both.  With k traces, the 2^(k-1) - 1 splits that keep
+    the lowest vertex's trace in a are the canonical ones.  An (A, c)
+    with fewer than two classes splits nothing and is skipped.
     """
     an_of = [0] * (1 << n)
     for u in range(1, 1 << n):
@@ -159,41 +166,56 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     for anc in {an_of[u] for u in range(1, 1 << n) if u & (u - 1)}:
         adj = adjacency(g, anc)
         obs, latent = anc & observed, anc & ~observed
+        while latent:
+            cls = reach_mask(adj, latent & -latent, latent)
+            latent ^= cls
+            ends = 0
+            for h in bits(cls):
+                ends |= adj[h]
+            ends &= obs
+            for v in bits(ends):
+                adj[v] |= ends
+        joined = sum(1 << v for v in bits(obs) if not obs & ~adj[v] & ~(1 << v))
+        loose = obs ^ joined
+        if not loose & (loose - 1):  # one loose vertex at most: one class
+            continue
         sinks = sum(1 << v for v in bits(obs) if not g.ch[v] & anc)
-        classes = []
-        m = latent
-        while m:
-            cls = reach_mask(adj, m & -m, latent)
-            classes.append(cls)
-            m ^= cls
-        partition = {obs: classes}
-        for c in (*submasks(obs), 0):  # descending: c | v comes before c
-            if c != obs:
-                v = obs & ~c & -(obs & ~c)
-                near = adj[v.bit_length() - 1] & ~c
+        classes: list[int] = []
+        partition = {loose: classes}
+        for cl in (*submasks(loose), 0):  # descending: cl | v comes before cl
+            if cl != loose:
+                v = loose & ~cl & -(loose & ~cl)
+                near = adj[v.bit_length() - 1] & loose & ~cl
                 if near:
                     merged, classes = v, []
-                    for cls in partition[c | v]:
+                    for cls in partition[cl | v]:
                         if cls & near:
                             merged |= cls
                         else:
                             classes.append(cls)
                     classes.insert(0, merged)
                 else:
-                    classes = [v, *partition[c | v]]
-                partition[c] = classes
-            # The first class holds v, the lowest vertex of obs - c.
-            traces = [cls & obs for cls in classes if cls & obs] if latent else classes
-            if len(traces) < 2:
+                    classes = [v, *partition[cl | v]]
+                partition[cl] = classes
+            # The first class holds v, the lowest vertex of A - c.
+            if len(classes) < 2:
                 continue
+            c = joined | cl
             tail, free = sinks & ~c, obs & ~(sinks | c)
             for extra in (*submasks(free), 0):
                 rest = tail | extra
-                # Without free vertices, rest is all of obs - c.
-                split = [t & rest for t in traces if t & rest] if free else traces
+                # Without free vertices, rest is all of A - c.
+                split = [t & rest for t in classes if t & rest] if free else classes
                 if len(split) < 2:
                     continue
-                if not split[0] & rest & -rest:
+                low = rest & -rest
+                if len(split) == 2:  # one split: the lowest vertex's trace is a
+                    a, b = split
+                    if not a & low:
+                        a, b = b, a
+                    out.append(c << 2 * n | b << n | a)
+                    continue
+                if not split[0] & low:
                     split = sorted(split, key=lambda t: t & -t)
                 # The lowest vertex's trace starts in a and the others in
                 # b; moving a trace t from b to a adds t - (t << n).  The

@@ -24,7 +24,7 @@ from ._bitset import submasks
 from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
 from .config import check_cap, marginal_cap
-from .errors import NotAncestral, UnknownName, VerticesAdjacent
+from .errors import DisjointnessViolation, NotAncestral, UnknownName, VerticesAdjacent
 from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
 from .separation import (_moral_adjacency, _require_dag, _separated_codes,
                          global_model_codes)
@@ -49,9 +49,13 @@ def is_ancestral(g: MixedGraph) -> CheckResult:
 def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[list[int]]:
     """A chain r .. s whose interiors are all colliders inside
     an({r, s}), or None.  Interior vertices may repeat (walk search over
-    (vertex, arrowhead) states), which does not change existence."""
+    (vertex, arrowhead) states), which does not change existence.  A
+    chain joins two distinct vertices, so ``r == s`` is refused."""
     if g.adjacent(r, s):
         raise VerticesAdjacent(f"{g.labels[r]} and {g.labels[s]} are adjacent")
+    if r == s:
+        raise DisjointnessViolation(f"a chain joins two distinct vertices, not "
+                                    f"{g.labels[r]} and itself")
     anchor = ancestors_mask(g, (1 << r) | (1 << s))
 
     def step(v, head):
@@ -144,8 +148,9 @@ def marginal_model_equal(g: MixedGraph) -> CheckResult:
     disagreeing code.  M is built first: its cap stays at most
     ``HARD_MODEL_CAP`` whatever ``MVRCG_MAX_N`` says, so a graph too large
     for it is refused before the latent DAG's class splits start: one
-    adjacency per ancestral set of the latent DAG, and one merge of the
-    classes per conditioning set inside it."""
+    adjacency per ancestral set of the latent DAG, its latents projected
+    out, and one merge of the classes per conditioning set inside it that
+    holds every vertex joined to all the others."""
     model = global_model_codes(g)
     latent = latent_model_codes(g)
     if latent == model:

@@ -35,8 +35,8 @@ from ._kernels.pyfallback import BACKEND
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close_codes, closed_target
 from .config import ENUMERATION_CAP, model_cap
-from .enumeration import enumerate_mvr_cgs, random_mvr_cgs
-from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
+from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
+from .errors import CapExceeded, GraphError, UnknownName
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph
 from .properties import property_model
@@ -74,10 +74,8 @@ class SweepConfig:
 
     def __post_init__(self):
         for field_name in ("max_n", "random_count", "random_n", "marginal_oracle_max_n"):
-            value = getattr(self, field_name)
-            if type(value) is not int or value < 0:  # bool is a subclass of int
-                raise GraphFormatError(f"{field_name} must be a nonnegative int, "
-                                       f"got {value!r}")
+            check_count(field_name, getattr(self, field_name))
+        check_seed(self.seed)
         for name in self.checks:
             if name not in ALL_CHECKS:
                 raise UnknownName(f"unknown check {name!r}; expected one of "

@@ -3,8 +3,10 @@
 The API test draws a chain graph with at most four vertices and calls
 each public function of ``mvrcg`` that takes vertices with ids from
 {-1, ..., n}, empty and overlapping sets and masks beyond the full mask.
-The CLI test runs ``cli.main`` on drawn argument lists over a drawn graph
-file, model files and output paths, and expects exit status 0, 1 or 2.
+The generator test draws sizes and seeds of several types for the graph
+generators.  The CLI test runs ``cli.main`` on drawn argument lists over
+a drawn graph file, model files and output paths, and expects exit
+status 0, 1 or 2.
 Sizes are drawn up to 3, and a sweep starts from ``--max-n 1``, so that
 every drawn run stays small.
 """
@@ -15,6 +17,7 @@ import contextlib
 import inspect
 import io
 import json
+import random
 from functools import cache
 from math import inf, nan, prod
 
@@ -25,12 +28,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import mvrcg
 from mvrcg import (IndependenceTriple, JointTable, MixedGraph, ancestors, anteriors, barren,
                    canonical_dag, ci_holds, d_separated, district_of, districts,
-                   enumerate_mvr_cgs, find_primitive_inducing_chain, head_partition,
-                   induced_subgraph, intervene, m_connecting_walk, m_separated,
-                   m_star_separated, markov_blanket, ordered_local_triples,
-                   pre_of_component, relatives, sample_latent_dag_distribution,
-                   validate_chain_graph, verify_factorization)
+                   enumerate_dags, enumerate_mvr_cgs, find_primitive_inducing_chain,
+                   head_partition, induced_subgraph, intervene, m_connecting_walk,
+                   m_separated, m_star_separated, markov_blanket, ordered_local_triples,
+                   pre_of_component, random_mvr_cg, random_mvr_cgs, relatives,
+                   sample_latent_dag_distribution, validate_chain_graph,
+                   verify_factorization)
 from mvrcg.cli import main
+from mvrcg.enumeration import enumerate_mixed_graphs
 from mvrcg.errors import GraphError
 from mvrcg.properties import PROPERTY_KINDS, property_model
 
@@ -115,6 +120,28 @@ def test_joint_table_builds_or_raises_typed_errors(data):
         assert table.probs.dtype == float and not table.probs.flags.writeable
         if k >= 2:
             _typed(ci_holds, table, IndependenceTriple.of([variables[0]], [variables[1]]))
+
+
+_SIZE_ARGS = st.integers(-2, 3) | st.sampled_from([2.5, True, None, "3", [1]])
+
+
+@FUZZ
+@given(n=_SIZE_ARGS, count=_SIZE_ARGS, seed=_SIZE_ARGS | st.integers(-2**40, 2**40))
+def test_graph_generators_answer_or_raise_typed_errors(n, count, seed):
+    """The exhaustive and random generators refuse a size that is not a
+    nonnegative int, and a seed that is not an int, with a typed error;
+    a seeded random run is reproducible."""
+    for gen in (enumerate_mvr_cgs, enumerate_dags, enumerate_mixed_graphs):
+        graphs = _typed(lambda: list(gen(n)))
+        assert (graphs is not None) == (type(n) is int and n >= 0)
+    graphs = _typed(lambda: [g.to_text() for g in random_mvr_cgs(n, count, seed)])
+    valid = type(n) is int and n >= 0 and type(count) is int and count >= 0
+    assert (graphs is not None) == (valid and type(seed) is int)
+    if graphs is not None:
+        assert len(graphs) == count
+        assert graphs == [g.to_text() for g in random_mvr_cgs(n, count, seed)]
+    assert (_typed(random_mvr_cg, n, random.Random(0)) is not None) == (
+        type(n) is int and n >= 0)
 
 
 # Each subcommand's flags, the flags it cannot run without, and for each

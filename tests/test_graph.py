@@ -5,12 +5,12 @@ import pytest
 
 import mvrcg
 from mvrcg import (IndependenceModel, IndependenceTriple, JointTable, MixedGraph, ancestors,
-                   anteriors, canonical_dag, ci_holds, districts, fixtures, induced_subgraph,
-                   m_separated, relatives, sample_latent_dag_distribution, validate_chain_graph,
-                   verify_factorization)
+                   anteriors, canonical_dag, ci_holds, districts, find_primitive_inducing_chain,
+                   fixtures, induced_subgraph, m_separated, relatives,
+                   sample_latent_dag_distribution, validate_chain_graph, verify_factorization)
 from mvrcg.factorization import Factorization, HeadTail, is_head, tail_of_head
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
-                               random_mvr_cg)
+                               random_mvr_cg, random_mvr_cgs)
 from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
                           InvalidSeed, ModelFormatError, NotAComponent, UnknownName)
 from mvrcg.sweep import SweepConfig
@@ -187,6 +187,16 @@ TYPED_ERROR_CALLS = {
     "enumerate_dags": (GraphFormatError, lambda: list(enumerate_dags(-1))),
     "enumerate_mixed_graphs": (GraphFormatError, lambda: list(enumerate_mixed_graphs(-1))),
     "random_mvr_cg": (GraphFormatError, lambda: random_mvr_cg(-1, random.Random(0))),
+    "random_mvr_cg_float_count": (GraphFormatError, lambda: random_mvr_cg(2.5, random.Random(0))),
+    "random_mvr_cg_int_rng": (GraphFormatError, lambda: random_mvr_cg(3, 0)),
+    "enumerate_mvr_cgs_float_count": (GraphFormatError, lambda: enumerate_mvr_cgs(2.5)),
+    "enumerate_dags_float_count": (GraphFormatError, lambda: enumerate_dags(2.5)),
+    "enumerate_mixed_graphs_bool_count": (GraphFormatError,
+                                          lambda: enumerate_mixed_graphs(True)),
+    "random_mvr_cgs_negative_n": (GraphFormatError, lambda: random_mvr_cgs(-1, 2, 1)),
+    "random_mvr_cgs_float_count": (GraphFormatError, lambda: random_mvr_cgs(3, 2.5, 1)),
+    "random_mvr_cgs_list_seed": (GraphFormatError, lambda: random_mvr_cgs(3, 2, [1])),
+    "random_mvr_cgs_none_seed": (GraphFormatError, lambda: random_mvr_cgs(3, 2, None)),
     "fixtures_load": (UnknownName, lambda: fixtures.load("nope")),
     "parent_components": (NotAComponent,
                           lambda: validate_chain_graph(MixedGraph(2)).parent_components(-1)),
@@ -222,6 +232,11 @@ TYPED_ERROR_CALLS = {
     "sweep_config_negative_random_count": (GraphFormatError,
                                            lambda: SweepConfig(random_count=-1)),
     "sweep_config_negative_random_n": (GraphFormatError, lambda: SweepConfig(random_n=-1)),
+    "inducing_chain_same_vertex": (DisjointnessViolation,
+                                   lambda: find_primitive_inducing_chain(MixedGraph(2), 1, 1)),
+    "sweep_config_none_seed": (GraphFormatError, lambda: SweepConfig(seed=None)),
+    "sweep_config_list_seed": (GraphFormatError, lambda: SweepConfig(seed=[1])),
+    "sweep_config_bool_seed": (GraphFormatError, lambda: SweepConfig(seed=True)),
     "ci_holds_negative_eps": (GraphFormatError, lambda: ci_holds(
         _TABLE, IndependenceTriple.of([0], [1]), -1.0)),
     "verify_factorization_nan_eps": (GraphFormatError, lambda: verify_factorization(

@@ -12,10 +12,10 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
 from mvrcg._bitset import submasks
 from mvrcg._kernels import pyfallback
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
-from mvrcg.graph import reach_mask
+from mvrcg.graph import reach_mask, topological_order
 from mvrcg.separation import (_collider_adjacency, _moral_adjacency, _separated_codes,
                               global_model_codes, iter_canonical_codes)
-from mvrcg.structure import canonical_dag, latent_model_codes
+from mvrcg.structure import canonical_dag, is_ancestral, latent_model_codes
 from mvrcg.triples import IndependenceTriple, decode_triple
 
 from oracles import base4_code, oracle_canonical_codes, oracle_m_separated
@@ -61,15 +61,47 @@ def test_m_model_loop_matches_public_queries():
         assert global_model_codes(g) == expected
 
 
-def test_mstar_model_loop_matches_public_queries():
-    for g in loop_graphs():
+def nonchain_graphs():
+    """Graphs beyond chain graphs, which ``global_model_codes(g, "mstar")``
+    also takes: every mixed graph with n <= 3, directed cycles included;
+    20 random non-ancestral n=5 graphs (uniform per-pair states, the rest
+    rejected); the complete bidirected n=6 graph, whose vertices are all
+    joined to every other one, and the edgeless n=7 graph, where none is."""
+    rng = random.Random(55)
+    nonancestral = []
+    while len(nonancestral) < 20:
+        directed, bidirected = [], []
+        for u, v in combinations(range(5), 2):
+            state = rng.randrange(4)
+            if state == 1:
+                directed.append((u, v))
+            elif state == 2:
+                directed.append((v, u))
+            elif state == 3:
+                bidirected.append((u, v))
+        g = MixedGraph(5, directed, bidirected)
+        if not is_ancestral(g):
+            nonancestral.append(g)
+    return ([g for n in (1, 2, 3) for g in enumerate_mixed_graphs(n)] + nonancestral
+            + [MixedGraph(6, bidirected=list(combinations(range(6), 2))), MixedGraph(7)])
+
+
+def test_mstar_model_loop_matches_public_queries(monkeypatch):
+    monkeypatch.setenv("MVRCG_MAX_N", "7")
+    for g in loop_graphs() + nonchain_graphs():
         expected = accepted_codes(g.n, lambda x, y, z: m_star_separated(g, x, y, z))
         assert global_model_codes(g, "mstar") == expected
 
 
-def test_latent_model_loop_matches_public_queries():
-    for g in loop_graphs():
-        dag = canonical_dag(g).dag
+def test_latent_model_loop_matches_public_queries(monkeypatch):
+    """On every graph whose latent DAG is acyclic: ``d_separated`` refuses
+    the others."""
+    monkeypatch.setenv("MVRCG_MAX_N", "7")
+    graphs = loop_graphs() + nonchain_graphs()
+    dags = [(g, canonical_dag(g).dag) for g in graphs]
+    dags = [(g, dag) for g, dag in dags if len(topological_order(dag.pa, dag.ch)) == dag.n]
+    assert len(graphs) > len(dags) > len(loop_graphs())
+    for g, dag in dags:
         expected = accepted_codes(g.n, lambda x, y, z: d_separated(dag, x, y, z))
         assert latent_model_codes(g) == expected
 
