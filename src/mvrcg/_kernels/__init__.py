@@ -1,8 +1,8 @@
-"""The hot kernels: separation-model enumeration and the axiom-closure
-fixpoint, which dominate the runtime of the verification sweeps.  They
-have one source, the pure-Python ``pyfallback``, from which the package
-imports them.  This package keeps what ``perfbench`` reads: ``BACKEND``,
-``load_compiled`` and the ``pyfallback`` module.
+"""The hot kernels: separation-model enumeration and the elementary
+closure worklist, which dominate the runtime of the verification
+sweeps.  They have one source, the pure-Python ``pyfallback``, from
+which the package imports them.  This package keeps what ``perfbench``
+reads: ``BACKEND``, ``load_compiled`` and the ``pyfallback`` module.
 """
 
 from . import pyfallback

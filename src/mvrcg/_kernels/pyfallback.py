@@ -1,4 +1,6 @@
-"""The kernels: separation-model enumeration and axiom closure, in Python.
+"""The kernels, in Python: separation-model enumeration and the closure,
+one worklist over elementary triples and the listing of a closure from
+them.
 
 Graphs arrive as parent/child/neighbour adjacency bitmasks.  An
 independence triple <a, b | c> over ``n`` vertices travels as one
@@ -17,16 +19,10 @@ from ..graph import reach_mask
 
 BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
 
-# Axiom rule bits; ``AxiomSet.flags()`` ORs them into the closure's flags.
-DECOMPOSITION = 1
-WEAK_UNION = 2
-CONTRACTION = 4
-INTERSECTION = 8
-COMPOSITION = 16
-# The flags under which ``axiom_rules`` drops a vertex from a block, and
-# under which it moves one into the conditioning set.
-DROPS = DECOMPOSITION | CONTRACTION
-MOVES = WEAK_UNION | CONTRACTION
+# The closure's flags: the axioms besides the semi-graphoid ones, which
+# are always on.  ``AxiomSet.flags()`` ORs them.
+INTERSECTION = 1
+COMPOSITION = 2
 
 
 def encode_masks(n: int, a: int, b: int, c: int) -> int:
@@ -229,142 +225,6 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
     return out
 
 
-def axiom_rules(n: int, flags: int, emit):
-    """One rule step of the enabled axioms, joined against earlier triples.
-
-    Returns ``fire(a, b, c)``, which files <a, b | c> and then calls
-    ``emit`` with each conclusion, in either orientation, of one step that
-    takes it as a premise and, for a binary rule, a fired triple as the
-    other: ``emit(a, b, c)`` for a unary step, ``emit(anchor, blk, c,
-    rule, entry)`` for rule bit ``rule`` and partner ``(anchor, *entry)``.
-    So each pair of fired triples is joined when the later one fires.
-
-    Symmetry is implicit in the canonical encoding.  The biconditional
-    contraction axiom contributes its reverse direction (splitting the
-    second block back apart) as the single-vertex drop/move steps that
-    decomposition and weak union use.
-
-    Every binary rule joins two triples that share one block, the anchor.
-    Each triple is filed under both of its blocks as anchor, keyed by
-    ``(anchor, c)`` and by ``(anchor, c | blk)`` with entry ``(blk, c)``,
-    where ``blk`` is its other block.  Composition pairs equal ``c``;
-    contraction pairs one triple's ``c`` with its partner's ``c | blk``,
-    in both premise roles; intersection pairs equal ``c | blk``.  It and
-    composition conclude the same triple with the premises swapped, so
-    they need only one role.
-    """
-    drops = bool(flags & DROPS)
-    moves = bool(flags & MOVES)
-    con = bool(flags & CONTRACTION)
-    inter = bool(flags & INTERSECTION)
-    comp = bool(flags & COMPOSITION)
-    by_c_used = con or comp
-    by_cb_used = con or inter
-    by_c: dict[int, list[tuple[int, int]]] = {}   # anchor | c << n
-    by_cb: dict[int, list[tuple[int, int]]] = {}  # anchor | (c | blk) << n
-
-    def fire(a: int, b: int, c: int) -> None:
-        if by_c_used:
-            by_c.setdefault(a | c << n, []).append((b, c))
-            by_c.setdefault(b | c << n, []).append((a, c))
-        if by_cb_used:
-            by_cb.setdefault(a | (c | b) << n, []).append((b, c))
-            by_cb.setdefault(b | (c | a) << n, []).append((a, c))
-        roles = ((a, b), (b, a))
-        if drops or moves:
-            for blk, other in roles:
-                if blk.bit_count() < 2:
-                    continue
-                m = blk
-                while m:
-                    low = m & -m
-                    m ^= low
-                    if drops:
-                        emit(blk ^ low, other, c)
-                    if moves:
-                        emit(blk ^ low, other, c | low)
-        for anchor, blk in roles:
-            if con:
-                # <anchor, blk | c> with <anchor, blk2 | c2>, c == c2 | blk2
-                for entry in by_cb.get(anchor | c << n, ()):
-                    blk2, c2 = entry
-                    emit(anchor, blk | blk2, c2, CONTRACTION, entry)
-                # <anchor, blk1 | c1> with <anchor, blk | c>, c1 == c | blk
-                for entry in by_c.get(anchor | (c | blk) << n, ()):
-                    emit(anchor, entry[0] | blk, c, CONTRACTION, entry)
-            if comp:
-                for entry in by_c.get(anchor | c << n, ()):
-                    blk2 = entry[0]
-                    if not blk & blk2:
-                        emit(anchor, blk | blk2, c, COMPOSITION, entry)
-            if inter:
-                for entry in by_cb.get(anchor | (c | blk) << n, ()):
-                    blk2, c2 = entry
-                    if blk2 & c == blk2 and c2 == (c & ~blk2) | blk:
-                        emit(anchor, blk | blk2, c & ~blk2, INTERSECTION, entry)
-
-    return fire
-
-
-def closure_keys(n: int, codes, flags: int) -> set[int]:
-    """Canonical codes of the least superset of ``codes`` closed under the
-    enabled axioms: a FIFO worklist fires each new triple through
-    ``axiom_rules`` once, up to the fixpoint."""
-    full = (1 << n) - 1
-    seen: set[int] = set()
-    work: list[tuple[int, int, int]] = []
-
-    def push(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
-        if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
-            a, b = b, a
-        code = a | b << n | c << 2 * n
-        if code not in seen:
-            seen.add(code)
-            work.append((a, b, c))
-
-    fire = axiom_rules(n, flags, push)
-    for code in codes:
-        push(code & full, code >> n & full, code >> 2 * n)
-    for triple in work:  # the loop also reaches the triples pushed as it runs
-        fire(*triple)
-    return seen
-
-
-def close_codes(n: int, codes, flags: int) -> list[int]:
-    """Least superset of ``codes`` closed under the enabled axioms: the
-    worklist of ``closure_keys`` run to its fixpoint, as sorted codes."""
-    return sorted(closure_keys(n, codes, flags))
-
-
-def first_violation(n: int, codes, flags: int):
-    """The first rule step, firing the triples of ``codes`` in their order
-    through ``axiom_rules``, that concludes a triple outside them.
-
-    None when no step does, that is when the model is closed.  Otherwise
-    ``(premise, step)``, with premise the masks of the triple being fired
-    and step as ``axiom_rules`` passed it to ``emit``: ``(a, b, c, 0,
-    None)`` for a unary step, ``(a, b, c, rule, entry)`` for a binary one.
-    Each pair of the model's triples is joined once, so this costs about
-    as much as closing the model.
-    """
-    full = (1 << n) - 1
-    have = set(codes)
-    found: list[tuple] = []
-
-    def emit(a: int, b: int, c: int, rule: int = 0, entry=None) -> None:
-        lo, hi = (b, a) if (a | b) & -(a | b) & b else (a, b)
-        if not found and lo | hi << n | c << 2 * n not in have:
-            found.append((a, b, c, rule, entry))
-
-    fire = axiom_rules(n, flags, emit)
-    for code in codes:
-        premise = (code & full, code >> n & full, code >> 2 * n)
-        fire(*premise)
-        if found:
-            return premise, found[0]
-    return None
-
-
 def elementary_rules(n: int, flags: int, table, emit):
     """One step of the elementary rules from an elementary triple <x, y | K>.
 
@@ -467,3 +327,43 @@ def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, 
             break
         fire(*triple)
     return work
+
+
+def semi_graphoid_codes(n: int, elementary) -> list[int]:
+    """The sorted canonical codes of the semi-graphoid whose elementary
+    triples are ``elementary``, each as ``(x, y, K)``.
+
+    It lists them level by level in the size of the two blocks by the
+    chain rule: <A, Bv | C> holds exactly when <A, B | C> and <A, v | CB>
+    do (decomposition and weak union one way, contraction the other), for
+    any vertex v of either block.  So each triple of a level grows from
+    one of the level below by a vertex v outside it, in either block,
+    when the triple of v with the other block, given C and the grown
+    block's rest, was listed at a lower level.
+    """
+    full = (1 << n) - 1
+    have = {1 << min(x, y) | 1 << max(x, y) << n | K << 2 * n for x, y, K in elementary}
+    level = list(have)
+    while level:
+        grown = []
+        for code in level:
+            a, b, c = code & full, code >> n & full, code >> 2 * n
+            free = full & ~(a | b | c)
+            while free:
+                v = free & -free
+                free ^= v
+                for blk, other in ((a, b), (b, a)):
+                    new = encode_masks(n, other, blk | v, c)
+                    if new not in have and encode_masks(n, other, v, c | blk) in have:
+                        have.add(new)
+                        grown.append(new)
+        level = grown
+    return sorted(have)
+
+
+def close_codes(n: int, codes, flags: int) -> list[int]:
+    """cl(``codes``) under the semi-graphoid axioms and ``flags``, as
+    sorted codes: ``elementary_closure`` to its fixpoint, listed by
+    ``semi_graphoid_codes``.  The package closes through
+    ``closure.close_codes``; ``perfbench``'s parity gate calls this."""
+    return semi_graphoid_codes(n, elementary_closure(n, codes, flags))

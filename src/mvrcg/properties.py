@@ -201,6 +201,12 @@ def alt_local_triples(g: MixedGraph) -> IndependenceModel:
     still generate the whole model under composition.  On DAGs this is
     the directed local property; on pure bidirected graphs, the dual
     local property.
+
+    Without composition the statements are strictly weaker than the
+    global property, also for distributions.  On 0 -> 3, 3 -> 1, 3 -> 2,
+    1 <-> 2 they are 0 _||_ 1 | 3 and 0 _||_ 2 | 3.  With X3 = 0, X0 and
+    X1 independent fair bits and X2 = X0 xor X1, both hold, but the
+    separated 0 _||_ {1, 2} | 3 does not.
     """
     triples = []
     for v in range(g.n):

@@ -15,9 +15,9 @@ pairwise, and those triples obey the elementary rules.  Per check, one
 elementary worklist from P's elementary parts decides ``cl(P) == M``:
 P lies in M and the worklist reaches all of M's elementary triples,
 where it stops, because semi-graphoids with the same elementary triples
-are equal.  A check that falls short closes P to its fixpoint with
-``closure_keys``, so every status and witness is the one a full closure
-gives.  M is built by the first check that needs it, so that check's
+are equal.  A check that falls short has run the worklist to its
+fixpoint, and cl(P) is listed from its elementary triples, so every
+status and witness is the one the closure gives.  M is built by the first check that needs it, so that check's
 time includes building M, and the first closure check's time includes
 the proof that M is closed.
 """

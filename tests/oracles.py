@@ -134,11 +134,13 @@ def _canon(t):
     return (a, b, frozenset(c))
 
 
-def oracle_closure(triples, axioms):
+def oracle_closure(triples, axioms, once=False):
     """Naive fixpoint over frozenset triples; axioms by name.
 
     Subset-level decomposition and weak union (not single-vertex steps),
-    scanning all pairs each round until nothing changes.
+    scanning all pairs each round until nothing changes, or, with
+    ``once``, for one round, which adds nothing exactly when the triples
+    are closed.
     """
     model = {_canon(t) for t in triples}
     changed = True
@@ -178,7 +180,7 @@ def oracle_closure(triples, axioms):
                             add(a1, b1 | b2, c1 - b2)
         if new:
             model |= new
-            changed = True
+            changed = not once
     return model
 
 

@@ -10,7 +10,7 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg import closure
-from mvrcg._kernels.pyfallback import closure_keys, elementary_closure, first_violation
+from mvrcg._kernels.pyfallback import elementary_closure
 from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
@@ -453,9 +453,8 @@ def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
 
 def _spy_on_closure_kernels(monkeypatch):
     """Spies on the closure kernels that ``mvrcg.closure`` calls: ``calls``
-    gets ``("closure_keys", codes, flags)``, ``("first_violation", flags)``
-    and ``("elementary", goal, seen)`` per call, ``seen`` being how many
-    elementary triples the worklist returned; ``fires`` gets one counter
+    gets ``("elementary", goal, seen)`` per worklist, ``seen`` being how
+    many elementary triples it returned; ``fires`` gets one counter
     per rule set that ``closed_target`` builds, counting the triples fired
     through it."""
     calls, fires = [], []
@@ -472,22 +471,12 @@ def _spy_on_closure_kernels(monkeypatch):
 
         return counted
 
-    def spy_keys(n, codes, flags):
-        calls.append(("closure_keys", list(codes), flags))
-        return closure_keys(n, codes, flags)
-
-    def spy_pass(n, codes, flags):
-        calls.append(("first_violation", flags))
-        return first_violation(n, codes, flags)
-
     def spy_worklist(n, codes, flags, goal=None):
         seen = elementary_closure(n, codes, flags, goal)
         calls.append(("elementary", goal, len(seen)))
         return seen
 
     monkeypatch.setattr("mvrcg.closure.elementary_rules", counting_rules)
-    monkeypatch.setattr("mvrcg.closure.closure_keys", spy_keys)
-    monkeypatch.setattr("mvrcg.closure.first_violation", spy_pass)
     monkeypatch.setattr("mvrcg.closure.elementary_closure", spy_worklist)
     return calls, fires
 
@@ -495,9 +484,9 @@ def _spy_on_closure_kernels(monkeypatch):
 def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
     """Each closure check runs one elementary worklist from its property's
     triples, which stops once it has seen the model's elementary triples;
-    one proof over the model's elementary triples shows it closed; neither
-    ``closure_keys`` nor ``first_violation`` runs, so nothing is closed to
-    its fixpoint, the model least of all."""
+    one proof over the model's elementary triples shows it closed; no
+    worklist runs to its fixpoint, so nothing is closed there, the model
+    least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = global_model_codes(g)
     goal = len(elementary_codes(g.n, model))
@@ -510,9 +499,9 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
 
 def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     """A closure check whose elementary worklist falls short of the model's
-    elementary triples closes its property's triples once with
-    ``closure_keys``, to the fixpoint, and that closure is the check's
-    answer."""
+    elementary triples has run that worklist to its fixpoint, and the
+    closure listed from it is the check's answer: no second closure
+    runs."""
     def mr_empty(g, kind, dec=None):
         return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
 
@@ -523,18 +512,14 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert fires == [goal]
-    assert calls == [("elementary", goal, 0),
-                     ("closure_keys", [], AxiomSet.semi_graphoid().flags())]
+    assert calls == [("elementary", goal, 0)]
 
 
 def test_close_codes_with_a_target_is_the_closure():
     """``close_codes`` returns cl(P) whether or not it is given the model
     as a target: for every graph with at most three vertices, every
-    property's triples P and axiom sets with and without the contraction
-    that lets the elementary worklist decide the check."""
+    property's triples P and the axiom sets sg, g, csg and cg."""
     axiom_sets = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
-    axiom_sets += [AxiomSet(contraction=True), AxiomSet(decomposition=True),
-                   AxiomSet(composition=True), AxiomSet()]
     stopped = 0
     for n in range(1, 4):
         for g in enumerate_mvr_cgs(n):

@@ -294,6 +294,29 @@ def test_alt_local_sound_for_descendants_of_neighbours():
     assert alt.triples <= global_model(g).triples
 
 
+def test_alt_local_is_weaker_than_global_for_a_distribution():
+    """On 0 -> 3 -> 1 <-> 2 <- 3 the local statements are 0 _||_ 1 | 3 and
+    0 _||_ 2 | 3.  With X3 = 0, X0 and X1 independent fair bits and
+    X2 = X0 xor X1, both hold exactly, but 0 _||_ {1, 2} | 3, which the
+    separation model holds, fails: the gap between the property and the
+    model is one of distributions, not only of the semi-graphoid axioms.
+    Composition closes it."""
+    from mvrcg import AxiomSet, close
+    from mvrcg.distributions import JointTable, ci_holds
+    g = MixedGraph(4, directed=[(0, 3), (3, 1), (3, 2)], bidirected=[(1, 2)])
+    local = alt_local_triples(g)
+    assert set(local) == {T([0], [1], [3]), T([0], [2], [3])}
+    probs = [[[[0.25 * (x2 == x0 ^ x1 and x3 == 0) for x3 in (0, 1)] for x2 in (0, 1)]
+              for x1 in (0, 1)] for x0 in (0, 1)]
+    table = JointTable((0, 1, 2, 3), (2, 2, 2, 2), probs)
+    assert all(ci_holds(table, t, eps=0) for t in local)
+    joint = T([0], [1, 2], [3])
+    glob = global_model(g)
+    assert joint in glob and not ci_holds(table, joint, eps=0)
+    assert close(local, AxiomSet.semi_graphoid()) != glob
+    assert close(local, AxiomSet.compositional_semi_graphoid()) == glob
+
+
 # --- soundness of every property against the separation model ------------
 
 def test_every_property_sound_exhaustive_n4():
