@@ -17,9 +17,9 @@ P lies in M and the worklist reaches all of M's elementary triples,
 where it stops, because semi-graphoids with the same elementary triples
 are equal.  A check that falls short has run the worklist to its
 fixpoint, and cl(P) is listed from its elementary triples, so every
-status and witness is the one the closure gives.  M is built by the first check that needs it, so that check's
-time includes building M, and the first closure check's time includes
-the proof that M is closed.
+status and witness is the one the closure gives.  M is built by the
+first check that needs it, so that check's time includes building M,
+and the first closure check's time includes the proof that M is closed.
 """
 
 from __future__ import annotations
