@@ -114,17 +114,19 @@ def iter_canonical_codes(n: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def biclique_nodes(n: int, c: int, apart):
-    """The search behind ``biclique_codes``: yields ``(a, common)`` for
-    each block ``a`` that some canonical <a, b | c> of the listing has,
-    with ``common`` the mask of the vertices ``b`` may hold, so the node
-    stands for the triples with ``b`` a nonempty subset of ``common``.
+def biclique_codes(n: int, c: int, apart) -> list[int]:
+    """The canonical <a, b | c> with ``b`` inside ``apart[v]`` for every
+    vertex ``v`` of ``a``, for a symmetric relation ``apart`` on the
+    vertices outside ``c``: the pairwise triples given ``c``.
 
     The search grows ``a`` in ascending vertex order from its lowest
-    vertex, carries the intersection of ``apart`` over ``a`` above the
-    lowest vertex, and stops where it is empty, so it costs a few steps
-    per node it yields.
+    vertex and carries ``common``, the intersection of ``apart`` over
+    ``a`` above the lowest vertex, so each node stands for the triples
+    with ``b`` a nonempty subset of ``common``.  It stops where
+    ``common`` is empty, so it costs a few steps per code it lists.
     """
+    base = c << 2 * n
+    out: list[int] = []
     m = ((1 << n) - 1) & ~c
     while m:  # low becomes a's lowest vertex; m keeps the vertices above it
         low = m & -m
@@ -133,38 +135,21 @@ def biclique_nodes(n: int, c: int, apart):
         stack = [(low, common, m)] if common else []
         while stack:
             a, common, grow = stack.pop()
-            yield a, common
+            # b is each nonempty subset of common: the subset sums of its bits
+            part = [base | a]
+            bs = common << n
+            while bs:
+                w = bs & -bs
+                bs ^= w
+                part += [x + w for x in part]
+            out += part[1:]
             while grow:
                 w = grow & -grow
                 grow ^= w
                 common_w = common & apart[w.bit_length() - 1] & ~w
                 if common_w:
                     stack.append((a | w, common_w, grow))
-
-
-def biclique_codes(n: int, c: int, apart) -> list[int]:
-    """The canonical <a, b | c> with ``b`` inside ``apart[v]`` for every
-    vertex ``v`` of ``a``, for a symmetric relation ``apart`` on the
-    vertices outside ``c``: the pairwise triples given ``c``, listed from
-    ``biclique_nodes``."""
-    base = c << 2 * n
-    out: list[int] = []
-    for a, common in biclique_nodes(n, c, apart):
-        # b is each nonempty subset of common: the subset sums of its bits
-        part = [base | a]
-        m = common << n
-        while m:
-            low = m & -m
-            m ^= low
-            part += [x + low for x in part]
-        out += part[1:]
     return out
-
-
-def biclique_count(n: int, c: int, apart) -> int:
-    """``len(biclique_codes(n, c, apart))``, counted from
-    ``biclique_nodes`` without listing the codes."""
-    return sum((1 << common.bit_count()) - 1 for _, common in biclique_nodes(n, c, apart))
 
 
 def m_elementary_table(n: int, pa, ch, nb) -> list[int]:
@@ -204,18 +189,13 @@ def m_elementary_table(n: int, pa, ch, nb) -> list[int]:
     return table
 
 
-def global_model_codes(n: int, pa, ch, nb) -> list[int]:
-    """All separated canonical (X, Y | Z) codes over ``n`` vertices.
-
-    The reach of a set is the union of its vertices' reaches, so <a, b | c>
-    is separated exactly when every <i, j | c> with i in ``a`` and j in
-    ``b`` is: ``biclique_codes`` lists those triples from the rows of
-    ``m_elementary_table`` given ``c``, for each ``c`` whose rows are not
-    all empty.  The cost is the table's walks plus a few steps per
-    separated code, instead of one walk per canonical code.
-    """
+def pairwise_codes(n: int, table) -> list[int]:
+    """The sorted canonical codes of the pairwise model whose elementary
+    triples are ``table`` (``table[i << n | c]`` holding each j with
+    <i, j | c>, kept symmetric): each <a, b | c> whose pairs <i, j | c>,
+    i in ``a`` and j in ``b``, are all in ``table``, listed by
+    ``biclique_codes`` for each ``c`` whose rows are not all empty."""
     size = 1 << n
-    table = m_elementary_table(n, pa, ch, nb)
     out: list[int] = []
     for c in range(size):
         apart = table[c::size]
@@ -223,6 +203,18 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
             out += biclique_codes(n, c, apart)
     out.sort()
     return out
+
+
+def global_model_codes(n: int, pa, ch, nb) -> list[int]:
+    """All separated canonical (X, Y | Z) codes over ``n`` vertices.
+
+    The reach of a set is the union of its vertices' reaches, so <a, b | c>
+    is separated exactly when every <i, j | c> with i in ``a`` and j in
+    ``b`` is: the m model is pairwise, and ``pairwise_codes`` lists it
+    from ``m_elementary_table``.  The cost is the table's walks plus a
+    few steps per separated code, instead of one walk per canonical code.
+    """
+    return pairwise_codes(n, m_elementary_table(n, pa, ch, nb))
 
 
 def elementary_rules(n: int, flags: int, table, emit):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ._bitset import bits, mask_of, set_of
 from .errors import NotAComponent, PartiallyDirectedCycle
-from .graph import (MixedGraph, _vertex, district_masks, reach_mask, shortest_path,
+from .graph import (MixedGraph, _as_mask, _vertex, district_masks, reach_mask, shortest_path,
                     topological_order)
 
 
@@ -105,15 +105,17 @@ class ChainDecomposition:
 def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
     """Union of all components strictly after the given one (the
     potential explanatory variables of its members).  ``component`` may
-    be an index into ``dec.components`` or the vertex set itself;
-    anything else raises :class:`NotAComponent`."""
-    if isinstance(component, int):
+    be an index into ``dec.components`` (an int, not a bool) or the
+    vertex set itself.  An index out of range or a vertex set that is no
+    component raises :class:`NotAComponent`; anything that is neither an
+    index nor a collection of vertex ids raises ``GraphFormatError``."""
+    if type(component) is int:
         return dec.pre(component)
-    wanted = frozenset(component)
-    for i, comp in enumerate(dec.components):
+    wanted = _as_mask(dec.graph, component)
+    for i, comp in enumerate(dec.component_masks):
         if comp == wanted:
             return dec.pre(i)
-    raise NotAComponent(f"{sorted(wanted)} is not a chain component")
+    raise NotAComponent(f"{sorted(set_of(wanted))} is not a chain component")
 
 
 def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:

@@ -17,16 +17,17 @@ under the elementary rules (Matúš 1992; Studený 2005; Lněnička & Matúš
 2007).  So there is one closure engine, the kernel's
 ``elementary_closure``: a FIFO worklist over a table of neighbour masks
 that fires each elementary triple once through ``elementary_rules``.
-``close_codes`` runs it once.  Given a model M that ``closed_target``
-has shown to be a compositional graphoid and P ⊆ M, the worklist stops
-as soon as it has seen all of M's elementary triples, and the call
-returns M.  Otherwise the worklist reaches its fixpoint, and
-``semi_graphoid_codes`` lists cl(P) from it by the chain rule.  M is a
-compositional graphoid exactly when it is pairwise, so that each code's
-pairs are elementary triples of M and the m model's biclique search
-counts as many triples from them as M holds, and those triples obey the
-elementary rules with intersection and composition; ``closed_target``
-checks both.
+``close_codes`` runs it to its fixpoint, and ``semi_graphoid_codes``
+lists cl(P) from it by the chain rule.
+
+``closure_gap`` decides cl(P) == M for a pairwise model M given by its
+elementary table alone, without listing M.  ``closed_target`` shows M a
+compositional graphoid: a pairwise model is one exactly when its
+elementary triples obey the elementary rules with intersection and
+composition.  Then cl(P) lies in M whenever P does, which P's pairs in
+the table decide, and the worklist stops as soon as it has seen all of
+M's elementary triples: cl(P) is M.  Otherwise the worklist reaches its
+fixpoint, and cl(P) is listed from it.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side.  The ground set is capped
@@ -40,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, biclique_count, elementary_closure,
-                                  elementary_rules, semi_graphoid_codes)
+from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, elementary_closure, elementary_rules,
+                                  semi_graphoid_codes)
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, _ground_set, first_difference
@@ -96,27 +97,48 @@ class CheckResult:
         return self.ok
 
 
-def close_codes(n: int, codes, axioms: AxiomSet, target=None) -> list[int]:
-    """cl(P) of P = ``codes`` under ``axioms``, as sorted codes.
+def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
+    """cl(P) of P = ``codes`` under ``axioms``, as sorted codes: the
+    elementary worklist to its fixpoint, listed by the chain rule."""
+    check_cap(n, model_cap())
+    return semi_graphoid_codes(n, elementary_closure(n, codes, axioms.flags()))
 
-    One elementary worklist decides it.  ``target`` is what
-    ``closed_target`` returns for a model M closed under the
-    compositional-graphoid axioms.  When P lies in M, cl(P) lies in M,
-    so its elementary triples are among M's, and the worklist stops as
-    soon as it has seen all of them: cl(P) is then M.  Otherwise the
-    worklist reaches its fixpoint, and cl(P) is listed from its
-    elementary triples.  M was built under the cap, so only a call
-    without a target checks it.
+
+def closure_gap(n: int, codes, axioms: AxiomSet, target) -> Optional[list[int]]:
+    """None when cl(P) of P = ``codes`` under ``axioms`` is shown to be
+    the model M; otherwise cl(P) as sorted codes, for the caller to
+    compare with M.
+
+    ``target`` is what ``closed_target`` returns for M's elementary
+    table: the table and the number of M's elementary triples, or None
+    when M is not closed.  For a closed M, P lies in M exactly when each
+    code's pairs are in the table, and then cl(P) lies in M, so the one
+    worklist stops as soon as it has seen all of M's elementary triples:
+    cl(P) is M.  Otherwise the worklist reaches its fixpoint, and cl(P)
+    is listed from it.  M's table was built under the cap, so this does
+    not check it.
     """
     goal = None
-    if target is None:
-        check_cap(n, model_cap())
-    elif target[1].issuperset(codes):
-        goal = target[2]
+    if target is not None and _pairs_in(n, codes, target[0]):
+        goal = target[1]
     elementary = elementary_closure(n, codes, axioms.flags(), goal)
     if len(elementary) == goal:
-        return target[0]
+        return None
     return semi_graphoid_codes(n, elementary)
+
+
+def _pairs_in(n: int, codes, table) -> bool:
+    """Whether each code's pairs <i, j | c> are in ``table``, that is
+    whether the codes lie in the pairwise model of the table."""
+    full = (1 << n) - 1
+    for code in codes:
+        a, b, c = code & full, code >> n & full, code >> 2 * n
+        while a:
+            low = a & -a
+            a ^= low
+            if b & ~table[(low.bit_length() - 1) << n | c]:
+                return False
+    return True
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
@@ -142,48 +164,31 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     return CheckResult(False, first_difference(model.n, closed, codes)[0])
 
 
-def closed_target(n: int, codes) -> Optional[tuple[list[int], frozenset[int], int]]:
-    """The model M = ``codes`` (canonical codes, as a model holds them) as
-    ``close_codes`` takes it for a target: its sorted codes, its code set
-    and the number of its elementary triples; None when M is not closed
+def closed_target(n: int, table) -> Optional[tuple[list[int], int]]:
+    """The pairwise model M whose elementary table is ``table``
+    (``table[i << n | K]`` holding each j with <i, j | K> in M, kept
+    symmetric) as ``closure_gap`` takes it for a target: the table and
+    the number of M's elementary triples; None when M is not closed
     under the compositional-graphoid axioms.
 
-    M is closed under them exactly when it is pairwise, that is <a, b | c>
-    is in M exactly when every <i, j | c> with i in a and j in b is, and
-    its elementary triples obey ``elementary_rules`` with intersection and
-    composition.  The first holds when every code of M has its pairs in
-    M's elementary triples and ``biclique_count`` finds as many pairwise
-    triples as M holds; the second when no rule fired from an elementary
-    triple of M concludes one outside it.
+    A pairwise model is closed under them exactly when its elementary
+    triples obey ``elementary_rules`` with intersection and composition,
+    that is when no rule fired from an elementary triple of M concludes
+    one outside it.
     """
-    full = (1 << n) - 1
-    size = 1 << n
-    model = frozenset(codes)
-    table = [0] * (n << n)
-    elementary = []
-    for code in model:
-        a, b, c = code & full, code >> n & full, code >> 2 * n
-        if not (a & (a - 1) or b & (b - 1)):
-            x, y = a.bit_length() - 1, b.bit_length() - 1
-            table[x << n | c] |= b
-            table[y << n | c] |= a
-            elementary.append((x, y, c))
-    for code in model:
-        a, b, c = code & full, code >> n & full, code >> 2 * n
-        while a:
-            low = a & -a
-            a ^= low
-            if b & ~table[(low.bit_length() - 1) << n | c]:
-                return None
-    given = {c for _, _, c in elementary}
-    if sum(biclique_count(n, c, table[c::size]) for c in given) != len(model):
-        return None
-
     missing = []
     fire = elementary_rules(n, INTERSECTION | COMPOSITION, table,
                             lambda i, js, K: missing.append((i, js, K)))
-    for triple in elementary:
-        fire(*triple)
-        if missing:
-            return None
-    return sorted(model), model, len(elementary)
+    full = (1 << n) - 1
+    count = 0
+    for row, ys in enumerate(table):
+        i = row >> n
+        ys &= -2 << i  # each pair once: j above i
+        count += ys.bit_count()
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            fire(i, low.bit_length() - 1, row & full)
+            if missing:
+                return None
+    return table, count

@@ -22,7 +22,7 @@ from ._bitset import bits, format_vertices, set_of
 from .chain import ChainDecomposition
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import DisjointnessViolation, HeadTestFailed, NotAncestrallyClosed
-from .graph import (MixedGraph, _as_mask, ancestors_mask, descendants_mask,
+from .graph import (MixedGraph, _as_mask, _within_mask, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set)
 
 
@@ -63,7 +63,7 @@ class Factorization:
 
 def barren(g: MixedGraph, H: Iterable[int], within: Optional[int] = None) -> frozenset[int]:
     """Members of H with no proper descendant inside H."""
-    return set_of(_barren_mask(g, _as_mask(g, H), within))
+    return set_of(_barren_mask(g, _as_mask(g, H), _within_mask(g, within)))
 
 
 def _barren_mask(g: MixedGraph, h: int, within: Optional[int] = None) -> int:

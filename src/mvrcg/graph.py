@@ -336,9 +336,28 @@ def _vertex(g: MixedGraph, v: int) -> int:
     return v
 
 
+def _vertices(g: MixedGraph, xs: Iterable[int]) -> tuple[int, ...]:
+    """The vertex ids ``xs`` in their order, each checked by ``_vertex``."""
+    try:
+        ids = tuple(xs)
+    except TypeError:
+        raise GraphFormatError(f"{xs!r} is not a collection of vertex ids") from None
+    return tuple(_vertex(g, v) for v in ids)
+
+
 def _as_mask(g: MixedGraph, xs: Iterable[int]) -> int:
     """Bitmask of the vertex ids ``xs``, each checked before it is shifted."""
-    return mask_of(_vertex(g, v) for v in xs)
+    return mask_of(_vertices(g, xs))
+
+
+def _within_mask(g: MixedGraph, within: Optional[int]) -> int:
+    """``within`` once checked to be a vertex mask of ``g``: an int with
+    no bit outside the graph; None stands for every vertex."""
+    if within is None:
+        return g.full_mask
+    if type(within) is not int or within & ~g.full_mask:
+        raise GraphFormatError(f"vertex mask {within!r} is not an int mask over 0..{g.n - 1}")
+    return within
 
 
 def ancestors_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> int:
@@ -363,10 +382,7 @@ anteriors = ancestors
 
 def districts(g: MixedGraph, within: Optional[int] = None) -> list[frozenset[int]]:
     """Connected components of the bidirected-only (sub)graph, by min id."""
-    allowed = g.full_mask if within is None else within
-    if allowed & ~g.full_mask:
-        raise GraphFormatError(f"vertex mask {within:#x} out of range 0..{g.n - 1}")
-    return [set_of(d) for d in district_masks(g.nb, allowed)]
+    return [set_of(d) for d in district_masks(g.nb, _within_mask(g, within))]
 
 
 def district_mask(g: MixedGraph, v: int, within: Optional[int] = None) -> int:

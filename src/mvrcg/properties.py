@@ -14,7 +14,7 @@ from ._bitset import bits, set_of, submasks
 from .chain import ChainDecomposition, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
-from .graph import (MixedGraph, _as_mask, _vertex, ancestors_mask, descendants_mask,
+from .graph import (MixedGraph, _as_mask, _vertex, _vertices, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set, topological_order)
 from .triples import IndependenceModel
 
@@ -160,7 +160,7 @@ def ordered_local_triples(g: MixedGraph,
     """
     if order is None:
         order = consistent_vertex_order(g)
-    order = tuple(order)
+    order = _vertices(g, order)
     if sorted(order) != list(range(g.n)):
         raise InconsistentOrder("order must list every vertex exactly once")
     seen = 0

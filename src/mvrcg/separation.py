@@ -28,14 +28,14 @@ above it, outside c, that are not adjacent to it, since adjacent
 vertices are never separated and m-connection is symmetric, and the walk
 ends once it has reached them all.  That is at most
 n * 2^(n-1) - 2^n + 1 walks (49 on the edgeless graph with 5 vertices,
-none on a complete one), and ``global_model_codes`` lists M from the
-table.  The m* and latent-DAG models share :func:`_separated_codes`,
-which builds one adjacency per ancestral set A rather than per set
-a|b|c: the sets u with an(u) = A are those with sinks(A) ⊆ u ⊆ A, where
-sinks(A) are the vertices of A with no child in A.  On the latent route
-the latents are projected out first: observed vertices that a path
-through latents alone connects are joined, since no latent is ever
-conditioned on.  A vertex joined to every other vertex of A leaves A - c
+none on a complete one); :func:`global_model_table` returns the table,
+and ``global_model_codes`` lists M from it.  The m* and latent-DAG
+models share :func:`_separated_codes`, which builds one adjacency per
+ancestral set A rather than per set a|b|c: the sets u with an(u) = A
+are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the vertices of A
+with no child in A.  On the latent route the latents are projected out
+first: observed vertices that a path through latents alone connects
+are joined, since no latent is ever conditioned on.  A vertex joined to every other vertex of A leaves A - c
 one class unless c holds it, so only the c that hold all such vertices
 are visited.  Per such c, the classes of A - c follow from those of
 A - (c + {v}) in one step, v merging with every class it touches, and an
@@ -262,6 +262,14 @@ def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
     X|Y|Z, then test plain separation."""
     _require_dag(dag)
     return _d_separated(dag, *_query_masks(dag, X, Y, Z))
+
+
+def global_model_table(g: MixedGraph) -> list[int]:
+    """The m model's elementary triples as the kernel's table of neighbour
+    masks, ``table[i << n | c]`` holding each j with <i, j | c>
+    m-separated; ``pyfallback.pairwise_codes`` lists the model from it."""
+    check_cap(g.n, model_cap())
+    return pyfallback.m_elementary_table(g.n, g.pa, g.ch, g.nb)
 
 
 def global_model_codes(g: MixedGraph, method: str = "m") -> list[int]:

@@ -1,25 +1,27 @@
 """Batch verification sweeps over enumerated and random graphs.
 
-For each graph the sweep builds the separation model M once.  Ten checks
-compare a code list with M: the m* model, the latent-DAG model and each
-property's triples P closed under its axiom set (sg for the mr, iv and
-ordered local properties, csg for the alternative local property, cg for
-the four pairwise ones).  The other checks are ancestrality, maximality
-and the factorization identities.  Failures are recorded per graph and
-never abort the sweep.
+For each graph the sweep builds the separation model M once, as its
+elementary table.  Ten checks compare a code list with M: the m* model,
+the latent-DAG model and each property's triples P closed under its
+axiom set (sg for the mr, iv and ordered local properties, csg for the
+alternative local property, cg for the four pairwise ones).  The other
+checks are ancestrality, maximality and the factorization identities.
+Failures are recorded per graph and never abort the sweep.
 
-Each closure check is one call, ``close_codes(n, P, axioms, target)``,
-which returns cl(P).  Per graph, ``closed_target`` proves M a
-compositional graphoid from its elementary triples <i, j | K>: M is
-pairwise, and those triples obey the elementary rules.  Per check, one
-elementary worklist from P's elementary parts decides ``cl(P) == M``:
-P lies in M and the worklist reaches all of M's elementary triples,
-where it stops, because semi-graphoids with the same elementary triples
-are equal.  A check that falls short has run the worklist to its
-fixpoint, and cl(P) is listed from its elementary triples, so every
-status and witness is the one the closure gives.  M is built by the
-first check that needs it, so that check's time includes building M,
-and the first closure check's time includes the proof that M is closed.
+Each closure check is decided on M's elementary table <i, j | K>, not
+on M's codes.  Per graph, ``closed_target`` proves M a compositional
+graphoid from its table: M is pairwise by construction, and its
+elementary triples obey the elementary rules.  Per check, one call,
+``closure_gap(n, P, axioms, target)``, decides ``cl(P) == M``: P's pairs
+lie in the table and one elementary worklist from P's elementary parts
+reaches all of M's elementary triples, where it stops, because
+semi-graphoids with the same elementary triples are equal.  A passing
+check lists neither M nor cl(P).  A check that falls short has run the
+worklist to its fixpoint, and cl(P) is listed from its elementary
+triples and compared with M, listed from the table, so every status and
+witness is the one the closure gives.  M's table is built by the first
+check that needs it, so that check's time includes building it, and the
+first closure check's time includes the proof that M is closed.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Iterator, Optional
 
-from ._kernels.pyfallback import BACKEND
+from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import validate_chain_graph
-from .closure import AxiomSet, close_codes, closed_target
+from .closure import AxiomSet, closed_target, closure_gap
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, UnknownName
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph
 from .properties import property_model
-from .separation import global_model_codes
+from .separation import global_model_codes, global_model_table
 from .structure import is_ancestral, is_maximal, latent_model_codes
 from .triples import first_difference
 
@@ -179,32 +181,43 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
                                            (time.perf_counter() - t0) * 1e3)
 
     @cache
+    def table():
+        """M's elementary table, built by the first check that needs M."""
+        return global_model_table(g)
+
+    @cache
     def model():
-        """The separation model M, built by the first check that needs it."""
-        return global_model_codes(g)
+        """The separation model M, listed from its table."""
+        return pairwise_codes(g.n, table())
+
+    def compare(codes_of):
+        """Whether ``codes_of()`` is M, with the first difference if not."""
+        global_codes = model()
+        codes = codes_of()
+        if codes == global_codes:
+            return True, None
+        triple, in_first = first_difference(g.n, codes, global_codes)
+        return False, f"{triple} only in {'first' if in_first else 'second'} model"
 
     def run_model(name, codes_of):
         """``run`` for a check that compares ``codes_of()`` with M."""
-        def compare():
-            global_codes = model()
-            codes = codes_of()
-            if codes == global_codes:
-                return True, None
-            triple, in_first = first_difference(g.n, codes, global_codes)
-            return False, f"{triple} only in {'first' if in_first else 'second'} model"
-
-        run(name, compare)
+        run(name, lambda: compare(codes_of))
 
     run_model("im_eq_imstar", lambda: global_model_codes(g, method="mstar"))
 
     @cache
     def target():
-        """``closed_target`` of M, once per graph."""
-        return closed_target(g.n, model())
+        """``closed_target`` of M's table, once per graph."""
+        return closed_target(g.n, table())
+
+    def check_closure(prop):
+        m_target = target()  # M first: a graph over the model cap stops here
+        closed = closure_gap(g.n, property_model(g, prop, dec).to_codes(),
+                             config.axioms_for(prop), m_target)
+        return (True, None) if closed is None else compare(lambda: closed)
 
     for prop in PROPERTY_AXIOMS:
-        run_model(f"closure_{prop}", lambda prop=prop: close_codes(
-            g.n, property_model(g, prop, dec).to_codes(), config.axioms_for(prop), target()))
+        run(f"closure_{prop}", lambda prop=prop: check_closure(prop))
 
     def check_ancestral():
         res = is_ancestral(g)

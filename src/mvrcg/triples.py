@@ -37,7 +37,10 @@ class IndependenceTriple:
     c: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        a, b, c = frozenset(self.a), frozenset(self.b), frozenset(self.c)
+        try:
+            a, b, c = frozenset(self.a), frozenset(self.b), frozenset(self.c)
+        except TypeError:
+            raise DisjointnessViolation("blocks must be collections of vertex ids") from None
         _check_blocks(a, b, c)
         if not all(type(v) is int and v >= 0 for v in a | b | c):  # bool is a subclass of int
             raise DisjointnessViolation("vertex ids must be nonnegative ints")
@@ -49,7 +52,7 @@ class IndependenceTriple:
 
     @classmethod
     def of(cls, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()) -> "IndependenceTriple":
-        return cls(frozenset(a), frozenset(b), frozenset(c))
+        return cls(a, b, c)
 
     @classmethod
     def _unchecked(cls, a: frozenset[int], b: frozenset[int],

@@ -191,6 +191,34 @@ def elementary_codes(n, codes):
             if bin(code & full).count("1") == bin(code >> n & full).count("1") == 1}
 
 
+def elementary_table(n, codes):
+    """The elementary codes of ``codes`` as a table of neighbour masks:
+    entry ``i << n | K`` holds bit j for each <i, j | K>, both ways."""
+    full = (1 << n) - 1
+    table = [0] * (n << n)
+    for code in elementary_codes(n, codes):
+        i, j, K = (code & full).bit_length() - 1, (code >> n & full).bit_length() - 1, code >> 2 * n
+        table[i << n | K] |= 1 << j
+        table[j << n | K] |= 1 << i
+    return table
+
+
+def one_pair_changes(n, table, change):
+    """Copies of the neighbour-mask ``table`` with one pair <i, j | K>
+    dropped (``change == "drop"``) or added (``"add"``), both ways: one
+    copy per pair that the table holds or lacks."""
+    out = []
+    for i, j in combinations(range(n), 2):
+        for K in range(1 << n):
+            if K >> i & 1 or K >> j & 1 or (table[i << n | K] >> j & 1) != (change == "drop"):
+                continue
+            changed = list(table)
+            changed[i << n | K] ^= 1 << j
+            changed[j << n | K] ^= 1 << i
+            out.append(changed)
+    return out
+
+
 AXIOM_NAMES = {
     "sg": {"decomposition", "weak_union", "contraction"},
     "g": {"decomposition", "weak_union", "contraction", "intersection"},

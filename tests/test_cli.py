@@ -10,17 +10,17 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg import closure
-from mvrcg._kernels.pyfallback import elementary_closure
-from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under
+from mvrcg._kernels.pyfallback import elementary_closure, pairwise_codes
+from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model
-from mvrcg.separation import global_model_codes, iter_canonical_codes
+from mvrcg.separation import global_model_codes, global_model_table
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
 
-from oracles import elementary_codes
+from oracles import elementary_codes, one_pair_changes
 
 
 @pytest.fixture()
@@ -515,24 +515,57 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     assert calls == [("elementary", goal, 0)]
 
 
-def test_close_codes_with_a_target_is_the_closure():
-    """``close_codes`` returns cl(P) whether or not it is given the model
-    as a target: for every graph with at most three vertices, every
-    property's triples P and the axiom sets sg, g, csg and cg."""
+def test_closure_gap_is_none_at_the_model_and_the_closure_elsewhere():
+    """``closure_gap`` returns None exactly when cl(P) is the model, and
+    cl(P) otherwise, given the model's closedness proof or none: for
+    every graph with at most three vertices, every property's triples P
+    and the axiom sets sg, g, csg and cg."""
     axiom_sets = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
     stopped = 0
     for n in range(1, 4):
         for g in enumerate_mvr_cgs(n):
             model = global_model_codes(g)
-            target = closed_target(g.n, model)
+            target = closed_target(g.n, global_model_table(g))
             assert target is not None  # separation models are compositional graphoids
             for axioms in axiom_sets:
                 for prop in PROPERTY_AXIOMS:
                     codes = property_model(g, prop).to_codes()
-                    closed = close_codes(g.n, codes, axioms, target)
-                    assert closed == close_codes(g.n, codes, axioms)
-                    stopped += closed is target[0]  # the worklist stopped at M
+                    closed = close_codes(g.n, codes, axioms)
+                    gap = closure_gap(g.n, codes, axioms, target)
+                    assert gap == (None if closed == model else closed)
+                    assert closure_gap(g.n, codes, axioms, None) == closed
+                    stopped += gap is None
     assert stopped
+
+
+def test_a_closure_check_lists_the_model_and_the_closure_only_to_fail(monkeypatch):
+    """A passing closure check lists neither the model nor its closure: it
+    reads only the model's elementary table.  A failing one lists each
+    once, for its witness."""
+    listed = []
+
+    def spy(name, fn):
+        def counted(*args):
+            listed.append(name)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr("mvrcg.sweep.pairwise_codes", spy("model", pairwise_codes))
+    monkeypatch.setattr("mvrcg.closure.semi_graphoid_codes",
+                        spy("closure", closure.semi_graphoid_codes))
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
+    checks = verify_graph(g, config).checks
+    assert {c.status for c in checks.values()} == {"pass"} and listed == []
+
+    def mr_empty(g, kind, dec=None):
+        return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
+
+    monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
+    outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
+    assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
+    assert sorted(listed) == ["closure", "model"]
 
 
 def test_edgeless_eight_vertex_graph_passes_every_check(monkeypatch):
@@ -575,10 +608,11 @@ def _closure_outcome(g, prop, model):
 
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_closure_checks_match_the_closure_on_perturbed_models(monkeypatch, change):
-    """With one code dropped from the separation model, or one triple that
-    is not separated added to it, each closure check reports what closing
-    the property's triples and comparing reports, on every graph with
-    three vertices and every such change.  Some perturbed models are still
+    """With one pair <i, j | K> dropped from the separation model's
+    elementary table, or one added to it, each closure check reports what
+    closing the property's triples and comparing the closure with the
+    listing of the changed table reports, on every graph with three
+    vertices and every such change.  Some changed models are still
     closed, so the elementary route is tried and must refuse."""
     config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
     targets = []
@@ -588,20 +622,15 @@ def test_closure_checks_match_the_closure_on_perturbed_models(monkeypatch, chang
         return targets[-1]
 
     monkeypatch.setattr("mvrcg.sweep.closed_target", spy)
-    canonical = [code for code, *_ in iter_canonical_codes(3)]
     for g in enumerate_mvr_cgs(3):
-        model = global_model_codes(g)
-        if change == "drop":
-            variants = [model[:k] + model[k + 1:] for k in range(len(model))]
-        else:
-            variants = [sorted(model + [code]) for code in canonical if code not in model]
-        for perturbed in variants:
-            monkeypatch.setattr("mvrcg.sweep.global_model_codes",
-                                lambda g, perturbed=perturbed: perturbed)
+        for changed in one_pair_changes(3, global_model_table(g), change):
+            monkeypatch.setattr("mvrcg.sweep.global_model_table",
+                                lambda g, changed=changed: changed)
+            model = pairwise_codes(3, changed)
             checks = verify_graph(g, config).checks
             for prop in PROPERTY_AXIOMS:
                 outcome = checks[f"closure_{prop}"]
-                assert (outcome.status, outcome.witness) == _closure_outcome(g, prop, perturbed)
+                assert (outcome.status, outcome.witness) == _closure_outcome(g, prop, model)
     assert any(t is None for t in targets) and any(t is not None for t in targets)
 
 

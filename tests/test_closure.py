@@ -8,7 +8,8 @@ from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, 
                    equivalent_under, satisfies)
 from mvrcg.chain import validate_chain_graph
 from mvrcg._kernels.pyfallback import close_codes as kernel_close_codes
-from mvrcg._kernels.pyfallback import elementary_closure, semi_graphoid_codes
+from mvrcg._kernels.pyfallback import (elementary_closure, m_elementary_table, pairwise_codes,
+                                       semi_graphoid_codes)
 from mvrcg.closure import close_codes, closed_target
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
@@ -18,7 +19,8 @@ from mvrcg.separation import global_model, global_model_codes, iter_canonical_co
 from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
 
-from oracles import AXIOM_NAMES, base4_code, elementary_codes, oracle_closure
+from oracles import (AXIOM_NAMES, base4_code, elementary_codes, elementary_table,
+                     one_pair_changes, oracle_closure)
 
 T = IndependenceTriple.of
 
@@ -198,61 +200,41 @@ def is_closed_under_cg(n, codes):
 
 
 def test_elementary_closedness_proof_matches_the_naive_closure():
-    """``closed_target``'s proof that a model is a compositional graphoid,
-    from its elementary triples and the pairwise condition, agrees with
-    the naive closure under cg on every separation model with n <= 4,
-    the same model with one code dropped and with one code added (codes
-    drawn at random), and the 40 models of the pinned closure digest and
-    their closures under sg, g, csg and cg.  A closed model's target is
-    its sorted codes, its code set and its number of elementary triples."""
-    rng = random.Random(17)
-    models = []
+    """``closed_target``'s proof, from a model's elementary table, that the
+    pairwise model of the table is a compositional graphoid agrees with
+    one round of the naive closure under cg on that model listed: on the
+    table of every separation model with n <= 4, each such table at n = 3
+    with one pair dropped or added, and the tables of the 40 models of
+    the pinned closure digest and of their closures under sg, g, csg and
+    cg.  A closed model's target is its table and its number of
+    elementary triples, counted by the oracle; the listing of a model
+    closed under cg gives the model back."""
+    tables = []
     for n in range(1, 5):
-        canonical = [code for code, *_ in iter_canonical_codes(n)]
         for g in enumerate_mvr_cgs(n):
             codes = global_model_codes(g)
-            models.append((n, codes))
-            if codes:
-                k = rng.randrange(len(codes))
-                models.append((n, codes[:k] + codes[k + 1:]))
-            outside = sorted(set(canonical) - set(codes))
-            if outside:
-                models.append((n, sorted(codes + [rng.choice(outside)])))
+            table = m_elementary_table(n, g.pa, g.ch, g.nb)
+            assert table == elementary_table(n, codes)
+            assert closed_target(n, table) == (table, len(elementary_codes(n, codes)))
+            if n == 3:
+                tables += [(n, t) for change in ("drop", "add")
+                           for t in one_pair_changes(n, table, change)]
     for codes in _pinned_digest_models():
-        models.append((5, codes))
-        models += [(5, close_codes(5, codes, AxiomSet.parse(name))) for name in AXIOM_NAMES]
+        tables.append((5, elementary_table(5, codes)))
+        for name in AXIOM_NAMES:
+            closed = close_codes(5, codes, AxiomSet.parse(name))
+            tables.append((5, elementary_table(5, closed)))
+            if name == "cg":
+                assert pairwise_codes(5, tables[-1][1]) == closed
     closed = 0
-    for n, codes in models:
-        target = closed_target(n, codes)
-        assert (target is not None) == is_closed_under_cg(n, codes)
+    for n, table in tables:
+        model = pairwise_codes(n, table)
+        target = closed_target(n, table)
+        assert (target is not None) == is_closed_under_cg(n, model)
         if target is not None:
             closed += 1
-            assert target == (codes, set(codes), len(elementary_codes(n, codes)))
-    assert (len(models), closed) == (5133 + 200, 2764)
-
-
-def test_closedness_proof_rejects_a_swapped_triple():
-    """A separation model with one of its non-elementary codes swapped for
-    a non-elementary canonical code outside it keeps its elementary
-    triples, and so the count of pairwise triples; only the check of the
-    new code's pairs rejects it.  Every model with n <= 4 that has such
-    a code, with codes drawn at random."""
-    rng = random.Random(23)
-    swapped = 0
-    for n in range(3, 5):
-        canonical = [code for code, *_ in iter_canonical_codes(n)]
-        elementary = elementary_codes(n, canonical)
-        for g in enumerate_mvr_cgs(n):
-            codes = global_model_codes(g)
-            inside = [code for code in codes if code not in elementary]
-            outside = sorted(set(canonical) - set(codes) - elementary)
-            if not (inside and outside):
-                continue
-            model = sorted(set(codes) - {rng.choice(inside)} | {rng.choice(outside)})
-            assert closed_target(n, model) is None
-            assert not is_closed_under_cg(n, model)
-            swapped += 1
-    assert swapped == 1018
+            assert target == (table, len(elementary_codes(n, model)))
+    assert (len(tables), closed) == (300 + 200, 132 + 169)
 
 
 def test_elementary_closure_is_the_elementary_part_of_the_closure():

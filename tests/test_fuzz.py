@@ -2,7 +2,9 @@
 
 The API test draws a chain graph with at most four vertices and calls
 each public function of ``mvrcg`` that takes vertices with ids from
-{-1, ..., n}, empty and overlapping sets and masks beyond the full mask.
+{-1, ..., n} and ids that are not ints (None, floats, strings, bools),
+empty and overlapping sets, single ids where sets belong, and masks that
+are negative, beyond the full mask or not ints.
 The generator test draws sizes and seeds of several types for the graph
 generators.  The CLI test runs ``cli.main`` on drawn argument lists over
 a drawn graph file, model files and output paths, and expects exit
@@ -93,11 +95,11 @@ def test_the_fuzz_calls_every_public_function_that_takes_vertices():
 @given(st.data())
 def test_public_functions_answer_or_raise_typed_errors(data):
     g = data.draw(st.sampled_from(_graphs()))
-    ids = st.integers(-1, g.n)
-    lists = st.lists(ids, max_size=3)
+    ids = st.integers(-1, g.n) | st.sampled_from([None, 0.0, 1.5, "0", True, False])
+    lists = st.lists(ids, max_size=3) | ids
     x, y, z, a = (data.draw(lists) for _ in range(4))
     v, w = data.draw(ids), data.draw(ids)
-    within = data.draw(st.none() | st.integers(-1, 1 << g.n + 1))
+    within = data.draw(st.none() | st.integers(-1, 1 << g.n + 1) | st.sampled_from([1.0, "0", True]))
     for fn, args in _calls(g, x, y, z, a, v, w, within):
         _typed(fn, *args)
 

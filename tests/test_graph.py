@@ -5,8 +5,9 @@ import pytest
 
 import mvrcg
 from mvrcg import (IndependenceModel, IndependenceTriple, JointTable, MixedGraph, ancestors,
-                   anteriors, canonical_dag, ci_holds, districts, find_primitive_inducing_chain,
-                   fixtures, induced_subgraph, m_separated, relatives,
+                   anteriors, barren, canonical_dag, ci_holds, districts,
+                   find_primitive_inducing_chain, fixtures, induced_subgraph, m_separated,
+                   ordered_local_triples, pre_of_component, relatives,
                    sample_latent_dag_distribution, validate_chain_graph, verify_factorization)
 from mvrcg.factorization import Factorization, HeadTail, is_head, tail_of_head
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
@@ -248,6 +249,24 @@ TYPED_ERROR_CALLS = {
         GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=2.5)),
     "sweep_config_bool_marginal_oracle_max_n": (
         GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=True)),
+    "ordered_local_none_id": (GraphFormatError,
+                              lambda: ordered_local_triples(_COLLIDER, [None, 1, 2])),
+    "ordered_local_float_id": (GraphFormatError,
+                               lambda: ordered_local_triples(_COLLIDER, [0.0, 1, 2])),
+    "ordered_local_int_order": (GraphFormatError, lambda: ordered_local_triples(_COLLIDER, 5)),
+    "pre_of_component_none": (GraphFormatError,
+                              lambda: pre_of_component(validate_chain_graph(_COLLIDER), None)),
+    "pre_of_component_float": (GraphFormatError,
+                               lambda: pre_of_component(validate_chain_graph(_COLLIDER), 1.0)),
+    "pre_of_component_str": (GraphFormatError,
+                             lambda: pre_of_component(validate_chain_graph(_COLLIDER), "0")),
+    "pre_of_component_bool": (GraphFormatError,
+                              lambda: pre_of_component(validate_chain_graph(_COLLIDER), True)),
+    "barren_float_within": (GraphFormatError, lambda: barren(_COLLIDER, [0], within=1.0)),
+    "barren_negative_within": (GraphFormatError, lambda: barren(_COLLIDER, [0], within=-1)),
+    "districts_str_within": (GraphFormatError, lambda: districts(_COLLIDER, within="0")),
+    "districts_bool_within": (GraphFormatError, lambda: districts(_COLLIDER, within=True)),
+    "triple_int_block": (DisjointnessViolation, lambda: IndependenceTriple.of([0], [1], 2)),
 }
 
 
