@@ -234,12 +234,17 @@ def elementary_rules(n: int, flags: int, table, emit):
       it is always on.  Its premises differ in shape, so the fired triple
       takes both roles;
     * intersection, under ``INTERSECTION``: <i, j | kL> and <i, k | jL>
-      give <i, j | L> and <i, k | L>;
+      give <i, j | L>;
     * composition, under ``COMPOSITION``: <i, j | L> and <i, k | L> give
-      <i, j | kL> and <i, k | jL>.
+      <i, k | jL>.
 
     Intersection and composition are symmetric in their premises, so the
-    later of the two to fire finds the other.
+    later of the two to fire finds the other, and each states one of its
+    two conclusions: the other follows by one semi-graphoid step from a
+    pair the worklist fires anyway.  Intersection's <i, k | L> follows
+    from <i, j | L> and <i, k | jL>, composition's <i, j | kL> from
+    <i, k | jL> and <i, j | L>; the semi-graphoid rule fires on
+    whichever of the two comes later.  The fixpoint is the same.
     """
     inter = bool(flags & INTERSECTION)
     comp = bool(flags & COMPOSITION)
@@ -258,11 +263,8 @@ def elementary_rules(n: int, flags: int, table, emit):
                         emit(i, low, K ^ low | bj)
                     if not table[L] & bj:
                         emit(i, bj, K ^ low)
-                if inter and table[L | bj] & low:  # <i, k | jL>
-                    if not table[L] & bj:
-                        emit(i, bj, K ^ low)
-                    if not table[L] & low:
-                        emit(i, low, K ^ low)
+                if inter and table[L | bj] & low and not table[L] & bj:  # <i, k | jL>
+                    emit(i, bj, K ^ low)
             m = table[row | bj]  # the fired triple as <i, k | L>, partners <i, m | jK>
             if m & ~table[row]:
                 emit(i, m & ~table[row], K)
@@ -270,8 +272,7 @@ def elementary_rules(n: int, flags: int, table, emit):
                 partners = table[row] & ~bj  # <i, k | K>
                 if partners & ~table[row | bj]:
                     emit(i, partners & ~table[row | bj], K | bj)
-                m |= partners
-            while m:  # both rules conclude <i, j | kK> from each partner k
+            while m:  # <i, j | mK> from each partner m
                 low = m & -m
                 m ^= low
                 if not table[row | low] & bj:

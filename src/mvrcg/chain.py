@@ -121,10 +121,13 @@ def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
 def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
     """Decompose ``g`` into chain components, or raise.
 
-    Raises :class:`PartiallyDirectedCycle` with a witness walk when the
-    graph has a semi-directed cycle containing at least one directed
-    edge; a directed edge inside a bidirected component and a cycle
-    among components are the two ways this can happen.
+    Raises :class:`PartiallyDirectedCycle` when the graph has a
+    semi-directed cycle containing at least one directed edge; a
+    directed edge inside a bidirected component and a cycle among
+    components are the two ways this can happen.  Its witness walk
+    starts with the least directed edge ``t -> h`` (in sorted order)
+    that lies on such a cycle, and closes it along a fewest-edge
+    semi-directed path from ``h`` back to ``t``.
     """
     found = _chain_order_from_masks(g.n, g.ch, g.nb)
     if found is None:
@@ -148,14 +151,6 @@ def is_chain_graph(g: MixedGraph) -> bool:
     return _chain_order_from_masks(g.n, g.ch, g.nb) is not None
 
 
-def _component_index(n: int, comps: list[int]) -> list[int]:
-    comp_of = [0] * n
-    for i, comp in enumerate(comps):
-        for v in bits(comp):
-            comp_of[v] = i
-    return comp_of
-
-
 def _chain_order_from_masks(n: int, ch, nb):
     """Chain decomposition of child and bidirected-neighbour masks.
 
@@ -167,7 +162,10 @@ def _chain_order_from_masks(n: int, ch, nb):
     candidates without building :class:`MixedGraph` objects.
     """
     comps = district_masks(nb, (1 << n) - 1)
-    comp_of = _component_index(n, comps)
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
+        for v in bits(comp):
+            comp_of[v] = i
     k = len(comps)
     children = [0] * k
     parents = [0] * k
@@ -188,45 +186,10 @@ def _chain_order_from_masks(n: int, ch, nb):
 
 def _cycle_witness(g: MixedGraph) -> list[int]:
     """A partially directed cycle of a graph that is not a chain graph,
-    as a vertex walk whose first and last entries coincide."""
-    comps = district_masks(g.nb, g.full_mask)
-    comp_of = _component_index(g.n, comps)
-    dag_edges = set()
-    for t, h in g.directed:
-        ci, cj = comp_of[t], comp_of[h]
-        if ci == cj:
-            return [t] + shortest_path(g.nb, h, t, comps[ci])
-        dag_edges.add((ci, cj))
-
-    # Some components stay unplaced by the component order; each of them
-    # has an unplaced child, so following first children finds a cycle.
-    children = [0] * len(comps)
-    parents = [0] * len(comps)
-    for i, j in dag_edges:
-        children[i] |= 1 << j
-        parents[j] |= 1 << i
-    placed = set(topological_order(children, parents))
-    unplaced = [i for i in range(len(comps)) if i not in placed]
-    succ = {i: [j for (s, j) in dag_edges if s == i and j not in placed] for i in unplaced}
-    path = [unplaced[0]]
-    seen_at = {unplaced[0]: 0}
-    while True:
-        nxt = succ[path[-1]][0]
-        if nxt in seen_at:
-            cycle = path[seen_at[nxt]:]
-            break
-        seen_at[nxt] = len(path)
-        path.append(nxt)
-    # Pick crossing edges between consecutive components, then stitch
-    # bidirected paths inside each component.
-    crossings = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        for t, h in g.directed:
-            if comp_of[t] == a and comp_of[h] == b:
-                crossings.append((t, h))
-                break
-    walk = [crossings[0][0]]
-    for idx, (t, h) in enumerate(crossings):
-        nt = crossings[(idx + 1) % len(crossings)][0]
-        walk.extend(shortest_path(g.nb, h, nt, comps[comp_of[h]]))
-    return walk
+    as a vertex walk whose first and last entries coincide: the
+    fewest-edge one through the least directed edge that lies on one."""
+    semi = [c | b for c, b in zip(g.ch, g.nb)]
+    for t, h in sorted(g.directed):
+        path = shortest_path(semi, h, t)
+        if path is not None:
+            return [t] + path

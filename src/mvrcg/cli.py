@@ -16,7 +16,8 @@ from collections import deque
 
 from .chain import validate_chain_graph
 from .closure import AxiomSet, close
-from .distributions import ci_holds, sample_latent_dag_distribution, verify_factorization
+from .distributions import (_check_tolerance, ci_holds, sample_latent_dag_distribution,
+                            verify_factorization)
 from .errors import GraphError, GraphFormatError, ModelFormatError
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph, induced_subgraph
@@ -195,6 +196,7 @@ def cmd_check(args) -> int:
 def cmd_numeric_check(args) -> int:
     if args.seeds < 0:
         raise GraphFormatError(f"--seeds must be nonnegative, got {args.seeds}")
+    _check_tolerance(args.eps)
     g = _load(args.graph)
     dec = validate_chain_graph(g)
     cd = canonical_dag(g)

@@ -1,8 +1,10 @@
 """Separation criteria for mixed graphs.
 
-Three routes are implemented independently and cross-checked.  Each has
-one core on vertex bitmasks; the public function checks its arguments
-and calls it, and model-level loops call the cores directly.
+Three routes are implemented independently and cross-checked.  Each
+public function checks its arguments and answers on vertex bitmasks.
+The model-level loops below call none of them: the m model shares the
+kernel's walk rules with ``m_connected``, and the m* model shares
+:func:`_collider_adjacency`.
 
 * :func:`m_separated` — walk-state reachability, the kernel's
   ``m_connected``.  A walk connects X to Y given Z when every interior
@@ -127,10 +129,6 @@ def _separated(adj: list[int], x: int, y: int, z: int) -> bool:
     return not reach_mask(adj, x, ~z) & y
 
 
-def _m_star_separated(g: MixedGraph, x: int, y: int, z: int) -> bool:
-    return _separated(_collider_adjacency(g, ancestors_mask(g, x | y | z)), x, y, z)
-
-
 def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     """Canonical codes over vertices ``0..n-1`` whose triple <a, b | c> is
     separated in ``adjacency(g, an(a|b|c))``.
@@ -231,7 +229,8 @@ def m_star_separated(g: MixedGraph, X, Y, Z=()) -> bool:
     """Augmentation criterion: separation in the augmented ancestral
     subgraph.  Anterior and ancestor closures coincide here because the
     graph has no undirected edges."""
-    return _m_star_separated(g, *_query_masks(g, X, Y, Z))
+    x, y, z = _query_masks(g, X, Y, Z)
+    return _separated(_collider_adjacency(g, ancestors_mask(g, x | y | z)), x, y, z)
 
 
 def _require_dag(g: MixedGraph) -> None:
@@ -253,15 +252,12 @@ def _moral_adjacency(g: MixedGraph, within: int) -> list[int]:
     return adj
 
 
-def _d_separated(dag: MixedGraph, x: int, y: int, z: int) -> bool:
-    return _separated(_moral_adjacency(dag, ancestors_mask(dag, x | y | z)), x, y, z)
-
-
 def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
     """Classical DAG separation: moralize the ancestral subgraph of
     X|Y|Z, then test plain separation."""
     _require_dag(dag)
-    return _d_separated(dag, *_query_masks(dag, X, Y, Z))
+    x, y, z = _query_masks(dag, X, Y, Z)
+    return _separated(_moral_adjacency(dag, ancestors_mask(dag, x | y | z)), x, y, z)
 
 
 def global_model_table(g: MixedGraph) -> list[int]:

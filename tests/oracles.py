@@ -64,6 +64,23 @@ def oracle_is_chain_graph(n, directed, bidirected):
     return True
 
 
+def oracle_partially_directed_cycles(n, directed, bidirected):
+    """Every simple cycle that follows edges forward or bidirected edges
+    either way and uses at least one directed edge, as a vertex list
+    whose first and last entries coincide, in every rotation."""
+    def step(a, b):
+        return (a, b) in directed or (a, b) in bidirected or (b, a) in bidirected
+
+    cycles = []
+    for k in range(2, n + 1):
+        for seq in permutations(range(n), k):
+            walk = list(seq) + [seq[0]]
+            pairs = list(zip(walk, walk[1:]))
+            if all(step(a, b) for a, b in pairs) and any(p in directed for p in pairs):
+                cycles.append(walk)
+    return cycles
+
+
 def _edge(directed, bidirected, a, b):
     """Edge marks as (arrow_at_a, arrow_at_b), or None."""
     if (a, b) in directed:

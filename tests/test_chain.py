@@ -7,13 +7,17 @@ from mvrcg.enumeration import enumerate_mixed_graphs, enumerate_mvr_cgs
 from mvrcg.errors import NotAComponent, PartiallyDirectedCycle
 from mvrcg.properties import consistent_vertex_order
 
-from oracles import oracle_is_chain_graph
+from oracles import oracle_is_chain_graph, oracle_partially_directed_cycles
 
 # sha1 over validate_chain_graph's components, component DAG and vertex
-# order for every labeled chain graph with n <= 4, then over the witness
-# walk for every non-chain graph with n = 4.  It pins both orders'
-# tie-breaks and the choice of witness.
-ORDERING_DIGEST = "379183f915684ae3c3d475e3ca8c44f0fd7ee085"
+# order for every labeled chain graph with n <= 4.  It pins both orders'
+# tie-breaks.
+ORDERS_DIGEST = "ebe8d3ce4b51078aea6eef5eed323ac8f2e1a506"
+
+# sha1 over the witness walk for every non-chain graph with n = 4: the
+# fewest-edge partially directed cycle through the least directed edge
+# that lies on one.
+WALKS_DIGEST = "6c30429ec924ce56fca746677f99ab81e3154d59"
 
 # sha1 over pre_mask, pst_mask, pa_d_mask, nd_d_mask and parent_components
 # for every labeled chain graph with n <= 4, computed when the
@@ -54,20 +58,39 @@ def test_cheap_predicate_agrees_with_oracle_exhaustive():
                 validate_chain_graph(g)
 
 
+def non_chain_witnesses(max_n):
+    """Each non-chain mixed graph with n <= max_n and its witness walk."""
+    for n in range(1, max_n + 1):
+        for g in enumerate_mixed_graphs(n):
+            if is_chain_graph(g):
+                continue
+            with pytest.raises(PartiallyDirectedCycle) as err:
+                validate_chain_graph(g)
+            yield g, err.value.walk
+
+
 def test_witness_walks_are_real_cycles():
-    for g in enumerate_mixed_graphs(3):
-        if is_chain_graph(g):
-            continue
-        with pytest.raises(PartiallyDirectedCycle) as err:
-            validate_chain_graph(g)
-        walk = err.value.walk
+    for g, walk in non_chain_witnesses(4):
         assert walk[0] == walk[-1]
+        assert len(set(walk)) == len(walk) - 1
         directed_used = 0
         for a, b in zip(walk, walk[1:]):
             kind = g.edge_between(a, b)
             assert kind in ("->", "<->")
             directed_used += kind == "->"
         assert directed_used >= 1
+
+
+def test_witness_is_the_shortest_cycle_through_the_least_cycle_edge():
+    count = 0
+    for g, walk in non_chain_witnesses(4):
+        cycles = oracle_partially_directed_cycles(g.n, g.directed, g.bidirected)
+        least = min(p for cycle in cycles for p in zip(cycle, cycle[1:]) if p in g.directed)
+        through = [cycle for cycle in cycles if tuple(cycle[:2]) == least]
+        assert tuple(walk[:2]) == least
+        assert list(walk) in through and len(walk) == min(map(len, through))
+        count += 1
+    assert count == 2422
 
 
 def test_decomposition_structure_exhaustive():
@@ -157,6 +180,13 @@ def test_vertex_order_is_consistent_vertex_order_exhaustive():
             assert consistent_vertex_order(g) == validate_chain_graph(g).vertex_order
 
 
+def sha1_of(records) -> str:
+    digest = hashlib.sha1()
+    for rec in sorted(records):
+        digest.update(repr(rec).encode())
+    return digest.hexdigest()
+
+
 def test_orders_and_witnesses_match_pinned_digest():
     records = []
     for n in range(1, 5):
@@ -165,17 +195,10 @@ def test_orders_and_witnesses_match_pinned_digest():
             records.append((n, sorted(g.directed), sorted(g.bidirected),
                             [sorted(c) for c in dec.components],
                             sorted(dec.component_dag), list(dec.vertex_order)))
-    walks = []
-    for g in enumerate_mixed_graphs(4):
-        try:
-            validate_chain_graph(g)
-        except PartiallyDirectedCycle as exc:
-            walks.append((sorted(g.directed), sorted(g.bidirected), list(exc.walk)))
-    assert (len(records), len(walks)) == (1743, 2408)
-    digest = hashlib.sha1()
-    for rec in sorted(records) + sorted(walks):
-        digest.update(repr(rec).encode())
-    assert digest.hexdigest() == ORDERING_DIGEST
+    assert (len(records), sha1_of(records)) == (1743, ORDERS_DIGEST)
+    walks = [(sorted(g.directed), sorted(g.bidirected), list(walk))
+             for g, walk in non_chain_witnesses(4) if g.n == 4]
+    assert (len(walks), sha1_of(walks)) == (2408, WALKS_DIGEST)
 
 
 def test_component_masks_match_pinned_digest():

@@ -211,11 +211,18 @@ def test_numeric_check_small(capsys, fig_path):
     assert out.count("pass") >= 6
 
 
-@pytest.mark.parametrize("argv", [("--eps", "-1"), ("--eps", "nan"), ("--seeds", "-1")])
-def test_numeric_check_refuses_a_bad_tolerance_or_seed_count(capsys, fig_path, argv):
+@pytest.mark.parametrize("argv", [("--eps", "-1"), ("--eps", "nan"), ("--seeds", "-1"),
+                                  ("--seeds", "2", "--eps", "-1"),
+                                  ("--seeds", "0", "--eps", "nan"),
+                                  ("--seeds", "2", "--eps", "inf")])
+def test_numeric_check_refuses_a_bad_tolerance_or_seed_count(capsys, fig_path, monkeypatch, argv):
+    def unreachable(g):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr("mvrcg.cli.global_model", unreachable)
     code, out, err = run(capsys, "numeric-check", "--graph", fig_path("fig4b"), *argv)
-    assert code == 2 and "pass" not in out and "FAIL" not in out
-    assert err.startswith("error: GraphFormatError: ")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: GraphFormatError: ") and err.count("\n") == 1
 
 
 def test_intervene_writes_graph(capsys, fig_path, tmp_path):
@@ -566,6 +573,21 @@ def test_a_closure_check_lists_the_model_and_the_closure_only_to_fail(monkeypatc
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert sorted(listed) == ["closure", "model"]
+
+
+def test_a_graph_over_the_model_cap_errs_on_the_ten_checks_that_compare_with_m(monkeypatch):
+    monkeypatch.setenv("MVRCG_MAX_N", "3")
+    checks = verify_graph(MixedGraph(4), SweepConfig()).checks
+    assert {name: c.status for name, c in checks.items()} == {
+        "im_eq_imstar": "error",
+        "closure_mr": "error", "closure_iv": "error", "closure_ordered": "error",
+        "closure_local": "error", "closure_p1": "error", "closure_p2": "error",
+        "closure_p3": "error", "closure_p4": "error",
+        "ancestral": "pass", "maximal": "pass", "marginal_oracle": "error",
+        "factorization": "pass",
+    }
+    assert {c.witness for c in checks.values() if c.status == "error"} == {
+        "CapExceeded: 4 vertices exceeds cap 3"}
 
 
 def test_edgeless_eight_vertex_graph_passes_every_check(monkeypatch):
