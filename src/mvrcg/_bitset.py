@@ -6,6 +6,7 @@ O(words).  Public APIs convert to/from frozensets at the boundary.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -16,12 +17,22 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions in ascending order."""
+@lru_cache(maxsize=1 << 12)
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of the nonnegative ``mask``, ascending, as a
+    tuple.
+
+    The tuples are memoised by the mask alone, so equal masks share one
+    immutable tuple.  The memo keeps the 4,096 masks used last: at most
+    4,096 tuples, each as long as its mask's bit count, whatever graphs
+    the process sees.
+    """
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def set_of(mask: int) -> frozenset[int]:
@@ -34,7 +45,8 @@ def format_vertices(vertices, labels=None) -> str:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """Yield every nonempty submask of ``mask`` (descending)."""
+    """Yield every nonempty submask of ``mask`` (descending).  Not memoised:
+    a mask with k bits has 2^k - 1 of them."""
     sub = mask
     while sub:
         yield sub

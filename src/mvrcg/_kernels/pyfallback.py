@@ -286,11 +286,15 @@ def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, 
     the semi-graphoid axioms and, by ``flags``, intersection and
     composition, each once as ``(x, y, K)``.
 
-    The worklist starts from the elementary parts of ``codes``: each
-    <x, y | K> with x in a, y in b and c ⊆ K ⊆ c | a | b - {x, y}.  It
-    fires each triple it has not seen through ``elementary_rules`` once,
-    in FIFO order, and stops at its fixpoint or as soon as it has seen
-    ``goal`` triples.
+    The worklist starts from the chain triples of ``codes``: for <a, b | c>
+    with a = {a_1 < a_2 < ...} and b = {b_1 < b_2 < ...}, each
+    <a_i, b_j | c a_<i b_<j>, |a|·|b| of them.  By the chain rule they
+    generate <a, b | c> under the semi-graphoid axioms, and so all of its
+    |a|·|b|·2^(|a|+|b|-2) elementary parts <x, y | K>, x in a, y in b and
+    c ⊆ K ⊆ c | a | b - {x, y}: both seed sets have the same closure.  The
+    worklist fires each triple it has not seen through
+    ``elementary_rules`` once, in FIFO order, and stops at its fixpoint or
+    as soon as it has seen ``goal`` triples.
     """
     full = (1 << n) - 1
     table = [0] * (n << n)
@@ -306,14 +310,19 @@ def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, 
             table[y << n | K] |= bx
             work.append((x, y, K))
 
-    for code in codes:
+    for code in codes:  # push's steps for one y, inline: most pushes are seeds
         a, b, c = code & full, code >> n & full, code >> 2 * n
         for x in bits(a):
-            rest = (a | b) ^ 1 << x
-            for extra in (0, *submasks(rest)):
-                ys = b & ~extra & ~table[x << n | c | extra]
-                if ys:
-                    push(x, ys, c | extra)
+            bx = 1 << x
+            row = x << n | c | a & (bx - 1)
+            for y in bits(b):
+                by = 1 << y
+                K = row | b & (by - 1)
+                if not table[K] & by:
+                    table[K] |= by
+                    K &= full
+                    table[y << n | K] |= bx
+                    work.append((x, y, K))
     fire = elementary_rules(n, flags, table, push)
     for triple in work:  # the loop also reaches the triples pushed as it runs
         if len(work) == goal:

@@ -18,7 +18,7 @@ from .chain import validate_chain_graph
 from .closure import AxiomSet, close
 from .distributions import (_check_tolerance, ci_holds, sample_latent_dag_distribution,
                             verify_factorization)
-from .errors import GraphError, GraphFormatError, ModelFormatError
+from .errors import GraphError, GraphFormatError, ModelFormatError, PartiallyDirectedCycle
 from .factorization import factorize_component_dag, factorize_mvr, head_partition
 from .graph import MixedGraph, induced_subgraph
 from .intervention import intervene
@@ -47,9 +47,18 @@ def _labels(g: MixedGraph, vs) -> str:
 def cmd_validate(args) -> int:
     try:
         g = _load(args.graph)
-        dec = validate_chain_graph(g)
     except GraphError as exc:
         print(f"INVALID: {exc}")
+        return 1
+    try:
+        dec = validate_chain_graph(g)
+    except PartiallyDirectedCycle as exc:
+        witness = [g.labels[v] for v in exc.walk]
+        error = f"partially directed cycle: {'-'.join(witness)}"
+        if args.json:
+            print(json.dumps({"valid": False, "error": error, "witness": witness}))
+        else:
+            print(f"INVALID: {error}")
         return 1
     if args.json:
         print(json.dumps({"valid": True,

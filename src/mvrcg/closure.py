@@ -17,8 +17,13 @@ under the elementary rules (Matúš 1992; Studený 2005; Lněnička & Matúš
 2007).  So there is one closure engine, the kernel's
 ``elementary_closure``: a FIFO worklist over a table of neighbour masks
 that fires each elementary triple once through ``elementary_rules``.
-``close_codes`` runs it to its fixpoint, and ``semi_graphoid_codes``
-lists cl(P) from it by the chain rule.
+It is seeded with each code's chain triples, not all its elementary
+parts: <A, B | C> with A = {a_1 < a_2 < ...} and B = {b_1 < b_2 < ...}
+holds under sg exactly when every <a_i, b_j | C a_<i b_<j> does (the
+chain rule), so its |A|·|B| chain triples close to the same set as its
+|A|·|B|·2^(|A|+|B|-2) elementary parts.  ``close_codes`` runs it to its
+fixpoint, and ``semi_graphoid_codes`` lists cl(P) from it by the chain
+rule.
 
 ``closure_gap`` decides cl(P) == M for a pairwise model M given by its
 elementary table alone, without listing M.  ``closed_target`` shows M a

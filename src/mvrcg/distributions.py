@@ -168,7 +168,7 @@ def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -
         given = pc > 0
         pabc, pac, pbc, pc = pabc[given], pac[given], pbc[given], pc[given]
     within = np.abs(pabc / pc - pac / pc * (pbc / pc)) <= eps
-    return np.count_nonzero(within) == within.size
+    return bool(np.count_nonzero(within) == within.size)
 
 
 def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9) -> bool:

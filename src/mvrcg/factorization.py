@@ -123,27 +123,33 @@ def head_partition(g: MixedGraph, A: Iterable[int]) -> Factorization:
     a_mask = _as_mask(g, A)
     if ancestors_mask(g, a_mask) != a_mask:
         raise NotAncestrallyClosed(f"an(A) != A for A={sorted(set_of(a_mask))}")
-    factors = []
+    factors = tuple(HeadTail(set_of(block), set_of(t)) for block, t in _head_blocks(g, a_mask))
+    return Factorization(factors, set_of(a_mask))
+
+
+def _head_blocks(g: MixedGraph, a_mask: int) -> list[tuple[int, int]]:
+    """:func:`head_partition` of the ancestrally closed mask ``a_mask``,
+    unchecked, as ``(head, tail)`` mask pairs in the same order."""
+    blocks = []
     w = a_mask
     while w:
         anw = ancestors_mask(g, w)
         emitted = 0
         for d in district_masks(g.nb, anw):
-            eligible = d & w
             # Barrenness is judged inside the district part: a vertex is
             # kept only while it still has a descendant there, so jointly
             # dependent siblings leave as one block.
-            block = _barren_mask(g, eligible, anw)
+            block = _barren_mask(g, d & w, anw)
             if not block:
                 continue
             t = _head_tail_mask(g, block)
             if t is None:
                 raise HeadTestFailed(
                     f"partition block {sorted(set_of(block))} failed the head test")
-            factors.append(HeadTail(set_of(block), set_of(t)))
+            blocks.append((block, t))
             emitted |= block
         w &= ~emitted
-    return Factorization(tuple(factors), set_of(a_mask))
+    return blocks
 
 
 def factorize_mvr(g: MixedGraph, dec: ChainDecomposition) -> Factorization:

@@ -15,7 +15,8 @@ from .chain import ChainDecomposition, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
 from .graph import (MixedGraph, _as_mask, _vertex, _vertices, ancestors_mask, descendants_mask,
-                    district_mask, district_masks, parents_of_set, topological_order)
+                    district_mask, district_masks, parents_of_set, reach_mask,
+                    topological_order)
 from .triples import IndependenceModel
 
 PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
@@ -33,27 +34,27 @@ def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
     """
     if variant not in PAIRWISE_VARIANTS:
         raise UnknownName(f"unknown pairwise variant {variant!r}")
+    # Each vertex's own part of the pair's conditioning set (p1-p3).
+    if variant == "p1":
+        own = [dec.pre_mask(t) for t in dec.component_of]
+    elif variant == "p2":
+        own = [ancestors_mask(g, 1 << v) for v in range(g.n)]
+    else:
+        own = g.pa
     triples = []
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            if g.adjacent(i, j):
+            if g.adj[i] >> j & 1:
                 continue
-            pair = (1 << i) | (1 << j)
-            if variant == "p1":
-                cond = (dec.pst_mask(i) | dec.pst_mask(j)) & ~pair
-            elif variant == "p2":
-                cond = (ancestors_mask(g, 1 << i) | ancestors_mask(g, 1 << j)) & ~pair
-            elif variant == "p3":
-                cond = (g.pa[i] | g.pa[j]) & ~pair
-            else:
-                ci, cj = dec.component_of[i], dec.component_of[j]
-                earlier = i if (ci, i) <= (cj, j) else j
-                other = i + j - earlier
-                triples.append((1 << earlier, 1 << other, g.pa[earlier]))
-                if p4_both and ci == cj:
-                    triples.append((1 << other, 1 << earlier, g.pa[other]))
+            if variant != "p4":
+                triples.append((1 << i, 1 << j, (own[i] | own[j]) & ~(1 << i | 1 << j)))
                 continue
-            triples.append((1 << i, 1 << j, cond))
+            ci, cj = dec.component_of[i], dec.component_of[j]
+            earlier = i if (ci, i) <= (cj, j) else j
+            other = i + j - earlier
+            triples.append((1 << earlier, 1 << other, g.pa[earlier]))
+            if p4_both and ci == cj:
+                triples.append((1 << other, 1 << earlier, g.pa[other]))
     return IndependenceModel.from_masks(g.n, triples)
 
 
@@ -108,7 +109,7 @@ def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel
             iv1_rest = pad & ~pa
             if iv1_rest:
                 triples.append((sub, iv1_rest, pa))
-            if len(district_masks(g.nb, sub)) == 1:
+            if reach_mask(g.nb, sub & -sub, sub) == sub:  # sub is connected
                 nbs = sub
                 for v in bits(sub):
                     nbs |= g.nb[v]
@@ -160,14 +161,15 @@ def ordered_local_triples(g: MixedGraph,
     """
     if order is None:
         order = consistent_vertex_order(g)
-    order = _vertices(g, order)
-    if sorted(order) != list(range(g.n)):
-        raise InconsistentOrder("order must list every vertex exactly once")
-    seen = 0
-    for v in order:
-        if ancestors_mask(g, 1 << v) & ~(seen | (1 << v)):
-            raise InconsistentOrder(f"vertex {v} appears before one of its ancestors")
-        seen |= 1 << v
+    else:
+        order = _vertices(g, order)
+        if sorted(order) != list(range(g.n)):
+            raise InconsistentOrder("order must list every vertex exactly once")
+        seen = 0
+        for v in order:
+            if ancestors_mask(g, 1 << v) & ~(seen | (1 << v)):
+                raise InconsistentOrder(f"vertex {v} appears before one of its ancestors")
+            seen |= 1 << v
     triples = []
     prefix = 0
     for x in order:
@@ -177,7 +179,7 @@ def ordered_local_triples(g: MixedGraph,
         sub = rest
         while True:  # all subsets of the prefix that contain x, including empty rest
             a_mask = sub | (1 << x)
-            if ancestors_mask(g, a_mask) == a_mask:
+            if not parents_of_set(g, a_mask):  # A is ancestrally closed
                 mb = _markov_blanket_mask(g, x, a_mask)
                 other = a_mask & ~(mb | (1 << x))
                 if other:

@@ -54,7 +54,7 @@ from ._kernels.pyfallback import iter_canonical_codes, m_connected, subset_sums
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
-                    parents_of_set, reach_mask, state_walk, topological_order)
+                    reach_mask, state_walk, topological_order)
 from .triples import IndependenceModel
 
 
@@ -107,10 +107,13 @@ def _collider_adjacency(g: MixedGraph, within: int) -> list[int]:
     a path ends at one of them, at a parent of one, or at a parent of ``s``.
     """
     adj = [0] * g.n
+    pa = g.pa
     for s in bits(within):
         head = reach_mask(g.nb, g.ch[s] | g.nb[s], within)
-        tail = (g.pa[s] | parents_of_set(g, head)) & within
-        adj[s] = (head | tail) & ~(1 << s)
+        near = head | pa[s]  # head, its parents and those of s
+        for h in bits(head):
+            near |= pa[h]
+        adj[s] = near & within & ~(1 << s)
     return adj
 
 
@@ -173,11 +176,15 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
             ends &= obs
             for v in bits(ends):
                 adj[v] |= ends
-        joined = sum(1 << v for v in bits(obs) if not obs & ~adj[v] & ~(1 << v))
+        joined = sinks = 0
+        for v in bits(obs):
+            if not obs & ~adj[v] & ~(1 << v):
+                joined |= 1 << v
+            if not g.ch[v] & anc:
+                sinks |= 1 << v
         loose = obs ^ joined
         if not loose & (loose - 1):  # one loose vertex at most: one class
             continue
-        sinks = sum(1 << v for v in bits(obs) if not g.ch[v] & anc)
         classes: list[int] = []
         partition = {loose: classes}
         for cl in (*submasks(loose), 0):  # descending: cl | v comes before cl

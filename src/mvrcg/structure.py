@@ -56,6 +56,12 @@ def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[lis
     if r == s:
         raise DisjointnessViolation(f"a chain joins two distinct vertices, not "
                                     f"{g.labels[r]} and itself")
+    return _primitive_inducing_chain(g, r, s)
+
+
+def _primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[list[int]]:
+    """``find_primitive_inducing_chain`` for two distinct nonadjacent
+    vertices, which the caller has checked."""
     anchor = ancestors_mask(g, (1 << r) | (1 << s))
 
     def step(v, head):
@@ -90,7 +96,7 @@ def is_maximal(g: MixedGraph, method: str = "both") -> bool:
 def _nonadjacent_pairs(g: MixedGraph):
     for r in range(g.n):
         for s in range(r + 1, g.n):
-            if not g.adjacent(r, s):
+            if not g.adj[r] >> s & 1:
                 yield r, s
 
 
@@ -105,7 +111,7 @@ def _maximal_by_zsets(g: MixedGraph) -> bool:
 
 
 def _maximal_by_chains(g: MixedGraph) -> bool:
-    return all(find_primitive_inducing_chain(g, r, s) is None
+    return all(_primitive_inducing_chain(g, r, s) is None
                for r, s in _nonadjacent_pairs(g))
 
 

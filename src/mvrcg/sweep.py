@@ -30,17 +30,17 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cache
 from typing import Iterator, Optional
 
+from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import validate_chain_graph
 from .closure import AxiomSet, closed_target, closure_gap
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, UnknownName
-from .factorization import factorize_component_dag, factorize_mvr, head_partition
-from .graph import MixedGraph
+from .factorization import _head_blocks
+from .graph import MixedGraph, parents_of_set
 from .properties import property_model
 from .separation import global_model_codes, global_model_table
 from .structure import is_ancestral, is_maximal, latent_model_codes
@@ -157,6 +157,20 @@ def _raised(exc: Exception) -> tuple[str, str]:
     return "fail" if failed else "error", f"{type(exc).__name__}: {exc}"
 
 
+def _once(fn):
+    """``fn()``, computed at the first call that returns and kept for the
+    later ones: ``functools.cache`` without its wrapper's set-up cost,
+    which would be paid three times per graph."""
+    kept = []
+
+    def get():
+        if not kept:
+            kept.append(fn())
+        return kept[0]
+
+    return get
+
+
 def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> VerificationReport:
     report = VerificationReport(index, g.n, graph_hash(g),
                                 sorted(g.directed), sorted(g.bidirected))
@@ -180,12 +194,12 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         report.checks[name] = CheckOutcome(status, witness,
                                            (time.perf_counter() - t0) * 1e3)
 
-    @cache
+    @_once
     def table():
         """M's elementary table, built by the first check that needs M."""
         return global_model_table(g)
 
-    @cache
+    @_once
     def model():
         """The separation model M, listed from its table."""
         return pairwise_codes(g.n, table())
@@ -205,7 +219,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
 
     run_model("im_eq_imstar", lambda: global_model_codes(g, method="mstar"))
 
-    @cache
+    @_once
     def target():
         """``closed_target`` of M's table, once per graph."""
         return closed_target(g.n, table())
@@ -227,17 +241,22 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         return is_maximal(g), None
 
     def check_factorization():
-        part = head_partition(g, range(g.n))
-        mvr = factorize_mvr(g, dec)
-        if part.blocks() != mvr.blocks():
+        """``head_partition`` of all vertices is ``factorize_mvr``: the
+        chain components, each with its graphical parents as tail, and
+        ``factorize_component_dag``'s parent components hold those
+        parents.  Compared on the masks the three build their factors
+        from, with the same witnesses."""
+        tails = dict(_head_blocks(g, g.full_mask))
+        comps = dec.component_masks
+        if set(tails) != set(comps):
             return False, "head partition blocks differ from chain components"
-        for f in mvr.factors:
-            if part.tail_of(f.head) != f.tail:
-                return False, f"tail of {sorted(f.head)} differs"
-        cdag = factorize_component_dag(g, dec)
-        for f, fc in zip(mvr.factors, cdag.factors):
-            if not f.tail <= fc.tail:
-                return False, f"graphical parents of {sorted(f.head)} exceed parent components"
+        parents = [parents_of_set(g, t) for t in comps]
+        for t, pa in zip(comps, parents):
+            if tails[t] != pa:
+                return False, f"tail of {list(bits(t))} differs"
+        for i, (t, pa) in enumerate(zip(comps, parents)):
+            if pa & ~dec.pa_d_mask(i):
+                return False, f"graphical parents of {list(bits(t))} exceed parent components"
         return True, None
 
     run("ancestral", check_ancestral)

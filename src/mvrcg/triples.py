@@ -98,6 +98,13 @@ def decode_triple(code: int, n: int) -> IndependenceTriple:
     return triple_from_masks(*decode_code(n, code))
 
 
+def _check_ground_set(n) -> None:
+    if type(n) is not int:  # bool is a subclass of int
+        raise ModelFormatError("a model needs an int ground set size and a frozenset of codes")
+    if n < 0:
+        raise ModelFormatError(f"negative ground set size {n}")
+
+
 def _ground_set(m1: "IndependenceModel", m2: "IndependenceModel") -> int:
     """The ground-set size two models share; models over different ground
     sets are not comparable, so this raises ``ModelFormatError``."""
@@ -127,10 +134,9 @@ class IndependenceModel:
 
     def __post_init__(self):
         n = self.n
-        if type(n) is not int or not isinstance(self.codes, frozenset):
+        if not isinstance(self.codes, frozenset):
             raise ModelFormatError("a model needs an int ground set size and a frozenset of codes")
-        if n < 0:
-            raise ModelFormatError(f"negative ground set size {n}")
+        _check_ground_set(n)
         for code in self.codes:
             if type(code) is not int:
                 raise ModelFormatError(f"code {code!r} is not an int")
@@ -148,8 +154,14 @@ class IndependenceModel:
 
     @classmethod
     def from_masks(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "IndependenceModel":
-        """Model of ``(a, b, c)`` mask triples, checked as triples are."""
-        return cls(n, frozenset(_encode_checked(n, a, b, c) for a, b, c in triples))
+        """Model of ``(a, b, c)`` mask triples, checked as triples are.
+        ``_encode_checked`` checks each code as it makes it, so the model
+        skips ``__post_init__``'s second pass over them."""
+        _check_ground_set(n)
+        model = object.__new__(cls)
+        model.__dict__.update(
+            n=n, codes=frozenset([_encode_checked(n, a, b, c) for a, b, c in triples]))
+        return model
 
     @classmethod
     def from_codes(cls, n: int, codes: Iterable[int]) -> "IndependenceModel":

@@ -9,7 +9,7 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
-from mvrcg import closure
+from mvrcg import closure, structure
 from mvrcg._kernels.pyfallback import elementary_closure, pairwise_codes
 from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
@@ -51,6 +51,27 @@ def test_validate_rejects_cycle(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--graph", str(p))
     assert code == 1
     assert "INVALID" in out
+
+
+def test_validate_labels_the_cycle_witness(capsys, fig_path):
+    code, out, _ = run(capsys, "validate", "--graph", fig_path("fig1"))
+    assert (code, out) == (1, "INVALID: partially directed cycle: alpha-delta-beta-alpha\n")
+
+
+def test_validate_json_reports_an_invalid_graph_as_json(capsys, fig_path):
+    code, out, _ = run(capsys, "validate", "--graph", fig_path("fig1"), "--json")
+    assert code == 1
+    assert json.loads(out) == {"valid": False,
+                               "error": "partially directed cycle: alpha-delta-beta-alpha",
+                               "witness": ["alpha", "delta", "beta", "alpha"]}
+
+
+def test_validate_keeps_the_plain_line_for_a_graph_that_does_not_load(capsys, tmp_path):
+    p = tmp_path / "bad.cg"
+    p.write_text("vertex a\na -> b\n")
+    for extra in ((), ("--json",)):
+        code, out, _ = run(capsys, "validate", "--graph", str(p), *extra)
+        assert (code, out) == (1, "INVALID: line 2: undeclared vertex 'b'\n")
 
 
 def test_components_json(capsys, fig_path):
@@ -504,6 +525,37 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     assert calls == [("elementary", goal, goal)] * 8
 
 
+def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
+    """The checks read adjacency masks and build models from codes they
+    have just checked: ``MixedGraph.adjacent``, a model's
+    ``__post_init__`` and the public ``find_primitive_inducing_chain``
+    each check their arguments again, and none is called while every
+    chain graph with n <= 3 is verified."""
+    calls = {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counting(MixedGraph, "adjacent")
+    counting(IndependenceModel, "__post_init__")
+    counting(structure, "find_primitive_inducing_chain")
+    graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
+    assert len(graphs) == 55
+    assert all(verify_graph(g, SweepConfig()).ok for g in graphs)
+    assert calls == {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0}
+    # the spies do count: the public entry points still check
+    assert MixedGraph(2).adjacent(0, 1) is False
+    assert IndependenceModel.from_codes(2, [1 | 2 << 2]).n == 2
+    assert structure.find_primitive_inducing_chain(MixedGraph(2), 0, 1) is None
+    assert calls == {"adjacent": 2, "__post_init__": 1, "find_primitive_inducing_chain": 1}
+
+
 def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     """A closure check whose elementary worklist falls short of the model's
     elementary triples has run that worklist to its fixpoint, and the
@@ -686,6 +738,22 @@ def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):
         assert report.checks["maximal"].witness == \
             "AssertionError: maximality criteria disagree; this is a bug"
         assert report.checks["ancestral"].status == "pass"
+
+
+@pytest.mark.parametrize("blocks, witness", [
+    ([(0b001, 0), (0b110, 0b001)], "head partition blocks differ from chain components"),
+    ([(0b001, 0), (0b010, 0), (0b100, 0b001)], "tail of [2] differs"),
+])
+def test_factorization_check_names_the_first_difference(monkeypatch, blocks, witness):
+    """On 0 -> 2 <- 1 the head partition is {0}, {1} and {2} with tail
+    {0, 1}; a partition that differs in its blocks, or in one tail, fails
+    the check with the witness the factors' comparison gives."""
+    g = MixedGraph(3, directed=[(0, 2), (1, 2)])
+    config = SweepConfig(checks=("factorization",))
+    assert verify_graph(g, config).checks["factorization"].status == "pass"
+    monkeypatch.setattr("mvrcg.sweep._head_blocks", lambda g, a_mask: blocks)
+    outcome = verify_graph(g, config).checks["factorization"]
+    assert (outcome.status, outcome.witness) == ("fail", witness)
 
 
 def test_sweep_checks_unwritable_cursor_before_the_first_graph(capsys, tmp_path):

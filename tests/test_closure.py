@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, close,
                    equivalent_under, satisfies)
+from mvrcg._bitset import bits, submasks
 from mvrcg.chain import validate_chain_graph
 from mvrcg._kernels.pyfallback import close_codes as kernel_close_codes
 from mvrcg._kernels.pyfallback import (elementary_closure, m_elementary_table, pairwise_codes,
@@ -269,6 +270,37 @@ def test_elementary_closure_is_the_elementary_part_of_the_closure():
                     naive += 1
     assert naive == 100
     assert h.hexdigest() == "3e2a152a7bf765d39cd80e21432de71a147257ed"
+
+
+def _all_elementary_parts(n, code):
+    """The elementary parts of one code, each <x, y | K> with x in a, y in
+    b and c ⊆ K ⊆ c | a | b - {x, y}, by the loop that seeded the worklist
+    before it took the chain triples."""
+    full = (1 << n) - 1
+    a, b, c = code & full, code >> n & full, code >> 2 * n
+    parts = set()
+    for x in bits(a):
+        rest = (a | b) ^ 1 << x
+        for extra in (0, *submasks(rest)):
+            for y in bits(b & ~extra):
+                parts.add((min(x, y), max(x, y), c | extra))
+    return parts
+
+
+def test_chain_seeds_close_to_all_elementary_parts():
+    """The worklist seeds a code <a, b | c> with its |a|·|b| chain triples
+    only; under sg they generate every one of its |a|·|b|·2^(|a|+|b|-2)
+    elementary parts, and nothing else, for every canonical code with
+    n <= 5."""
+    count = 0
+    for n in range(1, 6):
+        for code, *_ in iter_canonical_codes(n):
+            seen = elementary_closure(n, [code], 0)
+            assert len(seen) == len(set(seen))
+            assert {(min(x, y), max(x, y), K) for x, y, K in seen} == \
+                _all_elementary_parts(n, code)
+            count += 1
+    assert count == 350
 
 
 def test_semi_graphoid_codes_lists_a_semi_graphoid_from_its_elementary_triples():

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from itertools import product
@@ -80,6 +81,16 @@ def test_product_table_independent():
 def test_correlated_pair_dependent():
     t = table_of([0, 1], [[0.5, 0.0], [0.0, 0.5]])
     assert not ci_holds(t, T([0], [1]))
+
+
+def test_ci_holds_returns_a_plain_bool():
+    """Not ``numpy.bool``, which ``json.dumps`` refuses."""
+    t = table_of([0, 1, 2], np.full((2, 2, 2), 1 / 8))
+    verdicts = [ci_holds(t, T([0], [1])), ci_holds(t, T([0], [1], [2])),
+                ci_holds(table_of([0, 1], [[0.5, 0.0], [0.0, 0.5]]), T([0], [1]))]
+    assert verdicts == [True, True, False]
+    assert all(type(v) is bool for v in verdicts)
+    assert json.dumps(verdicts) == "[true, true, false]"
 
 
 def test_ci_symmetric_and_order_invariant():
