@@ -281,7 +281,36 @@ def elementary_rules(n: int, flags: int, table, emit):
     return fire
 
 
-def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, int, int]]:
+class Seen(list):
+    """What ``elementary_closure`` returns: the elementary triples its
+    worklist has seen, in the order it saw them, each once as ``(x, y,
+    K)``, and ``stop``, the stop it had reached: ``"goal"`` once it had
+    seen ``goal`` triples, ``"known"`` once it had seen every seed of the
+    known generator, None at its fixpoint short of both."""
+
+    stop = None
+
+
+def chain_seeds(n: int, codes) -> list[tuple[int, int]]:
+    """The chain triples of ``codes``, the seeds ``elementary_closure``
+    pushes for them, each as ``(x << n | K, 1 << y)``: its row of the
+    worklist's table and its bit there.  For <a, b | c> with
+    a = {a_1 < a_2 < ...} and b = {b_1 < b_2 < ...} they are the
+    <a_i, b_j | c a_<i b_<j>."""
+    full = (1 << n) - 1
+    out = []
+    for code in codes:
+        a, b, c = code & full, code >> n & full, code >> 2 * n
+        for x in bits(a):
+            bx = 1 << x
+            row = x << n | c | a & (bx - 1)
+            for y in bits(b):
+                by = 1 << y
+                out.append((row | b & (by - 1), by))
+    return out
+
+
+def elementary_closure(n: int, codes, flags: int, goal=None, known=None) -> Seen:
     """The elementary triples <x, y | K> of the closure of ``codes`` under
     the semi-graphoid axioms and, by ``flags``, intersection and
     composition, each once as ``(x, y, K)``.
@@ -293,12 +322,15 @@ def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, 
     |a|·|b|·2^(|a|+|b|-2) elementary parts <x, y | K>, x in a, y in b and
     c ⊆ K ⊆ c | a | b - {x, y}: both seed sets have the same closure.  The
     worklist fires each triple it has not seen through
-    ``elementary_rules`` once, in FIFO order, and stops at its fixpoint or
-    as soon as it has seen ``goal`` triples.
+    ``elementary_rules`` once, in FIFO order, and stops at its fixpoint,
+    as soon as it has seen ``goal`` triples, or as soon as it has seen
+    every ``(row, bit)`` of ``known`` (``chain_seeds`` of a generator,
+    say).  ``stop`` on the result names the stop it reached; deciding
+    what a stop shows is the caller's part.
     """
     full = (1 << n) - 1
     table = [0] * (n << n)
-    work: list[tuple[int, int, int]] = []
+    work = Seen()
 
     def push(x: int, ys: int, K: int) -> None:
         table[x << n | K] |= ys
@@ -324,10 +356,29 @@ def elementary_closure(n: int, codes, flags: int, goal=None) -> list[tuple[int, 
                     table[y << n | K] |= bx
                     work.append((x, y, K))
     fire = elementary_rules(n, flags, table, push)
-    for triple in work:  # the loop also reaches the triples pushed as it runs
-        if len(work) == goal:
-            break
-        fire(*triple)
+    if known:
+        need = iter(known)
+
+        def unseen():
+            """The next seed of ``known`` not seen yet; (0, 0) once none is left."""
+            return next(((row, bit) for row, bit in need if not table[row] & bit), (0, 0))
+
+        row, bit = unseen()
+        for triple in work:  # the loop also reaches the triples pushed as it runs
+            if len(work) == goal or not bit:
+                break
+            fire(*triple)
+            if table[row] & bit:
+                row, bit = unseen()
+        if not bit:
+            work.stop = "known"
+    else:
+        for triple in work:
+            if len(work) == goal:
+                break
+            fire(*triple)
+    if len(work) == goal:
+        work.stop = "goal"
     return work
 
 

@@ -31,8 +31,15 @@ compositional graphoid: a pairwise model is one exactly when its
 elementary triples obey the elementary rules with intersection and
 composition.  Then cl(P) lies in M whenever P does, which P's pairs in
 the table decide, and the worklist stops as soon as it has seen all of
-M's elementary triples: cl(P) is M.  Otherwise the worklist reaches its
-fixpoint, and cl(P) is listed from it.
+M's elementary triples: cl(P) is M.  A ``Generator`` G of M, codes that
+an earlier ``closure_gap`` showed to close to M under its axioms, gives
+the worklist a second stop, often much earlier: once it has seen G's
+chain triples, cl(P) holds the closure of G, which is M.  G serves only
+behind the first stop's condition, P in the closed M, since a cl(P)
+larger than M may hold G's triples too; and only a closure under at
+least G's axioms, since under fewer, G's triples need not close to M.
+Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
+it.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side.  The ground set is capped
@@ -44,10 +51,10 @@ per triple it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, elementary_closure, elementary_rules,
-                                  semi_graphoid_codes)
+from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, chain_seeds, elementary_closure,
+                                  elementary_rules, semi_graphoid_codes)
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, _ground_set, first_difference
@@ -109,7 +116,23 @@ def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
     return semi_graphoid_codes(n, elementary_closure(n, codes, axioms.flags()))
 
 
-def closure_gap(n: int, codes, axioms: AxiomSet, target) -> Optional[list[int]]:
+class Generator(NamedTuple):
+    """Codes G shown to generate the model M under the axioms ``flags``:
+    a ``closure_gap`` of G against M's target returned None.  ``seeds``
+    are G's chain triples, as ``chain_seeds`` gives them."""
+
+    flags: int
+    seeds: list[tuple[int, int]]
+
+
+def generator(n: int, codes, axioms: AxiomSet) -> Generator:
+    """``codes`` as a generator of M under ``axioms``, for the caller that
+    has just seen ``closure_gap`` return None for them."""
+    return Generator(axioms.flags(), chain_seeds(n, codes))
+
+
+def closure_gap(n: int, codes, axioms: AxiomSet, target,
+                known: Optional[Generator] = None) -> Optional[list[int]]:
     """None when cl(P) of P = ``codes`` under ``axioms`` is shown to be
     the model M; otherwise cl(P) as sorted codes, for the caller to
     compare with M.
@@ -119,15 +142,22 @@ def closure_gap(n: int, codes, axioms: AxiomSet, target) -> Optional[list[int]]:
     when M is not closed.  For a closed M, P lies in M exactly when each
     code's pairs are in the table, and then cl(P) lies in M, so the one
     worklist stops as soon as it has seen all of M's elementary triples:
-    cl(P) is M.  Otherwise the worklist reaches its fixpoint, and cl(P)
-    is listed from it.  M's table was built under the cap, so this does
-    not check it.
+    cl(P) is M.  ``known``, a generator G of the same M, gives it a second
+    stop: once it has seen G's seeds, cl(P) holds cl_G(G) = M.  That stop
+    is used only behind the first, when P lies in the closed M, and only
+    when G's axioms are among ``axioms``: a closure under fewer axioms
+    than G's need not reach M from G's seeds.  Otherwise the worklist
+    reaches its fixpoint, and cl(P) is listed from it.  M's table was
+    built under the cap, so this does not check it.
     """
-    goal = None
+    flags = axioms.flags()
+    goal = seeds = None
     if target is not None and _pairs_in(n, codes, target[0]):
         goal = target[1]
-    elementary = elementary_closure(n, codes, axioms.flags(), goal)
-    if len(elementary) == goal:
+        if known is not None and not known.flags & ~flags:
+            seeds = known.seeds
+    elementary = elementary_closure(n, codes, flags, goal, seeds)
+    if elementary.stop:
         return None
     return semi_graphoid_codes(n, elementary)
 

@@ -170,6 +170,12 @@ def ordered_local_triples(g: MixedGraph,
             if ancestors_mask(g, 1 << v) & ~(seen | (1 << v)):
                 raise InconsistentOrder(f"vertex {v} appears before one of its ancestors")
             seen |= 1 << v
+    return _ordered_local_triples(g, order)
+
+
+def _ordered_local_triples(g: MixedGraph, order: tuple[int, ...]) -> IndependenceModel:
+    """``ordered_local_triples`` along a consistent ``order`` that the
+    caller has checked, such as a decomposition's ``vertex_order``."""
     triples = []
     prefix = 0
     for x in order:
@@ -231,7 +237,9 @@ def property_model(g: MixedGraph, kind: str,
     if kind == "local":
         return alt_local_triples(g)
     if kind == "ordered":
-        return ordered_local_triples(g)
+        if dec is None:
+            return ordered_local_triples(g)
+        return _ordered_local_triples(g, dec.vertex_order)
     if dec is None:
         dec = validate_chain_graph(g)
     if kind in PAIRWISE_VARIANTS:

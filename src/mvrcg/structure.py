@@ -18,16 +18,15 @@ compares the two models as code lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._bitset import submasks
 from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
 from .config import check_cap, marginal_cap
-from .errors import DisjointnessViolation, NotAncestral, UnknownName, VerticesAdjacent
-from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
-from .separation import (_moral_adjacency, _require_dag, _separated_codes,
-                         global_model_codes)
+from .errors import DisjointnessViolation, NotADag, NotAncestral, UnknownName, VerticesAdjacent
+from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk, topological_order
+from .separation import _moral_adjacency, _separated_codes, global_model_codes
 from .triples import first_difference
 
 
@@ -87,6 +86,13 @@ def is_maximal(g: MixedGraph, method: str = "both") -> bool:
     res = is_ancestral(g)
     if not res:
         raise NotAncestral(f"not an ancestral graph: {res.witness}")
+    return _is_maximal(g)
+
+
+def _is_maximal(g: MixedGraph) -> bool:
+    """``is_maximal`` for an ancestral graph.  A chain graph is one: a
+    head that is an ancestor of its edge's other end closes a partially
+    directed cycle, so the sweep does not check it again."""
     answer = _maximal_by_zsets(g)
     if answer != _maximal_by_chains(g):
         raise AssertionError("maximality criteria disagree; this is a bug")
@@ -140,12 +146,45 @@ def canonical_dag(g: MixedGraph) -> CanonicalDag:
     return CanonicalDag(dag, frozenset(range(g.n)), frozenset(range(g.n, nxt)))
 
 
+class _LatentMasks(NamedTuple):
+    """``canonical_dag(g).dag`` as the masks that ``_separated_codes`` and
+    ``_moral_adjacency`` read of it, without its labels and edge sets."""
+
+    n: int
+    pa: list[int]
+    ch: list[int]
+    full_mask: int
+
+
+def _latent_masks(g: MixedGraph) -> _LatentMasks:
+    """The latent DAG's masks: a fresh parent ``h`` of ``u`` and ``v`` for
+    each bidirected edge u <-> v, numbered from ``g.n`` on in the order
+    ``canonical_dag`` numbers them."""
+    pa, ch = list(g.pa), list(g.ch)
+    for u, v in sorted(g.bidirected):
+        h = 1 << len(pa)
+        pa[u] |= h
+        pa[v] |= h
+        pa.append(0)
+        ch.append(1 << u | 1 << v)
+    return _LatentMasks(len(pa), pa, ch, (1 << len(pa)) - 1)
+
+
 def latent_model_codes(g: MixedGraph) -> list[int]:
-    """The latent DAG's separation model over the observed vertices."""
+    """The latent DAG's separation model over the observed vertices.  The
+    latents are sources, so the latent DAG has a directed cycle exactly
+    when ``g`` has one, and then ``NotADag`` is raised."""
     check_cap(g.n, marginal_cap(), "observed vertices")
-    dag = canonical_dag(g).dag
-    _require_dag(dag)
-    return _separated_codes(dag, g.n, _moral_adjacency)
+    if len(topological_order(g.pa, g.ch)) != g.n:
+        raise NotADag("graph has a directed cycle")
+    return _separated_codes(_latent_masks(g), g.n, _moral_adjacency)
+
+
+def _latent_model_codes(g: MixedGraph) -> list[int]:
+    """``latent_model_codes`` for a graph without a directed cycle, which
+    a chain graph never has, so the sweep does not check it again."""
+    check_cap(g.n, marginal_cap(), "observed vertices")
+    return _separated_codes(_latent_masks(g), g.n, _moral_adjacency)
 
 
 def marginal_model_equal(g: MixedGraph) -> CheckResult:

@@ -15,13 +15,24 @@ elementary triples obey the elementary rules.  Per check, one call,
 ``closure_gap(n, P, axioms, target)``, decides ``cl(P) == M``: P's pairs
 lie in the table and one elementary worklist from P's elementary parts
 reaches all of M's elementary triples, where it stops, because
-semi-graphoids with the same elementary triples are equal.  A passing
-check lists neither M nor cl(P).  A check that falls short has run the
-worklist to its fixpoint, and cl(P) is listed from its elementary
-triples and compared with M, listed from the table, so every status and
-witness is the one the closure gives.  M's table is built by the first
-check that needs it, so that check's time includes building it, and the
-first closure check's time includes the proof that M is closed.
+semi-graphoids with the same elementary triples are equal.  The first
+check that passes has shown its triples to generate M under its
+axioms, and each later check is given them, as a ``Generator``: its
+worklist also stops once it has seen their chain triples, which for a P
+inside M shows cl(P) = M too.  ``closure_gap`` uses them only for a P
+inside M and only under at least their axioms (an sg generator serves
+csg and cg checks, a cg one no sg check).  They are kept for the rest of
+one ``verify_graph`` call, never across graphs.  A passing check lists
+neither M nor cl(P).  A check that falls short has run the worklist to
+its fixpoint, and cl(P) is listed from its elementary triples and
+compared with M, listed from the table, so every status and witness is
+the one the closure gives.  M's table is built by the first check that
+needs it, so that check's time includes building it, and the first
+closure check's time includes the proof that M is closed.
+
+The maximal and marginal_oracle checks call ``structure``'s unchecked
+paths: a chain graph, validated first, is ancestral and has no directed
+cycle, so neither is checked again.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from typing import Iterator, Optional
 from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import validate_chain_graph
-from .closure import AxiomSet, closed_target, closure_gap
+from .closure import AxiomSet, closed_target, closure_gap, generator
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, UnknownName
@@ -43,7 +54,7 @@ from .factorization import _head_blocks
 from .graph import MixedGraph, parents_of_set
 from .properties import property_model
 from .separation import global_model_codes, global_model_table
-from .structure import is_ancestral, is_maximal, latent_model_codes
+from .structure import _is_maximal, _latent_model_codes, is_ancestral
 from .triples import first_difference
 
 PROPERTY_AXIOMS = {
@@ -224,11 +235,19 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         """``closed_target`` of M's table, once per graph."""
         return closed_target(g.n, table())
 
+    known = None  # the first passing check's codes, a generator of M
+
     def check_closure(prop):
+        nonlocal known
         m_target = target()  # M first: a graph over the model cap stops here
-        closed = closure_gap(g.n, property_model(g, prop, dec).to_codes(),
-                             config.axioms_for(prop), m_target)
-        return (True, None) if closed is None else compare(lambda: closed)
+        codes = property_model(g, prop, dec).to_codes()
+        axioms = config.axioms_for(prop)
+        closed = closure_gap(g.n, codes, axioms, m_target, known)
+        if closed is not None:
+            return compare(lambda: closed)
+        if known is None:
+            known = generator(g.n, codes, axioms)
+        return True, None
 
     for prop in PROPERTY_AXIOMS:
         run(f"closure_{prop}", lambda prop=prop: check_closure(prop))
@@ -238,7 +257,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         return res.ok, None if res.ok else str(res.witness)
 
     def check_maximal():
-        return is_maximal(g), None
+        return _is_maximal(g), None
 
     def check_factorization():
         """``head_partition`` of all vertices is ``factorize_mvr``: the
@@ -262,7 +281,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
     run("ancestral", check_ancestral)
     run("maximal", check_maximal)
     if g.n <= config.marginal_oracle_max_n:
-        run_model("marginal_oracle", lambda: latent_model_codes(g))
+        run_model("marginal_oracle", lambda: _latent_model_codes(g))
     elif "marginal_oracle" in config.checks:
         report.checks["marginal_oracle"] = CheckOutcome("skipped", "graph too large")
     run("factorization", check_factorization)

@@ -10,7 +10,7 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg import closure, structure
-from mvrcg._kernels.pyfallback import elementary_closure, pairwise_codes
+from mvrcg._kernels.pyfallback import chain_seeds, elementary_closure, pairwise_codes
 from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
@@ -481,11 +481,12 @@ def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
 
 def _spy_on_closure_kernels(monkeypatch):
     """Spies on the closure kernels that ``mvrcg.closure`` calls: ``calls``
-    gets ``("elementary", goal, seen)`` per worklist, ``seen`` being how
-    many elementary triples it returned; ``fires`` gets one counter
+    gets ``("elementary", goal, seen, stop)`` per worklist, ``seen`` being
+    how many elementary triples it returned and ``stop`` the stop it
+    reached, with ``known`` in ``seeded``; ``fires`` gets one counter
     per rule set that ``closed_target`` builds, counting the triples fired
     through it."""
-    calls, fires = [], []
+    calls, fires, seeded = [], [], []
     rules = closure.elementary_rules
 
     def counting_rules(n, flags, table, emit):
@@ -499,30 +500,37 @@ def _spy_on_closure_kernels(monkeypatch):
 
         return counted
 
-    def spy_worklist(n, codes, flags, goal=None):
-        seen = elementary_closure(n, codes, flags, goal)
-        calls.append(("elementary", goal, len(seen)))
+    def spy_worklist(n, codes, flags, goal=None, known=None):
+        seen = elementary_closure(n, codes, flags, goal, known)
+        calls.append(("elementary", goal, len(seen), seen.stop))
+        seeded.append(known)
         return seen
 
     monkeypatch.setattr("mvrcg.closure.elementary_rules", counting_rules)
     monkeypatch.setattr("mvrcg.closure.elementary_closure", spy_worklist)
-    return calls, fires
+    return calls, fires, seeded
 
 
 def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
     """Each closure check runs one elementary worklist from its property's
-    triples, which stops once it has seen the model's elementary triples;
-    one proof over the model's elementary triples shows it closed; no
-    worklist runs to its fixpoint, so nothing is closed there, the model
-    least of all."""
+    triples.  The first stops once it has seen the model's elementary
+    triples, and its triples are then a generator of the model: each later
+    worklist is given their chain triples and stops once it has seen them,
+    or the model's elementary triples.  One proof over the model's
+    elementary triples shows it closed; no worklist runs to its fixpoint,
+    so nothing is closed there, the model least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = global_model_codes(g)
     goal = len(elementary_codes(g.n, model))
-    calls, fires = _spy_on_closure_kernels(monkeypatch)
+    calls, fires, seeded = _spy_on_closure_kernels(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
     assert goal and fires == [goal]
-    assert calls == [("elementary", goal, goal)] * 8
+    assert len(calls) == 8 and calls[0] == ("elementary", goal, goal, "goal")
+    for _, call_goal, seen, stop in calls[1:]:
+        assert call_goal == goal and seen <= goal and stop in ("goal", "known")
+    mr = chain_seeds(g.n, property_model(g, "mr").to_codes())
+    assert seeded == [None] + [mr] * 7
 
 
 def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
@@ -567,11 +575,11 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     goal = len(elementary_codes(g.n, global_model_codes(g)))
-    calls, fires = _spy_on_closure_kernels(monkeypatch)
+    calls, fires, seeded = _spy_on_closure_kernels(monkeypatch)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert fires == [goal]
-    assert calls == [("elementary", goal, 0)]
+    assert calls == [("elementary", goal, 0, None)] and seeded == [None]
 
 
 def test_closure_gap_is_none_at_the_model_and_the_closure_elsewhere():
@@ -729,7 +737,7 @@ def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):
     def broken(g):
         raise AssertionError("maximality criteria disagree; this is a bug")
 
-    monkeypatch.setattr("mvrcg.sweep.is_maximal", broken)
+    monkeypatch.setattr("mvrcg.sweep._is_maximal", broken)
     reports = list(run_equivalence_sweep(SweepConfig(max_n=2)))
     assert [r.index for r in reports] == [0, 1, 2, 3, 4]
     for report in reports:

@@ -9,9 +9,9 @@ from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, MixedGraph, 
 from mvrcg._bitset import bits, submasks
 from mvrcg.chain import validate_chain_graph
 from mvrcg._kernels.pyfallback import close_codes as kernel_close_codes
-from mvrcg._kernels.pyfallback import (elementary_closure, m_elementary_table, pairwise_codes,
-                                       semi_graphoid_codes)
-from mvrcg.closure import close_codes, closed_target
+from mvrcg._kernels.pyfallback import (chain_seeds, elementary_closure, m_elementary_table,
+                                       pairwise_codes, semi_graphoid_codes)
+from mvrcg.closure import Generator, close_codes, closed_target, closure_gap, generator
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
 from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
@@ -301,6 +301,98 @@ def test_chain_seeds_close_to_all_elementary_parts():
                 _all_elementary_parts(n, code)
             count += 1
     assert count == 350
+
+
+def test_chain_seeds_are_the_seeds_the_worklist_pushes():
+    """``chain_seeds`` lists the triples ``elementary_closure`` seeds its
+    worklist with: a worklist stopped before its first fire, by a goal of
+    as many elementary triples as those seeds name, holds exactly them."""
+    rng = random.Random(25)
+    for n in (3, 4, 5):
+        canonical = [code for code, *_ in iter_canonical_codes(n)]
+        for _ in range(40):
+            codes = rng.sample(canonical, rng.randint(1, 5))
+            seeds = set()
+            for row, bit in chain_seeds(n, codes):
+                x, y = row >> n, bit.bit_length() - 1
+                seeds.add((min(x, y), max(x, y), row & ((1 << n) - 1)))
+            seen = elementary_closure(n, codes, 0, len(seeds))
+            assert seen.stop == "goal"
+            assert {(min(x, y), max(x, y), K) for x, y, K in seen} == seeds
+
+
+_AXIOM_SETS = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
+
+
+def _generator_cases():
+    """Every chain graph with n <= 3 and every 40th with n = 4, each with
+    its model's target and each (property codes, axioms) pair."""
+    graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
+    graphs += list(enumerate_mvr_cgs(4))[::40]
+    for g in graphs:
+        target = closed_target(g.n, m_elementary_table(g.n, g.pa, g.ch, g.nb))
+        checks = [(property_model(g, prop).to_codes(), axioms)
+                  for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4")
+                  for axioms in _AXIOM_SETS]
+        yield g, target, checks
+
+
+def test_a_generator_changes_no_closure_gap():
+    """Given any verified generator of the model whose axioms are among the
+    check's, ``closure_gap`` returns what it returns without one, on every
+    chain graph with n <= 3 and a sample at n = 4: each (property,
+    axioms) pair whose gap is None is a generator, and is offered to every
+    pair.  The generator's stop does fire, and ends worklists early."""
+    calls = early = 0
+    for g, target, checks in _generator_cases():
+        plain = [closure_gap(g.n, codes, axioms, target) for codes, axioms in checks]
+        known = [generator(g.n, codes, axioms)
+                 for (codes, axioms), gap in zip(checks, plain) if gap is None]
+        for (codes, axioms), gap in zip(checks, plain):
+            flags = axioms.flags()
+            for gen in known:
+                if gen.flags & ~flags:
+                    continue
+                assert closure_gap(g.n, codes, axioms, target, gen) == gap
+                calls += 1
+                seen = elementary_closure(g.n, codes, flags, target[1], gen.seeds)
+                early += seen.stop == "known" and len(seen) < target[1]
+    assert calls > 20_000 and early > 1_000
+
+
+def test_a_generator_under_more_axioms_does_not_serve_a_weaker_check():
+    """``p1``'s own chain triples, offered as a cg generator to ``p1``
+    under sg, would stop its worklist before the first fire; the check is
+    under fewer axioms than the generator, so ``closure_gap`` ignores it
+    and every failing sg check still fails with its closure."""
+    sg, cg = AxiomSet.semi_graphoid(), AxiomSet.compositional_graphoid()
+    failing = 0
+    for g, target, _ in _generator_cases():
+        codes = property_model(g, "p1").to_codes()
+        gap = closure_gap(g.n, codes, sg, target)
+        if gap is not None:
+            failing += 1
+            assert closure_gap(g.n, codes, sg, target, generator(g.n, codes, cg)) == gap
+    assert failing
+
+
+def test_a_generator_does_not_serve_a_p_outside_the_model():
+    """A P that holds every seed of a verified generator and one pair
+    outside the model's table is not in the model: its closure is larger,
+    and ``closure_gap`` returns it whatever generator it is offered."""
+    cg = AxiomSet.compositional_graphoid()
+    outside = 0
+    for g, target, _ in _generator_cases():
+        gen_codes = property_model(g, "mr").to_codes()
+        gen = generator(g.n, gen_codes, AxiomSet.semi_graphoid())
+        assert closure_gap(g.n, gen_codes, cg, target) is None
+        for i, j in g.directed | g.bidirected:  # adjacent: never separated
+            codes = sorted({*gen_codes, 1 << min(i, j) | 1 << max(i, j) << g.n})
+            gap = closure_gap(g.n, codes, cg, target)
+            assert gap == close_codes(g.n, codes, cg)
+            assert closure_gap(g.n, codes, cg, target, gen) == gap
+            outside += 1
+    assert outside
 
 
 def test_semi_graphoid_codes_lists_a_semi_graphoid_from_its_elementary_triples():

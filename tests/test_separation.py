@@ -15,7 +15,7 @@ from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
 from mvrcg.graph import reach_mask, topological_order
 from mvrcg.separation import (_collider_adjacency, _moral_adjacency, _separated_codes,
                               global_model_codes, iter_canonical_codes)
-from mvrcg.structure import canonical_dag, is_ancestral, latent_model_codes
+from mvrcg.structure import _latent_masks, canonical_dag, is_ancestral, latent_model_codes
 from mvrcg.triples import IndependenceTriple, decode_triple
 
 from oracles import base4_code, oracle_canonical_codes, oracle_m_separated
@@ -331,6 +331,27 @@ def test_d_separation_chain_and_collider():
     collider = MixedGraph(3, directed=[(0, 1), (2, 1)])
     assert d_separated(collider, [0], [2], [])
     assert not d_separated(collider, [0], [2], [1])
+
+
+def test_the_latent_masks_are_the_canonical_dags():
+    """The latent route reads the latent DAG's masks without building it as
+    a graph: they are ``canonical_dag``'s, on every mixed graph with
+    n <= 3 and every chain graph with n = 4."""
+    graphs = [*enumerate_mixed_graphs(1), *enumerate_mixed_graphs(2),
+              *enumerate_mixed_graphs(3), *enumerate_mvr_cgs(4)]
+    for g in graphs:
+        dag = canonical_dag(g).dag
+        assert _latent_masks(g) == (dag.n, list(dag.pa), list(dag.ch), dag.full_mask)
+
+
+def test_the_latent_model_refuses_a_directed_cycle_and_not_a_latent_label():
+    """The latents are sources, so the latent DAG has a directed cycle
+    exactly when the graph has one.  A vertex labelled like a latent of
+    ``canonical_dag`` is no obstacle to the latent model."""
+    with pytest.raises(NotADag):
+        latent_model_codes(MixedGraph(3, directed=[(0, 1), (1, 2), (2, 0)], bidirected=[]))
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)], labels=["a", "h0", "c"])
+    assert latent_model_codes(g) == global_model_codes(g)
 
 
 def test_d_separation_rejects_non_dags():
