@@ -3,7 +3,7 @@
 Subcommands: validate, components, separate, properties, closure, equiv,
 factorize, check, numeric-check, intervene, sweep, export-dot.  Outputs
 are plain text by default; ``--json`` switches to machine-readable JSON.
-The ``MVRCG_MAX_N`` environment variable overrides the size caps.
+The ``MVRCG_MAX_N`` environment variable overrides the model cap.
 """
 
 from __future__ import annotations

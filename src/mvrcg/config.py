@@ -1,7 +1,7 @@
 """Size caps for the exponential enumerations.
 
-``MVRCG_MAX_N`` overrides the default cap used by the separation-model,
-closure and marginal-oracle routines.
+``MVRCG_MAX_N`` overrides ``model_cap()``, the one cap of the separation
+models, the closures and the latent-DAG oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import os
 from .errors import CapExceeded, GraphError
 
 DEFAULT_MODEL_CAP = 7       # ground set for separation models and closures
-DEFAULT_MARGINAL_CAP = 6    # observed vertices for the latent-DAG oracle
 DEFAULT_SUBSET_CAP = 12     # per-component / per-prefix subset enumeration
 ENUMERATION_CAP = 6         # exhaustive graph enumeration
 HARD_MODEL_CAP = 13         # a model can hold about 4**n / 2 codes
@@ -37,11 +36,6 @@ def model_cap() -> int:
     if override is None:
         return DEFAULT_MODEL_CAP
     return min(override, HARD_MODEL_CAP)
-
-
-def marginal_cap() -> int:
-    override = _env_cap()
-    return DEFAULT_MARGINAL_CAP if override is None else override
 
 
 def check_cap(size: int, cap: int, what: str = "vertices") -> None:

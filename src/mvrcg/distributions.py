@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._bitset import bits
 from .errors import CapExceeded, DisjointnessViolation, GraphFormatError, InvalidSeed
 from .factorization import Factorization
 from .structure import CanonicalDag
@@ -140,7 +141,7 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
         raise InvalidSeed(f"seed {seed!r}: {exc}") from None
     operands = [np.ones(()), []]  # the product of no tables is 1, also at n = 0
     for v in range(g.n):
-        parents = sorted(g.parents(v))
+        parents = [*bits(g.pa[v])]
         rows = rng.dirichlet([_DIRICHLET_ALPHA] * CARDINALITY,
                              size=CARDINALITY ** len(parents))
         rows = np.maximum(rows, _ROW_FLOOR)

@@ -52,18 +52,15 @@ from ._bitset import bits, submasks
 from ._kernels import pyfallback
 from ._kernels.pyfallback import iter_canonical_codes, m_connected, subset_sums
 from .config import check_cap, model_cap
-from .errors import DisjointnessViolation, NotADag, UnknownName
+from .errors import NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
                     reach_mask, state_walk, topological_order)
-from .triples import IndependenceModel
+from .triples import IndependenceModel, _check_blocks
 
 
 def _query_masks(g: MixedGraph, X, Y, Z) -> tuple[int, int, int]:
     x, y, z = _as_mask(g, X), _as_mask(g, Y), _as_mask(g, Z)
-    if not x or not y:
-        raise DisjointnessViolation("X and Y must be nonempty")
-    if x & y or x & z or y & z:
-        raise DisjointnessViolation("X, Y, Z must be pairwise disjoint")
+    _check_blocks(x, y, z)
     return x, y, z
 
 

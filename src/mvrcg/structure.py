@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from ._bitset import submasks
+from ._bitset import bits, submasks
 from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
-from .config import check_cap, marginal_cap
+from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotADag, NotAncestral, UnknownName, VerticesAdjacent
 from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk, topological_order
 from .separation import _moral_adjacency, _separated_codes, global_model_codes
@@ -134,21 +134,20 @@ class CanonicalDag:
 
 
 def canonical_dag(g: MixedGraph) -> CanonicalDag:
-    directed = list(g.directed)
-    labels = list(g.labels)
-    nxt = g.n
-    for u, v in sorted(g.bidirected):
-        directed.append((nxt, u))
-        directed.append((nxt, v))
-        labels.append(f"h{nxt - g.n}")
-        nxt += 1
-    dag = MixedGraph(nxt, directed, (), labels)
-    return CanonicalDag(dag, frozenset(range(g.n)), frozenset(range(g.n, nxt)))
+    """The DAG of ``_latent_masks(g)``; its latents are named ``h0``, ``h1``,
+    ..., with ``_`` added to the ``h`` until none is a label of g."""
+    n, pa, _, _ = _latent_masks(g)
+    prefix = "h"
+    while any(f"{prefix}{i}" in g.labels for i in range(n - g.n)):
+        prefix += "_"
+    labels = (*g.labels, *(f"{prefix}{i}" for i in range(n - g.n)))
+    dag = MixedGraph(n, [(t, v) for v in range(n) for t in bits(pa[v])], (), labels)
+    return CanonicalDag(dag, frozenset(range(g.n)), frozenset(range(g.n, n)))
 
 
 class _LatentMasks(NamedTuple):
-    """``canonical_dag(g).dag`` as the masks that ``_separated_codes`` and
-    ``_moral_adjacency`` read of it, without its labels and edge sets."""
+    """The latent DAG as the masks that ``_separated_codes`` and
+    ``_moral_adjacency`` read; ``canonical_dag`` adds labels and edge sets."""
 
     n: int
     pa: list[int]
@@ -158,8 +157,8 @@ class _LatentMasks(NamedTuple):
 
 def _latent_masks(g: MixedGraph) -> _LatentMasks:
     """The latent DAG's masks: a fresh parent ``h`` of ``u`` and ``v`` for
-    each bidirected edge u <-> v, numbered from ``g.n`` on in the order
-    ``canonical_dag`` numbers them."""
+    each bidirected edge u <-> v, numbered from ``g.n`` on in the order of
+    the sorted edges."""
     pa, ch = list(g.pa), list(g.ch)
     for u, v in sorted(g.bidirected):
         h = 1 << len(pa)
@@ -174,28 +173,27 @@ def latent_model_codes(g: MixedGraph) -> list[int]:
     """The latent DAG's separation model over the observed vertices.  The
     latents are sources, so the latent DAG has a directed cycle exactly
     when ``g`` has one, and then ``NotADag`` is raised."""
-    check_cap(g.n, marginal_cap(), "observed vertices")
+    check_cap(g.n, model_cap())
     if len(topological_order(g.pa, g.ch)) != g.n:
         raise NotADag("graph has a directed cycle")
-    return _separated_codes(_latent_masks(g), g.n, _moral_adjacency)
+    return _latent_model_codes(g)
 
 
 def _latent_model_codes(g: MixedGraph) -> list[int]:
-    """``latent_model_codes`` for a graph without a directed cycle, which
-    a chain graph never has, so the sweep does not check it again."""
-    check_cap(g.n, marginal_cap(), "observed vertices")
+    """``latent_model_codes`` for a chain graph, which has no directed
+    cycle, once M has checked the cap: the sweep checks neither again."""
     return _separated_codes(_latent_masks(g), g.n, _moral_adjacency)
 
 
 def marginal_model_equal(g: MixedGraph) -> CheckResult:
     """Whether the graph's separation model equals the latent DAG's; the
     witness is ``(triple, m_separated, d_separated)`` for the smallest
-    disagreeing code.  M is built first: its cap stays at most
-    ``HARD_MODEL_CAP`` whatever ``MVRCG_MAX_N`` says, so a graph too large
-    for it is refused before the latent DAG's class splits start: one
-    adjacency per ancestral set of the latent DAG, its latents projected
-    out, and one merge of the classes per conditioning set inside it that
-    holds every vertex joined to all the others."""
+    disagreeing code.  Both models have the one cap ``model_cap()``, and M
+    is built first, so a graph too large for it is refused before the
+    latent DAG's class splits start: one adjacency per ancestral set of
+    the latent DAG, its latents projected out, and one merge of the
+    classes per conditioning set inside it that holds every vertex joined
+    to all the others."""
     model = global_model_codes(g)
     latent = latent_model_codes(g)
     if latent == model:

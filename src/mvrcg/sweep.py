@@ -6,7 +6,8 @@ the latent-DAG model and each property's triples P closed under its
 axiom set (sg for the mr, iv and ordered local properties, csg for the
 alternative local property, cg for the four pairwise ones).  The other
 checks are ancestrality, maximality and the factorization identities.
-Failures are recorded per graph and never abort the sweep.
+Failures are recorded per graph and never abort the sweep; a graph over
+``model_cap()`` is an ``error`` on the ten, each of which builds M first.
 
 Each closure check is decided on M's elementary table <i, j | K>, not
 on M's codes.  Per graph, ``closed_target`` proves M a compositional
@@ -32,7 +33,7 @@ closure check's time includes the proof that M is closed.
 
 The maximal and marginal_oracle checks call ``structure``'s unchecked
 paths: a chain graph, validated first, is ancestral and has no directed
-cycle, so neither is checked again.
+cycle, and M's cap is the oracle's, so none of that is checked again.
 """
 
 from __future__ import annotations
@@ -83,10 +84,9 @@ class SweepConfig:
     random_n: int = 5
     seed: int = 1
     checks: tuple[str, ...] = ALL_CHECKS
-    marginal_oracle_max_n: int = 6
 
     def __post_init__(self):
-        for field_name in ("max_n", "random_count", "random_n", "marginal_oracle_max_n"):
+        for field_name in ("max_n", "random_count", "random_n"):
             check_count(field_name, getattr(self, field_name))
         check_seed(self.seed)
         for name in self.checks:
@@ -100,10 +100,15 @@ class SweepConfig:
                               f"{', '.join(PROPERTY_AXIOMS)}")
         return AxiomSet.parse(PROPERTY_AXIOMS[prop])
 
+    @property
+    def marginal_oracle_max_n(self) -> int:
+        """``model_cap()``; read only by perfbench's traced sweep (ROADMAP item 5)."""
+        return model_cap()
+
 
 @dataclass
 class CheckOutcome:
-    status: str  # pass | fail | error | skipped, see _raised
+    status: str  # pass | fail | error, see _raised
     witness: Optional[str] = None
     ms: float = 0.0
 
@@ -161,9 +166,9 @@ def sweep_graphs(config: SweepConfig) -> Iterator[MixedGraph]:
 
 
 def _raised(exc: Exception) -> tuple[str, str]:
-    """Status and witness of a check that raised: a ``GraphError`` is a
-    failure of the graph, except a ``CapExceeded``, which is no
-    counterexample; any other exception is an error of the engine."""
+    """Status and witness of a check that raised: ``fail`` for a
+    ``GraphError`` other than ``CapExceeded``, which is no counterexample,
+    and ``error`` for any other exception, a fault of the engine."""
     failed = isinstance(exc, GraphError) and not isinstance(exc, CapExceeded)
     return "fail" if failed else "error", f"{type(exc).__name__}: {exc}"
 
@@ -280,10 +285,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
 
     run("ancestral", check_ancestral)
     run("maximal", check_maximal)
-    if g.n <= config.marginal_oracle_max_n:
-        run_model("marginal_oracle", lambda: _latent_model_codes(g))
-    elif "marginal_oracle" in config.checks:
-        report.checks["marginal_oracle"] = CheckOutcome("skipped", "graph too large")
+    run_model("marginal_oracle", lambda: _latent_model_codes(g))
     run("factorization", check_factorization)
     return report
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -218,11 +219,19 @@ def test_check_fig4b_all_pass(capsys, fig_path):
     assert out.count("PASS") == 3
 
 
-def test_check_marginal_oracle_respects_cap(capsys, fig_path):
+def test_check_marginal_oracle_respects_cap(capsys, fig_path, monkeypatch):
+    monkeypatch.setenv("MVRCG_MAX_N", "6")
     code, _, err = run(capsys, "check", "--graph", fig_path("fig3"),
                        "--marginal-oracle")
     assert code == 2
-    assert "CapExceeded" in err
+    assert "CapExceeded: 7 vertices exceeds cap 6" in err
+
+
+def test_check_marginal_oracle_answers_on_seven_vertices(capsys, fig_path):
+    """fig3 has seven vertices, within the one model cap of 7."""
+    code, out, _ = run(capsys, "check", "--graph", fig_path("fig3"),
+                       "--marginal-oracle")
+    assert (code, out) == (0, "marginal-oracle: PASS\n")
 
 
 def test_numeric_check_small(capsys, fig_path):
@@ -230,6 +239,16 @@ def test_numeric_check_small(capsys, fig_path):
                        "--seeds", "3")
     assert code == 0
     assert out.count("pass") >= 6
+
+
+def test_numeric_check_names_latents_apart_from_the_graph_labels(capsys, tmp_path):
+    p = tmp_path / "h0.cg"
+    p.write_text("vertex a\nvertex h0\nvertex c\na -> h0\nh0 <-> c\n")
+    code, out, err = run(capsys, "numeric-check", "--graph", str(p), "--seeds", "2")
+    assert (code, err) == (0, "")
+    assert out == ("seed  ci(1 triples)  factor-mvr  factor-component-dag\n"
+                   "   0  1/1  pass  pass\n"
+                   "   1  1/1  pass  pass\n")
 
 
 @pytest.mark.parametrize("argv", [("--eps", "-1"), ("--eps", "nan"), ("--seeds", "-1"),
@@ -451,7 +470,9 @@ def test_sweep_records_graph_errors_and_continues():
     reports = list(run_equivalence_sweep(config))
     assert [r.index for r in reports] == [0, 1, 2]
     assert reports[0].ok and reports[0].n == 1
-    model_checks = {"im_eq_imstar", *(f"closure_{p}" for p in PROPERTY_AXIOMS)}
+    model_checks = {"im_eq_imstar", "marginal_oracle",
+                    *(f"closure_{p}" for p in PROPERTY_AXIOMS)}
+    assert len(model_checks) == 10
     for report in reports[1:]:  # 8 vertices exceed the model cap of 7
         assert report.n == 8 and not report.ok
         assert set(report.checks) == set(config.checks)
@@ -459,8 +480,6 @@ def test_sweep_records_graph_errors_and_continues():
             if name in model_checks:  # a cap is an error, not a counterexample
                 assert outcome.status == "error"
                 assert outcome.witness == "CapExceeded: 8 vertices exceeds cap 7"
-            elif name == "marginal_oracle":
-                assert outcome.status == "skipped"
             else:
                 assert outcome.status == "pass"
 
@@ -652,21 +671,33 @@ def test_a_graph_over_the_model_cap_errs_on_the_ten_checks_that_compare_with_m(m
 
 def test_edgeless_eight_vertex_graph_passes_every_check(monkeypatch):
     """The edgeless graph on eight vertices, above the default model cap:
-    its separation model holds all 26,335 canonical triples, and every
-    check passes except the latent-DAG oracle, which is skipped above its
-    size."""
+    its separation model holds all 26,335 canonical triples, and all 13
+    checks pass, the latent-DAG oracle under the same cap as the rest."""
     monkeypatch.setenv("MVRCG_MAX_N", "8")
     checks = verify_graph(MixedGraph(8), SweepConfig()).checks
-    assert set(checks) == set(ALL_CHECKS)
-    assert checks.pop("marginal_oracle").status == "skipped"
+    assert set(checks) == set(ALL_CHECKS) and len(checks) == 13
     assert {c.status for c in checks.values()} == {"pass"}
 
 
-def test_a_cap_inside_a_check_is_an_error_not_a_failure():
-    config = SweepConfig(checks=("marginal_oracle",), marginal_oracle_max_n=7)
+def test_a_cap_inside_a_check_is_an_error_not_a_failure(monkeypatch):
+    monkeypatch.setenv("MVRCG_MAX_N", "6")
+    config = SweepConfig(checks=("marginal_oracle",))
     outcome = verify_graph(MixedGraph(7), config).checks["marginal_oracle"]
     assert outcome.status == "error"
-    assert outcome.witness == "CapExceeded: 7 observed vertices exceeds cap 6"
+    assert outcome.witness == "CapExceeded: 7 vertices exceeds cap 6"
+
+
+def test_sweep_config_fields_and_statuses_are_pinned():
+    """A new sweep setting or check status is a deliberate change: the
+    fields are pinned, and every chain graph with n <= 3 and the edgeless
+    graph over the model cap report only pass, fail or error."""
+    assert [f.name for f in dataclasses.fields(SweepConfig)] == [
+        "max_n", "random_count", "random_n", "seed", "checks"]
+    config = SweepConfig(max_n=3)
+    reports = [*run_equivalence_sweep(config), verify_graph(MixedGraph(8), config)]
+    assert len(reports) == 1 + 4 + 50 + 1
+    assert {c.status for r in reports for c in r.checks.values()} <= {"pass", "fail", "error"}
+    assert reports[-1].checks["marginal_oracle"].status == "error"
 
 
 @pytest.mark.parametrize("argv", [("--random", "2", "--random-n", "-1"),

@@ -243,12 +243,6 @@ TYPED_ERROR_CALLS = {
     "verify_factorization_nan_eps": (GraphFormatError, lambda: verify_factorization(
         _TABLE, Factorization((HeadTail(frozenset({0, 1}), frozenset()),), frozenset({0, 1})),
         float("nan"))),
-    "sweep_config_negative_marginal_oracle_max_n": (
-        GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=-5)),
-    "sweep_config_float_marginal_oracle_max_n": (
-        GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=2.5)),
-    "sweep_config_bool_marginal_oracle_max_n": (
-        GraphFormatError, lambda: SweepConfig(marginal_oracle_max_n=True)),
     "ordered_local_none_id": (GraphFormatError,
                               lambda: ordered_local_triples(_COLLIDER, [None, 1, 2])),
     "ordered_local_float_id": (GraphFormatError,

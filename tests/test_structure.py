@@ -118,6 +118,16 @@ def test_canonical_dag_shape():
         assert len(cd.dag.children(lat)) == 2
 
 
+def test_canonical_dag_names_latents_apart_from_the_graph_labels():
+    g = MixedGraph(4, directed=[(0, 1)], bidirected=[(1, 2), (2, 3)],
+                   labels=["a", "h0", "c", "h__1"])
+    assert canonical_dag(g).dag.labels == ("a", "h0", "c", "h__1", "h_0", "h_1")
+    g = MixedGraph(3, bidirected=[(1, 2)], labels=["a", "h1", "h_0"])
+    assert canonical_dag(g).dag.labels == ("a", "h1", "h_0", "h0")
+    g = MixedGraph(2, bidirected=[(0, 1)], labels=["h0", "h_0"])
+    assert canonical_dag(g).dag.labels == ("h0", "h_0", "h__0")
+
+
 def test_canonical_dag_identity_on_dags():
     dag = MixedGraph(3, directed=[(0, 1), (1, 2)])
     cd = canonical_dag(dag)
@@ -128,13 +138,13 @@ def test_canonical_dag_identity_on_dags():
 def test_marginal_model_equal_trivia():
     assert marginal_model_equal(MixedGraph(3, directed=[(0, 1), (1, 2)]))
     with pytest.raises(CapExceeded):
-        marginal_model_equal(MixedGraph(7))
+        marginal_model_equal(MixedGraph(8))  # over the model cap of 7
 
 
 def test_marginal_model_equal_refuses_a_graph_too_large_for_the_model_first(monkeypatch):
-    """``MVRCG_MAX_N`` lifts the latent-DAG cap past the model's hard cap;
-    the model's cap must then refuse the graph before the latent DAG's
-    class splits start."""
+    """``MVRCG_MAX_N`` above the model's hard cap leaves the cap at
+    ``HARD_MODEL_CAP``, which must refuse the graph before the latent
+    DAG's class splits start."""
     def no_latent_model(*args):
         raise AssertionError("the latent-DAG model was started")
 
