@@ -293,10 +293,11 @@ class Seen(list):
 
 def chain_seeds(n: int, codes) -> list[tuple[int, int]]:
     """The chain triples of ``codes``, the seeds ``elementary_closure``
-    pushes for them, each as ``(x << n | K, 1 << y)``: its row of the
+    takes for them, each as ``(x << n | K, 1 << y)``: its row of the
     worklist's table and its bit there.  For <a, b | c> with
     a = {a_1 < a_2 < ...} and b = {b_1 < b_2 < ...} they are the
-    <a_i, b_j | c a_<i b_<j>."""
+    <a_i, b_j | c a_<i b_<j>, and in a semi-graphoid <a, b | c> holds
+    exactly when they do (the chain rule)."""
     full = (1 << n) - 1
     out = []
     for code in codes:
@@ -310,23 +311,22 @@ def chain_seeds(n: int, codes) -> list[tuple[int, int]]:
     return out
 
 
-def elementary_closure(n: int, codes, flags: int, goal=None, known=None) -> Seen:
-    """The elementary triples <x, y | K> of the closure of ``codes`` under
+def elementary_closure(n: int, seeds, flags: int, goal=None, known=None) -> Seen:
+    """The elementary triples <x, y | K> of the closure of ``seeds`` under
     the semi-graphoid axioms and, by ``flags``, intersection and
     composition, each once as ``(x, y, K)``.
 
-    The worklist starts from the chain triples of ``codes``: for <a, b | c>
-    with a = {a_1 < a_2 < ...} and b = {b_1 < b_2 < ...}, each
-    <a_i, b_j | c a_<i b_<j>, |a|·|b| of them.  By the chain rule they
-    generate <a, b | c> under the semi-graphoid axioms, and so all of its
-    |a|·|b|·2^(|a|+|b|-2) elementary parts <x, y | K>, x in a, y in b and
-    c ⊆ K ⊆ c | a | b - {x, y}: both seed sets have the same closure.  The
-    worklist fires each triple it has not seen through
-    ``elementary_rules`` once, in FIFO order, and stops at its fixpoint,
-    as soon as it has seen ``goal`` triples, or as soon as it has seen
-    every ``(row, bit)`` of ``known`` (``chain_seeds`` of a generator,
-    say).  ``stop`` on the result names the stop it reached; deciding
-    what a stop shows is the caller's part.
+    ``seeds`` are elementary triples as ``chain_seeds`` gives them, each
+    ``(x << n | K, 1 << y)``.  For the chain triples of some codes they
+    close to the closure of the codes themselves: by the chain rule the
+    |a|·|b| chain triples of <a, b | c> generate it under the semi-graphoid
+    axioms, and so all of its |a|·|b|·2^(|a|+|b|-2) elementary parts.  The
+    worklist fires each triple it has not seen through ``elementary_rules``
+    once, in FIFO order, and stops at its fixpoint, as soon as it has seen
+    ``goal`` triples, or as soon as it has seen every ``(row, bit)`` of
+    ``known`` (``chain_seeds`` of a generator, say).  ``stop`` on the
+    result names the stop it reached; deciding what a stop shows is the
+    caller's part.
     """
     full = (1 << n) - 1
     table = [0] * (n << n)
@@ -342,41 +342,27 @@ def elementary_closure(n: int, codes, flags: int, goal=None, known=None) -> Seen
             table[y << n | K] |= bx
             work.append((x, y, K))
 
-    for code in codes:  # push's steps for one y, inline: most pushes are seeds
-        a, b, c = code & full, code >> n & full, code >> 2 * n
-        for x in bits(a):
-            bx = 1 << x
-            row = x << n | c | a & (bx - 1)
-            for y in bits(b):
-                by = 1 << y
-                K = row | b & (by - 1)
-                if not table[K] & by:
-                    table[K] |= by
-                    K &= full
-                    table[y << n | K] |= bx
-                    work.append((x, y, K))
+    for row, bit in seeds:
+        if not table[row] & bit:
+            push(row >> n, bit, row & full)
     fire = elementary_rules(n, flags, table, push)
-    if known:
-        need = iter(known)
+    need = iter(known or ())
 
-        def unseen():
-            """The next seed of ``known`` not seen yet; (0, 0) once none is left."""
-            return next(((row, bit) for row, bit in need if not table[row] & bit), (0, 0))
+    def unseen():
+        """The next seed of ``known`` not seen yet; (0, 0) once none is left."""
+        return next(((row, bit) for row, bit in need if not table[row] & bit), (0, 0))
 
-        row, bit = unseen()
-        for triple in work:  # the loop also reaches the triples pushed as it runs
-            if len(work) == goal or not bit:
-                break
-            fire(*triple)
-            if table[row] & bit:
-                row, bit = unseen()
-        if not bit:
-            work.stop = "known"
-    else:
-        for triple in work:
-            if len(work) == goal:
-                break
-            fire(*triple)
+    # Without ``known`` the loop waits on (0, 1), <0, 0 | ∅>, which no table
+    # holds: only the goal or the fixpoint ends it.
+    row, bit = unseen() if known else (0, 1)
+    for triple in work:  # the loop also reaches the triples pushed as it runs
+        if len(work) == goal or not bit:
+            break
+        fire(*triple)
+        if table[row] & bit:
+            row, bit = unseen()
+    if not bit:
+        work.stop = "known"
     if len(work) == goal:
         work.stop = "goal"
     return work
@@ -416,7 +402,6 @@ def semi_graphoid_codes(n: int, elementary) -> list[int]:
 
 def close_codes(n: int, codes, flags: int) -> list[int]:
     """cl(``codes``) under the semi-graphoid axioms and ``flags``, as
-    sorted codes: ``elementary_closure`` to its fixpoint, listed by
-    ``semi_graphoid_codes``.  The package closes through
-    ``closure.close_codes``; ``perfbench``'s parity gate calls this."""
-    return semi_graphoid_codes(n, elementary_closure(n, codes, flags))
+    sorted codes: ``elementary_closure`` from their ``chain_seeds`` to its
+    fixpoint, listed by ``semi_graphoid_codes``."""
+    return semi_graphoid_codes(n, elementary_closure(n, chain_seeds(n, codes), flags))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bitset import bits, mask_of, set_of
-from .errors import NotAComponent, PartiallyDirectedCycle
+from .errors import GraphFormatError, NotAComponent, PartiallyDirectedCycle
 from .graph import (MixedGraph, _as_mask, _vertex, district_masks, reach_mask, shortest_path,
                     topological_order)
 
@@ -65,7 +65,11 @@ class ChainDecomposition:
         return tuple(range(len(self.component_masks)))
 
     def _index(self, i: int) -> int:
-        """``i``, once checked to be a component index."""
+        """``i``, once checked to be a component index: an int, not a
+        bool, else ``GraphFormatError``, and in range, else
+        ``NotAComponent``."""
+        if type(i) is not int:
+            raise GraphFormatError(f"component index must be an int, got {i!r}")
         if not 0 <= i < len(self.component_masks):
             raise NotAComponent(f"component index {i} out of range "
                                 f"0..{len(self.component_masks) - 1}")

@@ -17,22 +17,23 @@ under the elementary rules (Matúš 1992; Studený 2005; Lněnička & Matúš
 2007).  So there is one closure engine, the kernel's
 ``elementary_closure``: a FIFO worklist over a table of neighbour masks
 that fires each elementary triple once through ``elementary_rules``.
-It is seeded with each code's chain triples, not all its elementary
-parts: <A, B | C> with A = {a_1 < a_2 < ...} and B = {b_1 < b_2 < ...}
-holds under sg exactly when every <a_i, b_j | C a_<i b_<j> does (the
-chain rule), so its |A|·|B| chain triples close to the same set as its
-|A|·|B|·2^(|A|+|B|-2) elementary parts.  ``close_codes`` runs it to its
-fixpoint, and ``semi_graphoid_codes`` lists cl(P) from it by the chain
-rule.
+It is seeded with each code's chain triples, ``chain_seeds``, not all
+its elementary parts: <A, B | C> with A = {a_1 < a_2 < ...} and
+B = {b_1 < b_2 < ...} holds in a semi-graphoid exactly when every
+<a_i, b_j | C a_<i b_<j> does (the chain rule), so its |A|·|B| chain
+triples close to the same set as its |A|·|B|·2^(|A|+|B|-2) elementary
+parts.  ``close_codes`` runs it to its fixpoint, and
+``semi_graphoid_codes`` lists cl(P) from it by the chain rule.
 
 ``closure_gap`` decides cl(P) == M for a pairwise model M given by its
 elementary table alone, without listing M.  ``closed_target`` shows M a
 compositional graphoid: a pairwise model is one exactly when its
 elementary triples obey the elementary rules with intersection and
-composition.  Then cl(P) lies in M whenever P does, which P's pairs in
-the table decide, and the worklist stops as soon as it has seen all of
-M's elementary triples: cl(P) is M.  A ``Generator`` G of M, codes that
-an earlier ``closure_gap`` showed to close to M under its axioms, gives
+composition.  Then, by the chain rule again, P lies in M exactly when
+P's chain triples are in the table, and cl(P) lies in M whenever P
+does, so the worklist stops as soon as it has seen all of M's
+elementary triples: cl(P) is M.  A ``Generator`` G of M, codes that an
+earlier ``closure_gap`` showed to close to M under its axioms, gives
 the worklist a second stop, often much earlier: once it has seen G's
 chain triples, cl(P) holds the closure of G, which is M.  G serves only
 behind the first stop's condition, P in the closed M, since a cl(P)
@@ -53,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._kernels import pyfallback
 from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, chain_seeds, elementary_closure,
                                   elementary_rules, semi_graphoid_codes)
 from .config import check_cap, model_cap
@@ -113,7 +115,7 @@ def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
     """cl(P) of P = ``codes`` under ``axioms``, as sorted codes: the
     elementary worklist to its fixpoint, listed by the chain rule."""
     check_cap(n, model_cap())
-    return semi_graphoid_codes(n, elementary_closure(n, codes, axioms.flags()))
+    return pyfallback.close_codes(n, codes, axioms.flags())
 
 
 class Generator(NamedTuple):
@@ -139,41 +141,30 @@ def closure_gap(n: int, codes, axioms: AxiomSet, target,
 
     ``target`` is what ``closed_target`` returns for M's elementary
     table: the table and the number of M's elementary triples, or None
-    when M is not closed.  For a closed M, P lies in M exactly when each
-    code's pairs are in the table, and then cl(P) lies in M, so the one
-    worklist stops as soon as it has seen all of M's elementary triples:
-    cl(P) is M.  ``known``, a generator G of the same M, gives it a second
-    stop: once it has seen G's seeds, cl(P) holds cl_G(G) = M.  That stop
-    is used only behind the first, when P lies in the closed M, and only
+    when M is not closed.  P's chain triples are computed once: they seed
+    the one worklist, and for a closed M they decide P ⊆ M, since by the
+    chain rule a code lies in the semi-graphoid M exactly when its chain
+    triples are in the table.  Then cl(P) lies in M, so the worklist
+    stops as soon as it has seen all of M's elementary triples: cl(P) is
+    M.  ``known``, a generator G of the same M, gives it a second stop:
+    once it has seen G's seeds, cl(P) holds cl_G(G) = M.  That stop is
+    used only behind the first, when P lies in the closed M, and only
     when G's axioms are among ``axioms``: a closure under fewer axioms
     than G's need not reach M from G's seeds.  Otherwise the worklist
     reaches its fixpoint, and cl(P) is listed from it.  M's table was
     built under the cap, so this does not check it.
     """
     flags = axioms.flags()
-    goal = seeds = None
-    if target is not None and _pairs_in(n, codes, target[0]):
+    seeds = chain_seeds(n, codes)
+    goal = stop_seeds = None
+    if target is not None and all(target[0][row] & bit for row, bit in seeds):
         goal = target[1]
         if known is not None and not known.flags & ~flags:
-            seeds = known.seeds
-    elementary = elementary_closure(n, codes, flags, goal, seeds)
+            stop_seeds = known.seeds
+    elementary = elementary_closure(n, seeds, flags, goal, stop_seeds)
     if elementary.stop:
         return None
     return semi_graphoid_codes(n, elementary)
-
-
-def _pairs_in(n: int, codes, table) -> bool:
-    """Whether each code's pairs <i, j | c> are in ``table``, that is
-    whether the codes lie in the pairwise model of the table."""
-    full = (1 << n) - 1
-    for code in codes:
-        a, b, c = code & full, code >> n & full, code >> 2 * n
-        while a:
-            low = a & -a
-            a ^= low
-            if b & ~table[(low.bit_length() - 1) << n | c]:
-                return False
-    return True
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:

@@ -13,11 +13,11 @@ Each closure check is decided on M's elementary table <i, j | K>, not
 on M's codes.  Per graph, ``closed_target`` proves M a compositional
 graphoid from its table: M is pairwise by construction, and its
 elementary triples obey the elementary rules.  Per check, one call,
-``closure_gap(n, P, axioms, target)``, decides ``cl(P) == M``: P's pairs
-lie in the table and one elementary worklist from P's elementary parts
-reaches all of M's elementary triples, where it stops, because
-semi-graphoids with the same elementary triples are equal.  The first
-check that passes has shown its triples to generate M under its
+``closure_gap(n, P, axioms, target)``, decides ``cl(P) == M``: P's chain
+triples lie in the table, so P lies in M, and one elementary worklist
+seeded with them reaches all of M's elementary triples, where it stops,
+because semi-graphoids with the same elementary triples are equal.  The
+first check that passes has shown its triples to generate M under its
 axioms, and each later check is given them, as a ``Generator``: its
 worklist also stops once it has seen their chain triples, which for a P
 inside M shows cl(P) = M too.  ``closure_gap`` uses them only for a P
@@ -50,7 +50,7 @@ from .chain import validate_chain_graph
 from .closure import AxiomSet, closed_target, closure_gap, generator
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
-from .errors import CapExceeded, GraphError, UnknownName
+from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
 from .factorization import _head_blocks
 from .graph import MixedGraph, parents_of_set
 from .properties import property_model
@@ -89,6 +89,9 @@ class SweepConfig:
         for field_name in ("max_n", "random_count", "random_n"):
             check_count(field_name, getattr(self, field_name))
         check_seed(self.seed)
+        if not isinstance(self.checks, tuple):  # a frozen config must hash
+            raise GraphFormatError(f"checks must be a tuple of check names, "
+                                   f"got {self.checks!r}")
         for name in self.checks:
             if name not in ALL_CHECKS:
                 raise UnknownName(f"unknown check {name!r}; expected one of "

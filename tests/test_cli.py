@@ -502,10 +502,10 @@ def _spy_on_closure_kernels(monkeypatch):
     """Spies on the closure kernels that ``mvrcg.closure`` calls: ``calls``
     gets ``("elementary", goal, seen, stop)`` per worklist, ``seen`` being
     how many elementary triples it returned and ``stop`` the stop it
-    reached, with ``known`` in ``seeded``; ``fires`` gets one counter
-    per rule set that ``closed_target`` builds, counting the triples fired
-    through it."""
-    calls, fires, seeded = [], [], []
+    reached, with ``known`` in ``seeded`` and the seeds it was given in
+    ``pushed``; ``fires`` gets one counter per rule set that
+    ``closed_target`` builds, counting the triples fired through it."""
+    calls, fires, seeded, pushed = [], [], [], []
     rules = closure.elementary_rules
 
     def counting_rules(n, flags, table, emit):
@@ -519,29 +519,31 @@ def _spy_on_closure_kernels(monkeypatch):
 
         return counted
 
-    def spy_worklist(n, codes, flags, goal=None, known=None):
-        seen = elementary_closure(n, codes, flags, goal, known)
+    def spy_worklist(n, seeds, flags, goal=None, known=None):
+        seen = elementary_closure(n, seeds, flags, goal, known)
         calls.append(("elementary", goal, len(seen), seen.stop))
         seeded.append(known)
+        pushed.append(seeds)
         return seen
 
     monkeypatch.setattr("mvrcg.closure.elementary_rules", counting_rules)
     monkeypatch.setattr("mvrcg.closure.elementary_closure", spy_worklist)
-    return calls, fires, seeded
+    return calls, fires, seeded, pushed
 
 
 def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
-    """Each closure check runs one elementary worklist from its property's
-    triples.  The first stops once it has seen the model's elementary
-    triples, and its triples are then a generator of the model: each later
-    worklist is given their chain triples and stops once it has seen them,
-    or the model's elementary triples.  One proof over the model's
-    elementary triples shows it closed; no worklist runs to its fixpoint,
-    so nothing is closed there, the model least of all."""
+    """Each closure check runs one elementary worklist, seeded with the
+    chain triples of its property's triples.  The first stops once it has
+    seen the model's elementary triples, and its triples are then a
+    generator of the model: each later worklist is given their chain
+    triples and stops once it has seen them, or the model's elementary
+    triples.  One proof over the model's elementary triples shows it
+    closed; no worklist runs to its fixpoint, so nothing is closed there,
+    the model least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = global_model_codes(g)
     goal = len(elementary_codes(g.n, model))
-    calls, fires, seeded = _spy_on_closure_kernels(monkeypatch)
+    calls, fires, seeded, pushed = _spy_on_closure_kernels(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
     assert goal and fires == [goal]
@@ -550,6 +552,8 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
         assert call_goal == goal and seen <= goal and stop in ("goal", "known")
     mr = chain_seeds(g.n, property_model(g, "mr").to_codes())
     assert seeded == [None] + [mr] * 7
+    assert pushed == [chain_seeds(g.n, property_model(g, prop).to_codes())
+                      for prop in PROPERTY_AXIOMS]
 
 
 def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
@@ -594,7 +598,7 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     goal = len(elementary_codes(g.n, global_model_codes(g)))
-    calls, fires, seeded = _spy_on_closure_kernels(monkeypatch)
+    calls, fires, seeded, _ = _spy_on_closure_kernels(monkeypatch)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert fires == [goal]

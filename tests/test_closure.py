@@ -255,7 +255,7 @@ def test_elementary_closure_is_the_elementary_part_of_the_closure():
             codes = sorted(rng.sample(canonical, rng.randint(1, 6)))
             for name in AXIOM_NAMES:
                 axioms = AxiomSet.parse(name)
-                seen = elementary_closure(n, codes, axioms.flags())
+                seen = elementary_closure(n, chain_seeds(n, codes), axioms.flags())
                 got = [1 << min(x, y) | 1 << max(x, y) << n | k << 2 * n for x, y, k in seen]
                 closed = close_codes(n, codes, axioms)
                 assert len(got) == len(set(got))
@@ -295,7 +295,7 @@ def test_chain_seeds_close_to_all_elementary_parts():
     count = 0
     for n in range(1, 6):
         for code, *_ in iter_canonical_codes(n):
-            seen = elementary_closure(n, [code], 0)
+            seen = elementary_closure(n, chain_seeds(n, [code]), 0)
             assert len(seen) == len(set(seen))
             assert {(min(x, y), max(x, y), K) for x, y, K in seen} == \
                 _all_elementary_parts(n, code)
@@ -316,9 +316,37 @@ def test_chain_seeds_are_the_seeds_the_worklist_pushes():
             for row, bit in chain_seeds(n, codes):
                 x, y = row >> n, bit.bit_length() - 1
                 seeds.add((min(x, y), max(x, y), row & ((1 << n) - 1)))
-            seen = elementary_closure(n, codes, 0, len(seeds))
+            seen = elementary_closure(n, chain_seeds(n, codes), 0, len(seeds))
             assert seen.stop == "goal"
             assert {(min(x, y), max(x, y), K) for x, y, K in seen} == seeds
+
+
+def _pairs_in_table(n, code, table):
+    """Whether every pair <i, j | c> across the blocks of ``code`` is in
+    ``table``: membership in the table's pairwise model, written out."""
+    full = (1 << n) - 1
+    a, b, c = code & full, code >> n & full, code >> 2 * n
+    return all(table[i << n | c] >> j & 1 for i in bits(a) for j in bits(b))
+
+
+def test_chain_triples_decide_membership_in_the_model_as_pairs_do():
+    """``closure_gap`` decides P ⊆ M by P's chain triples in M's table; M
+    is closed, so by the chain rule that agrees with M's own definition,
+    all pairs across the blocks in the table.  Checked code by code for
+    each property's codes on every chain graph with n <= 4, and for every
+    canonical code on those with n <= 3, so that codes outside M occur."""
+    outcomes = {True: 0, False: 0}
+    for n in range(1, 5):
+        canonical = [code for code, *_ in iter_canonical_codes(n)] if n <= 3 else []
+        for g in enumerate_mvr_cgs(n):
+            table = m_elementary_table(n, g.pa, g.ch, g.nb)
+            codes = {code for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4")
+                     for code in property_model(g, prop).to_codes()}
+            for code in sorted(codes.union(canonical)):
+                inside = _pairs_in_table(n, code, table)
+                assert all(table[row] & bit for row, bit in chain_seeds(n, [code])) == inside
+                outcomes[inside] += 1
+    assert outcomes == {True: 7492, False: 372}
 
 
 _AXIOM_SETS = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
@@ -355,7 +383,8 @@ def test_a_generator_changes_no_closure_gap():
                     continue
                 assert closure_gap(g.n, codes, axioms, target, gen) == gap
                 calls += 1
-                seen = elementary_closure(g.n, codes, flags, target[1], gen.seeds)
+                seen = elementary_closure(g.n, chain_seeds(g.n, codes), flags, target[1],
+                                          gen.seeds)
                 early += seen.stop == "known" and len(seen) < target[1]
     assert calls > 20_000 and early > 1_000
 

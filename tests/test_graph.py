@@ -261,6 +261,18 @@ TYPED_ERROR_CALLS = {
     "districts_str_within": (GraphFormatError, lambda: districts(_COLLIDER, within="0")),
     "districts_bool_within": (GraphFormatError, lambda: districts(_COLLIDER, within=True)),
     "triple_int_block": (DisjointnessViolation, lambda: IndependenceTriple.of([0], [1], 2)),
+    "component_pre_str": (GraphFormatError, lambda: validate_chain_graph(_COLLIDER).pre("0")),
+    "component_pre_mask_float": (GraphFormatError,
+                                 lambda: validate_chain_graph(_COLLIDER).pre_mask(1.5)),
+    "component_parents_none": (GraphFormatError,
+                               lambda: validate_chain_graph(_COLLIDER).parent_components(None)),
+    "component_nd_d_mask_str": (GraphFormatError,
+                                lambda: validate_chain_graph(_COLLIDER).nd_d_mask("x")),
+    "component_pa_d_mask_bool": (GraphFormatError,
+                                 lambda: validate_chain_graph(_COLLIDER).pa_d_mask(True)),
+    "sweep_config_none_checks": (GraphFormatError, lambda: SweepConfig(checks=None)),
+    "sweep_config_list_checks": (GraphFormatError, lambda: SweepConfig(checks=["maximal"])),
+    "sweep_config_str_checks": (GraphFormatError, lambda: SweepConfig(checks="maximal")),
 }
 
 
