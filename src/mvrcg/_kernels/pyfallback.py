@@ -163,14 +163,21 @@ def m_elementary_table(n: int, pa, ch, nb) -> list[int]:
     with no open vertex does not walk, and a walk (``m_reach`` with the
     open vertices as its stop) ends once it has reached them all.  The
     edgeless graph on 5 vertices takes 49 walks and a complete one none,
-    where one walk per vertex and conditioning set would take 75.
+    where one walk per vertex and conditioning set would take 75.  The
+    ancestor closures an(c) the walks need are built once, by subsets:
+    an(c) is an(c - low) | an(low) for the lowest vertex ``low`` of c.
     """
     full = (1 << n) - 1
     table = [0] * (n << n)
     adj = [pa[v] | ch[v] | nb[v] for v in range(n)]
+    an_of = [0] * (1 << n)
+    for v in range(n):
+        an_of[1 << v] = reach_mask(pa, 1 << v)
+    for c in range(1, 1 << n):
+        low = c & -c
+        an_of[c] = an_of[c ^ low] | an_of[low]
     for c in range(1 << n):
         m = full & ~c
-        anz = None  # an(c), found at the first walk given c
         while m:
             low = m & -m
             m ^= low
@@ -178,9 +185,7 @@ def m_elementary_table(n: int, pa, ch, nb) -> list[int]:
             stop = m & ~adj[v]
             if not stop:
                 continue
-            if anz is None:
-                anz = reach_mask(pa, c)
-            apart = stop & ~m_reach(pa, ch, nb, low, c, anz, stop)
+            apart = stop & ~m_reach(pa, ch, nb, low, c, an_of[c], stop)
             table[v << n | c] |= apart
             while apart:
                 w = apart & -apart
@@ -285,8 +290,8 @@ class Seen(list):
     """What ``elementary_closure`` returns: the elementary triples its
     worklist has seen, in the order it saw them, each once as ``(x, y,
     K)``, and ``stop``, the stop it had reached: ``"goal"`` once it had
-    seen ``goal`` triples, ``"known"`` once it had seen every seed of the
-    known generator, None at its fixpoint short of both."""
+    seen ``goal`` triples, ``"known"`` once it had seen every seed of one
+    of the ``known`` seed lists, None at its fixpoint short of both."""
 
     stop = None
 
@@ -311,7 +316,7 @@ def chain_seeds(n: int, codes) -> list[tuple[int, int]]:
     return out
 
 
-def elementary_closure(n: int, seeds, flags: int, goal=None, known=None) -> Seen:
+def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
     """The elementary triples <x, y | K> of the closure of ``seeds`` under
     the semi-graphoid axioms and, by ``flags``, intersection and
     composition, each once as ``(x, y, K)``.
@@ -324,9 +329,11 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=None) -> Seen
     worklist fires each triple it has not seen through ``elementary_rules``
     once, in FIFO order, and stops at its fixpoint, as soon as it has seen
     ``goal`` triples, or as soon as it has seen every ``(row, bit)`` of
-    ``known`` (``chain_seeds`` of a generator, say).  ``stop`` on the
-    result names the stop it reached; deciding what a stop shows is the
-    caller's part.
+    any one list in ``known`` (``chain_seeds`` of a generator, say, or a
+    generator's triples in that form).  Each list waits on its first seed
+    not seen yet, and the lists are looked at again only after a fire that
+    pushed something.  ``stop`` on the result names the stop it reached;
+    deciding what a stop shows is the caller's part.
     """
     full = (1 << n) - 1
     table = [0] * (n << n)
@@ -346,24 +353,37 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=None) -> Seen
         if not table[row] & bit:
             push(row >> n, bit, row & full)
     fire = elementary_rules(n, flags, table, push)
-    need = iter(known or ())
+    # Each list of ``known`` waits on its first seed not seen yet, kept as
+    # [the rest of the list, row, bit]; bit 0 means not looked at yet.
+    waits = [[iter(stops), 0, 0] for stops in known]
 
-    def unseen():
-        """The next seed of ``known`` not seen yet; (0, 0) once none is left."""
-        return next(((row, bit) for row, bit in need if not table[row] & bit), (0, 0))
+    def reached() -> bool:
+        """Whether every seed of some list of ``known`` has been seen; moves
+        each list past the seeds seen since it last looked."""
+        for wait in waits:
+            rest, row, bit = wait
+            if table[row] & bit == bit:  # seen, or not looked at yet
+                for row, bit in rest:
+                    if not table[row] & bit:
+                        wait[1] = row
+                        wait[2] = bit
+                        break
+                else:
+                    return True
+        return False
 
-    # Without ``known`` the loop waits on (0, 1), <0, 0 | ∅>, which no table
-    # holds: only the goal or the fixpoint ends it.
-    row, bit = unseen() if known else (0, 1)
+    done = reached()
+    size = len(work)
     for triple in work:  # the loop also reaches the triples pushed as it runs
-        if len(work) == goal or not bit:
+        if size == goal or done:
             break
         fire(*triple)
-        if table[row] & bit:
-            row, bit = unseen()
-    if not bit:
+        if len(work) != size:
+            size = len(work)
+            done = bool(waits) and reached()
+    if done:
         work.stop = "known"
-    if len(work) == goal:
+    if size == goal:
         work.stop = "goal"
     return work
 
@@ -378,24 +398,41 @@ def semi_graphoid_codes(n: int, elementary) -> list[int]:
     any vertex v of either block.  So each triple of a level grows from
     one of the level below by a vertex v outside it, in either block,
     when the triple of v with the other block, given C and the grown
-    block's rest, was listed at a lower level.
+    block's rest, was listed at a lower level.  A canonical code's first
+    block a holds the lowest block vertex, below b's lowest, so the codes
+    of a step need no general encoding: a ∪ v stays first, b ∪ v goes
+    first only when v is below a's lowest vertex, and a block of one
+    vertex v goes first when v is the lower of the two lowest vertices.
     """
     full = (1 << n) - 1
-    have = {1 << min(x, y) | 1 << max(x, y) << n | K << 2 * n for x, y, K in elementary}
+    have = {(1 << x | 1 << y << n if x < y else 1 << y | 1 << x << n) | K << 2 * n
+            for x, y, K in elementary}
     level = list(have)
     while level:
         grown = []
         for code in level:
             a, b, c = code & full, code >> n & full, code >> 2 * n
+            la, lb = a & -a, b & -b
             free = full & ~(a | b | c)
             while free:
                 v = free & -free
                 free ^= v
-                for blk, other in ((a, b), (b, a)):
-                    new = encode_masks(n, other, blk | v, c)
-                    if new not in have and encode_masks(n, other, v, c | blk) in have:
-                        have.add(new)
-                        grown.append(new)
+                # <Av, B | C> from <B, v | CA>
+                new = code | v
+                premise = (b | v << n if lb < v else v | b << n) | (c | a) << 2 * n
+                if new not in have and premise in have:
+                    have.add(new)
+                    grown.append(new)
+                # <A, Bv | C> from <A, v | CB>
+                if la < v:
+                    new = code | v << n
+                    premise = a | v << n | (c | b) << 2 * n
+                else:
+                    new = b | v | a << n | c << 2 * n
+                    premise = v | a << n | (c | b) << 2 * n
+                if new not in have and premise in have:
+                    have.add(new)
+                    grown.append(new)
         level = grown
     return sorted(have)
 

@@ -180,6 +180,9 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not (args.ancestral or args.maximal or args.marginal_oracle):
+        raise GraphFormatError("check needs at least one of --ancestral, --maximal "
+                               "and --marginal-oracle")
     g = _load(args.graph)
     failures = 0
 

@@ -27,20 +27,25 @@ parts.  ``close_codes`` runs it to its fixpoint, and
 
 ``closure_gap`` decides cl(P) == M for a pairwise model M given by its
 elementary table alone, without listing M.  ``closed_target`` shows M a
-compositional graphoid: a pairwise model is one exactly when its
-elementary triples obey the elementary rules with intersection and
-composition.  Then, by the chain rule again, P lies in M exactly when
+compositional graphoid by reading its rows, T[i, K] for the j with
+<i, j | K> in M, without firing a rule: M is closed under sg and
+composition exactly when every <i, j | K> in it has T[i, K ∪ j] ==
+T[i, K] − {j}, and then under intersection too exactly when no row
+T[i, L] misses two vertices j and k that T[i, L ∪ k] and T[i, L ∪ j]
+hold in turn.  Then, by the chain rule again, P lies in M exactly when
 P's chain triples are in the table, and cl(P) lies in M whenever P
 does, so the worklist stops as soon as it has seen all of M's
-elementary triples: cl(P) is M.  A ``Generator`` G of M, codes that an
-earlier ``closure_gap`` showed to close to M under its axioms, gives
-the worklist a second stop, often much earlier: once it has seen G's
-chain triples, cl(P) holds the closure of G, which is M.  G serves only
-behind the first stop's condition, P in the closed M, since a cl(P)
-larger than M may hold G's triples too; and only a closure under at
-least G's axioms, since under fewer, G's triples need not close to M.
-Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
-it.
+elementary triples: cl(P) is M.  A ``Generator`` G of M gives the
+worklist an earlier stop: once it has seen G's triples, cl(P) holds the
+closure of G, which is M.  G is either the chain triples of codes that
+an earlier ``closure_gap`` showed to close to M under its axioms, or
+one of the two bases ``closed_target`` reads off M's rows by the same
+identity: the composition base, which generates M under csg, and the
+intersection base, which generates it under g.  G serves only behind
+the first stop's condition, P in the closed M, since a cl(P) larger
+than M may hold G's triples too; and only a closure under at least G's
+axioms, since under fewer, G's triples need not close to M.  Otherwise
+the worklist reaches its fixpoint, and cl(P) is listed from it.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side.  The ground set is capped
@@ -56,7 +61,7 @@ from typing import NamedTuple, Optional
 
 from ._kernels import pyfallback
 from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, chain_seeds, elementary_closure,
-                                  elementary_rules, semi_graphoid_codes)
+                                  semi_graphoid_codes)
 from .config import check_cap, model_cap
 from .errors import UnknownName
 from .triples import IndependenceModel, _ground_set, first_difference
@@ -119,12 +124,24 @@ def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
 
 
 class Generator(NamedTuple):
-    """Codes G shown to generate the model M under the axioms ``flags``:
-    a ``closure_gap`` of G against M's target returned None.  ``seeds``
-    are G's chain triples, as ``chain_seeds`` gives them."""
+    """Elementary triples G shown to generate the model M under the axioms
+    ``flags``, as ``seeds``: ``(x << n | K, 1 << y)`` each, as
+    ``chain_seeds`` gives them.  Either the chain triples of codes for which
+    a ``closure_gap`` against M's target returned None, or one of the two
+    bases ``closed_target`` reads off M's rows."""
 
     flags: int
     seeds: list[tuple[int, int]]
+
+
+class Target(NamedTuple):
+    """A closed model M as ``closure_gap`` takes it: its elementary
+    ``table``, the ``count`` of its elementary triples and ``generators``,
+    its composition and intersection bases."""
+
+    table: list[int]
+    count: int
+    generators: tuple[Generator, ...]
 
 
 def generator(n: int, codes, axioms: AxiomSet) -> Generator:
@@ -133,38 +150,47 @@ def generator(n: int, codes, axioms: AxiomSet) -> Generator:
     return Generator(axioms.flags(), chain_seeds(n, codes))
 
 
-def closure_gap(n: int, codes, axioms: AxiomSet, target,
+def closure_gap(n: int, codes, axioms: AxiomSet, target: Optional[Target],
                 known: Optional[Generator] = None) -> Optional[list[int]]:
     """None when cl(P) of P = ``codes`` under ``axioms`` is shown to be
     the model M; otherwise cl(P) as sorted codes, for the caller to
     compare with M.
 
     ``target`` is what ``closed_target`` returns for M's elementary
-    table: the table and the number of M's elementary triples, or None
-    when M is not closed.  P's chain triples are computed once: they seed
-    the one worklist, and for a closed M they decide P ⊆ M, since by the
-    chain rule a code lies in the semi-graphoid M exactly when its chain
-    triples are in the table.  Then cl(P) lies in M, so the worklist
-    stops as soon as it has seen all of M's elementary triples: cl(P) is
-    M.  ``known``, a generator G of the same M, gives it a second stop:
-    once it has seen G's seeds, cl(P) holds cl_G(G) = M.  That stop is
-    used only behind the first, when P lies in the closed M, and only
-    when G's axioms are among ``axioms``: a closure under fewer axioms
-    than G's need not reach M from G's seeds.  Otherwise the worklist
+    table, or None when M is not closed.  P's chain triples are computed
+    once: they seed the one worklist, and for a closed M they decide
+    P ⊆ M, since by the chain rule a code lies in the semi-graphoid M
+    exactly when its chain triples are in the table.  Then cl(P) lies in
+    M, so the worklist stops as soon as it has seen all of M's elementary
+    triples: cl(P) is M.  Generators of the same M give it earlier stops:
+    ``known``, and the target's composition and intersection bases.  Once
+    it has seen every seed of a generator G, cl(P) holds cl_G(G) = M.  A
+    generator is used only behind the first stop, when P lies in the
+    closed M, since a larger cl(P) may hold G's seeds too; and only when
+    its axioms are among ``axioms``, since under fewer G's seeds need not
+    close to M.  So the composition base serves the csg and cg checks,
+    the intersection base the g and cg checks.  Otherwise the worklist
     reaches its fixpoint, and cl(P) is listed from it.  M's table was
     built under the cap, so this does not check it.
     """
+    return _gap_and_seeds(n, codes, axioms, target, known)[0]
+
+
+def _gap_and_seeds(n: int, codes, axioms: AxiomSet, target: Optional[Target],
+                   known: Optional[Generator]):
+    """``closure_gap`` and the chain seeds of ``codes`` it computed, which
+    the sweep keeps as a ``Generator`` when the gap is None."""
     flags = axioms.flags()
     seeds = chain_seeds(n, codes)
-    goal = stop_seeds = None
-    if target is not None and all(target[0][row] & bit for row, bit in seeds):
-        goal = target[1]
-        if known is not None and not known.flags & ~flags:
-            stop_seeds = known.seeds
-    elementary = elementary_closure(n, seeds, flags, goal, stop_seeds)
+    goal, stops = None, ()
+    if target is not None and all(target.table[row] & bit for row, bit in seeds):
+        goal = target.count
+        stops = [gen.seeds for gen in (known, *target.generators)
+                 if gen is not None and not gen.flags & ~flags]
+    elementary = elementary_closure(n, seeds, flags, goal, stops)
     if elementary.stop:
-        return None
-    return semi_graphoid_codes(n, elementary)
+        return None, seeds
+    return semi_graphoid_codes(n, elementary), seeds
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
@@ -190,31 +216,74 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     return CheckResult(False, first_difference(model.n, closed, codes)[0])
 
 
-def closed_target(n: int, table) -> Optional[tuple[list[int], int]]:
+def closed_target(n: int, table) -> Optional[Target]:
     """The pairwise model M whose elementary table is ``table``
     (``table[i << n | K]`` holding each j with <i, j | K> in M, kept
-    symmetric) as ``closure_gap`` takes it for a target: the table and
-    the number of M's elementary triples; None when M is not closed
-    under the compositional-graphoid axioms.
+    symmetric) as ``closure_gap`` takes it for a target; None when M is
+    not closed under the compositional-graphoid axioms.
 
-    A pairwise model is closed under them exactly when its elementary
-    triples obey ``elementary_rules`` with intersection and composition,
-    that is when no rule fired from an elementary triple of M concludes
-    one outside it.
+    The proof reads rows, T[i, K] for ``table[i << n | K]``, and fires no
+    rule.  M is closed under sg and composition exactly when every
+    <i, j | K> in it has T[i, K ∪ j] == T[i, K] − {j}: composition and
+    the semi-graphoid rule, read from the shared vertex i, say that each
+    side holds the other.  Given that, M is closed under intersection
+    exactly when no i, L, j, k with j, k ∉ T[i, L] have j ∈ T[i, L ∪ k]
+    and k ∈ T[i, L ∪ j]: a <i, k | L> in M would put j in T[i, L] by the
+    identity.  One pass over the nonempty rows checks both, each row
+    T[i, K] against T[i, K ∪ j] for its j and T[i, K − k] for k in K.
+
+    The same identity gives M two small generators:
+
+    * the composition base, each <i, j | K> of M such that neither row
+      (i, K) nor row (j, K) has a k in K with k ∈ T[·, K − k].  It
+      generates M under csg, by induction on |K|: another triple has such
+      a k, say in row (i, K), and the identity puts <i, j | K − k> next to
+      <i, k | K − k> in M, which give <i, j | K> by composition;
+    * the intersection base, each <i, j | L> with T[i, L] = {j} and
+      T[j, L] = {i}.  It generates M under g, by induction on |L|
+      downward: if T[i, L] holds another k, the identity puts
+      <i, j | L ∪ k> and <i, k | L ∪ j> in M, which give <i, j | L> by
+      intersection.
     """
-    missing = []
-    fire = elementary_rules(n, INTERSECTION | COMPOSITION, table,
-                            lambda i, js, K: missing.append((i, js, K)))
     full = (1 << n) - 1
     count = 0
+    reducible = bytearray(n << n)  # row (i, K) has a k in K with <i, k | K - k>
+    composition, intersection = [], []
     for row, ys in enumerate(table):
-        i = row >> n
-        ys &= -2 << i  # each pair once: j above i
-        count += ys.bit_count()
-        while ys:
-            low = ys & -ys
-            ys ^= low
-            fire(i, low.bit_length() - 1, row & full)
-            if missing:
+        if not ys:
+            continue
+        m = ys
+        while m:  # the identity, T[i, K ∪ j] == T[i, K] − {j}
+            bj = m & -m
+            m ^= bj
+            if table[row | bj] != ys ^ bj:
                 return None
-    return table, count
+        m = row & full
+        while m:  # intersection, with L = K − k
+            bk = m & -m
+            m ^= bk
+            below = table[row ^ bk]
+            if below & bk:
+                reducible[row] = 1
+                continue
+            js = ys & ~below
+            while js:
+                bj = js & -js
+                js ^= bj
+                if table[row ^ bk | bj] & bk:
+                    return None
+        # each pair <i, j | K> once, at its larger vertex i, whose row comes last
+        i = row >> n
+        K = row & full
+        js = ys & ((1 << i) - 1)
+        count += js.bit_count()
+        if js == ys and not ys & (ys - 1) and table[(ys.bit_length() - 1) << n | K] == 1 << i:
+            intersection.append((row, ys))
+        if not reducible[row]:
+            while js:
+                bj = js & -js
+                js ^= bj
+                if not reducible[(bj.bit_length() - 1) << n | K]:
+                    composition.append((row, bj))
+    return Target(table, count, (Generator(COMPOSITION, composition),
+                                 Generator(INTERSECTION, intersection)))

@@ -17,14 +17,20 @@ from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, Unknow
 from .graph import (MixedGraph, _as_mask, _vertex, _vertices, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set, reach_mask,
                     topological_order)
-from .triples import IndependenceModel
+from .triples import IndependenceModel, codes_of_masks
 
 PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
 
 
 def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
                      p4_both: bool = False) -> IndependenceModel:
-    """One triple per uncoupled vertex pair.
+    """One triple per uncoupled vertex pair; see ``_pairwise_masks``."""
+    return IndependenceModel.from_masks(g.n, _pairwise_masks(g, dec, variant, p4_both))
+
+
+def _pairwise_masks(g: MixedGraph, dec: ChainDecomposition, variant: str,
+                    p4_both: bool = False) -> list[tuple[int, int, int]]:
+    """One triple per uncoupled vertex pair, as ``(a, b, c)`` masks.
 
     Variants condition on the pair's past (p1), anteriors (p2), parents
     (p3), or the parents of the earlier node alone (p4).  For p4 the
@@ -55,11 +61,16 @@ def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
             triples.append((1 << earlier, 1 << other, g.pa[earlier]))
             if p4_both and ci == cj:
                 triples.append((1 << other, 1 << earlier, g.pa[other]))
-    return IndependenceModel.from_masks(g.n, triples)
+    return triples
 
 
 def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
-    """Multivariate-regression statements.
+    """Multivariate-regression statements; see ``_mr_masks``."""
+    return IndependenceModel.from_masks(g.n, _mr_masks(g, dec))
+
+
+def _mr_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, int]]:
+    """Multivariate-regression statements, as ``(a, b, c)`` masks.
 
     For every component T and nonempty A inside it: a connected A is
     independent of the rest of its past given its parents; a
@@ -83,11 +94,16 @@ def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
             else:
                 for part in comps:
                     triples.append((part, sub & ~part, pre))
-    return IndependenceModel.from_masks(g.n, triples)
+    return triples
 
 
 def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
-    """Block-recursive statements.
+    """Block-recursive statements; see ``_iv_masks``."""
+    return IndependenceModel.from_masks(g.n, _iv_masks(g, dec))
+
+
+def _iv_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, int]]:
+    """Block-recursive statements, as ``(a, b, c)`` masks.
 
     Per component T: T is independent of its non-descendant components
     given its parent components; every A in T is independent of the
@@ -116,7 +132,7 @@ def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel
                 iv2_rest = tmask & ~nbs
                 if iv2_rest:
                     triples.append((sub, iv2_rest, pad))
-    return IndependenceModel.from_masks(g.n, triples)
+    return triples
 
 
 def _markov_blanket_mask(g: MixedGraph, x: int, a_mask: int) -> int:
@@ -170,18 +186,20 @@ def ordered_local_triples(g: MixedGraph,
             if ancestors_mask(g, 1 << v) & ~(seen | (1 << v)):
                 raise InconsistentOrder(f"vertex {v} appears before one of its ancestors")
             seen |= 1 << v
-    return _ordered_local_triples(g, order)
+    return IndependenceModel.from_masks(g.n, _ordered_local_masks(g, order))
 
 
-def _ordered_local_triples(g: MixedGraph, order: tuple[int, ...]) -> IndependenceModel:
-    """``ordered_local_triples`` along a consistent ``order`` that the
-    caller has checked, such as a decomposition's ``vertex_order``."""
+def _ordered_local_masks(g: MixedGraph, order: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """``ordered_local_triples``, as ``(a, b, c)`` masks, along a
+    consistent ``order`` that the caller has checked, such as a
+    decomposition's ``vertex_order``."""
     triples = []
     prefix = 0
     for x in order:
         prefix |= 1 << x
         rest = prefix & ~(1 << x)
-        check_cap(prefix.bit_count(), DEFAULT_SUBSET_CAP, f"vertices in the prefix of {x}")
+        if prefix.bit_count() > DEFAULT_SUBSET_CAP:  # the message is formatted only to raise
+            check_cap(prefix.bit_count(), DEFAULT_SUBSET_CAP, f"vertices in the prefix of {x}")
         sub = rest
         while True:  # all subsets of the prefix that contain x, including empty rest
             a_mask = sub | (1 << x)
@@ -193,11 +211,17 @@ def _ordered_local_triples(g: MixedGraph, order: tuple[int, ...]) -> Independenc
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-    return IndependenceModel.from_masks(g.n, triples)
+    return triples
 
 
 def alt_local_triples(g: MixedGraph) -> IndependenceModel:
-    """One statement per vertex: v is independent, given its parents, of
+    """The alternative local statements; see ``_alt_local_masks``."""
+    return IndependenceModel.from_masks(g.n, _alt_local_masks(g))
+
+
+def _alt_local_masks(g: MixedGraph) -> list[tuple[int, int, int]]:
+    """One statement per vertex, as ``(a, b, c)`` masks: v is independent,
+    given its parents, of
     every non-descendant outside its boundary and outside the descendant
     set of its bidirected neighbours.
 
@@ -222,30 +246,41 @@ def alt_local_triples(g: MixedGraph) -> IndependenceModel:
         rest = nd & ~(g.pa[v] | descendants_mask(g, g.nb[v]))
         if rest:
             triples.append((1 << v, rest, g.pa[v]))
-    return IndependenceModel.from_masks(g.n, triples)
+    return triples
 
 
 PROPERTY_KINDS = ("p1", "p2", "p3", "p4", "mr", "iv", "ordered", "local", "global")
 
 
+def property_codes(g: MixedGraph, kind: str,
+                   dec: Optional[ChainDecomposition] = None) -> list[int]:
+    """The sorted canonical codes of the statements property ``kind``
+    asserts for ``g``, each checked as a triple is: the sweep's path, which
+    builds no model."""
+    if kind == "global":
+        from .separation import global_model_codes
+        return global_model_codes(g)
+    if kind == "local":
+        masks = _alt_local_masks(g)
+    elif kind == "ordered":
+        order = consistent_vertex_order(g) if dec is None else dec.vertex_order
+        masks = _ordered_local_masks(g, order)
+    else:
+        if dec is None:
+            dec = validate_chain_graph(g)
+        if kind in PAIRWISE_VARIANTS:
+            masks = _pairwise_masks(g, dec, kind)
+        elif kind == "mr":
+            masks = _mr_masks(g, dec)
+        elif kind == "iv":
+            masks = _iv_masks(g, dec)
+        else:
+            raise UnknownName(f"unknown property kind {kind!r}")
+    return sorted(codes_of_masks(g.n, masks))
+
+
 def property_model(g: MixedGraph, kind: str,
                    dec: Optional[ChainDecomposition] = None) -> IndependenceModel:
-    """Dispatch by property name; used by the CLI and the sweep."""
-    if kind == "global":
-        from .separation import global_model
-        return global_model(g)
-    if kind == "local":
-        return alt_local_triples(g)
-    if kind == "ordered":
-        if dec is None:
-            return ordered_local_triples(g)
-        return _ordered_local_triples(g, dec.vertex_order)
-    if dec is None:
-        dec = validate_chain_graph(g)
-    if kind in PAIRWISE_VARIANTS:
-        return pairwise_triples(g, dec, kind)
-    if kind == "mr":
-        return mr_triples(g, dec)
-    if kind == "iv":
-        return type_iv_triples(g, dec)
-    raise UnknownName(f"unknown property kind {kind!r}")
+    """Dispatch by property name; ``property_codes`` as a model, for the
+    CLI and the tests."""
+    return IndependenceModel._unchecked(g.n, frozenset(property_codes(g, kind, dec)))

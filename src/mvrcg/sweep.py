@@ -11,25 +11,30 @@ Failures are recorded per graph and never abort the sweep; a graph over
 
 Each closure check is decided on M's elementary table <i, j | K>, not
 on M's codes.  Per graph, ``closed_target`` proves M a compositional
-graphoid from its table: M is pairwise by construction, and its
-elementary triples obey the elementary rules.  Per check, one call,
-``closure_gap(n, P, axioms, target)``, decides ``cl(P) == M``: P's chain
-triples lie in the table, so P lies in M, and one elementary worklist
-seeded with them reaches all of M's elementary triples, where it stops,
-because semi-graphoids with the same elementary triples are equal.  The
-first check that passes has shown its triples to generate M under its
-axioms, and each later check is given them, as a ``Generator``: its
-worklist also stops once it has seen their chain triples, which for a P
-inside M shows cl(P) = M too.  ``closure_gap`` uses them only for a P
-inside M and only under at least their axioms (an sg generator serves
-csg and cg checks, a cg one no sg check).  They are kept for the rest of
-one ``verify_graph`` call, never across graphs.  A passing check lists
-neither M nor cl(P).  A check that falls short has run the worklist to
-its fixpoint, and cl(P) is listed from its elementary triples and
-compared with M, listed from the table, so every status and witness is
-the one the closure gives.  M's table is built by the first check that
-needs it, so that check's time includes building it, and the first
-closure check's time includes the proof that M is closed.
+graphoid from its table: M is pairwise by construction, and its rows
+obey one identity and one intersection condition.  The same rows give
+M's composition and intersection bases, generators of M under csg and
+g.  Per check, one call, ``closure_gap(n, P, axioms, target)``, decides
+``cl(P) == M``: P's chain triples lie in the table, so P lies in M, and
+one elementary worklist seeded with them reaches all of M's elementary
+triples, where it stops, because semi-graphoids with the same
+elementary triples are equal.  It stops earlier once it has seen a
+generator of M whose axioms are among the check's: a base of M, or the
+first passing check's triples, which it has shown to generate M under
+its axioms.  Each later check is given those as a ``Generator``, their
+chain seeds as that check computed them.  ``closure_gap`` uses a
+generator only for a P inside M and only under at least its axioms (an
+sg generator serves csg and cg checks, a cg one no sg check).  The
+first check's generator is kept for the rest of one ``verify_graph``
+call, never across graphs.  A passing check lists neither M nor cl(P).
+A check that falls short has run the worklist to its fixpoint, and
+cl(P) is listed from its elementary triples and compared with M, listed
+from the table, so every status and witness is the one the closure
+gives.  The property statements go straight to codes
+(``property_codes``), and each property's axiom set is built once, at
+import.  M's table is built by the first check that needs it, so that
+check's time includes building it, and the first closure check's time
+includes the proof that M is closed.
 
 The maximal and marginal_oracle checks call ``structure``'s unchecked
 paths: a chain graph, validated first, is ancestral and has no directed
@@ -47,13 +52,13 @@ from typing import Iterator, Optional
 from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import validate_chain_graph
-from .closure import AxiomSet, closed_target, closure_gap, generator
+from .closure import AxiomSet, Generator, _gap_and_seeds, closed_target
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
 from .factorization import _head_blocks
 from .graph import MixedGraph, parents_of_set
-from .properties import property_model
+from .properties import property_codes
 from .separation import global_model_codes, global_model_table
 from .structure import _is_maximal, _latent_model_codes, is_ancestral
 from .triples import first_difference
@@ -68,6 +73,9 @@ PROPERTY_AXIOMS = {
     "p3": "cg",
     "p4": "cg",
 }
+
+# Each property's axiom set, built once.
+PROPERTY_AXIOM_SETS = {prop: AxiomSet.parse(name) for prop, name in PROPERTY_AXIOMS.items()}
 
 ALL_CHECKS = (
     "im_eq_imstar",
@@ -101,7 +109,7 @@ class SweepConfig:
         if prop not in PROPERTY_AXIOMS:
             raise UnknownName(f"unknown property {prop!r}; expected one of "
                               f"{', '.join(PROPERTY_AXIOMS)}")
-        return AxiomSet.parse(PROPERTY_AXIOMS[prop])
+        return PROPERTY_AXIOM_SETS[prop]
 
     @property
     def marginal_oracle_max_n(self) -> int:
@@ -243,22 +251,21 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         """``closed_target`` of M's table, once per graph."""
         return closed_target(g.n, table())
 
-    known = None  # the first passing check's codes, a generator of M
+    known = None  # the first passing check's chain seeds, a generator of M
 
-    def check_closure(prop):
+    def check_closure(prop, axioms):
         nonlocal known
         m_target = target()  # M first: a graph over the model cap stops here
-        codes = property_model(g, prop, dec).to_codes()
-        axioms = config.axioms_for(prop)
-        closed = closure_gap(g.n, codes, axioms, m_target, known)
+        codes = property_codes(g, prop, dec)
+        closed, seeds = _gap_and_seeds(g.n, codes, axioms, m_target, known)
         if closed is not None:
             return compare(lambda: closed)
         if known is None:
-            known = generator(g.n, codes, axioms)
+            known = Generator(axioms.flags(), seeds)
         return True, None
 
-    for prop in PROPERTY_AXIOMS:
-        run(f"closure_{prop}", lambda prop=prop: check_closure(prop))
+    for prop, axioms in PROPERTY_AXIOM_SETS.items():
+        run(f"closure_{prop}", lambda prop=prop, axioms=axioms: check_closure(prop, axioms))
 
     def check_ancestral():
         res = is_ancestral(g)

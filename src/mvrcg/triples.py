@@ -90,6 +90,25 @@ def _encode_checked(n: int, a: int, b: int, c: int) -> int:
     return encode_masks(n, a, b, c)
 
 
+def codes_of_masks(n: int, triples: Iterable[tuple[int, int, int]]) -> set[int]:
+    """The canonical codes of ``(a, b, c)`` mask triples, each checked as
+    ``_encode_checked`` checks it.  The checks are written out here, not
+    called, since every property statement the sweep checks passes
+    through this loop."""
+    out = set()
+    for a, b, c in triples:
+        if not a or not b:
+            raise DisjointnessViolation("both blocks must be nonempty")
+        if a & b or a & c or b & c:
+            raise DisjointnessViolation("blocks and conditioning set must be disjoint")
+        if (a | b | c) >> n:
+            raise DisjointnessViolation(f"triple mentions vertices outside 0..{n - 1}")
+        if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
+            a, b = b, a
+        out.add(a | b << n | c << 2 * n)
+    return out
+
+
 def encode_triple(t: IndependenceTriple, n: int) -> int:
     return _encode_checked(n, *t.masks())
 
@@ -153,15 +172,19 @@ class IndependenceModel:
         return cls(n, frozenset(encode_triple(t, n) for t in triples))
 
     @classmethod
-    def from_masks(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "IndependenceModel":
-        """Model of ``(a, b, c)`` mask triples, checked as triples are.
-        ``_encode_checked`` checks each code as it makes it, so the model
-        skips ``__post_init__``'s second pass over them."""
-        _check_ground_set(n)
+    def _unchecked(cls, n: int, codes: frozenset[int]) -> "IndependenceModel":
+        """The model of canonical ``codes`` over ``0..n-1`` already checked,
+        built without ``__post_init__``'s second pass over them."""
         model = object.__new__(cls)
-        model.__dict__.update(
-            n=n, codes=frozenset([_encode_checked(n, a, b, c) for a, b, c in triples]))
+        model.__dict__.update(n=n, codes=codes)
         return model
+
+    @classmethod
+    def from_masks(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "IndependenceModel":
+        """Model of ``(a, b, c)`` mask triples, checked as triples are, by
+        ``codes_of_masks``."""
+        _check_ground_set(n)
+        return cls._unchecked(n, frozenset(codes_of_masks(n, triples)))
 
     @classmethod
     def from_codes(cls, n: int, codes: Iterable[int]) -> "IndependenceModel":

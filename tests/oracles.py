@@ -2,7 +2,8 @@
 
 Everything here works on explicit edge lists and frozensets, enumerates
 simple paths or whole subset lattices, and shares no code with the
-package internals.  Slow on purpose; only run at desk scale.
+package internals, except ``fire_closedness``, which fires the package's
+elementary rules.  Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
@@ -234,6 +235,32 @@ def one_pair_changes(n, table, change):
             changed[j << n | K] ^= 1 << i
             out.append(changed)
     return out
+
+
+def fire_closedness(n, table):
+    """Whether the pairwise model of the neighbour-mask ``table`` (entry
+    ``i << n | K`` holding bit j for each <i, j | K>, both ways) is closed
+    under the compositional-graphoid axioms, proved by firing: each of its
+    elementary triples goes once through the package's
+    ``elementary_rules`` with intersection and composition, and no rule
+    may conclude a triple outside the table.  A pairwise model is closed
+    exactly when its elementary triples obey those rules.  This was
+    ``closed_target``'s proof before it read the rows; it holds that
+    row proof to the rules the worklist fires."""
+    from mvrcg._kernels.pyfallback import COMPOSITION, INTERSECTION, elementary_rules
+
+    missing = []
+    fire = elementary_rules(n, INTERSECTION | COMPOSITION, table,
+                            lambda i, js, K: missing.append((i, js, K)))
+    full = (1 << n) - 1
+    for row, ys in enumerate(table):
+        i = row >> n
+        for j in range(i + 1, n):  # each pair once: j above i
+            if ys >> j & 1:
+                fire(i, j, row & full)
+                if missing:
+                    return False
+    return True
 
 
 AXIOM_NAMES = {

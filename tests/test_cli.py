@@ -11,14 +11,15 @@ from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
 from mvrcg import closure, structure
+from mvrcg._kernels import pyfallback
 from mvrcg._kernels.pyfallback import chain_seeds, elementary_closure, pairwise_codes
 from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
-from mvrcg.properties import property_model
+from mvrcg.properties import property_codes, property_model
 from mvrcg.separation import global_model_codes, global_model_table
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
-                         run_equivalence_sweep, verify_graph)
+                         run_equivalence_sweep, sweep_graphs, verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
 
 from oracles import elementary_codes, one_pair_changes
@@ -232,6 +233,15 @@ def test_check_marginal_oracle_answers_on_seven_vertices(capsys, fig_path):
     code, out, _ = run(capsys, "check", "--graph", fig_path("fig3"),
                        "--marginal-oracle")
     assert (code, out) == (0, "marginal-oracle: PASS\n")
+
+
+def test_check_without_a_check_flag_is_an_error(capsys, fig_path):
+    """A ``check`` that names no check has checked nothing: it exits 2 and
+    names the three flags, instead of printing nothing and exiting 0."""
+    code, out, err = run(capsys, "check", "--graph", fig_path("fig1"))
+    assert (code, out) == (2, "")
+    assert err == ("error: GraphFormatError: check needs at least one of --ancestral, "
+                   "--maximal and --marginal-oracle\n")
 
 
 def test_numeric_check_small(capsys, fig_path):
@@ -486,9 +496,9 @@ def test_sweep_records_graph_errors_and_continues():
 
 def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
     def mr_empty(g, kind, dec=None):
-        return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
+        return [] if kind == "mr" else property_codes(g, kind, dec)
 
-    monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
+    monkeypatch.setattr("mvrcg.sweep.property_codes", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     checks = verify_graph(g, SweepConfig()).checks
     smallest = min((decode_triple(code, g.n) for code in global_model_codes(g)),
@@ -502,11 +512,12 @@ def _spy_on_closure_kernels(monkeypatch):
     """Spies on the closure kernels that ``mvrcg.closure`` calls: ``calls``
     gets ``("elementary", goal, seen, stop)`` per worklist, ``seen`` being
     how many elementary triples it returned and ``stop`` the stop it
-    reached, with ``known`` in ``seeded`` and the seeds it was given in
-    ``pushed``; ``fires`` gets one counter per rule set that
-    ``closed_target`` builds, counting the triples fired through it."""
+    reached, with the stop lists it was given (``known``) in ``seeded``
+    and the seeds it was given in ``pushed``; ``fires`` gets one counter
+    per rule set built from ``elementary_rules``, the one statement of the
+    rules, counting the triples fired through it."""
     calls, fires, seeded, pushed = [], [], [], []
-    rules = closure.elementary_rules
+    rules = pyfallback.elementary_rules
 
     def counting_rules(n, flags, table, emit):
         fire = rules(n, flags, table, emit)
@@ -519,14 +530,14 @@ def _spy_on_closure_kernels(monkeypatch):
 
         return counted
 
-    def spy_worklist(n, seeds, flags, goal=None, known=None):
+    def spy_worklist(n, seeds, flags, goal=None, known=()):
         seen = elementary_closure(n, seeds, flags, goal, known)
         calls.append(("elementary", goal, len(seen), seen.stop))
         seeded.append(known)
         pushed.append(seeds)
         return seen
 
-    monkeypatch.setattr("mvrcg.closure.elementary_rules", counting_rules)
+    monkeypatch.setattr("mvrcg._kernels.pyfallback.elementary_rules", counting_rules)
     monkeypatch.setattr("mvrcg.closure.elementary_closure", spy_worklist)
     return calls, fires, seeded, pushed
 
@@ -537,23 +548,46 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     seen the model's elementary triples, and its triples are then a
     generator of the model: each later worklist is given their chain
     triples and stops once it has seen them, or the model's elementary
-    triples.  One proof over the model's elementary triples shows it
-    closed; no worklist runs to its fixpoint, so nothing is closed there,
-    the model least of all."""
+    triples, or, under csg and cg, the model's composition base, or,
+    under cg, its intersection base.  One proof over the model's rows
+    shows it closed, and builds no rule set: the only rule sets are the
+    worklists'.  No worklist runs to its fixpoint, so nothing is closed
+    there, the model least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = global_model_codes(g)
     goal = len(elementary_codes(g.n, model))
     calls, fires, seeded, pushed = _spy_on_closure_kernels(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
-    assert goal and fires == [goal]
+    assert goal and len(fires) == len(calls)
     assert len(calls) == 8 and calls[0] == ("elementary", goal, goal, "goal")
     for _, call_goal, seen, stop in calls[1:]:
         assert call_goal == goal and seen <= goal and stop in ("goal", "known")
     mr = chain_seeds(g.n, property_model(g, "mr").to_codes())
-    assert seeded == [None] + [mr] * 7
+    composition, intersection = (gen.seeds for gen in
+                                 closed_target(g.n, global_model_table(g)).generators)
+    assert seeded == [[], [mr], [mr], [mr, composition]] + [[mr, composition, intersection]] * 4
     assert pushed == [chain_seeds(g.n, property_model(g, prop).to_codes())
                       for prop in PROPERTY_AXIOMS]
+
+
+def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
+    """Over every chain graph with n <= 4 in sweep order, the closure
+    checks' worklists fire 7,490 triples in all: 7,481 checks end at the
+    model's elementary triples, 6,463 at a generator's seeds (the first
+    passing check's, or a base of the model) and none at a fixpoint.  A
+    change that loses a stop, or offers fewer generators, fires more:
+    12,348 with only the first passing check's generator, 25,187 with
+    none."""
+    calls, fires, _, _ = _spy_on_closure_kernels(monkeypatch)
+    config = SweepConfig(max_n=4, checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
+    statuses = [c.status for i, g in enumerate(sweep_graphs(config))
+                for c in verify_graph(g, config, i).checks.values()]
+    assert statuses == ["pass"] * 13_944
+    assert len(fires) == len(calls) and sum(fires) == 7_490
+    stops = [stop for *_, stop in calls]
+    assert {stop: stops.count(stop) for stop in ("goal", "known", None)} == {
+        "goal": 7_481, "known": 6_463, None: 0}
 
 
 def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
@@ -593,16 +627,16 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     closure listed from it is the check's answer: no second closure
     runs."""
     def mr_empty(g, kind, dec=None):
-        return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
+        return [] if kind == "mr" else property_codes(g, kind, dec)
 
-    monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
+    monkeypatch.setattr("mvrcg.sweep.property_codes", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     goal = len(elementary_codes(g.n, global_model_codes(g)))
     calls, fires, seeded, _ = _spy_on_closure_kernels(monkeypatch)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
-    assert fires == [goal]
-    assert calls == [("elementary", goal, 0, None)] and seeded == [None]
+    assert len(fires) == len(calls)
+    assert calls == [("elementary", goal, 0, None)] and seeded == [[]]
 
 
 def test_closure_gap_is_none_at_the_model_and_the_closure_elsewhere():
@@ -650,9 +684,9 @@ def test_a_closure_check_lists_the_model_and_the_closure_only_to_fail(monkeypatc
     assert {c.status for c in checks.values()} == {"pass"} and listed == []
 
     def mr_empty(g, kind, dec=None):
-        return IndependenceModel.of(g.n, ()) if kind == "mr" else property_model(g, kind, dec)
+        return [] if kind == "mr" else property_codes(g, kind, dec)
 
-    monkeypatch.setattr("mvrcg.sweep.property_model", mr_empty)
+    monkeypatch.setattr("mvrcg.sweep.property_codes", mr_empty)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert sorted(listed) == ["closure", "model"]

@@ -21,7 +21,7 @@ from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
 
 from oracles import (AXIOM_NAMES, base4_code, elementary_codes, elementary_table,
-                     one_pair_changes, oracle_closure)
+                     fire_closedness, one_pair_changes, oracle_closure)
 
 T = IndependenceTriple.of
 
@@ -216,7 +216,7 @@ def test_elementary_closedness_proof_matches_the_naive_closure():
             codes = global_model_codes(g)
             table = m_elementary_table(n, g.pa, g.ch, g.nb)
             assert table == elementary_table(n, codes)
-            assert closed_target(n, table) == (table, len(elementary_codes(n, codes)))
+            assert closed_target(n, table)[:2] == (table, len(elementary_codes(n, codes)))
             if n == 3:
                 tables += [(n, t) for change in ("drop", "add")
                            for t in one_pair_changes(n, table, change)]
@@ -234,8 +234,74 @@ def test_elementary_closedness_proof_matches_the_naive_closure():
         assert (target is not None) == is_closed_under_cg(n, model)
         if target is not None:
             closed += 1
-            assert target == (table, len(elementary_codes(n, model)))
+            assert target[:2] == (table, len(elementary_codes(n, model)))
     assert (len(tables), closed) == (300 + 200, 132 + 169)
+
+
+def _closedness_tables():
+    """The 500 tables of the naive closedness check above, as ``(n,
+    table)``: each separation table at n = 3 with one pair dropped or
+    added, and the tables of the 40 pinned models and of their closures
+    under sg, g, csg and cg."""
+    tables = [(3, t) for g in enumerate_mvr_cgs(3) for change in ("drop", "add")
+              for t in one_pair_changes(3, m_elementary_table(3, g.pa, g.ch, g.nb), change)]
+    for codes in _pinned_digest_models():
+        tables.append((5, elementary_table(5, codes)))
+        tables += [(5, elementary_table(5, close_codes(5, codes, AxiomSet.parse(name))))
+                   for name in AXIOM_NAMES]
+    return tables
+
+
+def _changed_n4_tables():
+    """Every one-pair change of every separation table at n = 4: the 224
+    distinct tables, each with one pair <i, j | K> dropped or added."""
+    distinct = sorted({tuple(m_elementary_table(4, g.pa, g.ch, g.nb))
+                       for g in enumerate_mvr_cgs(4)})
+    assert len(distinct) == 224
+    return [(4, t) for table in distinct for change in ("drop", "add")
+            for t in one_pair_changes(4, list(table), change)]
+
+
+def test_the_row_proof_agrees_with_the_fire_proof():
+    """``closed_target`` reads a table's closedness off its rows;
+    ``oracles.fire_closedness`` fires every elementary triple through the
+    elementary rules instead.  They agree on the 500 tables of the naive
+    closedness check and on all 5,376 one-pair changes of the separation
+    tables at n = 4, closed and not."""
+    tables = _closedness_tables() + _changed_n4_tables()
+    closed = 0
+    for n, table in tables:
+        target = closed_target(n, table)
+        assert (target is not None) == fire_closedness(n, table)
+        closed += target is not None
+    assert (len(tables), closed) == (500 + 5376, 301 + 1428)
+
+
+def test_the_bases_generate_the_model():
+    """For every closed table among those of the test above, the worklist
+    run to its fixpoint from the composition base under csg, and from the
+    intersection base under g, sees exactly the model's elementary
+    triples.  Each base holds fewer triples than the models: over the
+    1,729 closed tables, 8,477 elementary triples against bases of 4,587
+    and 4,589."""
+    csg, g = AxiomSet.compositional_semi_graphoid(), AxiomSet.graphoid()
+    triples, held = 0, [0, 0]
+    for n, table in _closedness_tables() + _changed_n4_tables():
+        target = closed_target(n, table)
+        if target is None:
+            continue
+        full = (1 << n) - 1
+        elementary = {(row >> n, j, row & full) for row, ys in enumerate(table)
+                      for j in bits(ys) if j > row >> n}
+        assert len(elementary) == target.count
+        for k, (gen, axioms) in enumerate(zip(target.generators, (csg, g))):
+            assert gen.flags == axioms.flags()
+            seen = elementary_closure(n, gen.seeds, gen.flags)
+            assert seen.stop is None
+            assert {(min(x, y), max(x, y), K) for x, y, K in seen} == elementary
+            held[k] += len(gen.seeds)
+        triples += target.count
+    assert (triples, *held) == (8477, 4587, 4589)
 
 
 def test_elementary_closure_is_the_elementary_part_of_the_closure():
@@ -370,23 +436,32 @@ def test_a_generator_changes_no_closure_gap():
     check's, ``closure_gap`` returns what it returns without one, on every
     chain graph with n <= 3 and a sample at n = 4: each (property,
     axioms) pair whose gap is None is a generator, and is offered to every
-    pair.  The generator's stop does fire, and ends worklists early."""
-    calls = early = 0
+    pair.  The generator's stop does fire, and ends worklists early.  The
+    target's own generators, its composition and intersection bases, are
+    offered too, to every pair whatever its axioms, g and sg included,
+    and the gap is the one of a target that offers none."""
+    calls = early = offered = 0
     for g, target, checks in _generator_cases():
-        plain = [closure_gap(g.n, codes, axioms, target) for codes, axioms in checks]
+        bare = target._replace(generators=())
+        plain = [closure_gap(g.n, codes, axioms, bare) for codes, axioms in checks]
         known = [generator(g.n, codes, axioms)
                  for (codes, axioms), gap in zip(checks, plain) if gap is None]
         for (codes, axioms), gap in zip(checks, plain):
             flags = axioms.flags()
+            assert closure_gap(g.n, codes, axioms, target) == gap
+            for gen in target.generators:
+                assert closure_gap(g.n, codes, axioms, target, gen) == gap
+                assert closure_gap(g.n, codes, axioms, bare, gen) == gap
+                offered += 1
             for gen in known:
                 if gen.flags & ~flags:
                     continue
                 assert closure_gap(g.n, codes, axioms, target, gen) == gap
                 calls += 1
                 seen = elementary_closure(g.n, chain_seeds(g.n, codes), flags, target[1],
-                                          gen.seeds)
+                                          (gen.seeds,))
                 early += seen.stop == "known" and len(seen) < target[1]
-    assert calls > 20_000 and early > 1_000
+    assert calls > 20_000 and early > 1_000 and offered > 5_000
 
 
 def test_a_generator_under_more_axioms_does_not_serve_a_weaker_check():
