@@ -297,16 +297,24 @@ class Seen(list):
 
 
 def chain_seeds(n: int, codes) -> list[tuple[int, int]]:
-    """The chain triples of ``codes``, the seeds ``elementary_closure``
-    takes for them, each as ``(x << n | K, 1 << y)``: its row of the
-    worklist's table and its bit there.  For <a, b | c> with
-    a = {a_1 < a_2 < ...} and b = {b_1 < b_2 < ...} they are the
-    <a_i, b_j | c a_<i b_<j>, and in a semi-graphoid <a, b | c> holds
-    exactly when they do (the chain rule)."""
+    """``mask_seeds`` of canonical ``codes``."""
     full = (1 << n) - 1
+    return mask_seeds(n, [(code & full, code >> n & full, code >> 2 * n) for code in codes])
+
+
+def mask_seeds(n: int, triples) -> list[tuple[int, int]]:
+    """The chain triples of ``(a, b, c)`` mask triples, the seeds
+    ``elementary_closure`` takes for them, each as ``(x << n | K, 1 << y)``:
+    its row of the worklist's table and its bit there.  Each triple is
+    first put in its canonical order, the lowest block vertex in ``a``, as
+    its code has it.  For <a, b | c> with a = {a_1 < a_2 < ...} and
+    b = {b_1 < b_2 < ...} they are the <a_i, b_j | c a_<i b_<j>, and in a
+    semi-graphoid <a, b | c> holds exactly when they do (the chain rule).
+    A repeated triple repeats its seeds."""
     out = []
-    for code in codes:
-        a, b, c = code & full, code >> n & full, code >> 2 * n
+    for a, b, c in triples:
+        if (a | b) & -(a | b) & b:
+            a, b = b, a
         for x in bits(a):
             bx = 1 << x
             row = x << n | c | a & (bx - 1)
@@ -321,19 +329,19 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
     the semi-graphoid axioms and, by ``flags``, intersection and
     composition, each once as ``(x, y, K)``.
 
-    ``seeds`` are elementary triples as ``chain_seeds`` gives them, each
-    ``(x << n | K, 1 << y)``.  For the chain triples of some codes they
-    close to the closure of the codes themselves: by the chain rule the
-    |a|·|b| chain triples of <a, b | c> generate it under the semi-graphoid
-    axioms, and so all of its |a|·|b|·2^(|a|+|b|-2) elementary parts.  The
-    worklist fires each triple it has not seen through ``elementary_rules``
-    once, in FIFO order, and stops at its fixpoint, as soon as it has seen
-    ``goal`` triples, or as soon as it has seen every ``(row, bit)`` of
-    any one list in ``known`` (``chain_seeds`` of a generator, say, or a
-    generator's triples in that form).  Each list waits on its first seed
-    not seen yet, and the lists are looked at again only after a fire that
-    pushed something.  ``stop`` on the result names the stop it reached;
-    deciding what a stop shows is the caller's part.
+    ``seeds`` are elementary triples as ``mask_seeds`` and ``chain_seeds``
+    give them, each ``(x << n | K, 1 << y)``.  For the chain triples of
+    some statements they close to the closure of the statements
+    themselves: by the chain rule the |a|·|b| chain triples of <a, b | c>
+    generate it under the semi-graphoid axioms, and so all of its
+    |a|·|b|·2^(|a|+|b|-2) elementary parts.  The worklist fires each
+    triple it has not seen through ``elementary_rules`` once, in FIFO
+    order, and stops at its fixpoint, as soon as it has seen ``goal``
+    triples, or as soon as it has seen every ``(row, bit)`` of any one
+    list in ``known`` (the seeds of a generator, say).  Each list waits on
+    its first seed not seen yet, and the lists are looked at again only
+    after a fire that pushed something.  ``stop`` on the result names the
+    stop it reached; deciding what a stop shows is the caller's part.
     """
     full = (1 << n) - 1
     table = [0] * (n << n)
@@ -354,12 +362,16 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
             push(row >> n, bit, row & full)
     fire = elementary_rules(n, flags, table, push)
     # Each list of ``known`` waits on its first seed not seen yet, kept as
-    # [the rest of the list, row, bit]; bit 0 means not looked at yet.
-    waits = [[iter(stops), 0, 0] for stops in known]
+    # [the rest of the list, row, bit]; bit 0 means not looked at yet.  They
+    # are set up at the first look, so a worklist that never looks sets up
+    # none.
+    waits = []
 
     def reached() -> bool:
         """Whether every seed of some list of ``known`` has been seen; moves
         each list past the seeds seen since it last looked."""
+        if not waits:
+            waits.extend([iter(stops), 0, 0] for stops in known)
         for wait in waits:
             rest, row, bit = wait
             if table[row] & bit == bit:  # seen, or not looked at yet
@@ -372,15 +384,15 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
                     return True
         return False
 
-    done = reached()
     size = len(work)
+    done = size != goal and bool(known) and reached()
     for triple in work:  # the loop also reaches the triples pushed as it runs
         if size == goal or done:
             break
         fire(*triple)
         if len(work) != size:
             size = len(work)
-            done = bool(waits) and reached()
+            done = size != goal and bool(known) and reached()
     if done:
         work.stop = "known"
     if size == goal:

@@ -17,16 +17,19 @@ under the elementary rules (Matúš 1992; Studený 2005; Lněnička & Matúš
 2007).  So there is one closure engine, the kernel's
 ``elementary_closure``: a FIFO worklist over a table of neighbour masks
 that fires each elementary triple once through ``elementary_rules``.
-It is seeded with each code's chain triples, ``chain_seeds``, not all
-its elementary parts: <A, B | C> with A = {a_1 < a_2 < ...} and
+It is seeded with each statement's chain triples, not all its
+elementary parts: <A, B | C> with A = {a_1 < a_2 < ...} and
 B = {b_1 < b_2 < ...} holds in a semi-graphoid exactly when every
 <a_i, b_j | C a_<i b_<j> does (the chain rule), so its |A|·|B| chain
 triples close to the same set as its |A|·|B|·2^(|A|+|B|-2) elementary
-parts.  ``close_codes`` runs it to its fixpoint, and
+parts.  ``mask_seeds`` takes them straight from ``(a, b, c)`` masks, as
+the sweep's property builders emit them, and ``chain_seeds`` from
+codes.  ``close_codes`` runs the worklist to its fixpoint, and
 ``semi_graphoid_codes`` lists cl(P) from it by the chain rule.
 
-``closure_gap`` decides cl(P) == M for a pairwise model M given by its
-elementary table alone, without listing M.  ``closed_target`` shows M a
+``seeds_gap`` decides cl(P) == M for a pairwise model M given by its
+elementary table alone, without listing M, from P's chain triples;
+``closure_gap`` is the same for P's codes.  ``closed_target`` shows M a
 compositional graphoid by reading its rows, T[i, K] for the j with
 <i, j | K> in M, without firing a rule: M is closed under sg and
 composition exactly when every <i, j | K> in it has T[i, K ∪ j] ==
@@ -37,11 +40,11 @@ P's chain triples are in the table, and cl(P) lies in M whenever P
 does, so the worklist stops as soon as it has seen all of M's
 elementary triples: cl(P) is M.  A ``Generator`` G of M gives the
 worklist an earlier stop: once it has seen G's triples, cl(P) holds the
-closure of G, which is M.  G is either the chain triples of codes that
-an earlier ``closure_gap`` showed to close to M under its axioms, or
-one of the two bases ``closed_target`` reads off M's rows by the same
-identity: the composition base, which generates M under csg, and the
-intersection base, which generates it under g.  G serves only behind
+closure of G, which is M.  G is either the chain triples of statements
+that an earlier call showed to close to M under its axioms, any number
+of them, or one of the two bases ``closed_target`` reads off M's rows
+by the same identity: the composition base, which generates M under
+csg, and the intersection base, which generates it under g.  G serves only behind
 the first stop's condition, P in the closed M, since a cl(P) larger
 than M may hold G's triples too; and only a closure under at least G's
 axioms, since under fewer, G's triples need not close to M.  Otherwise
@@ -126,16 +129,17 @@ def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
 class Generator(NamedTuple):
     """Elementary triples G shown to generate the model M under the axioms
     ``flags``, as ``seeds``: ``(x << n | K, 1 << y)`` each, as
-    ``chain_seeds`` gives them.  Either the chain triples of codes for which
-    a ``closure_gap`` against M's target returned None, or one of the two
-    bases ``closed_target`` reads off M's rows."""
+    ``mask_seeds`` and ``chain_seeds`` give them.  Either the chain
+    triples of statements for which a ``seeds_gap`` or ``closure_gap``
+    against M's target returned None, or one of the two bases
+    ``closed_target`` reads off M's rows."""
 
     flags: int
     seeds: list[tuple[int, int]]
 
 
 class Target(NamedTuple):
-    """A closed model M as ``closure_gap`` takes it: its elementary
+    """A closed model M as ``seeds_gap`` takes it: its elementary
     ``table``, the ``count`` of its elementary triples and ``generators``,
     its composition and intersection bases."""
 
@@ -150,47 +154,57 @@ def generator(n: int, codes, axioms: AxiomSet) -> Generator:
     return Generator(axioms.flags(), chain_seeds(n, codes))
 
 
+def add_generator(known: list, gen: Generator) -> None:
+    """Append ``gen`` to the generators ``known`` unless one of them holds
+    the same seeds under axioms among gen's: that one is offered wherever
+    gen is, and its stop comes no later."""
+    flags, seeds = gen
+    if not any(old.seeds == seeds and not old.flags & ~flags for old in known):
+        known.append(gen)
+
+
 def closure_gap(n: int, codes, axioms: AxiomSet, target: Optional[Target],
                 known: Optional[Generator] = None) -> Optional[list[int]]:
     """None when cl(P) of P = ``codes`` under ``axioms`` is shown to be
     the model M; otherwise cl(P) as sorted codes, for the caller to
-    compare with M.
+    compare with M: ``seeds_gap`` of the codes' chain seeds, offered the
+    ``known`` generator, if any."""
+    return seeds_gap(n, chain_seeds(n, codes), axioms, target, () if known is None else (known,))
+
+
+def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
+              known=()) -> Optional[list[int]]:
+    """None when cl(P) under ``axioms`` of the statements P whose chain
+    seeds are ``seeds`` is shown to be the model M; otherwise cl(P) as
+    sorted codes.
 
     ``target`` is what ``closed_target`` returns for M's elementary
-    table, or None when M is not closed.  P's chain triples are computed
-    once: they seed the one worklist, and for a closed M they decide
-    P ⊆ M, since by the chain rule a code lies in the semi-graphoid M
-    exactly when its chain triples are in the table.  Then cl(P) lies in
-    M, so the worklist stops as soon as it has seen all of M's elementary
-    triples: cl(P) is M.  Generators of the same M give it earlier stops:
-    ``known``, and the target's composition and intersection bases.  Once
-    it has seen every seed of a generator G, cl(P) holds cl_G(G) = M.  A
-    generator is used only behind the first stop, when P lies in the
-    closed M, since a larger cl(P) may hold G's seeds too; and only when
-    its axioms are among ``axioms``, since under fewer G's seeds need not
-    close to M.  So the composition base serves the csg and cg checks,
-    the intersection base the g and cg checks.  Otherwise the worklist
-    reaches its fixpoint, and cl(P) is listed from it.  M's table was
-    built under the cap, so this does not check it.
+    table, or None when M is not closed.  The seeds are P's chain triples,
+    as ``mask_seeds`` or ``chain_seeds`` give them: they seed the one
+    worklist, and for a closed M they decide P ⊆ M, since by the chain
+    rule a statement lies in the semi-graphoid M exactly when its chain
+    triples are in the table.  Then cl(P) lies in M, so the worklist
+    stops as soon as it has seen all of M's elementary triples: cl(P) is
+    M.  Generators of the same M give it earlier stops: each of
+    ``known``, a sequence of ``Generator``, and the target's composition
+    and intersection bases.  Once it has seen every seed of a generator
+    G, cl(P) holds cl_G(G) = M.  A generator is used only behind the first
+    stop, when P lies in the closed M, since a larger cl(P) may hold G's
+    seeds too; and only when its axioms are among ``axioms``, since under
+    fewer G's seeds need not close to M.  So the composition base serves
+    the csg and cg checks, the intersection base the g and cg checks.
+    Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
+    it.  M's table was built under the cap, so this does not check it.
     """
-    return _gap_and_seeds(n, codes, axioms, target, known)[0]
-
-
-def _gap_and_seeds(n: int, codes, axioms: AxiomSet, target: Optional[Target],
-                   known: Optional[Generator]):
-    """``closure_gap`` and the chain seeds of ``codes`` it computed, which
-    the sweep keeps as a ``Generator`` when the gap is None."""
     flags = axioms.flags()
-    seeds = chain_seeds(n, codes)
     goal, stops = None, ()
     if target is not None and all(target.table[row] & bit for row, bit in seeds):
         goal = target.count
-        stops = [gen.seeds for gen in (known, *target.generators)
-                 if gen is not None and not gen.flags & ~flags]
+        stops = [gen.seeds for gen in (*known, *target.generators) if not gen.flags & ~flags]
     elementary = elementary_closure(n, seeds, flags, goal, stops)
     if elementary.stop:
-        return None, seeds
-    return semi_graphoid_codes(n, elementary), seeds
+        return None
+    return semi_graphoid_codes(n, elementary)
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
@@ -219,7 +233,7 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
 def closed_target(n: int, table) -> Optional[Target]:
     """The pairwise model M whose elementary table is ``table``
     (``table[i << n | K]`` holding each j with <i, j | K> in M, kept
-    symmetric) as ``closure_gap`` takes it for a target; None when M is
+    symmetric) as ``seeds_gap`` takes it for a target; None when M is
     not closed under the compositional-graphoid axioms.
 
     The proof reads rows, T[i, K] for ``table[i << n | K]``, and fires no

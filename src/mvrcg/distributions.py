@@ -114,11 +114,25 @@ class JointTable:
         probs = kept.transpose([order.index(i) for i in axes])
         return JointTable(tuple(variables), probs.shape, probs)
 
+    @staticmethod
+    def _variables(vs: Iterable[int]) -> tuple[int, ...]:
+        """``vs`` as a tuple, each an int: a bool or a float equal to a
+        variable is refused, not read as that variable."""
+        try:
+            vs = tuple(vs)
+        except TypeError:
+            raise GraphFormatError(f"{vs!r} is not a collection of variables") from None
+        for v in vs:
+            if type(v) is not int:
+                raise GraphFormatError(f"variable {v!r} is not an int")
+        return vs
+
     def marginal(self, keep: Iterable[int]) -> "JointTable":
         """Marginal over ``keep``, its variables in table order."""
-        return self._over(sorted(set(keep), key=self.axis_of))
+        return self._over(sorted(set(self._variables(keep)), key=self.axis_of))
 
     def reorder(self, variables: Sequence[int]) -> "JointTable":
+        variables = self._variables(variables)
         if sorted(variables) != sorted(self.variables):
             raise DisjointnessViolation("reorder must permute the variables")
         return self._over(variables)
@@ -132,6 +146,8 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     renormalised so no entry sinks below about 1%.  The same seed gives
     a bit-identical table.
     """
+    if not isinstance(cd, CanonicalDag):
+        raise GraphFormatError(f"{cd!r} is not a CanonicalDag")
     g = cd.dag
     if CARDINALITY ** g.n > STATE_SPACE_CAP:
         raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
@@ -161,6 +177,8 @@ def _check_tolerance(eps) -> None:
 def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -> bool:
     """Numeric conditional independence: for every assignment with
     p(c) > 0, |p(a,b|c) - p(a|c) p(b|c)| <= eps."""
+    if not isinstance(triple, IndependenceTriple):
+        raise GraphFormatError(f"{triple!r} is not an IndependenceTriple")
     _check_tolerance(eps)
     a, b, c = (table._mask_of(block) for block in (triple.a, triple.b, triple.c))
     pabc, pac, pbc, pc = (table._cells(keep) for keep in (a | b | c, a | c, b | c, c))
@@ -176,6 +194,8 @@ def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9)
     """Whether the table equals the product of the factorization's
     conditionals at every full assignment.  Rows with zero tail mass
     contribute factor 1; positive sampling keeps that branch idle."""
+    if not isinstance(f, Factorization):
+        raise GraphFormatError(f"{f!r} is not a Factorization")
     _check_tolerance(eps)
     product = 1.0  # also for the cells of axes no factor names
     for factor in f.factors:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ._bitset import bits, set_of, submasks
+from ._kernels.pyfallback import mask_seeds
 from .chain import ChainDecomposition, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
@@ -192,25 +193,33 @@ def ordered_local_triples(g: MixedGraph,
 def _ordered_local_masks(g: MixedGraph, order: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """``ordered_local_triples``, as ``(a, b, c)`` masks, along a
     consistent ``order`` that the caller has checked, such as a
-    decomposition's ``vertex_order``."""
+    decomposition's ``vertex_order``.
+
+    The ancestrally closed sets A inside x's prefix that hold x are those
+    that hold an(x).  They are listed without trying other subsets: an(x)
+    grows along the prefix, each vertex joining every set listed so far
+    that holds its parents, which the order puts before it."""
     triples = []
-    prefix = 0
-    for x in order:
-        prefix |= 1 << x
-        rest = prefix & ~(1 << x)
-        if prefix.bit_count() > DEFAULT_SUBSET_CAP:  # the message is formatted only to raise
-            check_cap(prefix.bit_count(), DEFAULT_SUBSET_CAP, f"vertices in the prefix of {x}")
-        sub = rest
-        while True:  # all subsets of the prefix that contain x, including empty rest
-            a_mask = sub | (1 << x)
-            if not parents_of_set(g, a_mask):  # A is ancestrally closed
-                mb = _markov_blanket_mask(g, x, a_mask)
-                other = a_mask & ~(mb | (1 << x))
-                if other:
-                    triples.append((1 << x, other, mb))
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+    an = [0] * g.n  # an(v) of each vertex v the order has passed
+    for k, x in enumerate(order):
+        if k >= DEFAULT_SUBSET_CAP:  # the message is formatted only to raise
+            check_cap(k + 1, DEFAULT_SUBSET_CAP, f"vertices in the prefix of {x}")
+        bx = 1 << x
+        anx = bx
+        for p in bits(g.pa[x]):  # the order puts x's parents before x
+            anx |= an[p]
+        an[x] = anx
+        sets = [anx]
+        for v in order[:k]:
+            bv = 1 << v
+            if not anx & bv:
+                pa = g.pa[v]
+                sets += [a | bv for a in sets if not pa & ~a]
+        for a_mask in sets:
+            mb = _markov_blanket_mask(g, x, a_mask)
+            other = a_mask & ~(mb | bx)
+            if other:
+                triples.append((bx, other, mb))
     return triples
 
 
@@ -252,31 +261,42 @@ def _alt_local_masks(g: MixedGraph) -> list[tuple[int, int, int]]:
 PROPERTY_KINDS = ("p1", "p2", "p3", "p4", "mr", "iv", "ordered", "local", "global")
 
 
+def property_masks(g: MixedGraph, kind: str,
+                   dec: Optional[ChainDecomposition] = None) -> list[tuple[int, int, int]]:
+    """The statements property ``kind`` asserts for ``g``, as the
+    unchecked ``(a, b, c)`` mask triples its builder emits; ``kind`` is
+    any of ``PROPERTY_KINDS`` but ``global``."""
+    if kind == "local":
+        return _alt_local_masks(g)
+    if kind == "ordered":
+        return _ordered_local_masks(g, consistent_vertex_order(g) if dec is None
+                                    else dec.vertex_order)
+    if dec is None:
+        dec = validate_chain_graph(g)
+    if kind in PAIRWISE_VARIANTS:
+        return _pairwise_masks(g, dec, kind)
+    if kind == "mr":
+        return _mr_masks(g, dec)
+    if kind == "iv":
+        return _iv_masks(g, dec)
+    raise UnknownName(f"unknown property kind {kind!r}")
+
+
+def property_seeds(g: MixedGraph, kind: str,
+                   dec: Optional[ChainDecomposition] = None) -> list[tuple[int, int]]:
+    """The chain seeds of ``property_masks``, straight from the masks: the
+    sweep's path, which neither checks nor encodes the statements."""
+    return mask_seeds(g.n, property_masks(g, kind, dec))
+
+
 def property_codes(g: MixedGraph, kind: str,
                    dec: Optional[ChainDecomposition] = None) -> list[int]:
     """The sorted canonical codes of the statements property ``kind``
-    asserts for ``g``, each checked as a triple is: the sweep's path, which
-    builds no model."""
+    asserts for ``g``, each checked as a triple is."""
     if kind == "global":
         from .separation import global_model_codes
         return global_model_codes(g)
-    if kind == "local":
-        masks = _alt_local_masks(g)
-    elif kind == "ordered":
-        order = consistent_vertex_order(g) if dec is None else dec.vertex_order
-        masks = _ordered_local_masks(g, order)
-    else:
-        if dec is None:
-            dec = validate_chain_graph(g)
-        if kind in PAIRWISE_VARIANTS:
-            masks = _pairwise_masks(g, dec, kind)
-        elif kind == "mr":
-            masks = _mr_masks(g, dec)
-        elif kind == "iv":
-            masks = _iv_masks(g, dec)
-        else:
-            raise UnknownName(f"unknown property kind {kind!r}")
-    return sorted(codes_of_masks(g.n, masks))
+    return sorted(codes_of_masks(g.n, property_masks(g, kind, dec)))
 
 
 def property_model(g: MixedGraph, kind: str,

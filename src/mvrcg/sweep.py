@@ -14,24 +14,26 @@ on M's codes.  Per graph, ``closed_target`` proves M a compositional
 graphoid from its table: M is pairwise by construction, and its rows
 obey one identity and one intersection condition.  The same rows give
 M's composition and intersection bases, generators of M under csg and
-g.  Per check, one call, ``closure_gap(n, P, axioms, target)``, decides
-``cl(P) == M``: P's chain triples lie in the table, so P lies in M, and
-one elementary worklist seeded with them reaches all of M's elementary
-triples, where it stops, because semi-graphoids with the same
-elementary triples are equal.  It stops earlier once it has seen a
-generator of M whose axioms are among the check's: a base of M, or the
-first passing check's triples, which it has shown to generate M under
-its axioms.  Each later check is given those as a ``Generator``, their
-chain seeds as that check computed them.  ``closure_gap`` uses a
-generator only for a P inside M and only under at least its axioms (an
-sg generator serves csg and cg checks, a cg one no sg check).  The
-first check's generator is kept for the rest of one ``verify_graph``
-call, never across graphs.  A passing check lists neither M nor cl(P).
-A check that falls short has run the worklist to its fixpoint, and
-cl(P) is listed from its elementary triples and compared with M, listed
-from the table, so every status and witness is the one the closure
-gives.  The property statements go straight to codes
-(``property_codes``), and each property's axiom set is built once, at
+g.  Per check, the property's builder emits its statements P as
+vertex masks, and ``property_seeds`` turns them straight into their
+chain triples, with no codes, sort or checks.  One call,
+``seeds_gap(n, seeds, axioms, target, known)``, decides ``cl(P) == M``:
+P's chain triples lie in the table, so P lies in M, and one elementary
+worklist seeded with them reaches all of M's elementary triples, where
+it stops, because semi-graphoids with the same elementary triples are
+equal.  It stops earlier once it has seen a generator of M whose axioms
+are among the check's: a base of M, or the seeds of any earlier check
+that passed, which it has shown to generate M under its axioms.  Every
+passing check is kept as a ``Generator`` for the later ones, unless an
+earlier one had the same seeds under axioms among its own
+(``add_generator``).  ``seeds_gap`` uses a generator only for a P inside
+M and only under at least its axioms (an sg generator serves csg and cg
+checks, a cg one no sg check).  The generators are kept for the rest of
+one ``verify_graph`` call, never across graphs.  A passing check lists
+neither M nor cl(P).  A check that falls short has run the worklist to
+its fixpoint, and cl(P) is listed from its elementary triples and
+compared with M, listed from the table, so every status and witness is
+the one the closure gives.  Each property's axiom set is built once, at
 import.  M's table is built by the first check that needs it, so that
 check's time includes building it, and the first closure check's time
 includes the proof that M is closed.
@@ -52,13 +54,13 @@ from typing import Iterator, Optional
 from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import validate_chain_graph
-from .closure import AxiomSet, Generator, _gap_and_seeds, closed_target
+from .closure import AxiomSet, Generator, add_generator, closed_target, seeds_gap
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
 from .factorization import _head_blocks
 from .graph import MixedGraph, parents_of_set
-from .properties import property_codes
+from .properties import property_seeds
 from .separation import global_model_codes, global_model_table
 from .structure import _is_maximal, _latent_model_codes, is_ancestral
 from .triples import first_difference
@@ -251,17 +253,15 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
         """``closed_target`` of M's table, once per graph."""
         return closed_target(g.n, table())
 
-    known = None  # the first passing check's chain seeds, a generator of M
+    known = []  # the passing checks' chain seeds, generators of M
 
     def check_closure(prop, axioms):
-        nonlocal known
         m_target = target()  # M first: a graph over the model cap stops here
-        codes = property_codes(g, prop, dec)
-        closed, seeds = _gap_and_seeds(g.n, codes, axioms, m_target, known)
+        seeds = property_seeds(g, prop, dec)
+        closed = seeds_gap(g.n, seeds, axioms, m_target, known)
         if closed is not None:
             return compare(lambda: closed)
-        if known is None:
-            known = Generator(axioms.flags(), seeds)
+        add_generator(known, Generator(axioms.flags(), seeds))
         return True, None
 
     for prop, axioms in PROPERTY_AXIOM_SETS.items():

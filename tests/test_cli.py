@@ -16,7 +16,7 @@ from mvrcg._kernels.pyfallback import chain_seeds, elementary_closure, pairwise_
 from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
-from mvrcg.properties import property_codes, property_model
+from mvrcg.properties import property_model, property_seeds
 from mvrcg.separation import global_model_codes, global_model_table
 from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, sweep_graphs, verify_graph)
@@ -429,6 +429,17 @@ def test_sweep_config_hash_is_stable():
     assert config_hash(SweepConfig(seed=2)) != config_hash(SweepConfig(seed=1))
 
 
+def test_python_dash_m_runs_the_command_line():
+    """``python -m mvrcg`` is the ``mvrcg`` command, no install needed."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "mvrcg", "sweep", "--max-n", "2"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(reports) == 5 and all(r["ok"] for r in reports)
+    assert "swept 5 graph(s), 0 failure(s)" in proc.stderr
+
+
 def test_unknown_vertex_label_is_reported(capsys, fig_path):
     code, _, err = run(capsys, "separate", "--graph", fig_path("fig3"),
                        "--x", "nope", "--y", "7")
@@ -496,9 +507,9 @@ def test_sweep_records_graph_errors_and_continues():
 
 def test_sweep_closure_checks_compare_with_the_model_itself(monkeypatch):
     def mr_empty(g, kind, dec=None):
-        return [] if kind == "mr" else property_codes(g, kind, dec)
+        return [] if kind == "mr" else property_seeds(g, kind, dec)
 
-    monkeypatch.setattr("mvrcg.sweep.property_codes", mr_empty)
+    monkeypatch.setattr("mvrcg.sweep.property_seeds", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     checks = verify_graph(g, SweepConfig()).checks
     smallest = min((decode_triple(code, g.n) for code in global_model_codes(g)),
@@ -544,15 +555,19 @@ def _spy_on_closure_kernels(monkeypatch):
 
 def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch):
     """Each closure check runs one elementary worklist, seeded with the
-    chain triples of its property's triples.  The first stops once it has
-    seen the model's elementary triples, and its triples are then a
-    generator of the model: each later worklist is given their chain
-    triples and stops once it has seen them, or the model's elementary
-    triples, or, under csg and cg, the model's composition base, or,
-    under cg, its intersection base.  One proof over the model's rows
-    shows it closed, and builds no rule set: the only rule sets are the
-    worklists'.  No worklist runs to its fixpoint, so nothing is closed
-    there, the model least of all."""
+    chain triples of its property's statements, built from their masks.
+    The first stops once it has seen the model's elementary triples, and
+    its triples are then a generator of the model, as are those of every
+    later check that passes: each later worklist is given the seeds of
+    every earlier passing check, and stops once it has seen one of them,
+    or the model's elementary triples, or, under csg and cg, the model's
+    composition base, or, under cg, its intersection base.  Seeds equal to
+    an earlier passing check's under axioms among its own are not offered
+    again: here iv, ordered and p1-p4 repeat mr's one seed, and local
+    lists it twice.  One proof over the model's rows shows it closed, and
+    builds no rule set: the only rule sets are the worklists'.  No
+    worklist runs to its fixpoint, so nothing is closed there, the model
+    least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = global_model_codes(g)
     goal = len(elementary_codes(g.n, model))
@@ -563,31 +578,69 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     assert len(calls) == 8 and calls[0] == ("elementary", goal, goal, "goal")
     for _, call_goal, seen, stop in calls[1:]:
         assert call_goal == goal and seen <= goal and stop in ("goal", "known")
-    mr = chain_seeds(g.n, property_model(g, "mr").to_codes())
+    mr, local = (property_seeds(g, prop) for prop in ("mr", "local"))
+    assert mr == chain_seeds(g.n, property_model(g, "mr").to_codes()) and local == mr * 2
     composition, intersection = (gen.seeds for gen in
                                  closed_target(g.n, global_model_table(g)).generators)
-    assert seeded == [[], [mr], [mr], [mr, composition]] + [[mr, composition, intersection]] * 4
-    assert pushed == [chain_seeds(g.n, property_model(g, prop).to_codes())
-                      for prop in PROPERTY_AXIOMS]
+    assert seeded == ([[], [mr], [mr], [mr, composition]]
+                      + [[mr, local, composition, intersection]] * 4)
+    assert pushed == [property_seeds(g, prop) for prop in PROPERTY_AXIOMS]
 
 
 def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
     """Over every chain graph with n <= 4 in sweep order, the closure
-    checks' worklists fire 7,490 triples in all: 7,481 checks end at the
-    model's elementary triples, 6,463 at a generator's seeds (the first
-    passing check's, or a base of the model) and none at a fixpoint.  A
-    change that loses a stop, or offers fewer generators, fires more:
-    12,348 with only the first passing check's generator, 25,187 with
-    none."""
+    checks' worklists fire 5,872 triples in all: 7,289 checks end at the
+    model's elementary triples, 6,655 at a generator's seeds (a passing
+    check's, or a base of the model) and none at a fixpoint.  A change
+    that loses a stop, or offers fewer generators, fires more: 7,490 with
+    only the first passing check's generator and the model's bases,
+    12,348 with only the first passing check's, 25,187 with none."""
     calls, fires, _, _ = _spy_on_closure_kernels(monkeypatch)
     config = SweepConfig(max_n=4, checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
     statuses = [c.status for i, g in enumerate(sweep_graphs(config))
                 for c in verify_graph(g, config, i).checks.values()]
     assert statuses == ["pass"] * 13_944
-    assert len(fires) == len(calls) and sum(fires) == 7_490
+    assert len(fires) == len(calls) and sum(fires) == 5_872
     stops = [stop for *_, stop in calls]
     assert {stop: stops.count(stop) for stop in ("goal", "known", None)} == {
-        "goal": 7_481, "known": 6_463, None: 0}
+        "goal": 7_289, "known": 6_655, None: 0}
+
+
+def test_a_later_check_stops_at_the_second_passing_checks_seeds(monkeypatch):
+    """Every passing check is offered to the later ones, not only the
+    first.  With mr's statements patched to none, mr fails, iv is the
+    first check to pass and ordered the second.  On 2 -> 1 with 0 apart,
+    p2's worklist then stops once it has seen every seed of ordered's and
+    of no other generator it was offered, neither iv's, p1's nor a base
+    of the model: offered only the first passing check, it would not stop
+    there."""
+    def mr_empty(g, kind, dec=None):
+        return [] if kind == "mr" else property_seeds(g, kind, dec)
+
+    monkeypatch.setattr("mvrcg.sweep.property_seeds", mr_empty)
+    results = []
+
+    def spy_worklist(n, seeds, flags, goal=None, known=()):
+        seen = elementary_closure(n, seeds, flags, goal, known)
+        results.append((known, seen))
+        return seen
+
+    monkeypatch.setattr("mvrcg.closure.elementary_closure", spy_worklist)
+    g = MixedGraph(3, directed=[(2, 1)])
+    config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
+    checks = verify_graph(g, config).checks
+    assert [c.status for c in checks.values()] == ["fail"] + ["pass"] * 7
+    iv, ordered = (property_seeds(g, prop) for prop in ("iv", "ordered"))
+    known, seen = results[list(PROPERTY_AXIOMS).index("p2")]
+    assert seen.stop == "known" and known[:2] == [iv, ordered] and iv != ordered
+    pairs = {(min(x, y), max(x, y), K) for x, y, K in seen}
+
+    def all_seen(seeds):
+        return all((min(row >> g.n, bit.bit_length() - 1), max(row >> g.n, bit.bit_length() - 1),
+                    row & (1 << g.n) - 1) in pairs for row, bit in seeds)
+
+    assert [all_seen(seeds) for seeds in known] == [seeds == ordered for seeds in known]
+    assert len(known) == 5 and known.count(ordered) == 1
 
 
 def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
@@ -627,9 +680,9 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     closure listed from it is the check's answer: no second closure
     runs."""
     def mr_empty(g, kind, dec=None):
-        return [] if kind == "mr" else property_codes(g, kind, dec)
+        return [] if kind == "mr" else property_seeds(g, kind, dec)
 
-    monkeypatch.setattr("mvrcg.sweep.property_codes", mr_empty)
+    monkeypatch.setattr("mvrcg.sweep.property_seeds", mr_empty)
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     goal = len(elementary_codes(g.n, global_model_codes(g)))
     calls, fires, seeded, _ = _spy_on_closure_kernels(monkeypatch)
@@ -684,9 +737,9 @@ def test_a_closure_check_lists_the_model_and_the_closure_only_to_fail(monkeypatc
     assert {c.status for c in checks.values()} == {"pass"} and listed == []
 
     def mr_empty(g, kind, dec=None):
-        return [] if kind == "mr" else property_codes(g, kind, dec)
+        return [] if kind == "mr" else property_seeds(g, kind, dec)
 
-    monkeypatch.setattr("mvrcg.sweep.property_codes", mr_empty)
+    monkeypatch.setattr("mvrcg.sweep.property_seeds", mr_empty)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
     assert sorted(listed) == ["closure", "model"]

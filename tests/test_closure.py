@@ -11,11 +11,13 @@ from mvrcg.chain import validate_chain_graph
 from mvrcg._kernels.pyfallback import close_codes as kernel_close_codes
 from mvrcg._kernels.pyfallback import (chain_seeds, elementary_closure, m_elementary_table,
                                        pairwise_codes, semi_graphoid_codes)
-from mvrcg.closure import Generator, close_codes, closed_target, closure_gap, generator
+from mvrcg.closure import (Generator, add_generator, close_codes, closed_target, closure_gap,
+                           generator, seeds_gap)
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
 from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
-                              pairwise_triples, property_model, type_iv_triples)
+                              pairwise_triples, property_codes, property_model,
+                              property_seeds, type_iv_triples)
 from mvrcg.separation import global_model, global_model_codes, iter_canonical_codes
 from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
@@ -387,6 +389,33 @@ def test_chain_seeds_are_the_seeds_the_worklist_pushes():
             assert {(min(x, y), max(x, y), K) for x, y, K in seen} == seeds
 
 
+def test_mask_seeds_decide_and_close_as_the_property_codes_do():
+    """The sweep seeds each check from its builder's masks
+    (``property_seeds``), without encoding or checking the statements.
+    On every chain graph with n <= 4 and each property, those seeds are
+    ``chain_seeds`` of ``property_codes`` up to order and repeats, so they
+    give the same P ⊆ M verdict on the model's table and the same
+    elementary closure under sg, g, csg and cg."""
+    repeated = 0
+    for n in range(1, 5):
+        for g in enumerate_mvr_cgs(n):
+            dec = validate_chain_graph(g)
+            table = m_elementary_table(n, g.pa, g.ch, g.nb)
+            for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4"):
+                masks = property_seeds(g, prop, dec)
+                codes = chain_seeds(n, property_codes(g, prop, dec))
+                assert set(masks) == set(codes)
+                repeated += len(masks) > len(set(masks))
+                assert all(table[row] & bit for row, bit in masks) == \
+                    all(table[row] & bit for row, bit in codes)
+                for axioms in _AXIOM_SETS:
+                    closed = [{(min(x, y), max(x, y), K) for x, y, K in
+                               elementary_closure(n, seeds, axioms.flags())}
+                              for seeds in (masks, codes)]
+                    assert closed[0] == closed[1]
+    assert repeated
+
+
 def _pairs_in_table(n, code, table):
     """Whether every pair <i, j | c> across the blocks of ``code`` is in
     ``table``: membership in the table's pairwise model, written out."""
@@ -462,6 +491,61 @@ def test_a_generator_changes_no_closure_gap():
                                           (gen.seeds,))
                 early += seen.stop == "known" and len(seen) < target[1]
     assert calls > 20_000 and early > 1_000 and offered > 5_000
+
+
+def test_closure_gap_answers_match_pinned_digest():
+    """sha1 of every ``closure_gap`` answer, None or cl(P) as sorted codes:
+    every chain graph with n <= 4, each property's codes under sg, g, csg
+    and cg, with the first passing call's generator offered to every later
+    call of the graph, as the sweep first offered generators.  Generators
+    change no answer, so the digest holds whichever are offered."""
+    h = hashlib.sha1()
+    calls = failing = 0
+    for n in range(1, 5):
+        for g in enumerate_mvr_cgs(n):
+            target = closed_target(n, m_elementary_table(n, g.pa, g.ch, g.nb))
+            known = None
+            for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4"):
+                codes = property_model(g, prop).to_codes()
+                for axioms in _AXIOM_SETS:
+                    gap = closure_gap(n, codes, axioms, target, known)
+                    if gap is None and known is None:
+                        known = generator(n, codes, axioms)
+                    h.update(f"{n}/{prop}/{axioms.flags()}:{gap}\n".encode())
+                    calls += 1
+                    failing += gap is not None
+    assert (calls, failing) == (55_776, 5_649)
+    assert h.hexdigest() == "0b07f34e4f1ee981bef129b493d322abefba4d2b"
+
+
+def test_every_kept_generator_offered_at_once_changes_no_gap():
+    """``seeds_gap`` offered, as the sweep offers them, every generator
+    kept so far from the (property, axioms) pairs that passed returns what
+    ``closure_gap`` returns with none, on every chain graph with n <= 3
+    and a sample at n = 4.  ``add_generator`` keeps a passing pair's seeds
+    unless a kept generator has the same seeds under axioms among its
+    own; seeds equal under fewer axioms are kept."""
+    offered = skipped = 0
+    for g, target, checks in _generator_cases():
+        bare = target._replace(generators=())
+        known = []
+        for codes, axioms in checks:
+            gap = closure_gap(g.n, codes, axioms, bare)
+            seeds = chain_seeds(g.n, codes)
+            assert seeds_gap(g.n, seeds, axioms, target, known) == gap
+            offered += len(known)
+            if gap is None:
+                kept = len(known)
+                add_generator(known, Generator(axioms.flags(), seeds))
+                skipped += len(known) == kept
+    assert offered > 5_000 and skipped > 2_000
+    sg, cg = (AxiomSet.parse(name).flags() for name in ("sg", "cg"))
+    known = [Generator(cg, [(0, 2)])]
+    add_generator(known, Generator(sg, [(0, 2)]))
+    add_generator(known, Generator(cg, [(0, 2)]))
+    add_generator(known, Generator(cg, [(0, 2), (0, 2)]))
+    assert known == [Generator(cg, [(0, 2)]), Generator(sg, [(0, 2)]),
+                     Generator(cg, [(0, 2), (0, 2)])]
 
 
 def test_a_generator_under_more_axioms_does_not_serve_a_weaker_check():

@@ -273,6 +273,14 @@ TYPED_ERROR_CALLS = {
     "sweep_config_none_checks": (GraphFormatError, lambda: SweepConfig(checks=None)),
     "sweep_config_list_checks": (GraphFormatError, lambda: SweepConfig(checks=["maximal"])),
     "sweep_config_str_checks": (GraphFormatError, lambda: SweepConfig(checks="maximal")),
+    "joint_table_marginal_bool": (GraphFormatError, lambda: _TABLE.marginal([True])),
+    "joint_table_marginal_float": (GraphFormatError, lambda: _TABLE.marginal([1.0])),
+    "joint_table_marginal_none": (GraphFormatError, lambda: _TABLE.marginal(None)),
+    "joint_table_reorder_bool": (GraphFormatError, lambda: _TABLE.reorder([True, 0])),
+    "joint_table_reorder_none": (GraphFormatError, lambda: _TABLE.reorder(None)),
+    "ci_holds_tuple_triple": (GraphFormatError, lambda: ci_holds(_TABLE, (0, 1))),
+    "verify_factorization_none": (GraphFormatError, lambda: verify_factorization(_TABLE, None)),
+    "sample_none_dag": (GraphFormatError, lambda: sample_latent_dag_distribution(None, 1)),
 }
 
 
