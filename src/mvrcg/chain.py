@@ -25,6 +25,7 @@ which the property generators read; the frozenset forms are views.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._bitset import bits, mask_of, set_of
 from .errors import GraphFormatError, NotAComponent, PartiallyDirectedCycle
@@ -42,6 +43,10 @@ class ChainDecomposition:
     some vertex of component ``i`` points into component ``j``.  The
     frozenset forms (``components``, ``component_dag``, ...) are views.
     Components are disjoint, so a sum of their masks is their union.
+    ``pre_masks``, ``pa_d_masks`` and ``nd_d_masks`` hold every
+    component's masks, built on first use; the engine's loops read them,
+    and the public ``pre_mask``, ``pa_d_mask`` and ``nd_d_mask`` index
+    them once ``_index`` has checked the index.
     """
 
     graph: MixedGraph
@@ -88,22 +93,36 @@ class ChainDecomposition:
 
     def pre_mask(self, i: int) -> int:
         """Union of all components strictly after ``i`` in the order."""
-        return sum(self.component_masks[self._index(i) + 1:])
+        return self.pre_masks[self._index(i)]
 
     def pst_mask(self, v: int) -> int:
-        return self.pre_mask(self.component_of[_vertex(self.graph, v)])
+        return self.pre_masks[self.component_of[_vertex(self.graph, v)]]
 
     def pa_d_mask(self, i: int) -> int:
         """Union of the full parent components of component ``i``."""
-        i = self._index(i)
-        return sum(m for m, ch in zip(self.component_masks, self.component_children)
-                   if ch >> i & 1)
+        return self.pa_d_masks[self._index(i)]
 
     def nd_d_mask(self, i: int) -> int:
         """Union of components that are not reachable from ``i`` in the
         component DAG, excluding ``i`` itself."""
-        reach = reach_mask(self.component_children, 1 << self._index(i))
-        return sum(m for j, m in enumerate(self.component_masks) if not reach >> j & 1)
+        return self.nd_d_masks[self._index(i)]
+
+    @cached_property
+    def pre_masks(self) -> tuple[int, ...]:
+        masks = self.component_masks
+        return tuple(sum(masks[i + 1:]) for i in range(len(masks)))
+
+    @cached_property
+    def pa_d_masks(self) -> tuple[int, ...]:
+        pairs = tuple(zip(self.component_masks, self.component_children))
+        return tuple(sum(m for m, ch in pairs if ch >> i & 1) for i in range(len(pairs)))
+
+    @cached_property
+    def nd_d_masks(self) -> tuple[int, ...]:
+        masks = self.component_masks
+        reaches = (reach_mask(self.component_children, 1 << i) for i in range(len(masks)))
+        return tuple(sum(m for j, m in enumerate(masks) if not reach >> j & 1)
+                     for reach in reaches)
 
 
 def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:

@@ -164,6 +164,6 @@ def factorize_mvr(g: MixedGraph, dec: ChainDecomposition) -> Factorization:
 def factorize_component_dag(g: MixedGraph, dec: ChainDecomposition) -> Factorization:
     """One factor per chain component, conditioned on the union of its
     full parent components."""
-    factors = tuple(HeadTail(set_of(tmask), set_of(dec.pa_d_mask(i)))
-                    for i, tmask in enumerate(dec.component_masks))
+    factors = tuple(HeadTail(set_of(tmask), set_of(pa_d))
+                    for tmask, pa_d in zip(dec.component_masks, dec.pa_d_masks))
     return Factorization(factors, set_of(g.full_mask))

@@ -43,7 +43,7 @@ def _pairwise_masks(g: MixedGraph, dec: ChainDecomposition, variant: str,
         raise UnknownName(f"unknown pairwise variant {variant!r}")
     # Each vertex's own part of the pair's conditioning set (p1-p3).
     if variant == "p1":
-        own = [dec.pre_mask(t) for t in dec.component_of]
+        own = [dec.pre_masks[t] for t in dec.component_of]
     elif variant == "p2":
         own = [ancestors_mask(g, 1 << v) for v in range(g.n)]
     else:
@@ -82,9 +82,8 @@ def _mr_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, in
     semi-graphoid axioms; merely pairwise parts would need composition.
     """
     triples = []
-    for t, tmask in enumerate(dec.component_masks):
+    for tmask, pre in zip(dec.component_masks, dec.pre_masks):
         check_cap(tmask.bit_count(), DEFAULT_SUBSET_CAP, "component vertices")
-        pre = dec.pre_mask(t)
         for sub in submasks(tmask):
             comps = district_masks(g.nb, sub)
             if len(comps) == 1:
@@ -114,10 +113,8 @@ def _iv_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, in
     dropped.
     """
     triples = []
-    for t, tmask in enumerate(dec.component_masks):
+    for tmask, pad, nd in zip(dec.component_masks, dec.pa_d_masks, dec.nd_d_masks):
         check_cap(tmask.bit_count(), DEFAULT_SUBSET_CAP, "component vertices")
-        pad = dec.pa_d_mask(t)
-        nd = dec.nd_d_mask(t)
         rest = nd & ~pad
         if rest:
             triples.append((tmask, rest, pad))

@@ -1,46 +1,29 @@
 """Batch verification sweeps over enumerated and random graphs.
 
-For each graph the sweep builds the separation model M once, as its
-elementary table.  Ten checks compare a code list with M: the m* model,
-the latent-DAG model and each property's triples P closed under its
-axiom set (sg for the mr, iv and ordered local properties, csg for the
-alternative local property, cg for the four pairwise ones).  The other
-checks are ancestrality, maximality and the factorization identities.
-Failures are recorded per graph and never abort the sweep; a graph over
-``model_cap()`` is an ``error`` on the ten, each of which builds M first.
+``CHECKS`` is the one list of checks: it maps each check's name to a
+function of a ``GraphContext`` that returns ``(ok, witness)``.
+``ALL_CHECKS`` is its names, and every report lists its checks in that
+order.  ``verify_graph`` validates the graph, builds one context and
+runs the configured checks over it.
 
-Each closure check is decided on M's elementary table <i, j | K>, not
-on M's codes.  Per graph, ``closed_target`` proves M a compositional
-graphoid from its table: M is pairwise by construction, and its rows
-obey one identity and one intersection condition.  The same rows give
-M's composition and intersection bases, generators of M under csg and
-g.  Per check, the property's builder emits its statements P as
-vertex masks, and ``property_seeds`` turns them straight into their
-chain triples, with no codes, sort or checks.  One call,
-``seeds_gap(n, seeds, axioms, target, known)``, decides ``cl(P) == M``:
-P's chain triples lie in the table, so P lies in M, and one elementary
-worklist seeded with them reaches all of M's elementary triples, where
-it stops, because semi-graphoids with the same elementary triples are
-equal.  It stops earlier once it has seen a generator of M whose axioms
-are among the check's: a base of M, or the seeds of any earlier check
-that passed, which it has shown to generate M under its axioms.  Every
-passing check is kept as a ``Generator`` for the later ones, unless an
-earlier one had the same seeds under axioms among its own
-(``add_generator``).  ``seeds_gap`` uses a generator only for a P inside
-M and only under at least its axioms (an sg generator serves csg and cg
-checks, a cg one no sg check).  The generators are kept for the rest of
-one ``verify_graph`` call, never across graphs.  A passing check lists
-neither M nor cl(P).  A check that falls short has run the worklist to
-its fixpoint, and cl(P) is listed from its elementary triples and
-compared with M, listed from the table, so every status and witness is
-the one the closure gives.  Each property's axiom set is built once, at
-import.  M's table is built by the first check that needs it, so that
-check's time includes building it, and the first closure check's time
-includes the proof that M is closed.
+The context keeps, for one graph and never across graphs, M's
+elementary table, M's codes and ``closed_target``'s proof that M is
+closed, each built by the first check that reads it, whose time then
+includes building it; and ``known``, the seeds of every closure check
+that passed, generators of M that the later checks' worklists may stop
+at (``add_generator``).  Ten checks compare a code list with M: the m*
+and latent-DAG models, and each property's statements closed under its
+``PROPERTY_AXIOMS`` set, decided by ``seeds_gap`` on M's table.
+``closure.py``'s docstring proves why a passing closure check lists
+neither M nor the closure.  The other checks are ancestrality,
+maximality and the factorization identities; maximal and
+marginal_oracle call ``structure``'s unchecked paths, since a validated
+chain graph is ancestral and acyclic, and M's cap is the oracle's.
 
-The maximal and marginal_oracle checks call ``structure``'s unchecked
-paths: a chain graph, validated first, is ancestral and has no directed
-cycle, and M's cap is the oracle's, so none of that is checked again.
+A check reports ``pass``, ``fail`` with a witness, or ``error``
+(``_raised``): a graph over ``model_cap()`` is an error on the ten
+checks that build M.  A graph that is not a chain graph reports its
+validation error on every configured check.  No failure stops a sweep.
 """
 
 from __future__ import annotations
@@ -49,11 +32,12 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Optional
+from functools import cached_property, partial
+from typing import Callable, Iterator, Optional
 
 from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
-from .chain import validate_chain_graph
+from .chain import ChainDecomposition, validate_chain_graph
 from .closure import AxiomSet, Generator, add_generator, closed_target, seeds_gap
 from .config import ENUMERATION_CAP, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
@@ -76,15 +60,92 @@ PROPERTY_AXIOMS = {
     "p4": "cg",
 }
 
-# Each property's axiom set, built once.
-PROPERTY_AXIOM_SETS = {prop: AxiomSet.parse(name) for prop, name in PROPERTY_AXIOMS.items()}
 
-ALL_CHECKS = (
-    "im_eq_imstar",
-    "closure_mr", "closure_iv", "closure_ordered", "closure_local",
-    "closure_p1", "closure_p2", "closure_p3", "closure_p4",
-    "ancestral", "maximal", "marginal_oracle", "factorization",
-)
+@dataclass
+class GraphContext:
+    """What one graph's checks share: the graph, its chain
+    decomposition, M on first use, and ``known``, the generators of M
+    that the passing closure checks have shown."""
+
+    g: MixedGraph
+    dec: ChainDecomposition
+    known: list[Generator] = field(default_factory=list)
+
+    @cached_property
+    def table(self) -> list[int]:
+        """M's elementary table."""
+        return global_model_table(self.g)
+
+    @cached_property
+    def model(self) -> list[int]:
+        """M's codes, listed from its table."""
+        return pairwise_codes(self.g.n, self.table)
+
+    @cached_property
+    def target(self):
+        """``closed_target`` of M's table."""
+        return closed_target(self.g.n, self.table)
+
+    def compare(self, codes_of) -> tuple[bool, Optional[str]]:
+        """Whether ``codes_of()``, called once M is built, is M, with the
+        first difference if not."""
+        model = self.model
+        codes = codes_of()
+        if codes == model:
+            return True, None
+        triple, in_first = first_difference(self.g.n, codes, model)
+        return False, f"{triple} only in {'first' if in_first else 'second'} model"
+
+
+def _check_closure(prop: str, axioms: AxiomSet, ctx: GraphContext):
+    """Whether ``prop``'s statements close to M under ``axioms``; if so,
+    their seeds are kept as a generator of M for the later checks."""
+    target = ctx.target  # M first: a graph over the model cap stops here
+    seeds = property_seeds(ctx.g, prop, ctx.dec)
+    closed = seeds_gap(ctx.g.n, seeds, axioms, target, ctx.known)
+    if closed is not None:
+        return ctx.compare(lambda: closed)
+    add_generator(ctx.known, Generator(axioms.flags(), seeds))
+    return True, None
+
+
+def _check_ancestral(ctx: GraphContext):
+    res = is_ancestral(ctx.g)
+    return res.ok, None if res.ok else str(res.witness)
+
+
+def _check_factorization(ctx: GraphContext):
+    """``head_partition`` of all vertices is ``factorize_mvr``: the chain
+    components, each with its graphical parents as tail, and
+    ``factorize_component_dag``'s parent components hold those parents.
+    Compared on the masks the three build their factors from, with the
+    same witnesses."""
+    g, dec = ctx.g, ctx.dec
+    tails = dict(_head_blocks(g, g.full_mask))
+    comps = dec.component_masks
+    if set(tails) != set(comps):
+        return False, "head partition blocks differ from chain components"
+    parents = [parents_of_set(g, t) for t in comps]
+    for t, pa in zip(comps, parents):
+        if tails[t] != pa:
+            return False, f"tail of {list(bits(t))} differs"
+    for t, pa, pa_d in zip(comps, parents, dec.pa_d_masks):
+        if pa & ~pa_d:
+            return False, f"graphical parents of {list(bits(t))} exceed parent components"
+    return True, None
+
+
+CHECKS: dict[str, Callable[[GraphContext], tuple[bool, Optional[str]]]] = {
+    "im_eq_imstar": lambda ctx: ctx.compare(lambda: global_model_codes(ctx.g, method="mstar")),
+    **{f"closure_{prop}": partial(_check_closure, prop, AxiomSet.parse(axioms))
+       for prop, axioms in PROPERTY_AXIOMS.items()},
+    "ancestral": _check_ancestral,
+    "maximal": lambda ctx: (_is_maximal(ctx.g), None),
+    "marginal_oracle": lambda ctx: ctx.compare(lambda: _latent_model_codes(ctx.g)),
+    "factorization": _check_factorization,
+}
+
+ALL_CHECKS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -111,7 +172,7 @@ class SweepConfig:
         if prop not in PROPERTY_AXIOMS:
             raise UnknownName(f"unknown property {prop!r}; expected one of "
                               f"{', '.join(PROPERTY_AXIOMS)}")
-        return PROPERTY_AXIOM_SETS[prop]
+        return AxiomSet.parse(PROPERTY_AXIOMS[prop])
 
     @property
     def marginal_oracle_max_n(self) -> int:
@@ -186,117 +247,26 @@ def _raised(exc: Exception) -> tuple[str, str]:
     return "fail" if failed else "error", f"{type(exc).__name__}: {exc}"
 
 
-def _once(fn):
-    """``fn()``, computed at the first call that returns and kept for the
-    later ones: ``functools.cache`` without its wrapper's set-up cost,
-    which would be paid three times per graph."""
-    kept = []
-
-    def get():
-        if not kept:
-            kept.append(fn())
-        return kept[0]
-
-    return get
-
-
 def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> VerificationReport:
     report = VerificationReport(index, g.n, graph_hash(g),
                                 sorted(g.directed), sorted(g.bidirected))
+    names = [name for name in CHECKS if name in config.checks]
     try:
-        dec = validate_chain_graph(g)
+        ctx = GraphContext(g, validate_chain_graph(g))
     except Exception as exc:
         status, witness = _raised(exc)
-        for name in config.checks:
+        for name in names:
             report.checks[name] = CheckOutcome(status, witness)
         return report
-
-    def run(name, fn):
-        if name not in config.checks:
-            return
+    for name in names:
         t0 = time.perf_counter()
         try:
-            ok, witness = fn()
+            ok, witness = CHECKS[name](ctx)
             status = "pass" if ok else "fail"
         except Exception as exc:
             status, witness = _raised(exc)
         report.checks[name] = CheckOutcome(status, witness,
                                            (time.perf_counter() - t0) * 1e3)
-
-    @_once
-    def table():
-        """M's elementary table, built by the first check that needs M."""
-        return global_model_table(g)
-
-    @_once
-    def model():
-        """The separation model M, listed from its table."""
-        return pairwise_codes(g.n, table())
-
-    def compare(codes_of):
-        """Whether ``codes_of()`` is M, with the first difference if not."""
-        global_codes = model()
-        codes = codes_of()
-        if codes == global_codes:
-            return True, None
-        triple, in_first = first_difference(g.n, codes, global_codes)
-        return False, f"{triple} only in {'first' if in_first else 'second'} model"
-
-    def run_model(name, codes_of):
-        """``run`` for a check that compares ``codes_of()`` with M."""
-        run(name, lambda: compare(codes_of))
-
-    run_model("im_eq_imstar", lambda: global_model_codes(g, method="mstar"))
-
-    @_once
-    def target():
-        """``closed_target`` of M's table, once per graph."""
-        return closed_target(g.n, table())
-
-    known = []  # the passing checks' chain seeds, generators of M
-
-    def check_closure(prop, axioms):
-        m_target = target()  # M first: a graph over the model cap stops here
-        seeds = property_seeds(g, prop, dec)
-        closed = seeds_gap(g.n, seeds, axioms, m_target, known)
-        if closed is not None:
-            return compare(lambda: closed)
-        add_generator(known, Generator(axioms.flags(), seeds))
-        return True, None
-
-    for prop, axioms in PROPERTY_AXIOM_SETS.items():
-        run(f"closure_{prop}", lambda prop=prop, axioms=axioms: check_closure(prop, axioms))
-
-    def check_ancestral():
-        res = is_ancestral(g)
-        return res.ok, None if res.ok else str(res.witness)
-
-    def check_maximal():
-        return _is_maximal(g), None
-
-    def check_factorization():
-        """``head_partition`` of all vertices is ``factorize_mvr``: the
-        chain components, each with its graphical parents as tail, and
-        ``factorize_component_dag``'s parent components hold those
-        parents.  Compared on the masks the three build their factors
-        from, with the same witnesses."""
-        tails = dict(_head_blocks(g, g.full_mask))
-        comps = dec.component_masks
-        if set(tails) != set(comps):
-            return False, "head partition blocks differ from chain components"
-        parents = [parents_of_set(g, t) for t in comps]
-        for t, pa in zip(comps, parents):
-            if tails[t] != pa:
-                return False, f"tail of {list(bits(t))} differs"
-        for i, (t, pa) in enumerate(zip(comps, parents)):
-            if pa & ~dec.pa_d_mask(i):
-                return False, f"graphical parents of {list(bits(t))} exceed parent components"
-        return True, None
-
-    run("ancestral", check_ancestral)
-    run("maximal", check_maximal)
-    run_model("marginal_oracle", lambda: _latent_model_codes(g))
-    run("factorization", check_factorization)
     return report
 
 

@@ -13,12 +13,13 @@ from mvrcg.cli import main
 from mvrcg import closure, structure
 from mvrcg._kernels import pyfallback
 from mvrcg._kernels.pyfallback import chain_seeds, elementary_closure, pairwise_codes
+from mvrcg.chain import ChainDecomposition, validate_chain_graph
 from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
-from mvrcg.enumeration import enumerate_mvr_cgs
+from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model, property_seeds
 from mvrcg.separation import global_model_codes, global_model_table
-from mvrcg.sweep import (ALL_CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
+from mvrcg.sweep import (ALL_CHECKS, CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, sweep_graphs, verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
 
@@ -644,12 +645,14 @@ def test_a_later_check_stops_at_the_second_passing_checks_seeds(monkeypatch):
 
 
 def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
-    """The checks read adjacency masks and build models from codes they
-    have just checked: ``MixedGraph.adjacent``, a model's
-    ``__post_init__`` and the public ``find_primitive_inducing_chain``
-    each check their arguments again, and none is called while every
-    chain graph with n <= 3 is verified."""
-    calls = {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0}
+    """The checks read adjacency masks and the decomposition's component
+    masks, and build models from codes they have just checked:
+    ``MixedGraph.adjacent``, a model's ``__post_init__``, the public
+    ``find_primitive_inducing_chain`` and ``ChainDecomposition._index``,
+    behind the decomposition's ``pre_mask``, ``pa_d_mask`` and
+    ``nd_d_mask``, each check their arguments again, and none is called
+    while every chain graph with n <= 3 is verified."""
+    calls = {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0, "_index": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -663,15 +666,19 @@ def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
     counting(MixedGraph, "adjacent")
     counting(IndependenceModel, "__post_init__")
     counting(structure, "find_primitive_inducing_chain")
+    counting(ChainDecomposition, "_index")
     graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
     assert len(graphs) == 55
     assert all(verify_graph(g, SweepConfig()).ok for g in graphs)
-    assert calls == {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0}
+    assert calls == {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0,
+                     "_index": 0}
     # the spies do count: the public entry points still check
     assert MixedGraph(2).adjacent(0, 1) is False
     assert IndependenceModel.from_codes(2, [1 | 2 << 2]).n == 2
     assert structure.find_primitive_inducing_chain(MixedGraph(2), 0, 1) is None
-    assert calls == {"adjacent": 2, "__post_init__": 1, "find_primitive_inducing_chain": 1}
+    assert validate_chain_graph(MixedGraph(2)).pre_mask(0) == 0b10
+    assert calls == {"adjacent": 2, "__post_init__": 1, "find_primitive_inducing_chain": 1,
+                     "_index": 1}
 
 
 def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
@@ -784,6 +791,9 @@ def test_sweep_config_fields_and_statuses_are_pinned():
     graph over the model cap report only pass, fail or error."""
     assert [f.name for f in dataclasses.fields(SweepConfig)] == [
         "max_n", "random_count", "random_n", "seed", "checks"]
+    assert ALL_CHECKS == tuple(CHECKS) and len(CHECKS) == 13
+    assert [name for name in CHECKS if name.startswith("closure_")] == [
+        f"closure_{prop}" for prop in PROPERTY_AXIOMS]
     config = SweepConfig(max_n=3)
     reports = [*run_equivalence_sweep(config), verify_graph(MixedGraph(8), config)]
     assert len(reports) == 1 + 4 + 50 + 1
@@ -836,6 +846,47 @@ def test_closure_checks_match_the_closure_on_perturbed_models(monkeypatch, chang
                 outcome = checks[f"closure_{prop}"]
                 assert (outcome.status, outcome.witness) == _closure_outcome(g, prop, model)
     assert any(t is None for t in targets) and any(t is not None for t in targets)
+
+
+def _verdicts_alone_and_reversed(g, config):
+    """Each check's status and witness among ``config.checks``, in
+    ``ALL_CHECKS`` order, asserted to be what the check reports run
+    alone and what the checks report in reverse order."""
+    def verdicts(checks):
+        report = verify_graph(g, SweepConfig(checks=checks))
+        return [(name, c.status, c.witness) for name, c in report.checks.items()]
+
+    together = verdicts(config.checks)
+    assert [name for name, *_ in together] == [n for n in ALL_CHECKS if n in config.checks]
+    assert verdicts(config.checks[::-1]) == together
+    assert [verdicts((name,))[0] for name, *_ in together] == together
+    return together
+
+
+def test_sharing_between_checks_never_changes_a_verdict(monkeypatch):
+    """M, its closedness proof and the passing checks' generators are
+    shared by one graph's checks only to shorten their work: each check
+    run alone reports the status and witness it reports among the
+    others, and so do the checks run in reverse order, listed in table
+    order.  On every chain graph with n <= 3, five random ones with five
+    vertices and one that is no chain graph; and the closure checks on
+    every graph with three vertices under each one-pair change of its
+    model's table, where they all fail."""
+    graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
+    cycle = MixedGraph(3, directed=[(0, 1), (1, 2), (2, 0)])
+    graphs += [*random_mvr_cgs(5, 5, seed=5), cycle]
+    statuses = [status for g in graphs
+                for _, status, _ in _verdicts_alone_and_reversed(g, SweepConfig())]
+    assert len(statuses) == 13 * 61 and statuses.count("fail") == 13
+    config = SweepConfig(checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
+    statuses = []
+    for g in enumerate_mvr_cgs(3):
+        table = global_model_table(g)
+        for changed in one_pair_changes(3, table, "drop") + one_pair_changes(3, table, "add"):
+            monkeypatch.setattr("mvrcg.sweep.global_model_table",
+                                lambda g, changed=changed: changed)
+            statuses += [status for _, status, _ in _verdicts_alone_and_reversed(g, config)]
+    assert statuses == ["fail"] * 8 * 300
 
 
 def test_sweep_verdicts_match_pinned_digest():
