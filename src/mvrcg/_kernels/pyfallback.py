@@ -360,7 +360,6 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
     for row, bit in seeds:
         if not table[row] & bit:
             push(row >> n, bit, row & full)
-    fire = elementary_rules(n, flags, table, push)
     # Each list of ``known`` waits on its first seed not seen yet, kept as
     # [the rest of the list, row, bit]; bit 0 means not looked at yet.  They
     # are set up at the first look, so a worklist that never looks sets up
@@ -386,13 +385,15 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
 
     size = len(work)
     done = size != goal and bool(known) and reached()
-    for triple in work:  # the loop also reaches the triples pushed as it runs
-        if size == goal or done:
-            break
-        fire(*triple)
-        if len(work) != size:
-            size = len(work)
-            done = size != goal and bool(known) and reached()
+    if size and size != goal and not done:  # the rules are built only to fire
+        fire = elementary_rules(n, flags, table, push)
+        for triple in work:  # the loop also reaches the triples pushed as it runs
+            fire(*triple)
+            if len(work) != size:
+                size = len(work)
+                done = size != goal and bool(known) and reached()
+                if size == goal or done:
+                    break
     if done:
         work.stop = "known"
     if size == goal:

@@ -11,10 +11,19 @@ A table is read-only once built, so it memoises its marginals: one sum
 over the other axes per subset of axes, repeated back over them as one
 value per table cell.  :func:`ci_holds` and :func:`verify_factorization`
 compare such cell vectors cell by cell, and ``marginal`` and ``reorder``
-take their layout from them.  The sampler forms its product in one
-``einsum`` whose labels are DAG vertices; the cap bounds the DAG at 20
-vertices, so the call has at most 21 operands and labels below 20,
-within numpy's limits (32 operands, 52 labels, since numpy 1.24).
+take their layout from them.  Two more facts are fixed when a table is
+built: each variable's axis bit, which turns a block of variables into
+the mask of a marginal, and whether any cell is zero.  A sum of positive
+cells is positive, so on a table without a zero cell every p(c) is
+positive and :func:`ci_holds` skips its search for p(c) = 0.
+
+The sampler draws every conditional row of the DAG in one Dirichlet
+call, vertex by vertex, and slices it per vertex; the generator fills
+rows in order, so the table is the one a draw per vertex would give.
+It forms the product in one ``einsum`` whose labels are DAG vertices;
+the cap bounds the DAG at 20 vertices, so the call has at most 21
+operands and labels below 20, within numpy's limits (32 operands, 52
+labels, since numpy 1.24).
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ class JointTable:
     probs: np.ndarray
     _marginals: dict[int, np.ndarray] = field(
         init=False, repr=False, compare=False, default_factory=dict)
+    _bit_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    _has_zero: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -69,8 +80,10 @@ class JointTable:
                 f"table shape {probs.shape} does not match cards {self.cards}")
         if len(self.variables) != len(self.cards):
             raise DisjointnessViolation("one cardinality per variable required")
-        if len(set(self.variables)) != len(self.variables):
+        bit_of = {v: 1 << i for i, v in enumerate(self.variables)}
+        if len(bit_of) != len(self.variables):
             raise DisjointnessViolation(f"repeated variable in {self.variables}")
+        object.__setattr__(self, "_bit_of", bit_of)
         if not np.isfinite(probs).all():
             raise DisjointnessViolation("probabilities must be finite")
         if np.any(probs < 0):
@@ -78,6 +91,7 @@ class JointTable:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise DisjointnessViolation(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "_has_zero", np.count_nonzero(probs) < probs.size)
 
     def axis_of(self, v: int) -> int:
         """Axis of variable ``v``: the module's one check that a variable
@@ -88,9 +102,12 @@ class JointTable:
             raise DisjointnessViolation(f"{v} is not a variable of the table") from None
 
     def _mask_of(self, vs: Iterable[int]) -> int:
+        """Axis bits of the variables ``vs``, read from the table's map;
+        a variable missing from it goes to ``axis_of``, which raises."""
+        bit_of = self._bit_of
         mask = 0
         for v in vs:
-            mask |= 1 << self.axis_of(v)
+            mask |= bit_of.get(v) or 1 << self.axis_of(v)
         return mask
 
     def _cells(self, keep: int) -> np.ndarray:
@@ -98,9 +115,9 @@ class JointTable:
         other axes: one value per table cell, in C order, read-only."""
         cells = self._marginals.get(keep)
         if cells is None:
-            summed = tuple(i for i in range(len(self.cards)) if not keep >> i & 1)
+            summed = bits(~keep & ((1 << len(self.cards)) - 1))  # the other axes
             cells = np.empty(self.probs.size)
-            cells.reshape(self.cards)[...] = self.probs.sum(axis=summed, keepdims=True)
+            cells.reshape(self.cards)[...] = np.add.reduce(self.probs, summed, keepdims=True)
             cells.flags.writeable = False
             self._marginals[keep] = cells
         return cells
@@ -151,18 +168,24 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     g = cd.dag
     if CARDINALITY ** g.n > STATE_SPACE_CAP:
         raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
+    if isinstance(seed, bool):  # default_rng would read True as seed 1
+        raise InvalidSeed(f"seed {seed!r} is a bool, not an int")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise InvalidSeed(f"seed {seed!r}: {exc}") from None
+    parents = [bits(g.pa[v]) for v in range(g.n)]
+    # one draw in vertex order gives each vertex the rows its own draw would
+    rows = rng.dirichlet([_DIRICHLET_ALPHA] * CARDINALITY,
+                         size=sum(CARDINALITY ** len(pa) for pa in parents))
+    rows = np.maximum(rows, _ROW_FLOOR)
+    rows /= rows.sum(axis=-1, keepdims=True)
     operands = [np.ones(()), []]  # the product of no tables is 1, also at n = 0
-    for v in range(g.n):
-        parents = [*bits(g.pa[v])]
-        rows = rng.dirichlet([_DIRICHLET_ALPHA] * CARDINALITY,
-                             size=CARDINALITY ** len(parents))
-        rows = np.maximum(rows, _ROW_FLOOR)
-        rows /= rows.sum(axis=-1, keepdims=True)
-        operands += [rows.reshape((CARDINALITY,) * (len(parents) + 1)), parents + [v]]
+    start = 0
+    for v, pa in enumerate(parents):
+        stop = start + CARDINALITY ** len(pa)
+        operands += [rows[start:stop].reshape((CARDINALITY,) * (len(pa) + 1)), [*pa, v]]
+        start = stop
     observed = sorted(cd.observed)
     marginal = np.einsum(*operands, observed)  # the latents are summed out
     return JointTable(tuple(observed), marginal.shape, marginal / marginal.sum())
@@ -180,10 +203,12 @@ def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -
     if not isinstance(triple, IndependenceTriple):
         raise GraphFormatError(f"{triple!r} is not an IndependenceTriple")
     _check_tolerance(eps)
-    a, b, c = (table._mask_of(block) for block in (triple.a, triple.b, triple.c))
-    pabc, pac, pbc, pc = (table._cells(keep) for keep in (a | b | c, a | c, b | c, c))
-    # count_nonzero is numpy's cheapest test of a whole short vector
-    if np.count_nonzero(pc) < pc.size:
+    a, b, c = table._mask_of(triple.a), table._mask_of(triple.b), table._mask_of(triple.c)
+    cells = table._cells
+    pabc, pac, pbc, pc = cells(a | b | c), cells(a | c), cells(b | c), cells(c)
+    # only a table with a zero cell has a p(c) = 0; count_nonzero is numpy's
+    # cheapest test of a whole short vector
+    if table._has_zero and np.count_nonzero(pc) < pc.size:
         given = pc > 0
         pabc, pac, pbc, pc = pabc[given], pac[given], pbc[given], pc[given]
     within = np.abs(pabc / pc - pac / pc * (pbc / pc)) <= eps

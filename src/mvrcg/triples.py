@@ -60,7 +60,8 @@ class IndependenceTriple:
         """The triple of blocks already known to be canonical, built without
         ``__post_init__``'s checks."""
         t = object.__new__(cls)
-        t.__dict__.update(a=a, b=b, c=c)
+        fields = t.__dict__
+        fields["a"], fields["b"], fields["c"] = a, b, c
         return t
 
     def masks(self) -> tuple[int, int, int]:
@@ -196,25 +197,18 @@ class IndependenceModel:
     @cached_property
     def _ordered(self) -> tuple[IndependenceTriple, ...]:
         """The triples in ``IndependenceTriple.sort_key`` order, decoded
-        once.  ``__post_init__`` checked the codes, so the triples skip
-        their own checks, and equal masks share one frozenset."""
+        once.  The codes are canonical, checked by ``__post_init__`` or
+        built so by the engine, so the triples skip their own checks, and
+        equal blocks share one frozenset."""
         n = self.n
         full = (1 << n) - 1
-        blocks: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {}
-        rows = []
-        for code in self.codes:
-            row = []
-            for mask in (code & full, code >> n & full, code >> 2 * n):
-                block = blocks.get(mask)
-                if block is None:
-                    ids = tuple(bits(mask))
-                    block = blocks[mask] = ids, frozenset(ids)
-                row.append(block)
-            rows.append(row)
-        # A block's sorted ids decide its frozenset, and codes are distinct,
-        # so the rows sort by the ids alone, as sort_key does.
-        rows.sort()
-        return tuple(IndependenceTriple._unchecked(a[1], b[1], c[1]) for a, b, c in rows)
+        # bits() lists a block's ids sorted, so the rows sort as sort_key
+        # does, and codes are distinct, so no two rows tie.
+        rows = sorted([(bits(code & full), bits(code >> n & full), bits(code >> 2 * n))
+                       for code in self.codes])
+        sets = {ids: frozenset(ids) for ids in set().union(*rows)}
+        new = IndependenceTriple._unchecked
+        return tuple([new(sets[a], sets[b], sets[c]) for a, b, c in rows])
 
     @cached_property
     def triples(self) -> frozenset[IndependenceTriple]:

@@ -18,7 +18,7 @@ from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equ
 from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model, property_seeds
-from mvrcg.separation import global_model_codes, global_model_table
+from mvrcg.separation import global_model, global_model_codes, global_model_table
 from mvrcg.sweep import (ALL_CHECKS, CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
                          run_equivalence_sweep, sweep_graphs, verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
@@ -527,7 +527,9 @@ def _spy_on_closure_kernels(monkeypatch):
     reached, with the stop lists it was given (``known``) in ``seeded``
     and the seeds it was given in ``pushed``; ``fires`` gets one counter
     per rule set built from ``elementary_rules``, the one statement of the
-    rules, counting the triples fired through it."""
+    rules, counting the triples fired through it.  A worklist builds its
+    rule set at its first fire, so one that stops before firing builds
+    none."""
     calls, fires, seeded, pushed = [], [], [], []
     rules = pyfallback.elementary_rules
 
@@ -566,16 +568,16 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     an earlier passing check's under axioms among its own are not offered
     again: here iv, ordered and p1-p4 repeat mr's one seed, and local
     lists it twice.  One proof over the model's rows shows it closed, and
-    builds no rule set: the only rule sets are the worklists'.  No
-    worklist runs to its fixpoint, so nothing is closed there, the model
-    least of all."""
+    builds no rule set; every worklist has seen its stop among its seeds,
+    so none fires and no rule set is built at all.  No worklist runs to
+    its fixpoint, so nothing is closed there, the model least of all."""
     g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
     model = global_model_codes(g)
     goal = len(elementary_codes(g.n, model))
     calls, fires, seeded, pushed = _spy_on_closure_kernels(monkeypatch)
     report = verify_graph(g, SweepConfig())
     assert report.ok and set(report.checks) == set(ALL_CHECKS)
-    assert goal and len(fires) == len(calls)
+    assert goal and fires == []
     assert len(calls) == 8 and calls[0] == ("elementary", goal, goal, "goal")
     for _, call_goal, seen, stop in calls[1:]:
         assert call_goal == goal and seen <= goal and stop in ("goal", "known")
@@ -592,7 +594,9 @@ def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
     """Over every chain graph with n <= 4 in sweep order, the closure
     checks' worklists fire 5,872 triples in all: 7,289 checks end at the
     model's elementary triples, 6,655 at a generator's seeds (a passing
-    check's, or a base of the model) and none at a fixpoint.  A change
+    check's, or a base of the model) and none at a fixpoint.  Only the
+    2,702 worklists that fire build a rule set; the other 11,242 stop
+    among their seeds.  A change
     that loses a stop, or offers fewer generators, fires more: 7,490 with
     only the first passing check's generator and the model's bases,
     12,348 with only the first passing check's, 25,187 with none."""
@@ -601,7 +605,8 @@ def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
     statuses = [c.status for i, g in enumerate(sweep_graphs(config))
                 for c in verify_graph(g, config, i).checks.values()]
     assert statuses == ["pass"] * 13_944
-    assert len(fires) == len(calls) and sum(fires) == 5_872
+    assert len(calls) == 13_944 and len(fires) == 2_702 and 0 not in fires
+    assert sum(fires) == 5_872
     stops = [stop for *_, stop in calls]
     assert {stop: stops.count(stop) for stop in ("goal", "known", None)} == {
         "goal": 7_289, "known": 6_655, None: 0}
@@ -651,7 +656,12 @@ def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
     ``find_primitive_inducing_chain`` and ``ChainDecomposition._index``,
     behind the decomposition's ``pre_mask``, ``pa_d_mask`` and
     ``nd_d_mask``, each check their arguments again, and none is called
-    while every chain graph with n <= 3 is verified."""
+    while every chain graph with n <= 3 is verified, nor while its model
+    is built by ``global_model`` and read triple by triple, in the order
+    a checked model of the same codes gives."""
+    graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
+    assert len(graphs) == 55
+    checked = [list(IndependenceModel.from_codes(g.n, global_model_codes(g))) for g in graphs]
     calls = {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0, "_index": 0}
 
     def counting(owner, name):
@@ -667,9 +677,8 @@ def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):
     counting(IndependenceModel, "__post_init__")
     counting(structure, "find_primitive_inducing_chain")
     counting(ChainDecomposition, "_index")
-    graphs = [g for n in range(1, 4) for g in enumerate_mvr_cgs(n)]
-    assert len(graphs) == 55
     assert all(verify_graph(g, SweepConfig()).ok for g in graphs)
+    assert [list(global_model(g)) for g in graphs] == checked
     assert calls == {"adjacent": 0, "__post_init__": 0, "find_primitive_inducing_chain": 0,
                      "_index": 0}
     # the spies do count: the public entry points still check
@@ -685,7 +694,8 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     """A closure check whose elementary worklist falls short of the model's
     elementary triples has run that worklist to its fixpoint, and the
     closure listed from it is the check's answer: no second closure
-    runs."""
+    runs.  With no seeds the worklist has nothing to fire, so it builds
+    no rule set."""
     def mr_empty(g, kind, dec=None):
         return [] if kind == "mr" else property_seeds(g, kind, dec)
 
@@ -695,7 +705,7 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     calls, fires, seeded, _ = _spy_on_closure_kernels(monkeypatch)
     outcome = verify_graph(g, SweepConfig(checks=("closure_mr",))).checks["closure_mr"]
     assert (outcome.status, outcome.witness) == ("fail", "0 _||_ 2 only in second model")
-    assert len(fires) == len(calls)
+    assert fires == []
     assert calls == [("elementary", goal, 0, None)] and seeded == [[]]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import warnings
@@ -11,7 +12,7 @@ from mvrcg import (IndependenceTriple, JointTable, MixedGraph, canonical_dag,
                    ci_holds, factorize_component_dag, factorize_mvr, global_model,
                    head_partition, sample_latent_dag_distribution,
                    validate_chain_graph, verify_factorization)
-from mvrcg.enumeration import random_mvr_cg
+from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cg, random_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, GraphFormatError
 from mvrcg.factorization import Factorization, HeadTail
 
@@ -205,6 +206,30 @@ def test_sampler_deterministic():
     assert np.array_equal(t1.probs, t2.probs)
     t3 = sample_latent_dag_distribution(cd, seed=6)
     assert not np.array_equal(t1.probs, t3.probs)
+
+
+def test_numeric_oracle_matches_pinned_digest():
+    """sha1 of the sampled tables' bytes, ``ci_holds`` at eps 1e-9 and at 0
+    on every triple of M, and both ``verify_factorization`` verdicts, over
+    every chain graph with n <= 3 and 20 random six-vertex graphs (seed 6),
+    with distribution seeds 0 and 1 each.  At eps 0 a verdict turns on the
+    last bit of every float, so the digest pins the arithmetic, not only
+    the answers."""
+    h = hashlib.sha1()
+    graphs = [g for n in range(4) for g in enumerate_mvr_cgs(n)]
+    graphs += random_mvr_cgs(6, 20, seed=6)
+    for g in graphs:
+        dec = validate_chain_graph(g)
+        cd = canonical_dag(g)
+        model = list(global_model(g))
+        forms = factorize_mvr(g, dec), factorize_component_dag(g, dec)
+        for seed in (0, 1):
+            table = sample_latent_dag_distribution(cd, seed)
+            h.update(f"{table.variables}{table.cards}".encode() + table.probs.tobytes())
+            h.update(bytes(ci_holds(table, t, eps) for t in model for eps in (1e-9, 0)))
+            h.update(bytes(verify_factorization(table, f) for f in forms))
+    assert len(graphs) == 76
+    assert h.hexdigest() == "43bd478ee7dfc1cf54c93def238f559f1ca5f72e"
 
 
 def test_sampler_single_free_parameter():

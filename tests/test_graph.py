@@ -221,6 +221,8 @@ TYPED_ERROR_CALLS = {
                            lambda: validate_chain_graph(_COLLIDER).pst_mask(3)),
     "sample_negative_seed": (InvalidSeed, lambda: sample_latent_dag_distribution(
         canonical_dag(_COLLIDER), -1)),
+    "sample_bool_seed": (InvalidSeed, lambda: sample_latent_dag_distribution(
+        canonical_dag(_COLLIDER), True)),
     "parents_float_id": (GraphFormatError, lambda: MixedGraph(3).parents(1.5)),
     "m_separated_float_id": (GraphFormatError, lambda: m_separated(_COLLIDER, [0], [1.0])),
     "relatives_float_id": (GraphFormatError, lambda: relatives(_COLLIDER, 1.0)),
