@@ -270,12 +270,12 @@ def _resume_index(path: str, key: str, out: str | None) -> int:
         return 0
     except ValueError as exc:  # malformed JSON or text encoding
         raise GraphError(f"cursor {path} is not valid JSON: {exc}") from None
-    if not isinstance(state, dict) or not isinstance(state.get("next"), int):
-        raise GraphError(f"cursor {path} has no integer 'next' entry")
+    start = state.get("next") if isinstance(state, dict) else None
+    if type(start) is not int or start < 0:  # bool is a subclass of int
+        raise GraphError(f"cursor {path} has no nonnegative integer 'next' entry")
     if state.get("config") != key:
         raise GraphError(f"cursor {path} belongs to another sweep configuration "
                          "or backend; delete it to start afresh")
-    start = state["next"]
     if out and _last_report_index(out) == start:
         start += 1
     return start

@@ -94,6 +94,21 @@ class MixedGraph:
         self.full_mask = (1 << n) - 1
         self._hash = hash((n, self.directed, self.bidirected))
 
+    @classmethod
+    def _unchecked(cls, labels, source_ids, directed, bidirected, pa, ch, nb,
+                   adj) -> "MixedGraph":
+        """The graph of edge sets and masks already known to agree and to
+        join each pair at most once, built without ``__init__``'s checks;
+        ``labels`` and ``source_ids`` are tuples, one entry per vertex."""
+        g = object.__new__(cls)
+        n = g.n = len(labels)
+        g.labels, g.source_ids = labels, source_ids
+        g.directed, g.bidirected = directed, bidirected
+        g.pa, g.ch, g.nb, g.adj = pa, ch, nb, adj
+        g.full_mask = (1 << n) - 1
+        g._hash = hash((n, directed, bidirected))
+        return g
+
     # --- basic queries -------------------------------------------------
 
     def vertices(self) -> range:

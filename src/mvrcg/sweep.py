@@ -33,6 +33,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterator, Optional
 
 from ._bitset import bits
@@ -201,20 +202,23 @@ class VerificationReport:
         return all(c.status not in ("fail", "error") for c in self.checks.values())
 
     def to_json(self) -> str:
-        return json.dumps({
-            "index": self.index,
-            "n": self.n,
-            "hash": self.graph_hash,
-            "directed": self.directed,
-            "bidirected": self.bidirected,
-            "ok": self.ok,
-            "checks": {
-                name: {"status": c.status,
-                       **({"witness": c.witness} if c.witness else {}),
-                       "ms": round(c.ms, 3)}
-                for name, c in self.checks.items()
-            },
-        }, sort_keys=True)
+        """``json.dumps`` of the report's dict with ``sort_keys=True``,
+        written from its parts: keys are emitted in sorted order, strings
+        go through json's own ASCII escaper and ``ms`` through
+        ``repr(round(ms, 3))``, as json's encoder writes them."""
+        checks = ", ".join([
+            f'{_encode(name)}: {{"ms": {round(c.ms, 3)!r}, "status": {_encode(c.status)}'
+            + (f', "witness": {_encode(c.witness)}}}' if c.witness else "}")
+            for name, c in sorted(self.checks.items())])
+        return (f'{{"bidirected": {_edges_json(self.bidirected)}, "checks": {{{checks}}}, '
+                f'"directed": {_edges_json(self.directed)}, "hash": {_encode(self.graph_hash)}, '
+                f'"index": {self.index}, "n": {self.n}, '
+                f'"ok": {"true" if self.ok else "false"}}}')
+
+
+def _edges_json(edges) -> str:
+    """An edge list as json writes a list of vertex-id pairs."""
+    return "[" + ", ".join([f"[{a}, {b}]" for a, b in edges]) + "]"
 
 
 def config_hash(config: SweepConfig) -> str:
@@ -273,10 +277,12 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
 def run_equivalence_sweep(config: SweepConfig,
                           start_index: int = 0) -> Iterator[VerificationReport]:
     """Reports in deterministic graph order, optionally resuming after
-    ``start_index - 1``."""
-    # A malformed MVRCG_MAX_N or a max_n beyond exhaustive enumeration is
-    # not a property of any graph: raise it on the call, before any work,
-    # instead of failing every graph with it or after hours of output.
+    ``start_index - 1``, a nonnegative int."""
+    # A malformed MVRCG_MAX_N or start_index, or a max_n beyond exhaustive
+    # enumeration, is not a property of any graph: raise it on the call,
+    # before any work, instead of failing every graph with it or after
+    # hours of output.
+    check_count("start_index", start_index)
     model_cap()
     if config.max_n > ENUMERATION_CAP:
         raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")

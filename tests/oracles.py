@@ -9,6 +9,7 @@ elementary rules.  Slow on purpose; only run at desk scale.
 from __future__ import annotations
 
 from itertools import chain, combinations, permutations, product
+from math import comb
 
 
 def powerset(iterable):
@@ -63,6 +64,59 @@ def oracle_is_chain_graph(n, directed, bidirected):
                     seen.add(nxt)
                     stack.append(nxt)
     return True
+
+
+def oracle_enumerate(n, states):
+    """``(directed, bidirected)`` edge lists of every chain graph on ``n``
+    vertices whose pair states, 0 (none), 1 (->), 2 (<-) or 3 (<->), come
+    from ``states``: every assignment in ``product`` order, each kept when
+    ``oracle_is_chain_graph`` accepts it."""
+    pairs = list(combinations(range(n), 2))
+    for assignment in product(states, repeat=len(pairs)):
+        directed = [(u, v) if s == 1 else (v, u)
+                    for (u, v), s in zip(pairs, assignment) if s in (1, 2)]
+        bidirected = [p for p, s in zip(pairs, assignment) if s == 3]
+        if oracle_is_chain_graph(n, directed, bidirected):
+            yield directed, bidirected
+
+
+def _signed_bidirected_graphs(t):
+    """s(t): the sum of (-1)**(c(H) + 1) over the bidirected graphs H on
+    ``t`` labeled vertices, c(H) their component counts, by listing them."""
+    pairs = list(combinations(range(t), 2))
+    total = 0
+    for edges in powerset(pairs):
+        comp = list(range(t))
+        for u, v in edges:
+            cu, cv = comp[u], comp[v]
+            comp = [cu if c == cv else c for c in comp]
+        total += (-1) ** (len(set(comp)) + 1)
+    return total
+
+
+def count_labeled_mvr_cgs(n):
+    """Labeled chain graphs on ``n`` vertices by the recursion
+    f(n) = sum over t of C(n, t) s(t) 2**(t(n - t)) f(n - t), f(0) = 1:
+    inclusion-exclusion over the t vertices of a union of chain components
+    without children, their bidirected graph H signed by c(H) as in s(t);
+    each of the t(n - t) pairs between them and the rest is empty or
+    points into them.  This extends Robinson's DAG recursion below."""
+    signs = [None] + [_signed_bidirected_graphs(t) for t in range(1, n + 1)]
+    f = [1]
+    for m in range(1, n + 1):
+        f.append(sum(comb(m, t) * signs[t] * 2 ** (t * (m - t)) * f[m - t]
+                     for t in range(1, m + 1)))
+    return f[n]
+
+
+def count_labeled_dags(n):
+    """Labeled DAGs on ``n`` vertices by Robinson's recursion (1973),
+    a(n) = sum over k of (-1)**(k + 1) C(n, k) 2**(k(n - k)) a(n - k)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum((-1) ** (k + 1) * comb(m, k) * 2 ** (k * (m - k)) * a[m - k]
+                     for k in range(1, m + 1)))
+    return a[n]
 
 
 def oracle_partially_directed_cycles(n, directed, bidirected):

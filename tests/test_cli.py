@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -19,11 +20,12 @@ from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model, property_seeds
 from mvrcg.separation import global_model, global_model_codes, global_model_table
-from mvrcg.sweep import (ALL_CHECKS, CHECKS, PROPERTY_AXIOMS, SweepConfig, config_hash,
-                         run_equivalence_sweep, sweep_graphs, verify_graph)
+from mvrcg.sweep import (ALL_CHECKS, CHECKS, PROPERTY_AXIOMS, CheckOutcome, SweepConfig,
+                         VerificationReport, config_hash, run_equivalence_sweep, sweep_graphs,
+                         verify_graph)
 from mvrcg.triples import IndependenceModel, IndependenceTriple, decode_triple, first_difference
 
-from oracles import elementary_codes, one_pair_changes
+from oracles import elementary_codes, one_pair_changes, oracle_enumerate
 
 
 @pytest.fixture()
@@ -392,6 +394,19 @@ def test_sweep_resume_cuts_a_torn_last_line(capsys, tmp_path):
     assert out_file.read_text().endswith("\n")
     assert ([_untimed(line) for line in out_file.read_text().splitlines()]
             == [_untimed(line) for line in lines])
+
+
+@pytest.mark.parametrize("start", [True, -1])
+def test_sweep_refuses_a_cursor_next_that_is_no_graph_index(capsys, tmp_path, start):
+    """A ``next`` of true would skip graph 0 and -1 would be read as 0:
+    the cursor is refused before any graph, though its config matches."""
+    cursor = tmp_path / "cursor.json"
+    text = json.dumps({"config": config_hash(SweepConfig(max_n=2)), "next": start})
+    cursor.write_text(text)
+    code, out, err = run(capsys, "sweep", "--max-n", "2", "--cursor", str(cursor))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: GraphError: cursor {cursor} has no nonnegative integer")
+    assert cursor.read_text() == text
 
 
 def test_sweep_refuses_cursor_of_another_config(capsys, tmp_path):
@@ -914,6 +929,55 @@ def test_sweep_verdicts_match_pinned_digest():
             h.update(line.encode())
     assert count == 1803
     assert h.hexdigest() == "c2f95e1207a7571e66813b13ec68e75d715aa59a"
+
+
+def _dumped(report):
+    """The report as ``json.dumps`` writes its dict with sorted keys."""
+    return json.dumps({
+        "index": report.index,
+        "n": report.n,
+        "hash": report.graph_hash,
+        "directed": report.directed,
+        "bidirected": report.bidirected,
+        "ok": report.ok,
+        "checks": {name: {"status": c.status, **({"witness": c.witness} if c.witness else {}),
+                          "ms": round(c.ms, 3)}
+                   for name, c in report.checks.items()},
+    }, sort_keys=True)
+
+
+def test_report_json_is_the_dumped_dict_byte_for_byte():
+    reports = list(run_equivalence_sweep(SweepConfig(max_n=4)))
+    assert len(reports) == 1743
+    witnesses = ['a "quoted" \\ path', "two\nlines", "naïve ∅ → ☃", "", None]
+    for i, witness in enumerate(witnesses):
+        reports.append(VerificationReport(i, 3, "0123abcd", [(0, 2), (1, 2)], [(0, 1)], {
+            "maximal": CheckOutcome("fail", witness, 12345.67891),
+            "ancestral": CheckOutcome("error", "CapExceeded: n", 1e-05),
+            "closure_p1": CheckOutcome("pass"),
+        }))
+    reports.append(VerificationReport(9, 0, "e", [], []))
+    for report in reports:
+        assert report.to_json() == _dumped(report)
+
+
+@pytest.fixture(scope="module")
+def oracle_sweep_graphs():
+    """The n <= 4 sweep's graphs as the rejection oracle lists them."""
+    return [MixedGraph(n, d, b) for n in range(1, 5) for d, b in oracle_enumerate(n, range(4))]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 5, 54, 55, 1742, 1743])
+def test_sweep_resumes_on_either_side_of_a_size_boundary(k, oracle_sweep_graphs):
+    """n = 1..4 has 1, 4, 50 and 1,688 graphs: resumed at k, the sweep's
+    first reports are those of the oracle's graphs k and k + 1."""
+    config = SweepConfig(max_n=4)
+    got = list(islice(run_equivalence_sweep(config, start_index=k), 2))
+    expected = [verify_graph(g, config, i)
+                for i, g in islice(enumerate(oracle_sweep_graphs), k, k + 2)]
+    assert len(got) == {1742: 1, 1743: 0}.get(k, 2)
+    assert ([_untimed(r.to_json()) for r in got]
+            == [_untimed(r.to_json()) for r in expected])
 
 
 def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):

@@ -1,14 +1,13 @@
 import hashlib
 import random
-from itertools import combinations, product
 
 import pytest
 
-from mvrcg import is_chain_graph, random_mvr_cg
+from mvrcg import MixedGraph, is_chain_graph, random_mvr_cg
 from mvrcg.enumeration import enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded
 
-from oracles import oracle_is_chain_graph
+from oracles import count_labeled_dags, count_labeled_mvr_cgs, oracle_enumerate
 
 
 def test_counts_tiny():
@@ -19,22 +18,46 @@ def test_counts_tiny():
 def test_count_n3_matches_brute_force():
     # independent count: all 4**3 pair-state assignments, rejection by the
     # edge-list cycle oracle
-    pairs = list(combinations(range(3), 2))
-    expected = 0
-    for states in product(range(4), repeat=3):
-        directed = []
-        bidirected = []
-        for (u, v), s in zip(pairs, states):
-            if s == 1:
-                directed.append((u, v))
-            elif s == 2:
-                directed.append((v, u))
-            elif s == 3:
-                bidirected.append((u, v))
-        expected += oracle_is_chain_graph(3, directed, bidirected)
+    expected = sum(1 for _ in oracle_enumerate(3, range(4)))
     got = list(enumerate_mvr_cgs(3))
     assert len(got) == expected == 50
     assert len(set(got)) == len(got)  # no duplicates
+
+
+@pytest.mark.parametrize("enumerate_graphs, count, at_five", [
+    (enumerate_mvr_cgs, count_labeled_mvr_cgs, 142624),
+    (enumerate_dags, count_labeled_dags, 29281),
+], ids=["mvr_cgs", "dags"])
+def test_enumeration_counts_match_the_recursions(enumerate_graphs, count, at_five):
+    got = [sum(1 for _ in enumerate_graphs(n)) for n in range(6)]
+    assert got == [count(n) for n in range(6)]
+    assert got[5] == at_five
+
+
+@pytest.mark.parametrize("enumerate_graphs, states", [
+    (enumerate_mvr_cgs, range(4)),
+    (enumerate_dags, range(3)),
+], ids=["mvr_cgs", "dags"])
+def test_enumeration_sequences_match_the_rejection_oracle(enumerate_graphs, states):
+    """The pruned search yields the graphs that filtering ``product``
+    keeps, in the same order."""
+    for n in range(5):
+        got = [(sorted(g.directed), sorted(g.bidirected)) for g in enumerate_graphs(n)]
+        assert got == [(sorted(d), b) for d, b in oracle_enumerate(n, states)]
+
+
+@pytest.mark.parametrize("enumerate_graphs", [enumerate_mvr_cgs, enumerate_dags],
+                         ids=["mvr_cgs", "dags"])
+def test_enumerated_graphs_equal_the_constructed_ones(enumerate_graphs):
+    """Graphs built from the search's masks hold what ``MixedGraph``
+    builds from their edge lists, field by field."""
+    fields = ("n", "labels", "source_ids", "directed", "bidirected", "pa", "ch", "nb", "adj",
+              "full_mask")
+    for n in range(5):
+        for g in enumerate_graphs(n):
+            built = MixedGraph(n, g.directed, g.bidirected)
+            assert [getattr(g, f) for f in fields] == [getattr(built, f) for f in fields]
+            assert (hash(g), g.to_text()) == (hash(built), built.to_text())
 
 
 def test_enumerated_graphs_are_chain_graphs():

@@ -14,7 +14,7 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
                                random_mvr_cg, random_mvr_cgs)
 from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
                           InvalidSeed, ModelFormatError, NotAComponent, UnknownName)
-from mvrcg.sweep import SweepConfig
+from mvrcg.sweep import SweepConfig, run_equivalence_sweep
 
 from oracles import oracle_ancestors
 
@@ -237,6 +237,10 @@ TYPED_ERROR_CALLS = {
     "sweep_config_negative_random_n": (GraphFormatError, lambda: SweepConfig(random_n=-1)),
     "inducing_chain_same_vertex": (DisjointnessViolation,
                                    lambda: find_primitive_inducing_chain(MixedGraph(2), 1, 1)),
+    "sweep_bool_start_index": (GraphFormatError, lambda: run_equivalence_sweep(
+        SweepConfig(max_n=2), start_index=True)),
+    "sweep_float_start_index": (GraphFormatError, lambda: run_equivalence_sweep(
+        SweepConfig(max_n=2), start_index=1.5)),
     "sweep_config_none_seed": (GraphFormatError, lambda: SweepConfig(seed=None)),
     "sweep_config_list_seed": (GraphFormatError, lambda: SweepConfig(seed=[1])),
     "sweep_config_bool_seed": (GraphFormatError, lambda: SweepConfig(seed=True)),
