@@ -7,8 +7,8 @@ generators to verify the lot mechanically.
 """
 
 from ._kernels.pyfallback import BACKEND
-from .chain import (ChainDecomposition, is_chain_graph, pre_of_component,
-                    validate_chain_graph)
+from .chain import (ChainDecomposition, Relatives, is_chain_graph, pre_of_component,
+                    relatives, validate_chain_graph)
 from .closure import AxiomSet, CheckResult, close, equivalent_under, satisfies
 from .distributions import (JointTable, ci_holds, sample_latent_dag_distribution,
                             verify_factorization)
@@ -16,8 +16,8 @@ from .enumeration import (enumerate_dags, enumerate_mvr_cgs, random_mvr_cg,
                           random_mvr_cgs)
 from .factorization import (Factorization, HeadTail, barren, factorize_component_dag,
                             factorize_mvr, head_partition, heads)
-from .graph import (MixedGraph, Relatives, UndirectedGraph, ancestors, anteriors,
-                    district_of, districts, induced_subgraph, relatives)
+from .graph import (MixedGraph, UndirectedGraph, ancestors, anteriors, district_of,
+                    districts, induced_subgraph)
 from .intervention import intervene
 from .properties import (alt_local_triples, markov_blanket, mr_triples,
                          ordered_local_triples, pairwise_triples, type_iv_triples)

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from ._bitset import bits, mask_of, set_of
 from .errors import GraphFormatError, NotAComponent, PartiallyDirectedCycle
-from .graph import (MixedGraph, _as_mask, _vertex, district_masks, reach_mask, shortest_path,
-                    topological_order)
+from .graph import (MixedGraph, _as_mask, _vertex, descendants_mask, district_masks,
+                    district_of, reach_mask, shortest_path, topological_order)
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,15 @@ class ChainDecomposition:
                      for reach in reaches)
 
 
+def _decomposition_of(g: MixedGraph, dec: ChainDecomposition) -> ChainDecomposition:
+    """``dec``, once checked to be a chain decomposition of ``g``, else
+    ``GraphFormatError``.  The sweep passes the one it has just built from
+    ``g``, so there the check is one ``is``."""
+    if not isinstance(dec, ChainDecomposition) or not (dec.graph is g or dec.graph == g):
+        raise GraphFormatError("the chain decomposition is not the graph's")
+    return dec
+
+
 def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
     """Union of all components strictly after the given one (the
     potential explanatory variables of its members).  ``component`` may
@@ -216,3 +226,36 @@ def _cycle_witness(g: MixedGraph) -> list[int]:
         path = shortest_path(semi, h, t)
         if path is not None:
             return [t] + path
+
+
+@dataclass(frozen=True)
+class Relatives:
+    """The standard vertex neighbourhood sets of one vertex."""
+
+    pa: frozenset[int]
+    nb: frozenset[int]
+    bd: frozenset[int]
+    de: frozenset[int]
+    nd: frozenset[int]
+    pst: Optional[frozenset[int]]
+    dis: frozenset[int]
+
+
+def relatives(g: MixedGraph, v: int, dec: Optional[ChainDecomposition] = None) -> Relatives:
+    """Parents, bidirected neighbours, boundary, descendants (reflexive),
+    non-descendants, past and district of ``v``.
+
+    ``pst`` needs a chain decomposition (everything in components ordered
+    after the one containing ``v``) and is None when ``dec`` is omitted;
+    ``dec`` must be ``g``'s.
+    """
+    de = descendants_mask(g, 1 << _vertex(g, v))
+    return Relatives(
+        pa=set_of(g.pa[v]),
+        nb=set_of(g.nb[v]),
+        bd=set_of(g.pa[v] | g.nb[v]),
+        de=set_of(de),
+        nd=set_of(g.full_mask & ~de & ~(1 << v)),
+        pst=None if dec is None else _decomposition_of(g, dec).pst(v),
+        dis=district_of(g, v),
+    )

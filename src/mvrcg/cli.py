@@ -15,7 +15,7 @@ import sys
 from collections import deque
 
 from .chain import validate_chain_graph
-from .closure import AxiomSet, close
+from .closure import AXIOM_SETS, AxiomSet, close
 from .distributions import (_check_tolerance, ci_holds, sample_latent_dag_distribution,
                             verify_factorization)
 from .errors import GraphError, GraphFormatError, ModelFormatError, PartiallyDirectedCycle
@@ -363,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("closure", cmd_closure, help="close a triple set under axioms")
     p.add_argument("--in", required=True)
-    p.add_argument("--axioms", choices=("sg", "g", "csg", "cg"), default="sg")
+    p.add_argument("--axioms", choices=tuple(AXIOM_SETS), default="sg")
     p.add_argument("--out")
 
     p = add("equiv", cmd_equiv, help="closure equivalence of two triple sets")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--axioms", choices=("sg", "g", "csg", "cg"), default="sg")
+    p.add_argument("--axioms", choices=tuple(AXIOM_SETS), default="sg")
 
     p = add("factorize", cmd_factorize, help="factorization of a graph")
     p.add_argument("--graph", required=True)

@@ -28,27 +28,27 @@ codes.  ``close_codes`` runs the worklist to its fixpoint, and
 ``semi_graphoid_codes`` lists cl(P) from it by the chain rule.
 
 ``seeds_gap`` decides cl(P) == M for a pairwise model M given by its
-elementary table alone, without listing M, from P's chain triples;
-``closure_gap`` is the same for P's codes.  ``closed_target`` shows M a
-compositional graphoid by reading its rows, T[i, K] for the j with
-<i, j | K> in M, without firing a rule: M is closed under sg and
-composition exactly when every <i, j | K> in it has T[i, K ∪ j] ==
-T[i, K] − {j}, and then under intersection too exactly when no row
-T[i, L] misses two vertices j and k that T[i, L ∪ k] and T[i, L ∪ j]
-hold in turn.  Then, by the chain rule again, P lies in M exactly when
-P's chain triples are in the table, and cl(P) lies in M whenever P
-does, so the worklist stops as soon as it has seen all of M's
+elementary table alone, without listing M, from P's chain triples.
+``closed_target`` shows M a compositional graphoid by reading its rows,
+T[i, K] for the j with <i, j | K> in M, without firing a rule: M is
+closed under sg and composition exactly when every <i, j | K> in it has
+T[i, K ∪ j] == T[i, K] − {j}, and then under intersection too exactly
+when no row T[i, L] misses two vertices j and k that T[i, L ∪ k] and
+T[i, L ∪ j] hold in turn.  Then, by the chain rule again, P lies in M
+exactly when P's chain triples are in the table, and cl(P) lies in M
+whenever P does, so the worklist stops as soon as it has seen all of M's
 elementary triples: cl(P) is M.  A ``Generator`` G of M gives the
 worklist an earlier stop: once it has seen G's triples, cl(P) holds the
 closure of G, which is M.  G is either the chain triples of statements
 that an earlier call showed to close to M under its axioms, any number
-of them, or one of the two bases ``closed_target`` reads off M's rows
-by the same identity: the composition base, which generates M under
-csg, and the intersection base, which generates it under g.  G serves only behind
-the first stop's condition, P in the closed M, since a cl(P) larger
-than M may hold G's triples too; and only a closure under at least G's
-axioms, since under fewer, G's triples need not close to M.  Otherwise
-the worklist reaches its fixpoint, and cl(P) is listed from it.
+of them, or one of the two bases ``closed_target`` reads off M's rows by
+the same identity: the composition base, which generates M under csg,
+and the intersection base, which generates it under g.  G serves only
+behind the first stop's condition, P in the closed M, since a cl(P)
+larger than M may hold G's triples too; and only a closure under at
+least G's axioms, since under fewer, G's triples need not close to M.
+Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
+it.
 
 Triples are encoded as the kernel's codes ``a | b << n | c << 2n``, the
 three vertex masks side by side.  The ground set is capped
@@ -63,11 +63,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._kernels import pyfallback
-from ._kernels.pyfallback import (COMPOSITION, INTERSECTION, chain_seeds, elementary_closure,
-                                  semi_graphoid_codes)
+from ._kernels.pyfallback import COMPOSITION, INTERSECTION, elementary_closure, semi_graphoid_codes
 from .config import check_cap, model_cap
-from .errors import UnknownName
-from .triples import IndependenceModel, _ground_set, first_difference
+from .errors import GraphFormatError, UnknownName
+from .triples import IndependenceModel, _check_model, _ground_set, first_difference
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,10 @@ class AxiomSet:
 
     intersection: bool = False
     composition: bool = False
+
+    def __post_init__(self):
+        if type(self.intersection) is not bool or type(self.composition) is not bool:
+            raise GraphFormatError(f"axiom flags must be bools, got {self!r}")
 
     def flags(self) -> int:
         return INTERSECTION * self.intersection | COMPOSITION * self.composition
@@ -99,15 +102,26 @@ class AxiomSet:
 
     @classmethod
     def parse(cls, name: str) -> "AxiomSet":
-        table = {
-            "sg": cls.semi_graphoid,
-            "g": cls.graphoid,
-            "csg": cls.compositional_semi_graphoid,
-            "cg": cls.compositional_graphoid,
-        }
-        if name not in table:
-            raise UnknownName(f"unknown axiom set {name!r}; expected sg|g|csg|cg")
-        return table[name]()
+        """The axiom set ``AXIOM_SETS`` names ``name``."""
+        axioms = AXIOM_SETS.get(name) if isinstance(name, str) else None
+        if axioms is None:
+            raise UnknownName(f"unknown axiom set {name!r}; expected {'|'.join(AXIOM_SETS)}")
+        return axioms
+
+
+AXIOM_SETS = {
+    "sg": AxiomSet.semi_graphoid(),
+    "g": AxiomSet.graphoid(),
+    "csg": AxiomSet.compositional_semi_graphoid(),
+    "cg": AxiomSet.compositional_graphoid(),
+}
+
+
+def _flags(axioms: AxiomSet) -> int:
+    """The flags of ``axioms``, once checked to be an ``AxiomSet``."""
+    if not isinstance(axioms, AxiomSet):
+        raise GraphFormatError(f"{axioms!r} is not an AxiomSet")
+    return axioms.flags()
 
 
 @dataclass(frozen=True)
@@ -123,16 +137,16 @@ def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
     """cl(P) of P = ``codes`` under ``axioms``, as sorted codes: the
     elementary worklist to its fixpoint, listed by the chain rule."""
     check_cap(n, model_cap())
-    return pyfallback.close_codes(n, codes, axioms.flags())
+    return pyfallback.close_codes(n, codes, _flags(axioms))
 
 
 class Generator(NamedTuple):
     """Elementary triples G shown to generate the model M under the axioms
     ``flags``, as ``seeds``: ``(x << n | K, 1 << y)`` each, as
     ``mask_seeds`` and ``chain_seeds`` give them.  Either the chain
-    triples of statements for which a ``seeds_gap`` or ``closure_gap``
-    against M's target returned None, or one of the two bases
-    ``closed_target`` reads off M's rows."""
+    triples of statements for which a ``seeds_gap`` against M's target
+    returned None, or one of the two bases ``closed_target`` reads off
+    M's rows."""
 
     flags: int
     seeds: list[tuple[int, int]]
@@ -148,12 +162,6 @@ class Target(NamedTuple):
     generators: tuple[Generator, ...]
 
 
-def generator(n: int, codes, axioms: AxiomSet) -> Generator:
-    """``codes`` as a generator of M under ``axioms``, for the caller that
-    has just seen ``closure_gap`` return None for them."""
-    return Generator(axioms.flags(), chain_seeds(n, codes))
-
-
 def add_generator(known: list, gen: Generator) -> None:
     """Append ``gen`` to the generators ``known`` unless one of them holds
     the same seeds under axioms among gen's: that one is offered wherever
@@ -161,15 +169,6 @@ def add_generator(known: list, gen: Generator) -> None:
     flags, seeds = gen
     if not any(old.seeds == seeds and not old.flags & ~flags for old in known):
         known.append(gen)
-
-
-def closure_gap(n: int, codes, axioms: AxiomSet, target: Optional[Target],
-                known: Optional[Generator] = None) -> Optional[list[int]]:
-    """None when cl(P) of P = ``codes`` under ``axioms`` is shown to be
-    the model M; otherwise cl(P) as sorted codes, for the caller to
-    compare with M: ``seeds_gap`` of the codes' chain seeds, offered the
-    ``known`` generator, if any."""
-    return seeds_gap(n, chain_seeds(n, codes), axioms, target, () if known is None else (known,))
 
 
 def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
@@ -194,7 +193,8 @@ def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
     fewer G's seeds need not close to M.  So the composition base serves
     the csg and cg checks, the intersection base the g and cg checks.
     Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
-    it.  M's table was built under the cap, so this does not check it.
+    it.  This is the sweep's path, whose M was built under the cap and
+    whose axioms are ``AxiomSet``s, so it checks neither.
     """
     flags = axioms.flags()
     goal, stops = None, ()
@@ -209,7 +209,7 @@ def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:
     """Least superset of ``model`` closed under the enabled axioms."""
-    out = close_codes(model.n, model.to_codes(), axioms)
+    out = close_codes(_check_model(model).n, model.to_codes(), axioms)
     return IndependenceModel.from_codes(model.n, out)
 
 
@@ -223,7 +223,7 @@ def satisfies(model: IndependenceModel, axioms: AxiomSet) -> CheckResult:
     """Whether the model is already closed, that is cl(M) == M; if not,
     the witness is the first triple of cl(M) outside M, in the order
     ``first_difference`` reports."""
-    codes = model.to_codes()
+    codes = _check_model(model).to_codes()
     closed = close_codes(model.n, codes, axioms)
     if closed == codes:
         return CheckResult(True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._bitset import bits, format_vertices, set_of
-from .chain import ChainDecomposition
+from .chain import ChainDecomposition, _decomposition_of
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import DisjointnessViolation, HeadTestFailed, NotAncestrallyClosed
 from .graph import (MixedGraph, _as_mask, _within_mask, ancestors_mask, descendants_mask,
@@ -157,13 +157,14 @@ def factorize_mvr(g: MixedGraph, dec: ChainDecomposition) -> Factorization:
     parents.  Coincides with :func:`head_partition` of the full vertex
     set; the test suite asserts that identity."""
     factors = tuple(HeadTail(set_of(tmask), set_of(parents_of_set(g, tmask)))
-                    for tmask in dec.component_masks)
+                    for tmask in _decomposition_of(g, dec).component_masks)
     return Factorization(factors, set_of(g.full_mask))
 
 
 def factorize_component_dag(g: MixedGraph, dec: ChainDecomposition) -> Factorization:
     """One factor per chain component, conditioned on the union of its
     full parent components."""
+    dec = _decomposition_of(g, dec)
     factors = tuple(HeadTail(set_of(tmask), set_of(pa_d))
                     for tmask, pa_d in zip(dec.component_masks, dec.pa_d_masks))
     return Factorization(factors, set_of(g.full_mask))

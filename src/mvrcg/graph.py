@@ -13,6 +13,8 @@ Text format, one item per line (``#`` starts a comment)::
     <a> <-> <b>
 
 Vertices must be declared before use; declaration order fixes the ids.
+A label is a nonempty string free of whitespace and ``#``, so that
+``to_text`` always reads back; ``vertex`` and the arrows are labels too.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ class MixedGraph:
         if labels is None:
             labels = tuple(str(v) for v in range(n))
         else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise GraphFormatError(f"expected {n} labels, got {len(labels)}")
+            labels = _items(labels, n, "labels")
+            for label in labels:  # each reads back from to_text as one token
+                if not isinstance(label, str) or label.split() != [label] or "#" in label:
+                    raise GraphFormatError(f"vertex label {label!r} is not a nonempty string "
+                                           f"free of whitespace and '#'")
             if len(set(labels)) != n:
                 raise GraphFormatError("duplicate vertex labels")
         self.labels = labels
-        self.source_ids = tuple(source_ids) if source_ids is not None else tuple(range(n))
+        self.source_ids = _items(range(n) if source_ids is None else source_ids, n, "source ids")
 
         pa = [0] * n
         ch = [0] * n
@@ -73,6 +77,11 @@ class MixedGraph:
             seen_pairs.add(pair)
             return pair
 
+        try:
+            directed = [(t, h) for t, h in directed]
+            bidirected = [(u, v) for u, v in bidirected]
+        except (TypeError, ValueError):
+            raise GraphFormatError("edges must be given as pairs of vertex ids") from None
         dir_edges = set()
         for t, h in directed:
             claim(t, h)
@@ -176,15 +185,8 @@ class MixedGraph:
             if not line:
                 continue
             tokens = line.split()
-            if tokens[0] == "vertex":
-                if len(tokens) != 2:
-                    raise GraphFormatError(f"line {lineno}: expected 'vertex <label>'")
-                label = tokens[1]
-                if label in index:
-                    raise GraphFormatError(f"line {lineno}: duplicate vertex {label!r}")
-                index[label] = len(labels)
-                labels.append(label)
-            elif len(tokens) == 3 and tokens[1] in (DIRECTED, BIDIRECTED):
+            # An edge line first: a vertex may be labelled "vertex".
+            if len(tokens) == 3 and tokens[1] in (DIRECTED, BIDIRECTED):
                 for name in (tokens[0], tokens[2]):
                     if name not in index:
                         raise GraphFormatError(f"line {lineno}: undeclared vertex {name!r}")
@@ -193,6 +195,14 @@ class MixedGraph:
                     directed.append((a, b))
                 else:
                     bidirected.append((a, b))
+            elif tokens[0] == "vertex":
+                if len(tokens) != 2:
+                    raise GraphFormatError(f"line {lineno}: expected 'vertex <label>'")
+                label = tokens[1]
+                if label in index:
+                    raise GraphFormatError(f"line {lineno}: duplicate vertex {label!r}")
+                index[label] = len(labels)
+                labels.append(label)
             else:
                 raise GraphFormatError(f"line {lineno}: cannot parse {line!r}")
         try:
@@ -209,13 +219,25 @@ class MixedGraph:
         """Render as Graphviz DOT; bidirected edges use ``dir=both``."""
         lines = [f"digraph {name} {{"]
         for v in self.vertices():
-            lines.append(f'  n{v} [label="{self.labels[v]}"];')
+            label = self.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{v} [label="{label}"];')
         for t, h in sorted(self.directed):
             lines.append(f"  n{t} -> n{h};")
         for u, v in sorted(self.bidirected):
             lines.append(f"  n{u} -> n{v} [dir=both];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _items(xs, n: int, what: str) -> tuple:
+    """``xs`` as a tuple, once checked to hold ``n`` items."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise GraphFormatError(f"{what} {xs!r} are not a collection") from None
+    if len(xs) != n:
+        raise GraphFormatError(f"expected {n} {what}, got {len(xs)}")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -429,35 +451,3 @@ def induced_subgraph(g: MixedGraph, A: Iterable[int]) -> MixedGraph:
     bidirected = [(remap[u], remap[v]) for u, v in g.bidirected if u in remap and v in remap]
     return MixedGraph(len(keep), directed, bidirected,
                       labels=[g.labels[v] for v in keep], source_ids=keep)
-
-
-@dataclass(frozen=True)
-class Relatives:
-    """The standard vertex neighbourhood sets of one vertex."""
-
-    pa: frozenset[int]
-    nb: frozenset[int]
-    bd: frozenset[int]
-    de: frozenset[int]
-    nd: frozenset[int]
-    pst: Optional[frozenset[int]]
-    dis: frozenset[int]
-
-
-def relatives(g: MixedGraph, v: int, dec=None) -> Relatives:
-    """Parents, bidirected neighbours, boundary, descendants (reflexive),
-    non-descendants, past and district of ``v``.
-
-    ``pst`` needs a chain decomposition (everything in components ordered
-    after the one containing ``v``) and is None when ``dec`` is omitted.
-    """
-    de = descendants_mask(g, 1 << _vertex(g, v))
-    return Relatives(
-        pa=set_of(g.pa[v]),
-        nb=set_of(g.nb[v]),
-        bd=set_of(g.pa[v] | g.nb[v]),
-        de=set_of(de),
-        nd=set_of(g.full_mask & ~de & ~(1 << v)),
-        pst=None if dec is None else dec.pst(v),
-        dis=district_of(g, v),
-    )

@@ -12,13 +12,14 @@ from typing import Iterable, Optional
 
 from ._bitset import bits, set_of, submasks
 from ._kernels.pyfallback import mask_seeds
-from .chain import ChainDecomposition, validate_chain_graph
+from .chain import ChainDecomposition, _decomposition_of, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
 from .graph import (MixedGraph, _as_mask, _vertex, _vertices, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set, reach_mask,
                     topological_order)
-from .triples import IndependenceModel, codes_of_masks
+from .separation import global_model
+from .triples import IndependenceModel
 
 PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
 
@@ -26,7 +27,8 @@ PAIRWISE_VARIANTS = ("p1", "p2", "p3", "p4")
 def pairwise_triples(g: MixedGraph, dec: ChainDecomposition, variant: str,
                      p4_both: bool = False) -> IndependenceModel:
     """One triple per uncoupled vertex pair; see ``_pairwise_masks``."""
-    return IndependenceModel.from_masks(g.n, _pairwise_masks(g, dec, variant, p4_both))
+    masks = _pairwise_masks(g, _decomposition_of(g, dec), variant, p4_both)
+    return IndependenceModel.from_masks(g.n, masks)
 
 
 def _pairwise_masks(g: MixedGraph, dec: ChainDecomposition, variant: str,
@@ -67,7 +69,7 @@ def _pairwise_masks(g: MixedGraph, dec: ChainDecomposition, variant: str,
 
 def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     """Multivariate-regression statements; see ``_mr_masks``."""
-    return IndependenceModel.from_masks(g.n, _mr_masks(g, dec))
+    return IndependenceModel.from_masks(g.n, _mr_masks(g, _decomposition_of(g, dec)))
 
 
 def _mr_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, int]]:
@@ -99,7 +101,7 @@ def _mr_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, in
 
 def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     """Block-recursive statements; see ``_iv_masks``."""
-    return IndependenceModel.from_masks(g.n, _iv_masks(g, dec))
+    return IndependenceModel.from_masks(g.n, _iv_masks(g, _decomposition_of(g, dec)))
 
 
 def _iv_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, int]]:
@@ -262,7 +264,10 @@ def property_masks(g: MixedGraph, kind: str,
                    dec: Optional[ChainDecomposition] = None) -> list[tuple[int, int, int]]:
     """The statements property ``kind`` asserts for ``g``, as the
     unchecked ``(a, b, c)`` mask triples its builder emits; ``kind`` is
-    any of ``PROPERTY_KINDS`` but ``global``."""
+    any of ``PROPERTY_KINDS`` but ``global``, and ``dec``, if given, is
+    ``g``'s."""
+    if dec is not None:
+        _decomposition_of(g, dec)
     if kind == "local":
         return _alt_local_masks(g)
     if kind == "ordered":
@@ -286,18 +291,11 @@ def property_seeds(g: MixedGraph, kind: str,
     return mask_seeds(g.n, property_masks(g, kind, dec))
 
 
-def property_codes(g: MixedGraph, kind: str,
-                   dec: Optional[ChainDecomposition] = None) -> list[int]:
-    """The sorted canonical codes of the statements property ``kind``
-    asserts for ``g``, each checked as a triple is."""
-    if kind == "global":
-        from .separation import global_model_codes
-        return global_model_codes(g)
-    return sorted(codes_of_masks(g.n, property_masks(g, kind, dec)))
-
-
 def property_model(g: MixedGraph, kind: str,
                    dec: Optional[ChainDecomposition] = None) -> IndependenceModel:
-    """Dispatch by property name; ``property_codes`` as a model, for the
-    CLI and the tests."""
-    return IndependenceModel._unchecked(g.n, frozenset(property_codes(g, kind, dec)))
+    """Dispatch by property name, for the CLI and the tests: the
+    separation model for ``global``, else ``property_masks`` as a model,
+    each statement checked as a triple is."""
+    if kind == "global":
+        return global_model(g)
+    return IndependenceModel.from_masks(g.n, property_masks(g, kind, dec))

@@ -237,11 +237,16 @@ def m_star_separated(g: MixedGraph, X, Y, Z=()) -> bool:
     return _separated(_collider_adjacency(g, ancestors_mask(g, x | y | z)), x, y, z)
 
 
+def _require_acyclic(g: MixedGraph) -> None:
+    """Raise ``NotADag`` when ``g`` has a directed cycle."""
+    if len(topological_order(g.pa, g.ch)) != g.n:
+        raise NotADag("graph has a directed cycle")
+
+
 def _require_dag(g: MixedGraph) -> None:
     if g.bidirected:
         raise NotADag("graph has bidirected edges")
-    if len(topological_order(g.pa, g.ch)) != g.n:
-        raise NotADag("graph has a directed cycle")
+    _require_acyclic(g)
 
 
 def _moral_adjacency(g: MixedGraph, within: int) -> list[int]:

@@ -24,9 +24,9 @@ from ._bitset import bits, submasks
 from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
 from .config import check_cap, model_cap
-from .errors import DisjointnessViolation, NotADag, NotAncestral, UnknownName, VerticesAdjacent
-from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk, topological_order
-from .separation import _moral_adjacency, _separated_codes, global_model_codes
+from .errors import DisjointnessViolation, NotAncestral, UnknownName, VerticesAdjacent
+from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
+from .separation import _moral_adjacency, _require_acyclic, _separated_codes, global_model_codes
 from .triples import first_difference
 
 
@@ -135,7 +135,10 @@ class CanonicalDag:
 
 def canonical_dag(g: MixedGraph) -> CanonicalDag:
     """The DAG of ``_latent_masks(g)``; its latents are named ``h0``, ``h1``,
-    ..., with ``_`` added to the ``h`` until none is a label of g."""
+    ..., with ``_`` added to the ``h`` until none is a label of g.  The
+    latents are sources, so the latent DAG has a directed cycle exactly
+    when ``g`` has one, and then ``NotADag`` is raised."""
+    _require_acyclic(g)
     n, pa, _, _ = _latent_masks(g)
     prefix = "h"
     while any(f"{prefix}{i}" in g.labels for i in range(n - g.n)):
@@ -170,12 +173,10 @@ def _latent_masks(g: MixedGraph) -> _LatentMasks:
 
 
 def latent_model_codes(g: MixedGraph) -> list[int]:
-    """The latent DAG's separation model over the observed vertices.  The
-    latents are sources, so the latent DAG has a directed cycle exactly
-    when ``g`` has one, and then ``NotADag`` is raised."""
+    """The latent DAG's separation model over the observed vertices; a
+    graph with a directed cycle raises ``NotADag``, as in ``canonical_dag``."""
     check_cap(g.n, model_cap())
-    if len(topological_order(g.pa, g.ch)) != g.n:
-        raise NotADag("graph has a directed cycle")
+    _require_acyclic(g)
     return _latent_model_codes(g)
 
 

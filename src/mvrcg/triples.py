@@ -78,13 +78,10 @@ class IndependenceTriple:
         return self.format()
 
 
-def triple_from_masks(a: int, b: int, c: int) -> IndependenceTriple:
-    return IndependenceTriple(set_of(a), set_of(b), set_of(c))
-
-
 def _encode_checked(n: int, a: int, b: int, c: int) -> int:
     """Canonical code of the masks <a, b | c>, with ``IndependenceTriple``'s
-    checks and the ground set ``0..n-1``."""
+    checks and the ground set ``0..n-1``: the one statement of a valid
+    code."""
     _check_blocks(a, b, c)
     if (a | b | c) >> n:
         raise DisjointnessViolation(f"triple mentions vertices outside 0..{n - 1}")
@@ -92,22 +89,9 @@ def _encode_checked(n: int, a: int, b: int, c: int) -> int:
 
 
 def codes_of_masks(n: int, triples: Iterable[tuple[int, int, int]]) -> set[int]:
-    """The canonical codes of ``(a, b, c)`` mask triples, each checked as
-    ``_encode_checked`` checks it.  The checks are written out here, not
-    called, since every property statement the sweep checks passes
-    through this loop."""
-    out = set()
-    for a, b, c in triples:
-        if not a or not b:
-            raise DisjointnessViolation("both blocks must be nonempty")
-        if a & b or a & c or b & c:
-            raise DisjointnessViolation("blocks and conditioning set must be disjoint")
-        if (a | b | c) >> n:
-            raise DisjointnessViolation(f"triple mentions vertices outside 0..{n - 1}")
-        if (a | b) & -(a | b) & b:  # the lowest block vertex goes first
-            a, b = b, a
-        out.add(a | b << n | c << 2 * n)
-    return out
+    """The canonical codes of ``(a, b, c)`` mask triples, each checked by
+    ``_encode_checked``."""
+    return {_encode_checked(n, a, b, c) for a, b, c in triples}
 
 
 def encode_triple(t: IndependenceTriple, n: int) -> int:
@@ -115,7 +99,7 @@ def encode_triple(t: IndependenceTriple, n: int) -> int:
 
 
 def decode_triple(code: int, n: int) -> IndependenceTriple:
-    return triple_from_masks(*decode_code(n, code))
+    return IndependenceTriple(*map(set_of, decode_code(n, code)))
 
 
 def _check_ground_set(n) -> None:
@@ -125,12 +109,20 @@ def _check_ground_set(n) -> None:
         raise ModelFormatError(f"negative ground set size {n}")
 
 
+def _check_model(m) -> "IndependenceModel":
+    """``m``, once checked to be an ``IndependenceModel``."""
+    if not isinstance(m, IndependenceModel):
+        raise ModelFormatError(f"{m!r} is not an IndependenceModel")
+    return m
+
+
 def _ground_set(m1: "IndependenceModel", m2: "IndependenceModel") -> int:
-    """The ground-set size two models share; models over different ground
-    sets are not comparable, so this raises ``ModelFormatError``."""
-    if m1.n != m2.n:
-        raise ModelFormatError(f"models over different ground sets: {m1.n} and {m2.n} vertices")
-    return m1.n
+    """The ground-set size two models share; anything but two models over
+    one ground set raises ``ModelFormatError``."""
+    n1, n2 = _check_model(m1).n, _check_model(m2).n
+    if n1 != n2:
+        raise ModelFormatError(f"models over different ground sets: {n1} and {n2} vertices")
+    return n1
 
 
 def first_difference(n: int, codes_a, codes_b) -> tuple[IndependenceTriple, bool]:
@@ -160,13 +152,12 @@ class IndependenceModel:
         for code in self.codes:
             if type(code) is not int:
                 raise ModelFormatError(f"code {code!r} is not an int")
-            if code < 0 or code >> 3 * n:
-                raise ModelFormatError(f"code {code} outside the ground set 0..{n - 1}")
-            a, b, c = decode_code(n, code)
-            # both blocks nonempty, all three disjoint, and the first block
-            # holds the lowest block vertex
-            if not (a and b) or a & b or a & c or b & c or not a & ((b & -b) - 1):
-                raise ModelFormatError(f"code {code} is not a canonical triple")
+            try:
+                canonical = _encode_checked(n, *decode_code(n, code)) == code
+            except DisjointnessViolation as exc:
+                raise ModelFormatError(f"code {code}: {exc}") from None
+            if not canonical:
+                raise ModelFormatError(f"code {code} is not a canonical triple over 0..{n - 1}")
 
     @classmethod
     def of(cls, n: int, triples: Iterable[IndependenceTriple]) -> "IndependenceModel":

@@ -15,7 +15,7 @@ from mvrcg import closure, structure
 from mvrcg._kernels import pyfallback
 from mvrcg._kernels.pyfallback import chain_seeds, elementary_closure, pairwise_codes
 from mvrcg.chain import ChainDecomposition, validate_chain_graph
-from mvrcg.closure import AxiomSet, close_codes, closed_target, closure_gap, equivalent_under
+from mvrcg.closure import AxiomSet, close_codes, closed_target, equivalent_under, seeds_gap
 from mvrcg.enumeration import enumerate_mvr_cgs, random_mvr_cgs
 from mvrcg.errors import CapExceeded, ModelFormatError
 from mvrcg.properties import property_model, property_seeds
@@ -724,11 +724,11 @@ def test_a_failing_closure_check_builds_one_worklist(monkeypatch):
     assert calls == [("elementary", goal, 0, None)] and seeded == [[]]
 
 
-def test_closure_gap_is_none_at_the_model_and_the_closure_elsewhere():
-    """``closure_gap`` returns None exactly when cl(P) is the model, and
-    cl(P) otherwise, given the model's closedness proof or none: for
-    every graph with at most three vertices, every property's triples P
-    and the axiom sets sg, g, csg and cg."""
+def test_seeds_gap_is_none_at_the_model_and_the_closure_elsewhere():
+    """``seeds_gap`` of P's chain triples returns None exactly when cl(P)
+    is the model, and cl(P) otherwise, given the model's closedness proof
+    or none: for every graph with at most three vertices, every
+    property's triples P and the axiom sets sg, g, csg and cg."""
     axiom_sets = [AxiomSet.parse(name) for name in ("sg", "g", "csg", "cg")]
     stopped = 0
     for n in range(1, 4):
@@ -739,10 +739,11 @@ def test_closure_gap_is_none_at_the_model_and_the_closure_elsewhere():
             for axioms in axiom_sets:
                 for prop in PROPERTY_AXIOMS:
                     codes = property_model(g, prop).to_codes()
+                    seeds = chain_seeds(g.n, codes)
                     closed = close_codes(g.n, codes, axioms)
-                    gap = closure_gap(g.n, codes, axioms, target)
+                    gap = seeds_gap(g.n, seeds, axioms, target)
                     assert gap == (None if closed == model else closed)
-                    assert closure_gap(g.n, codes, axioms, None) == closed
+                    assert seeds_gap(g.n, seeds, axioms, None) == closed
                     stopped += gap is None
     assert stopped
 

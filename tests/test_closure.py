@@ -11,12 +11,11 @@ from mvrcg.chain import validate_chain_graph
 from mvrcg._kernels.pyfallback import close_codes as kernel_close_codes
 from mvrcg._kernels.pyfallback import (chain_seeds, elementary_closure, m_elementary_table,
                                        pairwise_codes, semi_graphoid_codes)
-from mvrcg.closure import (Generator, add_generator, close_codes, closed_target, closure_gap,
-                           generator, seeds_gap)
+from mvrcg.closure import Generator, add_generator, close_codes, closed_target, seeds_gap
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
 from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
-                              pairwise_triples, property_codes, property_model,
+                              pairwise_triples, property_model,
                               property_seeds, type_iv_triples)
 from mvrcg.separation import global_model, global_model_codes, iter_canonical_codes
 from mvrcg.structure import is_maximal
@@ -393,9 +392,9 @@ def test_mask_seeds_decide_and_close_as_the_property_codes_do():
     """The sweep seeds each check from its builder's masks
     (``property_seeds``), without encoding or checking the statements.
     On every chain graph with n <= 4 and each property, those seeds are
-    ``chain_seeds`` of ``property_codes`` up to order and repeats, so they
-    give the same P ⊆ M verdict on the model's table and the same
-    elementary closure under sg, g, csg and cg."""
+    ``chain_seeds`` of ``property_model``'s codes up to order and
+    repeats, so they give the same P ⊆ M verdict on the model's table and
+    the same elementary closure under sg, g, csg and cg."""
     repeated = 0
     for n in range(1, 5):
         for g in enumerate_mvr_cgs(n):
@@ -403,7 +402,7 @@ def test_mask_seeds_decide_and_close_as_the_property_codes_do():
             table = m_elementary_table(n, g.pa, g.ch, g.nb)
             for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4"):
                 masks = property_seeds(g, prop, dec)
-                codes = chain_seeds(n, property_codes(g, prop, dec))
+                codes = chain_seeds(n, property_model(g, prop, dec).to_codes())
                 assert set(masks) == set(codes)
                 repeated += len(masks) > len(set(masks))
                 assert all(table[row] & bit for row, bit in masks) == \
@@ -425,7 +424,7 @@ def _pairs_in_table(n, code, table):
 
 
 def test_chain_triples_decide_membership_in_the_model_as_pairs_do():
-    """``closure_gap`` decides P ⊆ M by P's chain triples in M's table; M
+    """``seeds_gap`` decides P ⊆ M by P's chain triples in M's table; M
     is closed, so by the chain rule that agrees with M's own definition,
     all pairs across the blocks in the table.  Checked code by code for
     each property's codes on every chain graph with n <= 4, and for every
@@ -460,9 +459,9 @@ def _generator_cases():
         yield g, target, checks
 
 
-def test_a_generator_changes_no_closure_gap():
+def test_a_generator_changes_no_seeds_gap():
     """Given any verified generator of the model whose axioms are among the
-    check's, ``closure_gap`` returns what it returns without one, on every
+    check's, ``seeds_gap`` returns what it returns without one, on every
     chain graph with n <= 3 and a sample at n = 4: each (property,
     axioms) pair whose gap is None is a generator, and is offered to every
     pair.  The generator's stop does fire, and ends worklists early.  The
@@ -472,45 +471,47 @@ def test_a_generator_changes_no_closure_gap():
     calls = early = offered = 0
     for g, target, checks in _generator_cases():
         bare = target._replace(generators=())
-        plain = [closure_gap(g.n, codes, axioms, bare) for codes, axioms in checks]
-        known = [generator(g.n, codes, axioms)
-                 for (codes, axioms), gap in zip(checks, plain) if gap is None]
-        for (codes, axioms), gap in zip(checks, plain):
+        seeds_of = [chain_seeds(g.n, codes) for codes, _ in checks]
+        plain = [seeds_gap(g.n, seeds, axioms, bare)
+                 for seeds, (_, axioms) in zip(seeds_of, checks)]
+        known = [Generator(axioms.flags(), seeds)
+                 for seeds, (_, axioms), gap in zip(seeds_of, checks, plain) if gap is None]
+        for seeds, (_, axioms), gap in zip(seeds_of, checks, plain):
             flags = axioms.flags()
-            assert closure_gap(g.n, codes, axioms, target) == gap
+            assert seeds_gap(g.n, seeds, axioms, target) == gap
             for gen in target.generators:
-                assert closure_gap(g.n, codes, axioms, target, gen) == gap
-                assert closure_gap(g.n, codes, axioms, bare, gen) == gap
+                assert seeds_gap(g.n, seeds, axioms, target, (gen,)) == gap
+                assert seeds_gap(g.n, seeds, axioms, bare, (gen,)) == gap
                 offered += 1
             for gen in known:
                 if gen.flags & ~flags:
                     continue
-                assert closure_gap(g.n, codes, axioms, target, gen) == gap
+                assert seeds_gap(g.n, seeds, axioms, target, (gen,)) == gap
                 calls += 1
-                seen = elementary_closure(g.n, chain_seeds(g.n, codes), flags, target[1],
-                                          (gen.seeds,))
+                seen = elementary_closure(g.n, seeds, flags, target[1], (gen.seeds,))
                 early += seen.stop == "known" and len(seen) < target[1]
     assert calls > 20_000 and early > 1_000 and offered > 5_000
 
 
-def test_closure_gap_answers_match_pinned_digest():
-    """sha1 of every ``closure_gap`` answer, None or cl(P) as sorted codes:
+def test_seeds_gap_answers_match_pinned_digest():
+    """sha1 of every ``seeds_gap`` answer, None or cl(P) as sorted codes:
     every chain graph with n <= 4, each property's codes under sg, g, csg
-    and cg, with the first passing call's generator offered to every later
-    call of the graph, as the sweep first offered generators.  Generators
-    change no answer, so the digest holds whichever are offered."""
+    and cg, seeded with the codes' chain triples, with the first passing
+    call's seeds offered as a generator to every later call of the graph,
+    as the sweep first offered generators.  Generators change no answer,
+    so the digest holds whichever are offered."""
     h = hashlib.sha1()
     calls = failing = 0
     for n in range(1, 5):
         for g in enumerate_mvr_cgs(n):
             target = closed_target(n, m_elementary_table(n, g.pa, g.ch, g.nb))
-            known = None
+            known = ()
             for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4"):
-                codes = property_model(g, prop).to_codes()
+                seeds = chain_seeds(n, property_model(g, prop).to_codes())
                 for axioms in _AXIOM_SETS:
-                    gap = closure_gap(n, codes, axioms, target, known)
-                    if gap is None and known is None:
-                        known = generator(n, codes, axioms)
+                    gap = seeds_gap(n, seeds, axioms, target, known)
+                    if gap is None and not known:
+                        known = (Generator(axioms.flags(), seeds),)
                     h.update(f"{n}/{prop}/{axioms.flags()}:{gap}\n".encode())
                     calls += 1
                     failing += gap is not None
@@ -521,17 +522,17 @@ def test_closure_gap_answers_match_pinned_digest():
 def test_every_kept_generator_offered_at_once_changes_no_gap():
     """``seeds_gap`` offered, as the sweep offers them, every generator
     kept so far from the (property, axioms) pairs that passed returns what
-    ``closure_gap`` returns with none, on every chain graph with n <= 3
-    and a sample at n = 4.  ``add_generator`` keeps a passing pair's seeds
-    unless a kept generator has the same seeds under axioms among its
-    own; seeds equal under fewer axioms are kept."""
+    it returns with none, on every chain graph with n <= 3 and a sample
+    at n = 4.  ``add_generator`` keeps a passing pair's seeds unless a
+    kept generator has the same seeds under axioms among its own; seeds
+    equal under fewer axioms are kept."""
     offered = skipped = 0
     for g, target, checks in _generator_cases():
         bare = target._replace(generators=())
         known = []
         for codes, axioms in checks:
-            gap = closure_gap(g.n, codes, axioms, bare)
             seeds = chain_seeds(g.n, codes)
+            gap = seeds_gap(g.n, seeds, axioms, bare)
             assert seeds_gap(g.n, seeds, axioms, target, known) == gap
             offered += len(known)
             if gap is None:
@@ -551,34 +552,36 @@ def test_every_kept_generator_offered_at_once_changes_no_gap():
 def test_a_generator_under_more_axioms_does_not_serve_a_weaker_check():
     """``p1``'s own chain triples, offered as a cg generator to ``p1``
     under sg, would stop its worklist before the first fire; the check is
-    under fewer axioms than the generator, so ``closure_gap`` ignores it
+    under fewer axioms than the generator, so ``seeds_gap`` ignores it
     and every failing sg check still fails with its closure."""
     sg, cg = AxiomSet.semi_graphoid(), AxiomSet.compositional_graphoid()
     failing = 0
     for g, target, _ in _generator_cases():
-        codes = property_model(g, "p1").to_codes()
-        gap = closure_gap(g.n, codes, sg, target)
+        seeds = chain_seeds(g.n, property_model(g, "p1").to_codes())
+        gap = seeds_gap(g.n, seeds, sg, target)
         if gap is not None:
             failing += 1
-            assert closure_gap(g.n, codes, sg, target, generator(g.n, codes, cg)) == gap
+            assert seeds_gap(g.n, seeds, sg, target, (Generator(cg.flags(), seeds),)) == gap
     assert failing
 
 
 def test_a_generator_does_not_serve_a_p_outside_the_model():
     """A P that holds every seed of a verified generator and one pair
     outside the model's table is not in the model: its closure is larger,
-    and ``closure_gap`` returns it whatever generator it is offered."""
+    and ``seeds_gap`` returns it whatever generator it is offered."""
     cg = AxiomSet.compositional_graphoid()
     outside = 0
     for g, target, _ in _generator_cases():
         gen_codes = property_model(g, "mr").to_codes()
-        gen = generator(g.n, gen_codes, AxiomSet.semi_graphoid())
-        assert closure_gap(g.n, gen_codes, cg, target) is None
+        gen_seeds = chain_seeds(g.n, gen_codes)
+        gen = Generator(AxiomSet.semi_graphoid().flags(), gen_seeds)
+        assert seeds_gap(g.n, gen_seeds, cg, target) is None
         for i, j in g.directed | g.bidirected:  # adjacent: never separated
             codes = sorted({*gen_codes, 1 << min(i, j) | 1 << max(i, j) << g.n})
-            gap = closure_gap(g.n, codes, cg, target)
+            seeds = chain_seeds(g.n, codes)
+            gap = seeds_gap(g.n, seeds, cg, target)
             assert gap == close_codes(g.n, codes, cg)
-            assert closure_gap(g.n, codes, cg, target, gen) == gap
+            assert seeds_gap(g.n, seeds, cg, target, (gen,)) == gap
             outside += 1
     assert outside
 

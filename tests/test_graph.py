@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 import mvrcg
-from mvrcg import (IndependenceModel, IndependenceTriple, JointTable, MixedGraph, ancestors,
-                   anteriors, barren, canonical_dag, ci_holds, districts,
+from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, JointTable, MixedGraph,
+                   ancestors, anteriors, barren, canonical_dag, ci_holds, close, districts,
+                   equivalent_under, factorize_component_dag, factorize_mvr,
                    find_primitive_inducing_chain, fixtures, induced_subgraph, m_separated,
-                   ordered_local_triples, pre_of_component, relatives,
-                   sample_latent_dag_distribution, validate_chain_graph, verify_factorization)
+                   mr_triples, ordered_local_triples, pairwise_triples, pre_of_component,
+                   relatives, sample_latent_dag_distribution, satisfies, type_iv_triples,
+                   validate_chain_graph, verify_factorization)
+from mvrcg.closure import close_codes
 from mvrcg.factorization import Factorization, HeadTail, is_head, tail_of_head
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
                                random_mvr_cg, random_mvr_cgs)
 from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
-                          InvalidSeed, ModelFormatError, NotAComponent, UnknownName)
+                          InvalidSeed, ModelFormatError, NotAComponent, NotADag, UnknownName)
+from mvrcg.properties import property_masks
 from mvrcg.sweep import SweepConfig, run_equivalence_sweep
 
 from oracles import oracle_ancestors
@@ -66,6 +70,40 @@ def test_dot_export_uses_dir_both():
     assert "n0 -> n1;" in dot
     assert "n1 -> n2 [dir=both];" in dot
     assert 'label="a"' in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    assert '  n0 [label="a\\"b"];\n' in MixedGraph.from_text('vertex a"b\n').to_dot()
+    assert '  n0 [label="a\\\\"];\n' in MixedGraph(1, labels=["a\\"]).to_dot()
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_every_fixture_reads_back_from_its_text(name):
+    g = fixtures.load(name)
+    back = MixedGraph.from_text(g.to_text())
+    assert back == g and back.labels == g.labels
+
+
+def test_labels_that_look_like_keywords_read_back():
+    """An edge line is read before a declaration, so a vertex may be
+    labelled ``vertex`` or like an arrow."""
+    g = MixedGraph.from_text("vertex vertex\nvertex c\nvertex -> c\n")
+    assert g.labels == ("vertex", "c") and g.directed == {(0, 1)}
+    for labels in (["vertex", "->", "<->"], ['a"b', "a\\b", "\u00e9"]):
+        g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)], labels=labels)
+        back = MixedGraph.from_text(g.to_text())
+        assert back == g and back.labels == g.labels
+
+
+def test_a_decomposition_of_an_equal_graph_is_accepted():
+    """The check is ``dec.graph is g or dec.graph == g``: an equal graph
+    built apart passes and gives the same answers as ``g``'s own."""
+    g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    twin = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
+    dec = validate_chain_graph(twin)
+    assert pairwise_triples(g, dec, "p1") == pairwise_triples(g, validate_chain_graph(g), "p1")
+    assert factorize_mvr(g, dec).format() == "p(1,2 | 0) p(0)"
+    assert relatives(g, 0, dec).pst == frozenset()
 
 
 def test_ancestors_reflexive_and_transitive():
@@ -181,6 +219,9 @@ def test_vertex_ids_outside_the_graph_raise_graph_format_error(call, v):
 
 _TABLE = JointTable((0, 1), (2, 2), np.full((2, 2), 0.25))
 _COLLIDER = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])  # 0 -> 1 <-> 2
+_CHAIN_DEC = validate_chain_graph(MixedGraph(3, directed=[(2, 1), (1, 0)]))  # 2 -> 1 -> 0
+_CYCLE = MixedGraph(3, directed=[(0, 1), (1, 2), (2, 0)])
+_MODEL = IndependenceModel.from_codes(3, [1 | 4 << 3])  # 0 _||_ 2
 
 TYPED_ERROR_CALLS = {
     "tail_of_head_empty": (HeadTestFailed, lambda: tail_of_head(MixedGraph(2), [])),
@@ -287,6 +328,41 @@ TYPED_ERROR_CALLS = {
     "ci_holds_tuple_triple": (GraphFormatError, lambda: ci_holds(_TABLE, (0, 1))),
     "verify_factorization_none": (GraphFormatError, lambda: verify_factorization(_TABLE, None)),
     "sample_none_dag": (GraphFormatError, lambda: sample_latent_dag_distribution(None, 1)),
+    "graph_edge_triple": (GraphFormatError, lambda: MixedGraph(2, [(0, 1, 2)])),
+    "graph_edge_int": (GraphFormatError, lambda: MixedGraph(2, bidirected=[5])),
+    "graph_edges_int": (GraphFormatError, lambda: MixedGraph(2, 5)),
+    "graph_labels_int": (GraphFormatError, lambda: MixedGraph(2, labels=5)),
+    "graph_source_ids_short": (GraphFormatError, lambda: MixedGraph(2, source_ids=[7])),
+    "graph_source_ids_int": (GraphFormatError, lambda: MixedGraph(2, source_ids=5)),
+    "graph_label_space": (GraphFormatError, lambda: MixedGraph(2, labels=["a b", "c"])),
+    "graph_label_hash": (GraphFormatError, lambda: MixedGraph(2, labels=["a#x", "c"])),
+    "graph_label_empty": (GraphFormatError, lambda: MixedGraph(2, labels=["", "c"])),
+    "graph_label_int": (GraphFormatError, lambda: MixedGraph(2, labels=[0, 1])),
+    "pairwise_triples_other_dec": (GraphFormatError,
+                                   lambda: pairwise_triples(_COLLIDER, _CHAIN_DEC, "p1")),
+    "mr_triples_other_dec": (GraphFormatError, lambda: mr_triples(_COLLIDER, _CHAIN_DEC)),
+    "type_iv_triples_other_dec": (GraphFormatError,
+                                  lambda: type_iv_triples(_COLLIDER, _CHAIN_DEC)),
+    "factorize_mvr_other_dec": (GraphFormatError, lambda: factorize_mvr(_COLLIDER, _CHAIN_DEC)),
+    "factorize_mvr_smaller_graph": (GraphFormatError, lambda: factorize_mvr(
+        MixedGraph(2), validate_chain_graph(_COLLIDER))),
+    "factorize_component_dag_other_dec": (GraphFormatError,
+                                          lambda: factorize_component_dag(_COLLIDER, _CHAIN_DEC)),
+    "relatives_other_dec": (GraphFormatError, lambda: relatives(_COLLIDER, 0, _CHAIN_DEC)),
+    "property_masks_other_dec": (GraphFormatError,
+                                 lambda: property_masks(_COLLIDER, "mr", _CHAIN_DEC)),
+    "canonical_dag_cycle": (NotADag, lambda: canonical_dag(_CYCLE)),
+    "sample_cycle": (NotADag, lambda: sample_latent_dag_distribution(canonical_dag(_CYCLE), 1)),
+    "close_str_axioms": (GraphFormatError, lambda: close(_MODEL, "sg")),
+    "satisfies_str_axioms": (GraphFormatError, lambda: satisfies(_MODEL, "sg")),
+    "equivalent_under_str_axioms": (GraphFormatError,
+                                    lambda: equivalent_under(_MODEL, _MODEL, "sg")),
+    "close_codes_str_axioms": (GraphFormatError, lambda: close_codes(3, [], "sg")),
+    "close_list_model": (ModelFormatError, lambda: close([1], AxiomSet())),
+    "model_le_int": (ModelFormatError, lambda: _MODEL <= 5),
+    "model_union_int": (ModelFormatError, lambda: _MODEL.union(5)),
+    "axiom_set_parse_list": (UnknownName, lambda: AxiomSet.parse([])),
+    "axiom_set_str_flag": (GraphFormatError, lambda: AxiomSet(intersection="yes")),
 }
 
 

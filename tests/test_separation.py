@@ -94,12 +94,21 @@ def test_mstar_model_loop_matches_public_queries(monkeypatch):
 
 
 def test_latent_model_loop_matches_public_queries(monkeypatch):
-    """On every graph whose latent DAG is acyclic: ``d_separated`` refuses
-    the others."""
+    """On every graph whose latent DAG is acyclic: ``canonical_dag`` and
+    ``latent_model_codes`` refuse the others."""
     monkeypatch.setenv("MVRCG_MAX_N", "7")
     graphs = loop_graphs() + nonchain_graphs()
-    dags = [(g, canonical_dag(g).dag) for g in graphs]
-    dags = [(g, dag) for g, dag in dags if len(topological_order(dag.pa, dag.ch)) == dag.n]
+    dags = []
+    for g in graphs:
+        if len(topological_order(g.pa, g.ch)) == g.n:
+            dag = canonical_dag(g).dag
+            assert len(topological_order(dag.pa, dag.ch)) == dag.n
+            dags.append((g, dag))
+            continue
+        with pytest.raises(NotADag):
+            canonical_dag(g)
+        with pytest.raises(NotADag):
+            latent_model_codes(g)
     assert len(graphs) > len(dags) > len(loop_graphs())
     for g, dag in dags:
         expected = accepted_codes(g.n, lambda x, y, z: d_separated(dag, x, y, z))
@@ -336,12 +345,20 @@ def test_d_separation_chain_and_collider():
 def test_the_latent_masks_are_the_canonical_dags():
     """The latent route reads the latent DAG's masks without building it as
     a graph: they are ``canonical_dag``'s, on every mixed graph with
-    n <= 3 and every chain graph with n = 4."""
+    n <= 3 and every chain graph with n = 4.  Both routes refuse a graph
+    with a directed cycle, whose latent masks are never read."""
     graphs = [*enumerate_mixed_graphs(1), *enumerate_mixed_graphs(2),
               *enumerate_mixed_graphs(3), *enumerate_mvr_cgs(4)]
+    cyclic = 0
     for g in graphs:
+        if len(topological_order(g.pa, g.ch)) != g.n:
+            cyclic += 1
+            with pytest.raises(NotADag):
+                canonical_dag(g)
+            continue
         dag = canonical_dag(g).dag
         assert _latent_masks(g) == (dag.n, list(dag.pa), list(dag.ch), dag.full_mask)
+    assert cyclic
 
 
 def test_the_latent_model_refuses_a_directed_cycle_and_not_a_latent_label():
