@@ -14,6 +14,8 @@ table of neighbour masks, ``table[x << n | K]`` holding each y.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .._bitset import bits, submasks
 from ..graph import reach_mask
 
@@ -152,45 +154,154 @@ def biclique_codes(n: int, c: int, apart) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=16)
+def world_patterns(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The conditioning sets over ``n`` vertices as worlds, one bit each:
+    ``notin[w]`` has bit c set when c does not hold vertex w, and
+    ``blocks[w]`` is that pattern repeated in each of n blocks of 2^n
+    bits, one block per source of ``m_world_reach``.  The patterns depend
+    on ``n`` alone, so they are memoised by it."""
+    size = 1 << n
+    notin = tuple(sum(1 << c for c in range(size) if not c >> w & 1) for w in range(n))
+    repeat = sum(1 << v * size for v in range(n))
+    return notin, tuple(m * repeat for m in notin)
+
+
+def m_world_reach(n: int, pa, ch, nb, sources: int) -> tuple[list[int], int]:
+    """``m_reach`` from each vertex of ``sources`` given every conditioning
+    set at once, as one fixpoint over the vertices.
+
+    Each conditioning set c is a world, and a vertex's state is a mask
+    over worlds: bit c of ``head[w]`` (``tail[w]``) says that w is reached
+    with an arrowhead (a tail) at it given c.  The sources sit side by
+    side, source v in block v of n·2^n bits, and start in the worlds that
+    do not hold v.  ``m_reach``'s rules act on whole masks: w is crossed
+    as a noncollider in the worlds that do not hold it and as a collider
+    in those that meet its descendants, the worlds where it is in an(c).
+    A tail-arrival goes on to w's children and neighbours with a head and
+    to its parents with a tail; a head-arrival goes on to its children
+    with a head as a noncollider, and to its neighbours with a head and
+    its parents with a tail as a collider.
+
+    A worklist of vertices pushes each vertex's new bits on until nothing
+    changes, taking the vertices in cyclic order (next the lowest one
+    waiting above the last): on sparse 6-vertex chain graphs that takes a
+    fifth fewer steps than taking the lowest one waiting.  Returns ``reach``, bit v·2^n + c of
+    ``reach[w]`` set when the walk from v given c reaches w, and the
+    number of vertex steps the worklist took.
+    """
+    size = 1 << n
+    notin, blocks = world_patterns(n)
+    every = (1 << n * size) - 1
+    collider = []  # the worlds c, in every block, with the vertex in an(c)
+    for w in range(n):
+        out = every
+        for d in bits(reach_mask(ch, 1 << w)):
+            out &= blocks[d]
+        collider.append(every ^ out)
+    head = [0] * n
+    tail = [0] * n
+    for v in bits(sources):
+        start = notin[v] << v * size
+        for u in bits(ch[v] | nb[v]):
+            head[u] |= start
+        for u in bits(pa[v]):
+            tail[u] |= start
+    new_head = head[:]
+    new_tail = tail[:]
+    todo = 0
+    for w in range(n):
+        if head[w] | tail[w]:
+            todo |= 1 << w
+    steps = 0
+    low = 1
+    while todo:
+        above = todo & -low
+        low = above & -above if above else todo & -todo
+        todo ^= low
+        w = low.bit_length() - 1
+        steps += 1
+        h, t = new_head[w], new_tail[w]
+        new_head[w] = new_tail[w] = 0
+        through = (h | t) & blocks[w]          # noncollider, on to children
+        turn = t & blocks[w] | h & collider[w]  # on to neighbours and parents
+        if through:
+            m = ch[w]
+            while m:
+                lu = m & -m
+                m ^= lu
+                u = lu.bit_length() - 1
+                more = through & ~head[u]
+                if more:
+                    head[u] |= more
+                    new_head[u] |= more
+                    todo |= lu
+        if turn:
+            m = nb[w]
+            while m:
+                lu = m & -m
+                m ^= lu
+                u = lu.bit_length() - 1
+                more = turn & ~head[u]
+                if more:
+                    head[u] |= more
+                    new_head[u] |= more
+                    todo |= lu
+            m = pa[w]
+            while m:
+                lu = m & -m
+                m ^= lu
+                u = lu.bit_length() - 1
+                more = turn & ~tail[u]
+                if more:
+                    tail[u] |= more
+                    new_tail[u] |= more
+                    todo |= lu
+    return [h | t for h, t in zip(head, tail)], steps
+
+
 def m_elementary_table(n: int, pa, ch, nb) -> list[int]:
     """The m model's elementary triples as a table of neighbour masks:
     ``table[i << n | c]`` holds each j with <i, j | c> m-separated.
 
-    Per conditioning set ``c``, vertex ``v`` outside it walks only for its
-    open vertices: those above it, outside ``c`` and not adjacent to it.
     Adjacent vertices are never separated, and m-connection is symmetric,
-    so the bits below ``v`` are ``v``'s bits in the earlier rows.  A vertex
-    with no open vertex does not walk, and a walk (``m_reach`` with the
-    open vertices as its stop) ends once it has reached them all.  The
-    edgeless graph on 5 vertices takes 49 walks and a complete one none,
-    where one walk per vertex and conditioning set would take 75.  The
-    ancestor closures an(c) the walks need are built once, by subsets:
-    an(c) is an(c - low) | an(low) for the lowest vertex ``low`` of c.
+    so vertex v walks only for its open vertices, those above it and not
+    adjacent to it, and writes both rows of each pair.  The walks from
+    every such v given every c are one ``m_world_reach``, a fixpoint over
+    the n vertices whose states are masks over the 2^n conditioning sets:
+    w joins row (v, c) exactly when c holds neither v nor w and the walk
+    from v given c does not reach w.  On 5 vertices the worklist takes no step on
+    the edgeless graph (no walk leaves a vertex) nor on a complete one (no
+    vertex has an open vertex), where one walk per vertex and
+    conditioning set would take 75 walks.
     """
-    full = (1 << n) - 1
-    table = [0] * (n << n)
+    size = 1 << n
+    full = size - 1
+    notin = world_patterns(n)[0]
     adj = [pa[v] | ch[v] | nb[v] for v in range(n)]
-    an_of = [0] * (1 << n)
+    opens = [full & ~adj[v] & -(2 << v) for v in range(n)]
+    sources = 0
     for v in range(n):
-        an_of[1 << v] = reach_mask(pa, 1 << v)
-    for c in range(1, 1 << n):
-        low = c & -c
-        an_of[c] = an_of[c ^ low] | an_of[low]
-    for c in range(1 << n):
-        m = full & ~c
+        if opens[v]:
+            sources |= 1 << v
+    reach = m_world_reach(n, pa, ch, nb, sources)[0]
+    table = [0] * (n << n)
+    for v in range(n):
+        bv = 1 << v
+        rv = v << n
+        m = opens[v]
         while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            stop = m & ~adj[v]
-            if not stop:
-                continue
-            apart = stop & ~m_reach(pa, ch, nb, low, c, an_of[c], stop)
-            table[v << n | c] |= apart
+            bw = m & -m
+            m ^= bw
+            w = bw.bit_length() - 1
+            rw = w << n
+            apart = notin[v] & notin[w] & ~(reach[w] >> v * size)
             while apart:
-                w = apart & -apart
-                apart ^= w
-                table[(w.bit_length() - 1) << n | c] |= low
+                low = apart & -apart
+                apart ^= low
+                c = low.bit_length() - 1
+                table[rv | c] |= bw
+                table[rw | c] |= bv
     return table
 
 
@@ -216,7 +327,7 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
     The reach of a set is the union of its vertices' reaches, so <a, b | c>
     is separated exactly when every <i, j | c> with i in ``a`` and j in
     ``b`` is: the m model is pairwise, and ``pairwise_codes`` lists it
-    from ``m_elementary_table``.  The cost is the table's walks plus a
+    from ``m_elementary_table``.  The cost is the table's one walk plus a
     few steps per separated code, instead of one walk per canonical code.
     """
     return pairwise_codes(n, m_elementary_table(n, pa, ch, nb))

@@ -37,6 +37,8 @@ import numpy as np
 from ._bitset import bits
 from .errors import CapExceeded, DisjointnessViolation, GraphFormatError, InvalidSeed
 from .factorization import Factorization
+from .graph import MixedGraph
+from .separation import _require_dag
 from .structure import CanonicalDag
 from .triples import IndependenceTriple
 
@@ -157,15 +159,23 @@ class JointTable:
 
 def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
     """Strictly positive random distribution Markov to the DAG,
-    marginalised down to the observed variables.
+    marginalised down to the observed variables.  ``cd.dag`` must be a
+    DAG (``NotADag`` otherwise) and ``cd.observed`` and ``cd.latents``
+    must split its vertices (``GraphFormatError`` otherwise).
 
     Every conditional row is a symmetric Dirichlet draw, floored and
     renormalised so no entry sinks below about 1%.  The same seed gives
     a bit-identical table.
     """
-    if not isinstance(cd, CanonicalDag):
-        raise GraphFormatError(f"{cd!r} is not a CanonicalDag")
+    if not isinstance(cd, CanonicalDag) or not isinstance(cd.dag, MixedGraph):
+        raise GraphFormatError(f"{cd!r} is not a CanonicalDag over a MixedGraph")
     g = cd.dag
+    _require_dag(g)
+    parts = (cd.observed, cd.latents)
+    if (not all(isinstance(part, (set, frozenset)) for part in parts)
+            or cd.observed & cd.latents or cd.observed | cd.latents != set(range(g.n))):
+        raise GraphFormatError(f"observed {cd.observed!r} and latents {cd.latents!r} "
+                               f"do not split the DAG's {g.n} vertices")
     if CARDINALITY ** g.n > STATE_SPACE_CAP:
         raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
     if isinstance(seed, bool):  # default_rng would read True as seed 1

@@ -19,6 +19,7 @@ A label is a nonempty string free of whitespace and ``#``, so that
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -216,17 +217,31 @@ class MixedGraph:
             return cls.from_text(fh.read())
 
     def to_dot(self, name: str = "g") -> str:
-        """Render as Graphviz DOT; bidirected edges use ``dir=both``."""
+        """Render as Graphviz DOT; bidirected edges use ``dir=both``.  A
+        ``name`` that is not a plain DOT ID (a letter or ``_``, then
+        letters, digits or ``_``, and no DOT keyword) is written quoted."""
+        if not isinstance(name, str):
+            raise GraphFormatError(f"DOT graph name must be a str, got {name!r}")
+        if not _DOT_ID.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+            name = _dot_quoted(name)
         lines = [f"digraph {name} {{"]
         for v in self.vertices():
-            label = self.labels[v].replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  n{v} [label="{label}"];')
+            lines.append(f"  n{v} [label={_dot_quoted(self.labels[v])}];")
         for t, h in sorted(self.directed):
             lines.append(f"  n{t} -> n{h};")
         for u, v in sorted(self.bidirected):
             lines.append(f"  n{u} -> n{v} [dir=both];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_quoted(text: str) -> str:
+    """``text`` as a DOT quoted string, ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _items(xs, n: int, what: str) -> tuple:

@@ -2,8 +2,9 @@
 
 Three routes are implemented independently and cross-checked.  Each
 public function checks its arguments and answers on vertex bitmasks.
-The model-level loops below call none of them: the m model shares the
-kernel's walk rules with ``m_connected``, and the m* model shares
+The model-level loops below call none of them: the m model applies the
+rules of ``m_connected``'s walk, the kernel's ``m_reach``, to every
+conditioning set at once, and the m* model shares
 :func:`_collider_adjacency`.
 
 * :func:`m_separated` — walk-state reachability, the kernel's
@@ -25,13 +26,14 @@ surface, not assumed.
 The model loops cost the reach sets they compute plus a few steps per
 code they emit, instead of one query per canonical triple (about
 4^n/2).  The m model is its elementary table, built in the kernel's
-``m_elementary_table``: given c, a vertex walks only for the vertices
-above it, outside c, that are not adjacent to it, since adjacent
-vertices are never separated and m-connection is symmetric, and the walk
-ends once it has reached them all.  That is at most
-n * 2^(n-1) - 2^n + 1 walks (49 on the edgeless graph with 5 vertices,
-none on a complete one); :func:`global_model_table` returns the table,
-and ``global_model_codes`` lists M from it.  The m* and latent-DAG
+``m_elementary_table`` by one walk over every conditioning set at once
+(``m_world_reach``): a vertex's state is a mask over the 2^n sets, and
+the walks from all sources sit side by side in one integer, so one
+worklist over the n vertices replaces a walk per vertex and set.  Only
+a vertex with a vertex above it that is not adjacent to it is a source,
+since adjacent vertices are never separated and m-connection is
+symmetric; :func:`global_model_table` returns the table, and
+``global_model_codes`` lists M from it.  The m* and latent-DAG
 models share :func:`_separated_codes`, which builds one adjacency per
 ancestral set A rather than per set a|b|c: the sets u with an(u) = A
 are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the vertices of A

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mvrcg
-from mvrcg import (AxiomSet, IndependenceModel, IndependenceTriple, JointTable, MixedGraph,
+from mvrcg import (AxiomSet, CanonicalDag, IndependenceModel, IndependenceTriple, JointTable, MixedGraph,
                    ancestors, anteriors, barren, canonical_dag, ci_holds, close, districts,
                    equivalent_under, factorize_component_dag, factorize_mvr,
                    find_primitive_inducing_chain, fixtures, induced_subgraph, m_separated,
@@ -75,6 +75,22 @@ def test_dot_export_uses_dir_both():
 def test_dot_export_escapes_quotes_and_backslashes():
     assert '  n0 [label="a\\"b"];\n' in MixedGraph.from_text('vertex a"b\n').to_dot()
     assert '  n0 [label="a\\\\"];\n' in MixedGraph(1, labels=["a\\"]).to_dot()
+
+
+def test_dot_export_default_name_is_unchanged():
+    g = MixedGraph.from_text(TEXT)
+    assert g.to_dot() == g.to_dot("g") == (
+        'digraph g {\n  n0 [label="a"];\n  n1 [label="b"];\n  n2 [label="c"];\n'
+        '  n0 -> n1;\n  n1 -> n2 [dir=both];\n}\n')
+
+
+@pytest.mark.parametrize("name, written", [
+    ("g", "g"), ("_x9", "_x9"), ("my graph", '"my graph"'), ("9lives", '"9lives"'),
+    ("a-b", '"a-b"'), ("", '""'), ("graph", '"graph"'), ("Digraph", '"Digraph"'),
+    ('say "hi"', '"say \\"hi\\""'), ("a\\b", '"a\\\\b"'), ("{}", '"{}"'),
+])
+def test_dot_export_quotes_a_name_that_is_no_plain_id(name, written):
+    assert MixedGraph(1).to_dot(name).startswith(f"digraph {written} {{\n")
 
 
 @pytest.mark.parametrize("name", fixtures.NAMES)
@@ -353,6 +369,21 @@ TYPED_ERROR_CALLS = {
                                  lambda: property_masks(_COLLIDER, "mr", _CHAIN_DEC)),
     "canonical_dag_cycle": (NotADag, lambda: canonical_dag(_CYCLE)),
     "sample_cycle": (NotADag, lambda: sample_latent_dag_distribution(canonical_dag(_CYCLE), 1)),
+    "sample_hand_built_cycle": (NotADag, lambda: sample_latent_dag_distribution(
+        CanonicalDag(_CYCLE, frozenset(range(3)), frozenset()), 1)),
+    "sample_hand_built_bidirected": (NotADag, lambda: sample_latent_dag_distribution(
+        CanonicalDag(MixedGraph(2, bidirected=[(0, 1)]), frozenset(range(2)), frozenset()), 1)),
+    "sample_vertex_outside_dag": (GraphFormatError, lambda: sample_latent_dag_distribution(
+        CanonicalDag(MixedGraph(2), frozenset({0, 5}), frozenset({1})), 1)),
+    "sample_vertex_in_neither": (GraphFormatError, lambda: sample_latent_dag_distribution(
+        CanonicalDag(MixedGraph(3), frozenset({0}), frozenset({1})), 1)),
+    "sample_vertex_in_both": (GraphFormatError, lambda: sample_latent_dag_distribution(
+        CanonicalDag(MixedGraph(2), frozenset({0, 1}), frozenset({1})), 1)),
+    "sample_observed_list": (GraphFormatError, lambda: sample_latent_dag_distribution(
+        CanonicalDag(MixedGraph(2), [0, 1], frozenset()), 1)),
+    "sample_dag_none": (GraphFormatError, lambda: sample_latent_dag_distribution(
+        CanonicalDag(None, frozenset(), frozenset()), 1)),
+    "to_dot_int_name": (GraphFormatError, lambda: MixedGraph(1).to_dot(5)),
     "close_str_axioms": (GraphFormatError, lambda: close(_MODEL, "sg")),
     "satisfies_str_axioms": (GraphFormatError, lambda: satisfies(_MODEL, "sg")),
     "equivalent_under_str_axioms": (GraphFormatError,

@@ -16,6 +16,7 @@ from mvrcg.graph import reach_mask, topological_order
 from mvrcg.separation import (_collider_adjacency, _moral_adjacency, _separated_codes,
                               global_model_codes, iter_canonical_codes)
 from mvrcg.structure import _latent_masks, canonical_dag, is_ancestral, latent_model_codes
+from mvrcg.sweep import SweepConfig, run_equivalence_sweep
 from mvrcg.triples import IndependenceTriple, decode_triple
 
 from oracles import base4_code, oracle_canonical_codes, oracle_m_separated
@@ -166,17 +167,21 @@ def test_three_models_agree_on_random_n7(monkeypatch):
         assert latent_model_codes(g) == model
 
 
-@pytest.mark.parametrize("g, walks", [
-    (MixedGraph(5), 49),
-    (MixedGraph(5, bidirected=list(combinations(range(5), 2))), 0),
-    (MixedGraph(5, directed=[(0, 1), (1, 2), (2, 3), (3, 4)]), 34),
-])
-def test_m_table_walks_only_for_open_pairs(monkeypatch, g, walks):
-    """Given c, a vertex walks only when a vertex above it, outside c, is
-    not adjacent to it: 49 walks on the edgeless graph (one per vertex and
-    conditioning set would be 75), none on a complete graph and 34 on the
-    chain 0 -> 1 -> 2 -> 3 -> 4.  The table is symmetric and holds exactly
-    the model's elementary triples."""
+@pytest.mark.parametrize("g, sources, steps", [
+    (MixedGraph(5), 0b01111, 0),
+    (MixedGraph(5, bidirected=list(combinations(range(5), 2))), 0, 0),
+    (MixedGraph(5, directed=[(0, 1), (1, 2), (2, 3), (3, 4)]), 0b00111, 9),
+], ids=["edgeless", "complete", "chain"])
+def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
+    """Only a vertex with an open vertex, one above it that is not
+    adjacent to it, is a source of the walk over every conditioning set
+    at once, and that walk is the table's only one: no ``m_reach`` call.
+    On the edgeless graph every vertex but the last is a source and the
+    worklist takes no step, since no walk leaves a vertex; on a complete
+    graph nothing is a source; on the chain 0 -> 1 -> 2 -> 3 -> 4 the
+    sources are 0, 1 and 2 and the worklist takes 9 steps.  One walk
+    per vertex and conditioning set would be 75.  The table is symmetric
+    and holds exactly the model's elementary triples."""
     n = g.n
     elementary = [0] * (n << n)
     for code in global_model_codes(g):
@@ -184,16 +189,92 @@ def test_m_table_walks_only_for_open_pairs(monkeypatch, g, walks):
         if a & (a - 1) == 0 and b & (b - 1) == 0:
             elementary[(a.bit_length() - 1) << n | c] |= b
             elementary[(b.bit_length() - 1) << n | c] |= a
-    calls = []
+    calls, walks = [], []
+    m_reach, m_world_reach = pyfallback.m_reach, pyfallback.m_world_reach
 
     def counting(*args):
         calls.append(args)
         return m_reach(*args)
 
-    m_reach = pyfallback.m_reach
+    def spying(n, pa, ch, nb, sources):
+        reach, steps = m_world_reach(n, pa, ch, nb, sources)
+        walks.append((sources, steps))
+        return reach, steps
+
     monkeypatch.setattr(pyfallback, "m_reach", counting)
+    monkeypatch.setattr(pyfallback, "m_world_reach", spying)
     assert pyfallback.m_elementary_table(n, g.pa, g.ch, g.nb) == elementary
-    assert len(calls) == walks
+    assert calls == [] and walks == [(sources, steps)]
+
+
+def test_m_table_calls_no_m_reach_over_the_sweep(monkeypatch):
+    """Over the default sweep of every chain graph with n <= 4, the m
+    model's table is built 1,743 times, once per graph, and calls
+    ``m_reach`` in none of them: its one walk is ``m_world_reach``."""
+    calls, inside = [], []
+    m_reach, table = pyfallback.m_reach, pyfallback.m_elementary_table
+
+    def counting(*args):
+        calls.append(args)
+        return m_reach(*args)
+
+    def spying(*args):
+        before = len(calls)
+        out = table(*args)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(pyfallback, "m_reach", counting)
+    monkeypatch.setattr(pyfallback, "m_elementary_table", spying)
+    assert all(report.ok for report in run_equivalence_sweep(SweepConfig(max_n=4)))
+    assert len(inside) == 1743 and set(inside) == {0}
+
+
+def ranked_chain_graph(n, rng):
+    """A random chain graph: each vertex gets a random rank, and each pair
+    is joined with one probability drawn per graph, by a bidirected edge
+    within a rank and a directed one up the ranks across them.  No
+    partially directed cycle can form, so nothing is redrawn, unlike
+    ``random_mvr_cg``, which rejects most candidates at n = 9."""
+    rank = [rng.randrange(n // 2 + 1) for _ in range(n)]
+    joined = rng.random()
+    directed, bidirected = [], []
+    for u, v in combinations(range(n), 2):
+        if rng.random() < joined:
+            if rank[u] == rank[v]:
+                bidirected.append((u, v))
+            else:
+                directed.append((u, v) if rank[u] < rank[v] else (v, u))
+    return MixedGraph(n, directed, bidirected)
+
+
+def table_graphs():
+    """Every chain graph with n <= 4, every mixed graph with n <= 3
+    (directed cycles included), random chain graphs with n = 5..9 and the
+    edgeless and complete bidirected graphs on 9 vertices."""
+    rng = random.Random(35)
+    return ([g for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
+            + [g for n in range(1, 4) for g in enumerate_mixed_graphs(n)]
+            + [ranked_chain_graph(n, rng) for n in range(5, 10) for _ in range(12 - n)]
+            + [MixedGraph(9), MixedGraph(9, bidirected=list(combinations(range(9), 2)))])
+
+
+def test_m_table_matches_m_connected_everywhere():
+    """Independently of the model's codes: ``table[i << n | c]`` holds j
+    exactly when i and j are distinct vertices outside c and the
+    single-query walk ``m_connected`` does not join them given c, for
+    every (i, j, c)."""
+    for g in table_graphs():
+        n = g.n
+        table = pyfallback.m_elementary_table(n, g.pa, g.ch, g.nb)
+        for c in range(1 << n):
+            for i in range(n):
+                row = 0
+                for j in range(n):
+                    if i != j and not (c >> i | c >> j) & 1 and not pyfallback.m_connected(
+                            n, g.pa, g.ch, g.nb, 1 << i, 1 << j, c):
+                        row |= 1 << j
+                assert table[i << n | c] == row, (g, i, c)
 
 
 def test_m_table_is_symmetric():
