@@ -24,15 +24,23 @@ A check reports ``pass``, ``fail`` with a witness, or ``error``
 (``_raised``): a graph over ``model_cap()`` is an error on the ten
 checks that build M.  A graph that is not a chain graph reports its
 validation error on every configured check.  No failure stops a sweep.
+``run_equivalence_sweep`` shares a sweep's graphs between the caller and
+forked workers, one per further CPU, and yields their reports in graph
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterator, Optional
 
@@ -274,10 +282,93 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
     return report
 
 
+def _shard_count() -> int:
+    """K, the number of CPUs this process may run on, or 1 where it
+    cannot fork or cannot tell.  A daemonic process, such as a pool's
+    worker, may not start processes."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (affinity is None or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return len(affinity(0))
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or a ``RuntimeError`` naming its type and message if it
+    does not survive a pickle round trip."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _verify_shard(config: SweepConfig, start: int, shard: int, count: int,
+                  conn, readers) -> None:
+    """A worker's body: send the report of each graph i >= ``start`` with
+    ``(i - start) % count == shard``, in order, over ``conn``; an
+    exception is sent in place of the report it stopped, and ends the
+    shard.  The worker closes every pipe end it inherited but its own
+    write end, so it is the only writer and never a reader."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops its workers
+    for reader in readers:
+        reader.close()
+    try:
+        for i, g in islice(enumerate(sweep_graphs(config)), start, None):
+            if (i - start) % count == shard:
+                conn.send(verify_graph(g, config, i))
+    except Exception as exc:
+        conn.send(_portable(exc))
+
+
+def _sharded_sweep(config: SweepConfig, start: int) -> Iterator[VerificationReport]:
+    count = _shard_count()
+    readers, workers = [], []
+    try:
+        for shard in range(1, count):
+            ctx = multiprocessing.get_context("fork")
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_verify_shard, daemon=True,
+                                 args=(config, start, shard, count, writer, [*readers, reader]))
+            worker.start()
+            writer.close()  # so a worker that dies ends its pipe
+            readers.append(reader)
+            workers.append(worker)
+        for i, g in islice(enumerate(sweep_graphs(config)), start, None):
+            shard = (i - start) % count
+            if shard == 0:
+                yield verify_graph(g, config, i)
+                continue
+            report = readers[shard - 1].recv()
+            if isinstance(report, Exception):
+                raise report
+            yield report
+    finally:
+        for worker in workers:
+            worker.kill()
+        for worker in workers:
+            worker.join()
+        for reader in readers:
+            reader.close()
+
+
 def run_equivalence_sweep(config: SweepConfig,
                           start_index: int = 0) -> Iterator[VerificationReport]:
     """Reports in deterministic graph order, optionally resuming after
-    ``start_index - 1``, a nonnegative int."""
+    ``start_index - 1``, a nonnegative int.
+
+    The sweep runs on K = ``len(os.sched_getaffinity(0))`` shards:
+    counting from ``start_index``, graph i goes to shard
+    ``(i - start_index) % K``.  The caller verifies shard 0 itself; at the
+    first ``next()`` it forks K - 1 workers, each of which walks
+    ``sweep_graphs`` too and sends its shard's reports over a one-way
+    pipe, read back for that worker's graphs.  So the reports, but for
+    their times, do not depend on K, which is 1, with no worker, where
+    the process cannot fork.  An exception a worker meets is raised here
+    at its graph, after the reports before it, as a ``RuntimeError``
+    with its type and message if it cannot be pickled; a worker that
+    dies raises ``EOFError``.  When the generator is exhausted, closed,
+    raises or is collected, every worker is killed and joined."""
     # A malformed MVRCG_MAX_N or start_index, or a max_n beyond exhaustive
     # enumeration, is not a property of any graph: raise it on the call,
     # before any work, instead of failing every graph with it or after
@@ -286,5 +377,4 @@ def run_equivalence_sweep(config: SweepConfig,
     model_cap()
     if config.max_n > ENUMERATION_CAP:
         raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
-    return (verify_graph(g, config, i) for i, g in enumerate(sweep_graphs(config))
-            if i >= start_index)
+    return _sharded_sweep(config, start_index)

@@ -1,9 +1,13 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -979,6 +983,125 @@ def test_sweep_resumes_on_either_side_of_a_size_boundary(k, oracle_sweep_graphs)
     assert len(got) == {1742: 1, 1743: 0}.get(k, 2)
     assert ([_untimed(r.to_json()) for r in got]
             == [_untimed(r.to_json()) for r in expected])
+
+
+def _fields(report):
+    """Every field of a report but its times."""
+    return (report.index, report.n, report.graph_hash, report.directed, report.bidirected,
+            [(name, c.status, c.witness) for name, c in report.checks.items()])
+
+
+def _cpus(monkeypatch, count):
+    """Make the sweep see ``count`` CPUs, so it runs on ``count`` shards."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_sweep_reports_do_not_depend_on_the_shard_count(monkeypatch, shards):
+    """On K = 1, 2 or 3 shards, the sweep reports, but for their times,
+    what an in-process ``verify_graph`` loop reports, from the first graph
+    and resumed on either side of the boundaries between sizes (n = 1..4
+    has 1, 4, 50 and 1,688 graphs; the 20 random ones follow)."""
+    config = SweepConfig(max_n=4, random_count=20, random_n=5)
+    expected = [_fields(verify_graph(g, config, i)) for i, g in enumerate(sweep_graphs(config))]
+    assert len(expected) == 1763
+    _cpus(monkeypatch, shards)
+    for start in (0, 4, 5, 1742, 1743, 1762, 1763):
+        with _deadline(60):
+            got = [_fields(r) for r in run_equivalence_sweep(config, start_index=start)]
+        assert got == expected[start:]
+
+
+def test_the_sweep_leaves_no_worker_behind(monkeypatch):
+    """Its K - 1 workers start at the first ``next()`` and are gone once
+    the sweep is exhausted, closed or dropped."""
+    _cpus(monkeypatch, 3)
+    config = SweepConfig(max_n=3)
+    reports = run_equivalence_sweep(config)
+    assert multiprocessing.active_children() == []
+    with _deadline(60):
+        assert len(list(reports)) == 55
+    assert multiprocessing.active_children() == []
+    for stop in ("close", "drop"):
+        reports = run_equivalence_sweep(config)
+        with _deadline(60):
+            assert next(reports).index == 0
+        assert len(multiprocessing.active_children()) == 2
+        if stop == "close":
+            reports.close()
+        else:
+            del reports
+            gc.collect()
+        assert multiprocessing.active_children() == []
+
+
+def _sweep_length(max_n):
+    return len(list(run_equivalence_sweep(SweepConfig(max_n=max_n))))
+
+
+def test_a_sweep_in_a_daemonic_process_runs_on_one_shard(monkeypatch):
+    """A pool's worker is daemonic and may not start processes, so a
+    sweep there verifies every graph itself."""
+    _cpus(monkeypatch, 3)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_sweep_length, (3,)).get(timeout=60) == 55
+
+
+class _NeedsTwoArguments(Exception):
+    """An exception that pickles but cannot be unpickled."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def _die():
+    os._exit(3)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("fault, raised, message", [
+    (lambda: _raise(ValueError("bad graph")), ValueError, "bad graph"),
+    (lambda: _raise(_NeedsTwoArguments("a", "b")), RuntimeError, "_NeedsTwoArguments: a and b"),
+    (_die, EOFError, ""),
+], ids=["picklable", "unpicklable", "dead"])
+def test_a_workers_fault_is_raised_at_its_graph(monkeypatch, fault, raised, message):
+    """A worker's exception at graph 5 is raised where the serial sweep
+    raises it, after the reports of graphs 0-4; one that does not survive
+    pickling arrives as a ``RuntimeError`` with its type and message, a
+    worker that dies raises ``EOFError``, and no worker is left behind."""
+    caller, verify = os.getpid(), verify_graph
+
+    def faulty(g, config, index=0):
+        if index == 5 and os.getpid() != caller:
+            fault()
+        return verify(g, config, index)
+
+    monkeypatch.setattr("mvrcg.sweep.verify_graph", faulty)
+    _cpus(monkeypatch, 3)
+    seen = []
+    with _deadline(60), pytest.raises(raised) as info:
+        for report in run_equivalence_sweep(SweepConfig(max_n=3)):
+            seen.append(report.index)
+    assert seen == [0, 1, 2, 3, 4] and str(info.value) == message
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):

@@ -16,7 +16,7 @@ from mvrcg.graph import reach_mask, topological_order
 from mvrcg.separation import (_collider_adjacency, _moral_adjacency, _separated_codes,
                               global_model_codes, iter_canonical_codes)
 from mvrcg.structure import _latent_masks, canonical_dag, is_ancestral, latent_model_codes
-from mvrcg.sweep import SweepConfig, run_equivalence_sweep
+from mvrcg.sweep import SweepConfig, sweep_graphs, verify_graph
 from mvrcg.triples import IndependenceTriple, decode_triple
 
 from oracles import base4_code, oracle_canonical_codes, oracle_m_separated
@@ -210,7 +210,9 @@ def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
 def test_m_table_calls_no_m_reach_over_the_sweep(monkeypatch):
     """Over the default sweep of every chain graph with n <= 4, the m
     model's table is built 1,743 times, once per graph, and calls
-    ``m_reach`` in none of them: its one walk is ``m_world_reach``."""
+    ``m_reach`` in none of them: its one walk is ``m_world_reach``.  The
+    spies see only their own process, so the sweep is the in-process loop
+    of ``verify_graph`` over ``sweep_graphs``."""
     calls, inside = [], []
     m_reach, table = pyfallback.m_reach, pyfallback.m_elementary_table
 
@@ -226,7 +228,8 @@ def test_m_table_calls_no_m_reach_over_the_sweep(monkeypatch):
 
     monkeypatch.setattr(pyfallback, "m_reach", counting)
     monkeypatch.setattr(pyfallback, "m_elementary_table", spying)
-    assert all(report.ok for report in run_equivalence_sweep(SweepConfig(max_n=4)))
+    config = SweepConfig(max_n=4)
+    assert all(verify_graph(g, config, i).ok for i, g in enumerate(sweep_graphs(config)))
     assert len(inside) == 1743 and set(inside) == {0}
 
 
