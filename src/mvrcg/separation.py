@@ -28,22 +28,23 @@ code they emit, instead of one query per canonical triple (about
 4^n/2).  The m model is its elementary table, built in the kernel's
 ``m_elementary_table`` by one walk over every conditioning set at once
 (``m_world_reach``): a vertex's state is a mask over the 2^n sets, and
-the walks from all sources sit side by side in one integer, so one
-worklist over the n vertices replaces a walk per vertex and set.  Only
-a vertex with a vertex above it that is not adjacent to it is a source,
-since adjacent vertices are never separated and m-connection is
-symmetric; :func:`global_model_table` returns the table, and
-``global_model_codes`` lists M from it.  The m* and latent-DAG
-models share :func:`_separated_codes`, which builds one adjacency per
-ancestral set A rather than per set a|b|c: the sets u with an(u) = A
-are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the vertices of A
-with no child in A.  On the latent route the latents are projected out
-first: observed vertices that a path through latents alone connects
-are joined, since no latent is ever conditioned on.  A vertex joined to every other vertex of A leaves A - c
-one class unless c holds it, so only the c that hold all such vertices
-are visited.  Per such c, the classes of A - c follow from those of
-A - (c + {v}) in one step, v merging with every class it touches, and an
-(A, c) with fewer than two classes emits nothing and is skipped.
+the walks from all sources sit side by side in one integer, so sweeps
+over the n vertices, repeated until no state grows, replace a walk per
+vertex and set.  Only a vertex with a vertex above it that is not
+adjacent to it is a source, since adjacent vertices are never separated
+and m-connection is symmetric; :func:`global_model_table` returns the
+table, and ``global_model_codes`` lists M from it.  The m* and
+latent-DAG models share :func:`_separated_codes`, which builds one
+adjacency per ancestral set A rather than per set a|b|c: the sets u
+with an(u) = A are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the
+vertices of A with no child in A.  On the latent route the latents are
+projected out first: observed vertices that a path through latents
+alone connects are joined, since no latent is ever conditioned on.  A
+vertex joined to every other vertex of A leaves A - c one class unless
+c holds it, so only the c that hold all such vertices are visited.  Per
+such c, the classes of A - c are the components that
+``graph.district_masks`` lists along the adjacency, and an (A, c) with
+fewer than two classes emits nothing and is skipped.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ._kernels.pyfallback import iter_canonical_codes, m_connected, subset_sums
 from .config import check_cap, model_cap
 from .errors import NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
-                    reach_mask, state_walk, topological_order)
+                    district_masks, reach_mask, state_walk, topological_order)
 from .triples import IndependenceModel, _check_blocks
 
 
@@ -146,12 +147,12 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     No latent is ever conditioned on, so a path through latents alone is
     always open: the observed vertices that one latent component touches
     are joined pairwise, and the latents dropped.  Then A - c falls into
-    classes joined by paths that avoid c.  A vertex joined to every other
-    vertex of A puts all of A - c into one class unless it lies in c, so
-    only the c that hold every such vertex are visited, one per subset of
-    the other vertices, the loose ones.  Those classes of A - c follow
-    from those of A - (c + {v}) in one step: v joins every class it
-    touches.  The rest u - c of each u above splits into the classes'
+    classes joined by paths that avoid c, the components that
+    ``district_masks`` lists along the adjacency, the lowest vertex's
+    first.  A vertex joined to every other vertex of A puts all of A - c
+    into one class unless it lies in c, so only the c that hold every
+    such vertex are visited, one per subset of the other vertices, the
+    loose ones.  The rest u - c of each u above splits into the classes'
     traces, and a split of it into a and b is separated exactly when no
     class meets both.  With k traces, the 2^(k-1) - 1 splits that keep
     the lowest vertex's trace in a are the canonical ones.  An (A, c)
@@ -165,10 +166,8 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     out: list[int] = []
     for anc in {an_of[u] for u in range(1, 1 << n) if u & (u - 1)}:
         adj = adjacency(g, anc)
-        obs, latent = anc & observed, anc & ~observed
-        while latent:
-            cls = reach_mask(adj, latent & -latent, latent)
-            latent ^= cls
+        obs = anc & observed
+        for cls in district_masks(adj, anc & ~observed):
             ends = 0
             for h in bits(cls):
                 ends |= adj[h]
@@ -184,24 +183,8 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
         loose = obs ^ joined
         if not loose & (loose - 1):  # one loose vertex at most: one class
             continue
-        classes: list[int] = []
-        partition = {loose: classes}
-        for cl in (*submasks(loose), 0):  # descending: cl | v comes before cl
-            if cl != loose:
-                v = loose & ~cl & -(loose & ~cl)
-                near = adj[v.bit_length() - 1] & loose & ~cl
-                if near:
-                    merged, classes = v, []
-                    for cls in partition[cl | v]:
-                        if cls & near:
-                            merged |= cls
-                        else:
-                            classes.append(cls)
-                    classes.insert(0, merged)
-                else:
-                    classes = [v, *partition[cl | v]]
-                partition[cl] = classes
-            # The first class holds v, the lowest vertex of A - c.
+        for cl in (*submasks(loose), 0):
+            classes = district_masks(adj, loose ^ cl)
             if len(classes) < 2:
                 continue
             c = joined | cl

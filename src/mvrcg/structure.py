@@ -192,9 +192,9 @@ def marginal_model_equal(g: MixedGraph) -> CheckResult:
     disagreeing code.  Both models have the one cap ``model_cap()``, and M
     is built first, so a graph too large for it is refused before the
     latent DAG's class splits start: one adjacency per ancestral set of
-    the latent DAG, its latents projected out, and one merge of the
-    classes per conditioning set inside it that holds every vertex joined
-    to all the others."""
+    the latent DAG, its latents projected out, and one class split per
+    conditioning set inside it that holds every vertex joined to all the
+    others."""
     model = global_model_codes(g)
     latent = latent_model_codes(g)
     if latent == model:

@@ -15,7 +15,7 @@ import pytest
 from mvrcg import MixedGraph
 from mvrcg import fixtures
 from mvrcg.cli import main
-from mvrcg import closure, structure
+from mvrcg import closure, structure, sweep
 from mvrcg._kernels import pyfallback
 from mvrcg._kernels.pyfallback import chain_seeds, elementary_closure, pairwise_codes
 from mvrcg.chain import ChainDecomposition, validate_chain_graph
@@ -1087,14 +1087,14 @@ def test_a_workers_fault_is_raised_at_its_graph(monkeypatch, fault, raised, mess
     raises it, after the reports of graphs 0-4; one that does not survive
     pickling arrives as a ``RuntimeError`` with its type and message, a
     worker that dies raises ``EOFError``, and no worker is left behind."""
-    caller, verify = os.getpid(), verify_graph
+    caller, verify = os.getpid(), sweep._verify_graph
 
-    def faulty(g, config, index=0):
+    def faulty(g, config, index):
         if index == 5 and os.getpid() != caller:
             fault()
         return verify(g, config, index)
 
-    monkeypatch.setattr("mvrcg.sweep.verify_graph", faulty)
+    monkeypatch.setattr(sweep, "_verify_graph", faulty)
     _cpus(monkeypatch, 3)
     seen = []
     with _deadline(60), pytest.raises(raised) as info:

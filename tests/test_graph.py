@@ -18,7 +18,7 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
 from mvrcg.errors import (DisjointnessViolation, GraphFormatError, HeadTestFailed,
                           InvalidSeed, ModelFormatError, NotAComponent, NotADag, UnknownName)
 from mvrcg.properties import property_masks
-from mvrcg.sweep import SweepConfig, run_equivalence_sweep
+from mvrcg.sweep import SweepConfig, config_hash, run_equivalence_sweep, verify_graph
 
 from oracles import oracle_ancestors
 
@@ -394,6 +394,14 @@ TYPED_ERROR_CALLS = {
     "model_union_int": (ModelFormatError, lambda: _MODEL.union(5)),
     "axiom_set_parse_list": (UnknownName, lambda: AxiomSet.parse([])),
     "axiom_set_str_flag": (GraphFormatError, lambda: AxiomSet(intersection="yes")),
+    "verify_graph_none_graph": (GraphFormatError, lambda: verify_graph(None, SweepConfig())),
+    "verify_graph_none_config": (GraphFormatError, lambda: verify_graph(MixedGraph(2), None)),
+    "verify_graph_str_index": (GraphFormatError,
+                               lambda: verify_graph(MixedGraph(2), SweepConfig(), "x")),
+    "verify_graph_negative_index": (GraphFormatError,
+                                    lambda: verify_graph(MixedGraph(2), SweepConfig(), -1)),
+    "sweep_none_config": (GraphFormatError, lambda: run_equivalence_sweep(None)),
+    "config_hash_none": (GraphFormatError, lambda: config_hash(None)),
 }
 
 

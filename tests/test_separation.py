@@ -170,16 +170,17 @@ def test_three_models_agree_on_random_n7(monkeypatch):
 @pytest.mark.parametrize("g, sources, steps", [
     (MixedGraph(5), 0b01111, 0),
     (MixedGraph(5, bidirected=list(combinations(range(5), 2))), 0, 0),
-    (MixedGraph(5, directed=[(0, 1), (1, 2), (2, 3), (3, 4)]), 0b00111, 9),
+    (MixedGraph(5, directed=[(0, 1), (1, 2), (2, 3), (3, 4)]), 0b00111, 15),
 ], ids=["edgeless", "complete", "chain"])
 def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
     """Only a vertex with an open vertex, one above it that is not
     adjacent to it, is a source of the walk over every conditioning set
     at once, and that walk is the table's only one: no ``m_reach`` call.
     On the edgeless graph every vertex but the last is a source and the
-    worklist takes no step, since no walk leaves a vertex; on a complete
+    sweeps take no step, since no walk leaves a vertex; on a complete
     graph nothing is a source; on the chain 0 -> 1 -> 2 -> 3 -> 4 the
-    sources are 0, 1 and 2 and the worklist takes 9 steps.  One walk
+    sources are 0, 1 and 2 and three sweeps of the five vertices take 15
+    steps, the last growing nothing.  One walk
     per vertex and conditioning set would be 75.  The table is symmetric
     and holds exactly the model's elementary triples."""
     n = g.n
