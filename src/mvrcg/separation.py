@@ -41,10 +41,15 @@ vertices of A with no child in A.  On the latent route the latents are
 projected out first: observed vertices that a path through latents
 alone connects are joined, since no latent is ever conditioned on.  A
 vertex joined to every other vertex of A leaves A - c one class unless
-c holds it, so only the c that hold all such vertices are visited.  Per
-such c, the classes of A - c are the components that
-``graph.district_masks`` lists along the adjacency, and an (A, c) with
-fewer than two classes emits nothing and is skipped.
+c holds it, so only the c that hold all such vertices are visited: one
+per subset w of the other vertices, the loose ones, with c holding the
+loose vertices outside w.  The classes of A - c, its components along
+the adjacency, are built for every w in one increasing pass
+(:func:`_loose_classes`): those of w are those of w minus its lowest
+vertex v, with the ones that v is joined to merged into v's class.  An
+(A, c) with fewer than two classes emits nothing and is skipped;
+``graph.district_masks`` only lists the latent components projected
+out.
 """
 
 from __future__ import annotations
@@ -132,6 +137,28 @@ def _separated(adj: list[int], x: int, y: int, z: int) -> bool:
     return not reach_mask(adj, x, ~z) & y
 
 
+def _loose_classes(adj: list[int], loose: int) -> dict[int, list[int]]:
+    """The classes along ``adj`` of every subset w of ``loose``, keyed by
+    w in increasing order and listed as ``district_masks(adj, w)`` lists
+    them, built in one pass.  The classes of w are those of w minus its
+    lowest vertex v, with the ones that v is joined to merged into v's
+    class, which comes first since it holds w's lowest vertex."""
+    parts = {0: []}
+    w = 0
+    while w != loose:
+        w = (w - loose) & loose  # the next subset of loose
+        v = w & -w
+        near = adj[v.bit_length() - 1]
+        merged, others = v, []
+        for t in parts[w ^ v]:
+            if t & near:
+                merged |= t
+            else:
+                others.append(t)
+        parts[w] = [merged, *others]
+    return parts
+
+
 def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
     """Canonical codes over vertices ``0..n-1`` whose triple <a, b | c> is
     separated in ``adjacency(g, an(a|b|c))``.
@@ -146,49 +173,53 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
 
     No latent is ever conditioned on, so a path through latents alone is
     always open: the observed vertices that one latent component touches
-    are joined pairwise, and the latents dropped.  Then A - c falls into
-    classes joined by paths that avoid c, the components that
-    ``district_masks`` lists along the adjacency, the lowest vertex's
-    first.  A vertex joined to every other vertex of A puts all of A - c
-    into one class unless it lies in c, so only the c that hold every
-    such vertex are visited, one per subset of the other vertices, the
-    loose ones.  The rest u - c of each u above splits into the classes'
-    traces, and a split of it into a and b is separated exactly when no
-    class meets both.  With k traces, the 2^(k-1) - 1 splits that keep
-    the lowest vertex's trace in a are the canonical ones.  An (A, c)
-    with fewer than two classes splits nothing and is skipped.
+    are joined pairwise, and the latents dropped; an A without latents
+    skips this.  Then A - c falls into classes joined by paths that avoid
+    c, its components along the adjacency, the lowest vertex's first.  A
+    vertex joined to every other vertex of A puts all of A - c into one
+    class unless it lies in c, so only the c that hold every such vertex
+    are visited, one per subset w of the other vertices, the loose ones:
+    c holds the joined vertices and the loose ones outside w, and A - c
+    is w.  ``_loose_classes`` lists the classes of every w in one pass,
+    and each visit reads them.  The rest u - c of each u above splits
+    into the classes' traces, and a split of it into a and b is
+    separated exactly when no class meets both.  With k traces, the
+    2^(k-1) - 1 splits that keep the lowest vertex's trace in a are the
+    canonical ones.  An (A, c) with fewer than two classes splits
+    nothing and is skipped.
     """
     an_of = [0] * (1 << n)
     for u in range(1, 1 << n):
         low = u & -u
         an_of[u] = an_of[u ^ low] | an_of[low] if u != low else ancestors_mask(g, u)
     observed = (1 << n) - 1
+    ch = g.ch
     out: list[int] = []
     for anc in {an_of[u] for u in range(1, 1 << n) if u & (u - 1)}:
         adj = adjacency(g, anc)
         obs = anc & observed
-        for cls in district_masks(adj, anc & ~observed):
-            ends = 0
-            for h in bits(cls):
-                ends |= adj[h]
-            ends &= obs
-            for v in bits(ends):
-                adj[v] |= ends
+        if anc != obs:  # project the latents out
+            for cls in district_masks(adj, anc ^ obs):
+                ends = 0
+                for h in bits(cls):
+                    ends |= adj[h]
+                ends &= obs
+                for v in bits(ends):
+                    adj[v] |= ends
         joined = sinks = 0
         for v in bits(obs):
             if not obs & ~adj[v] & ~(1 << v):
                 joined |= 1 << v
-            if not g.ch[v] & anc:
+            if not ch[v] & anc:
                 sinks |= 1 << v
         loose = obs ^ joined
         if not loose & (loose - 1):  # one loose vertex at most: one class
             continue
-        for cl in (*submasks(loose), 0):
-            classes = district_masks(adj, loose ^ cl)
+        for w, classes in _loose_classes(adj, loose).items():
             if len(classes) < 2:
                 continue
-            c = joined | cl
-            tail, free = sinks & ~c, obs & ~(sinks | c)
+            c = joined | loose ^ w
+            tail, free, high = sinks & ~c, obs & ~(sinks | c), c << 2 * n
             for extra in (*submasks(free), 0):
                 rest = tail | extra
                 # Without free vertices, rest is all of A - c.
@@ -200,7 +231,7 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
                     a, b = split
                     if not a & low:
                         a, b = b, a
-                    out.append(c << 2 * n | b << n | a)
+                    out.append(high | b << n | a)
                     continue
                 if not split[0] & low:
                     split = sorted(split, key=lambda t: t & -t)
@@ -208,7 +239,7 @@ def _separated_codes(g: MixedGraph, n: int, adjacency) -> list[int]:
                 # b; moving a trace t from b to a adds t - (t << n).  The
                 # last sum moves every trace, leaving b empty.
                 first = split[0]
-                base = c << 2 * n | (rest ^ first) << n | first
+                base = high | (rest ^ first) << n | first
                 out += subset_sums(base, [t - (t << n) for t in split[1:]])[:-1]
     out.sort()
     return out

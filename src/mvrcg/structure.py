@@ -6,8 +6,8 @@ maximal when every nonadjacent vertex pair admits some separating set;
 equivalently, when no primitive inducing chain (all interiors colliders
 lying in the ancestor closure of the endpoints) joins a nonadjacent
 pair.  Both characterisations are implemented and must agree: the first
-runs the m-separation kernel on every candidate set, the second a state
-walk with its own collider-only rule.
+runs the m-separation kernel on the candidate sets until one separates,
+the second a state walk with its own collider-only rule.
 
 Replacing each bidirected edge u <-> v by a fresh common parent
 u <- h -> v yields a DAG whose separation statements over the original
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from ._bitset import bits, submasks
+from ._bitset import bits
 from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
 from .config import check_cap, model_cap
@@ -107,12 +107,19 @@ def _nonadjacent_pairs(g: MixedGraph):
 
 
 def _maximal_by_zsets(g: MixedGraph) -> bool:
+    """The direct criterion: ``g`` is not maximal when every set of the
+    other vertices m-connects some nonadjacent pair.  A pair's sets are
+    tried one at a time, the empty set first and then the others in
+    descending order, and the first separating set ends its search."""
+    n, pa, ch, nb = g.n, g.pa, g.ch, g.nb
     for r, s in _nonadjacent_pairs(g):
         x, y = 1 << r, 1 << s
         others = g.full_mask & ~(x | y)
-        if all(m_connected(g.n, g.pa, g.ch, g.nb, x, y, z)
-               for z in (0, *submasks(others))):
-            return False
+        z = 0
+        while m_connected(n, pa, ch, nb, x, y, z):
+            z = (z - 1) & others  # the next set; from the empty set, all of others
+            if not z:
+                return False
     return True
 
 

@@ -12,9 +12,9 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
 from mvrcg._bitset import submasks
 from mvrcg._kernels import pyfallback
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
-from mvrcg.graph import reach_mask, topological_order
-from mvrcg.separation import (_collider_adjacency, _moral_adjacency, _separated_codes,
-                              global_model_codes, iter_canonical_codes)
+from mvrcg.graph import district_masks, reach_mask, topological_order
+from mvrcg.separation import (_collider_adjacency, _loose_classes, _moral_adjacency,
+                              _separated_codes, global_model_codes, iter_canonical_codes)
 from mvrcg.structure import _latent_masks, canonical_dag, is_ancestral, latent_model_codes
 from mvrcg.sweep import SweepConfig, sweep_graphs, verify_graph
 from mvrcg.triples import IndependenceTriple, decode_triple
@@ -153,6 +153,70 @@ def test_model_loops_build_one_adjacency_per_ancestral_set(g, ancestral_sets, ro
 
     assert _separated_codes(graph, g.n, counting) == expected
     assert len(within) == len(set(within)) == ancestral_sets
+
+
+def route_input(g, route):
+    """The graph and adjacency builder that ``_separated_codes`` takes on
+    the m* or the latent-DAG route."""
+    if route == "mstar":
+        return g, _collider_adjacency
+    return _latent_masks(g), _moral_adjacency
+
+
+@pytest.mark.parametrize("route", ["mstar", "latent"])
+def test_loose_classes_match_district_masks(monkeypatch, route):
+    """The one-pass classes of every subset w of each ancestral set's
+    loose vertices are ``district_masks(adj, w)``, order included, on
+    every chain graph with n <= 4 and on 20 random n=6 graphs."""
+    rng = random.Random(38)
+    graphs = ([g for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
+              + [random_mvr_cg(6, rng) for _ in range(20)])
+    subsets = []
+
+    def checked(adj, loose):
+        parts = _loose_classes(adj, loose)
+        assert list(parts) == sorted([0, *submasks(loose)])
+        for w, classes in parts.items():
+            assert classes == district_masks(adj, w)
+        subsets.append(len(parts))
+        return parts
+
+    monkeypatch.setattr("mvrcg.separation._loose_classes", checked)
+    for g in graphs:
+        graph, adjacency = route_input(g, route)
+        _separated_codes(graph, g.n, adjacency)
+    assert sum(subsets) > len(graphs)
+
+
+@pytest.mark.parametrize("route", ["mstar", "latent"])
+@pytest.mark.parametrize("g", [
+    MixedGraph(4),
+    MixedGraph(4, directed=[(0, 2), (1, 2)], bidirected=[(2, 3)]),
+    MixedGraph(4, bidirected=list(combinations(range(4), 2))),
+], ids=["edgeless", "collider", "complete"])
+def test_model_loops_split_classes_without_district_masks(monkeypatch, g, route):
+    """``_separated_codes`` calls ``district_masks`` only to project out
+    the latents, at most once per ancestral set that holds one, and never
+    once per conditioning set: the classes of A - c come from the one
+    pass over A's loose vertices."""
+    graph, adjacency = route_input(g, route)
+    observed = (1 << g.n) - 1
+    within, searched = [], []
+
+    def counting(g, anc):
+        within.append(anc)
+        return adjacency(g, anc)
+
+    def district(adj, mask):
+        searched.append(mask)
+        return district_masks(adj, mask)
+
+    monkeypatch.setattr("mvrcg.separation.district_masks", district)
+    assert _separated_codes(graph, g.n, counting) == global_model_codes(g)
+    assert all(not mask & observed for mask in searched)
+    assert len(searched) <= sum(1 for anc in within if anc & ~observed)
+    if route == "mstar":
+        assert not searched
 
 
 def test_three_models_agree_on_random_n7(monkeypatch):
