@@ -38,61 +38,6 @@ def decode_code(n: int, code: int) -> tuple[int, int, int]:
     return code & full, code >> n & full, code >> 2 * n & full
 
 
-def m_reach(pa, ch, nb, x: int, z: int, anz: int, stop: int = -1) -> int:
-    """Vertices at which an m-connecting walk from ``x`` given ``z`` can end.
-
-    States are (vertex, arrived-with-arrowhead).  An interior vertex is
-    crossed as a noncollider only outside ``z`` and as a collider only
-    inside ``anz``, the ancestor closure of ``z``.  Every step is a union
-    over the frontier, so the reach of a set is the union of the reaches
-    of its vertices.  The walk ends early once it has reached every vertex
-    of ``stop``, so only the result's part inside ``stop`` is exact; the
-    default stop, -1, is never reached.
-    """
-    head = 0  # vertices reached with an arrowhead pointing at them
-    tail = 0
-    m = x
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        head |= ch[v] | nb[v]
-        tail |= pa[v]
-    fh, ft = head, tail
-    while (fh or ft) and stop & ~(head | tail):
-        nh = nt = 0
-        m = ft & ~z                   # arrived tail-first: always a noncollider
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nh |= ch[v] | nb[v]
-            nt |= pa[v]
-        m = fh & ~z                   # leave through a tail: noncollider
-        while m:
-            low = m & -m
-            m ^= low
-            nh |= ch[low.bit_length() - 1]
-        m = fh & anz                  # leave through a head: collider
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nh |= nb[v]
-            nt |= pa[v]
-        fh = nh & ~head
-        ft = nt & ~tail
-        head |= nh
-        tail |= nt
-    return head | tail
-
-
-def m_connected(n: int, pa, ch, nb, x: int, y: int, z: int) -> bool:
-    """Whether an m-connecting walk joins ``x`` and ``y`` given ``z``: one
-    ``m_reach`` from ``x`` with ``y`` as its stop, intersected with ``y``."""
-    return bool(m_reach(pa, ch, nb, x, z, reach_mask(pa, z), y) & y)
-
-
 def subset_sums(base: int, steps) -> list[int]:
     """``base`` plus the sum of each subset of ``steps``: the empty subset
     first and the full one last."""
@@ -168,20 +113,25 @@ def world_patterns(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def m_world_reach(n: int, pa, ch, nb, sources: int) -> tuple[list[int], int]:
-    """``m_reach`` from each vertex of ``sources`` given every conditioning
-    set at once, as one fixpoint over the vertices.
+    """The vertices that an m-connecting walk from each vertex of
+    ``sources`` reaches, given every conditioning set at once, as one
+    fixpoint over the vertices.
 
-    Each conditioning set c is a world, and a vertex's state is a mask
-    over worlds: bit c of ``head[w]`` (``tail[w]``) says that w is reached
-    with an arrowhead (a tail) at it given c.  The sources sit side by
-    side, source v in block v of n·2^n bits, and start in the worlds that
-    do not hold v.  ``m_reach``'s rules act on whole masks: w is crossed
-    as a noncollider in the worlds that do not hold it and as a collider
-    in those that meet its descendants, the worlds where it is in an(c).
-    A tail-arrival goes on to w's children and neighbours with a head and
-    to its parents with a tail; a head-arrival goes on to its children
-    with a head as a noncollider, and to its neighbours with a head and
-    its parents with a tail as a collider.
+    A walk's states are (vertex, arrived-with-arrowhead) pairs, and it
+    crosses an interior vertex as a noncollider only outside the
+    conditioning set c and as a collider only inside an(c): the rules of
+    ``separation._m_walk``, the single-query walk.  Each c is a world, and
+    a vertex's state is a mask over worlds: bit c of ``head[w]``
+    (``tail[w]``) says that w is reached with an arrowhead (a tail) at it
+    given c.  The sources sit side by side, source v in block v of n·2^n
+    bits, and start in the worlds that do not hold v.  The rules act on
+    whole masks: w is crossed as a noncollider in the worlds that do not
+    hold it and as a collider in those that meet its descendants, the
+    worlds where it is in an(c).  A tail-arrival goes on to w's children
+    and neighbours with a head and to its parents with a tail; a
+    head-arrival goes on to its children with a head as a noncollider,
+    and to its neighbours with a head and its parents with a tail as a
+    collider.
 
     The vertices are swept in order, each passing its whole state on,
     until a sweep grows no mask.  Returns ``reach``, bit v·2^n + c of

@@ -30,7 +30,7 @@ from typing import Optional
 
 from ._bitset import bits, mask_of, set_of
 from .errors import GraphFormatError, NotAComponent, PartiallyDirectedCycle
-from .graph import (MixedGraph, _as_mask, _vertex, descendants_mask, district_masks,
+from .graph import (MixedGraph, _as_mask, _graph, _vertex, descendants_mask, district_masks,
                     district_of, reach_mask, shortest_path, topological_order)
 
 
@@ -141,7 +141,10 @@ def pre_of_component(dec: ChainDecomposition, component) -> frozenset[int]:
     be an index into ``dec.components`` (an int, not a bool) or the
     vertex set itself.  An index out of range or a vertex set that is no
     component raises :class:`NotAComponent`; anything that is neither an
-    index nor a collection of vertex ids raises ``GraphFormatError``."""
+    index nor a collection of vertex ids raises ``GraphFormatError``, as
+    does a ``dec`` that is no ``ChainDecomposition``."""
+    if not isinstance(dec, ChainDecomposition):
+        raise GraphFormatError(f"decomposition must be a ChainDecomposition, got {dec!r}")
     if type(component) is int:
         return dec.pre(component)
     wanted = _as_mask(dec.graph, component)
@@ -162,7 +165,7 @@ def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
     that lies on such a cycle, and closes it along a fewest-edge
     semi-directed path from ``h`` back to ``t``.
     """
-    found = _chain_order_from_masks(g.n, g.ch, g.nb)
+    found = _chain_order_from_masks(_graph(g).n, g.ch, g.nb)
     if found is None:
         raise PartiallyDirectedCycle(_cycle_witness(g))
     comps, comp_of, children, order = found
@@ -181,7 +184,7 @@ def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
 
 def is_chain_graph(g: MixedGraph) -> bool:
     """Cheap predicate form of :func:`validate_chain_graph`."""
-    return _chain_order_from_masks(g.n, g.ch, g.nb) is not None
+    return _chain_order_from_masks(_graph(g).n, g.ch, g.nb) is not None
 
 
 def _chain_order_from_masks(n: int, ch, nb):
@@ -249,7 +252,7 @@ def relatives(g: MixedGraph, v: int, dec: Optional[ChainDecomposition] = None) -
     after the one containing ``v``) and is None when ``dec`` is omitted;
     ``dec`` must be ``g``'s.
     """
-    de = descendants_mask(g, 1 << _vertex(g, v))
+    de = descendants_mask(g, 1 << _vertex(_graph(g), v))
     return Relatives(
         pa=set_of(g.pa[v]),
         nb=set_of(g.nb[v]),

@@ -23,8 +23,7 @@ from .factorization import factorize_component_dag, factorize_mvr, head_partitio
 from .graph import MixedGraph, induced_subgraph
 from .intervention import intervene
 from .properties import PROPERTY_KINDS, property_model
-from .separation import (d_separated, global_model, m_connecting_walk,
-                         m_separated, m_star_separated)
+from .separation import d_separated, global_model, m_connecting_walk, m_star_separated
 from .structure import canonical_dag, is_ancestral, is_maximal, marginal_model_equal
 from .sweep import SweepConfig, config_hash, run_equivalence_sweep
 from .triples import IndependenceModel, _ground_set, first_difference
@@ -92,8 +91,10 @@ def cmd_separate(args) -> int:
     x = _vertex_list(g, args.x)
     y = _vertex_list(g, args.y)
     z = _vertex_list(g, args.z)
-    if args.method == "m":
-        separated = m_separated(g, x, y, z)
+    walk = None
+    if args.method == "m":  # the witness walk decides, so it runs once
+        walk = m_connecting_walk(g, x, y, z)
+        separated = walk is None
     elif args.method == "mstar":
         separated = m_star_separated(g, x, y, z)
     else:
@@ -101,7 +102,7 @@ def cmd_separate(args) -> int:
     if separated:
         print("SEPARATED")
         return 0
-    walk = m_connecting_walk(g, x, y, z)
+    walk = walk or m_connecting_walk(g, x, y, z)
     witness = " ~ ".join(g.labels[v] for v in walk) if walk else "?"
     print(f"CONNECTED: {witness}")
     return 0

@@ -22,7 +22,7 @@ from ._bitset import bits, format_vertices, set_of
 from .chain import ChainDecomposition, _decomposition_of
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import DisjointnessViolation, HeadTestFailed, NotAncestrallyClosed
-from .graph import (MixedGraph, _as_mask, _within_mask, ancestors_mask, descendants_mask,
+from .graph import (MixedGraph, _as_mask, _graph, _within_mask, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set)
 
 
@@ -63,7 +63,7 @@ class Factorization:
 
 def barren(g: MixedGraph, H: Iterable[int], within: Optional[int] = None) -> frozenset[int]:
     """Members of H with no proper descendant inside H."""
-    return set_of(_barren_mask(g, _as_mask(g, H), _within_mask(g, within)))
+    return set_of(_barren_mask(g, _as_mask(_graph(g), H), _within_mask(g, within)))
 
 
 def _barren_mask(g: MixedGraph, h: int, within: Optional[int] = None) -> int:
@@ -101,7 +101,7 @@ def tail_of_head(g: MixedGraph, H: Iterable[int]) -> frozenset[int]:
 
 def heads(g: MixedGraph) -> tuple[HeadTail, ...]:
     """Every head of the graph with its tail, by subset enumeration."""
-    check_cap(g.n, DEFAULT_SUBSET_CAP)
+    check_cap(_graph(g).n, DEFAULT_SUBSET_CAP)
     out = []
     for h in range(1, 1 << g.n):
         t = _head_tail_mask(g, h)
@@ -120,7 +120,7 @@ def head_partition(g: MixedGraph, A: Iterable[int]) -> Factorization:
     the head conditions; a failure means the construction is wrong, not
     the input.
     """
-    a_mask = _as_mask(g, A)
+    a_mask = _as_mask(_graph(g), A)
     if ancestors_mask(g, a_mask) != a_mask:
         raise NotAncestrallyClosed(f"an(A) != A for A={sorted(set_of(a_mask))}")
     factors = tuple(HeadTail(set_of(block), set_of(t)) for block, t in _head_blocks(g, a_mask))

@@ -381,6 +381,14 @@ def state_walk(g: MixedGraph, sources: int, goal: int, step) -> Optional[list[in
 # --- set-valued graph functions ----------------------------------------
 
 
+def _graph(g: MixedGraph) -> MixedGraph:
+    """``g``, once checked to be a ``MixedGraph``: the public entries call
+    it first, so another argument raises ``GraphFormatError``."""
+    if not isinstance(g, MixedGraph):
+        raise GraphFormatError(f"graph must be a MixedGraph, got {g!r}")
+    return g
+
+
 def _vertex(g: MixedGraph, v: int) -> int:
     """``v``, once checked to be a vertex id of ``g``: an int in range."""
     if type(v) is not int or not 0 <= v < g.n:
@@ -412,9 +420,9 @@ def _within_mask(g: MixedGraph, within: Optional[int]) -> int:
     return within
 
 
-def ancestors_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> int:
+def ancestors_mask(g: MixedGraph, seed: int) -> int:
     """Reflexive ancestor closure of the bitmask ``seed`` under -> edges."""
-    return reach_mask(g.pa, seed, g.full_mask if within is None else within)
+    return reach_mask(g.pa, seed, g.full_mask)
 
 
 def descendants_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> int:
@@ -423,7 +431,7 @@ def descendants_mask(g: MixedGraph, seed: int, within: Optional[int] = None) -> 
 
 def ancestors(g: MixedGraph, xs: Iterable[int]) -> frozenset[int]:
     """All vertices with a directed path into ``xs``, including ``xs``."""
-    return set_of(ancestors_mask(g, _as_mask(g, xs)))
+    return set_of(ancestors_mask(g, _as_mask(_graph(g), xs)))
 
 
 # An anterior walk into a set may use undirected edges or directed edges
@@ -434,7 +442,8 @@ anteriors = ancestors
 
 def districts(g: MixedGraph, within: Optional[int] = None) -> list[frozenset[int]]:
     """Connected components of the bidirected-only (sub)graph, by min id."""
-    return [set_of(d) for d in district_masks(g.nb, _within_mask(g, within))]
+    within = _within_mask(_graph(g), within)
+    return [set_of(d) for d in district_masks(g.nb, within)]
 
 
 def district_mask(g: MixedGraph, v: int, within: Optional[int] = None) -> int:
@@ -443,7 +452,7 @@ def district_mask(g: MixedGraph, v: int, within: Optional[int] = None) -> int:
 
 def district_of(g: MixedGraph, v: int) -> frozenset[int]:
     """Bidirected connected component of ``v`` in the full graph."""
-    return set_of(district_mask(g, _vertex(g, v)))
+    return set_of(district_mask(g, _vertex(_graph(g), v)))
 
 
 def parents_of_set(g: MixedGraph, member_mask: int) -> int:
@@ -460,7 +469,7 @@ def induced_subgraph(g: MixedGraph, A: Iterable[int]) -> MixedGraph:
     Vertex ids are re-indexed densely; ``source_ids`` on the result maps
     each new id back to the original one.
     """
-    keep = sorted(set_of(_as_mask(g, A)))
+    keep = sorted(set_of(_as_mask(_graph(g), A)))
     remap = {old: new for new, old in enumerate(keep)}
     directed = [(remap[t], remap[h]) for t, h in g.directed if t in remap and h in remap]
     bidirected = [(remap[u], remap[v]) for u, v in g.bidirected if u in remap and v in remap]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import MixedGraph, _as_mask
+from .graph import MixedGraph, _as_mask, _graph
 
 
 def intervene(g: MixedGraph, X: Iterable[int]) -> MixedGraph:
-    x = _as_mask(g, X)
+    x = _as_mask(_graph(g), X)
     directed = [(t, h) for t, h in g.directed if not (x >> h) & 1]
     bidirected = [(u, v) for u, v in g.bidirected
                   if not (x >> u) & 1 and not (x >> v) & 1]
-    return MixedGraph(g.n, directed, bidirected, g.labels)
+    return MixedGraph(g.n, directed, bidirected, g.labels, g.source_ids)

@@ -15,9 +15,9 @@ from ._kernels.pyfallback import mask_seeds
 from .chain import ChainDecomposition, _decomposition_of, validate_chain_graph
 from .config import DEFAULT_SUBSET_CAP, check_cap
 from .errors import HasChildInA, InconsistentOrder, NotAncestrallyClosed, UnknownName
-from .graph import (MixedGraph, _as_mask, _vertex, _vertices, ancestors_mask, descendants_mask,
-                    district_mask, district_masks, parents_of_set, reach_mask,
-                    topological_order)
+from .graph import (MixedGraph, _as_mask, _graph, _vertex, _vertices, ancestors_mask,
+                    descendants_mask, district_mask, district_masks, parents_of_set,
+                    reach_mask, topological_order)
 from .separation import global_model
 from .triples import IndependenceModel
 
@@ -69,7 +69,8 @@ def _pairwise_masks(g: MixedGraph, dec: ChainDecomposition, variant: str,
 
 def mr_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     """Multivariate-regression statements; see ``_mr_masks``."""
-    return IndependenceModel.from_masks(g.n, _mr_masks(g, _decomposition_of(g, dec)))
+    masks = _mr_masks(g, _decomposition_of(g, dec))
+    return IndependenceModel.from_masks(g.n, masks)
 
 
 def _mr_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, int]]:
@@ -101,7 +102,8 @@ def _mr_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, in
 
 def type_iv_triples(g: MixedGraph, dec: ChainDecomposition) -> IndependenceModel:
     """Block-recursive statements; see ``_iv_masks``."""
-    return IndependenceModel.from_masks(g.n, _iv_masks(g, _decomposition_of(g, dec)))
+    masks = _iv_masks(g, _decomposition_of(g, dec))
+    return IndependenceModel.from_masks(g.n, masks)
 
 
 def _iv_masks(g: MixedGraph, dec: ChainDecomposition) -> list[tuple[int, int, int]]:
@@ -147,7 +149,7 @@ def markov_blanket(g: MixedGraph, x: int, A: Iterable[int]) -> frozenset[int]:
     ``A`` must be ancestrally closed and ``x`` must have no children in
     it.
     """
-    x, a_mask = _vertex(g, x), _as_mask(g, A)
+    x, a_mask = _vertex(_graph(g), x), _as_mask(g, A)
     if ancestors_mask(g, a_mask) != a_mask:
         raise NotAncestrallyClosed(f"an(A) != A for A={sorted(set_of(a_mask))}")
     if not (a_mask >> x) & 1:
@@ -175,6 +177,7 @@ def ordered_local_triples(g: MixedGraph,
     of the prefix; vacuous statements are dropped.  Because the order is
     consistent, x never has children inside its prefix.
     """
+    _graph(g)
     if order is None:
         order = consistent_vertex_order(g)
     else:
@@ -224,7 +227,7 @@ def _ordered_local_masks(g: MixedGraph, order: tuple[int, ...]) -> list[tuple[in
 
 def alt_local_triples(g: MixedGraph) -> IndependenceModel:
     """The alternative local statements; see ``_alt_local_masks``."""
-    return IndependenceModel.from_masks(g.n, _alt_local_masks(g))
+    return IndependenceModel.from_masks(_graph(g).n, _alt_local_masks(g))
 
 
 def _alt_local_masks(g: MixedGraph) -> list[tuple[int, int, int]]:

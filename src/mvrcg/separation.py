@@ -3,16 +3,15 @@
 Three routes are implemented independently and cross-checked.  Each
 public function checks its arguments and answers on vertex bitmasks.
 The model-level loops below call none of them: the m model applies the
-rules of ``m_connected``'s walk, the kernel's ``m_reach``, to every
-conditioning set at once, and the m* model shares
-:func:`_collider_adjacency`.
+rules of :func:`_m_walk` to every conditioning set at once, and the m*
+model shares :func:`_collider_adjacency`.
 
-* :func:`m_separated` — walk-state reachability, the kernel's
-  ``m_connected``.  A walk connects X to Y given Z when every interior
-  noncollider avoids Z and every interior collider has a descendant in Z
-  (equivalently, lies in the ancestor closure of Z).  Walks and simple
-  paths define the same relation, and the walk search needs only 2n
-  states.
+* :func:`m_separated` — walk-state reachability, :func:`_m_walk`, which
+  also gives :func:`m_connecting_walk` its witness.  A walk connects X
+  to Y given Z when every interior noncollider avoids Z and every
+  interior collider has a descendant in Z (equivalently, lies in the
+  ancestor closure of Z).  Walks and simple paths define the same
+  relation, and the walk search needs only 2n states.
 * :func:`m_star_separated` — the augmentation criterion: restrict to the
   ancestor closure of X|Y|Z, join every collider-connected vertex pair
   by an undirected edge, then test plain separation.
@@ -33,7 +32,9 @@ over the n vertices, repeated until no state grows, replace a walk per
 vertex and set.  Only a vertex with a vertex above it that is not
 adjacent to it is a source, since adjacent vertices are never separated
 and m-connection is symmetric; :func:`global_model_table` returns the
-table, and ``global_model_codes`` lists M from it.  The m* and
+table, and ``global_model_codes`` lists M from it.  The table is n·2^n
+masks, which maximality reads (``structure``) at any size; ``model_cap()``
+guards only listing M and closing against it.  The m* and
 latent-DAG models share :func:`_separated_codes`, which builds one
 adjacency per ancestral set A rather than per set a|b|c: the sets u
 with an(u) = A are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the
@@ -58,16 +59,16 @@ from typing import Iterable, Optional
 
 from ._bitset import bits, submasks
 from ._kernels import pyfallback
-from ._kernels.pyfallback import iter_canonical_codes, m_connected, subset_sums
+from ._kernels.pyfallback import iter_canonical_codes, subset_sums
 from .config import check_cap, model_cap
 from .errors import NotADag, UnknownName
-from .graph import (MixedGraph, UndirectedGraph, _as_mask, ancestors_mask,
+from .graph import (MixedGraph, UndirectedGraph, _as_mask, _graph, ancestors_mask,
                     district_masks, reach_mask, state_walk, topological_order)
 from .triples import IndependenceModel, _check_blocks
 
 
 def _query_masks(g: MixedGraph, X, Y, Z) -> tuple[int, int, int]:
-    x, y, z = _as_mask(g, X), _as_mask(g, Y), _as_mask(g, Z)
+    x, y, z = _as_mask(_graph(g), X), _as_mask(g, Y), _as_mask(g, Z)
     _check_blocks(x, y, z)
     return x, y, z
 
@@ -75,17 +76,20 @@ def _query_masks(g: MixedGraph, X, Y, Z) -> tuple[int, int, int]:
 def m_separated(g: MixedGraph, X: Iterable[int], Y: Iterable[int],
                 Z: Iterable[int] = ()) -> bool:
     """True when no m-connecting walk joins X and Y given Z."""
-    x, y, z = _query_masks(g, X, Y, Z)
-    return not m_connected(g.n, g.pa, g.ch, g.nb, x, y, z)
+    return _m_walk(g, *_query_masks(g, X, Y, Z)) is None
 
 
 def m_connecting_walk(g: MixedGraph, X, Y, Z=()) -> Optional[list[int]]:
-    """One m-connecting walk as a vertex list, or None when separated.
+    """One m-connecting walk as a vertex list, or None when separated."""
+    return _m_walk(g, *_query_masks(g, X, Y, Z))
 
-    The same walk rules as :func:`m_separated`, run as a state walk that
-    keeps predecessors; used for witness output rather than for bulk
-    queries."""
-    x, y, z = _query_masks(g, X, Y, Z)
+
+def _m_walk(g: MixedGraph, x: int, y: int, z: int) -> Optional[list[int]]:
+    """The m-connecting walk of ``m_connecting_walk`` on checked masks: a
+    state walk over (vertex, arrived-with-arrowhead) pairs, which crosses
+    a vertex as a noncollider only outside z and as a collider only
+    inside an(z).  It is the single-query reference for each (i, j, c)
+    of the m model's table."""
     anz = ancestors_mask(g, z)
 
     def step(v, head):
@@ -124,7 +128,7 @@ def _collider_adjacency(g: MixedGraph, within: int) -> list[int]:
 
 def augmented_graph(g: MixedGraph) -> UndirectedGraph:
     """Undirected graph joining the collider-connected vertex pairs."""
-    adj = _collider_adjacency(g, g.full_mask)
+    adj = _collider_adjacency(_graph(g), g.full_mask)
     edges = set()
     for u in range(g.n):
         for v in bits(adj[u]):
@@ -280,7 +284,7 @@ def _moral_adjacency(g: MixedGraph, within: int) -> list[int]:
 def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
     """Classical DAG separation: moralize the ancestral subgraph of
     X|Y|Z, then test plain separation."""
-    _require_dag(dag)
+    _require_dag(_graph(dag))
     x, y, z = _query_masks(dag, X, Y, Z)
     return _separated(_moral_adjacency(dag, ancestors_mask(dag, x | y | z)), x, y, z)
 
@@ -288,8 +292,8 @@ def d_separated(dag: MixedGraph, X, Y, Z=()) -> bool:
 def global_model_table(g: MixedGraph) -> list[int]:
     """The m model's elementary triples as the kernel's table of neighbour
     masks, ``table[i << n | c]`` holding each j with <i, j | c>
-    m-separated; ``pyfallback.pairwise_codes`` lists the model from it."""
-    check_cap(g.n, model_cap())
+    m-separated; ``pyfallback.pairwise_codes`` lists the model from it.
+    The table is n·2^n masks, so unlike the model it has no cap."""
     return pyfallback.m_elementary_table(g.n, g.pa, g.ch, g.nb)
 
 
@@ -306,4 +310,4 @@ def global_model_codes(g: MixedGraph, method: str = "m") -> list[int]:
 def global_model(g: MixedGraph, method: str = "m") -> IndependenceModel:
     """Every separated triple <X, Y | Z> of the graph.  The codes come
     canonical from the model loops, so the model skips their checks."""
-    return IndependenceModel._unchecked(g.n, frozenset(global_model_codes(g, method)))
+    return IndependenceModel._unchecked(_graph(g).n, frozenset(global_model_codes(g, method)))

@@ -6,8 +6,11 @@ maximal when every nonadjacent vertex pair admits some separating set;
 equivalently, when no primitive inducing chain (all interiors colliders
 lying in the ancestor closure of the endpoints) joins a nonadjacent
 pair.  Both characterisations are implemented and must agree: the first
-runs the m-separation kernel on the candidate sets until one separates,
-the second a state walk with its own collider-only rule.
+reads M's elementary table, where a pair is separated given some set
+exactly when one of its vertex's rows holds the other, the second a
+state walk with its own collider-only rule.  The table is n·2^n masks
+and has no cap, so maximality is decided at any size; ``model_cap()``
+guards only the model's codes.
 
 Replacing each bidirected edge u <-> v by a fresh common parent
 u <- h -> v yields a DAG whose separation statements over the original
@@ -21,18 +24,19 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._bitset import bits
-from ._kernels.pyfallback import m_connected
 from .closure import CheckResult
 from .config import check_cap, model_cap
 from .errors import DisjointnessViolation, NotAncestral, UnknownName, VerticesAdjacent
-from .graph import MixedGraph, ancestors_mask, shortest_path, state_walk
-from .separation import _moral_adjacency, _require_acyclic, _separated_codes, global_model_codes
+from .graph import MixedGraph, _graph, ancestors_mask, shortest_path, state_walk
+from .separation import (_moral_adjacency, _require_acyclic, _separated_codes, global_model_codes,
+                         global_model_table)
 from .triples import first_difference
 
 
 def is_ancestral(g: MixedGraph) -> CheckResult:
     """Check the ancestrality condition; the witness is the offending
     edge plus the directed path that closes the forbidden pattern."""
+    _graph(g)
     an = [ancestors_mask(g, 1 << v) for v in range(g.n)]
     for t, h in sorted(g.directed):
         if an[t] >> h & 1:  # head of t->h is an ancestor of its tail
@@ -50,7 +54,7 @@ def find_primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[lis
     an({r, s}), or None.  Interior vertices may repeat (walk search over
     (vertex, arrowhead) states), which does not change existence.  A
     chain joins two distinct vertices, so ``r == s`` is refused."""
-    if g.adjacent(r, s):
+    if _graph(g).adjacent(r, s):
         raise VerticesAdjacent(f"{g.labels[r]} and {g.labels[s]} are adjacent")
     if r == s:
         raise DisjointnessViolation(f"a chain joins two distinct vertices, not "
@@ -77,7 +81,7 @@ def _primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[list[in
 def is_maximal(g: MixedGraph, method: str = "both") -> bool:
     """Whether every nonadjacent pair has some separating set.
 
-    Runs both criteria, the direct search over candidate sets and the
+    Runs both criteria, the separating sets read off M's table and the
     primitive-inducing-chain criterion, and checks that they agree.
     ``method`` accepts only "both"; the benchmark's traced sweep still
     passes it by name."""
@@ -86,46 +90,40 @@ def is_maximal(g: MixedGraph, method: str = "both") -> bool:
     res = is_ancestral(g)
     if not res:
         raise NotAncestral(f"not an ancestral graph: {res.witness}")
-    return _is_maximal(g)
+    return _is_maximal(g, global_model_table(g))
 
 
-def _is_maximal(g: MixedGraph) -> bool:
-    """``is_maximal`` for an ancestral graph.  A chain graph is one: a
-    head that is an ancestor of its edge's other end closes a partially
-    directed cycle, so the sweep does not check it again."""
-    answer = _maximal_by_zsets(g)
+def _is_maximal(g: MixedGraph, table: list[int]) -> bool:
+    """``is_maximal`` for an ancestral graph and its M ``table``.  A chain
+    graph is ancestral: a head that is an ancestor of its edge's other end
+    closes a partially directed cycle, so the sweep does not check it
+    again, and passes the table its other checks share."""
+    answer = _maximal_by_zsets(g, table)
     if answer != _maximal_by_chains(g):
         raise AssertionError("maximality criteria disagree; this is a bug")
     return answer
 
 
-def _nonadjacent_pairs(g: MixedGraph):
-    for r in range(g.n):
-        for s in range(r + 1, g.n):
-            if not g.adj[r] >> s & 1:
-                yield r, s
-
-
-def _maximal_by_zsets(g: MixedGraph) -> bool:
-    """The direct criterion: ``g`` is not maximal when every set of the
-    other vertices m-connects some nonadjacent pair.  A pair's sets are
-    tried one at a time, the empty set first and then the others in
-    descending order, and the first separating set ends its search."""
-    n, pa, ch, nb = g.n, g.pa, g.ch, g.nb
-    for r, s in _nonadjacent_pairs(g):
-        x, y = 1 << r, 1 << s
-        others = g.full_mask & ~(x | y)
-        z = 0
-        while m_connected(n, pa, ch, nb, x, y, z):
-            z = (z - 1) & others  # the next set; from the empty set, all of others
-            if not z:
-                return False
+def _maximal_by_zsets(g: MixedGraph, table: list[int]) -> bool:
+    """The direct criterion on M's elementary ``table``: ``g`` is maximal
+    when each vertex r is separated from each vertex not adjacent to it
+    given some set, that is when the OR of r's rows ``table[r << n | c]``
+    holds every such vertex."""
+    n = g.n
+    for r in range(n):
+        apart = 0
+        for row in table[r << n:(r + 1) << n]:
+            apart |= row
+        if g.full_mask & ~(g.adj[r] | 1 << r | apart):
+            return False
     return True
 
 
 def _maximal_by_chains(g: MixedGraph) -> bool:
+    """No primitive inducing chain joins r to a vertex s above it that is
+    not adjacent to it."""
     return all(_primitive_inducing_chain(g, r, s) is None
-               for r, s in _nonadjacent_pairs(g))
+               for r in range(g.n) for s in bits(g.full_mask & ~g.adj[r] & -(2 << r)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def canonical_dag(g: MixedGraph) -> CanonicalDag:
     ..., with ``_`` added to the ``h`` until none is a label of g.  The
     latents are sources, so the latent DAG has a directed cycle exactly
     when ``g`` has one, and then ``NotADag`` is raised."""
-    _require_acyclic(g)
+    _require_acyclic(_graph(g))
     n, pa, _, _ = _latent_masks(g)
     prefix = "h"
     while any(f"{prefix}{i}" in g.labels for i in range(n - g.n)):
@@ -202,7 +200,7 @@ def marginal_model_equal(g: MixedGraph) -> CheckResult:
     the latent DAG, its latents projected out, and one class split per
     conditioning set inside it that holds every vertex joined to all the
     others."""
-    model = global_model_codes(g)
+    model = global_model_codes(_graph(g))
     latent = latent_model_codes(g)
     if latent == model:
         return CheckResult(True)

@@ -19,11 +19,14 @@ neither M nor the closure.  The other checks are ancestrality,
 maximality and the factorization identities; maximal and
 marginal_oracle call ``structure``'s unchecked paths, since a validated
 chain graph is ancestral and acyclic, and M's cap is the oracle's.
+Maximality reads M's table, which is n·2^n masks and has no cap:
+``model_cap()`` guards listing M and closing against it, not the table.
 
 A check reports ``pass``, ``fail`` with a witness, or ``error``
 (``_raised``): a graph over ``model_cap()`` is an error on the ten
-checks that build M.  A graph that is not a chain graph reports its
-validation error on every configured check.  No failure stops a sweep.
+checks that list M or close against it, and maximal still runs.  A
+graph that is not a chain graph reports its validation error on every
+configured check.  No failure stops a sweep.
 ``run_equivalence_sweep`` shares a sweep's graphs between the caller and
 forked workers, one per further CPU, and yields their reports in graph
 order.
@@ -48,11 +51,11 @@ from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import ChainDecomposition, validate_chain_graph
 from .closure import AxiomSet, Generator, add_generator, closed_target, seeds_gap
-from .config import ENUMERATION_CAP, model_cap
+from .config import ENUMERATION_CAP, check_cap, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
 from .factorization import _head_blocks
-from .graph import MixedGraph, parents_of_set
+from .graph import MixedGraph, _graph, parents_of_set
 from .properties import property_seeds
 from .separation import global_model_codes, global_model_table
 from .structure import _is_maximal, _latent_model_codes, is_ancestral
@@ -82,17 +85,19 @@ class GraphContext:
 
     @cached_property
     def table(self) -> list[int]:
-        """M's elementary table."""
+        """M's elementary table, at any size."""
         return global_model_table(self.g)
 
     @cached_property
     def model(self) -> list[int]:
-        """M's codes, listed from its table."""
+        """M's codes, listed from its table within ``model_cap()``."""
+        check_cap(self.g.n, model_cap())
         return pairwise_codes(self.g.n, self.table)
 
     @cached_property
     def target(self):
-        """``closed_target`` of M's table."""
+        """``closed_target`` of M's table within ``model_cap()``."""
+        check_cap(self.g.n, model_cap())
         return closed_target(self.g.n, self.table)
 
     def compare(self, codes_of) -> tuple[bool, Optional[str]]:
@@ -149,7 +154,7 @@ CHECKS: dict[str, Callable[[GraphContext], tuple[bool, Optional[str]]]] = {
     **{f"closure_{prop}": partial(_check_closure, prop, AxiomSet.parse(axioms))
        for prop, axioms in PROPERTY_AXIOMS.items()},
     "ancestral": _check_ancestral,
-    "maximal": lambda ctx: (_is_maximal(ctx.g), None),
+    "maximal": lambda ctx: (_is_maximal(ctx.g, ctx.table), None),
     "marginal_oracle": lambda ctx: ctx.compare(lambda: _latent_model_codes(ctx.g)),
     "factorization": _check_factorization,
 }
@@ -270,8 +275,7 @@ def verify_graph(g: MixedGraph, config: SweepConfig, index: int = 0) -> Verifica
     ``GraphFormatError`` unless ``g`` is a ``MixedGraph``, ``config`` a
     ``SweepConfig`` and ``index`` a nonnegative int; a sweep's own loops
     call the unchecked ``_verify_graph``."""
-    if not isinstance(g, MixedGraph):
-        raise GraphFormatError(f"graph must be a MixedGraph, got {g!r}")
+    _graph(g)
     _check_config(config)
     check_count("index", index)
     return _verify_graph(g, config, index)

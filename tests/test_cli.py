@@ -1105,7 +1105,7 @@ def test_a_workers_fault_is_raised_at_its_graph(monkeypatch, fault, raised, mess
 
 
 def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):
-    def broken(g):
+    def broken(g, table):
         raise AssertionError("maximality criteria disagree; this is a bug")
 
     monkeypatch.setattr("mvrcg.sweep._is_maximal", broken)

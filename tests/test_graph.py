@@ -410,3 +410,29 @@ def test_bad_arguments_raise_typed_errors(call):
     exc, fn = TYPED_ERROR_CALLS[call]
     with pytest.raises(exc):
         fn()
+
+
+# The arguments after the graph of each public function that takes one;
+# pre_of_component takes the graph's chain decomposition instead.
+GRAPH_ENTRIES = {
+    "alt_local_triples": (), "ancestors": ([0],), "anteriors": ([0],),
+    "augmented_graph": (), "barren": ([0],), "canonical_dag": (),
+    "d_separated": ([0], [1]), "district_of": (0,), "districts": (),
+    "find_primitive_inducing_chain": (0, 1), "global_model": (),
+    "head_partition": ([0],), "heads": (), "induced_subgraph": ([0],),
+    "intervene": ([0],), "is_ancestral": (), "is_chain_graph": (), "is_maximal": (),
+    "m_connecting_walk": ([0], [1]), "m_separated": ([0], [1]),
+    "m_star_separated": ([0], [1]), "marginal_model_equal": (),
+    "markov_blanket": (0, [0]), "mr_triples": (_CHAIN_DEC,),
+    "ordered_local_triples": (), "pre_of_component": (0,), "relatives": (0,),
+    "type_iv_triples": (_CHAIN_DEC,), "validate_chain_graph": (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_ENTRIES))
+def test_a_non_graph_argument_raises_graph_format_error(name):
+    """Each public function that takes a graph checks it first, as
+    ``verify_graph`` does, instead of failing on a missing attribute."""
+    for bad in (None, 5, "x"):
+        with pytest.raises(GraphFormatError):
+            getattr(mvrcg, name)(bad, *GRAPH_ENTRIES[name])

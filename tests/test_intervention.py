@@ -1,6 +1,6 @@
 import random
 
-from mvrcg import MixedGraph, intervene, is_chain_graph, validate_chain_graph
+from mvrcg import MixedGraph, induced_subgraph, intervene, is_chain_graph, validate_chain_graph
 from mvrcg.enumeration import random_mvr_cg
 
 
@@ -36,3 +36,10 @@ def test_surgery_invariants_on_random_graphs():
         assert cut.n == g.n
         assert cut.directed <= g.directed
         assert cut.bidirected <= g.bidirected
+
+
+def test_intervention_keeps_source_ids():
+    """The result keeps the graph's map back to the ids it came from."""
+    g = induced_subgraph(MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)]), [1, 2])
+    cut = intervene(g, [0])
+    assert cut == MixedGraph(2) and cut.source_ids == (1, 2) and cut.labels == ("1", "2")

@@ -12,11 +12,13 @@ from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate
 from mvrcg._bitset import submasks
 from mvrcg._kernels import pyfallback
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
-from mvrcg.graph import district_masks, reach_mask, topological_order
+from mvrcg.graph import district_masks, topological_order
 from mvrcg.separation import (_collider_adjacency, _loose_classes, _moral_adjacency,
-                              _separated_codes, global_model_codes, iter_canonical_codes)
-from mvrcg.structure import _latent_masks, canonical_dag, is_ancestral, latent_model_codes
-from mvrcg.sweep import SweepConfig, sweep_graphs, verify_graph
+                              _separated_codes, global_model_codes, global_model_table,
+                              iter_canonical_codes)
+from mvrcg.structure import (_latent_masks, _maximal_by_chains, _maximal_by_zsets,
+                             canonical_dag, is_ancestral, is_maximal, latent_model_codes)
+from mvrcg.sweep import CHECKS, SweepConfig, sweep_graphs, verify_graph
 from mvrcg.triples import IndependenceTriple, decode_triple
 
 from oracles import base4_code, oracle_canonical_codes, oracle_m_separated
@@ -239,14 +241,13 @@ def test_three_models_agree_on_random_n7(monkeypatch):
 def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
     """Only a vertex with an open vertex, one above it that is not
     adjacent to it, is a source of the walk over every conditioning set
-    at once, and that walk is the table's only one: no ``m_reach`` call.
-    On the edgeless graph every vertex but the last is a source and the
-    sweeps take no step, since no walk leaves a vertex; on a complete
-    graph nothing is a source; on the chain 0 -> 1 -> 2 -> 3 -> 4 the
-    sources are 0, 1 and 2 and three sweeps of the five vertices take 15
-    steps, the last growing nothing.  One walk
-    per vertex and conditioning set would be 75.  The table is symmetric
-    and holds exactly the model's elementary triples."""
+    at once, and that walk is the table's only one.  On the edgeless
+    graph every vertex but the last is a source and the sweeps take no
+    step, since no walk leaves a vertex; on a complete graph nothing is a
+    source; on the chain 0 -> 1 -> 2 -> 3 -> 4 the sources are 0, 1 and 2
+    and three sweeps of the five vertices take 15 steps, the last growing
+    nothing.  One walk per vertex and conditioning set would be 75.  The
+    table is symmetric and holds exactly the model's elementary triples."""
     n = g.n
     elementary = [0] * (n << n)
     for code in global_model_codes(g):
@@ -254,48 +255,44 @@ def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
         if a & (a - 1) == 0 and b & (b - 1) == 0:
             elementary[(a.bit_length() - 1) << n | c] |= b
             elementary[(b.bit_length() - 1) << n | c] |= a
-    calls, walks = [], []
-    m_reach, m_world_reach = pyfallback.m_reach, pyfallback.m_world_reach
-
-    def counting(*args):
-        calls.append(args)
-        return m_reach(*args)
+    walks = []
+    m_world_reach = pyfallback.m_world_reach
 
     def spying(n, pa, ch, nb, sources):
         reach, steps = m_world_reach(n, pa, ch, nb, sources)
         walks.append((sources, steps))
         return reach, steps
 
-    monkeypatch.setattr(pyfallback, "m_reach", counting)
     monkeypatch.setattr(pyfallback, "m_world_reach", spying)
     assert pyfallback.m_elementary_table(n, g.pa, g.ch, g.nb) == elementary
-    assert calls == [] and walks == [(sources, steps)]
+    assert walks == [(sources, steps)]
 
 
-def test_m_table_calls_no_m_reach_over_the_sweep(monkeypatch):
+def test_m_table_is_built_once_per_graph_over_the_sweep(monkeypatch):
     """Over the default sweep of every chain graph with n <= 4, the m
-    model's table is built 1,743 times, once per graph, and calls
-    ``m_reach`` in none of them: its one walk is ``m_world_reach``.  The
-    spies see only their own process, so the sweep is the in-process loop
-    of ``verify_graph`` over ``sweep_graphs``."""
-    calls, inside = [], []
-    m_reach, table = pyfallback.m_reach, pyfallback.m_elementary_table
-
-    def counting(*args):
-        calls.append(args)
-        return m_reach(*args)
+    model's table is built 1,743 times, once per graph, and never by the
+    maximal check, which reads the table that the checks before it built.
+    The spies see only their own process, so the sweep is the in-process
+    loop of ``verify_graph`` over ``sweep_graphs``."""
+    built, inside = [], []
+    table, maximal = pyfallback.m_elementary_table, CHECKS["maximal"]
 
     def spying(*args):
-        before = len(calls)
-        out = table(*args)
-        inside.append(len(calls) - before)
-        return out
+        built.append(bool(inside))
+        return table(*args)
 
-    monkeypatch.setattr(pyfallback, "m_reach", counting)
+    def spied(ctx):
+        inside.append(ctx)
+        try:
+            return maximal(ctx)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(pyfallback, "m_elementary_table", spying)
+    monkeypatch.setitem(CHECKS, "maximal", spied)
     config = SweepConfig(max_n=4)
     assert all(verify_graph(g, config, i).ok for i, g in enumerate(sweep_graphs(config)))
-    assert len(inside) == 1743 and set(inside) == {0}
+    assert len(built) == 1743 and not any(built)
 
 
 def ranked_chain_graph(n, rng):
@@ -327,22 +324,45 @@ def table_graphs():
             + [MixedGraph(9), MixedGraph(9, bidirected=list(combinations(range(9), 2)))])
 
 
-def test_m_table_matches_m_connected_everywhere():
+def test_m_table_matches_m_separated_everywhere():
     """Independently of the model's codes: ``table[i << n | c]`` holds j
     exactly when i and j are distinct vertices outside c and the
-    single-query walk ``m_connected`` does not join them given c, for
+    single-query walk of ``m_separated`` separates them given c, for
     every (i, j, c)."""
     for g in table_graphs():
         n = g.n
         table = pyfallback.m_elementary_table(n, g.pa, g.ch, g.nb)
         for c in range(1 << n):
+            z = [v for v in range(n) if c >> v & 1]
             for i in range(n):
                 row = 0
                 for j in range(n):
-                    if i != j and not (c >> i | c >> j) & 1 and not pyfallback.m_connected(
-                            n, g.pa, g.ch, g.nb, 1 << i, 1 << j, c):
+                    if i != j and not (c >> i | c >> j) & 1 and m_separated(g, [i], [j], z):
                         row |= 1 << j
                 assert table[i << n | c] == row, (g, i, c)
+
+
+def test_maximality_reads_the_table_above_the_model_cap(monkeypatch):
+    """M's table has no cap, so maximality is decided on chain graphs with
+    n = 8 and 9, above the default model cap of 7, while listing M is
+    still refused there.  Both maximality criteria agree, and the table
+    answers single queries as ``m_separated`` does."""
+    monkeypatch.delenv("MVRCG_MAX_N", raising=False)
+    rng = random.Random(39)
+    for n in (8, 9):
+        for _ in range(3):
+            g = ranked_chain_graph(n, rng)
+            table = global_model_table(g)
+            assert len(table) == n << n
+            assert is_maximal(g)
+            assert _maximal_by_zsets(g, table) and _maximal_by_chains(g)
+            for _ in range(50):
+                i, j = rng.sample(range(n), 2)
+                c = rng.randrange(1 << n) & ~(1 << i | 1 << j)
+                z = [v for v in range(n) if c >> v & 1]
+                assert bool(table[i << n | c] >> j & 1) == m_separated(g, [i], [j], z)
+            with pytest.raises(CapExceeded, match=f"{n} vertices exceeds cap 7"):
+                global_model_codes(g)
 
 
 def test_m_table_is_symmetric():
@@ -352,21 +372,6 @@ def test_m_table_is_symmetric():
         for row, js in enumerate(table):
             i, c = row >> n, row & (1 << n) - 1
             assert all(table[j << n | c] >> i & 1 for j in range(n) if js >> j & 1)
-
-
-def test_m_reach_stop_is_exact_inside_stop():
-    """A walk that ends at its stop mask agrees inside that mask with the
-    full walk, for every chain graph with n <= 4 and every x, z and stop."""
-    for n in range(1, 5):
-        full = (1 << n) - 1
-        for g in enumerate_mvr_cgs(n):
-            for x in submasks(full):
-                for z in (0, *submasks(full & ~x)):
-                    anz = reach_mask(g.pa, z)
-                    reach = pyfallback.m_reach(g.pa, g.ch, g.nb, x, z, anz)
-                    for stop in range(1 << n):
-                        stopped = pyfallback.m_reach(g.pa, g.ch, g.nb, x, z, anz, stop)
-                        assert stopped & stop == reach & stop
 
 
 # --- augmented graph -----------------------------------------------------

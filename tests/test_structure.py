@@ -7,6 +7,7 @@ from mvrcg import (MixedGraph, canonical_dag, find_primitive_inducing_chain,
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs,
                                enumerate_mvr_cgs, random_mvr_cg)
 from mvrcg.errors import CapExceeded, NotAncestral, VerticesAdjacent
+from mvrcg.separation import global_model_table
 from mvrcg.structure import _maximal_by_chains, _maximal_by_zsets
 from mvrcg.sweep import SweepConfig, verify_graph
 from mvrcg.triples import IndependenceTriple
@@ -93,7 +94,7 @@ def test_maximality_criteria_agree_on_all_ancestral_graphs():
             if not is_ancestral(g):
                 continue
             ancestral += 1
-            answer = _maximal_by_zsets(g)
+            answer = _maximal_by_zsets(g, global_model_table(g))
             assert answer == _maximal_by_chains(g)
             nonmaximal += not answer
         counts[n] = (graphs, ancestral, nonmaximal)
