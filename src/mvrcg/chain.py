@@ -194,8 +194,7 @@ def _chain_order_from_masks(n: int, ch, nb):
     masks by smallest member, each vertex's component index, each
     component's child components as a mask, and the component order as
     indices.  Returns None when the masks have a partially directed
-    cycle.  Works directly on masks so the random sampler can filter
-    candidates without building :class:`MixedGraph` objects.
+    cycle.
     """
     comps = district_masks(nb, (1 << n) - 1)
     comp_of = [0] * n

@@ -39,14 +39,12 @@ exactly when P's chain triples are in the table, and cl(P) lies in M
 whenever P does, so the worklist stops as soon as it has seen all of M's
 elementary triples: cl(P) is M.  A ``Generator`` G of M gives the
 worklist an earlier stop: once it has seen G's triples, cl(P) holds the
-closure of G, which is M.  G is either the chain triples of statements
-that an earlier call showed to close to M under its axioms, any number
-of them, or one of the two bases ``closed_target`` reads off M's rows by
-the same identity: the composition base, which generates M under csg,
-and the intersection base, which generates it under g.  G serves only
-behind the first stop's condition, P in the closed M, since a cl(P)
-larger than M may hold G's triples too; and only a closure under at
-least G's axioms, since under fewer, G's triples need not close to M.
+closure of G, which is M.  G is the chain triples of statements that an
+earlier call showed to close to M under its axioms, and any number of
+them may be offered.  G serves only behind the first stop's condition,
+P in the closed M, since a cl(P) larger than M may hold G's triples
+too; and only a closure under at least G's axioms, since under fewer,
+G's triples need not close to M.
 Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
 it.
 
@@ -143,10 +141,9 @@ def close_codes(n: int, codes, axioms: AxiomSet) -> list[int]:
 class Generator(NamedTuple):
     """Elementary triples G shown to generate the model M under the axioms
     ``flags``, as ``seeds``: ``(x << n | K, 1 << y)`` each, as
-    ``mask_seeds`` and ``chain_seeds`` give them.  Either the chain
+    ``mask_seeds`` and ``chain_seeds`` give them.  They are the chain
     triples of statements for which a ``seeds_gap`` against M's target
-    returned None, or one of the two bases ``closed_target`` reads off
-    M's rows."""
+    returned None."""
 
     flags: int
     seeds: list[tuple[int, int]]
@@ -154,21 +151,10 @@ class Generator(NamedTuple):
 
 class Target(NamedTuple):
     """A closed model M as ``seeds_gap`` takes it: its elementary
-    ``table``, the ``count`` of its elementary triples and ``generators``,
-    its composition and intersection bases."""
+    ``table`` and the ``count`` of its elementary triples."""
 
     table: list[int]
     count: int
-    generators: tuple[Generator, ...]
-
-
-def add_generator(known: list, gen: Generator) -> None:
-    """Append ``gen`` to the generators ``known`` unless one of them holds
-    the same seeds under axioms among gen's: that one is offered wherever
-    gen is, and its stop comes no later."""
-    flags, seeds = gen
-    if not any(old.seeds == seeds and not old.flags & ~flags for old in known):
-        known.append(gen)
 
 
 def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
@@ -184,14 +170,13 @@ def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
     rule a statement lies in the semi-graphoid M exactly when its chain
     triples are in the table.  Then cl(P) lies in M, so the worklist
     stops as soon as it has seen all of M's elementary triples: cl(P) is
-    M.  Generators of the same M give it earlier stops: each of
-    ``known``, a sequence of ``Generator``, and the target's composition
-    and intersection bases.  Once it has seen every seed of a generator
-    G, cl(P) holds cl_G(G) = M.  A generator is used only behind the first
-    stop, when P lies in the closed M, since a larger cl(P) may hold G's
-    seeds too; and only when its axioms are among ``axioms``, since under
-    fewer G's seeds need not close to M.  So the composition base serves
-    the csg and cg checks, the intersection base the g and cg checks.
+    M.  Generators of the same M, each of ``known``, a sequence of
+    ``Generator``, give it earlier stops.  Once it has seen every seed of
+    a generator G, cl(P) holds cl_G(G) = M.  A generator is used only
+    behind the first stop, when P lies in the closed M, since a larger
+    cl(P) may hold G's seeds too; and only when its axioms are among
+    ``axioms``, since under fewer G's seeds need not close to M.  So an
+    sg generator serves every check, a cg generator only the cg checks.
     Otherwise the worklist reaches its fixpoint, and cl(P) is listed from
     it.  This is the sweep's path, whose M was built under the cap and
     whose axioms are ``AxiomSet``s, so it checks neither.
@@ -200,7 +185,7 @@ def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
     goal, stops = None, ()
     if target is not None and all(target.table[row] & bit for row, bit in seeds):
         goal = target.count
-        stops = [gen.seeds for gen in (*known, *target.generators) if not gen.flags & ~flags]
+        stops = [gen.seeds for gen in known if not gen.flags & ~flags]
     elementary = elementary_closure(n, seeds, flags, goal, stops)
     if elementary.stop:
         return None
@@ -244,25 +229,10 @@ def closed_target(n: int, table) -> Optional[Target]:
     exactly when no i, L, j, k with j, k ∉ T[i, L] have j ∈ T[i, L ∪ k]
     and k ∈ T[i, L ∪ j]: a <i, k | L> in M would put j in T[i, L] by the
     identity.  One pass over the nonempty rows checks both, each row
-    T[i, K] against T[i, K ∪ j] for its j and T[i, K − k] for k in K.
-
-    The same identity gives M two small generators:
-
-    * the composition base, each <i, j | K> of M such that neither row
-      (i, K) nor row (j, K) has a k in K with k ∈ T[·, K − k].  It
-      generates M under csg, by induction on |K|: another triple has such
-      a k, say in row (i, K), and the identity puts <i, j | K − k> next to
-      <i, k | K − k> in M, which give <i, j | K> by composition;
-    * the intersection base, each <i, j | L> with T[i, L] = {j} and
-      T[j, L] = {i}.  It generates M under g, by induction on |L|
-      downward: if T[i, L] holds another k, the identity puts
-      <i, j | L ∪ k> and <i, k | L ∪ j> in M, which give <i, j | L> by
-      intersection.
-    """
+    T[i, K] against T[i, K ∪ j] for its j and T[i, K − k] for k in K,
+    and counts M's elementary triples on the way."""
     full = (1 << n) - 1
     count = 0
-    reducible = bytearray(n << n)  # row (i, K) has a k in K with <i, k | K - k>
-    composition, intersection = [], []
     for row, ys in enumerate(table):
         if not ys:
             continue
@@ -278,7 +248,6 @@ def closed_target(n: int, table) -> Optional[Target]:
             m ^= bk
             below = table[row ^ bk]
             if below & bk:
-                reducible[row] = 1
                 continue
             js = ys & ~below
             while js:
@@ -287,17 +256,5 @@ def closed_target(n: int, table) -> Optional[Target]:
                 if table[row ^ bk | bj] & bk:
                     return None
         # each pair <i, j | K> once, at its larger vertex i, whose row comes last
-        i = row >> n
-        K = row & full
-        js = ys & ((1 << i) - 1)
-        count += js.bit_count()
-        if js == ys and not ys & (ys - 1) and table[(ys.bit_length() - 1) << n | K] == 1 << i:
-            intersection.append((row, ys))
-        if not reducible[row]:
-            while js:
-                bj = js & -js
-                js ^= bj
-                if not reducible[(bj.bit_length() - 1) << n | K]:
-                    composition.append((row, bj))
-    return Target(table, count, (Generator(COMPOSITION, composition),
-                                 Generator(INTERSECTION, intersection)))
+        count += (ys & ((1 << (row >> n)) - 1)).bit_count()
+    return Target(table, count)

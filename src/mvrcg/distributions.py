@@ -68,6 +68,7 @@ class JointTable:
     _has_zero: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", self._variables(self.variables))
         try:
             probs = np.asarray(self.probs)
         except (TypeError, ValueError) as exc:
@@ -165,7 +166,8 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
 
     Every conditional row is a symmetric Dirichlet draw, floored and
     renormalised so no entry sinks below about 1%.  The same seed gives
-    a bit-identical table.
+    a bit-identical table, so a seed that numpy refuses, a bool or None,
+    which would draw from OS entropy, raises ``InvalidSeed``.
     """
     if not isinstance(cd, CanonicalDag) or not isinstance(cd.dag, MixedGraph):
         raise GraphFormatError(f"{cd!r} is not a CanonicalDag over a MixedGraph")
@@ -178,8 +180,9 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
                                f"do not split the DAG's {g.n} vertices")
     if CARDINALITY ** g.n > STATE_SPACE_CAP:
         raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
-    if isinstance(seed, bool):  # default_rng would read True as seed 1
-        raise InvalidSeed(f"seed {seed!r} is a bool, not an int")
+    # default_rng would read True as seed 1 and draw None from OS entropy
+    if seed is None or isinstance(seed, bool):
+        raise InvalidSeed(f"seed {seed!r} is not an int")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -210,6 +213,8 @@ def _check_tolerance(eps) -> None:
 def ci_holds(table: JointTable, triple: IndependenceTriple, eps: float = 1e-9) -> bool:
     """Numeric conditional independence: for every assignment with
     p(c) > 0, |p(a,b|c) - p(a|c) p(b|c)| <= eps."""
+    if not isinstance(table, JointTable):
+        raise GraphFormatError(f"{table!r} is not a JointTable")
     if not isinstance(triple, IndependenceTriple):
         raise GraphFormatError(f"{triple!r} is not an IndependenceTriple")
     _check_tolerance(eps)
@@ -229,6 +234,8 @@ def verify_factorization(table: JointTable, f: Factorization, eps: float = 1e-9)
     """Whether the table equals the product of the factorization's
     conditionals at every full assignment.  Rows with zero tail mass
     contribute factor 1; positive sampling keeps that branch idle."""
+    if not isinstance(table, JointTable):
+        raise GraphFormatError(f"{table!r} is not a JointTable")
     if not isinstance(f, Factorization):
         raise GraphFormatError(f"{f!r} is not a Factorization")
     _check_tolerance(eps)

@@ -28,12 +28,15 @@ import random
 from itertools import combinations, product
 from typing import Iterator
 
-from .chain import _chain_order_from_masks
 from .config import ENUMERATION_CAP
 from .errors import CapExceeded, GraphFormatError
 from .graph import MixedGraph
 
 NO_EDGE, FORWARD, BACKWARD, BOTH = range(4)
+# The states of pair (u, v) that close no partially directed cycle, by
+# (u in reach[v]) | (v in reach[u]) << 1; see ``_chain_graphs``.
+_OPEN_STATES = (frozenset(range(4)), frozenset({NO_EDGE, BACKWARD}),
+                frozenset({NO_EDGE, FORWARD}), frozenset({NO_EDGE, BOTH}))
 
 
 def _edges_from_states(pairs, states):
@@ -47,20 +50,6 @@ def _edges_from_states(pairs, states):
         elif s == BOTH:
             bidirected.append((u, v))
     return directed, bidirected
-
-
-def _is_chain_graph(n, pairs, states) -> bool:
-    ch = [0] * n
-    nb = [0] * n
-    for (u, v), s in zip(pairs, states):
-        if s == FORWARD:
-            ch[u] |= 1 << v
-        elif s == BACKWARD:
-            ch[v] |= 1 << u
-        elif s == BOTH:
-            nb[u] |= 1 << v
-            nb[v] |= 1 << u
-    return _chain_order_from_masks(n, ch, nb) is not None
 
 
 def check_count(name: str, value) -> None:
@@ -103,11 +92,7 @@ def _chain_graphs(n: int, states) -> Iterator[MixedGraph]:
     cycle, so a prefix that closes one is not extended."""
     pairs = tuple(combinations(range(n), 2))
     last = len(pairs) - 1
-    # The states left open by (u in reach[v]) | (v in reach[u]) << 1.
-    open_states = (tuple(states),
-                   tuple(s for s in states if s in (NO_EDGE, BACKWARD)),
-                   tuple(s for s in states if s in (NO_EDGE, FORWARD)),
-                   tuple(s for s in states if s in (NO_EDGE, BOTH)))
+    open_states = tuple(tuple(s for s in states if s in allowed) for allowed in _OPEN_STATES)
     labels, ids = tuple(str(v) for v in range(n)), tuple(range(n))
     pa, ch, nb, adj = [0] * n, [0] * n, [0] * n, [0] * n
     directed: list[tuple[int, int]] = []
@@ -172,14 +157,21 @@ def enumerate_mvr_cgs(n: int) -> Iterator[MixedGraph]:
 
 
 def random_mvr_cg(n: int, rng: random.Random) -> MixedGraph:
-    """Uniform sample over per-pair states, rejecting non-chain-graphs."""
+    """Uniform sample over per-pair states, rejecting non-chain-graphs.
+    Each candidate is drawn in full, then its pairs are fixed in order
+    under ``_chain_graphs``' rule until one closes a cycle."""
     check_count("vertex count", n)
     if not isinstance(rng, random.Random):
         raise GraphFormatError(f"rng must be a random.Random, got {rng!r}")
     pairs = tuple(combinations(range(n), 2))
     while True:
         states = tuple(rng.randrange(4) for _ in pairs)
-        if _is_chain_graph(n, pairs, states):
+        reach = [1 << x for x in range(n)]
+        for (u, v), s in zip(pairs, states):
+            if s not in _OPEN_STATES[(reach[v] >> u & 1) | (reach[u] >> v & 1) << 1]:
+                break
+            reach = _grown(reach, s, u, v)
+        else:
             return MixedGraph(n, *_edges_from_states(pairs, states))
 
 

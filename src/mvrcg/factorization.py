@@ -32,6 +32,8 @@ class HeadTail:
     tail: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.head, frozenset) or not isinstance(self.tail, frozenset):
+            raise DisjointnessViolation("head and tail must be frozensets of vertex ids")
         if self.head & self.tail:
             raise DisjointnessViolation(
                 f"head and tail share {format_vertices(self.head & self.tail)}")

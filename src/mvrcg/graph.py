@@ -177,6 +177,8 @@ class MixedGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "MixedGraph":
+        if not isinstance(text, str):
+            raise GraphFormatError(f"graph text must be a str, got {text!r}")
         labels: list[str] = []
         index: dict[str, int] = {}
         directed = []
@@ -324,11 +326,10 @@ def district_masks(nb: Sequence[int], within: int) -> list[int]:
     return out
 
 
-def shortest_path(adj: Sequence[int], start: int, goal: int,
-                  allowed: int = -1) -> Optional[list[int]]:
-    """A fewest-edge path ``start .. goal`` along ``adj`` through
-    ``allowed``, or None.  Breadth-first with smaller ids first, so the
-    path returned is deterministic."""
+def shortest_path(adj: Sequence[int], start: int, goal: int) -> Optional[list[int]]:
+    """A fewest-edge path ``start .. goal`` along ``adj``, or None.
+    Breadth-first with smaller ids first, so the path returned is
+    deterministic."""
     prev = {start: None}
     queue = [start]
     for v in queue:  # the queue grows while it is read
@@ -338,7 +339,7 @@ def shortest_path(adj: Sequence[int], start: int, goal: int,
                 path.append(v)
                 v = prev[v]
             return path[::-1]
-        for u in bits(adj[v] & allowed):
+        for u in bits(adj[v]):
             if u not in prev:
                 prev[u] = v
                 queue.append(u)

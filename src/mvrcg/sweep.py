@@ -11,7 +11,7 @@ elementary table, M's codes and ``closed_target``'s proof that M is
 closed, each built by the first check that reads it, whose time then
 includes building it; and ``known``, the seeds of every closure check
 that passed, generators of M that the later checks' worklists may stop
-at (``add_generator``).  Ten checks compare a code list with M: the m*
+at, one per passing check.  Ten checks compare a code list with M: the m*
 and latent-DAG models, and each property's statements closed under its
 ``PROPERTY_AXIOMS`` set, decided by ``seeds_gap`` on M's table.
 ``closure.py``'s docstring proves why a passing closure check lists
@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Optional
 from ._bitset import bits
 from ._kernels.pyfallback import BACKEND, pairwise_codes
 from .chain import ChainDecomposition, validate_chain_graph
-from .closure import AxiomSet, Generator, add_generator, closed_target, seeds_gap
+from .closure import AxiomSet, Generator, closed_target, seeds_gap
 from .config import ENUMERATION_CAP, check_cap, model_cap
 from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
 from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
@@ -119,7 +119,7 @@ def _check_closure(prop: str, axioms: AxiomSet, ctx: GraphContext):
     closed = seeds_gap(ctx.g.n, seeds, axioms, target, ctx.known)
     if closed is not None:
         return ctx.compare(lambda: closed)
-    add_generator(ctx.known, Generator(axioms.flags(), seeds))
+    ctx.known.append(Generator(axioms.flags(), seeds))
     return True, None
 
 

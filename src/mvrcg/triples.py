@@ -95,6 +95,8 @@ def codes_of_masks(n: int, triples: Iterable[tuple[int, int, int]]) -> set[int]:
 
 
 def encode_triple(t: IndependenceTriple, n: int) -> int:
+    if not isinstance(t, IndependenceTriple):
+        raise ModelFormatError(f"{t!r} is not an IndependenceTriple")
     return _encode_checked(n, *t.masks())
 
 

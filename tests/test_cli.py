@@ -581,12 +581,10 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     The first stops once it has seen the model's elementary triples, and
     its triples are then a generator of the model, as are those of every
     later check that passes: each later worklist is given the seeds of
-    every earlier passing check, and stops once it has seen one of them,
-    or the model's elementary triples, or, under csg and cg, the model's
-    composition base, or, under cg, its intersection base.  Seeds equal to
-    an earlier passing check's under axioms among its own are not offered
-    again: here iv, ordered and p1-p4 repeat mr's one seed, and local
-    lists it twice.  One proof over the model's rows shows it closed, and
+    every earlier passing check under axioms among its own, and stops
+    once it has seen one of them, or the model's elementary triples.
+    Here iv, ordered and p1-p4 repeat mr's one seed, and local lists it
+    twice.  One proof over the model's rows shows it closed, and
     builds no rule set; every worklist has seen its stop among its seeds,
     so none fires and no rule set is built at all.  No worklist runs to
     its fixpoint, so nothing is closed there, the model least of all."""
@@ -602,43 +600,39 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
         assert call_goal == goal and seen <= goal and stop in ("goal", "known")
     mr, local = (property_seeds(g, prop) for prop in ("mr", "local"))
     assert mr == chain_seeds(g.n, property_model(g, "mr").to_codes()) and local == mr * 2
-    composition, intersection = (gen.seeds for gen in
-                                 closed_target(g.n, global_model_table(g)).generators)
-    assert seeded == ([[], [mr], [mr], [mr, composition]]
-                      + [[mr, local, composition, intersection]] * 4)
+    assert seeded == [[], [mr], [mr, mr], [mr, mr, mr]] + [
+        [mr, mr, mr, local, *[mr] * k] for k in range(4)]
     assert pushed == [property_seeds(g, prop) for prop in PROPERTY_AXIOMS]
 
 
 def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
     """Over every chain graph with n <= 4 in sweep order, the closure
-    checks' worklists fire 5,872 triples in all: 7,289 checks end at the
-    model's elementary triples, 6,655 at a generator's seeds (a passing
-    check's, or a base of the model) and none at a fixpoint.  Only the
-    2,702 worklists that fire build a rule set; the other 11,242 stop
-    among their seeds.  A change
-    that loses a stop, or offers fewer generators, fires more: 7,490 with
-    only the first passing check's generator and the model's bases,
-    12,348 with only the first passing check's, 25,187 with none."""
+    checks' worklists fire 7,605 triples in all: 7,311 checks end at the
+    model's elementary triples, 6,633 at the seeds of an earlier passing
+    check and none at a fixpoint.  Only the 3,528 worklists that fire
+    build a rule set; the other 10,416 stop among their seeds.  A change
+    that loses a stop, or offers fewer generators, fires more: 12,348
+    with only the first passing check's generator, 25,187 with none."""
     calls, fires, _, _ = _spy_on_closure_kernels(monkeypatch)
     config = SweepConfig(max_n=4, checks=tuple(f"closure_{prop}" for prop in PROPERTY_AXIOMS))
     statuses = [c.status for i, g in enumerate(sweep_graphs(config))
                 for c in verify_graph(g, config, i).checks.values()]
     assert statuses == ["pass"] * 13_944
-    assert len(calls) == 13_944 and len(fires) == 2_702 and 0 not in fires
-    assert sum(fires) == 5_872
+    assert len(calls) == 13_944 and len(fires) == 3_528 and 0 not in fires
+    assert sum(fires) == 7_605
     stops = [stop for *_, stop in calls]
     assert {stop: stops.count(stop) for stop in ("goal", "known", None)} == {
-        "goal": 7_289, "known": 6_655, None: 0}
+        "goal": 7_311, "known": 6_633, None: 0}
 
 
 def test_a_later_check_stops_at_the_second_passing_checks_seeds(monkeypatch):
     """Every passing check is offered to the later ones, not only the
     first.  With mr's statements patched to none, mr fails, iv is the
     first check to pass and ordered the second.  On 2 -> 1 with 0 apart,
-    p2's worklist then stops once it has seen every seed of ordered's and
-    of no other generator it was offered, neither iv's, p1's nor a base
-    of the model: offered only the first passing check, it would not stop
-    there."""
+    p2's worklist is offered only the passing checks before it, and
+    stops once it has seen every seed of ordered's and of no other
+    generator it was offered, neither iv's, local's nor p1's: offered
+    only the first passing check, it would not stop there."""
     def mr_empty(g, kind, dec=None):
         return [] if kind == "mr" else property_seeds(g, kind, dec)
 
@@ -665,7 +659,8 @@ def test_a_later_check_stops_at_the_second_passing_checks_seeds(monkeypatch):
                     row & (1 << g.n) - 1) in pairs for row, bit in seeds)
 
     assert [all_seen(seeds) for seeds in known] == [seeds == ordered for seeds in known]
-    assert len(known) == 5 and known.count(ordered) == 1
+    assert known == [property_seeds(g, prop) for prop in ("iv", "ordered", "local", "p1")]
+    assert known.count(ordered) == 1
 
 
 def test_verify_graph_calls_no_validating_entry_point_in_its_loops(monkeypatch):

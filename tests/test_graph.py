@@ -280,6 +280,8 @@ TYPED_ERROR_CALLS = {
         canonical_dag(_COLLIDER), -1)),
     "sample_bool_seed": (InvalidSeed, lambda: sample_latent_dag_distribution(
         canonical_dag(_COLLIDER), True)),
+    "sample_none_seed": (InvalidSeed, lambda: sample_latent_dag_distribution(
+        canonical_dag(_COLLIDER), None)),
     "parents_float_id": (GraphFormatError, lambda: MixedGraph(3).parents(1.5)),
     "m_separated_float_id": (GraphFormatError, lambda: m_separated(_COLLIDER, [0], [1.0])),
     "relatives_float_id": (GraphFormatError, lambda: relatives(_COLLIDER, 1.0)),
@@ -402,6 +404,15 @@ TYPED_ERROR_CALLS = {
                                     lambda: verify_graph(MixedGraph(2), SweepConfig(), -1)),
     "sweep_none_config": (GraphFormatError, lambda: run_equivalence_sweep(None)),
     "config_hash_none": (GraphFormatError, lambda: config_hash(None)),
+    "ci_holds_none_table": (GraphFormatError, lambda: ci_holds(
+        None, IndependenceTriple.of([0], [1]))),
+    "verify_factorization_none_table": (GraphFormatError, lambda: verify_factorization(
+        None, Factorization((HeadTail(frozenset({0, 1}), frozenset()),), frozenset({0, 1})))),
+    "joint_table_none_variables": (GraphFormatError,
+                                   lambda: JointTable(None, (2,), np.full(2, 0.5))),
+    "model_of_int_triple": (ModelFormatError, lambda: IndependenceModel.of(3, [1])),
+    "from_text_none": (GraphFormatError, lambda: MixedGraph.from_text(None)),
+    "head_tail_none_head": (DisjointnessViolation, lambda: HeadTail(None, frozenset())),
 }
 
 
