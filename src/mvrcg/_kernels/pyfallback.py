@@ -17,7 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .._bitset import bits, submasks
-from ..graph import reach_mask
 
 BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
 
@@ -119,34 +118,35 @@ def m_world_reach(n: int, pa, ch, nb, sources: int) -> tuple[list[int], int]:
 
     A walk's states are (vertex, arrived-with-arrowhead) pairs, and it
     crosses an interior vertex as a noncollider only outside the
-    conditioning set c and as a collider only inside an(c): the rules of
-    ``separation._m_walk``, the single-query walk.  Each c is a world, and
-    a vertex's state is a mask over worlds: bit c of ``head[w]``
+    conditioning set c and as a collider only inside c: the walk form of
+    m-separation.  ``separation._m_walk``, the single-query walk, keeps
+    the path form, a collider inside an(c), and the two connect the same
+    pairs (Richardson, *Scand. J. Statist.* 2003): a walk may cross a
+    collider w that has a descendant d in c by going down to the first
+    such d, crossing it as a collider and coming back up, crossing every
+    vertex on the way, w included, as a noncollider.  Each c is a world,
+    and a vertex's state is a mask over worlds: bit c of ``head[w]``
     (``tail[w]``) says that w is reached with an arrowhead (a tail) at it
     given c.  The sources sit side by side, source v in block v of n·2^n
     bits, and start in the worlds that do not hold v.  The rules act on
     whole masks: w is crossed as a noncollider in the worlds that do not
-    hold it and as a collider in those that meet its descendants, the
-    worlds where it is in an(c).  A tail-arrival goes on to w's children
-    and neighbours with a head and to its parents with a tail; a
-    head-arrival goes on to its children with a head as a noncollider,
-    and to its neighbours with a head and its parents with a tail as a
-    collider.
+    hold it and as a collider in the others.  A tail-arrival goes on to
+    w's children and neighbours with a head and to its parents with a
+    tail; a head-arrival goes on to its children with a head as a
+    noncollider, and to its neighbours with a head and its parents with
+    a tail as a collider.
 
     The vertices are swept in order, each passing its whole state on,
-    until a sweep grows no mask.  Returns ``reach``, bit v·2^n + c of
-    ``reach[w]`` set when the walk from v given c reaches w, and the
-    number of steps, the visits to a vertex already reached.
+    until a sweep grows no mask.  A walk that turns back up at a
+    conditioned descendant may move against that order, one vertex per
+    sweep, so the walk form takes more steps than the path form's rule,
+    which needs w's descendants: 15,615 against 14,449 over the n <= 4
+    sweep.  Returns ``reach``, bit v·2^n + c of ``reach[w]`` set when the
+    walk from v given c reaches w, and the number of steps, the visits to
+    a vertex already reached.
     """
     size = 1 << n
     notin, blocks = world_patterns(n)
-    every = (1 << n * size) - 1
-    collider = []  # the worlds c, in every block, with the vertex in an(c)
-    for w in range(n):
-        out = every
-        for d in bits(reach_mask(ch, 1 << w)):
-            out &= blocks[d]
-        collider.append(every ^ out)
     head = [0] * n
     tail = [0] * n
     for v in bits(sources):
@@ -163,8 +163,8 @@ def m_world_reach(n: int, pa, ch, nb, sources: int) -> tuple[list[int], int]:
             h, t = head[w], tail[w]
             if h | t:
                 steps += 1
-                through = (h | t) & blocks[w]          # noncollider, on to children
-                turn = t & blocks[w] | h & collider[w]  # on to neighbours and parents
+                through = (h | t) & blocks[w]           # noncollider, on to children
+                turn = t & blocks[w] | h & ~blocks[w]  # on to neighbours and parents
                 for u in bits(ch[w]):
                     head[u] |= through
                 for u in bits(nb[w]):

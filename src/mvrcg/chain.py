@@ -165,7 +165,7 @@ def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
     that lies on such a cycle, and closes it along a fewest-edge
     semi-directed path from ``h`` back to ``t``.
     """
-    found = _chain_order_from_masks(_graph(g).n, g.ch, g.nb)
+    found = _chain_order(_graph(g))
     if found is None:
         raise PartiallyDirectedCycle(_cycle_witness(g))
     comps, comp_of, children, order = found
@@ -184,19 +184,20 @@ def validate_chain_graph(g: MixedGraph) -> ChainDecomposition:
 
 def is_chain_graph(g: MixedGraph) -> bool:
     """Cheap predicate form of :func:`validate_chain_graph`."""
-    return _chain_order_from_masks(_graph(g).n, g.ch, g.nb) is not None
+    return _chain_order(_graph(g)) is not None
 
 
-def _chain_order_from_masks(n: int, ch, nb):
-    """Chain decomposition of child and bidirected-neighbour masks.
+def _chain_order(g: MixedGraph):
+    """Chain decomposition of ``g``, read from its child and
+    bidirected-neighbour masks ``g.ch`` and ``g.nb``.
 
     Returns ``(components, component_of, children, order)``: component
     masks by smallest member, each vertex's component index, each
     component's child components as a mask, and the component order as
-    indices.  Returns None when the masks have a partially directed
-    cycle.
+    indices.  Returns None when ``g`` has a partially directed cycle.
     """
-    comps = district_masks(nb, (1 << n) - 1)
+    n, ch = g.n, g.ch
+    comps = district_masks(g.nb, (1 << n) - 1)
     comp_of = [0] * n
     for i, comp in enumerate(comps):
         for v in bits(comp):

@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._bitset import bits
+from .enumeration import check_seed
 from .errors import CapExceeded, DisjointnessViolation, GraphFormatError, InvalidSeed
 from .factorization import Factorization
 from .graph import MixedGraph
@@ -166,8 +167,8 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
 
     Every conditional row is a symmetric Dirichlet draw, floored and
     renormalised so no entry sinks below about 1%.  The same seed gives
-    a bit-identical table, so a seed that numpy refuses, a bool or None,
-    which would draw from OS entropy, raises ``InvalidSeed``.
+    a bit-identical table, so a seed that is not a nonnegative int, such
+    as None, which would draw from OS entropy, raises ``InvalidSeed``.
     """
     if not isinstance(cd, CanonicalDag) or not isinstance(cd.dag, MixedGraph):
         raise GraphFormatError(f"{cd!r} is not a CanonicalDag over a MixedGraph")
@@ -180,13 +181,10 @@ def sample_latent_dag_distribution(cd: CanonicalDag, seed: int) -> JointTable:
                                f"do not split the DAG's {g.n} vertices")
     if CARDINALITY ** g.n > STATE_SPACE_CAP:
         raise CapExceeded(f"state space {CARDINALITY}**{g.n} exceeds {STATE_SPACE_CAP}")
-    # default_rng would read True as seed 1 and draw None from OS entropy
-    if seed is None or isinstance(seed, bool):
-        raise InvalidSeed(f"seed {seed!r} is not an int")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSeed(f"seed {seed!r}: {exc}") from None
+    check_seed(seed)  # default_rng would read True as seed 1 and draw None from OS entropy
+    if seed < 0:  # which default_rng refuses
+        raise InvalidSeed(f"seed must be nonnegative, got {seed!r}")
+    rng = np.random.default_rng(seed)
     parents = [bits(g.pa[v]) for v in range(g.n)]
     # one draw in vertex order gives each vertex the rows its own draw would
     rows = rng.dirichlet([_DIRICHLET_ALPHA] * CARDINALITY,

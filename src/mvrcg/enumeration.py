@@ -29,7 +29,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .config import ENUMERATION_CAP
-from .errors import CapExceeded, GraphFormatError
+from .errors import CapExceeded, GraphFormatError, InvalidSeed
 from .graph import MixedGraph
 
 NO_EDGE, FORWARD, BACKWARD, BOTH = range(4)
@@ -59,10 +59,11 @@ def check_count(name: str, value) -> None:
 
 
 def check_seed(seed) -> None:
-    """Raise ``GraphFormatError`` unless ``seed`` is an int.  None would
-    draw from OS entropy, so the same arguments would give other graphs."""
+    """Raise ``InvalidSeed`` unless ``seed`` is an int, not a bool.  None
+    would draw from OS entropy, so the same arguments would give other
+    graphs."""
     if type(seed) is not int:
-        raise GraphFormatError(f"seed must be an int, got {seed!r}")
+        raise InvalidSeed(f"seed must be an int, got {seed!r}")
 
 
 def _grown(reach: list[int], s: int, u: int, v: int) -> list[int]:

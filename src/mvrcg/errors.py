@@ -45,8 +45,9 @@ class UnknownName(GraphError, ValueError):
 
 
 class InvalidSeed(GraphError, ValueError):
-    """A seed the random generator does not accept, such as a negative
-    integer.  It is also a ``ValueError``, as numpy raises for it."""
+    """A seed that is not an int, such as None, a bool or a list, or a
+    negative one for the numeric sampler, which numpy refuses.  It is
+    also a ``ValueError``, as numpy raises for it."""
 
 
 class NotAComponent(GraphError, KeyError):

@@ -3,8 +3,8 @@
 Three routes are implemented independently and cross-checked.  Each
 public function checks its arguments and answers on vertex bitmasks.
 The model-level loops below call none of them: the m model applies the
-rules of :func:`_m_walk` to every conditioning set at once, and the m*
-model shares :func:`_collider_adjacency`.
+walk form of :func:`_m_walk`'s rules to every conditioning set at once,
+and the m* model shares :func:`_collider_adjacency`.
 
 * :func:`m_separated` — walk-state reachability, :func:`_m_walk`, which
   also gives :func:`m_connecting_walk` its witness.  A walk connects X
@@ -29,7 +29,14 @@ code they emit, instead of one query per canonical triple (about
 (``m_world_reach``): a vertex's state is a mask over the 2^n sets, and
 the walks from all sources sit side by side in one integer, so sweeps
 over the n vertices, repeated until no state grows, replace a walk per
-vertex and set.  Only a vertex with a vertex above it that is not
+vertex and set.  That walk lets a collider lie only in the conditioning
+set, the walk form of m-separation, while :func:`_m_walk` lets it lie in
+the set's ancestors, the path form; the two connect the same pairs, and
+a test compares them on every (i, j, c).  The walk form needs no
+descendant sets, at the price of more sweeps: per benchmark pass (seed
+1) they take 4,254 steps on ``oracle_n6``, 2,215 on ``closure_sparse6``
+and 15,615 on ``sweep_n4``, against 4,076, 2,059 and 14,449 with the
+path form's rule.  Only a vertex with a vertex above it that is not
 adjacent to it is a source, since adjacent vertices are never separated
 and m-connection is symmetric; :func:`global_model_table` returns the
 table, and ``global_model_codes`` lists M from it.  The table is n·2^n
@@ -89,7 +96,9 @@ def _m_walk(g: MixedGraph, x: int, y: int, z: int) -> Optional[list[int]]:
     state walk over (vertex, arrived-with-arrowhead) pairs, which crosses
     a vertex as a noncollider only outside z and as a collider only
     inside an(z).  It is the single-query reference for each (i, j, c)
-    of the m model's table."""
+    of the m model's table, whose walk lets a collider lie only in z:
+    both rules connect the same pairs, and this one's witnesses need no
+    detour down to z."""
     anz = ancestors_mask(g, z)
 
     def step(v, head):

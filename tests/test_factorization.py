@@ -1,11 +1,12 @@
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from mvrcg import (MixedGraph, barren, factorize_component_dag, factorize_mvr,
                    head_partition, heads, validate_chain_graph)
-from mvrcg.chain import _chain_order_from_masks
+from mvrcg.chain import _chain_order
 from mvrcg.enumeration import enumerate_dags, enumerate_mvr_cgs, random_mvr_cg
 from mvrcg.errors import CapExceeded, NotAncestrallyClosed
 from mvrcg.factorization import is_head, tail_of_head
@@ -127,7 +128,9 @@ def test_factorize_trivia():
 
 def test_component_tails_inside_parent_components_exhaustive_n5():
     # mask-level sweep over every labeled chain graph on five vertices:
-    # the graphical parents of a component stay inside its parent components
+    # the graphical parents of a component stay inside its parent components.
+    # The chain test reads only a graph's n, ch and nb, so a namespace of
+    # the masks stands in for each of the 4**10 assignments
     n = 5
     pairs = list(combinations(range(n), 2))
     count = 0
@@ -145,7 +148,7 @@ def test_component_tails_inside_parent_components_exhaustive_n5():
             elif s == 3:
                 nb[u] |= 1 << v
                 nb[v] |= 1 << u
-        if _chain_order_from_masks(n, ch, nb) is None:
+        if _chain_order(SimpleNamespace(n=n, ch=ch, nb=nb)) is None:
             continue
         count += 1
         comp_of = [-1] * n

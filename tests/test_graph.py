@@ -253,8 +253,8 @@ TYPED_ERROR_CALLS = {
                                           lambda: enumerate_mixed_graphs(True)),
     "random_mvr_cgs_negative_n": (GraphFormatError, lambda: random_mvr_cgs(-1, 2, 1)),
     "random_mvr_cgs_float_count": (GraphFormatError, lambda: random_mvr_cgs(3, 2.5, 1)),
-    "random_mvr_cgs_list_seed": (GraphFormatError, lambda: random_mvr_cgs(3, 2, [1])),
-    "random_mvr_cgs_none_seed": (GraphFormatError, lambda: random_mvr_cgs(3, 2, None)),
+    "random_mvr_cgs_list_seed": (InvalidSeed, lambda: random_mvr_cgs(3, 2, [1])),
+    "random_mvr_cgs_none_seed": (InvalidSeed, lambda: random_mvr_cgs(3, 2, None)),
     "fixtures_load": (UnknownName, lambda: fixtures.load("nope")),
     "parent_components": (NotAComponent,
                           lambda: validate_chain_graph(MixedGraph(2)).parent_components(-1)),
@@ -300,9 +300,9 @@ TYPED_ERROR_CALLS = {
         SweepConfig(max_n=2), start_index=True)),
     "sweep_float_start_index": (GraphFormatError, lambda: run_equivalence_sweep(
         SweepConfig(max_n=2), start_index=1.5)),
-    "sweep_config_none_seed": (GraphFormatError, lambda: SweepConfig(seed=None)),
-    "sweep_config_list_seed": (GraphFormatError, lambda: SweepConfig(seed=[1])),
-    "sweep_config_bool_seed": (GraphFormatError, lambda: SweepConfig(seed=True)),
+    "sweep_config_none_seed": (InvalidSeed, lambda: SweepConfig(seed=None)),
+    "sweep_config_list_seed": (InvalidSeed, lambda: SweepConfig(seed=[1])),
+    "sweep_config_bool_seed": (InvalidSeed, lambda: SweepConfig(seed=True)),
     "ci_holds_negative_eps": (GraphFormatError, lambda: ci_holds(
         _TABLE, IndependenceTriple.of([0], [1]), -1.0)),
     "verify_factorization_nan_eps": (GraphFormatError, lambda: verify_factorization(

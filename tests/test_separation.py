@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mvrcg import (MixedGraph, augmented_graph, d_separated, find_primitive_inducing_chain,
                    global_model, m_connecting_walk, m_separated, m_star_separated)
 from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
-                               random_mvr_cg)
+                               random_mvr_cg, random_mvr_cgs)
 from mvrcg._bitset import submasks
 from mvrcg._kernels import pyfallback
 from mvrcg.errors import CapExceeded, DisjointnessViolation, NotADag
@@ -236,7 +236,7 @@ def test_three_models_agree_on_random_n7(monkeypatch):
 @pytest.mark.parametrize("g, sources, steps", [
     (MixedGraph(5), 0b01111, 0),
     (MixedGraph(5, bidirected=list(combinations(range(5), 2))), 0, 0),
-    (MixedGraph(5, directed=[(0, 1), (1, 2), (2, 3), (3, 4)]), 0b00111, 15),
+    (MixedGraph(5, directed=[(0, 1), (1, 2), (2, 3), (3, 4)]), 0b00111, 25),
 ], ids=["edgeless", "complete", "chain"])
 def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
     """Only a vertex with an open vertex, one above it that is not
@@ -245,9 +245,13 @@ def test_m_table_walks_only_for_open_pairs(monkeypatch, g, sources, steps):
     graph every vertex but the last is a source and the sweeps take no
     step, since no walk leaves a vertex; on a complete graph nothing is a
     source; on the chain 0 -> 1 -> 2 -> 3 -> 4 the sources are 0, 1 and 2
-    and three sweeps of the five vertices take 15 steps, the last growing
-    nothing.  One walk per vertex and conditioning set would be 75.  The
-    table is symmetric and holds exactly the model's elementary triples."""
+    and five sweeps of the five vertices take 25 steps, the last growing
+    nothing.  A collider must lie in c itself, so a walk that reaches 4
+    given a c holding 4 turns back up there, and each step up, against
+    the sweep order, waits for the next sweep; with a collider allowed
+    anywhere in an(c), three sweeps took 15.  One walk per vertex and
+    conditioning set would be 75.  The table is symmetric and holds
+    exactly the model's elementary triples."""
     n = g.n
     elementary = [0] * (n << n)
     for code in global_model_codes(g):
@@ -315,11 +319,13 @@ def ranked_chain_graph(n, rng):
 
 def table_graphs():
     """Every chain graph with n <= 4, every mixed graph with n <= 3
-    (directed cycles included), random chain graphs with n = 5..9 and the
-    edgeless and complete bidirected graphs on 9 vertices."""
+    (directed cycles included), 50 uniform chain graphs with n = 5, ranked
+    chain graphs with n = 5..9 and the edgeless and complete bidirected
+    graphs on 9 vertices."""
     rng = random.Random(35)
     return ([g for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
             + [g for n in range(1, 4) for g in enumerate_mixed_graphs(n)]
+            + list(random_mvr_cgs(5, 50, 41))
             + [ranked_chain_graph(n, rng) for n in range(5, 10) for _ in range(12 - n)]
             + [MixedGraph(9), MixedGraph(9, bidirected=list(combinations(range(9), 2)))])
 
@@ -328,7 +334,9 @@ def test_m_table_matches_m_separated_everywhere():
     """Independently of the model's codes: ``table[i << n | c]`` holds j
     exactly when i and j are distinct vertices outside c and the
     single-query walk of ``m_separated`` separates them given c, for
-    every (i, j, c)."""
+    every (i, j, c).  The table's walk lets a collider lie only in c, the
+    single-query walk anywhere in an(c), so this compares the walk form
+    of m-separation with the path form."""
     for g in table_graphs():
         n = g.n
         table = pyfallback.m_elementary_table(n, g.pa, g.ch, g.nb)
