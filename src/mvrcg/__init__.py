@@ -6,7 +6,6 @@ surgery for desk-scale mixed graphs, plus exhaustive/random graph
 generators to verify the lot mechanically.
 """
 
-from ._kernels.pyfallback import BACKEND
 from .chain import (ChainDecomposition, Relatives, is_chain_graph, pre_of_component,
                     relatives, validate_chain_graph)
 from .closure import AxiomSet, CheckResult, close, equivalent_under, satisfies
@@ -30,7 +29,7 @@ from .triples import IndependenceModel, IndependenceTriple
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomSet", "BACKEND", "CanonicalDag", "ChainDecomposition", "CheckResult",
+    "AxiomSet", "CanonicalDag", "ChainDecomposition", "CheckResult",
     "Factorization", "HeadTail", "IndependenceModel", "IndependenceTriple",
     "JointTable", "MixedGraph", "Relatives", "UndirectedGraph",
     "alt_local_triples", "ancestors", "anteriors", "augmented_graph", "barren",

@@ -6,7 +6,8 @@ reads: ``BACKEND``, ``load_compiled`` and the ``pyfallback`` module.
 """
 
 from . import pyfallback
-from .pyfallback import BACKEND
+
+BACKEND = "python"
 
 
 def load_compiled():

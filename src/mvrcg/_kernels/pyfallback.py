@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .._bitset import bits, submasks
-
-BACKEND = "python"  # part of sweep.config_hash, so it keeps this value
+from .._bitset import bits
 
 # The closure's flags: the axioms besides the semi-graphoid ones, which
 # are always on.  ``AxiomSet.flags()`` ORs them.
@@ -48,16 +46,11 @@ def subset_sums(base: int, steps) -> list[int]:
 
 def iter_canonical_codes(n: int) -> list[tuple[int, int, int, int]]:
     """All canonical <a, b | c> over ``n`` vertices as ``(code, a, b, c)``,
-    in ascending code order."""
+    in ascending code order: the pairwise listing of the table that holds
+    every <i, j | K>."""
     full = (1 << n) - 1
-    out = []
-    for c in range(1 << n):
-        for b in submasks(full & ~c):
-            low = b & -b
-            out += [(a | b << n | c << 2 * n, a, b, c)
-                    for a in submasks(full & ~c & ~b) if a & (low - 1)]
-    out.sort()
-    return out
+    table = [full & ~row & ~(1 << (row >> n)) for row in range(n << n)]
+    return [(code, *decode_code(n, code)) for code in pairwise_codes(n, table)]
 
 
 def biclique_codes(n: int, c: int, apart) -> list[int]:
@@ -314,9 +307,10 @@ def elementary_rules(n: int, flags: int, table, emit):
 class Seen(list):
     """What ``elementary_closure`` returns: the elementary triples its
     worklist has seen, in the order it saw them, each once as ``(x, y,
-    K)``, and ``stop``, the stop it had reached: ``"goal"`` once it had
-    seen ``goal`` triples, ``"known"`` once it had seen every seed of one
-    of the ``known`` seed lists, None at its fixpoint short of both."""
+    K)``; ``table``, the same triples as its table of neighbour masks; and
+    ``stop``, the stop it had reached: ``"goal"`` once it had seen
+    ``goal`` triples, ``"known"`` once it had seen every seed of one of
+    the ``known`` seed lists, None at its fixpoint short of both."""
 
     stop = None
 
@@ -371,6 +365,7 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
     full = (1 << n) - 1
     table = [0] * (n << n)
     work = Seen()
+    work.table = table
 
     def push(x: int, ys: int, K: int) -> None:
         table[x << n | K] |= ys
@@ -426,57 +421,20 @@ def elementary_closure(n: int, seeds, flags: int, goal=None, known=()) -> Seen:
     return work
 
 
-def semi_graphoid_codes(n: int, elementary) -> list[int]:
+def semi_graphoid_codes(n: int, table) -> list[int]:
     """The sorted canonical codes of the semi-graphoid whose elementary
-    triples are ``elementary``, each as ``(x, y, K)``.
-
-    It lists them level by level in the size of the two blocks by the
-    chain rule: <A, Bv | C> holds exactly when <A, B | C> and <A, v | CB>
-    do (decomposition and weak union one way, contraction the other), for
-    any vertex v of either block.  So each triple of a level grows from
-    one of the level below by a vertex v outside it, in either block,
-    when the triple of v with the other block, given C and the grown
-    block's rest, was listed at a lower level.  A canonical code's first
-    block a holds the lowest block vertex, below b's lowest, so the codes
-    of a step need no general encoding: a ∪ v stays first, b ∪ v goes
-    first only when v is below a's lowest vertex, and a block of one
-    vertex v goes first when v is the lower of the two lowest vertices.
-    """
-    full = (1 << n) - 1
-    have = {(1 << x | 1 << y << n if x < y else 1 << y | 1 << x << n) | K << 2 * n
-            for x, y, K in elementary}
-    level = list(have)
-    while level:
-        grown = []
-        for code in level:
-            a, b, c = code & full, code >> n & full, code >> 2 * n
-            la, lb = a & -a, b & -b
-            free = full & ~(a | b | c)
-            while free:
-                v = free & -free
-                free ^= v
-                # <Av, B | C> from <B, v | CA>
-                new = code | v
-                premise = (b | v << n if lb < v else v | b << n) | (c | a) << 2 * n
-                if new not in have and premise in have:
-                    have.add(new)
-                    grown.append(new)
-                # <A, Bv | C> from <A, v | CB>
-                if la < v:
-                    new = code | v << n
-                    premise = a | v << n | (c | b) << 2 * n
-                else:
-                    new = b | v | a << n | c << 2 * n
-                    premise = v | a << n | (c | b) << 2 * n
-                if new not in have and premise in have:
-                    have.add(new)
-                    grown.append(new)
-        level = grown
-    return sorted(have)
+    triples are ``table`` (``table[i << n | K]`` holding each j with
+    <i, j | K>, kept symmetric, closed under ``elementary_rules``): the
+    codes of ``pairwise_codes`` whose chain triples, as ``mask_seeds``
+    gives them, are all in ``table``.  Decomposition puts each of its
+    triples in the pairwise listing, and the chain rule decides which of
+    those it holds."""
+    return [code for code in pairwise_codes(n, table)
+            if all(table[row] & bit for row, bit in chain_seeds(n, (code,)))]
 
 
 def close_codes(n: int, codes, flags: int) -> list[int]:
     """cl(``codes``) under the semi-graphoid axioms and ``flags``, as
     sorted codes: ``elementary_closure`` from their ``chain_seeds`` to its
-    fixpoint, listed by ``semi_graphoid_codes``."""
-    return semi_graphoid_codes(n, elementary_closure(n, chain_seeds(n, codes), flags))
+    fixpoint, listed from its table by ``semi_graphoid_codes``."""
+    return semi_graphoid_codes(n, elementary_closure(n, chain_seeds(n, codes), flags).table)

@@ -275,8 +275,8 @@ def _resume_index(path: str, key: str, out: str | None) -> int:
     if type(start) is not int or start < 0:  # bool is a subclass of int
         raise GraphError(f"cursor {path} has no nonnegative integer 'next' entry")
     if state.get("config") != key:
-        raise GraphError(f"cursor {path} belongs to another sweep configuration "
-                         "or backend; delete it to start afresh")
+        raise GraphError(f"cursor {path} belongs to another sweep configuration; "
+                         "delete it to start afresh")
     if out and _last_report_index(out) == start:
         start += 1
     return start

@@ -25,7 +25,8 @@ triples close to the same set as its |A|·|B|·2^(|A|+|B|-2) elementary
 parts.  ``mask_seeds`` takes them straight from ``(a, b, c)`` masks, as
 the sweep's property builders emit them, and ``chain_seeds`` from
 codes.  ``close_codes`` runs the worklist to its fixpoint, and
-``semi_graphoid_codes`` lists cl(P) from it by the chain rule.
+``semi_graphoid_codes`` lists cl(P) from its table as the codes of
+``pairwise_codes`` whose chain triples the table holds.
 
 ``seeds_gap`` decides cl(P) == M for a pairwise model M given by its
 elementary table alone, without listing M, from P's chain triples.
@@ -189,7 +190,7 @@ def seeds_gap(n: int, seeds, axioms: AxiomSet, target: Optional[Target],
     elementary = elementary_closure(n, seeds, flags, goal, stops)
     if elementary.stop:
         return None
-    return semi_graphoid_codes(n, elementary)
+    return semi_graphoid_codes(n, elementary.table)
 
 
 def close(model: IndependenceModel, axioms: AxiomSet) -> IndependenceModel:

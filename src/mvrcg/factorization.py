@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from ._bitset import bits, format_vertices, set_of
 from .chain import ChainDecomposition, _decomposition_of
 from .config import DEFAULT_SUBSET_CAP, check_cap
-from .errors import DisjointnessViolation, HeadTestFailed, NotAncestrallyClosed
+from .errors import DisjointnessViolation, GraphFormatError, HeadTestFailed, NotAncestrallyClosed
 from .graph import (MixedGraph, _as_mask, _graph, _within_mask, ancestors_mask, descendants_mask,
                     district_mask, district_masks, parents_of_set)
 
@@ -34,6 +34,9 @@ class HeadTail:
     def __post_init__(self):
         if not isinstance(self.head, frozenset) or not isinstance(self.tail, frozenset):
             raise DisjointnessViolation("head and tail must be frozensets of vertex ids")
+        # bool is a subclass of int
+        if not all(type(v) is int and v >= 0 for v in self.head | self.tail):
+            raise DisjointnessViolation("vertex ids must be nonnegative ints")
         if self.head & self.tail:
             raise DisjointnessViolation(
                 f"head and tail share {format_vertices(self.head & self.tail)}")
@@ -49,6 +52,13 @@ class Factorization:
 
     factors: tuple[HeadTail, ...]
     scope: frozenset[int]
+
+    def __post_init__(self):
+        if not (isinstance(self.factors, tuple)
+                and all(isinstance(f, HeadTail) for f in self.factors)):
+            raise GraphFormatError(f"factors must be a tuple of HeadTail, got {self.factors!r}")
+        if not isinstance(self.scope, frozenset):
+            raise GraphFormatError(f"scope must be a frozenset of vertex ids, got {self.scope!r}")
 
     def blocks(self) -> frozenset[frozenset[int]]:
         return frozenset(f.head for f in self.factors)

@@ -48,7 +48,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Callable, Iterator, Optional
 
 from ._bitset import bits
-from ._kernels.pyfallback import BACKEND, pairwise_codes
+from ._kernels.pyfallback import pairwise_codes
 from .chain import ChainDecomposition, validate_chain_graph
 from .closure import AxiomSet, Generator, closed_target, seeds_gap
 from .config import ENUMERATION_CAP, check_cap, model_cap
@@ -129,22 +129,18 @@ def _check_ancestral(ctx: GraphContext):
 
 
 def _check_factorization(ctx: GraphContext):
-    """``head_partition`` of all vertices is ``factorize_mvr``: the chain
-    components, each with its graphical parents as tail, and
-    ``factorize_component_dag``'s parent components hold those parents.
-    Compared on the masks the three build their factors from, with the
-    same witnesses."""
+    """``head_partition`` of all vertices is ``factorize_mvr``: its blocks
+    are the chain components, and ``factorize_component_dag``'s parent
+    components hold each component's graphical parents.  Compared on the
+    masks the three build their factors from, with the same witnesses.
+    The blocks' tails need no comparison: the tail of a block that is a
+    whole component t is ``parents_of_set(g, t)`` by construction."""
     g, dec = ctx.g, ctx.dec
-    tails = dict(_head_blocks(g, g.full_mask))
     comps = dec.component_masks
-    if set(tails) != set(comps):
+    if {block for block, _ in _head_blocks(g, g.full_mask)} != set(comps):
         return False, "head partition blocks differ from chain components"
-    parents = [parents_of_set(g, t) for t in comps]
-    for t, pa in zip(comps, parents):
-        if tails[t] != pa:
-            return False, f"tail of {list(bits(t))} differs"
-    for t, pa, pa_d in zip(comps, parents, dec.pa_d_masks):
-        if pa & ~pa_d:
+    for t, pa_d in zip(comps, dec.pa_d_masks):
+        if parents_of_set(g, t) & ~pa_d:
             return False, f"graphical parents of {list(bits(t))} exceed parent components"
     return True, None
 
@@ -240,14 +236,16 @@ def _check_config(config) -> None:
 
 
 def config_hash(config: SweepConfig) -> str:
-    """Stable sha1 of the configuration fields and the kernel backend.
+    """Stable sha1 of the configuration fields.
 
     A sweep cursor stores it, so a resume under another configuration is
     refused instead of skipping the wrong graphs.  ``hash()`` would not
-    do: string hashing is salted per process.
+    do: string hashing is salted per process.  The hashed state keeps the
+    constant ``"backend": "python"`` of earlier releases, so the cursors
+    they wrote stay valid.
     """
     _check_config(config)
-    state = {**asdict(config), "backend": BACKEND}
+    state = {**asdict(config), "backend": "python"}
     return hashlib.sha1(json.dumps(state, sort_keys=True).encode()).hexdigest()
 
 

@@ -138,10 +138,6 @@ MUTANTS = {
         "        goal = target.count\n",
         "        goal = target.count - 1\n"),
     # The structural checks.
-    "the factorization check skips its tail comparison": (
-        "sweep.py",
-        "        if tails[t] != pa:\n",
-        "        if False:\n"),
     "_maximal_by_chains: a chain's colliders may leave an({r, s})": (
         "structure.py",
         "        if head and anchor >> v & 1:\n",

@@ -275,6 +275,24 @@ def elementary_table(n, codes):
     return table
 
 
+def semi_graphoid_from_parts(n, table):
+    """The sorted codes of the semi-graphoid whose elementary triples are
+    the neighbour-mask ``table``, by its definition: each canonical
+    <A, B | C> of ``oracle_canonical_codes`` whose every elementary part
+    <i, j | K>, i in A, j in B and C ⊆ K ⊆ C ∪ A ∪ B − {i, j}, is in
+    ``table``."""
+    out = []
+    for code, a, b, c in oracle_canonical_codes(n):
+        free = [v for v in range(n) if (a | b) >> v & 1]
+        parts = [(i, j, c | sum(1 << v for v in rest))
+                 for i in free if a >> i & 1 for j in free if b >> j & 1
+                 for r in range(len(free) + 1) for rest in combinations(free, r)
+                 if i not in rest and j not in rest]
+        if all(table[i << n | K] >> j & 1 for i, j, K in parts):
+            out.append(code)
+    return out
+
+
 def one_pair_changes(n, table, change):
     """Copies of the neighbour-mask ``table`` with one pair <i, j | K>
     dropped (``change == "drop"``) or added (``"add"``), both ways: one

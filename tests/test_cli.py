@@ -447,6 +447,7 @@ def test_sweep_config_hash_is_stable():
         assert proc.stdout.strip() == config_hash(SweepConfig())
     assert config_hash(SweepConfig(max_n=3)) != config_hash(SweepConfig(max_n=2))
     assert config_hash(SweepConfig(seed=2)) != config_hash(SweepConfig(seed=1))
+    assert config_hash(SweepConfig()) == "b0789c34097098dc6731e923553cff34b4b532d8"
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -1116,18 +1117,28 @@ def test_sweep_records_exceptions_as_errors_and_continues(monkeypatch):
 
 @pytest.mark.parametrize("blocks, witness", [
     ([(0b001, 0), (0b110, 0b001)], "head partition blocks differ from chain components"),
-    ([(0b001, 0), (0b010, 0), (0b100, 0b001)], "tail of [2] differs"),
 ])
 def test_factorization_check_names_the_first_difference(monkeypatch, blocks, witness):
     """On 0 -> 2 <- 1 the head partition is {0}, {1} and {2} with tail
-    {0, 1}; a partition that differs in its blocks, or in one tail, fails
-    the check with the witness the factors' comparison gives."""
+    {0, 1}; a partition that differs in its blocks fails the check with
+    the witness the factors' comparison gives."""
     g = MixedGraph(3, directed=[(0, 2), (1, 2)])
     config = SweepConfig(checks=("factorization",))
     assert verify_graph(g, config).checks["factorization"].status == "pass"
     monkeypatch.setattr("mvrcg.sweep._head_blocks", lambda g, a_mask: blocks)
     outcome = verify_graph(g, config).checks["factorization"]
     assert (outcome.status, outcome.witness) == ("fail", witness)
+
+
+def test_factorization_check_names_parents_outside_the_parent_components(monkeypatch):
+    """On 0 -> 2 <- 1, parent components that miss the graphical parents
+    {0, 1} of component {2} fail the check at that component."""
+    g = MixedGraph(3, directed=[(0, 2), (1, 2)])
+    config = SweepConfig(checks=("factorization",))
+    monkeypatch.setattr(ChainDecomposition, "pa_d_masks", property(lambda dec: (0, 0, 0)))
+    outcome = verify_graph(g, config).checks["factorization"]
+    assert (outcome.status, outcome.witness) == (
+        "fail", "graphical parents of [2] exceed parent components")
 
 
 def test_sweep_checks_unwritable_cursor_before_the_first_graph(capsys, tmp_path):

@@ -14,15 +14,16 @@ from mvrcg._kernels.pyfallback import (chain_seeds, elementary_closure, m_elemen
 from mvrcg.closure import Generator, close_codes, closed_target, seeds_gap
 from mvrcg.enumeration import enumerate_mvr_cgs
 from mvrcg.errors import CapExceeded, DisjointnessViolation, ModelFormatError, UnknownName
-from mvrcg.properties import (alt_local_triples, mr_triples, ordered_local_triples,
-                              pairwise_triples, property_model,
+from mvrcg.properties import (PROPERTY_KINDS, alt_local_triples, mr_triples,
+                              ordered_local_triples, pairwise_triples, property_model,
                               property_seeds, type_iv_triples)
 from mvrcg.separation import global_model, global_model_codes, iter_canonical_codes
 from mvrcg.structure import is_maximal
 from mvrcg.triples import decode_triple, encode_triple
 
 from oracles import (AXIOM_NAMES, base4_code, elementary_codes, elementary_table,
-                     fire_closedness, one_pair_changes, oracle_closure)
+                     fire_closedness, one_pair_changes, oracle_closure,
+                     semi_graphoid_from_parts)
 
 T = IndependenceTriple.of
 
@@ -558,18 +559,21 @@ def test_a_generator_does_not_serve_a_p_outside_the_model():
 
 def test_semi_graphoid_codes_lists_a_semi_graphoid_from_its_elementary_triples():
     """The chain-rule listing gives back every separation model with
-    n <= 4, and the closures of the 40 pinned models under sg, g, csg and
-    cg, from their elementary triples alone.  The separation models come
-    from m-separation; the closures are held to a closure over full
-    triples by ``test_close_codes_match_pinned_digest``."""
+    n <= 4, the closures of the 40 pinned models under sg, g, csg and cg,
+    and the sg and g closures of the eight properties of every graph with
+    n <= 3 (semi-graphoids that are not pairwise), from their elementary
+    table alone.  It is also held to the definition: the canonical triples
+    whose every elementary part is in the table."""
     models = [(n, global_model_codes(g)) for n in range(1, 5) for g in enumerate_mvr_cgs(n)]
     models += [(5, close_codes(5, codes, AxiomSet.parse(name)))
                for codes in _pinned_digest_models() for name in AXIOM_NAMES]
+    models += [(n, close_codes(n, property_model(g, kind).to_codes(), AxiomSet.parse(name)))
+               for n in range(1, 4) for g in enumerate_mvr_cgs(n)
+               for kind in PROPERTY_KINDS if kind != "global" for name in ("sg", "g")]
     for n, codes in models:
-        full = (1 << n) - 1
-        elementary = [((code & full).bit_length() - 1, (code >> n & full).bit_length() - 1,
-                       code >> 2 * n) for code in elementary_codes(n, codes)]
-        assert semi_graphoid_codes(n, elementary) == codes
+        table = elementary_table(n, codes)
+        assert semi_graphoid_codes(n, table) == codes
+        assert semi_graphoid_from_parts(n, table) == codes
 
 
 def test_kernel_close_codes_is_the_package_closure():

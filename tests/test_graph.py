@@ -413,6 +413,17 @@ TYPED_ERROR_CALLS = {
     "model_of_int_triple": (ModelFormatError, lambda: IndependenceModel.of(3, [1])),
     "from_text_none": (GraphFormatError, lambda: MixedGraph.from_text(None)),
     "head_tail_none_head": (DisjointnessViolation, lambda: HeadTail(None, frozenset())),
+    "head_tail_bool_id": (DisjointnessViolation, lambda: HeadTail(frozenset({True}), frozenset())),
+    "head_tail_float_id": (DisjointnessViolation, lambda: HeadTail(frozenset({1.0}), frozenset())),
+    "head_tail_negative_id": (DisjointnessViolation,
+                              lambda: HeadTail(frozenset({0}), frozenset({-1}))),
+    "factorization_str_factor": (GraphFormatError,
+                                 lambda: Factorization(("junk",), frozenset())),
+    "factorization_none_factors": (GraphFormatError, lambda: Factorization(None, frozenset())),
+    "factorization_list_factors": (GraphFormatError, lambda: Factorization(
+        [HeadTail(frozenset({0}), frozenset())], frozenset({0}))),
+    "factorization_set_scope": (GraphFormatError, lambda: Factorization(
+        (HeadTail(frozenset({0}), frozenset()),), {0})),
 }
 
 
