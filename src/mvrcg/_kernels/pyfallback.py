@@ -132,9 +132,8 @@ def m_world_reach(n: int, pa, ch, nb, sources: int) -> tuple[list[int], int]:
     The vertices are swept in order, each passing its whole state on,
     until a sweep grows no mask.  A walk that turns back up at a
     conditioned descendant may move against that order, one vertex per
-    sweep, so the walk form takes more steps than the path form's rule,
-    which needs w's descendants: 15,615 against 14,449 over the n <= 4
-    sweep.  Returns ``reach``, bit v·2^n + c of ``reach[w]`` set when the
+    sweep: the walk form needs no descendant sets, at the price of more
+    sweeps.  Returns ``reach``, bit v·2^n + c of ``reach[w]`` set when the
     walk from v given c reaches w, and the number of steps, the visits to
     a vertex already reached.
     """
@@ -177,10 +176,9 @@ def m_elementary_table(n: int, pa, ch, nb) -> list[int]:
     every such v given every c are one ``m_world_reach``, sweeps over the
     n vertices, whose states are masks over the 2^n conditioning sets,
     until no state grows: w joins row (v, c) exactly when c holds neither
-    v nor w and the walk from v given c does not reach w.  On 5 vertices
-    the sweeps take no step on the edgeless graph (no walk leaves a
-    vertex) nor on a complete one (no vertex has an open vertex), where
-    one walk per vertex and conditioning set would take 75 walks.
+    v nor w and the walk from v given c does not reach w.  The sweeps
+    take no step on an edgeless graph (no walk leaves a vertex) nor on a
+    complete one (no vertex has an open vertex).
     """
     size = 1 << n
     full = size - 1
@@ -235,7 +233,7 @@ def global_model_codes(n: int, pa, ch, nb) -> list[int]:
     is separated exactly when every <i, j | c> with i in ``a`` and j in
     ``b`` is: the m model is pairwise, and ``pairwise_codes`` lists it
     from ``m_elementary_table``.  The cost is the table's one walk plus a
-    few steps per separated code, instead of one walk per canonical code.
+    few steps per separated code.
     """
     return pairwise_codes(n, m_elementary_table(n, pa, ch, nb))
 
@@ -324,16 +322,15 @@ def chain_seeds(n: int, codes) -> list[tuple[int, int]]:
 def mask_seeds(n: int, triples) -> list[tuple[int, int]]:
     """The chain triples of ``(a, b, c)`` mask triples, the seeds
     ``elementary_closure`` takes for them, each as ``(x << n | K, 1 << y)``:
-    its row of the worklist's table and its bit there.  Each triple is
-    first put in its canonical order, the lowest block vertex in ``a``, as
-    its code has it.  For <a, b | c> with a = {a_1 < a_2 < ...} and
-    b = {b_1 < b_2 < ...} they are the <a_i, b_j | c a_<i b_<j>, and in a
-    semi-graphoid <a, b | c> holds exactly when they do (the chain rule).
-    A repeated triple repeats its seeds."""
+    its row of the worklist's table and its bit there.  For <a, b | c>
+    with a = {a_1 < a_2 < ...} and b = {b_1 < b_2 < ...} they are the
+    <a_i, b_j | c a_<i b_<j>, and in a semi-graphoid <a, b | c> holds
+    exactly when they do (the chain rule).  The rule holds with either
+    block first, and the table is symmetric, so the blocks are taken in
+    the order given: <b, a | c> has other seeds, which decide and close
+    alike.  A repeated triple repeats its seeds."""
     out = []
     for a, b, c in triples:
-        if (a | b) & -(a | b) & b:
-            a, b = b, a
         for x in bits(a):
             bx = 1 << x
             row = x << n | c | a & (bx - 1)

@@ -13,6 +13,7 @@ from .errors import CapExceeded, GraphError
 DEFAULT_MODEL_CAP = 7       # ground set for separation models and closures
 DEFAULT_SUBSET_CAP = 12     # per-component / per-prefix subset enumeration
 ENUMERATION_CAP = 6         # exhaustive graph enumeration
+RANDOM_CAP = 9              # random draws, which reject whole candidates
 HARD_MODEL_CAP = 13         # a model can hold about 4**n / 2 codes
 
 

@@ -10,16 +10,16 @@ Rather than test all 4**C(n,2) assignments, ``_chain_graphs`` fixes the
 pairs' states one at a time in that pair order, depth-first, trying each
 pair's states in order: it meets the assignments in lexicographic order,
 which is ``product``'s, so it yields the same graphs in the same order
-as filtering ``product`` would.  A prefix
-that closes a partially directed cycle is not extended, since no later
-edge removes one; every leaf is then a chain graph, and each is built
-from the masks and edge lists the search holds.  At n=5 this reaches
-the 142,624 chain graphs of 1,048,576 assignments, and listing them
-took 1.2-1.7 s instead of 9-12 s by testing every assignment, on a
-shared 2-core machine with Python 3.11; the 28,903,216 of n=6 (4**15
-assignments) are counted in 122 s.
+as filtering ``product`` would.  A prefix that closes a partially
+directed cycle is not extended, since no later edge removes one; every
+leaf is then a chain graph, and each is built from the masks and edge
+lists the search holds.  At n=5 this reaches the 142,624 chain graphs of
+1,048,576 assignments, listed in 1.2-1.7 s on a shared 2-core machine
+with Python 3.11; the 28,903,216 of n=6 (4**15 assignments) are counted
+in 122 s.
 ``enumerate_mixed_graphs`` still runs through ``product``, and random
-mode rejection-samples the same per-pair distribution at any size.
+mode rejection-samples the same per-pair distribution up to
+``RANDOM_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import random
 from itertools import combinations, product
 from typing import Iterator
 
-from .config import ENUMERATION_CAP
+from .config import ENUMERATION_CAP, RANDOM_CAP
 from .errors import CapExceeded, GraphFormatError, InvalidSeed
 from .graph import MixedGraph
 
@@ -157,11 +157,21 @@ def enumerate_mvr_cgs(n: int) -> Iterator[MixedGraph]:
     return _enumerate(n, range(4))
 
 
+def check_random_n(n: int) -> None:
+    """Raise unless ``n`` is a vertex count that random draws take: a
+    nonnegative int up to ``RANDOM_CAP``.  Few candidates are chain
+    graphs at larger n, so one draw takes seconds at n = 9 and did not end
+    in minutes at n = 10."""
+    check_count("vertex count", n)
+    if n > RANDOM_CAP:
+        raise CapExceeded(f"random draws capped at n={RANDOM_CAP}")
+
+
 def random_mvr_cg(n: int, rng: random.Random) -> MixedGraph:
     """Uniform sample over per-pair states, rejecting non-chain-graphs.
     Each candidate is drawn in full, then its pairs are fixed in order
     under ``_chain_graphs``' rule until one closes a cycle."""
-    check_count("vertex count", n)
+    check_random_n(n)
     if not isinstance(rng, random.Random):
         raise GraphFormatError(f"rng must be a random.Random, got {rng!r}")
     pairs = tuple(combinations(range(n), 2))
@@ -179,7 +189,7 @@ def random_mvr_cg(n: int, rng: random.Random) -> MixedGraph:
 def random_mvr_cgs(n: int, count: int, seed: int) -> Iterator[MixedGraph]:
     """``count`` graphs from ``random_mvr_cg``, drawn from ``seed``; the
     arguments are checked before the first graph is asked for."""
-    check_count("vertex count", n)
+    check_random_n(n)
     check_count("count", count)
     check_seed(seed)
     rng = random.Random(seed)

@@ -100,11 +100,11 @@ def _head_tail_mask(g: MixedGraph, h: int) -> Optional[int]:
 
 
 def is_head(g: MixedGraph, H: Iterable[int]) -> bool:
-    return _head_tail_mask(g, _as_mask(g, H)) is not None
+    return _head_tail_mask(g, _as_mask(_graph(g), H)) is not None
 
 
 def tail_of_head(g: MixedGraph, H: Iterable[int]) -> frozenset[int]:
-    h = _as_mask(g, H)
+    h = _as_mask(_graph(g), H)
     t = _head_tail_mask(g, h)
     if t is None:
         raise HeadTestFailed(f"{sorted(set_of(h))} is not a head")

@@ -327,34 +327,21 @@ def district_masks(nb: Sequence[int], within: int) -> list[int]:
 
 
 def shortest_path(adj: Sequence[int], start: int, goal: int) -> Optional[list[int]]:
-    """A fewest-edge path ``start .. goal`` along ``adj``, or None.
-    Breadth-first with smaller ids first, so the path returned is
-    deterministic."""
-    prev = {start: None}
-    queue = [start]
-    for v in queue:  # the queue grows while it is read
-        if v == goal:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for u in bits(adj[v]):
-            if u not in prev:
-                prev[u] = v
-                queue.append(u)
-    return None
+    """A fewest-edge path ``start .. goal`` along ``adj``, or None, for
+    ``start != goal``: the ``state_walk`` whose one move is along ``adj``,
+    so the path returned is deterministic."""
+    return state_walk(1 << start, 1 << goal, lambda v, head: ((adj[v], True),))
 
 
-def state_walk(g: MixedGraph, sources: int, goal: int, step) -> Optional[list[int]]:
+def state_walk(sources: int, goal: int, step) -> Optional[list[int]]:
     """A walk from a vertex of ``sources`` to one of ``goal``, or None.
 
-    Breadth-first over (vertex, arrived-with-arrowhead) states.  The walk
-    leaves its source along any edge; ``step(v, head)`` yields the moves
-    out of state ``(v, head)`` as ``(mask, head)`` pairs: on to each vertex
-    of ``mask``, arriving with an arrowhead when ``head``.  Moves and mask
-    bits are taken in order and a state is entered once, so the walk
-    returned is deterministic."""
+    Breadth-first over (vertex, arrived-with-arrowhead) states.
+    ``step(v, head)`` yields the moves out of state ``(v, head)`` as
+    ``(mask, head)`` pairs: on to each vertex of ``mask``, arriving with
+    an arrowhead when ``head``; a source leaves by the moves of
+    ``step(s, None)``.  Moves and mask bits are taken in order and a state
+    is entered once, so the walk returned is deterministic."""
     prev: dict[tuple[int, bool], object] = {}
     queue: list[tuple[int, bool]] = []
 
@@ -366,7 +353,7 @@ def state_walk(g: MixedGraph, sources: int, goal: int, step) -> Optional[list[in
                     queue.append((w, head))
 
     for s in bits(sources):
-        arrive(((g.ch[s] | g.nb[s], True), (g.pa[s], False)), s)
+        arrive(step(s, None), s)
     for state in queue:  # the queue grows while it is read
         if goal >> state[0] & 1:
             walk = []

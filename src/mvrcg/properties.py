@@ -161,7 +161,7 @@ def markov_blanket(g: MixedGraph, x: int, A: Iterable[int]) -> frozenset[int]:
 
 def consistent_vertex_order(g: MixedGraph) -> tuple[int, ...]:
     """Ancestors-first total order with smallest-id tie-breaks."""
-    order = topological_order(g.pa, g.ch)
+    order = topological_order(_graph(g).pa, g.ch)
     if len(order) != g.n:
         raise InconsistentOrder("graph has a directed cycle")
     return tuple(order)
@@ -269,6 +269,7 @@ def property_masks(g: MixedGraph, kind: str,
     unchecked ``(a, b, c)`` mask triples its builder emits; ``kind`` is
     any of ``PROPERTY_KINDS`` but ``global``, and ``dec``, if given, is
     ``g``'s."""
+    _graph(g)
     if dec is not None:
         _decomposition_of(g, dec)
     if kind == "local":
@@ -301,4 +302,4 @@ def property_model(g: MixedGraph, kind: str,
     each statement checked as a triple is."""
     if kind == "global":
         return global_model(g)
-    return IndependenceModel.from_masks(g.n, property_masks(g, kind, dec))
+    return IndependenceModel.from_masks(_graph(g).n, property_masks(g, kind, dec))

@@ -35,17 +35,17 @@ the set's ancestors, the path form; the two connect the same pairs, and
 a test compares them on every (i, j, c).  The walk form needs no
 descendant sets, at the price of more sweeps: per benchmark pass (seed
 1) they take 4,254 steps on ``oracle_n6``, 2,215 on ``closure_sparse6``
-and 15,615 on ``sweep_n4``, against 4,076, 2,059 and 14,449 with the
-path form's rule.  Only a vertex with a vertex above it that is not
-adjacent to it is a source, since adjacent vertices are never separated
-and m-connection is symmetric; :func:`global_model_table` returns the
-table, and ``global_model_codes`` lists M from it.  The table is n·2^n
-masks, which maximality reads (``structure``) at any size; ``model_cap()``
-guards only listing M and closing against it.  The m* and
-latent-DAG models share :func:`_separated_codes`, which builds one
-adjacency per ancestral set A rather than per set a|b|c: the sets u
-with an(u) = A are those with sinks(A) ⊆ u ⊆ A, where sinks(A) are the
-vertices of A with no child in A.  On the latent route the latents are
+and 15,615 on ``sweep_n4``.  Only a vertex with a vertex above it that
+is not adjacent to it is a source, since adjacent vertices are never
+separated and m-connection is symmetric; :func:`global_model_table`
+returns the table, and ``global_model_codes`` lists M from it.  The
+table is n·2^n masks, which maximality reads (``structure``) up to
+``DEFAULT_SUBSET_CAP`` (12) vertices; ``model_cap()`` guards listing M
+and closing against it.  The m* and latent-DAG models share
+:func:`_separated_codes`, which builds one adjacency per ancestral set A
+rather than per set a|b|c: the sets u with an(u) = A are those with
+sinks(A) ⊆ u ⊆ A, where sinks(A) are the vertices of A with no child in
+A.  On the latent route the latents are
 projected out first: observed vertices that a path through latents
 alone connects are joined, since no latent is ever conditioned on.  A
 vertex joined to every other vertex of A leaves A - c one class unless
@@ -67,7 +67,7 @@ from typing import Iterable, Optional
 from ._bitset import bits, submasks
 from ._kernels import pyfallback
 from ._kernels.pyfallback import iter_canonical_codes, subset_sums
-from .config import check_cap, model_cap
+from .config import DEFAULT_SUBSET_CAP, check_cap, model_cap
 from .errors import NotADag, UnknownName
 from .graph import (MixedGraph, UndirectedGraph, _as_mask, _graph, ancestors_mask,
                     district_masks, reach_mask, state_walk, topological_order)
@@ -112,7 +112,7 @@ def _m_walk(g: MixedGraph, x: int, y: int, z: int) -> Optional[list[int]]:
             yield g.nb[v], True
             yield g.pa[v], False
 
-    return state_walk(g, x, y, step)
+    return state_walk(x, y, step)
 
 
 def _collider_adjacency(g: MixedGraph, within: int) -> list[int]:
@@ -302,13 +302,16 @@ def global_model_table(g: MixedGraph) -> list[int]:
     """The m model's elementary triples as the kernel's table of neighbour
     masks, ``table[i << n | c]`` holding each j with <i, j | c>
     m-separated; ``pyfallback.pairwise_codes`` lists the model from it.
-    The table is n·2^n masks, so unlike the model it has no cap."""
+    The table is n·2^n masks, so its cap is ``DEFAULT_SUBSET_CAP``, as
+    for the other 2^n enumerations, not the model's: at n = 25 it would
+    hold 839 million masks."""
+    check_cap(_graph(g).n, DEFAULT_SUBSET_CAP)
     return pyfallback.m_elementary_table(g.n, g.pa, g.ch, g.nb)
 
 
 def global_model_codes(g: MixedGraph, method: str = "m") -> list[int]:
     """Code set of the full separation model of ``g``."""
-    check_cap(g.n, model_cap())
+    check_cap(_graph(g).n, model_cap())
     if method == "m":
         return pyfallback.global_model_codes(g.n, g.pa, g.ch, g.nb)
     if method == "mstar":

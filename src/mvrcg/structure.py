@@ -8,9 +8,9 @@ lying in the ancestor closure of the endpoints) joins a nonadjacent
 pair.  Both characterisations are implemented and must agree: the first
 reads M's elementary table, where a pair is separated given some set
 exactly when one of its vertex's rows holds the other, the second a
-state walk with its own collider-only rule.  The table is n·2^n masks
-and has no cap, so maximality is decided at any size; ``model_cap()``
-guards only the model's codes.
+state walk with its own collider-only rule.  The table is n·2^n masks,
+capped at ``DEFAULT_SUBSET_CAP`` (12) vertices, so maximality is decided
+above ``model_cap()``, which guards only the model's codes.
 
 Replacing each bidirected edge u <-> v by a fresh common parent
 u <- h -> v yields a DAG whose separation statements over the original
@@ -68,6 +68,9 @@ def _primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[list[in
     anchor = ancestors_mask(g, (1 << r) | (1 << s))
 
     def step(v, head):
+        if head is None:  # r leaves along any edge
+            yield g.ch[v] | g.nb[v], True
+            yield g.pa[v], False
         # Interiors must be colliders: they need an arrowhead on both
         # sides, so only head-arrivals continue and only through edges
         # with an arrowhead at v; and they must lie in an({r, s}).
@@ -75,7 +78,7 @@ def _primitive_inducing_chain(g: MixedGraph, r: int, s: int) -> Optional[list[in
             yield g.nb[v], True
             yield g.pa[v], False
 
-    return state_walk(g, 1 << r, 1 << s, step)
+    return state_walk(1 << r, 1 << s, step)
 
 
 def is_maximal(g: MixedGraph, method: str = "both") -> bool:
@@ -180,7 +183,7 @@ def _latent_masks(g: MixedGraph) -> _LatentMasks:
 def latent_model_codes(g: MixedGraph) -> list[int]:
     """The latent DAG's separation model over the observed vertices; a
     graph with a directed cycle raises ``NotADag``, as in ``canonical_dag``."""
-    check_cap(g.n, model_cap())
+    check_cap(_graph(g).n, model_cap())
     _require_acyclic(g)
     return _latent_model_codes(g)
 

@@ -19,7 +19,8 @@ neither M nor the closure.  The other checks are ancestrality,
 maximality and the factorization identities; maximal and
 marginal_oracle call ``structure``'s unchecked paths, since a validated
 chain graph is ancestral and acyclic, and M's cap is the oracle's.
-Maximality reads M's table, which is n·2^n masks and has no cap:
+Maximality reads M's table, which is n·2^n masks, capped at
+``DEFAULT_SUBSET_CAP`` (12) vertices like the other 2^n enumerations:
 ``model_cap()`` guards listing M and closing against it, not the table.
 
 A check reports ``pass``, ``fail`` with a witness, or ``error``
@@ -52,7 +53,8 @@ from ._kernels.pyfallback import pairwise_codes
 from .chain import ChainDecomposition, validate_chain_graph
 from .closure import AxiomSet, Generator, closed_target, seeds_gap
 from .config import ENUMERATION_CAP, check_cap, model_cap
-from .enumeration import check_count, check_seed, enumerate_mvr_cgs, random_mvr_cgs
+from .enumeration import (check_count, check_random_n, check_seed, enumerate_mvr_cgs,
+                          random_mvr_cgs)
 from .errors import CapExceeded, GraphError, GraphFormatError, UnknownName
 from .factorization import _head_blocks
 from .graph import MixedGraph, _graph, parents_of_set
@@ -85,7 +87,7 @@ class GraphContext:
 
     @cached_property
     def table(self) -> list[int]:
-        """M's elementary table, at any size."""
+        """M's elementary table, above ``model_cap()`` too."""
         return global_model_table(self.g)
 
     @cached_property
@@ -393,14 +395,17 @@ def run_equivalence_sweep(config: SweepConfig,
     Every process walks all of ``sweep_graphs``, so with
     ``random_count`` each of the K redraws every random graph by
     rejection: drawing them takes as long as on one process, not a K-th
-    of it, about 3 s per graph at n = 9."""
+    of it, about 3 s per graph at n = 9.  ``random_n`` above
+    ``RANDOM_CAP`` raises ``CapExceeded`` before any work."""
     # A malformed config, MVRCG_MAX_N or start_index, or a max_n beyond
-    # exhaustive enumeration, is not a property of any graph: raise it on
-    # the call, before any work, instead of failing every graph with it or
-    # after hours of output.
+    # exhaustive enumeration or a random_n beyond random draws, is not a
+    # property of any graph: raise it on the call, before any work,
+    # instead of failing every graph with it or after hours of output.
     _check_config(config)
     check_count("start_index", start_index)
     model_cap()
     if config.max_n > ENUMERATION_CAP:
         raise CapExceeded(f"exhaustive enumeration capped at n={ENUMERATION_CAP}")
+    if config.random_count:
+        check_random_n(config.random_n)
     return _sharded_sweep(config, start_index)

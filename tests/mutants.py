@@ -107,10 +107,6 @@ MUTANTS = {
         "_kernels/pyfallback.py",
         "                out.append((row | b & (by - 1), by))\n",
         "                out.append((row, by))\n"),
-    "mask_seeds skips the canonical swap": (
-        "_kernels/pyfallback.py",
-        "        if (a | b) & -(a | b) & b:\n            a, b = b, a\n        for x in bits(a):\n",
-        "        for x in bits(a):\n"),
     "an unsound sg step (drops the premise <i, k | L>)": (
         "_kernels/pyfallback.py",
         "                    if not table[L] & bj:\n                        emit(i, bj, K ^ low)\n"

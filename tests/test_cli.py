@@ -585,7 +585,9 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     every earlier passing check under axioms among its own, and stops
     once it has seen one of them, or the model's elementary triples.
     Here iv, ordered and p1-p4 repeat mr's one seed, and local lists it
-    twice.  One proof over the model's rows shows it closed, and
+    twice, each up to the order of the seed's two vertices, since the
+    seeds keep each statement's blocks in the order its builder gives
+    them.  One proof over the model's rows shows it closed, and
     builds no rule set; every worklist has seen its stop among its seeds,
     so none fires and no rule set is built at all.  No worklist runs to
     its fixpoint, so nothing is closed there, the model least of all."""
@@ -599,16 +601,22 @@ def test_verify_graph_closes_each_property_once_and_never_the_model(monkeypatch)
     assert len(calls) == 8 and calls[0] == ("elementary", goal, goal, "goal")
     for _, call_goal, seen, stop in calls[1:]:
         assert call_goal == goal and seen <= goal and stop in ("goal", "known")
-    mr, local = (property_seeds(g, prop) for prop in ("mr", "local"))
-    assert mr == chain_seeds(g.n, property_model(g, "mr").to_codes()) and local == mr * 2
-    assert seeded == [[], [mr], [mr, mr], [mr, mr, mr]] + [
-        [mr, mr, mr, local, *[mr] * k] for k in range(4)]
+    def unordered(seeds):
+        """Each seed as ``(x, y, K)`` with x < y, whichever vertex is its row's."""
+        return [(*sorted((row >> g.n, bit.bit_length() - 1)), row & g.full_mask)
+                for row, bit in seeds]
+
+    mr, local = (unordered(property_seeds(g, prop)) for prop in ("mr", "local"))
+    assert mr == unordered(chain_seeds(g.n, property_model(g, "mr").to_codes()))
+    assert local == mr * 2
+    assert [[unordered(seeds) for seeds in known] for known in seeded] == [
+        [], [mr], [mr, mr], [mr, mr, mr]] + [[mr, mr, mr, local, *[mr] * k] for k in range(4)]
     assert pushed == [property_seeds(g, prop) for prop in PROPERTY_AXIOMS]
 
 
 def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
     """Over every chain graph with n <= 4 in sweep order, the closure
-    checks' worklists fire 7,605 triples in all: 7,311 checks end at the
+    checks' worklists fire 7,601 triples in all: 7,311 checks end at the
     model's elementary triples, 6,633 at the seeds of an earlier passing
     check and none at a fixpoint.  Only the 3,528 worklists that fire
     build a rule set; the other 10,416 stop among their seeds.  A change
@@ -620,7 +628,7 @@ def test_the_sweep_worklists_fire_and_stop_as_pinned(monkeypatch):
                 for c in verify_graph(g, config, i).checks.values()]
     assert statuses == ["pass"] * 13_944
     assert len(calls) == 13_944 and len(fires) == 3_528 and 0 not in fires
-    assert sum(fires) == 7_605
+    assert sum(fires) == 7_601
     stops = [stop for *_, stop in calls]
     assert {stop: stops.count(stop) for stop in ("goal", "known", None)} == {
         "goal": 7_311, "known": 6_633, None: 0}
@@ -1156,6 +1164,12 @@ def test_sweep_refuses_max_n_beyond_enumeration_before_the_first_graph(capsys, t
     assert (code, out) == (2, "")
     assert err.startswith("error: CapExceeded: exhaustive enumeration capped at n=6")
     assert not cursor.exists()  # a refused sweep leaves no cursor behind
+
+
+def test_sweep_refuses_random_n_beyond_the_random_cap_before_the_first_graph(capsys):
+    code, out, err = run(capsys, "sweep", "--random", "1", "--random-n", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CapExceeded: random draws capped at n=9")
 
 
 def test_export_dot_with_induced_set(capsys, fig_path):

@@ -381,10 +381,11 @@ def test_chain_seeds_are_the_seeds_the_worklist_pushes():
 
 def test_mask_seeds_decide_and_close_as_the_property_codes_do():
     """The sweep seeds each check from its builder's masks
-    (``property_seeds``), without encoding or checking the statements.
-    On every chain graph with n <= 4 and each property, those seeds are
-    ``chain_seeds`` of ``property_model``'s codes up to order and
-    repeats, so they give the same P ⊆ M verdict on the model's table and
+    (``property_seeds``), without encoding or checking the statements,
+    so a statement whose lowest block vertex is in b has other chain
+    triples than its code.  On every chain graph with n <= 4 and each
+    property, those seeds still give the same P ⊆ M verdict on the
+    model's table as ``chain_seeds`` of ``property_model``'s codes, and
     the same elementary closure under sg, g, csg and cg."""
     repeated = 0
     for n in range(1, 5):
@@ -394,7 +395,6 @@ def test_mask_seeds_decide_and_close_as_the_property_codes_do():
             for prop in ("mr", "iv", "ordered", "local", "p1", "p2", "p3", "p4"):
                 masks = property_seeds(g, prop, dec)
                 codes = chain_seeds(n, property_model(g, prop, dec).to_codes())
-                assert set(masks) == set(codes)
                 repeated += len(masks) > len(set(masks))
                 assert all(table[row] & bit for row, bit in masks) == \
                     all(table[row] & bit for row, bit in codes)

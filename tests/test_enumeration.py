@@ -4,7 +4,9 @@ import random
 import pytest
 
 from mvrcg import MixedGraph, is_chain_graph, random_mvr_cg
-from mvrcg.enumeration import enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs
+from mvrcg.enumeration import (enumerate_dags, enumerate_mixed_graphs, enumerate_mvr_cgs,
+                               random_mvr_cgs)
+from mvrcg.sweep import SweepConfig, run_equivalence_sweep
 from mvrcg.errors import CapExceeded
 
 from oracles import count_labeled_dags, count_labeled_mvr_cgs, oracle_enumerate
@@ -71,6 +73,20 @@ def test_count_n4_frozen():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         next(enumerate_mvr_cgs(7))
+
+
+def test_random_draws_are_capped_before_the_first_draw():
+    """Rejection sampling keeps few candidates above ``RANDOM_CAP`` (9):
+    one draw at n = 10 did not end in minutes.  Each entry refuses such an
+    n on the call, before it draws."""
+    with pytest.raises(CapExceeded, match="random draws capped at n=9"):
+        random_mvr_cg(10, random.Random(35))
+    with pytest.raises(CapExceeded, match="random draws capped at n=9"):
+        random_mvr_cgs(10, 1, 35)
+    with pytest.raises(CapExceeded, match="random draws capped at n=9"):
+        run_equivalence_sweep(SweepConfig(max_n=1, random_count=1, random_n=10))
+    # Without draws the sweep does not look at random_n.
+    assert len(list(run_equivalence_sweep(SweepConfig(max_n=1, random_n=10)))) == 1
 
 
 def test_dag_count_n3():

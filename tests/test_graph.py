@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import numpy as np
@@ -458,3 +459,29 @@ def test_a_non_graph_argument_raises_graph_format_error(name):
     for bad in (None, 5, "x"):
         with pytest.raises(GraphFormatError):
             getattr(mvrcg, name)(bad, *GRAPH_ENTRIES[name])
+
+
+# Module-level functions outside ``mvrcg.__all__`` that take a graph, as
+# (module, function, the arguments after the graph).
+MODULE_GRAPH_ENTRIES = [
+    ("factorization", "is_head", ([0],)),
+    ("factorization", "tail_of_head", ([0],)),
+    ("properties", "consistent_vertex_order", ()),
+    ("properties", "property_model", ("global",)),
+    ("properties", "property_model", ("p1",)),
+    ("properties", "property_masks", ("local",)),
+    ("properties", "property_masks", ("ordered",)),
+    ("separation", "global_model_table", ()),
+    ("separation", "global_model_codes", ()),
+    ("structure", "latent_model_codes", ()),
+]
+
+
+@pytest.mark.parametrize("module, name, args", MODULE_GRAPH_ENTRIES,
+                         ids=[f"{m}.{f}{list(a)}" for m, f, a in MODULE_GRAPH_ENTRIES])
+def test_a_non_graph_argument_to_a_module_function_raises_graph_format_error(module, name, args):
+    """The module-level entries that take a graph check it first too."""
+    func = getattr(importlib.import_module(f"mvrcg.{module}"), name)
+    for bad in (None, 5, "x"):
+        with pytest.raises(GraphFormatError):
+            func(bad, *args)

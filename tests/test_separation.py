@@ -351,10 +351,11 @@ def test_m_table_matches_m_separated_everywhere():
 
 
 def test_maximality_reads_the_table_above_the_model_cap(monkeypatch):
-    """M's table has no cap, so maximality is decided on chain graphs with
-    n = 8 and 9, above the default model cap of 7, while listing M is
-    still refused there.  Both maximality criteria agree, and the table
-    answers single queries as ``m_separated`` does."""
+    """M's table is capped at 12 vertices, not at the model's cap, so
+    maximality is decided on chain graphs with n = 8 and 9, above the
+    default model cap of 7, while listing M is still refused there.
+    Both maximality criteria agree, and the table answers single queries
+    as ``m_separated`` does."""
     monkeypatch.delenv("MVRCG_MAX_N", raising=False)
     rng = random.Random(39)
     for n in (8, 9):
@@ -588,6 +589,17 @@ def test_model_iteration_decodes_each_code_once():
 def test_global_model_cap():
     with pytest.raises(CapExceeded):
         global_model(MixedGraph(8))
+
+
+def test_m_table_is_capped_at_the_subset_cap():
+    """M's table is n·2^n masks, so it has the cap of the other 2^n
+    enumerations, 12 vertices: on a 13-vertex chain both the table and
+    maximality, which reads it, are refused."""
+    g = MixedGraph(13, directed=[(v, v + 1) for v in range(12)])
+    with pytest.raises(CapExceeded, match="13 vertices exceeds cap 12"):
+        global_model_table(g)
+    with pytest.raises(CapExceeded, match="13 vertices exceeds cap 12"):
+        is_maximal(g)
 
 
 def test_env_var_overrides_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,14 @@ from mvrcg.sweep import SweepConfig, verify_graph
 from mvrcg.triples import IndependenceTriple
 
 from oracles import oracle_ancestors
+
+# sha1 over is_ancestral's witness for every mixed graph with n <= 4 that
+# is not ancestral, and over find_primitive_inducing_chain's chain for
+# every nonadjacent pair r < s of every such graph that has one.  It pins
+# both searches' tie-breaks: the fewest-edge directed path and the first
+# chain the breadth-first walk meets.
+ANCESTRAL_WITNESS_DIGEST = "751dc12793f9537388210e6df0f22e587a0a66b6"
+INDUCING_CHAIN_DIGEST = "a61fbc9b1c02a7d89fb25cd199778efd25eb205a"
 
 
 def oracle_is_ancestral(g):
@@ -99,6 +108,31 @@ def test_maximality_criteria_agree_on_all_ancestral_graphs():
             nonmaximal += not answer
         counts[n] = (graphs, ancestral, nonmaximal)
     assert counts == {3: (64, 56, 0), 4: (4096, 2504, 12)}
+
+
+def sha1_of(records) -> str:
+    digest = hashlib.sha1()
+    for rec in sorted(records):
+        digest.update(repr(rec).encode())
+    return digest.hexdigest()
+
+
+def test_ancestral_witnesses_and_inducing_chains_match_pinned_digest():
+    witnesses, chains = [], []
+    for n in range(1, 5):
+        for g in enumerate_mixed_graphs(n):
+            edges = (n, sorted(g.directed), sorted(g.bidirected))
+            res = is_ancestral(g)
+            if not res:
+                witnesses.append((edges, res.witness))
+            for r in range(n):
+                for s in range(r + 1, n):
+                    if not g.adjacent(r, s):
+                        chain = find_primitive_inducing_chain(g, r, s)
+                        if chain is not None:
+                            chains.append((edges, r, s, chain))
+    assert (len(witnesses), sha1_of(witnesses)) == (1600, ANCESTRAL_WITNESS_DIGEST)
+    assert (len(chains), sha1_of(chains)) == (384, INDUCING_CHAIN_DIGEST)
 
 
 def test_maximality_requires_ancestral():
